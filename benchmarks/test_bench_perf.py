@@ -7,15 +7,15 @@ routing-layer microbenchmark that times ``UGALRouting.route`` itself
 against live congestion state on a warmed network -- the purest view of
 the cached-vs-uncached difference, undiluted by event-queue costs.
 
-A second axis compares the simulator backends (``SimConfig.backend =
-"object" | "batched" | "kernel"``) on identical work: per-backend
-wall-clock and throughput plus ``batched_speedup`` / ``kernel_speedup``
-(wall-clock ratios over the object engine; event *counts* differ across
-backends by design, the batched engine elides bookkeeping events, so
-events/sec is per-backend color, not a comparison).  The compiled
-kernel rows appear only where the extension builds; a third bench runs
-the three backends at the UGAL saturation point on the 490-node Slim
-Fly (MMS q=7), the operating regime the kernel exists for.
+A second axis compares the two simulator engines (``SimConfig.backend =
+"object" | "kernel"``) on identical work: per-engine wall-clock and
+throughput plus ``kernel_speedup`` (the wall-clock ratio over the
+object engine; event *counts* differ by design, the kernel elides
+bookkeeping events, so events/sec is per-engine color, not a
+comparison).  The kernel rows appear only where the extension builds;
+a third bench runs both engines at the UGAL saturation point on the
+490-node Slim Fly (MMS q=7), the operating regime the kernel exists
+for.
 
 Results go to ``benchmarks/out/perf_summary.json`` so future PRs have a
 perf trajectory to regress against.  Wall-clock is taken as the best of
@@ -49,16 +49,11 @@ REPS = 3
 MICRO_ROUTES = 20_000
 REGRESSION_FLOOR = 0.7  # fail below 70% of the committed baseline
 
-#: Wall-clock floor for the batched backend relative to the object
-#: engine on the same work.  Measured reality (CPython, 2026-08): the
-#: batched engine runs ~1.15x (MIN) to ~1.35x (UGAL, larger scales)
-#: faster -- the struct-of-arrays layout pays for row-table congestion
-#: lookups and the calendar queue beats heappop, but per-event dispatch
-#: is still Python bytecode either way (see docs/PERFORMANCE.md for the
-#: compiled-kernel direction).  The gate is a *regression* guard at the
-#: noise floor of shared runners, not the aspiration: batched must
-#: never fall meaningfully behind the reference engine.
-BATCHED_SPEEDUP_FLOOR = 0.8
+#: Wall-clock floor for the kernel relative to the object engine on the
+#: tiny-scale cases, where set-up rather than the event loop dominates.
+#: A *regression* guard at the noise floor of shared runners: the
+#: kernel must never fall meaningfully behind the reference engine.
+PARITY_FLOOR = 0.8
 
 #: Wall-clock floor for the compiled kernel relative to the object
 #: engine on the saturation bench (the acceptance gate of the kernel
@@ -155,7 +150,7 @@ def _backend_axis() -> tuple:
     """The backends this machine can run: kernel only where it builds."""
     from repro.sim.vec.kernel import load_kernel
 
-    backends = ["object", "batched"]
+    backends = ["object"]
     if load_kernel() is not None:
         backends.append("kernel")
     return tuple(backends)
@@ -165,10 +160,10 @@ def _bench_backends(cfg, kind: str, backends: tuple):
     """Interleaved best-of-REPS across the simulator backends.
 
     The backends execute different *event counts* for the same physics
-    (the batched/kernel engines elide link-free/credit-return events),
-    so ``events_per_sec`` is reported per backend but is not comparable
-    across them; ``batched_speedup`` / ``kernel_speedup`` are wall-clock
-    ratios over the object engine on identical delivered work.
+    (the kernel elides link-free/credit-return events), so
+    ``events_per_sec`` is reported per backend but is not comparable
+    across them; ``kernel_speedup`` is the wall-clock ratio over the
+    object engine on identical delivered work.
     """
     walls = {backend: [] for backend in backends}
     packets = None
@@ -456,7 +451,7 @@ def _check_baseline(summary) -> list:
                 )
     for topo_key, per_routing in baseline.get("backends", {}).items():
         for kind, entry in per_routing.items():
-            for backend in ("batched", "kernel"):
+            for backend in ("kernel",):
                 ref = entry.get(backend, {}).get("packets_per_sec")
                 got = (
                     summary.get("backends", {})
@@ -539,16 +534,12 @@ def test_bench_perf(scale, report_dir):
         for kind, entry in per_routing.items():
             assert entry["speedup"] > REGRESSION_FLOOR, (topo_key, kind, entry)
 
-    # The batched backend must stay at least at parity with the object
-    # engine (floor sits below 1.0 only to absorb shared-runner noise);
-    # the compiled kernel must in turn never fall behind batched.
+    # The kernel must stay at least at parity with the object engine
+    # (floor sits below 1.0 only to absorb shared-runner noise).
     for topo_key, per_routing in summary["backends"].items():
         for kind, entry in per_routing.items():
-            assert entry["batched_speedup"] > BATCHED_SPEEDUP_FLOOR, (
-                topo_key, kind, entry
-            )
             if "kernel_speedup" in entry:
-                assert entry["kernel_speedup"] > BATCHED_SPEEDUP_FLOOR, (
+                assert entry["kernel_speedup"] > PARITY_FLOOR, (
                     topo_key, kind, entry
                 )
 

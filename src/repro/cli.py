@@ -761,15 +761,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_backend_arg(p):
         p.add_argument("--backend", default="object",
-                       choices=["object", "batched", "kernel"],
-                       help="simulator backend: 'object' is the reference "
-                            "event-per-callback engine, 'batched' dispatches "
-                            "typed events over struct-of-arrays state, "
-                            "'kernel' runs the batched loop as a compiled C "
-                            "extension (built at first use; falls back to "
-                            "'batched' with a warning when no compiler is "
-                            "available).  All bit-identical, "
-                            "conformance-gated; see docs/PERFORMANCE.md)")
+                       choices=["object", "kernel"],
+                       help="simulator engine: 'object' is the reference "
+                            "event-per-callback engine, 'kernel' runs the "
+                            "same physics in a compiled C extension that "
+                            "owns all simulation state (built at first use; "
+                            "falls back to 'object' with a warning when no "
+                            "compiler is available).  Bit-identical, "
+                            "conformance-gated; see docs/PERFORMANCE.md")
 
     def add_fault_args(p):
         g = p.add_argument_group("fault injection (repro.resilience)")

@@ -344,7 +344,7 @@ def main(argv=None) -> int:
                         help="recompute and overwrite the golden file")
     parser.add_argument("--path", default=GOLDEN_PATH,
                         help="golden JSON location (default: %(default)s)")
-    parser.add_argument("--backend", choices=("object", "batched", "kernel"),
+    parser.add_argument("--backend", choices=("object", "kernel"),
                         default="object",
                         help="simulator backend to verify against the "
                              "goldens (default: %(default)s); the goldens "

@@ -15,11 +15,11 @@ Freed slots re-admit inputs parked on the dead port, so upstream
 head-of-line blocking resolves by *flowing through* the dead port's
 crossbar into the divert path below.
 
-**Divert** (``divert_enter`` / ``divert_tail``): everything else is
+**Divert** (``divert_enter`` / ``divert_packet``): everything else is
 lazy.  Packets in input buffers, on wires, or mid-crossbar keep their
 (now stale) routes until the moment they would enter a dead port's
 output queue -- the ``_enter_oq`` seam in the object switch, the
-``_ENTER`` opcode in the batched loop -- and are rerouted or dropped
+``ENTER`` opcode in the compiled kernel -- and are rerouted or dropped
 *there*, at their current router, against the fault state current at
 that instant.  This makes fail/recover races inherently correct: a
 packet whose target link recovered before its crossbar traversal
@@ -34,8 +34,9 @@ credit-based hardware where an in-flight flit still lands.
 
 Determinism: fail-time work iterates links, ports and VCs in sorted
 order; every event scheduled mirrors the object engine's sequence
-consumption exactly (the batched side uses the engine's cold-path
-transfer mirrors), and reroute draws come from one schedule-seeded RNG.
+consumption exactly (the kernel's ``drain_port`` re-admits parked
+inputs and wakes the receiving ports in the object drain's order), and
+reroute draws come from one schedule-seeded RNG.
 The fault-schedule golden (tests/golden/fault_conformance.json) holds
 both backends to the same delivery fingerprint.
 """
@@ -54,7 +55,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["FaultManager"]
 
-_PWAKE = 2  # repro.sim.vec.engine opcode (kept in sync by conformance tests)
+
+def _hop_vc(pkt: "Packet", h: int) -> int:
+    """The VC *pkt* uses at hop *h*: its label, or 0 on the ejection hop
+    (a rewrite at the destination router leaves no label), exactly as
+    the switch reads it."""
+    vcs = pkt.vcs
+    return vcs[h] if h < len(vcs) else 0
 
 
 class FaultManager:
@@ -130,11 +137,13 @@ class FaultManager:
                 out.dead = True
                 dead_ports.append((a, out))
                 if vec is not None:
-                    vec.st.p_dead[vec.st.p_off[a] + out_idx] = True
+                    vec.kernel.set_dead(vec.st.p_off[a] + out_idx, True)
         if vec is None:
             self._drain_object(dead_ports)
         else:
-            self._drain_batched(vec, dead_ports)
+            for rid, out in dead_ports:
+                vec.kernel.drain_port(vec.st.p_off[rid] + out.out_idx,
+                                      self.divert_packet)
 
     def _apply_recover(self, links: Tuple[Tuple[int, int], ...]) -> None:
         """Undo the markings.  Dead output queues are empty by
@@ -153,7 +162,7 @@ class FaultManager:
                 out_idx = port_of(a, b)
                 net.routers[a].out[out_idx].dead = False
                 if vec is not None:
-                    vec.st.p_dead[vec.st.p_off[a] + out_idx] = False
+                    vec.kernel.set_dead(vec.st.p_off[a] + out_idx, False)
 
     # -- fail-time drain ------------------------------------------------------
 
@@ -180,7 +189,7 @@ class FaultManager:
                         h = pkt.hop
                         self._rewrite(pkt, h)
                         nout = router.out[pkt.ports[h]]
-                        nvc = pkt.vcs[h]
+                        nvc = _hop_vc(pkt, h)
                         nout.oq[nvc].append(pkt)
                         nout.oq_occ[nvc] += 1
                         nout.queued += 1
@@ -191,48 +200,9 @@ class FaultManager:
             for ovc in range(V):
                 router._admit_pending(out, ovc)
             for out_idx in sorted(moved):
-                # One seq each, mirrored by the batched _PWAKE push;
+                # One seq each, mirrored by the kernel's PWAKE push;
                 # _try_transmit self-guards on a busy port.
                 engine.schedule(0.0, router._try_transmit, router.out[out_idx])
-
-    def _drain_batched(self, vec, dead_ports) -> None:
-        st = vec.st
-        V = st.V
-        drop = self.policy == "drop"
-        t = vec.now
-        s = vec._cs
-        for rid, out in dead_ports:
-            gid = st.p_off[rid] + out.out_idx
-            moved: set = set()
-            for ovc in range(V):
-                pv = gid * V + ovc
-                q = st.pv_oq[pv]
-                while q:
-                    pid = q.popleft()
-                    st.pv_occ[pv] -= 1
-                    st.p_oqtot[gid] -= 1
-                    st.p_queued[gid] -= 1
-                    if drop:
-                        self.dropped += 1
-                    else:
-                        pkt = st.k_obj[pid]
-                        h = st.k_hop[pid]
-                        self._rewrite(pkt, h)
-                        st.k_ports[pid] = pkt.ports
-                        st.k_vcs[pid] = pkt.vcs + (0,)
-                        ngid = st.p_off[rid] + pkt.ports[h]
-                        nvc = pkt.vcs[h]
-                        st.pv_oq[ngid * V + nvc].append(pid)
-                        st.pv_occ[ngid * V + nvc] += 1
-                        st.p_oqtot[ngid] += 1
-                        st.p_queued[ngid] += 1
-                        self.reroutes += 1
-                        moved.add(ngid)
-            for ovc in range(V):
-                vec._admit_pending_cold(gid, ovc, t, s)
-            for ngid in sorted(moved):
-                vec._seq += 1
-                vec._push(t, vec._seq, _PWAKE, ngid, 0, 0)
 
     # -- divert (lazy in-flight handling) -------------------------------------
 
@@ -255,7 +225,7 @@ class FaultManager:
         out.oq_occ[out_vc] -= 1
         out.queued -= 1
         nout = router.out[pkt.ports[h]]
-        nvc = pkt.vcs[h]
+        nvc = _hop_vc(pkt, h)
         # Transient over-occupancy on the new VC is fine: oq_cap only
         # gates crossbar admission, and the slot drains by transmission.
         nout.oq_occ[nvc] += 1
@@ -266,31 +236,18 @@ class FaultManager:
         router._admit_pending(out, out_vc)
         return nout, nvc
 
-    def divert_tail(self, pv: int, pid: int, gid: int):
-        """Batched-backend divert, called from the ``_ENTER`` dead
-        branch.  Returns ``None`` (dropped) or the ``(pv, gid)`` to
-        enter instead; the caller re-admits parked inputs and performs
-        the append/wake for the returned port."""
-        st = self.net._vec.st
+    def divert_packet(self, pkt: "Packet", hop: int) -> bool:
+        """Kernel-backend policy hook, called for every packet that
+        would enter a dead output queue (``ENTER`` on a dead port) and
+        for every packet drained from one at fail time.  Returns False
+        when the packet is dropped, True once its route has been
+        rewritten from *hop*; the kernel does the queue accounting."""
         if self.policy == "drop":
-            st.pv_occ[pv] -= 1
-            st.p_queued[gid] -= 1
             self.dropped += 1
-            return None
-        pkt = st.k_obj[pid]
-        h = st.k_hop[pid]
-        self._rewrite(pkt, h)
-        st.k_ports[pid] = pkt.ports
-        st.k_vcs[pid] = pkt.vcs + (0,)
-        st.pv_occ[pv] -= 1
-        st.p_queued[gid] -= 1
-        rid = pkt.routers[h]
-        ngid = st.p_off[rid] + pkt.ports[h]
-        npv = ngid * st.V + pkt.vcs[h]
-        st.pv_occ[npv] += 1
-        st.p_queued[ngid] += 1
+            return False
+        self._rewrite(pkt, hop)
         self.reroutes += 1
-        return npv, ngid
+        return True
 
     # -- route rewriting ------------------------------------------------------
 
@@ -336,7 +293,7 @@ class FaultManager:
     def _snapshot_sent(self) -> List[int]:
         net = self.net
         if net._vec is not None:
-            return list(net._vec.st.p_sent)
+            return net._vec.sent_counts()
         return [out.sent_packets for r in net.routers for out in r.out]
 
     def post_fault_skew(self, until_ns: float) -> Optional[Dict[str, float]]:

@@ -388,10 +388,9 @@ class RouteCache:
         *u*'s output-port index toward neighbor *v* (``-1`` where no
         channel exists).
 
-        One flat list keeps the UGAL-L congestion probe -- the hottest
-        per-packet lookup the routing escape makes under the batched and
-        kernel backends -- to a single multiply-indexed load instead of
-        chasing a row list per call.
+        The kernel copies this table into C once, as its UGAL-L
+        congestion probe: the hottest per-packet lookup of its route
+        selection, one multiply-indexed load.
         """
         topo = self.topology
         n = topo.num_routers

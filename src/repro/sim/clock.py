@@ -2,8 +2,8 @@
 
 Statistics code used to reach into ``net.engine.now`` and a private
 ``Network._utilization_window`` attribute -- both artifacts of the
-object engine.  With two simulator backends (``repro.sim.engine.Engine``
-and ``repro.sim.vec.BatchedEngine``) the clock and the measurement
+object engine.  With two simulator engines (``repro.sim.engine.Engine``
+and ``repro.sim.vec.kernel.KernelEngine``) the clock and the measurement
 window live behind one accessor, :class:`SimClock`, owned by the
 :class:`~repro.sim.network.Network`:
 

@@ -35,13 +35,13 @@ class SimConfig:
     check: bool = False
     #: Simulator backend.  ``"object"`` is the reference implementation
     #: (one Python object per router/NIC/port, one callback per event);
-    #: ``"batched"`` runs the same physics over struct-of-arrays state
-    #: with a flat typed-event loop that elides the per-event callback
-    #: machinery (repro.sim.vec); ``"kernel"`` is the batched backend
-    #: with the event queue and dispatch loop compiled to C
-    #: (repro.sim.vec.kernel), falling back to ``"batched"`` with one
-    #: RuntimeWarning when no compiler/ABI is available.  All backends
-    #: are bit-identical -- the golden conformance suite
+    #: ``"kernel"`` runs the same physics in a compiled C kernel that
+    #: owns the event queue and all simulation state
+    #: (repro.sim.vec.kernel), falling back to ``"object"`` with one
+    #: RuntimeWarning when no compiler/ABI is available.  ``"batched"``
+    #: is accepted as a deprecated alias for ``"kernel"`` (the pure-
+    #: Python batched loop it once named is gone).  Both engines are
+    #: bit-identical -- the golden conformance suite
     #: (tests/golden/conformance.json) is the gate -- so the choice is
     #: purely a speed/memory trade-off.
     backend: str = "object"

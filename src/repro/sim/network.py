@@ -53,20 +53,28 @@ class Network:
         # compiled routes carry their hop ports and never touch it.
         self._route_port_cache: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         self.tracer = None  # optional PacketTracer (see enable_trace)
-        self._vec = None  # BatchedEngine/KernelEngine for vec backends
+        self._vec = None  # KernelEngine when the kernel backend runs
         self._msg_track: Optional[Dict] = None  # per-message tracking (exchanges)
         self._delivery_listeners: list = []  # see add_delivery_listener
         self._experiment_ran = False  # one experiment per Network instance
 
         vc_capacity = config.buffer_packets_per_vc(self.num_vcs)
 
+        #: Which engine actually runs: ``"kernel"`` when the compiled
+        #: kernel was requested (``"batched"`` is a deprecated alias for
+        #: it) and loads, otherwise ``"object"``.  Resolved before the
+        #: routers are wired, so a checked run that falls back gets the
+        #: object engine's per-transition checker.
+        self.backend_in_use = self._resolve_backend(config.backend)
+        kernel = self.backend_in_use == "kernel"
+
         # With checking enabled, routers and NICs are built as Checked*
         # subclasses that notify the invariant checker around every
         # transition; the unchecked hot path pays nothing for this.
-        # The batched backend has no per-transition callbacks to hook,
-        # so its checker (repro.sim.vec.check) audits state instead and
-        # the plain classes suffice as the wiring template.
-        if config.check and config.backend == "object":
+        # The kernel has no per-transition callbacks to hook, so its
+        # checker (repro.sim.vec.check) audits state instead and the
+        # plain classes suffice as the wiring template.
+        if config.check and not kernel:
             from repro.sim.invariants import CheckedNIC, CheckedRouter
 
             router_cls, nic_cls = CheckedRouter, CheckedNIC
@@ -133,55 +141,30 @@ class Network:
             self.nics.append(nic)
             self._eject_ports.append(deg + local)
 
-        if config.check and config.backend == "object":
+        if config.check and not kernel:
             from repro.sim.invariants import InvariantChecker
 
             self.checker = InvariantChecker(self)
             self.checker.attach()
 
-        #: Which engine actually runs: ``config.backend`` unless the
-        #: compiled kernel was requested but unavailable, in which case
-        #: this records the ``"batched"`` fallback.
-        self.backend_in_use = config.backend
+        if kernel:
+            # Swap in the compiled kernel.  The object routers and NICs
+            # built above stay the wiring's single source of truth (the
+            # kernel is built *from* them), but all event execution and
+            # all mutable state move into C: the NIC list becomes
+            # driver-facing shims over the kernel and UGAL-L's congestion
+            # signal reads its per-port counters (instance attribute
+            # shadows the class method).
+            from repro.sim.vec.kernel import KernelEngine
 
-        if config.backend in ("batched", "kernel"):
-            # Swap in the struct-of-arrays engine.  The object routers
-            # and NICs built above stay the wiring's single source of
-            # truth (the SoA state is flattened *from* them), but all
-            # event execution moves to the batched loop: the NIC list
-            # becomes driver-facing shims over the arrays and UGAL-L's
-            # congestion signal reads the flat per-port counters
-            # (instance attribute shadows the class method).  The
-            # kernel backend is the same loop compiled to C; since it
-            # shares the SoA state and the escape contract, the checker
-            # and fault machinery below apply to it unchanged.
-            from repro.sim.vec import BatchedEngine
-            from repro.sim.vec.state import make_queue_len
-
-            self._vec = None
-            if config.backend == "kernel":
-                from repro.sim.vec import kernel as _kernel_mod
-
-                if _kernel_mod.load_kernel() is not None:
-                    self._vec = _kernel_mod.KernelEngine(self)
-                else:
-                    warnings.warn(
-                        "backend='kernel' requested but the compiled "
-                        f"kernel is unavailable ({_kernel_mod.load_error}); "
-                        "falling back to the pure-Python batched backend",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    self.backend_in_use = "batched"
-            if self._vec is None:
-                self._vec = BatchedEngine(self)
+            self._vec = KernelEngine(self)
             self.engine = self._vec
             self.nics = self._vec.nic_shims
-            self.queue_len = make_queue_len(self._vec.st)
+            self.queue_len = self._vec.kernel.queue_len
             if config.check:
-                from repro.sim.vec.check import BatchedChecker
+                from repro.sim.vec.check import KernelChecker
 
-                self.checker = BatchedChecker(self)
+                self.checker = KernelChecker(self)
                 self.checker.attach()
 
         if config.faults:
@@ -194,6 +177,24 @@ class Network:
         #: Backend-neutral time source; stats code reads ``clock.now``
         #: and the utilization window rather than engine internals.
         self.clock = SimClock(self.engine)
+
+    @staticmethod
+    def _resolve_backend(requested: str) -> str:
+        """The engine a run gets for *requested* (see ``backend_in_use``)."""
+        if requested == "object":
+            return "object"
+        from repro.sim.vec import kernel as _kernel_mod
+
+        if _kernel_mod.load_kernel() is not None:
+            return "kernel"
+        warnings.warn(
+            f"backend={requested!r} requested but the compiled kernel is "
+            f"unavailable ({_kernel_mod.load_error}); falling back to the "
+            "object engine",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return "object"
 
     @property
     def _utilization_window(self) -> Optional[float]:
@@ -228,7 +229,7 @@ class Network:
         """Route and materialise one packet (called by the NIC at send time).
 
         The kernel backend mirrors this method in C for the compiled
-        routing implementations (``fast_nic_send`` in
+        routing implementations (``make_fast`` in
         ``repro/sim/vec/_kernel.c``, golden- and fuzz-gated); changes
         to routing dispatch, packet construction or inject accounting
         here must be reflected there.
@@ -283,7 +284,7 @@ class Network:
     def reset_utilization(self) -> None:
         """Zero the per-port transmission counters (called at warm-up end)."""
         if self._vec is not None:
-            self._vec.st.reset_sent()
+            self._vec.reset_sent()
             return
         for router in self.routers:
             for out in router.out:
@@ -304,7 +305,7 @@ class Network:
         if self._vec is not None:
             # Cold path: surface the flat counters through the object
             # ports so one loop below serves both backends.
-            self._vec.st.sync_ports()
+            self._vec.sync_ports()
         ser = self.config.packet_time_ns
         out_map: Dict = {}
         topo = self.topology
@@ -395,9 +396,9 @@ class Network:
         self.stats.set_window(warmup_ns, horizon)
 
         if self._vec is not None:
-            # Batched backend: pregenerate every node's injection
+            # Kernel backend: pregenerate every node's injection
             # stream in one pass (identical per-node RNG draws; see
-            # BatchedEngine.setup_synthetic for the exactness argument).
+            # KernelEngine.setup_synthetic for the exactness argument).
             self._vec.setup_synthetic(
                 pattern, mean_ia, horizon, seed, arrival, cfg.packet_bytes
             )

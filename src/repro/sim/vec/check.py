@@ -1,11 +1,14 @@
-"""Invariant checking for the batched backend.
+"""Invariant checking for the kernel backend.
 
-The object backend's :class:`~repro.sim.invariants.InvariantChecker`
+The object engine's :class:`~repro.sim.invariants.InvariantChecker`
 shadows every router/NIC transition through Checked* subclasses; the
-batched backend has no per-transition callbacks to hook, so its checker
-works from the two seams both backends share -- packet creation and
-delivery -- plus *full-state audits* that reconcile the SoA arrays, the
-pending-event heap and the statistics counters against each other.
+compiled kernel has no per-transition callbacks to hook, so its checker
+works from the two seams both engines share -- packet creation and
+delivery -- plus *full-state audits* that reconcile the kernel's state
+arrays, the pending-event heap and the statistics counters against each
+other.  Audits read live state only through kernel methods and
+read-only buffer views (``Kernel.view`` / ``Kernel.lengths``), reduced
+with numpy.
 
 Checked invariants:
 
@@ -16,26 +19,26 @@ Checked invariants:
   the routing's VC policy.  Identical rules to the object checker.
 - **Latency floor** (at ``deliver``): no packet arrives earlier than
   the zero-load latency of its hop count allows.
-- **Conservation** (audits): ``injected - delivered`` equals the
-  packets found in input queues, output queues and in-flight heap
-  events; the per-port ``queued`` counter behind UGAL-L's congestion
-  signal matches a recount; ``oq_occ`` matches queue contents plus
-  in-switch packets.
+- **Conservation** (audits): ``injected - delivered - dropped`` equals
+  the packets found in input queues, output queues and in-flight heap
+  events, and equals the kernel's live packet slots; the per-port
+  ``queued`` counter behind UGAL-L's congestion signal matches a
+  recount; ``oq_occ`` matches queue contents plus in-switch packets.
 - **Credit loops** (audits): for every channel VC,
   ``credits + pending credit arrivals + downstream buffered + on-link``
-  sums to the VC capacity (pending arrivals are the batched engine's
-  lazily-drained representation of the object engine's in-flight
-  credits); NIC injection loops likewise sum to the port capacity.
+  sums to the VC capacity (pending arrivals are the kernel's lazily
+  drained representation of the object engine's in-flight credits);
+  NIC injection loops likewise sum to the port capacity.
 
 Violations raise :class:`~repro.sim.invariants.InvariantViolation` with
 a state snapshot.  Audits run every ``AUDIT_PERIOD`` deliveries and at
 experiment end (``audit`` / ``verify_quiescent``, the same entry points
-the object checker exposes); they walk live state only and schedule no
-events, so checking cannot perturb event order -- a checked batched run
-produces the same fingerprint as an unchecked one.
+the object checker exposes); they read state and schedule no events,
+so checking cannot perturb event order -- a checked run produces the
+same fingerprint as an unchecked one.
 
-On the kernel backend, an attached checker also gates the C fast paths
-off (``KernelEngine._fastpath_spec`` requires ``net.checker is None``
+An attached checker also gates the C fast paths off
+(``KernelEngine._fastpath_spec`` requires ``net.checker is None``
 because the checker wraps both seams): checked kernel runs take the
 per-packet make_packet/deliver escapes, and the goldens pin that both
 routes produce identical fingerprints.
@@ -43,21 +46,21 @@ routes produce identical fingerprints.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.sim.invariants import InvariantViolation
 from repro.sim.packet import Packet
+from repro.sim.vec.kernel import OP_DELIVER, OP_ENTER, OP_RECV
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.network import Network
 
-__all__ = ["BatchedChecker"]
+__all__ = ["KernelChecker"]
 
 #: Deliveries between two full-state audits.
 AUDIT_PERIOD = 256
-
-# Opcodes of in-flight packet-carrying events (mirrors vec.engine).
-_RECV, _ENTER, _DELIVER = 0, 1, 3
 
 
 class _DeliveryLog:
@@ -70,8 +73,8 @@ class _DeliveryLog:
         self.appended = 0
 
 
-class BatchedChecker:
-    """Audit-based invariant checker for ``backend="batched"``."""
+class KernelChecker:
+    """Audit-based invariant checker for ``backend="kernel"``."""
 
     def __init__(self, net: "Network") -> None:
         self.net = net
@@ -98,18 +101,13 @@ class BatchedChecker:
     def fail(self, rule: str, message: str, **where) -> None:
         raise InvariantViolation(
             rule, message, time_ns=self.net.engine.now,
-            snapshot={"backend": "batched"}, **where,
+            snapshot={"backend": "kernel"}, **where,
         )
 
     # -- packet creation -------------------------------------------------------
 
     def _checked_make_packet(self, src_node, dst_node, size, msg_id, gen_time):
         pkt = self._orig_make_packet(src_node, dst_node, size, msg_id, gen_time)
-        st = self.net._vec.st
-        if len(st.k_obj) != pkt.pid:
-            self.fail("conservation", f"packet SoA holds {len(st.k_obj)} "
-                      f"entries at injection of pid {pkt.pid} (arrays and "
-                      f"pid allocation desynchronized)", pid=pkt.pid)
         self.validate_route(pkt)
         self.injected += 1
         self.history.appended += 1
@@ -186,10 +184,11 @@ class BatchedChecker:
     # -- audits ----------------------------------------------------------------
 
     def audit(self) -> None:
-        """Reconcile SoA arrays, the event heap and the stats counters."""
+        """Reconcile kernel state, the event heap and the stats counters."""
         self.audits += 1
         net = self.net
         eng = net._vec
+        k = eng.kernel
         st = eng.st
         V = st.V
         if self.injected != net.stats.injected_total:
@@ -205,24 +204,31 @@ class BatchedChecker:
         # are in-flight packets; RECV events are additionally the
         # on-link population of their target input (credit-loop term).
         heap_pkts = 0
-        enter_by_pv = {}
-        enter_by_gid = {}
-        recv_by_iv = {}
+        enter_by_pv = np.zeros(st.NP * V, dtype=np.int64)
+        enter_by_gid = np.zeros(st.NP, dtype=np.int64)
+        recv_by_iv = np.zeros(st.NI * V, dtype=np.int64)
         for ev in eng.iter_pending():
             op = ev[2]
-            if op == _RECV:
+            if op == OP_RECV:
                 heap_pkts += 1
-                key = ev[3] * V + ev[4]
-                recv_by_iv[key] = recv_by_iv.get(key, 0) + 1
-            elif op == _ENTER:
+                recv_by_iv[ev[3] * V + ev[4]] += 1
+            elif op == OP_ENTER:
                 heap_pkts += 1
-                enter_by_pv[ev[3]] = enter_by_pv.get(ev[3], 0) + 1
-                enter_by_gid[ev[5]] = enter_by_gid.get(ev[5], 0) + 1
-            elif op == _DELIVER:
+                enter_by_pv[ev[3]] += 1
+                enter_by_gid[ev[5]] += 1
+            elif op == OP_DELIVER:
                 heap_pkts += 1
 
-        buffered = sum(len(q) for q in st.iv_q)
-        queued = sum(len(q) for q in st.pv_oq)
+        def lengths(name):
+            return np.frombuffer(k.lengths(name), dtype=np.int32).astype(np.int64)
+
+        def view(name):
+            return np.frombuffer(k.view(name), dtype=_VIEW_DTYPES[name])
+
+        iv_len = lengths("iv_q")
+        oq_len = lengths("pv_oq")
+        buffered = int(iv_len.sum())
+        queued = int(oq_len.sum())
         in_flight = heap_pkts + buffered + queued
         fm = net.fault_manager
         dropped = fm.dropped if fm is not None else 0
@@ -231,109 +237,106 @@ class BatchedChecker:
                       f"delivered {self.delivered} + in-flight {in_flight} "
                       f"+ dropped {dropped} (on-link/in-switch {heap_pkts}, "
                       f"input-buffered {buffered}, output-queued {queued})")
+        live = k.memory()["slots_live"]
+        if live != in_flight:
+            self.fail("conservation", f"kernel holds {live} live packet "
+                      f"slots for {in_flight} packets in flight (slot "
+                      f"recycling leaks or double-frees)")
 
-        # Per-port occupancy counters vs. a recount.
-        for gid in range(st.NP):
-            base = gid * V
-            occ_total = 0
-            for vc in range(V):
-                pv = base + vc
-                expect = len(st.pv_oq[pv]) + enter_by_pv.get(pv, 0)
-                if st.pv_occ[pv] != expect:
-                    self.fail("conservation", f"oq_occ[{vc}] is "
-                              f"{st.pv_occ[pv]}, recount holds {expect} "
-                              f"packets in/entering that queue",
-                              port=gid, vc=vc)
-                occ_total += len(st.pv_oq[pv])
-            occ_total += enter_by_gid.get(gid, 0)
-            # p_queued additionally counts packets still in this
-            # router's input buffers that route to this output.
-            if st.p_queued[gid] < occ_total:
-                self.fail("conservation", f"output `queued` counter "
-                          f"{st.p_queued[gid]} is below its own queue "
-                          f"population {occ_total} (UGAL congestion "
-                          f"signal corrupt)", port=gid)
+        # Per-VC occupancy counters vs. a recount.
+        occ = view("pv_occ")
+        expect = oq_len + enter_by_pv
+        bad = np.flatnonzero(occ != expect)
+        if bad.size:
+            pv = int(bad[0])
+            self.fail("conservation", f"oq_occ[{pv % V}] is {occ[pv]}, "
+                      f"recount holds {expect[pv]} packets in/entering "
+                      f"that queue", port=pv // V, vc=pv % V)
 
         # UGAL `queued` recount: every waiting packet charged to the
         # output it will take at its current router.
-        queued_recount = [0] * st.NP
-        for igid in range(st.NI):
-            base_p = st.p_off[st.in_rid[igid]]
+        p_queued = view("p_queued")
+        recount = oq_len.reshape(st.NP, V).sum(axis=1) + enter_by_gid
+        for igid in np.flatnonzero(iv_len.reshape(st.NI, V).sum(axis=1)):
+            base_p = st.in_pbase[igid]
             for vc in range(V):
-                for pid in st.iv_q[igid * V + vc]:
-                    queued_recount[base_p + pid_port(st, pid)] += 1
-        for gid, cnt in enter_by_gid.items():
-            queued_recount[gid] += cnt
-        for pv, q in enumerate(st.pv_oq):
-            queued_recount[pv // V] += len(q)
-        for gid in range(st.NP):
-            if st.p_queued[gid] != queued_recount[gid]:
-                self.fail("conservation", f"output `queued` counter is "
-                          f"{st.p_queued[gid]}, recount holds "
-                          f"{queued_recount[gid]} packets bound for it "
-                          f"(UGAL congestion signal corrupt)", port=gid)
+                for slot in k.queue("iv_q", int(igid) * V + vc):
+                    recount[base_p + k.next_port(slot)[1]] += 1
+        bad = np.flatnonzero(p_queued != recount)
+        if bad.size:
+            gid = int(bad[0])
+            self.fail("conservation", f"output `queued` counter is "
+                      f"{p_queued[gid]}, recount holds {recount[gid]} "
+                      f"packets bound for it (UGAL congestion signal "
+                      f"corrupt)", port=gid)
 
         # Credit loops: materialised credits + undrained arrivals +
         # downstream buffered + on-link == capacity, per channel VC.
-        for gid in range(st.NP):
-            if not st.p_has_cred[gid]:
-                continue
-            din = st.p_dest_in[gid]
-            for vc in range(V):
-                pv = gid * V + vc
-                div = din * V + vc
-                total = (st.pv_cred[pv] + len(st.pv_arr[pv])
-                         + len(st.iv_q[div]) + recv_by_iv.get(div, 0))
-                if total != self._vc_capacity:
-                    self.fail("credit-loop", f"channel credit loop does not "
-                              f"sum to capacity: credits {st.pv_cred[pv]} + "
-                              f"in-flight {len(st.pv_arr[pv])} + buffered "
-                              f"{len(st.iv_q[div])} + on-link "
-                              f"{recv_by_iv.get(div, 0)} = {total}, "
-                              f"expected {self._vc_capacity}",
-                              port=gid, vc=vc)
-        for node in range(st.NN):
-            div = st.n_in[node] * V
-            total = (st.n_cred[node] + len(st.n_arr[node])
-                     + len(st.iv_q[div]) + recv_by_iv.get(div, 0))
-            if total != self._nic_capacity:
-                self.fail("credit-loop", f"NIC {node} injection loop does "
-                          f"not sum to capacity: credits {st.n_cred[node]} "
-                          f"+ in-flight {len(st.n_arr[node])} + buffered "
-                          f"{len(st.iv_q[div])} + on-link "
-                          f"{recv_by_iv.get(div, 0)} = {total}, expected "
-                          f"{self._nic_capacity}")
+        cred = view("pv_cred").reshape(st.NP, V)
+        arr = lengths("pv_arr").reshape(st.NP, V)
+        iv_len2 = iv_len.reshape(st.NI, V)
+        recv2 = recv_by_iv.reshape(st.NI, V)
+        has = np.asarray(st.p_has_cred, dtype=bool)
+        din = np.asarray(st.p_dest_in, dtype=np.int64)
+        gids = np.flatnonzero(has)
+        total = (cred[gids] + arr[gids] + iv_len2[din[gids]]
+                 + recv2[din[gids]])
+        bad = np.argwhere(total != self._vc_capacity)
+        if bad.size:
+            i, vc = (int(x) for x in bad[0])
+            gid = int(gids[i])
+            self.fail("credit-loop", f"channel credit loop does not "
+                      f"sum to capacity: credits {cred[gid, vc]} + "
+                      f"in-flight {arr[gid, vc]} + buffered "
+                      f"{iv_len2[din[gid], vc]} + on-link "
+                      f"{recv2[din[gid], vc]} = {total[i, vc]}, "
+                      f"expected {self._vc_capacity}", port=gid, vc=vc)
+        n_in = np.asarray(st.n_in, dtype=np.int64)
+        n_cred = view("n_cred")
+        n_arr = lengths("n_arr")
+        n_total = n_cred + n_arr + iv_len2[n_in, 0] + recv2[n_in, 0]
+        bad = np.flatnonzero(n_total != self._nic_capacity)
+        if bad.size:
+            node = int(bad[0])
+            self.fail("credit-loop", f"NIC {node} injection loop does "
+                      f"not sum to capacity: credits {n_cred[node]} + "
+                      f"in-flight {n_arr[node]} + buffered "
+                      f"{iv_len2[n_in[node], 0]} + on-link "
+                      f"{recv2[n_in[node], 0]} = {n_total[node]}, expected "
+                      f"{self._nic_capacity}")
 
     def verify_quiescent(self) -> None:
         """After a drained run: nothing in flight, every credit home."""
         self.audit()
-        st = self.net._vec.st
-        fm = self.net.fault_manager
+        net = self.net
+        k = net._vec.kernel
+        st = net._vec.st
+        fm = net.fault_manager
         dropped = fm.dropped if fm is not None else 0
         in_flight = self.injected - self.delivered - dropped
         if in_flight:
             self.fail("conservation", f"{in_flight} packets still in "
                       f"flight after drain")
-        for gid in range(st.NP):
-            if st.p_pend[gid]:
-                self.fail("starvation", f"inputs {list(st.p_pend[gid])} "
-                          f"still pending on an idle output", port=gid)
-            if not st.p_has_cred[gid]:
-                continue
-            for vc in range(st.V):
-                pv = gid * st.V + vc
-                home = st.pv_cred[pv] + len(st.pv_arr[pv])
-                if home != self._vc_capacity:
-                    self.fail("credit-loop", f"credits {home} not fully "
-                              f"restored after drain (capacity "
-                              f"{self._vc_capacity})", port=gid, vc=vc)
-        for node in range(st.NN):
-            home = st.n_cred[node] + len(st.n_arr[node])
-            if home != self._nic_capacity:
-                self.fail("credit-loop", f"NIC {node} ended with "
-                          f"{home}/{self._nic_capacity} credits")
+        pend = np.frombuffer(k.lengths("p_pend"), dtype=np.int32)
+        for gid in np.flatnonzero(pend):
+            parked = [divmod(iv, st.V) for iv in k.queue("p_pend", int(gid))]
+            self.fail("starvation", f"inputs {parked} still pending on an "
+                      f"idle output", port=int(gid))
+        home = (np.frombuffer(k.view("pv_cred"), dtype=np.int32)
+                + np.frombuffer(k.lengths("pv_arr"), dtype=np.int32))
+        home = home.reshape(st.NP, st.V)
+        for gid in np.flatnonzero(np.asarray(st.p_has_cred, dtype=bool)):
+            for vc in np.flatnonzero(home[gid] != self._vc_capacity):
+                self.fail("credit-loop", f"credits {home[gid, vc]} not "
+                          f"fully restored after drain (capacity "
+                          f"{self._vc_capacity})", port=int(gid), vc=int(vc))
+        n_home = (np.frombuffer(k.view("n_cred"), dtype=np.int32)
+                  + np.frombuffer(k.lengths("n_arr"), dtype=np.int32))
+        for node in np.flatnonzero(n_home != self._nic_capacity):
+            self.fail("credit-loop", f"NIC {int(node)} ended with "
+                      f"{n_home[node]}/{self._nic_capacity} credits")
 
 
-def pid_port(st, pid: int) -> int:
-    """Output port index a buffered packet will request next."""
-    return st.k_ports[pid][st.k_hop[pid]]
+#: numpy dtypes of the kernel views the audits read.
+_VIEW_DTYPES = {"pv_occ": np.int32, "p_queued": np.int32,
+                "pv_cred": np.int32, "n_cred": np.int32}

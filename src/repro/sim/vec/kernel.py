@@ -1,65 +1,115 @@
-"""Compiled event kernel for the batched backend.
+"""Compiled event kernel: the ``"kernel"`` simulator backend.
 
-:class:`KernelEngine` subclasses :class:`~repro.sim.vec.engine.BatchedEngine`
-and replaces the pending-event calendar plus the CPython dispatch loop
-with a C extension (``repro/sim/vec/_kernel.c``): a binary heap of typed
-event structs and C opcode handlers over the *same* ``SoAState`` lists
-and deques the Python loop uses.  Everything else -- the SoA flattening,
-the NIC shims, synthetic pregeneration, the audit-based checker, the
-fault manager's cold-path mirrors -- is inherited unchanged, which is
-what keeps the kernel bit-identical to the other two backends (the
-golden conformance suite asserts it).
+:class:`KernelEngine` is engine-compatible with the object engine
+(``schedule``, ``schedule_at``, ``run``, ``now``, ``events_executed``,
+``pending``, ``clear``) but runs every event in a C extension
+(``repro/sim/vec/_kernel.c``).  The extension owns the pending-event
+heap *and* all mutable simulation state: per-port, per-VC and per-NIC
+scalars as typed C arrays, the output, input-VC, NIC and pending-input
+queues and the credit-arrival FIFOs as C ring buffers, and packets as C
+slots recycled on delivery.  It is built once from the read-only wiring
+in :class:`~repro.sim.vec.state.SoAState`.  A
+:class:`~repro.sim.packet.Packet` is materialised only where Python
+must see one: the make_packet and deliver escapes, delivery observers,
+fault diverts and the checker.
 
-Ordering equivalence
-====================
+Exactness model
+===============
 
-The calendar queue and the heap pop in the same global ``(time, seq)``
-order: every push the handlers make is strictly after the currently
-executing key (sequence numbers only grow, timestamps are now + a
-positive latency), so a global-min pop sequence is unique up to ties --
-and the only same-key ties are duplicate wake records, which re-check
-state and no-op regardless of which copy runs first.
+The object engine executes ~13 heap events per delivered packet.  Five
+of them (NIC/port link-free, NIC/port credit-return) only flip a flag
+or bump a counter and then *maybe* re-attempt a send.  The kernel
+elides them: busyness is a stored ``(busy_t, busy_seq)`` key compared
+lazily, credits are a count plus the in-flight arrival keys drained on
+demand.  Two invariants make the elision exact rather than merely
+plausible:
+
+1. **Sequence reservation.**  Every ``engine.schedule()`` call the
+   object engine would make is mirrored -- in the same order inside
+   each handler -- by incrementing the sequence counter, whether or not
+   an event record is queued.  An elided event's reserved
+   ``(time, seq)`` key is stored with the lazy state it represents.
+
+2. **Reserved-key wake-ups.**  When an elided event *would* have done
+   real work (the link-free retry that finds a queued packet, the
+   credit arrival that unblocks a stalled VC), a wake event is pushed
+   *at the reserved key*, so it executes exactly where the object
+   engine's callback would have.  Wake rules are conservative: a
+   spurious wake re-checks state and no-ops, exactly like the object
+   handlers it replaces, so duplicates cannot change behaviour.
+
+A credit count is the materialised count *plus* every pending arrival
+with key ``<= (t, seq)``; arrivals materialise only when a sender finds
+the count at zero, so every wake test reads the same count the object
+engine's state implies.  Arrivals whose key has already passed fold
+into a per-VC *matured* count when the next credit is recorded, so each
+FIFO holds only credits still on the wire (bounded by the VC capacity)
+while the materialised count changes exactly when it otherwise would.
+
+Because every surviving event carries the key it would have had in the
+object engine, the global event order -- and with it the shared routing
+RNG draw order, every float addition producing a timestamp, and every
+round-robin/FIFO arbitration decision -- is reproduced bit-for-bit.
+The golden conformance suite asserts exactly that.
+
+Packet generation for ``run_synthetic`` is pregenerated per node
+(:meth:`KernelEngine.setup_synthetic`): each node's traffic pattern and
+inter-arrival draws come from a *private* per-node RNG, so playing a
+node's draws forward at setup consumes the identical stream the object
+engine draws one event at a time.
+
+Arbitrary callbacks (``schedule(delay, fn, *args)``) remain supported
+via a CALL op, so the drivers in :mod:`repro.sim.network` and
+:mod:`repro.workload.driver` run unchanged on either engine.
 
 Loading
 =======
 
-:func:`load_kernel` first tries a prebuilt ``repro.sim.vec._kernel``
-module (``pip install`` with a compiler present), then falls back to
-compiling the shipped C source at first use with ``cc -O2`` into a
-source-hash-keyed cache directory (``REPRO_KERNEL_CACHE``, default
-``~/.cache/repro-kernel``).  Set ``REPRO_NO_KERNEL=1`` to skip both and
-force the pure-Python batched engine -- CI uses this to keep the
-no-compiler fallback path green.  Any build/load failure is recorded in
+:func:`load_kernel` compiles the shipped C source at first use with
+``cc -O2`` (plus ``$REPRO_KERNEL_CFLAGS``, e.g. sanitizer flags) into a
+cache directory keyed by a hash of the source, the interpreter ABI and
+those flags (``REPRO_KERNEL_CACHE``, default ``~/.cache/repro-kernel``),
+and loads it from there; nothing else is ever imported, so a stale
+binary cannot load against newer source.  Set ``REPRO_NO_KERNEL=1`` to
+skip the build.  Any build/load failure is recorded in
 :data:`load_error` and surfaces as a single ``RuntimeWarning`` from
-:class:`~repro.sim.network.Network`, which then runs the batched
-backend instead.
+:class:`~repro.sim.network.Network`, which then runs the object engine.
 """
 
 from __future__ import annotations
 
 import gc
 import hashlib
-import importlib
 import importlib.machinery
 import importlib.util
 import os
+import random
 import shlex
 import subprocess
 import sys
 import sysconfig
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.routing.minimal import MinimalRouting
 from repro.routing.ugal import UGALRouting
 from repro.routing.valiant import IndirectRandomRouting
 from repro.sim.packet import Packet
-from repro.sim.vec.engine import BatchedEngine
+from repro.sim.vec.state import KernelNIC, SoAState
 
 __all__ = ["KernelEngine", "load_kernel", "load_error"]
 
 _SRC = Path(__file__).with_name("_kernel.c")
+
+# Event opcodes (must match _kernel.c).
+OP_RECV = 0     # a=input gid, b=vc, c=slot  -- arrival at an input buffer
+OP_ENTER = 1    # a=port-vc id, b=slot, c=port gid -- enter an output queue
+OP_PWAKE = 2    # a=port gid                 -- elided link-free/credit retry
+OP_DELIVER = 3  # c=slot                     -- the packet reaches its NIC
+OP_NWAKE = 4    # a=node                     -- elided NIC link-free/credit retry
+OP_GEN = 5      # a=node                     -- pregenerated synthetic injection
+OP_CALL = 6     # a=callable, b=args         -- generic scheduled callback
 
 #: Why the kernel failed to load (None until an attempt fails).
 load_error: Optional[str] = None
@@ -71,8 +121,10 @@ _attempted = False
 def _jit_build_and_load():
     """Compile the shipped C source into a cached extension and load it."""
     source = _SRC.read_bytes()
+    extra = shlex.split(os.environ.get("REPRO_KERNEL_CFLAGS", ""))
     tag = hashlib.sha256(
         source + sys.implementation.cache_tag.encode()
+        + "\0".join(extra).encode()
     ).hexdigest()[:16]
     cache = Path(
         os.environ.get("REPRO_KERNEL_CACHE")
@@ -93,7 +145,7 @@ def _jit_build_and_load():
         if sys.platform == "darwin":
             cmd += ["-undefined", "dynamic_lookup"]
         tmp = so.with_name(f".{so.name}.{os.getpid()}.tmp")
-        cmd += [str(_SRC), "-o", str(tmp)]
+        cmd += extra + [str(_SRC), "-o", str(tmp)]
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
             tmp.unlink(missing_ok=True)
@@ -123,10 +175,7 @@ def load_kernel():
         load_error = "disabled by REPRO_NO_KERNEL"
         return None
     try:
-        try:
-            _mod = importlib.import_module("repro.sim.vec._kernel")
-        except ImportError:
-            _mod = _jit_build_and_load()
+        _mod = _jit_build_and_load()
     except Exception as exc:  # noqa: BLE001 -- any failure means fallback
         load_error = f"{type(exc).__name__}: {exc}"
         _mod = None
@@ -141,43 +190,174 @@ def _reset_for_tests() -> None:
     load_error = None
 
 
-class KernelEngine(BatchedEngine):
-    """BatchedEngine with the event queue and dispatch loop in C."""
-
-    backend_name = "kernel"
+class KernelEngine:
+    """Engine over the compiled kernel (see the module docstring)."""
 
     def __init__(self, net) -> None:
-        super().__init__(net)
         mod = load_kernel()
         if mod is None:
             raise RuntimeError(f"compiled kernel unavailable: {load_error}")
-        self._k = mod.Kernel()
-        #: Fast-path spec for the C side (recomputed per run; None = off).
-        self._fp = None
+        self.net = net
+        self.st = SoAState.from_network(net)
+        #: The C kernel: event heap, simulation state and dispatch loop.
+        self.kernel = mod.Kernel(self.st, net, Packet)
+        self.nic_shims = [KernelNIC(self.kernel, node)
+                          for node in range(self.st.NN)]
+
+    # -- clock state (owned by the kernel) -------------------------------------
+
+    @property
+    def now(self) -> float:
+        return self.kernel.now
+
+    @property
+    def _seq(self) -> int:
+        return self.kernel.seq
+
+    @_seq.setter
+    def _seq(self, value: int) -> None:
+        self.kernel.seq = value
+
+    @property
+    def events_executed(self) -> int:
+        return self.kernel.executed
+
+    # -- engine API ----------------------------------------------------------
+
+    def _push(self, t: float, s: int, op: int, a, b, c) -> None:
+        self.kernel.push(t, s, op, a, b, c)
+
+    def schedule(self, delay: float, fn: Callable, *args: Any) -> None:
+        """Run ``fn(*args)`` *delay* ns after the current time."""
+        k = self.kernel
+        k.seq += 1
+        k.push(k.now + delay, k.seq, OP_CALL, fn, args, 0)
+
+    def schedule_at(self, when: float, fn: Callable, *args: Any) -> None:
+        """Run ``fn(*args)`` at absolute time *when* (>= now)."""
+        k = self.kernel
+        if when < k.now:
+            raise ValueError(
+                f"schedule_at(when={when!r}) is in the past (now={k.now!r}); "
+                f"events cannot be scheduled before the current simulated time"
+            )
+        k.seq += 1
+        k.push(when, k.seq, OP_CALL, fn, args, 0)
+
+    def clear(self) -> None:
+        """Reset queue, clock and counters (simulation state is
+        per-Network and rebuilt with it)."""
+        self.kernel.clear()
+
+    @property
+    def pending(self) -> int:
+        """Number of events still queued."""
+        return self.kernel.pending()
+
+    def iter_pending(self) -> Iterator[tuple]:
+        """All queued event records, in no particular order (audits)."""
+        return iter(self.kernel.events())
+
+    def kernel_stats(self) -> dict:
+        """In-kernel event counts and the Python-escape time split."""
+        return self.kernel.stats()
+
+    def memory_stats(self) -> dict:
+        """Live and peak packet slots, credit-FIFO high-water marks."""
+        return self.kernel.memory()
+
+    # -- per-port counters ----------------------------------------------------
+
+    def reset_sent(self) -> None:
+        """Zero the per-port transmission counters (warm-up boundary)."""
+        self.kernel.reset_sent()
+
+    def sent_counts(self) -> list:
+        """Packets transmitted per port gid since the last reset."""
+        return memoryview(self.kernel.view("p_sent")).tolist()
+
+    def sync_ports(self) -> None:
+        """Write the live per-port counters into the object-mode
+        ``OutputPort`` instances, so cold-path readers (utilization maps,
+        debugging) see one representation."""
+        sent = memoryview(self.kernel.view("p_sent"))
+        queued = memoryview(self.kernel.view("p_queued"))
+        for gid, port in enumerate(self.st.obj_ports):
+            port.sent_packets = sent[gid]
+            port.queued = queued[gid]
+
+    # -- synthetic-traffic pregeneration --------------------------------------
+
+    def setup_synthetic(
+        self,
+        pattern,
+        mean_ia: float,
+        horizon: float,
+        seed: int,
+        arrival: str,
+        packet_bytes: int,
+    ) -> None:
+        """Pregenerate every node's injection stream and seed GEN events.
+
+        Exactness: the object engine draws, per node and per event,
+        ``pick_destination(node, rng)`` then ``expovariate`` from a
+        *private* per-node RNG seeded off one master stream.  Playing
+        each node's draws forward here consumes the identical per-node
+        stream (patterns are pure functions of ``(node, rng)``), and the
+        per-node timestamps accumulate with the same float additions.
+        The trailing entry is the object engine's final past-horizon
+        generate event (which fires and does nothing); it is kept so
+        event and sequence accounting stay aligned.
+        """
+        k = self.kernel
+        master = random.Random(seed)
+        poisson = arrival == "poisson"
+        pick = pattern.pick_destination
+        seq = k.seq
+        for node in range(self.st.NN):
+            rng = random.Random(master.getrandbits(64))
+            t = rng.uniform(0.0, mean_ia)
+            expo = rng.expovariate
+            times = []
+            dsts = []
+            while t < horizon:
+                dst = pick(node, rng)
+                if dst is None:
+                    dst = -1
+                elif dst == node:
+                    raise ValueError(f"pattern sent node {node} traffic to itself")
+                times.append(t)
+                dsts.append(dst)
+                t = t + (expo(1.0 / mean_ia) if poisson else mean_ia)
+            times.append(t)  # past-horizon sentinel event
+            dsts.append(-2)
+            k.set_stream(node, times, dsts)
+            seq += 1
+            k.push(times[0], seq, OP_GEN, node, 0, 0)
+        k.seq = seq
+        k.pkt_bytes = packet_bytes
 
     # -- fast-path spec --------------------------------------------------------
 
     def _fastpath_spec(self):
         """Bindings for the C fast paths, or ``None`` when ineligible.
 
-        Two independently-gated tiers (the C side reads this via
-        ``eng._fp`` at run start):
+        Two independently-gated tiers:
 
         * ``route_mode >= 0`` moves the entire NIC send -- routing
           candidate selection (with a C replica of the ``random.Random``
-          draw stream), ``Packet`` construction and inject accounting --
-          behind the C boundary.  Requires compiled routing of a known
-          type and no checker (the checker wraps ``net.make_packet``).
+          draw stream) and inject accounting -- behind the C boundary.
+          Requires compiled routing of a known type and no checker (the
+          checker wraps ``net.make_packet``).
         * ``deliver_fast`` accumulates the per-packet eject statistics
           in C arrays, flushed via ``StatsCollector.absorb_kernel``.
           Requires no checker/tracer/listener/message-tracking observer.
 
         Escapes remain for cold paths only: cache-row misses (BFS refill
         under faults) call back into ``RouteCache``, scheduled CALLs and
-        fault diverts run in Python with the RNG/packet-id state handed
-        off around them (see ``_nic_try_send``), and unknown routing
-        setups keep the full Python escape.  Set
-        ``REPRO_KERNEL_NO_FASTPATH=1`` to force escapes everywhere.
+        fault diverts run in Python, and unknown routing setups keep
+        the ``make_packet`` escape.  Set ``REPRO_KERNEL_NO_FASTPATH=1``
+        to force escapes everywhere.
         """
         if os.environ.get("REPRO_KERNEL_NO_FASTPATH"):
             return None
@@ -215,7 +395,6 @@ class KernelEngine(BatchedEngine):
             return None
         stats = net.stats
         threshold = getattr(routing, "threshold", None)
-        pool = getattr(routing, "_pool", None)
         return SimpleNamespace(
             route_mode=route_mode,
             deliver_fast=deliver_fast,
@@ -223,8 +402,6 @@ class KernelEngine(BatchedEngine):
             win_start=stats.window_start,
             win_end=stats.window_end,
             rngs=rngs,
-            packet_cls=Packet,
-            eject_ports=net._eject_ports,
             min_rows=cache.minimal_rows if cache is not None else None,
             leg_rows=cache.leg_rows if cache is not None else None,
             composed=cache._composed if cache is not None else None,
@@ -236,7 +413,7 @@ class KernelEngine(BatchedEngine):
                 cache.compose_or_none if cache is not None else None
             ),
             self_route=cache.self_route if cache is not None else None,
-            pool=pool,
+            pool=getattr(routing, "_pool", None),
             n_indirect=getattr(routing, "num_indirect", 0),
             sf_mode=int(getattr(routing, "_sf_mode", False)),
             c=float(getattr(routing, "c", 0.0)),
@@ -248,64 +425,28 @@ class KernelEngine(BatchedEngine):
             ),
         )
 
-    def _nic_try_send(self, node, t, s) -> None:
-        # Mid-run Python sends (BatchedNIC.submit / set_source from
-        # inside a CALL escape) draw from the routing RNGs and allocate
-        # packet ids while those live in the kernel: hand the state out,
-        # run the Python path, and pull it back so the C fast path
-        # resumes the identical streams.
-        k = self._k
-        if k.resident():
-            k.handoff_out()
-            try:
-                super()._nic_try_send(node, t, s)
-            finally:
-                k.handoff_in()
-        else:
-            super()._nic_try_send(node, t, s)
-
-    # Cold-path pushes (schedule/schedule_at, _nic_try_send, the fault
-    # manager's drain, setup_synthetic) all funnel through _push, so
-    # overriding it routes every event into the C heap -- including
-    # re-entrant scheduling from inside a Python escape.
-    def _push(self, t, s, op, a, b, c) -> None:
-        self._k.push(t, s, op, a, b, c)
-
-    def clear(self) -> None:
-        super().clear()
-        self._k.clear()
-
-    @property
-    def pending(self) -> int:
-        return self._k.pending()
-
-    def iter_pending(self) -> Iterator[tuple]:
-        return iter(self._k.events())
-
-    def _next_time(self) -> Optional[float]:
-        return self._k.peek_time()
-
-    def kernel_stats(self) -> dict:
-        """In-kernel event counts and the Python-escape time split."""
-        return self._k.stats()
+    # -- the event loop --------------------------------------------------------
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> int:
-        # Same GC fencing as the Python loop: the kernel allocates event
-        # keys and credit tuples heavily but never cycles.
-        self._fp = self._fastpath_spec()
+        """Execute events in ``(time, seq)`` order; same contract as
+        :meth:`repro.sim.engine.Engine.run`."""
+        k = self.kernel
+        # The hot handlers allocate nothing; escapes (deliveries to
+        # observers, CALLs) allocate but never create cycles, so the
+        # cyclic GC would only trace young Packets and records.
         gc_was = gc.isenabled()
         if gc_was:
             gc.disable()
         try:
-            executed = self._k.run(self, until, max_events)
+            executed = k.run(until, max_events, self._fastpath_spec())
         finally:
             if gc_was:
                 gc.enable()
-        if until is not None and self.now < until:
-            nt = self._k.peek_time()
+        if until is not None and k.now < until:
+            nt = k.peek_time()
             if nt is None or nt > until:
                 # Advance the clock to the horizon even if the queue ran
                 # dry (but not when the event budget cut the run short).
-                self.now = until
+                k.now = until
         return executed

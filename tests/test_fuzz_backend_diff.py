@@ -1,9 +1,9 @@
-"""Differential fuzzing across the three simulator backends.
+"""Differential fuzzing across the simulator backends.
 
 The golden conformance suite pins a fixed case matrix; this harness
 closes the gap between those and "any configuration": seeded random
 (topology x routing x traffic x fault-schedule x checker) configs run on
-the object, batched and kernel backends, asserting an identical ordered
+the object engine and the compiled kernel, asserting an identical ordered
 delivery stream (sha256 fingerprint) and identical WindowStats.  A
 kernel-without-listener leg compares WindowStats only, which is the one
 configuration where the C delivery-accounting fast path is live -- the
@@ -121,7 +121,7 @@ def _run(cfg: dict, backend: str, listener: bool = True) -> dict:
 
 
 def _backends() -> list:
-    backends = ["object", "batched"]
+    backends = ["object"]
     if load_kernel() is not None:
         backends.append("kernel")
     return backends

@@ -5,18 +5,23 @@ Bit-identity of the kernel backend is pinned by the golden conformance
 suite (tests/test_golden_conformance.py) and the near-saturation
 equivalence matrix (tests/test_vec_backend.py); this file covers what
 those cannot: the build/load machinery, the forced-failure fallback to
-the batched backend, and the kernel-only observability surface
+the object engine, and the kernel-only observability surface
 (``kernel_stats``, the escape split).
 """
 
 from __future__ import annotations
 
+import warnings
+from pathlib import Path
+
 import pytest
 
+from repro.experiments import conformance
 from repro.routing import MinimalRouting, UGALRouting
 from repro.sim import Network, SimConfig
+from repro.sim.engine import Engine
+from repro.sim.invariants import InvariantChecker
 from repro.sim.vec import kernel as kernel_mod
-from repro.sim.vec.engine import BatchedEngine
 from repro.topology import SlimFly
 from repro.traffic import UniformRandom
 
@@ -40,26 +45,48 @@ def fresh_loader():
 
 
 class TestGracefulDegradation:
-    def test_forced_load_failure_warns_and_falls_back(
+    def test_forced_load_failure_warns_once_and_runs_object_engine(
         self, fresh_loader, monkeypatch
     ):
-        # The satellite contract: no compiler (forced here via the env
-        # gate) means ONE clear warning and a working batched run, not
-        # an error.
+        # No compiler (forced here via the env gate) means ONE clear
+        # warning and a working run on the object engine, not an error.
         monkeypatch.setenv("REPRO_NO_KERNEL", "1")
         topo = SlimFly(5)
-        with pytest.warns(RuntimeWarning, match="falling back"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             net = Network(topo, MinimalRouting(topo),
                           SimConfig(backend="kernel"))
-        assert net.backend_in_use == "batched"
-        assert type(net.engine) is BatchedEngine
+        fallback = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(fallback) == 1
+        assert "falling back to the object engine" in str(fallback[0].message)
+        assert net.backend_in_use == "object"
+        assert type(net.engine) is Engine
         assert kernel_mod.load_error == "disabled by REPRO_NO_KERNEL"
-        # The degraded network still simulates.
         stats = net.run_synthetic(
             UniformRandom(topo.num_nodes), load=0.3,
             warmup_ns=200.0, measure_ns=400.0, seed=0, drain=True,
         )
         assert stats.ejected_packets > 0
+
+    @pytest.mark.parametrize("case_key", ["sf-floor/ugal", "oft/inr"])
+    def test_forced_load_failure_checked_run_gets_object_checker(
+        self, fresh_loader, monkeypatch, case_key
+    ):
+        # The fallback is chosen before the routers are wired, so a
+        # checked run gets the object engine's per-transition checker --
+        # and still reproduces the goldens.
+        monkeypatch.setenv("REPRO_NO_KERNEL", "1")
+        golden = conformance.load_golden(str(
+            Path(__file__).parent / "golden" / "conformance.json"))
+        with pytest.warns(RuntimeWarning, match="object engine"):
+            net = conformance._build(case_key, True, True, "kernel")
+        assert net.backend_in_use == "object"
+        assert type(net.checker) is InvariantChecker
+        with pytest.warns(RuntimeWarning, match="object engine"):
+            got = conformance.run_case(case_key, check=True, backend="kernel")
+        problems = conformance.diff_fingerprints(
+            {case_key: golden[case_key]}, {case_key: got})
+        assert not problems, "\n".join(problems)
 
     def test_load_failure_is_cached_per_process(self, fresh_loader,
                                                 monkeypatch):

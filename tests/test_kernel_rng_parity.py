@@ -142,9 +142,9 @@ class TestStateHandoff:
 
     def test_mid_run_python_send_preserves_conformance(self):
         # Simulation-level proof: packets submitted from a *scheduled
-        # CALL escape* mid-run (the path that hands the resident RNG
-        # state out to Python and back) leave kernel and batched runs
-        # bit-identical -- same delivery stream, same final RNG states.
+        # CALL escape* mid-run (sends made while the RNG state is
+        # resident in C) leave the kernel bit-identical to the object
+        # engine -- same delivery stream, same final RNG states.
         import hashlib
 
         from repro.routing import UGALRouting
@@ -185,4 +185,4 @@ class TestStateHandoff:
                 routing._indirect._rng.getstate(),
             )
 
-        assert run("kernel") == run("batched")
+        assert run("kernel") == run("object")

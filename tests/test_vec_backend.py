@@ -1,6 +1,6 @@
-"""Equivalence and API tests for the batched simulator backend.
+"""Equivalence and API tests for the compiled kernel backend.
 
-The golden conformance suite pins the batched engine against committed
+The golden conformance suite pins the kernel against committed
 fingerprints at one operating point; these tests stress the equivalence
 where the backends are most likely to drift -- near saturation, where
 credit stalls, wake-up elision and arbitration pressure are maximal --
@@ -22,8 +22,8 @@ from repro.traffic import AllToAll, UniformRandom
 from repro.workload.collectives import ring_allgather
 from repro.workload.driver import run_workload
 
-#: Result keys that legitimately differ across backends: the batched
-#: engine elides bookkeeping events (fewer executed events for the same
+#: Result keys that legitimately differ across backends: the kernel
+#: elides bookkeeping events (fewer executed events for the same
 #: physics) and wall-clock is wall-clock.
 BACKEND_NEUTRAL_EXCLUDES = {"events", "driver_wall_s"}
 
@@ -32,8 +32,9 @@ needs_kernel = pytest.mark.skipif(
     reason="compiled kernel unavailable (no compiler or REPRO_NO_KERNEL set)",
 )
 
-#: The struct-of-arrays backends: the pure-Python loop and its compiled
-#: twin.  Every equivalence/API test runs over both.
+#: The kernel under both of its names: ``"batched"`` is the deprecated
+#: alias that now selects the kernel too (and, like ``"kernel"``, falls
+#: back to the object engine when the kernel cannot load).
 VEC_BACKENDS = ["batched", pytest.param("kernel", marks=needs_kernel)]
 
 
@@ -120,8 +121,10 @@ class TestFiniteRunsEquivalence:
             )
         assert results[0] == results[1]
 
+    @needs_kernel
     def test_batched_executes_fewer_events(self):
-        # The elision is the point: same physics, fewer heap events.
+        # The elision is the point: same physics, fewer heap events
+        # (a kernel property: without it "batched" runs the object engine).
         cfg = _tiny("sf-floor")
         events = {}
         for backend in ("object", "batched"):
