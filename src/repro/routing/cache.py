@@ -172,23 +172,6 @@ class RouteCache:
             self._composed[key] = cached
         return cached
 
-    def compose_or_none(
-        self, first_leg: RouterPath, second_leg: RouterPath
-    ) -> Optional[Route]:
-        """:meth:`compose`, with :class:`NoRouteError` mapped to ``None``.
-
-        The compiled kernel's UGAL fast path calls this for its winning
-        leg pair so the degraded-adjacency VC-overflow case (the only
-        way compose fails) becomes a plain minimal-fallback branch in C
-        instead of an exception round-trip; the semantics are exactly
-        the ``except NoRouteError: return minimal`` in
-        :meth:`repro.routing.ugal.UGALRouting.route`.
-        """
-        try:
-            return self.compose(first_leg, second_leg)
-        except NoRouteError:
-            return None
-
     def ensure_leg_row(self, a: int) -> List[Optional[Tuple[RouterPath, ...]]]:
         """The (possibly empty) leg row for source *a*, creating it."""
         row = self.leg_rows[a]
@@ -357,49 +340,6 @@ class RouteCache:
             kind = ROUTE_INDIRECT
         return Route(routers=path, vcs=vcs, kind=kind, intermediate=None,
                      ports=self.hop_ports(path))
-
-    # -- array exports -------------------------------------------------------
-
-    def port_row_table(self) -> List[List[int]]:
-        """Dense directed-channel port table: ``table[u][v]`` is router
-        *u*'s output-port index toward neighbor *v*, ``-1`` where no
-        channel exists.
-
-        This is the array-friendly dual of ``Topology.port``'s hash
-        lookup: flat-state backends (:mod:`repro.sim.vec.state`) index
-        it with plain integers to translate compiled route hops and
-        UGAL's ``queue_len(router, neighbor)`` congestion probes into
-        global port ids without per-lookup hashing.  Derived purely
-        from the topology, so one export is valid for every routing
-        sharing this cache.
-        """
-        topo = self.topology
-        n = topo.num_routers
-        table = [[-1] * n for _ in range(n)]
-        for u in range(n):
-            row = table[u]
-            for out_idx, v in enumerate(topo.neighbors(u)):
-                row[v] = out_idx
-        return table
-
-    def flat_port_row(self) -> Tuple[int, List[int]]:
-        """Row-major flattening of :meth:`port_row_table`:
-        ``(stride, flat)`` with ``flat[u * stride + v]`` holding router
-        *u*'s output-port index toward neighbor *v* (``-1`` where no
-        channel exists).
-
-        The kernel copies this table into C once, as its UGAL-L
-        congestion probe: the hottest per-packet lookup of its route
-        selection, one multiply-indexed load.
-        """
-        topo = self.topology
-        n = topo.num_routers
-        flat = [-1] * (n * n)
-        for u in range(n):
-            base = u * n
-            for out_idx, v in enumerate(topo.neighbors(u)):
-                flat[base + v] = out_idx
-        return n, flat
 
     # -- introspection -------------------------------------------------------
 

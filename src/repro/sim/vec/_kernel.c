@@ -15,8 +15,12 @@
  *   whose key has passed but that are not yet materialised into the
  *   credit count (``credit_push`` / ``credit_drain``);
  * - packets are slots recycled on delivery.  A slot holds the hop
- *   cursor, the port and VC of every hop, endpoints, size, times, the
- *   message id and a strong reference to its ``Route``.
+ *   cursor, the router, port and VC of every hop, the route kind,
+ *   endpoints, size, times and the message id;
+ * - routes come from an integer route table built from the wiring's
+ *   ``row_port`` (see "route table" below), so the fast path composes
+ *   them without a Python object; ``RouteCache`` is called only for the
+ *   pairs the table cannot serve.
  *
  * A ``repro.sim.packet.Packet`` is built for a slot only when Python has
  * to see one: the make_packet and deliver escapes, a delivery observer
@@ -59,7 +63,7 @@ enum {
 
 /* Python-escape slots for the --profile split. */
 enum { ESC_MAKE = 0, ESC_DELIVER = 1, ESC_CALL = 2, ESC_DIVERT = 3,
-       ESC_FLUSH = 4, ESC_N = 5 };
+       ESC_FLUSH = 4, ESC_FILL = 5, ESC_N = 6 };
 
 /* Fast-path counters (per-packet work kept fully in C). */
 enum { FAST_MAKE = 0, FAST_DELIVER = 1, FAST_N = 2 };
@@ -329,23 +333,19 @@ typedef struct {
     long long pid;
     double gen_time, send_time;
     long long size;
-    PyObject *route;  /* compiled Route (fast path); NULL once pkt is set */
     PyObject *msg_id; /* owned */
     PyObject *pkt;    /* materialised Packet (owned), or NULL */
-    int32_t *path;    /* ports[0..cap) then vcs[0..cap), reused on recycle */
+    int32_t *path;    /* ports, vcs, routers: [0..cap) each, reused */
     int32_t cap;
     int32_t nports;   /* hop ports + the ejection port */
-    int32_t src, dst, hop, nhops, kind;
+    int32_t src, dst, nhops, kind;
+    int32_t hop;      /* hop cursor; -1 while the slot is free */
     int32_t next;     /* free-list link */
 } Slot;
 
 #define S_PORT(p, h) ((p)->path[(h)])
 #define S_VC(p, h) ((p)->path[(p)->cap + (h)])
-
-/* Pointer-keyed memo in front of RouteCache._composed (see fp_compose). */
-typedef struct {
-    PyObject *a, *b, *route; /* all owned; a == NULL marks an empty bucket */
-} MemoEnt;
+#define S_ROUTER(p, h) ((p)->path[2 * (p)->cap + (h)])
 
 /* -- the kernel object ------------------------------------------------------ */
 
@@ -412,17 +412,28 @@ typedef struct {
 
     /* route kinds seen, and bindings fixed at build time */
     PyObject *kinds[MAX_KINDS];
-    int nkinds;
+    int nkinds, ki_min, ki_ind; /* indices of "minimal" / "indirect" */
     PyObject *net, *packet_cls;
+
+    /* route table (see "route table"): per-source rows built on first
+     * use, and the routing's VC labelling */
+    int32_t **rt_off, **rt_mid;
+    int32_t *rt_live;         /* filtered candidates; row-build neighbours */
+    long ndead;               /* dead ports: filter candidates when > 0 */
+    int vc_mode;              /* VC_HOP, VC_PHASE or VC_OTHER */
+    long vc_min, vc_ind;      /* HopIndexVC budgets */
+    /* the route under construction: routers, hop ports, VCs, kind */
+    int32_t *rt_r, *rt_p, *rt_v;
+    int32_t rt_n, rt_cap, rt_kind;
 
     /* -- per-run bindings (bind_run / unbind_refs) ------------------------ */
     PyObject *deliver;   /* net.deliver (checker-wrapped if any) */
     PyObject *fm_divert; /* fault_manager.divert_packet, or NULL */
     int route_mode;      /* -1 off, 0 min-rand, 1 min-best, 2 INR, 3 UGAL */
     int deliver_fast;    /* 1 = accumulate delivery stats in C */
-    PyObject *min_rows, *leg_rows, *composed, *selfs;
-    PyObject *minimal_fill, *leg_fill, *compose, *compose_or_none;
-    PyObject *self_route;
+    PyObject *min_rows, *leg_rows;                 /* RouteCache row memos */
+    PyObject *minimal_fill, *leg_fill, *compose;   /* ... and its fills */
+    PyObject *no_route_error;
     int32_t *pool;
     long npool, nI;
     int sf_mode, has_thr;
@@ -444,11 +455,6 @@ typedef struct {
     long long *a_ejcnt;                 /* len NN */
     long long a_kind_cnt[MAX_KINDS];
     int a_kind_order[MAX_KINDS], a_nkind_order;
-
-    /* route memos that persist across runs */
-    MemoEnt *memo;
-    size_t memo_cap, memo_n;
-    PyObject **self_routes; /* len NR */
 } Kernel;
 
 /* Interned attribute names (module init). */
@@ -457,6 +463,7 @@ static PyObject *str_send_time, *str_eject_time, *str_deliver;
 static PyObject *str_fault_manager, *str_divert_packet, *str_tracer;
 static PyObject *str_msg_track, *str_delivery_listeners, *str_make_packet;
 static PyObject *str_stats, *str_record_inject, *str_net_pid;
+static PyObject *str_minimal, *str_indirect;
 
 static double
 mono_ns(void)
@@ -616,7 +623,7 @@ slot_alloc(Kernel *k)
         si = k->nslots++;
     }
     Slot *p = &k->slots[si];
-    p->route = p->msg_id = p->pkt = NULL;
+    p->msg_id = p->pkt = NULL;
     p->hop = 0;
     p->next = -1;
     k->live += 1;
@@ -630,12 +637,12 @@ static void
 slot_release(Kernel *k, int32_t si)
 {
     Slot *p = &k->slots[si];
-    PyObject *route = p->route, *msg_id = p->msg_id, *pkt = p->pkt;
-    p->route = p->msg_id = p->pkt = NULL;
+    PyObject *msg_id = p->msg_id, *pkt = p->pkt;
+    p->msg_id = p->pkt = NULL;
+    p->hop = -1;
     p->next = k->free_head;
     k->free_head = si;
     k->live -= 1;
-    Py_XDECREF(route);
     Py_XDECREF(msg_id);
     Py_XDECREF(pkt);
 }
@@ -663,57 +670,70 @@ kind_index(Kernel *k, PyObject *kind)
     return k->nkinds++;
 }
 
-/* Load a slot's per-hop ports and VCs.  *ports* holds the hop ports
- * and, when eject < 0, already ends with the ejection port; the VC row
- * is padded with zeros so hop h may read vcs[h] unconditionally (the
- * ejection hop included). */
+/* Size slot si's path rows to hold *n* entries each, zeroed, so hop h may
+ * read vcs[h] unconditionally (the ejection hop included). */
 static int
-slot_load_path(Kernel *k, int32_t si, PyObject *ports, long eject,
-               PyObject *vcs, PyObject *routers)
+slot_reserve(Kernel *k, int32_t si, Py_ssize_t n)
 {
-    if (!PyTuple_Check(ports) || !PyTuple_Check(vcs) ||
-        !PyTuple_Check(routers)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "kernel: route without tuple routers/ports/vcs");
-        return -1;
-    }
-    Py_ssize_t nh = PyTuple_GET_SIZE(ports);
-    Py_ssize_t np = eject >= 0 ? nh + 1 : nh;
-    Py_ssize_t nv = PyTuple_GET_SIZE(vcs);
-    Py_ssize_t need = (np > nv ? np : nv) + 1;
-    if (need > INT32_MAX / 2) {
+    Py_ssize_t need = n + 1;
+    if (need > INT32_MAX / 3) {
         PyErr_SetString(PyExc_OverflowError, "kernel: route too long");
         return -1;
     }
     Slot *p = &k->slots[si];
     if (p->cap < need) {
-        int32_t *np2 = (int32_t *)PyMem_Realloc(
-            p->path, (size_t)need * 2 * sizeof(int32_t));
-        if (np2 == NULL) {
+        int32_t *np = (int32_t *)PyMem_Realloc(
+            p->path, (size_t)need * 3 * sizeof(int32_t));
+        if (np == NULL) {
             PyErr_NoMemory();
             return -1;
         }
-        p->path = np2;
+        p->path = np;
         p->cap = (int32_t)need;
     }
-    memset(p->path, 0, (size_t)p->cap * 2 * sizeof(int32_t));
-    for (Py_ssize_t i = 0; i < nh; i++) {
-        long v = PyLong_AsLong(PyTuple_GET_ITEM(ports, i));
-        if (v == -1 && PyErr_Occurred())
-            return -1;
-        p->path[i] = (int32_t)v;
-    }
-    if (eject >= 0)
-        p->path[nh] = (int32_t)eject;
-    for (Py_ssize_t i = 0; i < nv; i++) {
-        long v = PyLong_AsLong(PyTuple_GET_ITEM(vcs, i));
-        if (v == -1 && PyErr_Occurred())
-            return -1;
-        p->path[p->cap + i] = (int32_t)v;
-    }
-    p->nports = (int32_t)np;
-    p->nhops = (int32_t)PyTuple_GET_SIZE(routers) - 1;
+    memset(p->path, 0, (size_t)p->cap * 3 * sizeof(int32_t));
     return 0;
+}
+
+/* Copy an int tuple into *out* (at most *cap* entries); returns its
+ * length, or -1 with an error. */
+static Py_ssize_t
+tuple_ints(PyObject *t, int32_t *out, Py_ssize_t cap)
+{
+    if (!PyTuple_Check(t)) {
+        PyErr_SetString(PyExc_TypeError, "kernel: route field is not a tuple");
+        return -1;
+    }
+    Py_ssize_t n = PyTuple_GET_SIZE(t);
+    if (n > cap) {
+        PyErr_SetString(PyExc_OverflowError, "kernel: route too long");
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        long v = PyLong_AsLong(PyTuple_GET_ITEM(t, i));
+        if (v == -1 && PyErr_Occurred())
+            return -1;
+        out[i] = (int32_t)v;
+    }
+    return n;
+}
+
+/* A new tuple of ints from an int32 array. */
+static PyObject *
+int_tuple(const int32_t *v, Py_ssize_t n)
+{
+    PyObject *t = PyTuple_New(n);
+    if (t == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *x = PyLong_FromLong(v[i]);
+        if (x == NULL) {
+            Py_DECREF(t);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(t, i, x);
+    }
+    return t;
 }
 
 /* Reload a slot's path from its Packet (escape-made or rewritten). */
@@ -724,8 +744,30 @@ slot_load_packet(Kernel *k, int32_t si, PyObject *pkt)
     PyObject *vcs = ports ? PyObject_GetAttr(pkt, str_vcs) : NULL;
     PyObject *routers = vcs ? PyObject_GetAttr(pkt, str_routers) : NULL;
     int rc = -1;
-    if (routers != NULL)
-        rc = slot_load_path(k, si, ports, -1, vcs, routers);
+    if (routers == NULL)
+        goto done;
+    if (!PyTuple_Check(ports) || !PyTuple_Check(vcs) ||
+        !PyTuple_Check(routers) || PyTuple_GET_SIZE(routers) < 1) {
+        PyErr_SetString(PyExc_TypeError,
+                        "kernel: packet without tuple routers/ports/vcs");
+        goto done;
+    }
+    Py_ssize_t n = PyTuple_GET_SIZE(ports);
+    if (PyTuple_GET_SIZE(vcs) > n)
+        n = PyTuple_GET_SIZE(vcs);
+    if (PyTuple_GET_SIZE(routers) > n)
+        n = PyTuple_GET_SIZE(routers);
+    if (slot_reserve(k, si, n) < 0)
+        goto done;
+    Slot *p = &k->slots[si];
+    Py_ssize_t np = tuple_ints(ports, &S_PORT(p, 0), p->cap);
+    if (np < 0 || tuple_ints(vcs, &S_VC(p, 0), p->cap) < 0 ||
+        tuple_ints(routers, &S_ROUTER(p, 0), p->cap) < 0)
+        goto done;
+    p->nports = (int32_t)np;
+    p->nhops = (int32_t)PyTuple_GET_SIZE(routers) - 1;
+    rc = 0;
+done:
     Py_XDECREF(routers);
     Py_XDECREF(vcs);
     Py_XDECREF(ports);
@@ -742,31 +784,17 @@ slot_packet(Kernel *k, int32_t si)
     Slot *p = &k->slots[si];
     if (p->pkt != NULL)
         return p->pkt;
-    PyObject *route = p->route;
-    if (route == NULL) {
-        PyErr_SetString(PyExc_RuntimeError, "kernel: slot has no route");
-        return NULL;
-    }
-    PyObject *routers = NULL, *vcs = NULL, *kind = NULL, *ports = NULL;
+    PyObject *routers = NULL, *ports = NULL, *vcs = NULL;
     PyObject *pkt = NULL, *tf = NULL;
-    routers = PyObject_GetAttr(route, str_routers);
-    vcs = routers ? PyObject_GetAttr(route, str_vcs) : NULL;
-    kind = vcs ? PyObject_GetAttr(route, str_kind) : NULL;
-    if (kind == NULL)
+    routers = int_tuple(&S_ROUTER(p, 0), p->nhops + 1);
+    ports = routers ? int_tuple(&S_PORT(p, 0), p->nports) : NULL;
+    vcs = ports ? int_tuple(&S_VC(p, 0), p->nhops) : NULL;
+    if (vcs == NULL)
         goto done;
-    p = &k->slots[si];
-    ports = PyTuple_New(p->nports);
-    if (ports == NULL)
-        goto done;
-    for (int32_t i = 0; i < p->nports; i++) {
-        PyObject *v = PyLong_FromLong(p->path[i]);
-        if (v == NULL)
-            goto done;
-        PyTuple_SET_ITEM(ports, i, v);
-    }
     pkt = PyObject_CallFunction(k->packet_cls, "LiiLOOOOdO", p->pid,
                                 (int)p->src, (int)p->dst, p->size, routers,
-                                ports, vcs, kind, p->gen_time, p->msg_id);
+                                ports, vcs, k->kinds[p->kind], p->gen_time,
+                                p->msg_id);
     if (pkt == NULL)
         goto done;
     p = &k->slots[si];
@@ -778,76 +806,11 @@ slot_packet(Kernel *k, int32_t si)
     k->slots[si].pkt = pkt;
 done:
     Py_XDECREF(tf);
-    Py_XDECREF(ports);
-    Py_XDECREF(kind);
     Py_XDECREF(vcs);
+    Py_XDECREF(ports);
     Py_XDECREF(routers);
     return pkt;
 }
-
-/* -- composed-route memo ----------------------------------------------------- */
-
-static inline size_t
-memo_hash(PyObject *a, PyObject *b)
-{
-    uint64_t h = ((uint64_t)(uintptr_t)a >> 4) * 0x9E3779B97F4A7C15ULL;
-    h ^= ((uint64_t)(uintptr_t)b >> 4) * 0xC2B2AE3D27D4EB4FULL;
-    h ^= h >> 29;
-    return (size_t)h;
-}
-
-static PyObject *
-memo_get(Kernel *k, PyObject *a, PyObject *b)
-{
-    if (k->memo_cap == 0)
-        return NULL;
-    size_t mask = k->memo_cap - 1;
-    for (size_t i = memo_hash(a, b) & mask;; i = (i + 1) & mask) {
-        MemoEnt *e = &k->memo[i];
-        if (e->a == NULL)
-            return NULL;
-        if (e->a == a && e->b == b)
-            return e->route;
-    }
-}
-
-static int
-memo_put(Kernel *k, PyObject *a, PyObject *b, PyObject *route)
-{
-    if (2 * (k->memo_n + 1) > k->memo_cap) {
-        size_t ncap = k->memo_cap ? k->memo_cap * 2 : 1024;
-        MemoEnt *nm = (MemoEnt *)PyMem_Calloc(ncap, sizeof(MemoEnt));
-        if (nm == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        for (size_t j = 0; j < k->memo_cap; j++) {
-            MemoEnt *e = &k->memo[j];
-            if (e->a == NULL)
-                continue;
-            size_t i = memo_hash(e->a, e->b) & (ncap - 1);
-            while (nm[i].a != NULL)
-                i = (i + 1) & (ncap - 1);
-            nm[i] = *e;
-        }
-        PyMem_Free(k->memo);
-        k->memo = nm;
-        k->memo_cap = ncap;
-    }
-    size_t mask = k->memo_cap - 1;
-    size_t i = memo_hash(a, b) & mask;
-    while (k->memo[i].a != NULL)
-        i = (i + 1) & mask;
-    Py_INCREF(a);
-    Py_INCREF(b);
-    Py_INCREF(route);
-    k->memo[i].a = a;
-    k->memo[i].b = b;
-    k->memo[i].route = route;
-    k->memo_n += 1;
-    return 0;
-}
-
 
 /* -- fast path: stats accumulation ----------------------------------------- */
 
@@ -996,7 +959,163 @@ refresh_deliver_fast(Kernel *k)
     return 0;
 }
 
-/* -- fast path: route selection --------------------------------------------- */
+/* -- route table --------------------------------------------------------------
+ *
+ * On the paper's diameter-two topologies a minimal path is the self path,
+ * the direct edge, or a two-hop path through a common neighbour
+ * (MinimalPaths.paths, in that order, common neighbours ascending).  The
+ * table holds each ordered pair's list as "middles" -- RT_SELF, RT_DIRECT
+ * or the middle router -- in CSR rows built from row_port, one source
+ * row at a time on first use.  The same list is the pair's minimal
+ * candidates and its Valiant legs, so every selection indexes the order
+ * RouteCache would, and every randbelow draw matches.  With ports dead,
+ * a pair's list is filtered by p_dead into RouteCache's live subset, in
+ * the same order.
+ *
+ * VC labels and kinds follow the two stock policies: HopIndexVC (VC =
+ * hop index, within the minimal / indirect budget) and PhaseVC (minimal
+ * on VC 0, indirect on VC 0 up to the intermediate and 1 after it).
+ *
+ * What the table cannot reproduce escapes to RouteCache (counted as
+ * route_fill when a fill or compose runs): pairs more than two hops
+ * apart; pairs with no live candidate, whose BFS detour stays memoised
+ * in RouteCache's rows; minimal pairs past the HopIndexVC minimal budget
+ * and indirect routes past the indirect one (INR raises NoRouteError
+ * there, UGAL routes minimally); and any other VC policy.
+ */
+
+#define RT_SELF (-2)   /* the one-router path (a) */
+#define RT_DIRECT (-1) /* the edge (a, b) */
+
+enum { VC_OTHER = -1, VC_HOP = 0, VC_PHASE = 1 };
+
+static inline int32_t
+rt_port(Kernel *k, long u, long v)
+{
+    return k->row_port[u * k->NR + v];
+}
+
+static inline int
+rt_hops(int32_t mid)
+{
+    return mid == RT_SELF ? 0 : mid == RT_DIRECT ? 1 : 2;
+}
+
+/* Build source row a of the table: for every b, the pair's minimal paths
+ * in MinimalPaths.paths order. */
+static int
+rt_build_row(Kernel *k, long a)
+{
+    long NR = k->NR;
+    int32_t *nbr = k->rt_live, deg = 0; /* a's neighbours, ascending */
+    for (long m = 0; m < NR; m++)
+        if (rt_port(k, a, m) >= 0)
+            nbr[deg++] = (int32_t)m;
+    int32_t *off = (int32_t *)PyMem_Malloc((size_t)(NR + 1) * sizeof(int32_t));
+    int32_t *mid = off ? (int32_t *)PyMem_Malloc(
+                             (size_t)NR * (size_t)(deg + 1) * sizeof(int32_t))
+                       : NULL;
+    if (mid == NULL) {
+        PyMem_Free(off);
+        PyErr_NoMemory();
+        return -1;
+    }
+    int32_t n = 0;
+    for (long b = 0; b < NR; b++) {
+        off[b] = n;
+        if (b == a)
+            mid[n++] = RT_SELF;
+        else if (rt_port(k, a, b) >= 0)
+            mid[n++] = RT_DIRECT;
+        else
+            for (int32_t i = 0; i < deg; i++)
+                if (rt_port(k, nbr[i], b) >= 0)
+                    mid[n++] = nbr[i];
+    }
+    off[NR] = n;
+    int32_t *fit = (int32_t *)PyMem_Realloc(mid, (size_t)(n ? n : 1) *
+                                                     sizeof(int32_t));
+    k->rt_off[a] = off;
+    k->rt_mid[a] = fit ? fit : mid;
+    return 0;
+}
+
+static inline int
+rt_dead(Kernel *k, long a, long b, int32_t mid)
+{
+    if (mid == RT_SELF)
+        return 0;
+    if (mid == RT_DIRECT)
+        return k->p_dead[rt_port(k, a, b)];
+    return k->p_dead[rt_port(k, a, mid)] || k->p_dead[rt_port(k, mid, b)];
+}
+
+/* Pair (a, b)'s live candidates: their count (0 when the pair escapes,
+ * -1 on error) with *out at the table entry or, with ports dead, at the
+ * filtered copy in rt_live (valid until the next call). */
+static int32_t
+rt_candidates(Kernel *k, long a, long b, const int32_t **out)
+{
+    if (k->rt_off[a] == NULL && rt_build_row(k, a) < 0)
+        return -1;
+    const int32_t *off = k->rt_off[a];
+    const int32_t *mid = k->rt_mid[a] + off[b];
+    int32_t n = off[b + 1] - off[b];
+    *out = mid;
+    if (k->ndead == 0 || n == 0)
+        return n;
+    int32_t live = 0;
+    for (int32_t i = 0; i < n; i++)
+        if (!rt_dead(k, a, b, mid[i]))
+            k->rt_live[live++] = mid[i];
+    *out = k->rt_live;
+    return live;
+}
+
+/* The same for minimal candidates, which need VC labels: 0 as well for
+ * a policy C does not label and for pairs past the HopIndexVC minimal
+ * budget (minimal_fill raises the budget error). */
+static int32_t
+rt_min_candidates(Kernel *k, long a, long b, const int32_t **out)
+{
+    if (k->vc_mode == VC_OTHER)
+        return 0;
+    int32_t n = rt_candidates(k, a, b, out);
+    if (n > 0 && k->vc_mode == VC_HOP && rt_hops((*out)[0]) > k->vc_min)
+        return 0;
+    return n;
+}
+
+/* A chosen path of pair (a, b): a table entry, or an escaped RouteCache
+ * candidate -- a minimal Route (route) or a leg -- with its routers
+ * tuple (path).  Both references are owned. */
+typedef struct {
+    long a, b;
+    int32_t mid;
+    PyObject *route, *path;
+} Pick;
+
+static inline void
+pick_init(Pick *p, long a, long b)
+{
+    p->a = a;
+    p->b = b;
+    p->mid = RT_SELF;
+    p->route = p->path = NULL;
+}
+
+static inline void
+pick_clear(Pick *p)
+{
+    Py_CLEAR(p->route);
+    Py_CLEAR(p->path);
+}
+
+static inline long
+pick_hops(const Pick *p)
+{
+    return p->path ? (long)PyTuple_GET_SIZE(p->path) - 1 : rt_hops(p->mid);
+}
 
 /* Output-queue depth at router *u*'s port toward *v* (what
  * Network.queue_len returns); -1 with an error for a non-channel. */
@@ -1005,7 +1124,7 @@ fp_qlen(Kernel *k, long u, long v)
 {
     int32_t gid = -1;
     if (u >= 0 && u < k->NR && v >= 0 && v < k->NR)
-        gid = k->row_port[u * k->NR + v];
+        gid = rt_port(k, u, v);
     if (gid < 0) {
         PyErr_Format(PyExc_IndexError,
                      "kernel: no channel from router %ld to %ld", u, v);
@@ -1014,46 +1133,164 @@ fp_qlen(Kernel *k, long u, long v)
     return k->p_queued[gid];
 }
 
-/* Minimal candidate tuple for (sr, dr): memo row hit or cold
- * minimal_fill call (BFS refill under faults; no RNG draws).  New ref. */
-static PyObject *
-fp_min_candidates(Kernel *k, long sr, long dr)
+/* First-hop queue length of a routers tuple (0 for a self path). */
+static long
+path_first_qlen(Kernel *k, PyObject *routers)
 {
-    PyObject *row = PyList_GET_ITEM(k->min_rows, (Py_ssize_t)sr);
-    if (row != Py_None) {
-        PyObject *cands = PyList_GET_ITEM(row, (Py_ssize_t)dr);
-        if (cands != Py_None)
-            return Py_NewRef(cands);
-    }
-    return PyObject_CallFunction(k->minimal_fill, "ll", sr, dr);
+    if (PyTuple_GET_SIZE(routers) <= 1)
+        return 0;
+    long r0 = PyLong_AsLong(PyTuple_GET_ITEM(routers, 0));
+    long r1 = PyLong_AsLong(PyTuple_GET_ITEM(routers, 1));
+    if ((r0 == -1 || r1 == -1) && PyErr_Occurred())
+        return -1;
+    return fp_qlen(k, r0, r1);
 }
 
-/* Same for the Valiant leg table. */
-static PyObject *
-fp_leg_candidates(Kernel *k, long a, long b)
+/* First-hop queue length of a pick (0 for a self path). */
+static inline long
+pick_first_qlen(Kernel *k, const Pick *p)
 {
-    PyObject *row = PyList_GET_ITEM(k->leg_rows, (Py_ssize_t)a);
-    if (row != Py_None) {
-        PyObject *cands = PyList_GET_ITEM(row, (Py_ssize_t)b);
-        if (cands != Py_None)
-            return Py_NewRef(cands);
-    }
-    return PyObject_CallFunction(k->leg_fill, "ll", a, b);
+    if (p->path)
+        return path_first_qlen(k, p->path);
+    if (p->mid == RT_SELF)
+        return 0;
+    return k->p_queued[rt_port(k, p->a, p->mid == RT_DIRECT ? p->b : p->mid)];
 }
 
-/* One leg pick: single candidate or a randbelow draw on *rng*. */
+/* Call into RouteCache, timed and counted as the route_fill escape. */
 static PyObject *
-fp_pick_leg(Kernel *k, long a, long b, CRng *rng)
+rc_call(Kernel *k, PyObject *fn, PyObject *x, PyObject *y)
 {
-    PyObject *cands = fp_leg_candidates(k, a, b);
-    if (cands == NULL)
+    double t0 = mono_ns();
+    PyObject *r = PyObject_CallFunctionObjArgs(fn, x, y, NULL);
+    k->esc_ns[ESC_FILL] += mono_ns() - t0;
+    k->esc_counts[ESC_FILL] += 1;
+    return r;
+}
+
+/* Escape: pair (a, b)'s candidates from RouteCache -- its row memo, else
+ * minimal_fill / leg_fill.  New reference to a non-empty tuple. */
+static PyObject *
+rc_candidates(Kernel *k, long a, long b, int leg)
+{
+    PyObject *row = PyList_GET_ITEM(leg ? k->leg_rows : k->min_rows, a);
+    PyObject *c = NULL;
+    if (PyList_Check(row) && b < PyList_GET_SIZE(row))
+        c = PyList_GET_ITEM(row, b);
+    if (c != NULL && c != Py_None) {
+        Py_INCREF(c);
+    } else {
+        PyObject *x = PyLong_FromLong(a);
+        PyObject *y = x ? PyLong_FromLong(b) : NULL;
+        c = y ? rc_call(k, leg ? k->leg_fill : k->minimal_fill, x, y) : NULL;
+        Py_XDECREF(x);
+        Py_XDECREF(y);
+        if (c == NULL)
+            return NULL;
+    }
+    if (!PyTuple_Check(c) || PyTuple_GET_SIZE(c) == 0) {
+        Py_DECREF(c);
+        PyErr_SetString(PyExc_RuntimeError,
+                        "kernel: RouteCache returned no candidates");
         return NULL;
-    Py_ssize_t n = PyTuple_GET_SIZE(cands);
-    PyObject *leg = PyTuple_GET_ITEM(
-        cands, n == 1 ? 0 : (Py_ssize_t)mt_randbelow(rng, (long)n));
-    Py_INCREF(leg);
+    }
+    return c;
+}
+
+/* MinimalRouting.route: among the pair's live candidates, the only one,
+ * a randbelow draw on *rng*, or (rng NULL) the first strict minimum of
+ * the first-hop queue. */
+static int
+route_min(Kernel *k, long a, long b, CRng *rng, Pick *out)
+{
+    pick_init(out, a, b);
+    const int32_t *mid = NULL;
+    int32_t n = rt_min_candidates(k, a, b, &mid);
+    if (n < 0)
+        return -1;
+    if (n > 0) {
+        int32_t i = 0;
+        if (n > 1 && rng != NULL) {
+            i = (int32_t)mt_randbelow(rng, n);
+        } else if (n > 1) {
+            long best_q = 0;
+            for (int32_t j = 0; j < n; j++) {
+                out->mid = mid[j];
+                long q = pick_first_qlen(k, out);
+                if (j == 0 || q < best_q) {
+                    i = j;
+                    best_q = q;
+                }
+            }
+        }
+        out->mid = mid[i];
+        return 0;
+    }
+    PyObject *cands = rc_candidates(k, a, b, 0);
+    if (cands == NULL)
+        return -1;
+    Py_ssize_t nc = PyTuple_GET_SIZE(cands), i = 0;
+    if (nc > 1 && rng != NULL) {
+        i = (Py_ssize_t)mt_randbelow(rng, (long)nc);
+    } else if (nc > 1) {
+        long best_q = 0;
+        for (Py_ssize_t j = 0; j < nc; j++) {
+            PyObject *routers = PyObject_GetAttr(PyTuple_GET_ITEM(cands, j),
+                                                 str_routers);
+            long q = -1;
+            if (routers != NULL && PyTuple_Check(routers))
+                q = path_first_qlen(k, routers);
+            else if (routers != NULL)
+                PyErr_SetString(PyExc_TypeError, "kernel: route routers");
+            Py_XDECREF(routers);
+            if (q < 0) {
+                Py_DECREF(cands);
+                return -1;
+            }
+            if (j == 0 || q < best_q) {
+                i = j;
+                best_q = q;
+            }
+        }
+    }
+    out->route = Py_NewRef(PyTuple_GET_ITEM(cands, i));
     Py_DECREF(cands);
-    return leg;
+    out->path = PyObject_GetAttr(out->route, str_routers);
+    if (out->path == NULL)
+        return -1;
+    if (!PyTuple_Check(out->path) || PyTuple_GET_SIZE(out->path) < 1) {
+        PyErr_SetString(PyExc_TypeError, "kernel: route routers");
+        return -1;
+    }
+    return 0;
+}
+
+/* One Valiant leg a -> b: the only live candidate or a randbelow draw. */
+static int
+route_leg(Kernel *k, long a, long b, CRng *rng, Pick *out)
+{
+    pick_init(out, a, b);
+    const int32_t *mid;
+    int32_t n = rt_candidates(k, a, b, &mid);
+    if (n < 0)
+        return -1;
+    if (n > 0) {
+        out->mid = mid[n == 1 ? 0 : mt_randbelow(rng, n)];
+        return 0;
+    }
+    PyObject *cands = rc_candidates(k, a, b, 1);
+    if (cands == NULL)
+        return -1;
+    Py_ssize_t nc = PyTuple_GET_SIZE(cands);
+    PyObject *leg = PyTuple_GET_ITEM(
+        cands, nc == 1 ? 0 : (Py_ssize_t)mt_randbelow(rng, (long)nc));
+    out->path = Py_NewRef(leg);
+    Py_DECREF(cands);
+    if (!PyTuple_Check(leg) || PyTuple_GET_SIZE(leg) < 2) {
+        PyErr_SetString(PyExc_TypeError, "kernel: RouteCache leg");
+        return -1;
+    }
+    return 0;
 }
 
 /* Rejection-sample an intermediate router != src, dst (the Python
@@ -1068,175 +1305,186 @@ fp_pick_intermediate(Kernel *k, long sr, long dr, CRng *rng)
     }
 }
 
-/* The composed Route through legs (first, second).  A pointer-keyed C
- * memo sits in front of RouteCache._composed: legs are the cache's own
- * tuples, the memo holds references so their addresses stay unique,
- * and _composed is never invalidated, so a C hit is exactly the entry
- * the value-keyed dict lookup would return.  A C miss falls through to
- * that lookup and then to compose / compose_or_none, so the Python
- * cache sees the same calls it always did.  New ref; Py_None for a
- * VC-illegal pair when *or_none*. */
-static PyObject *
-fp_compose(Kernel *k, PyObject *first, PyObject *second, int or_none)
+/* Write a pick's routers into the route under construction from index
+ * *at* (a second leg overwrites the intermediate the first leg ends
+ * on); returns the route's router count, or -1 with an error. */
+static int32_t
+rt_put_path(Kernel *k, const Pick *p, int32_t at)
 {
-    PyObject *r = memo_get(k, first, second);
-    if (r != NULL)
-        return Py_NewRef(r);
-    PyObject *key = PyTuple_Pack(2, first, second);
-    if (key == NULL)
-        return NULL;
-    r = PyDict_GetItemWithError(k->composed, key);
-    Py_DECREF(key);
-    if (r != NULL) {
-        Py_INCREF(r);
-    } else {
-        if (PyErr_Occurred())
-            return NULL;
-        r = PyObject_CallFunctionObjArgs(
-            or_none ? k->compose_or_none : k->compose, first, second, NULL);
-        if (r == NULL || r == Py_None)
-            return r;
+    int32_t *r = k->rt_r;
+    if (p->path == NULL) {
+        r[at++] = (int32_t)p->a;
+        if (p->mid >= 0)
+            r[at++] = p->mid;
+        if (p->mid != RT_SELF)
+            r[at++] = (int32_t)p->b;
+        return at;
     }
-    if (memo_put(k, first, second, r) < 0) {
-        Py_DECREF(r);
-        return NULL;
-    }
-    return r;
-}
-
-/* First-hop queue length of a route's router tuple (0 for self-pairs). */
-static inline long
-fp_first_qlen(Kernel *k, PyObject *routers)
-{
-    if (PyTuple_GET_SIZE(routers) <= 1)
-        return 0;
-    long r0 = PyLong_AsLong(PyTuple_GET_ITEM(routers, 0));
-    long r1 = PyLong_AsLong(PyTuple_GET_ITEM(routers, 1));
-    if ((r0 == -1 || r1 == -1) && PyErr_Occurred())
+    Py_ssize_t n = tuple_ints(p->path, r + at, k->rt_cap - at);
+    if (n < 0)
         return -1;
-    return fp_qlen(k, r0, r1);
-}
-
-/* MinimalRouting.route (compiled): random selection draws on *rng*,
- * best selection scans for the first strict queue-length minimum. */
-static PyObject *
-fp_route_minimal(Kernel *k, long sr, long dr, CRng *rng, int best)
-{
-    PyObject *cands = fp_min_candidates(k, sr, dr);
-    if (cands == NULL)
-        return NULL;
-    Py_ssize_t n = PyTuple_GET_SIZE(cands);
-    PyObject *route = NULL;
-    if (n == 1) {
-        route = Py_NewRef(PyTuple_GET_ITEM(cands, 0));
-    } else if (!best) {
-        route = Py_NewRef(PyTuple_GET_ITEM(
-            cands, (Py_ssize_t)mt_randbelow(rng, (long)n)));
-    } else {
-        long best_q = 0;
-        for (Py_ssize_t i = 0; i < n; i++) {
-            PyObject *cand = PyTuple_GET_ITEM(cands, i);
-            PyObject *routers = PyObject_GetAttr(cand, str_routers);
-            long q = routers ? fp_first_qlen(k, routers) : -1;
-            Py_XDECREF(routers);
-            if (q < 0) {
-                Py_XDECREF(route);
-                Py_DECREF(cands);
-                return NULL;
-            }
-            if (route == NULL || q < best_q) {
-                Py_XSETREF(route, Py_NewRef(cand));
-                best_q = q;
-            }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (r[at + i] < 0 || r[at + i] >= k->NR) {
+            PyErr_SetString(PyExc_IndexError,
+                            "kernel: route router out of range");
+            return -1;
         }
     }
-    Py_DECREF(cands);
-    return route;
+    return at + (int32_t)n;
 }
 
-/* IndirectRandomRouting.route (compiled).  NoRouteError from compose
- * propagates, exactly as in Python. */
-static PyObject *
-fp_route_inr(Kernel *k, long sr, long dr)
+/* Take the route under construction from a RouteCache Route. */
+static int
+rt_put_route(Kernel *k, PyObject *route)
 {
-    if (sr == dr) {
-        PyObject *r = k->self_routes[sr];
-        if (r != NULL)
-            return Py_NewRef(r);
-        PyObject *key = PyLong_FromLong(sr);
-        if (key == NULL)
-            return NULL;
-        r = PyDict_GetItemWithError(k->selfs, key);
-        Py_DECREF(key);
-        if (r != NULL)
-            Py_INCREF(r);
-        else if (PyErr_Occurred())
-            return NULL;
-        else if ((r = PyObject_CallFunction(k->self_route, "l", sr)) == NULL)
-            return NULL;
-        k->self_routes[sr] = Py_NewRef(r);
-        return r;
+    Pick p;
+    pick_init(&p, 0, 0);
+    p.path = PyObject_GetAttr(route, str_routers);
+    PyObject *vcs = p.path ? PyObject_GetAttr(route, str_vcs) : NULL;
+    PyObject *kind = vcs ? PyObject_GetAttr(route, str_kind) : NULL;
+    int rc = -1;
+    if (kind != NULL && (k->rt_n = rt_put_path(k, &p, 0)) >= 1) {
+        Py_ssize_t nv = tuple_ints(vcs, k->rt_v, k->rt_cap);
+        if (nv >= 0 && nv != k->rt_n - 1)
+            PyErr_SetString(PyExc_ValueError, "kernel: route VC count");
+        else if (nv >= 0 && (k->rt_kind = kind_index(k, kind)) >= 0)
+            rc = 0;
     }
-    long inter = fp_pick_intermediate(k, sr, dr, &k->rng[0]);
-    PyObject *first = fp_pick_leg(k, sr, inter, &k->rng[0]);
-    if (first == NULL)
-        return NULL;
-    PyObject *second = fp_pick_leg(k, inter, dr, &k->rng[0]);
-    PyObject *route = second ? fp_compose(k, first, second, 0) : NULL;
-    Py_DECREF(first);
-    Py_XDECREF(second);
-    return route;
+    Py_XDECREF(kind);
+    Py_XDECREF(vcs);
+    pick_clear(&p);
+    return rc;
 }
 
-/* UGALRouting.route, local variant with random minimal selection
- * (compiled): minimal pick on rng 0, indirect scoring draws on rng 1,
- * strict cost comparison (ties go minimal), VC-overflow on the winning
- * indirect pair falls back to minimal via compose_or_none. */
-static PyObject *
-fp_route_ugal(Kernel *k, long sr, long dr)
+/* Take the route under construction from a minimal pick. */
+static int
+emit_min(Kernel *k, const Pick *p)
+{
+    if (p->route != NULL)
+        return rt_put_route(k, p->route);
+    int32_t n = rt_put_path(k, p, 0);
+    k->rt_n = n;
+    for (int32_t h = 0; h + 1 < n; h++)
+        k->rt_v[h] = k->vc_mode == VC_HOP ? h : 0;
+    k->rt_kind = k->ki_min;
+    return 0;
+}
+
+/* VC labels of the composed route in rt_r (intermediate at index
+ * *inter*) under a stock policy: 1 when labelled, 0 when C cannot label
+ * it (past the HopIndexVC indirect budget, or another policy). */
+static int
+compose_c(Kernel *k, int32_t inter)
+{
+    int32_t hops = k->rt_n - 1;
+    if (k->vc_mode == VC_PHASE) {
+        for (int32_t h = 0; h < hops; h++)
+            k->rt_v[h] = h < inter ? 0 : 1;
+    } else if (k->vc_mode == VC_HOP && hops <= k->vc_ind) {
+        for (int32_t h = 0; h < hops; h++)
+            k->rt_v[h] = h;
+    } else {
+        return 0;
+    }
+    k->rt_kind = k->ki_ind;
+    return 1;
+}
+
+/* The Valiant route through legs (first, second) as the route under
+ * construction: 1 when built, 0 when it is VC-illegal and *or_minimal*
+ * (UGAL then routes minimally), -1 on error.  What C cannot label goes
+ * to RouteCache.compose, which raises NoRouteError for an illegal route
+ * exactly as the Python routing sees it. */
+static int
+emit_composed(Kernel *k, const Pick *first, const Pick *second,
+              int or_minimal)
+{
+    int32_t n1 = rt_put_path(k, first, 0);
+    int32_t n = n1 < 1 ? -1 : rt_put_path(k, second, n1 - 1);
+    if (n < 0)
+        return -1;
+    k->rt_n = n;
+    if (compose_c(k, n1 - 1))
+        return 1;
+    if (k->vc_mode == VC_HOP && or_minimal)
+        return 0;
+    PyObject *f = int_tuple(k->rt_r, n1);
+    PyObject *s = f ? int_tuple(k->rt_r + n1 - 1, n - n1 + 1) : NULL;
+    PyObject *route = s ? rc_call(k, k->compose, f, s) : NULL;
+    Py_XDECREF(f);
+    Py_XDECREF(s);
+    if (route == NULL) {
+        if (or_minimal && PyErr_ExceptionMatches(k->no_route_error)) {
+            PyErr_Clear();
+            return 0;
+        }
+        return -1;
+    }
+    int rc = rt_put_route(k, route);
+    Py_DECREF(route);
+    return rc < 0 ? -1 : 1;
+}
+
+/* IndirectRandomRouting.route: intermediate and legs drawn on rng 0;
+ * NoRouteError from an illegal composition propagates, as in Python. */
+static int
+route_inr(Kernel *k, long sr, long dr)
+{
+    if (sr == dr) { /* intra-router traffic: RouteCache.self_route */
+        k->rt_r[0] = (int32_t)sr;
+        k->rt_n = 1;
+        k->rt_kind = k->ki_min;
+        return 0;
+    }
+    CRng *rng = &k->rng[0];
+    long inter = fp_pick_intermediate(k, sr, dr, rng);
+    Pick f, s;
+    pick_init(&s, inter, dr);
+    int rc = -1;
+    if (route_leg(k, sr, inter, rng, &f) == 0 &&
+        route_leg(k, inter, dr, rng, &s) == 0)
+        rc = emit_composed(k, &f, &s, 0) < 0 ? -1 : 0;
+    pick_clear(&f);
+    pick_clear(&s);
+    return rc;
+}
+
+/* UGALRouting.route, local variant with random minimal selection: minimal
+ * pick on rng 0, indirect scoring draws on rng 1, strict cost comparison
+ * (ties go minimal), an illegal winning composition routes minimally. */
+static int
+route_ugal(Kernel *k, long sr, long dr)
 {
     CRng *rng1 = k->rng_n > 1 ? &k->rng[1] : &k->rng[0];
-    PyObject *minimal = fp_route_minimal(k, sr, dr, &k->rng[0], 0);
-    if (minimal == NULL)
-        return NULL;
-    PyObject *routers = PyObject_GetAttr(minimal, str_routers);
-    if (routers == NULL) {
-        Py_DECREF(minimal);
-        return NULL;
-    }
-    long len_min = (long)PyTuple_GET_SIZE(routers) - 1;
-    long q_min = fp_first_qlen(k, routers);
-    Py_DECREF(routers);
-    if (q_min < 0) {
-        Py_DECREF(minimal);
-        return NULL;
-    }
+    Pick minimal, f, s, bf, bs;
+    pick_init(&f, sr, sr);
+    pick_init(&s, sr, sr);
+    pick_init(&bf, sr, sr);
+    pick_init(&bs, sr, sr);
+    int rc = -1;
+    if (route_min(k, sr, dr, &k->rng[0], &minimal) < 0)
+        goto done;
+    long len_min = pick_hops(&minimal);
     if (len_min == 0)
-        return minimal; /* self-pair: nothing to adapt */
+        goto minimal_route; /* self-pair: nothing to adapt */
+    long q_min = pick_first_qlen(k, &minimal);
+    if (q_min < 0)
+        goto done;
     if (k->has_thr && (double)q_min < k->thr_cap)
-        return minimal;
+        goto minimal_route;
     double best_cost = (double)q_min;
-    PyObject *best_first = NULL, *best_second = NULL;
+    int have_best = 0;
     for (long it = 0; it < k->nI; it++) {
         long inter = fp_pick_intermediate(k, sr, dr, rng1);
-        PyObject *first = fp_pick_leg(k, sr, inter, rng1);
-        if (first == NULL)
-            goto err;
-        PyObject *second = fp_pick_leg(k, inter, dr, rng1);
-        if (second == NULL) {
-            Py_DECREF(first);
-            goto err;
-        }
-        long q_ind = fp_first_qlen(k, first);
-        if (q_ind < 0) {
-            Py_DECREF(first);
-            Py_DECREF(second);
-            goto err;
-        }
+        if (route_leg(k, sr, inter, rng1, &f) < 0 ||
+            route_leg(k, inter, dr, rng1, &s) < 0)
+            goto done;
+        long q_ind = pick_first_qlen(k, &f);
+        if (q_ind < 0)
+            goto done;
         double cost;
         if (k->sf_mode) {
-            long hops = (long)(PyTuple_GET_SIZE(first) +
-                               PyTuple_GET_SIZE(second)) - 2;
+            long hops = pick_hops(&f) + pick_hops(&s);
             /* Same association as the Python scoring expression so the
              * doubles are bit-identical. */
             cost = (((double)hops / (double)len_min) * k->c_sf) *
@@ -1246,37 +1494,73 @@ fp_route_ugal(Kernel *k, long sr, long dr)
         }
         if (cost < best_cost) {
             best_cost = cost;
-            Py_XSETREF(best_first, first);
-            Py_XSETREF(best_second, second);
+            pick_clear(&bf);
+            pick_clear(&bs);
+            bf = f;
+            bs = s;
+            f.route = f.path = s.route = s.path = NULL; /* moved */
+            have_best = 1;
         } else {
-            Py_DECREF(first);
-            Py_DECREF(second);
+            pick_clear(&f);
+            pick_clear(&s);
         }
     }
-    if (best_first == NULL)
-        return minimal;
-    {
-        PyObject *route = fp_compose(k, best_first, best_second, 1);
-        Py_DECREF(best_first);
-        Py_DECREF(best_second);
-        if (route == NULL) {
-            Py_DECREF(minimal);
-            return NULL;
+    if (have_best) {
+        int c = emit_composed(k, &bf, &bs, 1);
+        if (c != 0) {
+            rc = c < 0 ? -1 : 0;
+            goto done;
         }
-        if (route == Py_None) {
-            Py_DECREF(route);
-            return minimal; /* degraded pair: VC overflow -> minimal */
-        }
-        Py_DECREF(minimal);
-        return route;
     }
-err:
-    Py_XDECREF(best_first);
-    Py_XDECREF(best_second);
-    Py_DECREF(minimal);
-    return NULL;
+minimal_route:
+    rc = emit_min(k, &minimal);
+done:
+    pick_clear(&minimal);
+    pick_clear(&f);
+    pick_clear(&s);
+    pick_clear(&bf);
+    pick_clear(&bs);
+    return rc;
 }
 
+/* Resolve the hop ports of the route under construction from row_port
+ * (output-port index at each router, what Route.ports holds). */
+static int
+rt_ports(Kernel *k)
+{
+    const int32_t *r = k->rt_r;
+    for (int32_t h = 0; h + 1 < k->rt_n; h++) {
+        int32_t gid = rt_port(k, r[h], r[h + 1]);
+        if (gid < 0) {
+            PyErr_Format(PyExc_IndexError,
+                         "kernel: no channel from router %d to %d",
+                         (int)r[h], (int)r[h + 1]);
+            return -1;
+        }
+        k->rt_p[h] = gid - k->p_off[r[h]];
+    }
+    return 0;
+}
+
+/* Load slot si from the route under construction, then the ejection
+ * port. */
+static int
+slot_load_route(Kernel *k, int32_t si, long eject)
+{
+    int32_t n = k->rt_n;
+    if (rt_ports(k) < 0 || slot_reserve(k, si, n) < 0)
+        return -1;
+    Slot *p = &k->slots[si];
+    size_t hops = (size_t)(n - 1) * sizeof(int32_t);
+    memcpy(&S_PORT(p, 0), k->rt_p, hops);
+    S_PORT(p, n - 1) = (int32_t)eject;
+    memcpy(&S_VC(p, 0), k->rt_v, hops);
+    memcpy(&S_ROUTER(p, 0), k->rt_r, (size_t)n * sizeof(int32_t));
+    p->nports = n;
+    p->nhops = n - 1;
+    p->kind = k->rt_kind;
+    return 0;
+}
 
 /* -- packet construction ---------------------------------------------------- */
 
@@ -1294,46 +1578,29 @@ make_fast(Kernel *k, long node, const Desc *d, double t)
     }
     long sr = k->n_rid[node];
     long dr = k->n_rid[d->dst];
-    PyObject *route;
-    switch (k->route_mode) {
-    case 0:
-        route = fp_route_minimal(k, sr, dr, &k->rng[0], 0);
-        break;
-    case 1:
-        route = fp_route_minimal(k, sr, dr, NULL, 1);
-        break;
-    case 2:
-        route = fp_route_inr(k, sr, dr);
-        break;
-    default:
-        route = fp_route_ugal(k, sr, dr);
-        break;
+    int rc;
+    if (k->route_mode <= 1) {
+        Pick pk;
+        rc = route_min(k, sr, dr, k->route_mode == 0 ? &k->rng[0] : NULL,
+                       &pk);
+        if (rc == 0)
+            rc = emit_min(k, &pk);
+        pick_clear(&pk);
+    } else if (k->route_mode == 2) {
+        rc = route_inr(k, sr, dr);
+    } else {
+        rc = route_ugal(k, sr, dr);
     }
-    if (route == NULL)
+    if (rc < 0)
         return -1;
-    PyObject *ports = PyObject_GetAttr(route, str_ports);
-    PyObject *vcs = ports ? PyObject_GetAttr(route, str_vcs) : NULL;
-    PyObject *routers = vcs ? PyObject_GetAttr(route, str_routers) : NULL;
-    PyObject *kind = routers ? PyObject_GetAttr(route, str_kind) : NULL;
-    int32_t si = -1;
-    int ki = kind ? kind_index(k, kind) : -1;
-    if (ki >= 0)
-        si = slot_alloc(k);
-    if (si >= 0 &&
-        slot_load_path(k, si, ports, k->n_eject[d->dst], vcs, routers) < 0) {
+    int32_t si = slot_alloc(k);
+    if (si < 0)
+        return -1;
+    if (slot_load_route(k, si, k->n_eject[d->dst]) < 0) {
         slot_release(k, si);
-        si = -1;
-    }
-    Py_XDECREF(kind);
-    Py_XDECREF(routers);
-    Py_XDECREF(vcs);
-    Py_XDECREF(ports);
-    if (si < 0) {
-        Py_DECREF(route);
         return -1;
     }
     Slot *p = &k->slots[si];
-    p->route = route; /* steals */
     p->msg_id = Py_NewRef(d->msg_id);
     p->pid = ++k->pid;
     p->src = (int32_t)node;
@@ -1341,7 +1608,6 @@ make_fast(Kernel *k, long node, const Desc *d, double t)
     p->size = d->size;
     p->gen_time = d->gen;
     p->send_time = t;
-    p->kind = ki;
 
     k->a_inj += 1;
     if (!k->a_has_first) {
@@ -1782,8 +2048,6 @@ divert_packet(Kernel *k, PyObject *divert, int32_t si, long gid,
         return keep;
     }
     Slot *p = &k->slots[si];
-    Py_CLEAR(p->route); /* the rewritten Packet is authoritative now */
-    p = &k->slots[si];
     *ngid = k->p_off[k->p_rid[gid]] + S_PORT(p, p->hop);
     *npv = *ngid * k->V + S_VC(p, p->hop);
     if (*ngid < 0 || *ngid >= k->NP || S_VC(p, p->hop) >= k->V) {
@@ -1979,13 +2243,10 @@ unbind_refs(Kernel *k)
     Py_CLEAR(k->fm_divert);
     Py_CLEAR(k->min_rows);
     Py_CLEAR(k->leg_rows);
-    Py_CLEAR(k->composed);
-    Py_CLEAR(k->selfs);
     Py_CLEAR(k->minimal_fill);
     Py_CLEAR(k->leg_fill);
     Py_CLEAR(k->compose);
-    Py_CLEAR(k->compose_or_none);
-    Py_CLEAR(k->self_route);
+    Py_CLEAR(k->no_route_error);
     Py_CLEAR(k->stats_absorb);
     PyMem_Free(k->pool);
     k->pool = NULL;
@@ -2090,14 +2351,17 @@ bind_run(Kernel *k, PyObject *fp)
         return -1;
     FPGETO(min_rows, "min_rows")
     FPGETO(leg_rows, "leg_rows")
-    FPGETO(composed, "composed")
-    FPGETO(selfs, "selfs")
     FPGETO(minimal_fill, "minimal_fill")
     FPGETO(leg_fill, "leg_fill")
     FPGETO(compose, "compose")
-    FPGETO(compose_or_none, "compose_or_none")
-    FPGETO(self_route, "self_route")
+    FPGETO(no_route_error, "no_route_error")
 #undef FPGETO
+    if (!PyList_Check(k->min_rows) || PyList_GET_SIZE(k->min_rows) != k->NR ||
+        !PyList_Check(k->leg_rows) || PyList_GET_SIZE(k->leg_rows) != k->NR) {
+        PyErr_SetString(PyExc_ValueError,
+                        "kernel: RouteCache rows do not match the routers");
+        return -1;
+    }
     if (fp_long(fp, "n_indirect", &nI) < 0 || fp_long(fp, "sf_mode", &sf) < 0)
         return -1;
     k->nI = nI;
@@ -2411,7 +2675,8 @@ Kernel_stats(Kernel *k, PyObject *Py_UNUSED(ignored))
     static const char *op_names[OP_COUNT] = {
         "RECV", "ENTER", "PWAKE", "DELIVER", "NWAKE", "GEN", "CALL"};
     static const char *esc_names[ESC_N] = {
-        "make_packet", "deliver", "call", "fault_divert", "stats_flush"};
+        "make_packet", "deliver", "call", "fault_divert", "stats_flush",
+        "route_fill"};
     static const char *fast_names[FAST_N] = {"make_packet", "deliver"};
     PyObject *ops = PyDict_New();
     PyObject *escs = PyDict_New();
@@ -2649,7 +2914,9 @@ Kernel_set_dead(Kernel *k, PyObject *args)
         return NULL;
     if (port_arg(k, gido, &gid) < 0)
         return NULL;
-    k->p_dead[gid] = (uint8_t)flag;
+    if (k->p_dead[gid] != (flag != 0))
+        k->ndead += flag ? 1 : -1;
+    k->p_dead[gid] = (uint8_t)(flag != 0);
     Py_RETURN_NONE;
 }
 
@@ -2946,8 +3213,7 @@ slot_arg(Kernel *k, PyObject *o, int32_t *si)
     long v = PyLong_AsLong(o);
     if (v == -1 && PyErr_Occurred())
         return -1;
-    if (v < 0 || v >= k->nslots ||
-        (k->slots[v].route == NULL && k->slots[v].pkt == NULL)) {
+    if (v < 0 || v >= k->nslots || k->slots[v].hop < 0) {
         PyErr_Format(PyExc_IndexError, "kernel: slot %ld holds no packet", v);
         return -1;
     }
@@ -2964,6 +3230,109 @@ Kernel_next_port(Kernel *k, PyObject *slo)
         return NULL;
     Slot *p = &k->slots[si];
     return Py_BuildValue("(ii)", (int)p->hop, (int)S_PORT(p, p->hop));
+}
+
+
+/* The route under construction as (routers, hop ports, vcs, kind). */
+static PyObject *
+route_tuple(Kernel *k)
+{
+    int32_t n = k->rt_n;
+    if (rt_ports(k) < 0)
+        return NULL;
+    PyObject *r = int_tuple(k->rt_r, n);
+    PyObject *p = r ? int_tuple(k->rt_p, n - 1) : NULL;
+    PyObject *v = p ? int_tuple(k->rt_v, n - 1) : NULL;
+    if (v == NULL) {
+        Py_XDECREF(r);
+        Py_XDECREF(p);
+        return NULL;
+    }
+    return Py_BuildValue("(NNNO)", r, p, v, k->kinds[k->rt_kind]);
+}
+
+static int
+router_arg(Kernel *k, long r)
+{
+    if (r < 0 || r >= k->NR) {
+        PyErr_Format(PyExc_IndexError, "kernel: router %ld out of range", r);
+        return -1;
+    }
+    return 0;
+}
+
+/* route_candidates(a, b, legs=False): pair (a, b)'s candidates as the
+ * fast path selects among them, in order, under the current dead ports:
+ * leg router tuples, or minimal (routers, ports, vcs, kind) tuples.
+ * None when the pair escapes to RouteCache. */
+static PyObject *
+Kernel_route_candidates(Kernel *k, PyObject *args)
+{
+    long a, b;
+    int legs = 0;
+    if (!PyArg_ParseTuple(args, "ll|p", &a, &b, &legs))
+        return NULL;
+    if (check_built(k) < 0 || router_arg(k, a) < 0 || router_arg(k, b) < 0)
+        return NULL;
+    const int32_t *mid;
+    int32_t n = legs ? rt_candidates(k, a, b, &mid)
+                     : rt_min_candidates(k, a, b, &mid);
+    if (n < 0)
+        return NULL;
+    if (n == 0)
+        Py_RETURN_NONE;
+    PyObject *out = PyTuple_New(n);
+    if (out == NULL)
+        return NULL;
+    for (int32_t i = 0; i < n; i++) {
+        Pick p;
+        pick_init(&p, a, b);
+        p.mid = mid[i];
+        PyObject *c;
+        if (legs) {
+            c = int_tuple(k->rt_r, rt_put_path(k, &p, 0));
+        } else {
+            emit_min(k, &p);
+            c = route_tuple(k);
+        }
+        if (c == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(out, i, c);
+    }
+    return out;
+}
+
+/* route_compose(first, second): the Valiant route the fast path builds
+ * from two legs, as (routers, ports, vcs, kind); None when C cannot label
+ * it (past the HopIndexVC indirect budget, or another VC policy). */
+static PyObject *
+Kernel_route_compose(Kernel *k, PyObject *args)
+{
+    Pick f, s;
+    pick_init(&f, 0, 0);
+    pick_init(&s, 0, 0);
+    if (!PyArg_ParseTuple(args, "O!O!", &PyTuple_Type, &f.path,
+                          &PyTuple_Type, &s.path))
+        return NULL;
+    if (check_built(k) < 0)
+        return NULL;
+    int32_t n1 = rt_put_path(k, &f, 0);
+    if (n1 < 1)
+        return n1 < 0 ? NULL : PyErr_Format(PyExc_ValueError, "kernel: empty leg");
+    int32_t inter = k->rt_r[n1 - 1];
+    int32_t n = rt_put_path(k, &s, n1 - 1);
+    if (n < 0)
+        return NULL;
+    if (n < n1 || k->rt_r[n1 - 1] != inter) {
+        PyErr_SetString(PyExc_ValueError, "kernel: legs do not meet");
+        return NULL;
+    }
+    k->rt_n = n;
+    if (!compose_c(k, n1 - 1))
+        Py_RETURN_NONE;
+    return route_tuple(k);
 }
 
 
@@ -3128,7 +3497,25 @@ Kernel_init(Kernel *k, PyObject *args, PyObject *kwds)
     CALLOC(k->g_i, NN)
     CALLOC(k->g_n, NN)
     CALLOC(k->a_ejcnt, NN)
-    CALLOC(k->self_routes, NR)
+
+    /* Route table: empty rows, buffers and the routing's VC labelling. */
+    long scheme;
+    if (st_long(st, "vc_scheme", &scheme) < 0 ||
+        st_long(st, "vc_min", &k->vc_min) < 0 ||
+        st_long(st, "vc_ind", &k->vc_ind) < 0)
+        return -1;
+    k->vc_mode = scheme == VC_HOP || scheme == VC_PHASE ? (int)scheme
+                                                        : VC_OTHER;
+    CALLOC(k->rt_off, NR)
+    CALLOC(k->rt_mid, NR)
+    CALLOC(k->rt_live, NR)
+    k->rt_cap = (int32_t)(2 * NR + 2); /* two legs of at most NR routers */
+    CALLOC(k->rt_r, k->rt_cap)
+    CALLOC(k->rt_p, k->rt_cap)
+    CALLOC(k->rt_v, k->rt_cap)
+    if ((k->ki_min = kind_index(k, str_minimal)) < 0 ||
+        (k->ki_ind = kind_index(k, str_indirect)) < 0)
+        return -1;
     k->free_head = -1;
     k->route_mode = -1;
     k->net = Py_NewRef(net);
@@ -3147,7 +3534,6 @@ Kernel_traverse(Kernel *k, visitproc visit, void *arg)
         Py_VISIT(k->heap[i].args);
     }
     for (int32_t i = 0; i < k->nslots; i++) {
-        Py_VISIT(k->slots[i].route);
         Py_VISIT(k->slots[i].msg_id);
         Py_VISIT(k->slots[i].pkt);
     }
@@ -3158,13 +3544,6 @@ Kernel_traverse(Kernel *k, visitproc visit, void *arg)
             for (int32_t j = 0; j < q->len; j++)
                 Py_VISIT(dring_at(q, j)->msg_id);
         }
-        for (long r = 0; r < k->NR; r++)
-            Py_VISIT(k->self_routes[r]);
-    }
-    for (size_t i = 0; i < k->memo_cap; i++) {
-        Py_VISIT(k->memo[i].a);
-        Py_VISIT(k->memo[i].b);
-        Py_VISIT(k->memo[i].route);
     }
     for (int i = 0; i < k->nkinds; i++)
         Py_VISIT(k->kinds[i]);
@@ -3178,13 +3557,10 @@ Kernel_traverse(Kernel *k, visitproc visit, void *arg)
     Py_VISIT(k->fm_divert);
     Py_VISIT(k->min_rows);
     Py_VISIT(k->leg_rows);
-    Py_VISIT(k->composed);
-    Py_VISIT(k->selfs);
     Py_VISIT(k->minimal_fill);
     Py_VISIT(k->leg_fill);
     Py_VISIT(k->compose);
-    Py_VISIT(k->compose_or_none);
-    Py_VISIT(k->self_route);
+    Py_VISIT(k->no_route_error);
     Py_VISIT(k->stats_absorb);
     return 0;
 }
@@ -3195,7 +3571,6 @@ Kernel_tp_clear(Kernel *k)
 {
     kernel_drop_events(k);
     for (int32_t i = 0; i < k->nslots; i++) {
-        Py_CLEAR(k->slots[i].route);
         Py_CLEAR(k->slots[i].msg_id);
         Py_CLEAR(k->slots[i].pkt);
     }
@@ -3208,15 +3583,7 @@ Kernel_tp_clear(Kernel *k)
                 Py_XDECREF(d.msg_id);
             }
         }
-        for (long r = 0; r < k->NR; r++)
-            Py_CLEAR(k->self_routes[r]);
     }
-    for (size_t i = 0; i < k->memo_cap; i++) {
-        Py_CLEAR(k->memo[i].a);
-        Py_CLEAR(k->memo[i].b);
-        Py_CLEAR(k->memo[i].route);
-    }
-    k->memo_n = 0;
     for (int i = 0; i < k->nkinds; i++)
         Py_CLEAR(k->kinds[i]);
     k->nkinds = 0;
@@ -3239,7 +3606,10 @@ Kernel_dealloc(Kernel *k)
     for (int32_t i = 0; i < k->nslots; i++)
         PyMem_Free(k->slots[i].path);
     PyMem_Free(k->slots);
-    PyMem_Free(k->memo);
+    for (long a = 0; k->rt_off != NULL && k->rt_mid != NULL && a < k->NR; a++) {
+        PyMem_Free(k->rt_off[a]);
+        PyMem_Free(k->rt_mid[a]);
+    }
     if (k->built) {
         for (long i = 0; i < k->NP * k->V; i++) {
             PyMem_Free(k->pv_oq[i].buf);
@@ -3264,7 +3634,8 @@ Kernel_dealloc(Kernel *k)
         k->pv_cred, k->pv_mat, k->pv_oq, k->pv_arr, k->iv_q, k->n_busy_t,
         k->n_busy_s, k->n_stalls, k->n_cred, k->n_mat, k->n_qp, k->n_wake,
         k->n_q, k->n_arr, k->n_src, k->g_t, k->g_d, k->g_i, k->g_n,
-        k->a_lat, k->a_ejcnt, k->self_routes,
+        k->a_lat, k->a_ejcnt, k->rt_off, k->rt_mid, k->rt_live, k->rt_r,
+        k->rt_p, k->rt_v,
     };
     for (size_t i = 0; i < sizeof(arrays) / sizeof(arrays[0]); i++)
         PyMem_Free(arrays[i]);
@@ -3326,6 +3697,11 @@ static PyMethodDef Kernel_methods[] = {
      "queue(name, i): one queue's entries, head first."},
     {"next_port", (PyCFunction)Kernel_next_port, METH_O,
      "next_port(slot) -> (hop, port index the packet requests)."},
+    {"route_candidates", (PyCFunction)Kernel_route_candidates, METH_VARARGS,
+     "route_candidates(a, b, legs=False): the route table's live "
+     "candidates of a router pair, or None when it escapes."},
+    {"route_compose", (PyCFunction)Kernel_route_compose, METH_VARARGS,
+     "route_compose(first, second): the composed Valiant route, or None."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -3439,6 +3815,7 @@ PyInit__kernel(void)
         {&str_delivery_listeners, "_delivery_listeners"},
         {&str_make_packet, "make_packet"}, {&str_stats, "stats"},
         {&str_record_inject, "record_inject"}, {&str_net_pid, "_pid"},
+        {&str_minimal, "minimal"}, {&str_indirect, "indirect"},
     };
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++)
         if ((*names[i].dst = PyUnicode_InternFromString(names[i].s)) == NULL)

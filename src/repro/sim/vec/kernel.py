@@ -8,7 +8,9 @@ heap *and* all mutable simulation state: per-port, per-VC and per-NIC
 scalars as typed C arrays, the output, input-VC, NIC and pending-input
 queues and the credit-arrival FIFOs as C ring buffers, and packets as C
 slots recycled on delivery.  It is built once from the read-only wiring
-in :class:`~repro.sim.vec.state.SoAState`.  A
+in :class:`~repro.sim.vec.state.SoAState`, and enumerates, filters and
+composes routes from that wiring's directed-channel table too, calling
+into ``RouteCache`` only for the pairs its route table cannot serve.  A
 :class:`~repro.sim.packet.Packet` is materialised only where Python
 must see one: the make_packet and deliver escapes, delivery observers,
 fault diverts and the checker.
@@ -92,6 +94,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, Iterator, Optional
 
+from repro.routing.cache import NoRouteError
 from repro.routing.minimal import MinimalRouting
 from repro.routing.ugal import UGALRouting
 from repro.routing.valiant import IndirectRandomRouting
@@ -353,11 +356,15 @@ class KernelEngine:
           in C arrays, flushed via ``StatsCollector.absorb_kernel``.
           Requires no checker/tracer/listener/message-tracking observer.
 
-        Escapes remain for cold paths only: cache-row misses (BFS refill
-        under faults) call back into ``RouteCache``, scheduled CALLs and
-        fault diverts run in Python, and unknown routing setups keep
-        the ``make_packet`` escape.  Set ``REPRO_KERNEL_NO_FASTPATH=1``
-        to force escapes everywhere.
+        Routes come from the kernel's own route table (built from
+        ``row_port``, see ``_kernel.c``); only the pairs it cannot serve
+        call into ``RouteCache`` (the ``route_fill`` escape): pairs more
+        than two hops apart, pairs whose every candidate crosses a
+        failed link (the BFS detour), VC-budget errors and VC policies
+        other than ``HopIndexVC`` / ``PhaseVC``.  Scheduled CALLs and
+        fault diverts run in Python, and unknown routing setups keep the
+        ``make_packet`` escape.  Set ``REPRO_KERNEL_NO_FASTPATH=1`` to
+        force escapes everywhere.
         """
         if os.environ.get("REPRO_KERNEL_NO_FASTPATH"):
             return None
@@ -404,15 +411,10 @@ class KernelEngine:
             rngs=rngs,
             min_rows=cache.minimal_rows if cache is not None else None,
             leg_rows=cache.leg_rows if cache is not None else None,
-            composed=cache._composed if cache is not None else None,
-            selfs=cache._self if cache is not None else None,
             minimal_fill=cache.minimal_fill if cache is not None else None,
             leg_fill=cache.leg_fill if cache is not None else None,
             compose=cache.compose if cache is not None else None,
-            compose_or_none=(
-                cache.compose_or_none if cache is not None else None
-            ),
-            self_route=cache.self_route if cache is not None else None,
+            no_route_error=NoRouteError,
             pool=getattr(routing, "_pool", None),
             n_indirect=getattr(routing, "num_indirect", 0),
             sf_mode=int(getattr(routing, "_sf_mode", False)),

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Optional
 
+from repro.routing.vc import HopIndexVC, PhaseVC
 from repro.sim.nic import Descriptor
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,9 +42,12 @@ class SoAState:
         "p_dest_in", "p_has_cred",
         # NIC wiring (len NN)
         "n_in", "n_rid", "n_eject",
-        # UGAL congestion row table (flat, stride NR):
+        # directed-channel table (flat, stride NR), behind UGAL's
+        # congestion probe and the kernel's route table:
         # row_port[r * NR + neighbor] -> port gid
         "row_port",
+        # the routing's VC labelling (see _vc_labelling)
+        "vc_scheme", "vc_min", "vc_ind",
         # object-mode ports in gid order (for utilization sync)
         "obj_ports",
     )
@@ -127,24 +131,30 @@ class SoAState:
             st.n_rid[node] = nic.router_id
         st.n_eject = list(net._eject_ports)
 
-        # Directed-channel row table behind UGAL-L's queue_len: the
-        # route cache's flat array export rebased to global port ids
-        # (row-major, stride NR -- one multiply-indexed load per probe).
-        cache = getattr(net.routing, "cache", None)
-        if cache is not None and cache.topology is topo:
-            stride, flat = cache.flat_port_row()
-        else:  # routing without a shared RouteCache: derive directly
-            stride = NR
-            flat = [-1] * (NR * NR)
-            for r in range(NR):
-                base = r * NR
-                for out_idx, neighbor in enumerate(topo.neighbors(r)):
-                    flat[base + neighbor] = out_idx
-        st.row_port = [
-            -1 if p < 0 else st.p_off[i // stride] + p
-            for i, p in enumerate(flat)
-        ]
+        # Directed-channel table in global port ids (row-major, stride
+        # NR -- one multiply-indexed load per UGAL-L probe); the kernel
+        # also enumerates its minimal paths from it.
+        row_port = st.row_port = [-1] * (NR * NR)
+        for r in range(NR):
+            base = r * NR
+            gid = st.p_off[r]
+            for out_idx, neighbor in enumerate(topo.neighbors(r)):
+                row_port[base + neighbor] = gid + out_idx
+        st.vc_scheme, st.vc_min, st.vc_ind = _vc_labelling(net.routing)
         return st
+
+
+def _vc_labelling(routing) -> tuple:
+    """``(scheme, minimal budget, indirect budget)`` of *routing*'s
+    compiled routes: scheme 0 for :class:`~repro.routing.vc.HopIndexVC`,
+    1 for :class:`~repro.routing.vc.PhaseVC` (exact types: a subclass may
+    label differently), -1 for any other policy, whose routes the kernel
+    takes from the ``RouteCache`` instead of labelling them itself."""
+    policy = getattr(getattr(routing, "cache", None), "vc_policy", None)
+    scheme = {HopIndexVC: 0, PhaseVC: 1}.get(type(policy), -1)
+    if scheme < 0:
+        return -1, 0, 0
+    return scheme, policy.num_vcs_minimal, policy.num_vcs_indirect
 
 
 class KernelNIC:

@@ -4,7 +4,11 @@ The golden conformance suite pins a fixed case matrix; this harness
 closes the gap between those and "any configuration": seeded random
 (topology x routing x traffic x fault-schedule x checker) configs run on
 the object engine and the compiled kernel, asserting an identical ordered
-delivery stream (sha256 fingerprint) and identical WindowStats.  A
+delivery stream (sha256 fingerprint) and identical WindowStats.  The
+topologies include a Dragonfly, whose three-hop pairs the kernel routes
+through RouteCache fills; fault schedules fail one to three links in
+overlapping windows, so BFS detours stay memoised while later links
+fail and recover.  A
 kernel-without-listener leg compares WindowStats only, which is the one
 configuration where the C delivery-accounting fast path is live -- the
 listener legs gate the C route-selection path instead.
@@ -24,12 +28,15 @@ import hashlib
 import os
 import random
 
+import networkx as nx
 import pytest
 
+from repro.resilience import FaultSchedule
 from repro.routing import IndirectRandomRouting, MinimalRouting, UGALRouting
+from repro.routing.vc import HopIndexVC
 from repro.sim import Network, SimConfig
 from repro.sim.vec.kernel import load_kernel
-from repro.topology import MLFM, OFT, SlimFly
+from repro.topology import MLFM, OFT, Dragonfly, SlimFly
 from repro.traffic import ShiftTraffic, Tornado, UniformRandom
 
 ITERS = int(os.environ.get("REPRO_FUZZ_ITERS", "6"))
@@ -39,7 +46,13 @@ _TOPOLOGIES = {
     "sf:q=5": lambda: SlimFly(5),
     "mlfm:h=4": lambda: MLFM(4),
     "oft:k=4": lambda: OFT(4),
+    "df:p=2": lambda: Dragonfly(2),
 }
+
+#: (minimal, indirect) VC budgets of topologies whose minimal paths are
+#: longer than the diameter-two defaults allow (Dragonfly: local, global,
+#: local).
+_VC_BUDGETS = {"df:p=2": (3, 6)}
 
 _ROUTINGS = {
     "min-random": lambda topo, seed, vc: MinimalRouting(
@@ -76,22 +89,58 @@ def _random_config(seed: int) -> dict:
         "faults": None,
     }
     if rng.random() < 0.4:
-        # A connectivity-preserving fail/recover pair inside the run,
-        # built against the topology so the link always exists.
-        topo = _TOPOLOGIES[topo_key]()
-        v = min(topo.neighbors(0))
-        cfg["faults"] = (f"fail@400:0-{v}", f"recover@800:0-{v}")
+        cfg["faults"] = _fault_churn(_TOPOLOGIES[topo_key](), rng)
     return cfg
 
 
-def _run(cfg: dict, backend: str, listener: bool = True) -> dict:
-    from repro.routing.vc import HopIndexVC
+def _fault_churn(topo, rng: random.Random) -> tuple:
+    """One to three links failing in overlapping windows: every failure
+    lands before the first recovery, recoveries come in a drawn order,
+    and the router graph stays connected with all of them down.
 
+    A failed link is its endpoints' only minimal path, so routing that
+    pair takes RouteCache's BFS detour; each later link shares no router
+    with the earlier ones and fails while their detours are memoised.
+    """
+    graph = topo.to_networkx()
+    edges = sorted(topo.edges())
+    links = []
+    for _ in range(rng.randint(1, 3)):
+        used = {r for link in links for r in link}
+        candidates = [e for e in edges if not used & set(e)]
+        rng.shuffle(candidates)
+        for u, v in candidates:
+            graph.remove_edge(u, v)
+            if nx.is_connected(graph):
+                links.append((u, v))
+                break
+            graph.add_edge(u, v)
+    fails = sorted(rng.sample(range(350, 600, 10), len(links)))
+    recovers = rng.sample(range(650, 900, 10), len(links))
+    return tuple(f"fail@{t}:{u}-{v}" for t, (u, v) in zip(fails, links)) + tuple(
+        f"recover@{t}:{u}-{v}" for t, (u, v) in zip(recovers, links))
+
+
+def _vc_policy(cfg: dict, topo):
+    """The topology's VC budgets (the routing's default when unlisted),
+    grown under faults to cover the longest shortest path with every
+    scheduled link down: BFS detours can be that long, and Valiant
+    routes compose two of them."""
+    base = _VC_BUDGETS.get(cfg["topology"])
+    if not cfg["faults"]:
+        return HopIndexVC(*base) if base else None
+    graph = topo.to_networkx()
+    graph.remove_edges_from(
+        {link for ev in FaultSchedule(cfg["faults"]).expand(topo)
+         for link in ev.links})
+    minimal = max(4, nx.diameter(graph), base[0] if base else 0)
+    return HopIndexVC(minimal_vcs=minimal, indirect_vcs=2 * minimal)
+
+
+def _run(cfg: dict, backend: str, listener: bool = True) -> dict:
     topo = _TOPOLOGIES[cfg["topology"]]()
-    # Fault schedules can stretch minimal paths past the diameter-2 VC
-    # budget; provision headroom so every fuzzed config is routable.
-    vc = HopIndexVC(minimal_vcs=4, indirect_vcs=8) if cfg["faults"] else None
-    routing = _ROUTINGS[cfg["routing"]](topo, cfg["routing_seed"], vc)
+    routing = _ROUTINGS[cfg["routing"]](
+        topo, cfg["routing_seed"], _vc_policy(cfg, topo))
     net = Network(topo, routing, SimConfig(
         backend=backend,
         check=cfg["check"],
@@ -113,10 +162,13 @@ def _run(cfg: dict, backend: str, listener: bool = True) -> dict:
         seed=cfg["traffic_seed"],
         drain=True,
     )
+    kernel_stats = getattr(net.engine, "kernel_stats", None)
     return {
         "digest": digest.hexdigest() if listener else None,
         "delivered": net.stats.ejected_total,
         "stats": {name: getattr(stats, name) for name in stats.__slots__},
+        "route_fills": (kernel_stats()["escapes"]["route_fill"]["count"]
+                        if kernel_stats else None),
     }
 
 
@@ -173,6 +225,34 @@ def test_backends_agree_on_random_config(iteration):
             f"  config: {cfg}\n"
             f"  shrunk: {small}\n  " + "\n  ".join(_diverges(small) or problems)
         )
+
+
+@pytest.mark.skipif(load_kernel() is None,
+                    reason="compiled kernel unavailable")
+@pytest.mark.parametrize("routing", ["inr", "ugal"])
+def test_backends_agree_while_a_detour_outlives_a_later_fault(
+    routing, monkeypatch
+):
+    # Router 0's link to its first neighbour is that pair's only minimal
+    # path, so while it is down the pair routes on the BFS detour that
+    # RouteCache fills and memoises.  A link sharing no router with it
+    # fails while the detour is memoised; they recover in fail order.
+    # (The kernel's route table is its fast path's, which the CI
+    # no-fastpath leg turns off.)
+    monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
+    topo = _TOPOLOGIES["sf:q=5"]()
+    a, b = 0, min(topo.neighbors(0))
+    c, d = next(e for e in sorted(topo.edges()) if not {a, b} & set(e))
+    cfg = dict(
+        _random_config(0), topology="sf:q=5", routing=routing,
+        traffic="uniform", load=0.7, measure_ns=600.0, check=False,
+        faults=(f"fail@350:{a}-{b}", f"fail@500:{c}-{d}",
+                f"recover@650:{a}-{b}", f"recover@800:{c}-{d}"),
+    )
+    assert not _diverges(cfg)
+    # The cut pairs really left the kernel's route table: it called
+    # into RouteCache for their detours.
+    assert _run(cfg, "kernel")["route_fills"] > 0
 
 
 @pytest.mark.skipif(load_kernel() is None,

@@ -127,12 +127,20 @@ class TestKernelEngine:
         assert s["events"] > 0
         assert s["runs"] >= 1
         assert set(s["escapes"]) == {
-            "make_packet", "deliver", "call", "fault_divert", "stats_flush"}
+            "make_packet", "deliver", "call", "fault_divert", "stats_flush",
+            "route_fill"}
         assert set(s["fast_path"]) == {"make_packet", "deliver"}
         # UGAL routing compiles to the C fast path: every injected
         # packet routes and lands without a per-packet Python escape.
         assert s["escapes"]["make_packet"]["count"] == 0
         assert s["escapes"]["deliver"]["count"] == 0
+        # ... and every route comes from the kernel's own route table:
+        # on a fault-free diameter-two Slim Fly nothing calls into the
+        # RouteCache, which stays empty.
+        assert s["escapes"]["route_fill"]["count"] == 0
+        cache = net.routing.cache.stats()
+        assert cache["minimal_pairs"] == 0
+        assert cache["composed_routes"] == 0
         assert (s["fast_path"]["make_packet"]["count"]
                 == net.stats.injected_total)
         assert s["fast_path"]["deliver"]["count"] == net.stats.ejected_total
