@@ -240,11 +240,37 @@ def _print_kernel_profile(net) -> None:
     ]
     if not fired:
         print("escapes: none", file=sys.stderr)
-        return
     for name, e in sorted(fired, key=lambda kv: kv[1]["ns"], reverse=True):
         print(
             f"escape {name}: {e['count']} calls, {e['ns'] / 1e6:.1f} ms "
             f"({100.0 * e['ns'] / denom:.1f}%)",
+            file=sys.stderr,
+        )
+    q = s["queue"]
+    pushes = q["lane_pushes"] + q["heap_pushes"]
+    share = 100.0 / (pushes or 1)
+    lanes = ", ".join(
+        f"{name} {share * n:.1f}%" for name, n in q["lanes"].items()
+    )
+    print(
+        f"event set: {pushes} pushes, {share * q['lane_pushes']:.1f}% on "
+        f"delay lanes ({lanes}), heap high-water {q['heap_hwm']} events",
+        file=sys.stderr,
+    )
+    # The sampled split: each sampled interval includes one clock read.
+    smp = s["sampled"]
+    ops = {name: o for name, o in smp["ops"].items() if o["count"]}
+    smp_ns = smp["pop_ns"] + sum(o["ns"] for o in ops.values())
+    print(
+        f"sampled loop time (1 event in {smp['every']}, {smp['count']} "
+        f"events): pop {100.0 * smp['pop_ns'] / (smp_ns or 1.0):.1f}%, "
+        f"{smp['pop_ns'] / (smp['count'] or 1):.0f} ns/event",
+        file=sys.stderr,
+    )
+    for name, o in sorted(ops.items(), key=lambda kv: kv[1]["ns"], reverse=True):
+        print(
+            f"handler {name}: {100.0 * o['ns'] / smp_ns:.1f}%, "
+            f"{o['ns'] / o['count']:.0f} ns/event",
             file=sys.stderr,
         )
 

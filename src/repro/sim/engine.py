@@ -31,13 +31,18 @@ class Engine:
         self.events_executed: int = 0
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> None:
-        """Run ``fn(*args)`` *delay* ns after the current time."""
+        """Run ``fn(*args)`` *delay* ns (>= 0) after the current time."""
+        if not delay >= 0.0:
+            raise ValueError(
+                f"schedule(delay={delay!r}): the delay must be a "
+                f"non-negative number of nanoseconds"
+            )
         self._seq += 1
         heappush(self._heap, (self.now + delay, self._seq, fn, args))
 
     def schedule_at(self, when: float, fn: Callable, *args: Any) -> None:
         """Run ``fn(*args)`` at absolute time *when* (>= now)."""
-        if when < self.now:
+        if not when >= self.now:
             raise ValueError(
                 f"schedule_at(when={when!r}) is in the past (now={self.now!r}); "
                 f"events cannot be scheduled before the current simulated time"

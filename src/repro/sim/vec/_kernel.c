@@ -1,9 +1,9 @@
 /* Compiled event kernel of the simulator (repro.sim.vec.kernel).
  *
- * The ``Kernel`` object owns the pending-event set (a binary heap of
- * typed event structs) *and* every piece of mutable simulation state
- * the opcode handlers touch.  ``KernelEngine`` builds it once from the
- * read-only wiring in ``SoAState`` (repro/sim/vec/state.py):
+ * The ``Kernel`` object owns the pending-event set (see "event set"
+ * below) *and* every piece of mutable simulation state the opcode
+ * handlers touch.  ``KernelEngine`` builds it once from the read-only
+ * wiring in ``SoAState`` (repro/sim/vec/state.py):
  *
  * - per-port, per-port-VC, per-input and per-NIC scalars are typed C
  *   arrays indexed by the wiring's flat ids (port gid, ``gid * V + vc``,
@@ -30,16 +30,32 @@
  * memory scales with the packets and credits in flight rather than with
  * the packets and hops of the whole run.
  *
+ * Event set: four FIFO *delay lanes* plus a binary heap of 32-byte
+ * event records.  Most pushes land at the current time plus one of four
+ * fixed delays with a freshly reserved sequence number -- serialisation
+ * (SER: NIC and port link-free wakes), link (LINK: credit-arrival
+ * wakes), both (SER+LINK: RECV and DELIVER) and switch (SWITCH: ENTER)
+ * -- so each delay's pushes already arrive in ``(time, seq)`` order and
+ * a FIFO per delay keeps them sorted at O(1).  Every push site names its
+ * lane; a lane takes the event only if it does not sort before the
+ * lane's tail, so every lane stays sorted under any physics (zero
+ * delays, coinciding lanes, a clock set by Python).  Everything else --
+ * GEN, CALL, wakes at older reserved keys, and pushes from
+ * ``drain_port`` and from Python -- goes to the heap.  A pop takes the
+ * least ``(time, seq)`` among the lane heads and the heap top, which is
+ * the global order of one heap holding every event.  A CALL's callable
+ * and arguments live in a side table indexed by the record's ``a``.
+ *
  * Exactness contract (the elision model in repro/sim/vec/kernel.py):
  * every handler reserves sequence numbers in the object engine's order,
  * compares busy keys and drains credits lazily with the same key tests,
- * and forms every timestamp with the same float additions.  The heap
- * pops in global ``(time, seq)`` order: pushes are never at or before
- * the executing key, and the only same-key collisions are duplicate
- * wake records, whose relative order is immaterial (a spurious wake
- * re-checks state and no-ops).  The golden conformance suite, the
- * RNG-parity tests and the cross-backend fuzz harness hold the kernel
- * to the object engine bit for bit.
+ * and forms every timestamp with the same float additions.  The event
+ * set pops in global ``(time, seq)`` order: pushes are never at or
+ * before the executing key, and the only same-key collisions are
+ * duplicate wake records of one port or NIC, whose relative order is
+ * immaterial (a spurious wake re-checks state and no-ops).  The golden
+ * conformance suite, the RNG-parity tests and the cross-backend fuzz
+ * harness hold the kernel to the object engine bit for bit.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -71,14 +87,28 @@ enum { FAST_MAKE = 0, FAST_DELIVER = 1, FAST_N = 2 };
 /* Distinct route kinds ("minimal", "indirect", ...) a kernel counts. */
 #define MAX_KINDS 16
 
+/* Delay lanes of the event set; LANE_HEAP names the heap. */
+enum { LANE_SER = 0, LANE_LINK = 1, LANE_SL = 2, LANE_SWITCH = 3,
+       NLANES = 4, LANE_HEAP = NLANES };
+
+/* One in SAMPLE_EVERY events times its pop and its handler. */
+#define SAMPLE_EVERY 64
+
 typedef struct {
     double t;
     long long seq;
-    int op;
-    long a, b, c;
-    PyObject *fn;   /* OP_CALL only: callable (owned) */
-    PyObject *args; /* OP_CALL only: argument tuple (owned) */
+    int32_t op;
+    int32_t a, b, c; /* OP_CALL: a indexes the call table */
 } Event;
+
+/* A scheduled CALL's callable and arguments (both owned); a free
+ * record has fn == NULL and links the free list through ``next``
+ * (index + 1, 0 ends the list). */
+typedef struct {
+    PyObject *fn;
+    PyObject *args;
+    int32_t next;
+} CallRec;
 
 /* -- MT19937: a bit-exact replica of CPython's random.Random core ---------
  *
@@ -286,6 +316,12 @@ typedef struct {
     int32_t head, len, cap;
 } DRing;
 
+/* A delay lane: events in (time, seq) order. */
+typedef struct {
+    Event *buf;
+    int32_t head, len, cap;
+} ERing;
+
 #define RING_OPS(P, R, E)                                                 \
     static int P##_grow(R *r)                                             \
     {                                                                     \
@@ -326,6 +362,7 @@ typedef struct {
 RING_OPS(iring, IRing, int32_t)
 RING_OPS(kring, KRing, CKey)
 RING_OPS(dring, DRing, Desc)
+RING_OPS(ering, ERing, Event)
 
 /* -- packet slots ---------------------------------------------------------- */
 
@@ -357,15 +394,23 @@ typedef struct {
     long long pkt_bytes; /* packet size of the pregenerated streams */
     int built, running;
 
-    /* pending events */
+    /* pending events: the delay lanes, the heap and the call table */
+    ERing lanes[NLANES];
     Event *heap;
-    Py_ssize_t size, cap;
+    Py_ssize_t heap_n, heap_cap;
+    CallRec *calls;
+    int32_t calls_n, calls_cap; /* records handed out, allocated */
+    int32_t call_free;          /* free-list head + 1 (0: empty) */
 
     /* --profile accounting */
     unsigned long long op_counts[OP_COUNT];
     unsigned long long esc_counts[ESC_N];
     double esc_ns[ESC_N];
     unsigned long long fast_counts[FAST_N];
+    unsigned long long lane_push[NLANES], heap_push;
+    Py_ssize_t heap_hwm;
+    unsigned long long smp_n, smp_op_n[OP_COUNT]; /* sampled events */
+    double smp_pop_ns, smp_op_ns[OP_COUNT];
     double run_ns;
     unsigned long long runs;
 
@@ -474,7 +519,7 @@ mono_ns(void)
 }
 
 
-/* -- binary heap ---------------------------------------------------------- */
+/* -- event set: delay lanes, binary heap, call table ------------------------ */
 
 static inline int
 ev_lt(const Event *x, const Event *y)
@@ -485,20 +530,21 @@ ev_lt(const Event *x, const Event *y)
 static int
 heap_push_ev(Kernel *k, Event ev)
 {
-    if (k->size >= k->cap) {
-        Py_ssize_t ncap = k->cap ? k->cap * 2 : 1024;
+    if (k->heap_n >= k->heap_cap) {
+        Py_ssize_t ncap = k->heap_cap ? k->heap_cap * 2 : 1024;
         Event *nh = (Event *)PyMem_Realloc(k->heap, (size_t)ncap * sizeof(Event));
         if (nh == NULL) {
-            Py_XDECREF(ev.fn);
-            Py_XDECREF(ev.args);
             PyErr_NoMemory();
             return -1;
         }
         k->heap = nh;
-        k->cap = ncap;
+        k->heap_cap = ncap;
     }
+    k->heap_push += 1;
     Event *h = k->heap;
-    Py_ssize_t i = k->size++;
+    Py_ssize_t i = k->heap_n++;
+    if (k->heap_n > k->heap_hwm)
+        k->heap_hwm = k->heap_n;
     while (i > 0) {
         Py_ssize_t p = (i - 1) >> 1;
         if (ev_lt(&ev, &h[p])) {
@@ -517,8 +563,8 @@ heap_pop_ev(Kernel *k)
 {
     Event *h = k->heap;
     Event top = h[0];
-    Event last = h[--k->size];
-    Py_ssize_t n = k->size;
+    Event last = h[--k->heap_n];
+    Py_ssize_t n = k->heap_n;
     Py_ssize_t i = 0;
     for (;;) {
         Py_ssize_t l = 2 * i + 1;
@@ -538,11 +584,101 @@ heap_pop_ev(Kernel *k)
     return top;
 }
 
+/* Queue an event on *lane* unless it sorts before the lane's tail (or
+ * lane is LANE_HEAP); then the heap takes it. */
 static inline int
-kpush(Kernel *k, double t, long long seq, int op, long a, long b, long c)
+kpush(Kernel *k, int lane, double t, long long seq, int op, long a, long b,
+      long c)
 {
-    Event ev = {t, seq, op, a, b, c, NULL, NULL};
+    Event ev = {t, seq, op, (int32_t)a, (int32_t)b, (int32_t)c};
+    if (lane < NLANES) {
+        ERing *r = &k->lanes[lane];
+        if (r->len == 0 || !ev_lt(&ev, ering_at(r, r->len - 1))) {
+            if (ering_push(r, ev) < 0)
+                return -1;
+            k->lane_push[lane] += 1;
+            return 0;
+        }
+    }
     return heap_push_ev(k, ev);
+}
+
+/* The queue holding the least pending key: a lane, LANE_HEAP, or -1
+ * when nothing is pending. */
+static inline int
+next_queue(Kernel *k, const Event **head)
+{
+    int best = -1;
+    const Event *be = NULL;
+    if (k->heap_n) {
+        best = LANE_HEAP;
+        be = &k->heap[0];
+    }
+    for (int i = 0; i < NLANES; i++) {
+        const ERing *r = &k->lanes[i];
+        if (r->len && (be == NULL || ev_lt(&r->buf[r->head], be))) {
+            best = i;
+            be = &r->buf[r->head];
+        }
+    }
+    *head = be;
+    return best;
+}
+
+static inline Py_ssize_t
+pending_count(Kernel *k)
+{
+    Py_ssize_t n = k->heap_n;
+    for (int i = 0; i < NLANES; i++)
+        n += k->lanes[i].len;
+    return n;
+}
+
+/* A call-table record holding new references to fn and args, or -1. */
+static int32_t
+call_new(Kernel *k, PyObject *fn, PyObject *args)
+{
+    int32_t i = k->call_free - 1;
+    if (i >= 0) {
+        k->call_free = k->calls[i].next;
+    } else {
+        if (k->calls_n == k->calls_cap) {
+            int32_t ncap = k->calls_cap ? k->calls_cap * 2 : 64;
+            CallRec *nc = (CallRec *)PyMem_Realloc(
+                k->calls, (size_t)ncap * sizeof(CallRec));
+            if (nc == NULL) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            k->calls = nc;
+            k->calls_cap = ncap;
+        }
+        i = k->calls_n++;
+    }
+    k->calls[i].fn = Py_NewRef(fn);
+    k->calls[i].args = Py_NewRef(args);
+    return i;
+}
+
+/* Move record i's references to the caller and free the record. */
+static void
+call_take(Kernel *k, int32_t i, PyObject **fn, PyObject **args)
+{
+    CallRec *r = &k->calls[i];
+    *fn = r->fn;
+    *args = r->args;
+    r->fn = r->args = NULL;
+    r->next = k->call_free;
+    k->call_free = i + 1;
+}
+
+static void
+call_release(Kernel *k, int32_t i)
+{
+    PyObject *fn, *args;
+    call_take(k, i, &fn, &args);
+    Py_DECREF(fn);
+    Py_DECREF(args);
 }
 
 /* Lazy busy test: busy at (t, s) iff (t, s) < (busy_t, busy_s). */
@@ -1741,7 +1877,7 @@ nic_send(Kernel *k, long node, double t, long long s)
             k->n_stalls[node] += 1;
             if (arr->len) {
                 CKey h = arr->buf[arr->head];
-                if (kpush(k, h.t, h.s, OP_NWAKE, node, 0, 0) < 0)
+                if (kpush(k, LANE_HEAP, h.t, h.s, OP_NWAKE, node, 0, 0) < 0)
                     return -1;
             }
         }
@@ -1782,12 +1918,13 @@ nic_send(Kernel *k, long node, double t, long long s)
     k->n_busy_t[node] = bt;
     k->n_busy_s[node] = bs;
     k->seq += 1;
-    if (kpush(k, t + k->SL, k->seq, OP_RECV, k->n_in[node], 0, si) < 0)
+    if (kpush(k, LANE_SL, t + k->SL, k->seq, OP_RECV, k->n_in[node], 0,
+              si) < 0)
         return -1;
     if (q->len || k->n_src[node] != NULL) {
         /* Work already waiting: the link-free retry would send, so
          * wake at its reserved key. */
-        if (kpush(k, bt, bs, OP_NWAKE, node, 0, 0) < 0)
+        if (kpush(k, LANE_SER, bt, bs, OP_NWAKE, node, 0, 0) < 0)
             return -1;
         k->n_wake[node] = 1;
     } else {
@@ -1814,7 +1951,7 @@ nic_enqueue(Kernel *k, long node, int32_t dst, long long size,
     long long bs = k->n_busy_s[node];
     if (is_busy(t, s, bt, bs)) {
         if (!k->n_wake[node]) {
-            if (kpush(k, bt, bs, OP_NWAKE, node, 0, 0) < 0)
+            if (kpush(k, LANE_HEAP, bt, bs, OP_NWAKE, node, 0, 0) < 0)
                 return -1;
             k->n_wake[node] = 1;
         }
@@ -1845,7 +1982,7 @@ transfer_one(Kernel *k, long in_gid, long vc, long gid, int32_t si,
             !is_busy(t, s, k->p_busy_t[upp], k->p_busy_s[upp])) {
             /* Idle upstream port blocked on this credit: its
              * credit_return would transmit. */
-            if (kpush(k, at, k->seq, OP_PWAKE, upp, 0, 0) < 0)
+            if (kpush(k, LANE_LINK, at, k->seq, OP_PWAKE, upp, 0, 0) < 0)
                 return -1;
         }
     } else {
@@ -1858,7 +1995,7 @@ transfer_one(Kernel *k, long in_gid, long vc, long gid, int32_t si,
                 return -1;
             if (k->n_cred[upn] == 0 &&
                 (k->n_q[upn].len || k->n_src[upn] != NULL)) {
-                if (kpush(k, at, k->seq, OP_NWAKE, upn, 0, 0) < 0)
+                if (kpush(k, LANE_LINK, at, k->seq, OP_NWAKE, upn, 0, 0) < 0)
                     return -1;
             }
         }
@@ -1866,7 +2003,8 @@ transfer_one(Kernel *k, long in_gid, long vc, long gid, int32_t si,
     k->seq += 1;
     Slot *p = &k->slots[si];
     long pv = gid * k->V + S_VC(p, p->hop);
-    return kpush(k, t + k->SWITCH, k->seq, OP_ENTER, pv, si, gid);
+    return kpush(k, LANE_SWITCH, t + k->SWITCH, k->seq, OP_ENTER, pv, si,
+                 gid);
 }
 
 /* The object Router._try_transfer: drain an input VC queue into output
@@ -1980,17 +2118,17 @@ try_transmit(Kernel *k, long gid, double t, long long s)
         k->seq += 1;
         long din = k->p_dest_in[gid];
         if (din < 0) {
-            if (kpush(k, t + k->SL, k->seq, OP_DELIVER, 0, 0, si) < 0)
+            if (kpush(k, LANE_SL, t + k->SL, k->seq, OP_DELIVER, 0, 0, si) < 0)
                 return -1;
         } else {
             k->slots[si].hop += 1;
-            if (kpush(k, t + k->SL, k->seq, OP_RECV, din, vc, si) < 0)
+            if (kpush(k, LANE_SL, t + k->SL, k->seq, OP_RECV, din, vc, si) < 0)
                 return -1;
         }
         if (k->p_oqtot[gid] > 0) {
             /* More output-queue work: the link-free retry would
              * transmit, so wake at its reserved key. */
-            if (kpush(k, bt, bs, OP_PWAKE, gid, 0, 0) < 0)
+            if (kpush(k, LANE_SER, bt, bs, OP_PWAKE, gid, 0, 0) < 0)
                 return -1;
             k->p_wake[gid] = 1;
         } else {
@@ -1999,7 +2137,7 @@ try_transmit(Kernel *k, long gid, double t, long long s)
         return admit_pending(k, gid, vc, t, s);
     }
     if (have_best) /* idle, every queued VC credit-blocked */
-        return kpush(k, best_t, best_s, OP_PWAKE, gid, 0, 0);
+        return kpush(k, LANE_HEAP, best_t, best_s, OP_PWAKE, gid, 0, 0);
     return 0;
 }
 
@@ -2014,7 +2152,7 @@ enter_oq(Kernel *k, long pv, int32_t si, long gid, double t, long long s)
     long long bs = k->p_busy_s[gid];
     if (is_busy(t, s, bt, bs)) {
         if (!k->p_wake[gid]) {
-            if (kpush(k, bt, bs, OP_PWAKE, gid, 0, 0) < 0)
+            if (kpush(k, LANE_HEAP, bt, bs, OP_PWAKE, gid, 0, 0) < 0)
                 return -1;
             k->p_wake[gid] = 1;
         }
@@ -2146,7 +2284,7 @@ do_gen(Kernel *k, double t, long long s, long node)
         long long bs = k->n_busy_s[node];
         if (is_busy(t, s, bt, bs)) {
             if (!k->n_wake[node]) {
-                if (kpush(k, bt, bs, OP_NWAKE, node, 0, 0) < 0)
+                if (kpush(k, LANE_HEAP, bt, bs, OP_NWAKE, node, 0, 0) < 0)
                     return -1;
                 k->n_wake[node] = 1;
             }
@@ -2155,7 +2293,8 @@ do_gen(Kernel *k, double t, long long s, long node)
         }
     }
     k->seq += 1;
-    return kpush(k, k->g_t[node][i + 1], k->seq, OP_GEN, node, 0, 0);
+    return kpush(k, LANE_HEAP, k->g_t[node][i + 1], k->seq, OP_GEN, node, 0,
+                 0);
 }
 
 static int
@@ -2451,38 +2590,45 @@ Kernel_push(Kernel *k, PyObject *args)
         PyErr_Format(PyExc_ValueError, "kernel: unknown opcode %d", op);
         return NULL;
     }
-    Event ev = {t, seq, op, 0, 0, 0, NULL, NULL};
+    Event ev = {t, seq, op, 0, 0, 0};
     if (op == OP_CALL) {
         if (!PyCallable_Check(a) || !PyTuple_Check(b)) {
             PyErr_SetString(PyExc_TypeError,
                             "kernel: CALL needs a callable and an args tuple");
             return NULL;
         }
-        ev.fn = Py_NewRef(a);
-        ev.args = Py_NewRef(b);
+        if ((ev.a = call_new(k, a, b)) < 0)
+            return NULL;
     } else {
-        ev.a = PyLong_AsLong(a);
-        ev.b = PyLong_AsLong(b);
-        ev.c = PyLong_AsLong(cc);
+        long va = PyLong_AsLong(a);
+        long vb = PyLong_AsLong(b);
+        long vc = PyLong_AsLong(cc);
         if (PyErr_Occurred())
             return NULL;
         /* Index fields the handlers use unchecked (slot ids are the
-         * kernel's own and are not checked here). */
+         * kernel's own and are only checked to fit a record field). */
         long lim_a = op == OP_RECV ? k->NI : op == OP_ENTER ? k->NP * k->V
                      : op == OP_PWAKE ? k->NP : op == OP_DELIVER ? 1 : k->NN;
-        int ok = ev.a >= 0 && ev.a < lim_a;
+        int ok = va >= 0 && va < lim_a && vb == (int32_t)vb &&
+                 vc == (int32_t)vc;
         if (op == OP_RECV)
-            ok = ok && ev.b >= 0 && ev.b < k->V;
+            ok = ok && vb >= 0 && vb < k->V;
         if (op == OP_ENTER)
-            ok = ok && ev.c >= 0 && ev.c < k->NP;
+            ok = ok && vc >= 0 && vc < k->NP;
         if (!k->built || !ok) {
             PyErr_Format(PyExc_ValueError,
                          "kernel: event fields out of range for opcode %d", op);
             return NULL;
         }
+        ev.a = (int32_t)va;
+        ev.b = (int32_t)vb;
+        ev.c = (int32_t)vc;
     }
-    if (heap_push_ev(k, ev) < 0)
+    if (heap_push_ev(k, ev) < 0) {
+        if (op == OP_CALL)
+            call_release(k, ev.a);
         return NULL;
+    }
     Py_RETURN_NONE;
 }
 
@@ -2528,10 +2674,18 @@ Kernel_run(Kernel *k, PyObject *args)
     } else {
         k->running = 1;
         double t_run0 = mono_ns();
-        while (k->size) {
-            if (k->heap[0].t > cap || rem == 0)
+        for (;;) {
+            /* One event in SAMPLE_EVERY times its pop (finding the
+             * least key included) apart from its handler. */
+            int smp = (executed & (SAMPLE_EVERY - 1)) == 0;
+            double t0 = smp ? mono_ns() : 0.0;
+            const Event *head;
+            int q = next_queue(k, &head);
+            if (q < 0 || head->t > cap || rem == 0)
                 break;
-            Event ev = heap_pop_ev(k);
+            Event ev = q == LANE_HEAP ? heap_pop_ev(k)
+                                      : ering_pop(&k->lanes[q]);
+            double t1 = smp ? mono_ns() : 0.0;
             double t = ev.t;
             k->now = t;
             k->cs = ev.seq;
@@ -2540,25 +2694,25 @@ Kernel_run(Kernel *k, PyObject *args)
             k->executed += 1;
             k->op_counts[ev.op] += 1;
             if ((executed & 0x3FFF) == 0 && PyErr_CheckSignals() < 0) {
-                Py_XDECREF(ev.fn);
-                Py_XDECREF(ev.args);
+                if (ev.op == OP_CALL)
+                    call_release(k, ev.a);
                 failed = 1;
                 break;
             }
             int rc;
             switch (ev.op) {
             case OP_RECV:
-                rc = do_recv(k, t, ev.seq, ev.a, ev.b, (int32_t)ev.c);
+                rc = do_recv(k, t, ev.seq, ev.a, ev.b, ev.c);
                 break;
             case OP_ENTER:
-                rc = do_enter(k, t, ev.seq, ev.a, (int32_t)ev.b, ev.c);
+                rc = do_enter(k, t, ev.seq, ev.a, ev.b, ev.c);
                 break;
             case OP_PWAKE:
                 rc = is_busy(t, ev.seq, k->p_busy_t[ev.a], k->p_busy_s[ev.a])
                          ? 0 : try_transmit(k, ev.a, t, ev.seq);
                 break;
             case OP_DELIVER:
-                rc = do_deliver(k, t, (int32_t)ev.c);
+                rc = do_deliver(k, t, ev.c);
                 break;
             case OP_NWAKE:
                 rc = is_busy(t, ev.seq, k->n_busy_t[ev.a], k->n_busy_s[ev.a])
@@ -2567,11 +2721,20 @@ Kernel_run(Kernel *k, PyObject *args)
             case OP_GEN:
                 rc = do_gen(k, t, ev.seq, ev.a);
                 break;
-            default: /* OP_CALL */
-                rc = do_call(k, ev.fn, ev.args);
-                Py_DECREF(ev.fn);
-                Py_DECREF(ev.args);
+            default: { /* OP_CALL: the record is released before the call */
+                PyObject *fn, *fargs;
+                call_take(k, ev.a, &fn, &fargs);
+                rc = do_call(k, fn, fargs);
+                Py_DECREF(fn);
+                Py_DECREF(fargs);
                 break;
+            }
+            }
+            if (smp) {
+                k->smp_n += 1;
+                k->smp_pop_ns += t1 - t0;
+                k->smp_op_n[ev.op] += 1;
+                k->smp_op_ns[ev.op] += mono_ns() - t1;
             }
             if (rc < 0) {
                 failed = 1;
@@ -2604,14 +2767,24 @@ Kernel_run(Kernel *k, PyObject *args)
 }
 
 
+/* Empty the event set and release every call-table record.  The table
+ * is detached before its references drop, so a destructor that
+ * schedules a new CALL starts a fresh one. */
 static void
 kernel_drop_events(Kernel *k)
 {
-    while (k->size > 0) {
-        Event *ev = &k->heap[--k->size];
-        Py_CLEAR(ev->fn);
-        Py_CLEAR(ev->args);
+    k->heap_n = 0;
+    for (int i = 0; i < NLANES; i++)
+        k->lanes[i].head = k->lanes[i].len = 0;
+    CallRec *calls = k->calls;
+    int32_t n = k->calls_n;
+    k->calls = NULL;
+    k->calls_n = k->calls_cap = k->call_free = 0;
+    for (int32_t i = 0; i < n; i++) {
+        Py_XDECREF(calls[i].fn);
+        Py_XDECREF(calls[i].args);
     }
+    PyMem_Free(calls);
 }
 
 static PyObject *
@@ -2622,6 +2795,13 @@ Kernel_clear(Kernel *k, PyObject *Py_UNUSED(ignored))
     memset(k->esc_counts, 0, sizeof(k->esc_counts));
     memset(k->esc_ns, 0, sizeof(k->esc_ns));
     memset(k->fast_counts, 0, sizeof(k->fast_counts));
+    memset(k->lane_push, 0, sizeof(k->lane_push));
+    k->heap_push = 0;
+    k->heap_hwm = 0;
+    k->smp_n = 0;
+    memset(k->smp_op_n, 0, sizeof(k->smp_op_n));
+    memset(k->smp_op_ns, 0, sizeof(k->smp_op_ns));
+    k->smp_pop_ns = 0.0;
     k->run_ns = 0.0;
     k->runs = 0;
     k->now = 0.0;
@@ -2632,39 +2812,52 @@ Kernel_clear(Kernel *k, PyObject *Py_UNUSED(ignored))
 static PyObject *
 Kernel_pending(Kernel *k, PyObject *Py_UNUSED(ignored))
 {
-    return PyLong_FromSsize_t(k->size);
+    return PyLong_FromSsize_t(pending_count(k));
 }
 
 static PyObject *
 Kernel_peek_time(Kernel *k, PyObject *Py_UNUSED(ignored))
 {
-    if (k->size == 0)
+    const Event *head;
+    if (next_queue(k, &head) < 0)
         Py_RETURN_NONE;
-    return PyFloat_FromDouble(k->heap[0].t);
+    return PyFloat_FromDouble(head->t);
 }
 
-/* All queued event records as (t, seq, op, a, b, c) tuples, in no
- * particular order; CALL records carry (fn, args) as (a, b). */
+static PyObject *
+event_record(Kernel *k, const Event *ev)
+{
+    if (ev->op == OP_CALL) {
+        CallRec *r = &k->calls[ev->a];
+        return Py_BuildValue("(dLiOOl)", ev->t, ev->seq, ev->op, r->fn,
+                             r->args, (long)0);
+    }
+    return Py_BuildValue("(dLilll)", ev->t, ev->seq, ev->op, (long)ev->a,
+                         (long)ev->b, (long)ev->c);
+}
+
+/* All queued event records (heap, then each lane head first) as
+ * (t, seq, op, a, b, c) tuples; CALL records carry (fn, args) as
+ * (a, b). */
 static PyObject *
 Kernel_events(Kernel *k, PyObject *Py_UNUSED(ignored))
 {
-    PyObject *out = PyList_New(k->size);
+    PyObject *out = PyList_New(pending_count(k));
     if (out == NULL)
         return NULL;
-    for (Py_ssize_t i = 0; i < k->size; i++) {
-        Event *ev = &k->heap[i];
-        PyObject *rec;
-        if (ev->op == OP_CALL)
-            rec = Py_BuildValue("(dLiOOl)", ev->t, ev->seq, ev->op,
-                                ev->fn, ev->args, (long)0);
-        else
-            rec = Py_BuildValue("(dLilll)", ev->t, ev->seq, ev->op,
-                                ev->a, ev->b, ev->c);
-        if (rec == NULL) {
-            Py_DECREF(out);
-            return NULL;
+    Py_ssize_t n = 0;
+    for (int q = 0; q <= NLANES; q++) {
+        Py_ssize_t len = q == LANE_HEAP ? k->heap_n : k->lanes[q].len;
+        for (Py_ssize_t i = 0; i < len; i++) {
+            const Event *ev = q == LANE_HEAP ? &k->heap[i]
+                                             : ering_at(&k->lanes[q], (int32_t)i);
+            PyObject *rec = event_record(k, ev);
+            if (rec == NULL) {
+                Py_DECREF(out);
+                return NULL;
+            }
+            PyList_SET_ITEM(out, n++, rec);
         }
-        PyList_SET_ITEM(out, i, rec);
     }
     return out;
 }
@@ -2678,16 +2871,38 @@ Kernel_stats(Kernel *k, PyObject *Py_UNUSED(ignored))
         "make_packet", "deliver", "call", "fault_divert", "stats_flush",
         "route_fill"};
     static const char *fast_names[FAST_N] = {"make_packet", "deliver"};
+    static const char *lane_names[NLANES] = {
+        "SER", "LINK", "SER+LINK", "SWITCH"};
     PyObject *ops = PyDict_New();
     PyObject *escs = PyDict_New();
     PyObject *fasts = PyDict_New();
-    if (ops == NULL || escs == NULL || fasts == NULL)
+    PyObject *lanes = PyDict_New();
+    PyObject *smp_ops = PyDict_New();
+    if (ops == NULL || escs == NULL || fasts == NULL || lanes == NULL ||
+        smp_ops == NULL)
         goto fail;
     unsigned long long total = 0;
     for (int i = 0; i < OP_COUNT; i++) {
         total += k->op_counts[i];
         PyObject *v = PyLong_FromUnsignedLongLong(k->op_counts[i]);
         if (v == NULL || PyDict_SetItemString(ops, op_names[i], v) < 0) {
+            Py_XDECREF(v);
+            goto fail;
+        }
+        Py_DECREF(v);
+        PyObject *e = Py_BuildValue("{s:K,s:d}", "count", k->smp_op_n[i],
+                                    "ns", k->smp_op_ns[i]);
+        if (e == NULL || PyDict_SetItemString(smp_ops, op_names[i], e) < 0) {
+            Py_XDECREF(e);
+            goto fail;
+        }
+        Py_DECREF(e);
+    }
+    unsigned long long lane_total = 0;
+    for (int i = 0; i < NLANES; i++) {
+        lane_total += k->lane_push[i];
+        PyObject *v = PyLong_FromUnsignedLongLong(k->lane_push[i]);
+        if (v == NULL || PyDict_SetItemString(lanes, lane_names[i], v) < 0) {
             Py_XDECREF(v);
             goto fail;
         }
@@ -2712,14 +2927,22 @@ Kernel_stats(Kernel *k, PyObject *Py_UNUSED(ignored))
         }
         Py_DECREF(e);
     }
-    return Py_BuildValue("{s:K,s:N,s:N,s:N,s:d,s:d,s:K}",
-                         "events", total, "op_counts", ops, "escapes", escs,
-                         "fast_path", fasts, "run_ns", k->run_ns,
-                         "escape_ns", esc_total_ns, "runs", k->runs);
+    return Py_BuildValue(
+        "{s:K,s:N,s:N,s:N,s:d,s:d,s:K,"
+        "s:{s:K,s:K,s:n,s:N},s:{s:i,s:K,s:d,s:N}}",
+        "events", total, "op_counts", ops, "escapes", escs,
+        "fast_path", fasts, "run_ns", k->run_ns,
+        "escape_ns", esc_total_ns, "runs", k->runs,
+        "queue", "lane_pushes", lane_total, "heap_pushes", k->heap_push,
+        "heap_hwm", k->heap_hwm, "lanes", lanes,
+        "sampled", "every", SAMPLE_EVERY, "count", k->smp_n,
+        "pop_ns", k->smp_pop_ns, "ops", smp_ops);
 fail:
     Py_XDECREF(ops);
     Py_XDECREF(escs);
     Py_XDECREF(fasts);
+    Py_XDECREF(lanes);
+    Py_XDECREF(smp_ops);
     return NULL;
 }
 
@@ -2791,7 +3014,7 @@ Kernel_nic_set_source(Kernel *k, PyObject *args)
     long long bs = k->n_busy_s[node];
     if (is_busy(t, s, bt, bs)) {
         if (!k->n_wake[node]) {
-            if (kpush(k, bt, bs, OP_NWAKE, node, 0, 0) < 0)
+            if (kpush(k, LANE_HEAP, bt, bs, OP_NWAKE, node, 0, 0) < 0)
                 return NULL;
             k->n_wake[node] = 1;
         }
@@ -2972,8 +3195,8 @@ Kernel_drain_port(Kernel *k, PyObject *args)
              * which the kernel elides unless a wake is queued there. */
             if (!k->p_wake[ngid] &&
                 is_busy(t, s, k->p_busy_t[ngid], k->p_busy_s[ngid])) {
-                if (kpush(k, k->p_busy_t[ngid], k->p_busy_s[ngid], OP_PWAKE,
-                          ngid, 0, 0) < 0)
+                if (kpush(k, LANE_HEAP, k->p_busy_t[ngid], k->p_busy_s[ngid],
+                          OP_PWAKE, ngid, 0, 0) < 0)
                     goto fail;
                 k->p_wake[ngid] = 1;
             }
@@ -2998,7 +3221,7 @@ Kernel_drain_port(Kernel *k, PyObject *args)
         if (i > 0 && moved[i] == moved[i - 1])
             continue;
         k->seq += 1;
-        if (kpush(k, t, k->seq, OP_PWAKE, moved[i], 0, 0) < 0)
+        if (kpush(k, LANE_HEAP, t, k->seq, OP_PWAKE, moved[i], 0, 0) < 0)
             goto fail;
     }
     PyMem_Free(moved);
@@ -3529,9 +3752,9 @@ Kernel_init(Kernel *k, PyObject *args, PyObject *kwds)
 static int
 Kernel_traverse(Kernel *k, visitproc visit, void *arg)
 {
-    for (Py_ssize_t i = 0; i < k->size; i++) {
-        Py_VISIT(k->heap[i].fn);
-        Py_VISIT(k->heap[i].args);
+    for (int32_t i = 0; i < k->calls_n; i++) {
+        Py_VISIT(k->calls[i].fn);
+        Py_VISIT(k->calls[i].args);
     }
     for (int32_t i = 0; i < k->nslots; i++) {
         Py_VISIT(k->slots[i].msg_id);
@@ -3603,6 +3826,8 @@ Kernel_dealloc(Kernel *k)
     PyObject_GC_UnTrack(k);
     Kernel_tp_clear(k);
     PyMem_Free(k->heap);
+    for (int i = 0; i < NLANES; i++)
+        PyMem_Free(k->lanes[i].buf);
     for (int32_t i = 0; i < k->nslots; i++)
         PyMem_Free(k->slots[i].path);
     PyMem_Free(k->slots);
@@ -3711,7 +3936,7 @@ static PyTypeObject KernelType = {
     .tp_basicsize = sizeof(Kernel),
     .tp_dealloc = (destructor)Kernel_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Compiled event heap, simulation state and dispatch core.",
+    .tp_doc = "Compiled event set, simulation state and dispatch core.",
     .tp_traverse = (traverseproc)Kernel_traverse,
     .tp_clear = (inquiry)Kernel_tp_clear,
     .tp_methods = Kernel_methods,

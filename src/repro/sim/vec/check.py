@@ -5,8 +5,8 @@ shadows every router/NIC transition through Checked* subclasses; the
 compiled kernel has no per-transition callbacks to hook, so its checker
 works from the two seams both engines share -- packet creation and
 delivery -- plus *full-state audits* that reconcile the kernel's state
-arrays, the pending-event heap and the statistics counters against each
-other.  Audits read live state only through kernel methods and
+arrays, its pending events (delay lanes and heap, read through
+``iter_pending``) and the statistics counters against each other.  Audits read live state only through kernel methods and
 read-only buffer views (``Kernel.view`` / ``Kernel.lengths``), reduced
 with numpy.
 
@@ -20,7 +20,7 @@ Checked invariants:
 - **Latency floor** (at ``deliver``): no packet arrives earlier than
   the zero-load latency of its hop count allows.
 - **Conservation** (audits): ``injected - delivered - dropped`` equals
-  the packets found in input queues, output queues and in-flight heap
+  the packets found in input queues, output queues and in-flight pending
   events, and equals the kernel's live packet slots; the per-port
   ``queued`` counter behind UGAL-L's congestion signal matches a
   recount; ``oq_occ`` matches queue contents plus in-switch packets.
@@ -184,7 +184,8 @@ class KernelChecker:
     # -- audits ----------------------------------------------------------------
 
     def audit(self) -> None:
-        """Reconcile kernel state, the event heap and the stats counters."""
+        """Reconcile kernel state, the pending events and the stats
+        counters."""
         self.audits += 1
         net = self.net
         eng = net._vec
@@ -203,21 +204,21 @@ class KernelChecker:
         # One pass over the pending event set: packet-carrying events
         # are in-flight packets; RECV events are additionally the
         # on-link population of their target input (credit-loop term).
-        heap_pkts = 0
+        pending_pkts = 0
         enter_by_pv = np.zeros(st.NP * V, dtype=np.int64)
         enter_by_gid = np.zeros(st.NP, dtype=np.int64)
         recv_by_iv = np.zeros(st.NI * V, dtype=np.int64)
         for ev in eng.iter_pending():
             op = ev[2]
             if op == OP_RECV:
-                heap_pkts += 1
+                pending_pkts += 1
                 recv_by_iv[ev[3] * V + ev[4]] += 1
             elif op == OP_ENTER:
-                heap_pkts += 1
+                pending_pkts += 1
                 enter_by_pv[ev[3]] += 1
                 enter_by_gid[ev[5]] += 1
             elif op == OP_DELIVER:
-                heap_pkts += 1
+                pending_pkts += 1
 
         def lengths(name):
             return np.frombuffer(k.lengths(name), dtype=np.int32).astype(np.int64)
@@ -229,13 +230,13 @@ class KernelChecker:
         oq_len = lengths("pv_oq")
         buffered = int(iv_len.sum())
         queued = int(oq_len.sum())
-        in_flight = heap_pkts + buffered + queued
+        in_flight = pending_pkts + buffered + queued
         fm = net.fault_manager
         dropped = fm.dropped if fm is not None else 0
         if self.injected != self.delivered + in_flight + dropped:
             self.fail("conservation", f"injected {self.injected} != "
                       f"delivered {self.delivered} + in-flight {in_flight} "
-                      f"+ dropped {dropped} (on-link/in-switch {heap_pkts}, "
+                      f"+ dropped {dropped} (on-link/in-switch {pending_pkts}, "
                       f"input-buffered {buffered}, output-queued {queued})")
         live = k.memory()["slots_live"]
         if live != in_flight:

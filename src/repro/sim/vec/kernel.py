@@ -4,11 +4,16 @@
 (``schedule``, ``schedule_at``, ``run``, ``now``, ``events_executed``,
 ``pending``, ``clear``) but runs every event in a C extension
 (``repro/sim/vec/_kernel.c``).  The extension owns the pending-event
-heap *and* all mutable simulation state: per-port, per-VC and per-NIC
+set *and* all mutable simulation state: per-port, per-VC and per-NIC
 scalars as typed C arrays, the output, input-VC, NIC and pending-input
 queues and the credit-arrival FIFOs as C ring buffers, and packets as C
-slots recycled on delivery.  It is built once from the read-only wiring
-in :class:`~repro.sim.vec.state.SoAState`, and enumerates, filters and
+slots recycled on delivery.  The event set is four FIFO *delay lanes*
+(one per fixed handler delay: serialisation, link, both, switch) plus a
+binary heap for every other push (GEN, CALL, wakes at older reserved
+keys, pushes from Python); a pop takes the least ``(time, seq)`` among
+the lane heads and the heap top, so the order is exactly that of one
+heap.  The extension is built once from the read-only wiring in
+:class:`~repro.sim.vec.state.SoAState`, and enumerates, filters and
 composes routes from that wiring's directed-channel table too, calling
 into ``RouteCache`` only for the pairs its route table cannot serve.  A
 :class:`~repro.sim.packet.Packet` is materialised only where Python
@@ -202,7 +207,7 @@ class KernelEngine:
             raise RuntimeError(f"compiled kernel unavailable: {load_error}")
         self.net = net
         self.st = SoAState.from_network(net)
-        #: The C kernel: event heap, simulation state and dispatch loop.
+        #: The C kernel: event set, simulation state and dispatch loop.
         self.kernel = mod.Kernel(self.st, net, Packet)
         self.nic_shims = [KernelNIC(self.kernel, node)
                           for node in range(self.st.NN)]
@@ -231,7 +236,12 @@ class KernelEngine:
         self.kernel.push(t, s, op, a, b, c)
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> None:
-        """Run ``fn(*args)`` *delay* ns after the current time."""
+        """Run ``fn(*args)`` *delay* ns (>= 0) after the current time."""
+        if not delay >= 0.0:
+            raise ValueError(
+                f"schedule(delay={delay!r}): the delay must be a "
+                f"non-negative number of nanoseconds"
+            )
         k = self.kernel
         k.seq += 1
         k.push(k.now + delay, k.seq, OP_CALL, fn, args, 0)
@@ -239,7 +249,7 @@ class KernelEngine:
     def schedule_at(self, when: float, fn: Callable, *args: Any) -> None:
         """Run ``fn(*args)`` at absolute time *when* (>= now)."""
         k = self.kernel
-        if when < k.now:
+        if not when >= k.now:
             raise ValueError(
                 f"schedule_at(when={when!r}) is in the past (now={k.now!r}); "
                 f"events cannot be scheduled before the current simulated time"
@@ -262,7 +272,10 @@ class KernelEngine:
         return iter(self.kernel.events())
 
     def kernel_stats(self) -> dict:
-        """In-kernel event counts and the Python-escape time split."""
+        """In-kernel event counts, the Python-escape time split, where
+        the event set's pushes went (``queue``: delay lanes vs heap, the
+        heap's high-water mark) and a sampled split of loop time into
+        pop and per-opcode handler time (``sampled``)."""
         return self.kernel.stats()
 
     def memory_stats(self) -> dict:

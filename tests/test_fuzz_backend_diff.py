@@ -2,9 +2,14 @@
 
 The golden conformance suite pins a fixed case matrix; this harness
 closes the gap between those and "any configuration": seeded random
-(topology x routing x traffic x fault-schedule x checker) configs run on
-the object engine and the compiled kernel, asserting an identical ordered
-delivery stream (sha256 fingerprint) and identical WindowStats.  The
+(topology x routing x traffic x load x fault-schedule x checker x
+physics) configs run on the object engine and the compiled kernel,
+asserting an identical ordered delivery stream (sha256 fingerprint) and
+identical WindowStats.  The physics axis moves the link and switch
+latencies and the buffer off the paper's values: zero delays make the
+kernel's delay lanes coincide and push events at the executing time,
+and a one-packet-per-VC buffer makes credit stalls wake on the link
+lane.  The
 topologies include a Dragonfly, whose three-hop pairs the kernel routes
 through RouteCache fills; fault schedules fail one to three links in
 overlapping windows, so BFS detours stay memoised while later links
@@ -14,7 +19,8 @@ configuration where the C delivery-accounting fast path is live -- the
 listener legs gate the C route-selection path instead.
 
 On a mismatch the harness *shrinks* the failing config (drop faults,
-drop the checker, shorter run, lower load -- in that order) and prints
+drop the checker, the paper's physics, shorter run, lower load -- in
+that order) and prints
 the smallest still-failing variant plus its seed, so a reproduction is
 one copy-paste away.
 
@@ -34,7 +40,7 @@ import pytest
 from repro.resilience import FaultSchedule
 from repro.routing import IndirectRandomRouting, MinimalRouting, UGALRouting
 from repro.routing.vc import HopIndexVC
-from repro.sim import Network, SimConfig
+from repro.sim import PAPER_CONFIG, Network, SimConfig
 from repro.sim.vec.kernel import load_kernel
 from repro.topology import MLFM, OFT, Dragonfly, SlimFly
 from repro.traffic import ShiftTraffic, Tornado, UniformRandom
@@ -71,6 +77,13 @@ _TRAFFICS = {
     "tornado": lambda n: Tornado(n),
 }
 
+#: The paper's physics, which the shrinker restores.
+PAPER_PHYSICS = {
+    "link_latency_ns": PAPER_CONFIG.link_latency_ns,
+    "switch_latency_ns": PAPER_CONFIG.switch_latency_ns,
+    "buffer_bytes_per_port": PAPER_CONFIG.buffer_bytes_per_port,
+}
+
 
 def _random_config(seed: int) -> dict:
     """One fuzz case: every axis drawn from *seed* (reproducible)."""
@@ -81,7 +94,7 @@ def _random_config(seed: int) -> dict:
         "topology": topo_key,
         "routing": rng.choice(sorted(_ROUTINGS)),
         "traffic": rng.choice(sorted(_TRAFFICS)),
-        "load": rng.choice([0.2, 0.4, 0.7]),
+        "load": rng.choice([0.2, 0.4, 0.7, 0.9]),
         "measure_ns": rng.choice([600.0, 1_000.0]),
         "traffic_seed": rng.randrange(10_000),
         "routing_seed": rng.randrange(10_000),
@@ -90,6 +103,13 @@ def _random_config(seed: int) -> dict:
     }
     if rng.random() < 0.4:
         cfg["faults"] = _fault_churn(_TOPOLOGIES[topo_key](), rng)
+    cfg["physics"] = {
+        "link_latency_ns": rng.choice(
+            [0.0, PAPER_CONFIG.packet_time_ns, 50.0]),
+        "switch_latency_ns": rng.choice([0.0, 100.0]),
+        "buffer_bytes_per_port": rng.choice(
+            [1024, PAPER_PHYSICS["buffer_bytes_per_port"]]),
+    }
     return cfg
 
 
@@ -145,6 +165,7 @@ def _run(cfg: dict, backend: str, listener: bool = True) -> dict:
         backend=backend,
         check=cfg["check"],
         faults=cfg["faults"] or (),
+        **cfg["physics"],
     ))
     digest = hashlib.sha256()
     if listener:
@@ -205,6 +226,7 @@ def _shrink(cfg: dict) -> dict:
     for reduction in (
         lambda c: dict(c, faults=None),
         lambda c: dict(c, check=False),
+        lambda c: dict(c, physics=PAPER_PHYSICS),
         lambda c: dict(c, measure_ns=600.0),
         lambda c: dict(c, load=0.2),
     ):
@@ -246,6 +268,7 @@ def test_backends_agree_while_a_detour_outlives_a_later_fault(
     cfg = dict(
         _random_config(0), topology="sf:q=5", routing=routing,
         traffic="uniform", load=0.7, measure_ns=600.0, check=False,
+        physics=PAPER_PHYSICS,
         faults=(f"fail@350:{a}-{b}", f"fail@500:{c}-{d}",
                 f"recover@650:{a}-{b}", f"recover@800:{c}-{d}"),
     )
@@ -279,7 +302,8 @@ def test_shrinker_reports_minimal_config(monkeypatch):
     # reduced away.
     cfg = _random_config(1)
     cfg.update(check=True, faults=("fail@400:0-1",), load=0.7,
-               measure_ns=1_000.0)
+               measure_ns=1_000.0,
+               physics=dict(PAPER_PHYSICS, link_latency_ns=0.0))
     calls = []
 
     def fake_diverges(c):
@@ -293,3 +317,4 @@ def test_shrinker_reports_minimal_config(monkeypatch):
     small = mod._shrink(cfg)
     assert small["faults"]  # the culprit axis survives
     assert small["check"] is False and small["load"] == 0.2
+    assert small["physics"] == PAPER_PHYSICS

@@ -5,8 +5,9 @@ Bit-identity of the kernel backend is pinned by the golden conformance
 suite (tests/test_golden_conformance.py) and the near-saturation
 equivalence matrix (tests/test_vec_backend.py); this file covers what
 those cannot: the build/load machinery, the forced-failure fallback to
-the object engine, and the kernel-only observability surface
-(``kernel_stats``, the escape split).
+the object engine, the kernel-only observability surface
+(``kernel_stats``: the escape split, where the event set's pushes went
+and the sampled loop time), and the event set's pop order.
 """
 
 from __future__ import annotations
@@ -169,9 +170,92 @@ class TestKernelEngine:
         assert s["escapes"]["make_packet"]["count"] > 0
         assert s["escapes"]["deliver"]["count"] == net.stats.ejected_total
 
+    def test_kernel_stats_attribute_the_event_set(self, monkeypatch):
+        # The loop's ledger: every push lands on a delay lane or on the
+        # heap, and the sampled time split names every opcode.
+        monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
+        net = self._net()
+        net.run_synthetic(
+            UniformRandom(net.topology.num_nodes), load=0.9,
+            warmup_ns=300.0, measure_ns=1200.0, seed=1, drain=True,
+        )
+        s = net.engine.kernel_stats()
+        q = s["queue"]
+        assert set(q["lanes"]) == {"SER", "LINK", "SER+LINK", "SWITCH"}
+        assert sum(q["lanes"].values()) == q["lane_pushes"]
+        assert (q["lane_pushes"] + q["heap_pushes"]
+                == s["events"] + net.engine.pending)
+        assert q["lane_pushes"] > (q["lane_pushes"] + q["heap_pushes"]) / 2
+        assert 0 < q["heap_hwm"] <= q["heap_pushes"]
+        smp = s["sampled"]
+        assert set(smp["ops"]) == set(s["op_counts"])
+        assert smp["count"] == sum(o["count"] for o in smp["ops"].values())
+        # Each run samples its first event, then one in every 64.
+        assert (s["events"] / smp["every"] <= smp["count"]
+                <= s["events"] / smp["every"] + s["runs"])
+        for name, o in smp["ops"].items():
+            assert o["count"] <= s["op_counts"][name]
+        assert smp["pop_ns"] > 0.0
+        net.engine.clear()
+        s = net.engine.kernel_stats()
+        assert s["queue"]["lane_pushes"] == s["queue"]["heap_pushes"] == 0
+        assert s["sampled"]["count"] == 0
+
+    @pytest.mark.parametrize("physics", [
+        {},
+        # Coinciding lanes (SER == SER+LINK), zero-delay ENTERs, and a
+        # one-packet-per-VC buffer whose credit stalls wake on LINK.
+        {"link_latency_ns": 0.0, "switch_latency_ns": 0.0,
+         "buffer_bytes_per_port": 1024},
+    ])
+    def test_event_set_pops_the_least_pending_key(self, monkeypatch,
+                                                   physics):
+        # Step a saturated run one event at a time: each executed key is
+        # the least key of the snapshot taken before it, and the pending
+        # count and next time agree with that snapshot.  Stepping binds
+        # and unbinds the fast path per event, so the run's statistics
+        # must also match an unstepped run's.
+        monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
+        steps = 3000
+
+        def run(stepped):
+            net = self._net(**physics)
+            eng = net.engine
+            k = eng.kernel
+            inner = eng.run
+            checked = []
+
+            def stepping_run(until=None, max_events=None):
+                executed = 0
+                while len(checked) < steps:
+                    snap = k.events()
+                    if not snap:
+                        break
+                    least = min((t, s) for t, s, *_ in snap)
+                    if until is not None and least[0] > until:
+                        break
+                    assert k.pending() == len(snap)
+                    assert k.peek_time() == least[0]
+                    assert k.run(until, 1, eng._fastpath_spec()) == 1
+                    assert (k.now, k.cs) == least
+                    checked.append(least)
+                    executed += 1
+                return executed + inner(until, max_events)
+
+            if stepped:
+                monkeypatch.setattr(eng, "run", stepping_run)
+            stats = net.run_synthetic(
+                UniformRandom(net.topology.num_nodes), load=0.9,
+                warmup_ns=200.0, measure_ns=600.0, seed=2, drain=True,
+            )
+            assert len(checked) == (steps if stepped else 0)
+            return {name: getattr(stats, name) for name in stats.__slots__}
+
+        assert run(stepped=True) == run(stepped=False)
+
     def test_iter_pending_yields_engine_format_records(self):
-        # BatchedChecker.audit classifies pending records by integer op;
-        # the kernel's heap dump must use the same 6-tuple layout,
+        # KernelChecker.audit classifies pending records by integer op;
+        # the kernel's event dump must use the same 6-tuple layout,
         # including CALL records carrying their callable and args.
         net = self._net()
         eng = net.engine
@@ -189,8 +273,8 @@ class TestKernelEngine:
         assert eng.pending == 0
 
     def test_checked_kernel_run_audits(self):
-        # The audit-based checker runs over kernel state exactly as it
-        # does over batched state (same SoA arrays, same iter_pending).
+        # The audit-based checker reconciles the kernel's state arrays
+        # with its pending events (read through iter_pending).
         net = self._net(check=True)
         net.run_synthetic(
             UniformRandom(net.topology.num_nodes), load=0.5,

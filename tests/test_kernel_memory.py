@@ -4,7 +4,8 @@ The kernel owns references to routes, message ids, NIC sources,
 callbacks and materialised packets, and recycles packet slots on
 delivery.  Repeating kernel runs of every kind in one process -- open
 loop drained to empty, a closed-loop halo exchange with its delivery
-listener and fault diverts, scheduled CALLs that submit traffic --
+listener and fault diverts, scheduled CALLs that submit traffic,
+CALLs dropped by ``clear()`` while pending and a CALL that raises --
 must leave reference counts on the shared objects and the traced heap
 where they started, and every run must end with no packet slot alive
 and no credit FIFO deeper than the credits its VC can hold.
@@ -57,6 +58,24 @@ def check_bounded(net: Network, intervals=None) -> None:
         assert 0 < mem["slots_hwm"] <= peak_in_flight(intervals), mem
 
 
+class Callback:
+    """A scheduled callable whose refcount the harness watches."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, arg):
+        self.calls += 1
+
+
+class Failure(Exception):
+    pass
+
+
+def fail(arg):
+    raise Failure(arg)
+
+
 class Harness:
     """Shared inputs of the repeated runs (what the refcounts watch)."""
 
@@ -68,10 +87,12 @@ class Harness:
         self.pattern = UniformRandom(self.topo.num_nodes)
         self.route = self.routing.cache.minimal_candidates(0, 5)[0]
         self.halo = build_workload("halo3d", self.topo.num_nodes, 1024)
+        self.callback = Callback()
+        self.payload = object()
 
     def shared(self):
         return [self.route, self.pattern, Packet, self.topo, self.halo,
-                *self.rngs]
+                self.callback, self.payload, fail, *self.rngs]
 
     def _fresh_rngs(self):
         # Identical draws every round, so route caches stop growing
@@ -120,11 +141,39 @@ class Harness:
         assert net.stats.ejected_total == net.stats.injected_total > 0
         check_bounded(net)
 
+    def clear_with_pending_calls(self):
+        # Call-table records freed by clear(), not by dispatch: some
+        # CALLs run, the far-future ones are still pending.
+        net = Network(self.topo, self.routing, SimConfig(backend="kernel"))
+        eng = net.engine
+        for t in (10.0, 20.0, 1e9, 2e9, 3e9):
+            eng.schedule(t, self.callback, self.payload)
+        calls = self.callback.calls
+        eng.run(until=100.0)
+        assert self.callback.calls == calls + 2
+        assert eng.pending == 3
+        eng.clear()
+        assert eng.pending == 0
+
+    def raising_call(self):
+        # A CALL that raises aborts the run; its record is released on
+        # dispatch and the one behind it stays queued until clear().
+        net = Network(self.topo, self.routing, SimConfig(backend="kernel"))
+        eng = net.engine
+        eng.schedule(5.0, fail, self.payload)
+        eng.schedule(6.0, self.callback, self.payload)
+        with pytest.raises(Failure):
+            eng.run()
+        assert eng.pending == 1
+        eng.clear()
+
     def round(self):
         self.open_loop()
         self.open_loop_fast()
         self.halo_with_faults()
         self.scheduled_submits()
+        self.clear_with_pending_calls()
+        self.raising_call()
         gc.collect()
 
 

@@ -244,6 +244,11 @@ class TestKernelProfileOutput:
         assert "fast-path deliver" in err
         # Cold paths (the scheduled reset CALL) still show as escapes.
         assert "escape call:" in err
+        # The loop's ledger: where pushes went and the sampled split.
+        assert "on delay lanes (SER " in err
+        assert "heap high-water" in err
+        assert "sampled loop time (1 event in 64" in err
+        assert "handler RECV:" in err
 
     @needs_kernel
     def test_profile_zero_escape_run_is_wellformed(self, capsys):

@@ -16,6 +16,7 @@ import pytest
 from repro.experiments.configs import configs_for_scale
 from repro.routing import MinimalRouting
 from repro.sim import Network, SimConfig
+from repro.sim.engine import Engine
 from repro.sim.vec.kernel import load_kernel as _load_kernel
 from repro.topology import MLFM, SlimFly
 from repro.traffic import AllToAll, UniformRandom
@@ -193,6 +194,22 @@ class TestEngineAPI:
         with pytest.raises(ValueError):
             eng.schedule_at(5.0, lambda: None)
 
+    def test_schedule_rejects_negative_or_nan_delay(self, backend):
+        # Such a delay would schedule into the past and run the clock
+        # backwards (a NaN poisons it outright); both engines refuse it,
+        # as schedule_at refuses a past time.
+        for eng in (self._engine(backend), Engine()):
+            eng.schedule_at(10.0, lambda: None)
+            eng.run()
+            for bad in (-1.0, -1e-9, float("-inf"), float("nan")):
+                with pytest.raises(ValueError):
+                    eng.schedule(bad, lambda: None)
+                with pytest.raises(ValueError):
+                    eng.schedule_at(eng.now + bad, lambda: None)
+            assert eng.pending == 0
+            eng.schedule(0.0, lambda: None)
+            assert eng.run() == 1 and eng.now == 10.0
+
     def test_until_advances_clock_without_executing_future(self, backend):
         eng = self._engine(backend)
         seen = []
@@ -222,8 +239,8 @@ class TestEngineAPI:
         assert eng.run() == 0
 
     def test_sparse_far_future_event(self, backend):
-        # Exercises the calendar queue's empty-bucket skip path (and the
-        # kernel heap's long-gap pop).
+        # A far-future CALL waits in the kernel's heap while the clock
+        # jumps a long gap to it.
         eng = self._engine(backend)
         seen = []
         eng.schedule_at(0.5, seen.append, "near")
