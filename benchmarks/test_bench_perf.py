@@ -1,11 +1,9 @@
 """Simulator-throughput benchmark: the perf trajectory of the hot path.
 
 Measures packets/sec and events/sec for MIN / INR / UGAL on the small
-Slim Fly and MLFM instances, with the precompiled route-candidate cache
-on (the default) and off (the legacy per-packet construction), plus a
-routing-layer microbenchmark that times ``UGALRouting.route`` itself
-against live congestion state on a warmed network -- the purest view of
-the cached-vs-uncached difference, undiluted by event-queue costs.
+Slim Fly and MLFM instances on the object engine, plus a routing-layer
+microbenchmark that times ``UGALRouting.route`` itself against live
+congestion state on a warmed network, undiluted by event-queue costs.
 
 A second axis compares the two simulator engines (``SimConfig.backend =
 "object" | "kernel"``) on identical work: per-engine wall-clock and
@@ -19,17 +17,19 @@ for.
 
 Results go to ``benchmarks/out/perf_summary.json`` so future PRs have a
 perf trajectory to regress against.  Wall-clock is taken as the best of
-``REPS`` interleaved repetitions: the minimum is robust against CPU
-contention on shared runners, and interleaving keeps both modes exposed
-to the same machine conditions.
+``REPS`` repetitions, interleaved across rows or engines: the minimum
+is robust against CPU contention on shared runners, and interleaving
+spreads each row's repetitions over the run.
 
 Set ``REPRO_PERF_BASELINE=<path to committed baseline JSON>`` (the CI
 perf-smoke job points it at ``benchmarks/perf_baseline.json``) to fail
-the run when cached packets/sec drops below 70% of the baseline.
+the run when a gated throughput drops below 70% of the baseline, or
+when the run has no counterpart for a gated baseline row.
 """
 
 from __future__ import annotations
 
+import copy
 import gc
 import json
 import os
@@ -69,68 +69,12 @@ PARITY_FLOOR = 0.8
 KERNEL_SPEEDUP_FLOOR = 3.5
 
 
-def _force_mode(routing, compiled: bool):
-    routing.compiled = compiled
-    for sub in ("_minimal", "_indirect"):
-        if hasattr(routing, sub):
-            getattr(routing, sub).compiled = compiled
-    return routing
-
-
 def _configs(scale: str):
     by_key = {cfg.key: cfg for cfg in configs_for_scale(scale)}
     return {"sf": by_key["sf-floor"], "mlfm": by_key["mlfm"]}
 
 
-def _sim_once(cfg, kind: str, compiled: bool):
-    topo = cfg.topology()
-    builder = {"min": cfg.minimal, "inr": cfg.indirect, "ugal": cfg.adaptive}[kind]
-    routing = _force_mode(builder(topo), compiled)
-    net = Network(topo, routing, SimConfig())
-    t0 = time.perf_counter()
-    stats = net.run_synthetic(
-        UniformRandom(topo.num_nodes),
-        load=LOAD,
-        warmup_ns=WARMUP_NS,
-        measure_ns=MEASURE_NS,
-        seed=SEED,
-    )
-    wall = time.perf_counter() - t0
-    return wall, stats.ejected_packets, net.engine.events_executed
-
-
-def _bench_sim(cfg, kind: str):
-    """Interleaved best-of-REPS for one (config, routing) pair."""
-    walls = {True: [], False: []}
-    packets = events = None
-    for _ in range(REPS):
-        for compiled in (True, False):
-            wall, pkts, evs = _sim_once(cfg, kind, compiled)
-            walls[compiled].append(wall)
-            # Bit-identity means both modes deliver the same counts.
-            if packets is None:
-                packets, events = pkts, evs
-            assert (pkts, evs) == (packets, events), (
-                f"{cfg.key}/{kind}: cached and legacy runs diverged "
-                f"({pkts}, {evs}) != ({packets}, {events})"
-            )
-    out = {}
-    for compiled in (True, False):
-        wall = min(walls[compiled])
-        out["cached" if compiled else "uncached"] = {
-            "wall_s": round(wall, 4),
-            "packets_per_sec": round(packets / wall, 1),
-            "events_per_sec": round(events / wall, 1),
-        }
-    out["packets"] = packets
-    out["events"] = events
-    out["speedup"] = round(
-        out["cached"]["packets_per_sec"] / out["uncached"]["packets_per_sec"], 3
-    )
-    return out
-
-
-def _sim_once_backend(cfg, kind: str, backend: str):
+def _sim_once(cfg, kind: str, backend: str):
     topo = cfg.topology()
     builder = {"min": cfg.minimal, "inr": cfg.indirect, "ugal": cfg.adaptive}[kind]
     net = Network(topo, builder(topo), SimConfig(backend=backend))
@@ -144,6 +88,35 @@ def _sim_once_backend(cfg, kind: str, backend: str):
     )
     wall = time.perf_counter() - t0
     return wall, stats.ejected_packets, net.engine.events_executed
+
+
+def _bench_end_to_end(configs):
+    """Best-of-REPS on the object engine for every (config, routing)
+    pair.  The reps go round-robin over the pairs, so a burst of host
+    contention cannot land on all the reps of one pair."""
+    rows = [(topo_key, kind) for topo_key in configs for kind in ("min", "inr", "ugal")]
+    walls = {row: [] for row in rows}
+    counts = {}
+    for _ in range(REPS):
+        for topo_key, kind in rows:
+            wall, pkts, evs = _sim_once(configs[topo_key], kind, "object")
+            walls[topo_key, kind].append(wall)
+            first = counts.setdefault((topo_key, kind), (pkts, evs))
+            assert (pkts, evs) == first, (
+                f"{topo_key}/{kind}: seeded reps diverged "
+                f"({pkts}, {evs}) != {first}"
+            )
+    out = {topo_key: {} for topo_key in configs}
+    for (topo_key, kind), (packets, events) in counts.items():
+        wall = min(walls[topo_key, kind])
+        out[topo_key][kind] = {
+            "wall_s": round(wall, 4),
+            "packets_per_sec": round(packets / wall, 1),
+            "events_per_sec": round(events / wall, 1),
+            "packets": packets,
+            "events": events,
+        }
+    return out
 
 
 def _backend_axis() -> tuple:
@@ -170,7 +143,7 @@ def _bench_backends(cfg, kind: str, backends: tuple):
     events = {}
     for _ in range(REPS):
         for backend in backends:
-            wall, pkts, evs = _sim_once_backend(cfg, kind, backend)
+            wall, pkts, evs = _sim_once(cfg, kind, backend)
             walls[backend].append(wall)
             events[backend] = evs
             # Conformance contract: identical physics on every backend.
@@ -306,7 +279,7 @@ def _bench_checker_overhead(cfg, kind: str = "ugal"):
 
 def _bench_routing_micro(cfg):
     """Routing-layer microbenchmark: UGAL route() calls per second
-    against live congestion, cached vs uncached in the same run."""
+    against live congestion."""
     topo = cfg.topology()
     # Warm a network so congestion lookups see realistic occupancies.
     net = Network(topo, cfg.adaptive(topo), SimConfig())
@@ -325,32 +298,22 @@ def _bench_routing_micro(cfg):
         if s != d:
             pairs.append((s, d))
 
-    def routes_per_sec(compiled: bool) -> tuple:
-        best = float("inf")
-        kinds = None
-        for _ in range(REPS):
-            routing = _force_mode(cfg.adaptive(topo), compiled)
-            route = routing.route
-            t0 = time.perf_counter()
-            indirect = 0
-            for s, d in pairs:
-                indirect += route(s, d, net).kind == "indirect"
-            best = min(best, time.perf_counter() - t0)
-            if kinds is None:
-                kinds = indirect
-            assert indirect == kinds, "route decisions diverged across reps"
-        return len(pairs) / best, kinds
-
-    cached_rps, kinds_c = routes_per_sec(True)
-    uncached_rps, kinds_u = routes_per_sec(False)
-    # Same seeds, same congestion snapshot: identical decisions.
-    assert kinds_c == kinds_u, (kinds_c, kinds_u)
+    best = float("inf")
+    kinds = None
+    for _ in range(REPS):
+        route = cfg.adaptive(topo).route
+        t0 = time.perf_counter()
+        indirect = 0
+        for s, d in pairs:
+            indirect += route(s, d, net).kind == "indirect"
+        best = min(best, time.perf_counter() - t0)
+        if kinds is None:
+            kinds = indirect
+        assert indirect == kinds, "route decisions diverged across reps"
     return {
         "routes": len(pairs),
-        "indirect_fraction": round(kinds_c / len(pairs), 4),
-        "cached_routes_per_sec": round(cached_rps, 1),
-        "uncached_routes_per_sec": round(uncached_rps, 1),
-        "speedup": round(cached_rps / uncached_rps, 3),
+        "indirect_fraction": round(kinds / len(pairs), 4),
+        "routes_per_sec": round(len(pairs) / best, 1),
     }
 
 
@@ -426,67 +389,62 @@ def _bench_fault_overhead(cfg):
     }
 
 
+def _row(tree, *keys):
+    """``tree[k0][k1]...``, or None where a level is missing."""
+    for key in keys:
+        if not isinstance(tree, dict):
+            return None
+        tree = tree.get(key)
+    return tree
+
+
 def _check_baseline(summary) -> list:
-    """Compare cached throughputs against the committed baseline."""
+    """Compare throughputs against the committed baseline.
+
+    Every gated baseline row needs its counterpart in *summary*: a row
+    either side lacks is a failure, so reshaping the summary cannot
+    switch the gate off.  Kernel rows are exempt when the kernel did
+    not load (the dedicated fallback CI job covers that leg).
+    """
     path = os.environ.get("REPRO_PERF_BASELINE")
     if not path:
         return []
     with open(path) as fh:
         baseline = json.load(fh)
     failures = []
-    for topo_key, per_routing in baseline.get("end_to_end", {}).items():
-        for kind, entry in per_routing.items():
-            ref = entry.get("cached", {}).get("packets_per_sec")
-            got = (
-                summary["end_to_end"]
-                .get(topo_key, {})
-                .get(kind, {})
-                .get("cached", {})
-                .get("packets_per_sec")
+
+    def gate(label: str, unit: str, keys: tuple) -> None:
+        ref, got = _row(baseline, *keys), _row(summary, *keys)
+        if ref is None or got is None:
+            side = "baseline" if ref is None else "run"
+            failures.append(f"{label}: the {side} has no {'.'.join(keys)}")
+        elif got < REGRESSION_FLOOR * ref:
+            failures.append(
+                f"{label}: {got:.0f} {unit} < {REGRESSION_FLOOR:.0%} of "
+                f"baseline {ref:.0f}"
             )
-            if ref and got and got < REGRESSION_FLOOR * ref:
-                failures.append(
-                    f"{topo_key}/{kind}: {got:.0f} pkts/s < "
-                    f"{REGRESSION_FLOOR:.0%} of baseline {ref:.0f}"
-                )
+
+    for topo_key, per_routing in baseline.get("end_to_end", {}).items():
+        for kind in per_routing:
+            gate(f"{topo_key}/{kind}", "pkts/s",
+                 ("end_to_end", topo_key, kind, "packets_per_sec"))
+    gate("routing microbench", "routes/s",
+         ("ugal_sf_routing_microbench", "routes_per_sec"))
+    if "kernel" not in summary.get("backend_axis", ()):
+        return failures
     for topo_key, per_routing in baseline.get("backends", {}).items():
-        for kind, entry in per_routing.items():
-            for backend in ("kernel",):
-                ref = entry.get(backend, {}).get("packets_per_sec")
-                got = (
-                    summary.get("backends", {})
-                    .get(topo_key, {})
-                    .get(kind, {})
-                    .get(backend, {})
-                    .get("packets_per_sec")
-                )
-                # Kernel rows are absent where the extension can't
-                # build; the dedicated fallback CI job covers that leg.
-                if ref and got and got < REGRESSION_FLOOR * ref:
-                    failures.append(
-                        f"backends {topo_key}/{kind}: {backend} {got:.0f} "
-                        f"pkts/s < {REGRESSION_FLOOR:.0%} of baseline "
-                        f"{ref:.0f}"
-                    )
+        for kind in per_routing:
+            gate(f"backends {topo_key}/{kind}: kernel", "pkts/s",
+                 ("backends", topo_key, kind, "kernel", "packets_per_sec"))
     # The kernel acceptance gate: on the saturation bench the compiled
     # kernel must hold >= KERNEL_SPEEDUP_FLOOR over the object engine.
-    sat = summary.get("kernel_saturation", {})
-    if baseline.get("kernel_saturation", {}).get("kernel_speedup") and \
-            "kernel_speedup" in sat:
-        if sat["kernel_speedup"] < KERNEL_SPEEDUP_FLOOR:
+    if "kernel_saturation" in baseline:
+        speedup = _row(summary, "kernel_saturation", "kernel_speedup")
+        if speedup is None or speedup < KERNEL_SPEEDUP_FLOOR:
             failures.append(
-                f"kernel saturation bench: speedup {sat['kernel_speedup']} "
+                f"kernel saturation bench: speedup {speedup} "
                 f"< floor {KERNEL_SPEEDUP_FLOOR} over object"
             )
-    micro_ref = baseline.get("ugal_sf_routing_microbench", {}).get(
-        "cached_routes_per_sec"
-    )
-    micro_got = summary["ugal_sf_routing_microbench"]["cached_routes_per_sec"]
-    if micro_ref and micro_got < REGRESSION_FLOOR * micro_ref:
-        failures.append(
-            f"routing microbench: {micro_got:.0f} routes/s < "
-            f"{REGRESSION_FLOOR:.0%} of baseline {micro_ref:.0f}"
-        )
     return failures
 
 
@@ -498,12 +456,8 @@ def test_bench_perf(scale, report_dir):
         "warmup_ns": WARMUP_NS,
         "measure_ns": MEASURE_NS,
         "reps": REPS,
-        "end_to_end": {},
+        "end_to_end": _bench_end_to_end(configs),
     }
-    for topo_key, cfg in configs.items():
-        summary["end_to_end"][topo_key] = {
-            kind: _bench_sim(cfg, kind) for kind in ("min", "inr", "ugal")
-        }
     backends = _backend_axis()
     summary["backend_axis"] = list(backends)
     summary["backends"] = {
@@ -521,18 +475,6 @@ def test_bench_perf(scale, report_dir):
     (report_dir / "perf_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )
-
-    # The routing-layer cache must pay for itself where it matters: the
-    # UGAL hot path on the Slim Fly (acceptance gate: >= 1.3x).
-    assert summary["ugal_sf_routing_microbench"]["speedup"] >= 1.3, summary[
-        "ugal_sf_routing_microbench"
-    ]
-    # End-to-end, cached must never be slower than legacy beyond noise
-    # (same tolerance as the baseline regression check: shared runners
-    # can skew a single mode's wall-clock by tens of percent).
-    for topo_key, per_routing in summary["end_to_end"].items():
-        for kind, entry in per_routing.items():
-            assert entry["speedup"] > REGRESSION_FLOOR, (topo_key, kind, entry)
 
     # The kernel must stay at least at parity with the object engine
     # (floor sits below 1.0 only to absorb shared-runner noise).
@@ -553,3 +495,42 @@ def test_bench_perf(scale, report_dir):
 
     failures = _check_baseline(summary)
     assert not failures, "; ".join(failures)
+
+
+BASELINE = os.path.join(os.path.dirname(__file__), "perf_baseline.json")
+
+
+def test_baseline_gate_fails_rows_it_cannot_find(monkeypatch):
+    """A summary missing gated rows fails the gate instead of passing."""
+    monkeypatch.setenv("REPRO_PERF_BASELINE", BASELINE)
+    with open(BASELINE) as fh:
+        baseline = json.load(fh)
+    # The committed numbers pass against themselves.
+    assert _check_baseline(baseline) == []
+
+    # A 100x slowdown filed under the pre-change row shape (throughput
+    # nested under "cached"): every end_to_end and microbench row fails.
+    reshaped = copy.deepcopy(baseline)
+    for per_routing in reshaped["end_to_end"].values():
+        for kind, entry in per_routing.items():
+            per_routing[kind] = {
+                "cached": {"packets_per_sec": entry["packets_per_sec"] / 100}
+            }
+    micro = reshaped["ugal_sf_routing_microbench"]
+    micro["cached_routes_per_sec"] = micro.pop("routes_per_sec") / 100
+    failures = _check_baseline(reshaped)
+    rows = sum(len(per) for per in baseline["end_to_end"].values()) + 1
+    assert len(failures) == rows, failures
+    assert all("the run has no" in f for f in failures), failures
+
+    # Kernel rows are gated only where the kernel loaded.
+    no_kernel = copy.deepcopy(baseline)
+    for per_routing in no_kernel["backends"].values():
+        for entry in per_routing.values():
+            del entry["kernel"]
+    del no_kernel["kernel_saturation"]["kernel_speedup"]
+    assert len(_check_baseline(no_kernel)) == (
+        sum(len(per) for per in baseline["backends"].values()) + 1
+    )
+    no_kernel["backend_axis"] = ["object"]
+    assert _check_baseline(no_kernel) == []

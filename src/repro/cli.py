@@ -804,8 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "'fail@T:U-V', 'recover@T:U-V', 'fail@T:rR' "
                             "(all links of router R), or "
                             "'drip@T:n=N,every=E[,seed=S]' for seeded "
-                            "random connectivity-preserving failures; "
-                            "requires compiled routing")
+                            "random connectivity-preserving failures")
         g.add_argument("--fault-policy", default="reroute",
                        choices=["reroute", "drop"],
                        help="packets queued toward a dead link are "

@@ -7,10 +7,10 @@ a short uniform-traffic run plus a SHA-256 digest over the ordered
 delivered-packet stream (pid, endpoints, route kind, ejection time).
 The goldens are committed at ``tests/golden/conformance.json``; the
 conformance test suite (``tests/test_golden_conformance.py``) recomputes
-them serially, through a process pool, with the legacy (uncompiled)
-routing path, and with the invariant checker enabled -- so any future
-kernel, route-cache or checker change that alters *behaviour*, not just
-crashes, fails loudly against a reviewable diff.
+them serially, through a process pool, on both engines and with the
+invariant checker enabled -- so any future kernel, route-cache or
+checker change that alters *behaviour*, not just crashes, fails loudly
+against a reviewable diff.
 
 The fingerprint deliberately excludes event counts: the invariant
 checker's watchdog schedules extra (physics-free) events, and the whole
@@ -79,9 +79,7 @@ CASE_KEYS: List[str] = [
 ]
 
 
-def _build(
-    case_key: str, check: bool, compiled: bool, backend: str = "object"
-) -> Network:
+def _build(case_key: str, check: bool, backend: str = "object") -> Network:
     topo_key, _, kind = case_key.partition("/")
     by_key = {cfg.key: cfg for cfg in configs_for_scale(SCALE)}
     if topo_key not in by_key or kind not in _ROUTING_KINDS:
@@ -90,19 +88,12 @@ def _build(
     topo = cfg.topology()
     builder = {"min": cfg.minimal, "inr": cfg.indirect, "ugal": cfg.adaptive}[kind]
     routing = builder(topo, seed=ROUTING_SEED)
-    # Force the requested routing implementation (default True); the
-    # legacy path must produce bit-identical fingerprints.
-    routing.compiled = compiled
-    for sub in ("_minimal", "_indirect"):
-        if hasattr(routing, sub):
-            getattr(routing, sub).compiled = compiled
     return Network(topo, routing, SimConfig(check=check, backend=backend))
 
 
 def run_case(
     case_key: str,
     check: bool = False,
-    compiled: bool = True,
     backend: str = "object",
     listener: bool = True,
 ) -> Dict:
@@ -118,7 +109,7 @@ def run_case(
     delivery-accounting fast path is live, so the no-listener legs gate
     its WindowStats bit-exactness against the same goldens.
     """
-    net = _build(case_key, check, compiled, backend)
+    net = _build(case_key, check, backend)
     digest = hashlib.sha256()
 
     def record(pkt) -> None:
@@ -225,12 +216,11 @@ def run_fault_case(
 def compute_fingerprints(
     case_keys=None,
     check: bool = False,
-    compiled: bool = True,
     backend: str = "object",
 ) -> Dict[str, Dict]:
     """Fingerprints for *case_keys* (default: all), serially."""
     return {
-        key: run_case(key, check=check, compiled=compiled, backend=backend)
+        key: run_case(key, check=check, backend=backend)
         for key in (CASE_KEYS if case_keys is None else case_keys)
     }
 

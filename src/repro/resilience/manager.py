@@ -97,11 +97,12 @@ class FaultManager:
         net = self.net
         routing = net.routing
         cache = getattr(routing, "cache", None)
-        if cache is None or not getattr(routing, "compiled", False):
+        if cache is None:
             raise ValueError(
-                "fault injection requires a compiled routing algorithm "
-                "sharing a RouteCache (compiled=True); legacy "
-                "compiled=False routing cannot be made fault-aware")
+                "fault injection requires a routing algorithm that takes "
+                "its routes from a RouteCache (its .cache); "
+                f"{type(routing).__name__} has none and cannot be made "
+                "fault-aware")
         self.cache = cache
         cache.runtime_vcs = net.num_vcs
         self._events = self.schedule.expand(net.topology)

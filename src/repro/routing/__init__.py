@@ -27,12 +27,12 @@ from repro.routing.deadlock import (
     build_cdg_minimal,
     find_cycle,
 )
-from repro.routing.cache import RouteCache
+from repro.routing.cache import RouteCache, compose_indirect
 from repro.routing.minimal import MinimalRouting
 from repro.routing.tables import ForwardingTables
 from repro.routing.paths import MinimalPaths, all_shortest_paths_bfs
 from repro.routing.ugal import UGALRouting
-from repro.routing.valiant import IndirectRandomRouting, compose_indirect
+from repro.routing.valiant import IndirectRandomRouting
 from repro.routing.vc import HopIndexVC, PhaseVC, VCPolicy, default_vc_policy
 
 __all__ = [

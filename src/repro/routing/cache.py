@@ -3,11 +3,7 @@
 Routes between a fixed (src, dst) router pair are structurally static:
 the router sequence, the VC labels and the output port used at every hop
 never change during a simulation.  Only the *choice* among candidates is
-dynamic (random selection, UGAL's congestion-scored choice).  The legacy
-hot path nevertheless rebuilt a :class:`~repro.routing.base.Route` --
-VC assignment, tuple concatenation, frozen-dataclass construction -- for
-every candidate of every packet (~5 allocations per packet under UGAL,
-most immediately discarded).
+dynamic (random selection, UGAL's congestion-scored choice).
 
 :class:`RouteCache` compiles each candidate exactly once into an
 immutable :class:`Route` carrying its hop-port tuple, so routing
@@ -15,9 +11,11 @@ algorithms *select among* cached candidates and the simulator's packet
 construction needs a single eject-port lookup.  Three compiled forms
 cover the paper's algorithms:
 
-- :meth:`minimal_candidates` -- every minimal path of a pair
-  (:class:`~repro.routing.paths.MinimalPaths` order is preserved, so
-  seeded random selection picks the same candidate as the legacy path);
+- :meth:`minimal_candidates` -- every minimal path of a pair, in
+  :class:`~repro.routing.paths.MinimalPaths` order.  The kernel's C
+  route table (``repro/sim/vec/_kernel.c``) must enumerate candidates
+  in this same order, or seeded random selection would pick different
+  candidates on the two engines;
 - :meth:`compose` -- the indirect route through a given (first leg,
   second leg) pair of minimal legs, built on first use and memoised
   (the same leg combination recurs constantly under Valiant routing);
@@ -146,8 +144,7 @@ class RouteCache:
         """The compiled indirect route through ``first_leg + second_leg``.
 
         Memoised per leg pair; the memo grows with the number of leg
-        combinations actually used, which is the same cardinality the
-        old per-``routers``-tuple port cache reached.
+        combinations actually used.
         """
         key = (first_leg, second_leg)
         cached = self._composed.get(key)

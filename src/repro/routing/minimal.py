@@ -10,10 +10,7 @@ first output buffer is least occupied; both are implemented.
 Routes are precompiled per (src, dst) pair (see
 :mod:`repro.routing.cache`): the hot path *selects among* immutable
 cached candidates instead of materialising a fresh
-:class:`~repro.routing.base.Route` per packet.  ``compiled=False``
-restores the legacy per-packet construction -- the two paths are
-bit-identical under the same seed (the equivalence tests assert it),
-so the flag exists only for benchmarking and regression testing.
+:class:`~repro.routing.base.Route` per packet.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from typing import Optional
 
 from repro.routing.base import (
     NULL_CONGESTION,
-    ROUTE_MINIMAL,
     CongestionContext,
     Route,
     RoutingAlgorithm,
@@ -51,10 +47,6 @@ class MinimalRouting(RoutingAlgorithm):
         buffer (paper footnote 1).
     seed:
         RNG seed for reproducible random selections.
-    compiled:
-        Select among precompiled route candidates (default).  ``False``
-        rebuilds each route per packet (the legacy path, kept for
-        benchmarking and equivalence testing).
     cache:
         Optional shared :class:`~repro.routing.cache.RouteCache`
         (:class:`~repro.routing.ugal.UGALRouting` passes its own so all
@@ -69,7 +61,6 @@ class MinimalRouting(RoutingAlgorithm):
         vc_policy: Optional[VCPolicy] = None,
         selection: str = "random",
         seed: int = 0,
-        compiled: bool = True,
         cache: Optional[RouteCache] = None,
     ):
         if selection not in ("random", "best"):
@@ -77,7 +68,6 @@ class MinimalRouting(RoutingAlgorithm):
         self.topology = topology
         self.vc_policy = vc_policy if vc_policy is not None else default_vc_policy(topology)
         self.selection = selection
-        self.compiled = compiled
         self.cache = cache if cache is not None else RouteCache(topology, self.vc_policy)
         self.paths = self.cache.paths
         self._rng = random.Random(seed)
@@ -97,8 +87,6 @@ class MinimalRouting(RoutingAlgorithm):
         dst_router: int,
         congestion: CongestionContext = NULL_CONGESTION,
     ) -> Route:
-        if not self.compiled:
-            return self._route_legacy(src_router, dst_router, congestion)
         row = self._min_rows[src_router]
         candidates = row[dst_router] if row is not None else None
         if candidates is None:
@@ -117,23 +105,3 @@ class MinimalRouting(RoutingAlgorithm):
                 best = route
                 best_q = q
         return best  # type: ignore[return-value]  # candidates is non-empty
-
-    def _route_legacy(
-        self,
-        src_router: int,
-        dst_router: int,
-        congestion: CongestionContext,
-    ) -> Route:
-        """Per-packet route construction (pre-cache behaviour)."""
-        candidates = self.cache.paths.paths(src_router, dst_router)
-        if len(candidates) == 1:
-            routers = candidates[0]
-        elif self.selection == "random":
-            routers = candidates[self._rng.randrange(len(candidates))]
-        else:
-            routers = min(
-                candidates,
-                key=lambda p: congestion.queue_len(p[0], p[1]) if len(p) > 1 else 0,
-            )
-        vcs = self.vc_policy.assign(routers, None)
-        return Route(routers=routers, vcs=vcs, kind=ROUTE_MINIMAL, intermediate=None)

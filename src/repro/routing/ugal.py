@@ -26,9 +26,9 @@ The hot path is an allocation-free scoring loop over precompiled
 candidates (:mod:`repro.routing.cache`): each indirect candidate is
 scored from its two minimal *legs* (random draws and congestion
 lookups stay live, per-packet) and only the winner is materialised --
-as a memoised compiled route.  ``compiled=False`` restores the legacy
-build-everything-then-discard path; both are bit-identical under the
-same seed (identical RNG draw order and float arithmetic).
+as a memoised compiled route.  The kernel's C replica
+(``route_ugal`` in ``repro/sim/vec/_kernel.c``) makes the same choices
+bit for bit: same RNG draw order, same float arithmetic.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from typing import Optional, Sequence
 
 from repro.routing.base import (
     NULL_CONGESTION,
-    ROUTE_MINIMAL,
     CongestionContext,
     Route,
     RoutingAlgorithm,
@@ -82,10 +81,9 @@ class UGALRouting(RoutingAlgorithm):
         Passed through to :class:`MinimalRouting`.
     seed:
         RNG seed.
-    compiled:
-        Score precompiled candidates allocation-free (default).
-        ``False`` rebuilds every candidate per packet (legacy path, for
-        benchmarking and equivalence testing).
+    intermediates:
+        Passed through to :class:`IndirectRandomRouting`, which
+        validates it.
     """
 
     def __init__(
@@ -101,7 +99,6 @@ class UGALRouting(RoutingAlgorithm):
         seed: int = 0,
         intermediates: Optional[Sequence[int]] = None,
         signal: str = "local",
-        compiled: bool = True,
     ):
         if cost_mode not in ("const", "sf"):
             raise ValueError(f"UGALRouting: unknown cost_mode {cost_mode!r}")
@@ -119,7 +116,6 @@ class UGALRouting(RoutingAlgorithm):
         self.c_sf = float(c_sf)
         self.threshold = threshold
         self.signal = signal
-        self.compiled = compiled
         self._rng = random.Random(seed)
         # One shared compilation cache: the minimal candidates UGAL
         # scores are the very objects the minimal sub-router returns.
@@ -129,7 +125,6 @@ class UGALRouting(RoutingAlgorithm):
             vc_policy=self.vc_policy,
             selection=minimal_selection,
             seed=seed + 1,
-            compiled=compiled,
             cache=self.cache,
         )
         self._indirect = IndirectRandomRouting(
@@ -137,7 +132,6 @@ class UGALRouting(RoutingAlgorithm):
             vc_policy=self.vc_policy,
             seed=seed + 2,
             intermediates=intermediates,
-            compiled=compiled,
             cache=self.cache,
         )
         # Hot-path bindings (stable for the lifetime of the object).
@@ -170,8 +164,6 @@ class UGALRouting(RoutingAlgorithm):
         dst_router: int,
         congestion: CongestionContext = NULL_CONGESTION,
     ) -> Route:
-        if not self.compiled:
-            return self._route_legacy(src_router, dst_router, congestion)
         # Inlined minimal selection (same RNG object and draw order as
         # MinimalRouting.route over the same candidate tuple).
         row = self._min_rows[src_router]
@@ -243,8 +235,9 @@ class UGALRouting(RoutingAlgorithm):
                     max(queue_len(second[i], second[i + 1]) for i in range(len(second) - 1)),
                 )
             if sf_mode:
-                # Same association as the legacy penalty * q_ind product
-                # so the float results are bit-identical.
+                # Keep this association: route_ugal in _kernel.c
+                # multiplies in the same order, and the goldens pin the
+                # float results bit for bit.
                 hops = len(first) + len(second) - 2
                 cost = ((hops / len_min) * c_sf) * q_ind
             else:
@@ -263,54 +256,6 @@ class UGALRouting(RoutingAlgorithm):
             # can compose into a route past the indirect VC budget.
             # Route minimally instead of failing the injection.
             return minimal
-
-    def _route_legacy(
-        self,
-        src_router: int,
-        dst_router: int,
-        congestion: CongestionContext,
-    ) -> Route:
-        """Build-and-score every candidate per packet (pre-cache behaviour)."""
-        minimal = self._minimal.route(src_router, dst_router, congestion)
-        if minimal.num_hops == 0:
-            return minimal
-        q_min = self._occupancy(minimal, congestion)
-
-        if self.threshold is not None:
-            if q_min < self.threshold * congestion.queue_capacity():
-                return minimal
-
-        best = minimal
-        best_cost = float(q_min)
-        len_min = max(minimal.num_hops, 1)
-        for _ in range(self.num_indirect):
-            candidate = self._indirect.route(src_router, dst_router, congestion)
-            q_ind = self._occupancy(candidate, congestion)
-            if self.cost_mode == "sf":
-                penalty = (candidate.num_hops / len_min) * self.c_sf
-            else:
-                penalty = self.c
-            cost = penalty * q_ind
-            # Strict inequality: ties go to the (shorter) minimal route.
-            if cost < best_cost:
-                best = candidate
-                best_cost = cost
-        return best
-
-    def _occupancy(self, route: Route, congestion: CongestionContext) -> int:
-        """The congestion signal of a candidate route.
-
-        Local (UGAL-L): occupancy of the first output port at the
-        source router.  Global (UGAL-G): the worst occupancy along the
-        whole path.
-        """
-        routers = route.routers
-        if self.signal == "local":
-            return congestion.queue_len(routers[0], routers[1])
-        return max(
-            congestion.queue_len(routers[i], routers[i + 1])
-            for i in range(len(routers) - 1)
-        )
 
     def describe(self) -> str:
         """Short parameter string for reports (e.g. ``"UGAL-A(nI=4,c=2)"``)."""

@@ -12,9 +12,7 @@ local routers for the MLFM), which pins indirect paths to exactly
 
 The random draws (intermediate, then one leg choice per multi-path leg)
 stay live and per-packet; the composed route for a given leg pair is
-compiled once and memoised (see :mod:`repro.routing.cache`), so the
-seeded draw sequence -- and therefore every routing decision -- is
-bit-identical with the legacy ``compiled=False`` construction.
+compiled once and memoised (see :mod:`repro.routing.cache`).
 """
 
 from __future__ import annotations
@@ -24,17 +22,15 @@ from typing import Optional, Sequence, Tuple
 
 from repro.routing.base import (
     NULL_CONGESTION,
-    ROUTE_INDIRECT,
-    ROUTE_MINIMAL,
     CongestionContext,
     Route,
     RoutingAlgorithm,
 )
-from repro.routing.cache import RouteCache, compose_indirect
+from repro.routing.cache import RouteCache
 from repro.routing.vc import VCPolicy, default_vc_policy
 from repro.topology.base import Topology
 
-__all__ = ["IndirectRandomRouting", "compose_indirect"]
+__all__ = ["IndirectRandomRouting"]
 
 
 class IndirectRandomRouting(RoutingAlgorithm):
@@ -50,11 +46,9 @@ class IndirectRandomRouting(RoutingAlgorithm):
     seed:
         RNG seed for reproducible intermediate selection.
     intermediates:
-        Optional explicit override of the candidate intermediate set.
-    compiled:
-        Return memoised composed routes (default).  ``False`` rebuilds
-        each route per packet (legacy path, for benchmarking and
-        equivalence testing).
+        Optional explicit override of the candidate intermediate set:
+        router ids in ``[0, num_routers)``, at least 3 of them distinct
+        (so an eligible intermediate exists for every src, dst pair).
     cache:
         Optional shared :class:`~repro.routing.cache.RouteCache`.
     """
@@ -67,12 +61,10 @@ class IndirectRandomRouting(RoutingAlgorithm):
         vc_policy: Optional[VCPolicy] = None,
         seed: int = 0,
         intermediates: Optional[Sequence[int]] = None,
-        compiled: bool = True,
         cache: Optional[RouteCache] = None,
     ):
         self.topology = topology
         self.vc_policy = vc_policy if vc_policy is not None else default_vc_policy(topology)
-        self.compiled = compiled
         self.cache = cache if cache is not None else RouteCache(topology, self.vc_policy)
         self.paths = self.cache.paths
         self._rng = random.Random(seed)
@@ -83,9 +75,21 @@ class IndirectRandomRouting(RoutingAlgorithm):
         # Shared with the cache and filled in place as rows are built.
         self._leg_rows = self.cache.leg_rows
         pool = list(intermediates) if intermediates is not None else topology.valiant_intermediates()
-        if len(pool) < 3:
+        # Both engines draw from the pool until they hit a router other
+        # than src and dst: with fewer than 3 distinct ids that loop
+        # never ends for some pairs, and an id outside the topology
+        # indexes past the route tables.
+        bad = [r for r in pool if not 0 <= r < topology.num_routers]
+        if bad:
             raise ValueError(
-                f"{topology.name}: need at least 3 candidate intermediates, have {len(pool)}"
+                f"{topology.name}: intermediates {bad} are not router ids "
+                f"in [0, {topology.num_routers})"
+            )
+        distinct = len(set(pool))
+        if distinct < 3:
+            raise ValueError(
+                f"{topology.name}: need at least 3 distinct candidate "
+                f"intermediates, have {distinct}"
             )
         self._pool = pool
 
@@ -112,11 +116,7 @@ class IndirectRandomRouting(RoutingAlgorithm):
         """Build the indirect route through a *given* intermediate."""
         first = self._pick_leg(src_router, intermediate)
         second = self._pick_leg(intermediate, dst_router)
-        if self.compiled:
-            return self.cache.compose(first, second)
-        routers, inter_idx = compose_indirect(first, second)
-        vcs = self.vc_policy.assign(routers, inter_idx)
-        return Route(routers=routers, vcs=vcs, kind=ROUTE_INDIRECT, intermediate=inter_idx)
+        return self.cache.compose(first, second)
 
     def route(
         self,
@@ -127,9 +127,7 @@ class IndirectRandomRouting(RoutingAlgorithm):
         if src_router == dst_router:
             # Intra-router traffic never enters the fabric (the paper's
             # X exchanges "stay within the first router" even under INR).
-            if self.compiled:
-                return self.cache.self_route(src_router)
-            return Route(routers=(src_router,), vcs=(), kind=ROUTE_MINIMAL)
+            return self.cache.self_route(src_router)
         intermediate = self.pick_intermediate(src_router, dst_router)
         return self.route_via(src_router, intermediate, dst_router)
 

@@ -48,10 +48,6 @@ class Network:
         self.checker = None  # InvariantChecker when config.check is set
         self.fault_manager = None  # FaultManager when config.faults is set
         self._pid = 0
-        # Port-tuple fallback for routes without precompiled ports
-        # (legacy ``compiled=False`` algorithms, ad-hoc Route objects);
-        # compiled routes carry their hop ports and never touch it.
-        self._route_port_cache: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         self.tracer = None  # optional PacketTracer (see enable_trace)
         self._vec = None  # KernelEngine when the kernel backend runs
         self._msg_track: Optional[Dict] = None  # per-message tracking (exchanges)
@@ -241,12 +237,10 @@ class Network:
         routers = route.routers
         hop_ports = route.ports
         if hop_ports is None:
-            hop_ports = self._route_port_cache.get(routers)
-            if hop_ports is None:
-                hop_ports = tuple(
-                    topo.port(routers[i], routers[i + 1]) for i in range(len(routers) - 1)
-                )
-                self._route_port_cache[routers] = hop_ports
+            # A custom algorithm's Route; RouteCache routes carry ports.
+            hop_ports = tuple(
+                topo.port(routers[i], routers[i + 1]) for i in range(len(routers) - 1)
+            )
 
         self._pid += 1
         return Packet(

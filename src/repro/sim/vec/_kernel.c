@@ -1757,8 +1757,9 @@ make_fast(Kernel *k, long node, const Desc *d, double t)
     return si;
 }
 
-/* Escape: Network.make_packet (checker-wrapped, legacy or unknown
- * routing), then the send time and StatsCollector.record_inject. */
+/* Escape: Network.make_packet (checker-wrapped, or a routing setup
+ * with no C replica, see KernelEngine._fastpath_spec), then the send
+ * time and StatsCollector.record_inject. */
 static int32_t
 make_escape(Kernel *k, long node, const Desc *d, double t)
 {
@@ -2529,6 +2530,12 @@ bind_run(Kernel *k, PyObject *fp)
             long v = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i));
             if (v == -1 && PyErr_Occurred()) {
                 Py_DECREF(seq);
+                return -1;
+            }
+            if (v < 0 || v >= k->NR) {
+                Py_DECREF(seq);
+                PyErr_Format(PyExc_IndexError,
+                             "kernel: intermediate %ld out of range", v);
                 return -1;
             }
             k->pool[i] = (int32_t)v;

@@ -363,7 +363,7 @@ class KernelEngine:
         * ``route_mode >= 0`` moves the entire NIC send -- routing
           candidate selection (with a C replica of the ``random.Random``
           draw stream) and inject accounting -- behind the C boundary.
-          Requires compiled routing of a known type and no checker (the
+          Requires routing of a known type and no checker (the
           checker wraps ``net.make_packet``).
         * ``deliver_fast`` accumulates the per-packet eject statistics
           in C arrays, flushed via ``StatsCollector.absorb_kernel``.
@@ -388,7 +388,7 @@ class KernelEngine:
         cache = getattr(routing, "cache", None)
         route_mode = -1
         rngs = []
-        if getattr(routing, "compiled", False) and cache is not None:
+        if cache is not None:
             # Strict type checks: a subclass could override route(), so
             # only the exact implementations ported to C are eligible.
             rtype = type(routing)

@@ -3,9 +3,8 @@
 The committed fingerprints pin the simulator's end-to-end behaviour --
 full WindowStats plus a digest over the ordered delivery stream -- for
 every tiny-scale topology x routing combination.  Serial, process-pool,
-legacy-routing, checker-enabled and batched-backend runs must all
-reproduce them bit-identically; an intended behaviour change
-regenerates the goldens
+checker-enabled and kernel-backend runs must all reproduce them
+bit-identically; an intended behaviour change regenerates the goldens
 (``python -m repro.experiments.conformance --write``) so the diff is
 reviewed with the change that caused it.
 """
@@ -22,8 +21,9 @@ from repro.sim.vec.kernel import load_kernel as _load_kernel
 
 GOLDEN = Path(__file__).parent / "golden" / "conformance.json"
 
-#: One case per topology for the expensive re-runs (legacy routing,
-#: process pool); the full matrix runs serially and under the checker.
+#: One case per topology for the expensive re-runs (process pool,
+#: checked ``"batched"``); the full matrix runs serially and under the
+#: checker.
 SPOT_CASES = ["sf-floor/ugal", "sf-ceil/min", "mlfm/inr", "oft/ugal"]
 
 
@@ -121,14 +121,6 @@ def test_kernel_no_listener_stats_match_golden(golden, case_key):
     # sensitive latency reductions -- must still equal the goldens.
     got = conformance.run_case(case_key, backend="kernel", listener=False)
     assert got["digest"] is None  # stats-only fingerprint
-    problems = conformance.diff_fingerprints({case_key: golden[case_key]},
-                                             {case_key: got})
-    assert not problems, "\n".join(problems)
-
-
-@pytest.mark.parametrize("case_key", SPOT_CASES)
-def test_legacy_routing_matches_golden(golden, case_key):
-    got = conformance.run_case(case_key, compiled=False)
     problems = conformance.diff_fingerprints({case_key: golden[case_key]},
                                              {case_key: got})
     assert not problems, "\n".join(problems)

@@ -80,7 +80,7 @@ class TestGracefulDegradation:
         golden = conformance.load_golden(str(
             Path(__file__).parent / "golden" / "conformance.json"))
         with pytest.warns(RuntimeWarning, match="object engine"):
-            net = conformance._build(case_key, True, True, "kernel")
+            net = conformance._build(case_key, True, "kernel")
         assert net.backend_in_use == "object"
         assert type(net.checker) is InvariantChecker
         with pytest.warns(RuntimeWarning, match="object engine"):

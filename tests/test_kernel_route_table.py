@@ -18,7 +18,7 @@ import networkx as nx
 import pytest
 
 from repro.experiments.configs import configs_for_scale
-from repro.routing import MinimalRouting, UGALRouting
+from repro.routing import IndirectRandomRouting, MinimalRouting, UGALRouting
 from repro.routing.cache import NoRouteError
 from repro.routing.vc import HopIndexVC, PhaseVC
 from repro.sim import Network, SimConfig
@@ -199,3 +199,21 @@ def test_distance_three_pairs_fill_through_the_route_cache(monkeypatch):
     # One fill per escaped pair: the cache's rows memoise it after.
     assert fills > 0
     assert fills == cache.stats()["minimal_pairs"] + leg_pairs
+
+
+@pytest.mark.parametrize("cls,pool", [
+    (UGALRouting, [0, 1, 2, 10**6]),
+    (IndirectRandomRouting, [0, 1, 2, -5]),
+])
+def test_out_of_range_pool_is_rejected_at_load(cls, pool, monkeypatch):
+    # The constructors validate the pool; one patched in afterwards
+    # must still fail cleanly when the kernel loads it, not index past
+    # the route table on the first draw that hits it.
+    monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
+    topo = SlimFly(5)
+    routing = cls(topo, seed=1)
+    routing._pool = pool
+    net = Network(topo, routing, SimConfig(backend="kernel"))
+    with pytest.raises(IndexError, match="intermediate"):
+        net.run_synthetic(UniformRandom(topo.num_nodes), load=0.5,
+                          warmup_ns=200.0, measure_ns=400.0, seed=5)

@@ -18,8 +18,8 @@ from repro.analysis.faults import DegradedTopology, degrade, safe_vc_policy
 from repro.experiments import conformance
 from repro.orchestrate import Job, sim_config_dict
 from repro.resilience import FaultSchedule
-from repro.routing import MinimalRouting, UGALRouting
-from repro.routing.base import ROUTE_INDIRECT
+from repro.routing import UGALRouting
+from repro.routing.base import ROUTE_INDIRECT, RoutingAlgorithm
 from repro.routing.cache import NoRouteError, RouteCache
 from repro.routing.deadlock import build_cdg_minimal, find_cycle
 from repro.serve.coalesce import Coalescer, Execution
@@ -372,11 +372,19 @@ class TestFaultHashSeparation:
 
 class TestFaultSimulation:
     def test_legacy_routing_cannot_be_armed(self, sf5):
+        # Fault awareness lives in the RouteCache: a custom algorithm
+        # that routes without one is refused before any traffic runs.
+        class Uncached(RoutingAlgorithm):
+            num_vcs = 2
+
+            def route(self, src_router, dst_router, congestion=None):
+                raise AssertionError("arming must fail before routing")
+
         u, v = _link(sf5)
         cfg = SimConfig(faults=(f"fail@100:{u}-{v}",))
-        net = Network(sf5, MinimalRouting(sf5, compiled=False, seed=0), cfg)
+        net = Network(sf5, Uncached(), cfg)
         workload = build_workload("ring-allreduce", sf5.num_nodes, 256, ranks=4)
-        with pytest.raises(ValueError, match="compiled"):
+        with pytest.raises(ValueError, match="Uncached has none"):
             net.run_workload(workload)
 
     @staticmethod

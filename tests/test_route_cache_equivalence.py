@@ -1,63 +1,15 @@
-"""Route-cache equivalence: compiled routing is bit-identical to legacy.
+"""Route-cache structure: compiled routes carry the topology's ports,
+and UGAL's sub-routers share one cache.
 
-The PR contract for the precompiled route-candidate cache
-(:mod:`repro.routing.cache`): ``compiled=True`` (the default) changes
-*how fast* a route is produced, never *which* route -- the RNG draw
-order and every float in the scoring arithmetic match the legacy
-per-packet construction exactly.  These tests enforce that end to end:
-identical :class:`~repro.sim.stats.WindowStats` for every
-topology x routing combination in ``repro.experiments.configs`` under
-fixed seeds, serially and through the orchestrated process pool.
+Which route each packet takes is pinned end to end by the golden
+conformance fingerprints (``tests/test_golden_conformance.py``) on both
+engines; these tests check the cached :class:`~repro.routing.base.Route`
+objects themselves.
 """
 
-import dataclasses
-
-import pytest
-
-from repro.cli import parse_topology
-from repro.experiments import load_sweep
 from repro.experiments.configs import configs_for_scale
-from repro.orchestrate import Orchestrator, orchestrated_load_sweep
-from repro.routing import UGALRouting
-from repro.sim import Network
-from repro.sim.config import SimConfig
-from repro.traffic import UniformRandom
 
-WINDOWS = dict(warmup_ns=500.0, measure_ns=1500.0)
 CONFIGS = configs_for_scale("tiny")
-
-
-def _force_mode(routing, compiled: bool):
-    """Switch a routing object (and any sub-routers) between the
-    compiled and legacy paths."""
-    routing.compiled = compiled
-    for sub in ("_minimal", "_indirect"):
-        if hasattr(routing, sub):
-            getattr(routing, sub).compiled = compiled
-    return routing
-
-
-def _fingerprint(stats):
-    """WindowStats has no __eq__; compare every field exactly."""
-    return {name: getattr(stats, name) for name in stats.__slots__}
-
-
-def _run(cfg, kind: str, compiled: bool, seed: int = 5):
-    topo = cfg.topology()
-    builder = {"min": cfg.minimal, "inr": cfg.indirect, "ugal": cfg.adaptive}[kind]
-    routing = _force_mode(builder(topo), compiled)
-    net = Network(topo, routing, SimConfig())
-    stats = net.run_synthetic(
-        UniformRandom(topo.num_nodes), load=0.45, seed=seed, **WINDOWS
-    )
-    return _fingerprint(stats)
-
-
-@pytest.mark.parametrize("kind", ["min", "inr", "ugal"])
-@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.key)
-def test_cached_matches_legacy_serial(cfg, kind):
-    # Exact equality, not approx: same seeds must mean the same bits.
-    assert _run(cfg, kind, compiled=True) == _run(cfg, kind, compiled=False)
 
 
 def test_compiled_ports_match_topology():
@@ -90,38 +42,3 @@ def test_shared_cache_reused_across_subrouters():
     a = routing.cache.minimal_candidates(0, 1)
     b = routing._minimal.cache.minimal_candidates(0, 1)
     assert a is b
-
-
-class TestOrchestratedPool:
-    """The pool runs the compiled default; it must still match a serial
-    legacy-mode sweep bit-for-bit."""
-
-    TOPOLOGY = "sf:q=5,p=floor"
-    LOADS = [0.3, 0.6]
-    KWARGS = {"cost_mode": "sf", "c_sf": 1.0, "num_indirect": 4}
-    POOL_WINDOWS = dict(warmup_ns=200.0, measure_ns=600.0)
-
-    def test_ugal_pool_matches_serial_legacy(self):
-        topo = parse_topology(self.TOPOLOGY)
-        serial = load_sweep(
-            topo,
-            lambda t, s: _force_mode(
-                UGALRouting(t, seed=s, **self.KWARGS), compiled=False
-            ),
-            lambda t: UniformRandom(t.num_nodes),
-            self.LOADS,
-            seed=3,
-            **self.POOL_WINDOWS,
-        )
-        orch = orchestrated_load_sweep(
-            self.TOPOLOGY,
-            ("ugal", dict(self.KWARGS)),
-            ("uniform", {}),
-            self.LOADS,
-            orchestrator=Orchestrator(jobs=2),
-            seed=3,
-            **self.POOL_WINDOWS,
-        )
-        assert len(serial) == len(orch)
-        for a, b in zip(serial, orch):
-            assert dataclasses.asdict(a) == dataclasses.asdict(b)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.routing import IndirectRandomRouting, compose_indirect
+from repro.routing import IndirectRandomRouting, UGALRouting, compose_indirect
 from repro.routing.base import ROUTE_INDIRECT, ROUTE_MINIMAL
 
 
@@ -96,6 +96,27 @@ class TestIndirectRouting:
     def test_rejects_tiny_pool(self, sf5):
         with pytest.raises(ValueError):
             IndirectRandomRouting(sf5, intermediates=[1, 2])
+
+    @pytest.mark.parametrize("cls", [IndirectRandomRouting, UGALRouting])
+    @pytest.mark.parametrize("pool,match", [
+        # Fewer than 3 distinct routers: pick_intermediate would spin
+        # forever on a packet whose src and dst cover them all.
+        ([0, 0, 0], "3 distinct"),
+        ([0, 1, 1, 0], "3 distinct"),
+        # Ids past either end index outside the route tables.
+        ([0, 1, 2, 10**6], "not router ids"),
+        ([0, 1, 2, -5], "not router ids"),
+    ], ids=["one-router", "two-routers", "past-the-end", "negative"])
+    def test_rejects_bad_pool(self, sf5, cls, pool, match):
+        with pytest.raises(ValueError, match=match):
+            cls(sf5, intermediates=pool)
+
+    def test_pool_may_repeat_ids(self, sf5):
+        # Duplicates are legal as long as 3 distinct ids remain, and the
+        # pool is kept as given: its length fixes the draw stream.
+        ir = IndirectRandomRouting(sf5, seed=4, intermediates=[7, 7, 8, 9])
+        assert ir._pool == [7, 7, 8, 9]
+        assert {ir.pick_intermediate(0, 30) for _ in range(100)} == {7, 8, 9}
 
     def test_route_via_explicit(self, mlfm4):
         ir = IndirectRandomRouting(mlfm4, seed=1)

@@ -7,8 +7,16 @@ interface used by UGAL-L.
 
 import pytest
 
-from repro.routing import IndirectRandomRouting, MinimalRouting, UGALRouting
+from repro.routing import (
+    NULL_CONGESTION,
+    IndirectRandomRouting,
+    MinimalRouting,
+    Route,
+    RoutingAlgorithm,
+    UGALRouting,
+)
 from repro.sim import Network, PAPER_CONFIG, SimConfig
+from repro.sim.vec.kernel import load_kernel
 from repro.topology import MLFM, OFT, SlimFly
 from repro.traffic import ShiftTraffic, UniformRandom
 
@@ -205,6 +213,41 @@ class TestCustomConfig:
             warmup_ns=500, measure_ns=2000, seed=7, drain=True,
         )
         assert net.stats.injected_total == net.stats.ejected_total
+
+
+class PortlessRouting(RoutingAlgorithm):
+    """A custom algorithm: another algorithm's choices, handed over as
+    Routes without the hop ports RouteCache precompiles."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def num_vcs(self):
+        return self.inner.num_vcs
+
+    def route(self, src_router, dst_router, congestion=NULL_CONGESTION):
+        r = self.inner.route(src_router, dst_router, congestion)
+        return Route(r.routers, r.vcs, r.kind, r.intermediate)
+
+
+class TestCustomRouting:
+    @pytest.mark.parametrize("backend", [
+        "object",
+        pytest.param("kernel", marks=pytest.mark.skipif(
+            load_kernel() is None, reason="compiled kernel unavailable")),
+    ])
+    def test_portless_routes_run_like_cached_ones(self, sf4, backend):
+        # make_packet derives the hop ports from the topology (on the
+        # kernel, through its make_packet escape): same routes, same run.
+        def run(routing):
+            net = Network(sf4, routing, SimConfig(backend=backend))
+            stats = net.run_synthetic(UniformRandom(sf4.num_nodes), load=0.6,
+                                      warmup_ns=200, measure_ns=600, seed=3)
+            return {name: getattr(stats, name) for name in stats.__slots__}
+
+        assert (run(PortlessRouting(UGALRouting(sf4, seed=2)))
+                == run(UGALRouting(sf4, seed=2)))
 
 
 class TestSingleUse:
