@@ -26,6 +26,7 @@ from repro.sim.packet import Packet
 from repro.sim.stats import StatsCollector, WindowStats
 from repro.sim.switch import OutputPort, Router
 from repro.topology.base import Topology
+from repro.traffic.base import bad_destination
 
 __all__ = ["Network"]
 
@@ -390,9 +391,10 @@ class Network:
         self.stats.set_window(warmup_ns, horizon)
 
         if self._vec is not None:
-            # Kernel backend: pregenerate every node's injection
-            # stream in one pass (identical per-node RNG draws; see
-            # KernelEngine.setup_synthetic for the exactness argument).
+            # Kernel backend: every node's injection stream from the
+            # identical per-node RNG draws, made ahead of its GEN events
+            # (see KernelEngine.setup_synthetic for the exactness
+            # argument).
             self._vec.setup_synthetic(
                 pattern, mean_ia, horizon, seed, arrival, cfg.packet_bytes
             )
@@ -432,9 +434,10 @@ class Network:
             return
         dst = pattern.pick_destination(node, rng)
         if dst is not None:
-            if dst == node:
-                raise ValueError(f"pattern sent node {node} traffic to itself")
-            self.nics[node].submit(dst, self.config.packet_bytes)
+            nics = self.nics
+            if dst == node or not 0 <= dst < len(nics):
+                raise bad_destination(node, dst, len(nics))
+            nics[node].submit(dst, self.config.packet_bytes)
         delay = rng.expovariate(1.0 / mean_ia) if arrival == "poisson" else mean_ia
         self.engine.schedule(delay, self._generate, node, pattern, mean_ia, until, rng, arrival)
 
@@ -488,9 +491,15 @@ class Network:
         expected_packets = 0
         pkt_size = self.config.packet_bytes
         interleave = bool(getattr(exchange, "interleave", False))
-        for node in range(self.topology.num_nodes):
+        num_nodes = self.topology.num_nodes
+        for node in range(num_nodes):
             messages = list(exchange.node_messages(node))
             for dst, size in messages:
+                if not 0 <= dst < num_nodes:
+                    raise ValueError(
+                        f"exchange sends node {node}'s message to node "
+                        f"{dst!r}, outside [0, {num_nodes})"
+                    )
                 total_bytes += size
                 expected_packets += -(-size // pkt_size)
             if messages:

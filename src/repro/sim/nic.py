@@ -73,6 +73,10 @@ class NIC:
 
     def submit(self, dst_node: int, size: int, msg_id: Optional[int] = None) -> None:
         """Queue one packet for transmission (time-driven traffic)."""
+        num_nodes = len(self.net.nics)
+        if not 0 <= dst_node < num_nodes:
+            raise IndexError(
+                f"destination node {dst_node} out of range [0, {num_nodes})")
         self.queue.append((dst_node, size, msg_id, self.engine.now))
         self.queued_packets += 1
         if not self.busy:

@@ -14,6 +14,8 @@ Implements the paper's metrics:
 
 from __future__ import annotations
 
+import math
+from array import array
 from typing import Dict, Optional
 
 import numpy as np
@@ -21,7 +23,29 @@ import numpy as np
 from repro.sim.config import SimConfig
 from repro.sim.packet import Packet
 
-__all__ = ["StatsCollector", "WindowStats"]
+__all__ = ["StatsCollector", "WindowStats", "percentile99"]
+
+
+def percentile99(values: np.ndarray) -> float:
+    """``np.percentile(values, 99)`` (the default linear method), bit
+    for bit, for a non-empty array of finite values.
+
+    It selects the two order statistics around the virtual index
+    ``(n - 1) * 0.99`` with ``np.partition`` and interpolates them as
+    numpy's ``_lerp`` does.  ``np.percentile`` itself imports
+    ``numpy.ma`` on its first call in a process, which costs more than
+    the whole reduction.
+    """
+    n = len(values)
+    v = (n - 1) * 0.99
+    lo = math.floor(v)
+    hi = min(lo + 1, n - 1)  # n == 1: both are the only value
+    g = v - lo
+    part = np.partition(values, (lo, hi))
+    a = float(part[lo])
+    b = float(part[hi])
+    d = b - a
+    return b - d * (1.0 - g) if g >= 0.5 else a + d * g
 
 
 class WindowStats:
@@ -69,7 +93,8 @@ class StatsCollector:
         self.in_window_ejected = 0
         self.in_window_bytes = 0
         self.in_window_injected = 0
-        self.latencies: list = []
+        #: In-window latencies (ns) in ejection order, as raw float64.
+        self.latencies = array("d")
         self.kind_counts: Dict[str, int] = {}
         self.hops_sum = 0
         self.first_inject: Optional[float] = None
@@ -114,9 +139,9 @@ class StatsCollector:
         in_window_bytes: int,
         hops_sum: int,
         last_eject: Optional[float],
-        latencies: list,
+        latencies: Optional[bytes],
         kind_counts: Optional[Dict[str, int]],
-        eject_counts: Optional[list],
+        eject_counts: Optional[bytes],
     ) -> None:
         """Merge statistics accumulated C-side by the kernel fast paths.
 
@@ -127,9 +152,10 @@ class StatsCollector:
         Every field merges exactly: counters are additive, the
         inject/eject timestamps combine by min/max (simulated time is
         monotone, so this reproduces the first/last semantics of the
-        per-packet path), *latencies* arrive in exact ejection order so
-        numpy's order-sensitive pairwise mean stays bit-identical, and
-        the per-node eject counts add elementwise.
+        per-packet path), *latencies* arrive as the raw float64 bytes of
+        the kernel's latency block, in exact ejection order, so numpy's
+        order-sensitive pairwise mean stays bit-identical, and the
+        per-node eject counts (raw int64 bytes) add elementwise.
         """
         self.injected_total += injected
         self.in_window_injected += in_window_injected
@@ -146,12 +172,12 @@ class StatsCollector:
         ):
             self.last_eject = last_eject
         if latencies:
-            self.latencies.extend(latencies)
+            self.latencies.frombytes(latencies)
         if kind_counts:
             for kind, count in kind_counts.items():
                 self.kind_counts[kind] = self.kind_counts.get(kind, 0) + count
         if eject_counts is not None:
-            self.eject_count_per_node += np.asarray(eject_counts, dtype=np.int64)
+            self.eject_count_per_node += np.frombuffer(eject_counts, dtype=np.int64)
 
     # -- reductions ------------------------------------------------------------
 
@@ -162,11 +188,11 @@ class StatsCollector:
         window = self.window_end - self.window_start
         rate_bytes_per_ns = self.config.link_bandwidth_gbps / 8.0  # GB/s == B/ns
         capacity = self.num_nodes * window * rate_bytes_per_ns
-        lat = np.asarray(self.latencies) if self.latencies else None
+        lat = np.frombuffer(self.latencies) if self.latencies else None
         return WindowStats(
             throughput=self.in_window_bytes / capacity if capacity > 0 else 0.0,
             mean_latency_ns=float(lat.mean()) if lat is not None else None,
-            p99_latency_ns=float(np.percentile(lat, 99)) if lat is not None else None,
+            p99_latency_ns=percentile99(lat) if lat is not None else None,
             ejected_packets=self.in_window_ejected,
             ejected_bytes=self.in_window_bytes,
             injected_packets=self.in_window_injected,

@@ -20,15 +20,22 @@
  * - routes come from an integer route table built from the wiring's
  *   ``row_port`` (see "route table" below), so the fast path composes
  *   them without a Python object; ``RouteCache`` is called only for the
- *   pairs the table cannot serve.
+ *   pairs the table cannot serve;
+ * - open-loop streams are drawn here for the patterns in the pattern
+ *   table (see "traffic generation"): each node holds a chunk of at
+ *   most GEN_CHUNK (time, destination) entries that its GEN events
+ *   refill, and a C-seeded copy of its private ``random.Random`` only
+ *   until its stream reaches the horizon;
+ * - delivery latencies collect in one fixed block of doubles that is
+ *   flushed to the ``StatsCollector`` as raw bytes whenever it fills.
  *
  * A ``repro.sim.packet.Packet`` is built for a slot only when Python has
  * to see one: the make_packet and deliver escapes, a delivery observer
  * (listener, tracer, message tracker, checker), a fault divert, or the
  * checker's audits.  With no observer attached the RECV, ENTER, PWAKE,
- * NWAKE, GEN and DELIVER handlers allocate no Python objects, and
- * memory scales with the packets and credits in flight rather than with
- * the packets and hops of the whole run.
+ * NWAKE, GEN and DELIVER handlers allocate no Python objects, and the
+ * kernel's memory scales with the packets and credits in flight rather
+ * than with the packets, hops and simulated time of the whole run.
  *
  * Event set: four FIFO *delay lanes* plus a binary heap of 32-byte
  * event records.  Most pushes land at the current time plus one of four
@@ -63,6 +70,7 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <math.h>
 #include <time.h>
 
 /* Event opcodes -- must match repro/sim/vec/kernel.py. */
@@ -72,7 +80,7 @@ enum {
     OP_PWAKE = 2,   /* a=port gid -- elided link-free/credit retry */
     OP_DELIVER = 3, /* c=slot -- the packet reaches its NIC */
     OP_NWAKE = 4,   /* a=node -- elided NIC link-free/credit retry */
-    OP_GEN = 5,     /* a=node -- pregenerated synthetic injection */
+    OP_GEN = 5,     /* a=node -- the node's next open-loop stream entry */
     OP_CALL = 6,    /* fn(*args) -- generic scheduled callback */
     OP_COUNT = 7
 };
@@ -112,19 +120,21 @@ typedef struct {
 
 /* -- MT19937: a bit-exact replica of CPython's random.Random core ---------
  *
- * The route fast path must consume the *same* draw stream as the
- * routing algorithms' ``random.Random`` instances: the engines'
- * bit-identity contract pins every selection to the shared seeded
- * stream, and the Python objects draw again once the run is over.  So
- * the generator state is *imported* from ``Random.getstate()`` at run
- * start, advanced here with the reference Mersenne Twister recurrence
- * and CPython's exact ``getrandbits``/``_randbelow`` derivations, and
- * *exported* back via ``Random.setstate()`` at run end.  In between no
- * Python code draws from these streams: every NIC send, including one
- * submitted from a scheduled CALL, routes in C.  The
- * tempering constants and the rejection loop below must match
- * Modules/_randommodule.c and Lib/random.py draw for draw --
- * tests/test_kernel_rng_parity.py asserts it per draw site.
+ * Two kinds of stream are drawn in C.  The route fast path must consume
+ * the *same* draw stream as the routing algorithms' ``random.Random``
+ * instances: the engines' bit-identity contract pins every selection to
+ * the shared seeded stream, and the Python objects draw again once the
+ * run is over.  So that generator state is *imported* from
+ * ``Random.getstate()`` at run start and *exported* back via
+ * ``Random.setstate()`` at run end (``CRng``); in between no Python code
+ * draws from these streams: every NIC send, including one submitted
+ * from a scheduled CALL, routes in C.  Open-loop traffic draws from one
+ * private ``random.Random(seed)`` per node that no Python code ever
+ * sees, so those states are *seeded* here (``mt_seed``) and never leave
+ * C.  The seeding, the tempering constants, the rejection loop and the
+ * float derivations below must match Modules/_randommodule.c and
+ * Lib/random.py draw for draw -- tests/test_kernel_rng_parity.py
+ * asserts it per draw site.
  */
 
 #define MT_N 624
@@ -136,12 +146,16 @@ typedef struct {
 typedef struct {
     uint32_t mt[MT_N];
     int mti;
+} MT;
+
+typedef struct {
+    MT g;
     PyObject *obj;   /* the random.Random instance (owned while imported) */
     PyObject *gauss; /* getstate()'s third element, round-tripped (owned) */
 } CRng;
 
 static uint32_t
-mt_next(CRng *r)
+mt_next(MT *r)
 {
     uint32_t y;
     static const uint32_t mag01[2] = {0x0UL, MT_MATRIX_A};
@@ -168,18 +182,81 @@ mt_next(CRng *r)
     return y;
 }
 
+/* random.Random(seed) for an int 0 <= seed < 2**64: init_by_array over
+ * the seed's 32-bit words, least significant first, with as many words
+ * as the seed needs (one when the high word is 0, so seed 0 is one zero
+ * word). */
+static void
+mt_seed(MT *r, uint64_t seed)
+{
+    uint32_t key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
+    size_t nkey = key[1] ? 2 : 1;
+    uint32_t *mt = r->mt;
+    mt[0] = 19650218U; /* init_genrand(19650218) */
+    for (uint32_t i = 1; i < MT_N; i++)
+        mt[i] = 1812433253U * (mt[i - 1] ^ (mt[i - 1] >> 30)) + i;
+    size_t i = 1, j = 0;
+    for (size_t n = MT_N; n; n--) { /* max(MT_N, nkey) == MT_N */
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U)) +
+                key[j] + (uint32_t)j;
+        i++;
+        j++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+        if (j >= nkey)
+            j = 0;
+    }
+    for (size_t n = MT_N - 1; n; n--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U)) -
+                (uint32_t)i;
+        i++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+    }
+    mt[0] = 0x80000000U;
+    r->mti = MT_N;
+}
+
 /* random.getrandbits(k) for 0 < k <= 32. */
 static inline uint32_t
-mt_getrandbits(CRng *r, int k)
+mt_getrandbits(MT *r, int k)
 {
     return mt_next(r) >> (32 - k);
+}
+
+/* random.random(): a 53-bit double from two words. */
+static inline double
+mt_random(MT *r)
+{
+    uint32_t a = mt_next(r) >> 5;
+    uint32_t b = mt_next(r) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* random.uniform(a, b); the kernel is built with -ffp-contract=off, so
+ * the multiply and the add round separately, as in Python. */
+static inline double
+mt_uniform(MT *r, double a, double b)
+{
+    return a + (b - a) * mt_random(r);
+}
+
+/* random.expovariate(lambd), with libm's log as math.log calls it. */
+static inline double
+mt_expovariate(MT *r, double lambd)
+{
+    return -log(1.0 - mt_random(r)) / lambd;
 }
 
 /* Random._randbelow_with_getrandbits(n): k = n.bit_length() bits,
  * rejection-sampled.  Same draw count as the Python wrapper, including
  * the (never hot) n == 1 case that still consumes draws. */
 static long
-mt_randbelow(CRng *r, long n)
+mt_randbelow(MT *r, long n)
 {
     if (n <= 0)
         return 0; /* matches `if not n: return 0` (no draw) */
@@ -193,6 +270,87 @@ mt_randbelow(CRng *r, long n)
     while ((long)v >= n)
         v = mt_getrandbits(r, k);
     return (long)v;
+}
+
+/* -- traffic generation ------------------------------------------------------
+ *
+ * ``run_synthetic`` gives every node a private ``random.Random`` seeded
+ * from one master stream; the object engine's generate event for the
+ * node draws ``pick_destination(node, rng)``, queues the packet, and
+ * schedules the next event ``expovariate(1 / mean_ia)`` (or ``mean_ia``)
+ * later, after a first event at ``uniform(0, mean_ia)``.  A pattern
+ * whose ``pick_destination`` is one of three known implementations has
+ * an entry in the pattern table (GenSpec) and its streams are drawn
+ * here from a C-seeded copy of each node's generator (GenState): the
+ * same draws in the same order, and the same float additions for the
+ * times.  Every other pattern is drawn in Python and handed over whole
+ * (``set_stream``).
+ *
+ * A stream is a sequence of (time, dst) entries ending in one entry at
+ * or past the horizon (dst -2), which is the object engine's last,
+ * idle generate event; dst -1 is a draw that sent nothing.  Streams
+ * drawn in C live in chunks of at most GEN_CHUNK entries: the GEN
+ * handler refills a node's chunk when it has consumed it, and the node
+ * drops its MT state as soon as the sentinel is written.  A stream that
+ * fits one chunk is allocated at its exact length and holds no state.
+ */
+
+enum { PAT_PERM = 1, PAT_UNIFORM = 2, PAT_HOTSPOT = 3 };
+
+#define GEN_CHUNK 256
+
+typedef struct {
+    int pat, poisson;
+    int32_t *tab; /* PAT_PERM: per-node dst (-1 idle); PAT_HOTSPOT: hotspots */
+    long ntab;
+    long n;       /* PAT_UNIFORM / PAT_HOTSPOT: the pattern's num_nodes */
+    double hot, mean_ia, lambd, horizon;
+} GenSpec;
+
+typedef struct {
+    MT mt;
+    double t; /* time of the next entry, not yet written */
+} GenState;
+
+/* One pick_destination draw (validated when the table entry was made,
+ * so every result is -1 or a node other than *node*). */
+static inline int32_t
+gen_pick(const GenSpec *g, MT *r, long node)
+{
+    long dst;
+    if (g->pat == PAT_PERM)
+        return g->tab[node];
+    if (g->pat == PAT_HOTSPOT && mt_random(r) < g->hot) {
+        dst = g->tab[mt_randbelow(r, g->ntab)];
+        if (dst != node)
+            return (int32_t)dst;
+    }
+    dst = mt_randbelow(r, g->n - 1); /* UniformRandom: skip the source */
+    return (int32_t)(dst < node ? dst : dst + 1);
+}
+
+/* Write the next entries of *node*'s stream, at most *cap*, into
+ * (gt, gd); returns how many.  Sets *done once the sentinel is out. */
+static int32_t
+gen_fill(const GenSpec *g, GenState *st, long node, double *gt, int32_t *gd,
+         int32_t cap, int *done)
+{
+    int32_t n = 0;
+    *done = 0;
+    while (n < cap) {
+        double t = st->t;
+        if (!(t < g->horizon)) {
+            gt[n] = t;
+            gd[n++] = -2;
+            *done = 1;
+            break;
+        }
+        gt[n] = t;
+        gd[n++] = gen_pick(g, &st->mt, node);
+        st->t = t + (g->poisson ? mt_expovariate(&st->mt, g->lambd)
+                                : g->mean_ia);
+    }
+    return n;
 }
 
 /* -- random.Random state handoff ------------------------------------------ */
@@ -229,14 +387,14 @@ crng_import(CRng *r)
             Py_DECREF(state);
             return -1;
         }
-        r->mt[i] = (uint32_t)w;
+        r->g.mt[i] = (uint32_t)w;
     }
     long mti = PyLong_AsLong(PyTuple_GET_ITEM(inner, MT_N));
     if (mti == -1 && PyErr_Occurred()) {
         Py_DECREF(state);
         return -1;
     }
-    r->mti = (int)mti;
+    r->g.mti = (int)mti;
     Py_XDECREF(r->gauss);
     r->gauss = PyTuple_GET_ITEM(state, 2);
     Py_INCREF(r->gauss);
@@ -244,30 +402,36 @@ crng_import(CRng *r)
     return 0;
 }
 
+/* *g* in the layout of ``Random.getstate()``. */
+static PyObject *
+mt_getstate(const MT *g, PyObject *gauss)
+{
+    PyObject *inner = PyTuple_New(MT_N + 1);
+    if (inner == NULL)
+        return NULL;
+    for (int i = 0; i < MT_N; i++) {
+        PyObject *w = PyLong_FromUnsignedLong((unsigned long)g->mt[i]);
+        if (w == NULL) {
+            Py_DECREF(inner);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(inner, i, w);
+    }
+    PyObject *w = PyLong_FromLong((long)g->mti);
+    if (w == NULL) {
+        Py_DECREF(inner);
+        return NULL;
+    }
+    PyTuple_SET_ITEM(inner, MT_N, w);
+    return Py_BuildValue("(lNO)", 3L, inner, gauss ? gauss : Py_None);
+}
+
 /* Push the (possibly advanced) MT state back into ``r->obj`` via
  * setstate, so Python-side draws resume exactly where C stopped. */
 static int
 crng_export(CRng *r)
 {
-    PyObject *inner = PyTuple_New(MT_N + 1);
-    if (inner == NULL)
-        return -1;
-    for (int i = 0; i < MT_N; i++) {
-        PyObject *w = PyLong_FromUnsignedLong((unsigned long)r->mt[i]);
-        if (w == NULL) {
-            Py_DECREF(inner);
-            return -1;
-        }
-        PyTuple_SET_ITEM(inner, i, w);
-    }
-    PyObject *w = PyLong_FromLong((long)r->mti);
-    if (w == NULL) {
-        Py_DECREF(inner);
-        return -1;
-    }
-    PyTuple_SET_ITEM(inner, MT_N, w);
-    PyObject *state = Py_BuildValue("(lNO)", 3L, inner,
-                                    r->gauss ? r->gauss : Py_None);
+    PyObject *state = mt_getstate(&r->g, r->gauss);
     if (state == NULL)
         return -1;
     /* "(O)": a bare "O" would splat the state tuple as the arg list. */
@@ -391,7 +555,7 @@ typedef struct {
     /* clock and sequence counter, shared with Python through members */
     double now;
     long long seq, cs, executed;
-    long long pkt_bytes; /* packet size of the pregenerated streams */
+    long long pkt_bytes; /* packet size of the open-loop streams */
     int built, running;
 
     /* pending events: the delay lanes, the heap and the call table */
@@ -445,10 +609,17 @@ typedef struct {
     KRing *n_arr;
     PyObject **n_src;
 
-    /* pregenerated synthetic streams (per node) */
+    /* open-loop streams (see "traffic generation"): per node, the
+     * current chunk of (time, dst) entries, its cursor and length, and
+     * the MT state while the node still draws in C */
     double **g_t;
     int32_t **g_d;
     int32_t *g_i, *g_n;
+    GenState **g_st;
+    GenSpec gen;
+    long g_states;            /* nodes holding an MT state */
+    int32_t g_chunk_max;      /* longest chunk allocated, in entries */
+    unsigned long long g_refills;
 
     /* packet slots */
     Slot *slots;
@@ -496,7 +667,7 @@ typedef struct {
     double a_first, a_last;
     int a_has_first, a_has_last;
     double *a_lat;
-    Py_ssize_t a_lat_n, a_lat_cap;
+    Py_ssize_t a_lat_n;
     long long *a_ejcnt;                 /* len NN */
     long long a_kind_cnt[MAX_KINDS];
     int a_kind_order[MAX_KINDS], a_nkind_order;
@@ -952,8 +1123,8 @@ done:
 
 /* Flush the C-side inject/eject accumulators into the Python
  * StatsCollector (absorb_kernel).  Called before any escape that could
- * observe the collector mid-run (deliver/CALL/divert) and at run end.
- * Kind counts are passed in first-delivery order since the last flush,
+ * observe the collector mid-run (deliver/CALL/divert), when the latency
+ * block fills, and at run end.  Kind counts are passed in first-delivery order since the last flush,
  * which is the order the per-packet path would insert them. */
 static int
 stats_flush(Kernel *k)
@@ -965,34 +1136,28 @@ stats_flush(Kernel *k)
     PyObject *kinds = NULL, *res = NULL;
     int rc = -1;
 
-    lat = PyList_New(k->a_lat_n);
+    /* The latencies and the per-node eject counts as raw float64 and
+     * int64 bytes: no Python object per packet or per node. */
+    lat = k->a_lat_n
+              ? PyBytes_FromStringAndSize((const char *)k->a_lat,
+                                          k->a_lat_n *
+                                              (Py_ssize_t)sizeof(double))
+              : Py_NewRef(Py_None);
     if (lat == NULL)
         goto done;
-    for (Py_ssize_t i = 0; i < k->a_lat_n; i++) {
-        PyObject *f = PyFloat_FromDouble(k->a_lat[i]);
-        if (f == NULL)
-            goto done;
-        PyList_SET_ITEM(lat, i, f);
-    }
     first = k->a_has_first ? PyFloat_FromDouble(k->a_first)
                            : Py_NewRef(Py_None);
     last = k->a_has_last ? PyFloat_FromDouble(k->a_last)
                          : Py_NewRef(Py_None);
     if (first == NULL || last == NULL)
         goto done;
-    if (k->a_ej > 0) {
-        ejcnt = PyList_New((Py_ssize_t)k->NN);
-        if (ejcnt == NULL)
-            goto done;
-        for (long i = 0; i < k->NN; i++) {
-            PyObject *v = PyLong_FromLongLong(k->a_ejcnt[i]);
-            if (v == NULL)
-                goto done;
-            PyList_SET_ITEM(ejcnt, (Py_ssize_t)i, v);
-        }
-    } else {
-        ejcnt = Py_NewRef(Py_None);
-    }
+    ejcnt = k->a_ej > 0
+                ? PyBytes_FromStringAndSize((const char *)k->a_ejcnt,
+                                            k->NN *
+                                                (Py_ssize_t)sizeof(long long))
+                : Py_NewRef(Py_None);
+    if (ejcnt == NULL)
+        goto done;
     kinds = PyDict_New();
     if (kinds == NULL)
         goto done;
@@ -1034,19 +1199,22 @@ done:
     return rc;
 }
 
+/* Latencies accumulate in one block of LAT_BLOCK doubles, flushed to
+ * the collector whenever it fills, so the kernel's share of a run's
+ * latencies stays fixed however long the run. */
+#define LAT_BLOCK 4096
+
 static int
 lat_push(Kernel *k, double v)
 {
-    if (k->a_lat_n >= k->a_lat_cap) {
-        Py_ssize_t ncap = k->a_lat_cap ? k->a_lat_cap * 2 : 4096;
-        double *nl = (double *)PyMem_Realloc(k->a_lat,
-                                             (size_t)ncap * sizeof(double));
-        if (nl == NULL) {
+    if (k->a_lat == NULL) {
+        k->a_lat = (double *)PyMem_Malloc(LAT_BLOCK * sizeof(double));
+        if (k->a_lat == NULL) {
             PyErr_NoMemory();
             return -1;
         }
-        k->a_lat = nl;
-        k->a_lat_cap = ncap;
+    } else if (k->a_lat_n == LAT_BLOCK && stats_flush(k) < 0) {
+        return -1;
     }
     k->a_lat[k->a_lat_n++] = v;
     return 0;
@@ -1337,7 +1505,7 @@ rc_candidates(Kernel *k, long a, long b, int leg)
  * a randbelow draw on *rng*, or (rng NULL) the first strict minimum of
  * the first-hop queue. */
 static int
-route_min(Kernel *k, long a, long b, CRng *rng, Pick *out)
+route_min(Kernel *k, long a, long b, MT *rng, Pick *out)
 {
     pick_init(out, a, b);
     const int32_t *mid = NULL;
@@ -1403,7 +1571,7 @@ route_min(Kernel *k, long a, long b, CRng *rng, Pick *out)
 
 /* One Valiant leg a -> b: the only live candidate or a randbelow draw. */
 static int
-route_leg(Kernel *k, long a, long b, CRng *rng, Pick *out)
+route_leg(Kernel *k, long a, long b, MT *rng, Pick *out)
 {
     pick_init(out, a, b);
     const int32_t *mid;
@@ -1432,7 +1600,7 @@ route_leg(Kernel *k, long a, long b, CRng *rng, Pick *out)
 /* Rejection-sample an intermediate router != src, dst (the Python
  * loop in IndirectRandomRouting/UGALRouting._pick_intermediate). */
 static inline long
-fp_pick_intermediate(Kernel *k, long sr, long dr, CRng *rng)
+fp_pick_intermediate(Kernel *k, long sr, long dr, MT *rng)
 {
     for (;;) {
         long inter = k->pool[mt_randbelow(rng, k->npool)];
@@ -1572,7 +1740,7 @@ route_inr(Kernel *k, long sr, long dr)
         k->rt_kind = k->ki_min;
         return 0;
     }
-    CRng *rng = &k->rng[0];
+    MT *rng = &k->rng[0].g;
     long inter = fp_pick_intermediate(k, sr, dr, rng);
     Pick f, s;
     pick_init(&s, inter, dr);
@@ -1591,14 +1759,14 @@ route_inr(Kernel *k, long sr, long dr)
 static int
 route_ugal(Kernel *k, long sr, long dr)
 {
-    CRng *rng1 = k->rng_n > 1 ? &k->rng[1] : &k->rng[0];
+    MT *rng1 = k->rng_n > 1 ? &k->rng[1].g : &k->rng[0].g;
     Pick minimal, f, s, bf, bs;
     pick_init(&f, sr, sr);
     pick_init(&s, sr, sr);
     pick_init(&bf, sr, sr);
     pick_init(&bs, sr, sr);
     int rc = -1;
-    if (route_min(k, sr, dr, &k->rng[0], &minimal) < 0)
+    if (route_min(k, sr, dr, &k->rng[0].g, &minimal) < 0)
         goto done;
     long len_min = pick_hops(&minimal);
     if (len_min == 0)
@@ -1717,7 +1885,7 @@ make_fast(Kernel *k, long node, const Desc *d, double t)
     int rc;
     if (k->route_mode <= 1) {
         Pick pk;
-        rc = route_min(k, sr, dr, k->route_mode == 0 ? &k->rng[0] : NULL,
+        rc = route_min(k, sr, dr, k->route_mode == 0 ? &k->rng[0].g : NULL,
                        &pk);
         if (rc == 0)
             rc = emit_min(k, &pk);
@@ -1830,9 +1998,21 @@ done:
     return si;
 }
 
+/* A descriptor's destination indexes per-node state: it must be a node
+ * (NIC.submit raises the same IndexError on the object engine). */
+static int
+dst_check(Kernel *k, long dst)
+{
+    if (dst >= 0 && dst < k->NN)
+        return 0;
+    PyErr_Format(PyExc_IndexError,
+                 "destination node %ld out of range [0, %ld)", dst, k->NN);
+    return -1;
+}
+
 /* Parse one (dst, size, msg_id) descriptor pulled from a NIC source. */
 static int
-desc_from_item(PyObject *item, double t, Desc *d)
+desc_from_item(Kernel *k, PyObject *item, double t, Desc *d)
 {
     PyObject *fast = PySequence_Fast(item,
                                      "kernel: NIC source yielded a non-sequence");
@@ -1846,7 +2026,8 @@ desc_from_item(PyObject *item, double t, Desc *d)
     }
     long dst = PyLong_AsLong(PySequence_Fast_GET_ITEM(fast, 0));
     long long size = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(fast, 1));
-    if ((dst == -1 || size == -1) && PyErr_Occurred()) {
+    if (((dst == -1 || size == -1) && PyErr_Occurred()) ||
+        dst_check(k, dst) < 0) {
         Py_DECREF(fast);
         return -1;
     }
@@ -1901,7 +2082,7 @@ nic_send(Kernel *k, long node, double t, long long s)
             Py_CLEAR(k->n_src[node]); /* source exhausted */
             return 0;
         }
-        int pr = desc_from_item(item, t, &d);
+        int pr = desc_from_item(k, item, t, &d);
         Py_DECREF(item);
         if (pr < 0)
             return -1;
@@ -2257,6 +2438,47 @@ do_enter(Kernel *k, double t, long long s, long pv, int32_t si, long gid)
     return enter_oq(k, pv, si, gid, t, s);
 }
 
+/* Free *node*'s chunk and MT state. */
+static void
+gen_drop(Kernel *k, long node)
+{
+    PyMem_Free(k->g_t[node]);
+    PyMem_Free(k->g_d[node]);
+    k->g_t[node] = NULL;
+    k->g_d[node] = NULL;
+    k->g_i[node] = k->g_n[node] = 0;
+    if (k->g_st[node] != NULL) {
+        PyMem_Free(k->g_st[node]);
+        k->g_st[node] = NULL;
+        k->g_states -= 1;
+    }
+}
+
+/* Draw *node*'s next chunk over the consumed one.  A stream still
+ * drawing filled its first chunk, so the chunk holds GEN_CHUNK entries;
+ * a stream handed over from Python has no state and must have ended. */
+static int
+gen_refill(Kernel *k, long node)
+{
+    GenState *st = k->g_st[node];
+    if (st == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "kernel: stream without sentinel");
+        return -1;
+    }
+    int done;
+    k->g_n[node] = gen_fill(&k->gen, st, node, k->g_t[node], k->g_d[node],
+                            GEN_CHUNK, &done);
+    k->g_refills += 1;
+    if (done) {
+        PyMem_Free(st);
+        k->g_st[node] = NULL;
+        k->g_states -= 1;
+    }
+    return 0;
+}
+
+/* The object engine's generate event: queue the entry's packet (if
+ * any), then schedule the stream's next entry. */
 static int
 do_gen(Kernel *k, double t, long long s, long node)
 {
@@ -2265,14 +2487,9 @@ do_gen(Kernel *k, double t, long long s, long node)
         PyErr_SetString(PyExc_RuntimeError, "kernel: GEN past stream end");
         return -1;
     }
-    k->g_i[node] = i + 1;
     int32_t dst = k->g_d[node][i];
     if (dst == -2) /* past-horizon sentinel */
         return 0;
-    if (i + 1 >= k->g_n[node]) {
-        PyErr_SetString(PyExc_RuntimeError, "kernel: stream without sentinel");
-        return -1;
-    }
     if (dst >= 0) {
         /* Inlined NIC.submit(dst, packet_bytes). */
         Desc d = {t, k->pkt_bytes, Py_NewRef(Py_None), dst};
@@ -2293,9 +2510,14 @@ do_gen(Kernel *k, double t, long long s, long node)
             return -1;
         }
     }
+    if (++i == k->g_n[node]) {
+        if (gen_refill(k, node) < 0)
+            return -1;
+        i = 0;
+    }
+    k->g_i[node] = i;
     k->seq += 1;
-    return kpush(k, LANE_HEAP, k->g_t[node][i + 1], k->seq, OP_GEN, node, 0,
-                 0);
+    return kpush(k, LANE_HEAP, k->g_t[node][i], k->seq, OP_GEN, node, 0, 0);
 }
 
 static int
@@ -2798,6 +3020,9 @@ static PyObject *
 Kernel_clear(Kernel *k, PyObject *Py_UNUSED(ignored))
 {
     kernel_drop_events(k);
+    /* Without their GEN events the streams are over. */
+    for (long node = 0; k->built && node < k->NN; node++)
+        gen_drop(k, node);
     memset(k->op_counts, 0, sizeof(k->op_counts));
     memset(k->esc_counts, 0, sizeof(k->esc_counts));
     memset(k->esc_ns, 0, sizeof(k->esc_ns));
@@ -2953,16 +3178,21 @@ fail:
     return NULL;
 }
 
-/* Memory accounting: packet slots and credit-FIFO high-water marks. */
+/* Memory accounting: packet slots, credit-FIFO high-water marks, and
+ * the traffic generator's MT states and chunks. */
 static PyObject *
 Kernel_memory(Kernel *k, PyObject *Py_UNUSED(ignored))
 {
     return Py_BuildValue(
-        "{s:i,s:i,s:i,s:i,s:l,s:i,s:l}",
+        "{s:i,s:i,s:i,s:i,s:l,s:i,s:l,s:l,s:n,s:i,s:i,s:K}",
         "slots_live", (int)k->live, "slots_hwm", (int)k->hwm,
         "slots_allocated", (int)k->nslots,
         "credit_fifo_hwm", (int)k->arr_hwm, "vc_capacity", k->VC_CAP,
-        "nic_credit_fifo_hwm", (int)k->narr_hwm, "nic_capacity", k->NIC_CAP);
+        "nic_credit_fifo_hwm", (int)k->narr_hwm, "nic_capacity", k->NIC_CAP,
+        "gen_states", k->g_states, "gen_state_bytes",
+        (Py_ssize_t)(k->g_states * (long)sizeof(GenState)),
+        "gen_chunk_max", (int)k->g_chunk_max, "gen_chunk_cap", GEN_CHUNK,
+        "gen_refills", k->g_refills);
 }
 
 static int
@@ -2993,7 +3223,8 @@ Kernel_nic_submit(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     long dst = PyLong_AsLong(args[1]);
     long long size = PyLong_AsLongLong(args[2]);
-    if ((dst == -1 || size == -1) && PyErr_Occurred())
+    if (((dst == -1 || size == -1) && PyErr_Occurred()) ||
+        dst_check(k, dst) < 0)
         return NULL;
     if (nic_enqueue(k, node, (int32_t)dst, size, args[3]) < 0)
         return NULL;
@@ -3059,8 +3290,9 @@ Kernel_queue_len(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
     return q < 0 ? NULL : PyLong_FromLong(q);
 }
 
-/* set_stream(node, times, dsts): one node's pregenerated injections
- * (dst -1: no packet this draw, -2: the past-horizon sentinel). */
+/* set_stream(node, times, dsts): one node's whole stream, drawn in
+ * Python for a pattern without a table entry (see "traffic
+ * generation"; dst -1: no packet this draw, -2: the sentinel). */
 static PyObject *
 Kernel_set_stream(Kernel *k, PyObject *args)
 {
@@ -3101,12 +3333,12 @@ Kernel_set_stream(Kernel *k, PyObject *args)
         }
         gd[i] = (int32_t)d;
     }
-    PyMem_Free(k->g_t[node]);
-    PyMem_Free(k->g_d[node]);
+    gen_drop(k, node);
     k->g_t[node] = gt;
     k->g_d[node] = gd;
-    k->g_i[node] = 0;
     k->g_n[node] = (int32_t)n;
+    if (k->g_n[node] > k->g_chunk_max)
+        k->g_chunk_max = k->g_n[node];
     Py_DECREF(ft);
     Py_DECREF(fd);
     Py_RETURN_NONE;
@@ -3115,6 +3347,136 @@ fail:
     PyMem_Free(gd);
     Py_DECREF(ft);
     Py_DECREF(fd);
+    return NULL;
+}
+
+/* Load a pattern-table entry into *g* (a fresh ``tab``; the caller owns
+ * it on success) for a network of *nn* nodes.  The entries are
+ * validated here, so gen_pick never draws a bad destination. */
+static int
+gen_spec_load(GenSpec *g, long nn, int pat, PyObject *table, long n,
+              double hot, double mean_ia, double horizon, int poisson)
+{
+    PyObject *ft = PySequence_Fast(table, "table must be a sequence");
+    if (ft == NULL)
+        return -1;
+    Py_ssize_t ntab = PySequence_Fast_GET_SIZE(ft);
+    int32_t *tab = NULL;
+    int ok = (pat == PAT_PERM && ntab == nn) ||
+             (pat == PAT_UNIFORM && n >= 2 && n <= nn) ||
+             (pat == PAT_HOTSPOT && n >= 2 && n <= nn && ntab >= 1);
+    if (!ok || !(mean_ia > 0.0)) {
+        PyErr_SetString(PyExc_ValueError, "kernel: bad pattern-table entry");
+        goto fail;
+    }
+    tab = (int32_t *)PyMem_Malloc((size_t)(ntab ? ntab : 1) * sizeof(int32_t));
+    if (tab == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    for (Py_ssize_t i = 0; i < ntab; i++) {
+        long d = PyLong_AsLong(PySequence_Fast_GET_ITEM(ft, i));
+        if (d == -1 && PyErr_Occurred())
+            goto fail;
+        if (d < (pat == PAT_PERM ? -1 : 0) || d >= nn ||
+            (pat == PAT_PERM && d == i)) {
+            PyErr_Format(PyExc_ValueError, "kernel: pattern-table entry %ld",
+                         d);
+            goto fail;
+        }
+        tab[i] = (int32_t)d;
+    }
+    Py_DECREF(ft);
+    *g = (GenSpec){pat, poisson, tab, (long)ntab, n, hot, mean_ia,
+                   1.0 / mean_ia, horizon};
+    return 0;
+fail:
+    PyMem_Free(tab);
+    Py_DECREF(ft);
+    return -1;
+}
+
+/* gen_streams(seeds, pat, table, n, hot, mean_ia, horizon, poisson):
+ * every node's stream from random.Random(seeds[node]) and the pattern
+ * table entry (pat, table, n, hot), drawn in C; queues each node's
+ * first GEN event, in node order. */
+static PyObject *
+Kernel_gen_streams(Kernel *k, PyObject *args)
+{
+    PyObject *seeds, *table;
+    int pat, poisson;
+    long n;
+    double hot, mean_ia, horizon;
+    if (!PyArg_ParseTuple(args, "OiOldddp", &seeds, &pat, &table, &n, &hot,
+                          &mean_ia, &horizon, &poisson))
+        return NULL;
+    if (check_built(k) < 0)
+        return NULL;
+    PyObject *fs = PySequence_Fast(seeds, "seeds must be a sequence");
+    if (fs == NULL)
+        return NULL;
+    uint64_t *sv = NULL;
+    GenSpec g;
+    if (PySequence_Fast_GET_SIZE(fs) != k->NN) {
+        PyErr_SetString(PyExc_ValueError, "kernel: one seed per node");
+        goto fail;
+    }
+    sv = (uint64_t *)PyMem_Malloc((size_t)k->NN * sizeof(uint64_t));
+    if (sv == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    for (long i = 0; i < k->NN; i++) {
+        sv[i] = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(fs, i));
+        if (sv[i] == (uint64_t)-1 && PyErr_Occurred())
+            goto fail;
+    }
+    if (gen_spec_load(&g, k->NN, pat, table, n, hot, mean_ia, horizon,
+                      poisson) < 0)
+        goto fail;
+    PyMem_Free(k->gen.tab);
+    k->gen = g;
+    for (long node = 0; node < k->NN; node++) {
+        gen_drop(k, node);
+        GenState *st = (GenState *)PyMem_Malloc(sizeof(GenState));
+        if (st == NULL) {
+            PyErr_NoMemory();
+            goto fail;
+        }
+        mt_seed(&st->mt, sv[node]);
+        st->t = mt_uniform(&st->mt, 0.0, mean_ia);
+        double bt[GEN_CHUNK];
+        int32_t bd[GEN_CHUNK];
+        int done;
+        int32_t m = gen_fill(&k->gen, st, node, bt, bd, GEN_CHUNK, &done);
+        k->g_t[node] = (double *)PyMem_Malloc((size_t)m * sizeof(double));
+        k->g_d[node] = (int32_t *)PyMem_Malloc((size_t)m * sizeof(int32_t));
+        if (k->g_t[node] == NULL || k->g_d[node] == NULL) {
+            PyMem_Free(st);
+            PyErr_NoMemory();
+            goto fail;
+        }
+        memcpy(k->g_t[node], bt, (size_t)m * sizeof(double));
+        memcpy(k->g_d[node], bd, (size_t)m * sizeof(int32_t));
+        k->g_n[node] = m;
+        if (m > k->g_chunk_max)
+            k->g_chunk_max = m;
+        if (done) {
+            PyMem_Free(st);
+        } else {
+            k->g_st[node] = st;
+            k->g_states += 1;
+        }
+        k->seq += 1;
+        if (kpush(k, LANE_HEAP, bt[0], k->seq, OP_GEN, node, 0, 0) < 0)
+            goto fail;
+    }
+    PyMem_Free(sv);
+    Py_DECREF(fs);
+    Py_RETURN_NONE;
+fail:
+    PyMem_Free(sv);
+    Py_DECREF(fs);
     return NULL;
 }
 
@@ -3726,6 +4088,7 @@ Kernel_init(Kernel *k, PyObject *args, PyObject *kwds)
     CALLOC(k->g_d, NN)
     CALLOC(k->g_i, NN)
     CALLOC(k->g_n, NN)
+    CALLOC(k->g_st, NN)
     CALLOC(k->a_ejcnt, NN)
 
     /* Route table: empty rows, buffers and the routing's VC labelling. */
@@ -3856,6 +4219,7 @@ Kernel_dealloc(Kernel *k)
             PyMem_Free(k->n_arr[i].buf);
             PyMem_Free(k->g_t[i]);
             PyMem_Free(k->g_d[i]);
+            PyMem_Free(k->g_st[i]);
         }
     }
     void *arrays[] = {
@@ -3866,6 +4230,7 @@ Kernel_dealloc(Kernel *k)
         k->pv_cred, k->pv_mat, k->pv_oq, k->pv_arr, k->iv_q, k->n_busy_t,
         k->n_busy_s, k->n_stalls, k->n_cred, k->n_mat, k->n_qp, k->n_wake,
         k->n_q, k->n_arr, k->n_src, k->g_t, k->g_d, k->g_i, k->g_n,
+        k->g_st, k->gen.tab,
         k->a_lat, k->a_ejcnt, k->rt_off, k->rt_mid, k->rt_live, k->rt_r,
         k->rt_p, k->rt_v,
     };
@@ -3884,7 +4249,7 @@ static PyMemberDef Kernel_members[] = {
     {"executed", T_LONGLONG, offsetof(Kernel, executed), 0,
      "Events executed since the last clear()."},
     {"pkt_bytes", T_LONGLONG, offsetof(Kernel, pkt_bytes), 0,
-     "Packet size of the pregenerated synthetic streams."},
+     "Packet size of the open-loop streams."},
     {NULL, 0, 0, 0, NULL},
 };
 
@@ -3894,7 +4259,8 @@ static PyMethodDef Kernel_methods[] = {
     {"run", (PyCFunction)Kernel_run, METH_VARARGS,
      "run(until=None, max_events=None, fastpath=None) -> executed count."},
     {"clear", (PyCFunction)Kernel_clear, METH_NOARGS,
-     "Drop queued events; reset clock, sequence and profile counters."},
+     "Drop queued events and open-loop streams; reset clock, sequence "
+     "and profile counters."},
     {"pending", (PyCFunction)Kernel_pending, METH_NOARGS,
      "Number of queued events."},
     {"peek_time", (PyCFunction)Kernel_peek_time, METH_NOARGS,
@@ -3914,7 +4280,10 @@ static PyMethodDef Kernel_methods[] = {
     {"queue_len", (PyCFunction)(void (*)(void))Kernel_queue_len,
      METH_FASTCALL, "queue_len(router, neighbor): UGAL-L's signal."},
     {"set_stream", (PyCFunction)Kernel_set_stream, METH_VARARGS,
-     "set_stream(node, times, dsts): a pregenerated injection stream."},
+     "set_stream(node, times, dsts): one node's whole open-loop stream."},
+    {"gen_streams", (PyCFunction)Kernel_gen_streams, METH_VARARGS,
+     "gen_streams(seeds, pat, table, n, hot, mean_ia, horizon, poisson): "
+     "every node's open-loop stream, drawn in C."},
     {"set_dead", (PyCFunction)Kernel_set_dead, METH_VARARGS,
      "set_dead(gid, flag): mark an output port failed or live."},
     {"drain_port", (PyCFunction)Kernel_drain_port, METH_VARARGS,
@@ -3952,11 +4321,75 @@ static PyTypeObject KernelType = {
     .tp_new = PyType_GenericNew,
 };
 
-/* Test hook (tests/test_kernel_rng_parity.py): import the state of a
- * random.Random, perform a scripted sequence of draws with the C
- * generator, export the advanced state back, and return the drawn
- * values.  Exercises exactly the import -> draw -> export path the
- * fast path uses, so draw-for-draw equality here is the parity proof. */
+/* Test hooks (tests/test_kernel_rng_parity.py).  Each runs the C
+ * generator exactly as the kernel does, so draw-for-draw equality with
+ * random.Random here is the parity proof per draw site. */
+
+/* Perform the scripted draws *ops* on *g*: ("randbelow", n),
+ * ("getrandbits", k), ("random",), ("uniform", a, b) and
+ * ("expovariate", lambd). */
+static PyObject *
+mt_run_ops(MT *g, PyObject *ops)
+{
+    PyObject *seq = PySequence_Fast(ops, "ops must be a sequence");
+    if (seq == NULL)
+        return NULL;
+    PyObject *out = PyList_New(0);
+    if (out == NULL)
+        goto fail;
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
+        PyObject *op = PySequence_Fast_GET_ITEM(seq, i);
+        const char *kind;
+        PyObject *x = NULL, *y = NULL;
+        if (!PyArg_ParseTuple(op, "s|OO", &kind, &x, &y))
+            goto fail;
+        PyObject *v;
+        if (strcmp(kind, "random") == 0) {
+            v = PyFloat_FromDouble(mt_random(g));
+        } else if (strcmp(kind, "uniform") == 0 ||
+                   strcmp(kind, "expovariate") == 0) {
+            double a = x ? PyFloat_AsDouble(x) : -1.0;
+            double b = y ? PyFloat_AsDouble(y) : -1.0;
+            if (PyErr_Occurred())
+                goto fail;
+            v = PyFloat_FromDouble(kind[0] == 'u' ? mt_uniform(g, a, b)
+                                                  : mt_expovariate(g, a));
+        } else {
+            long arg = x ? PyLong_AsLong(x) : -1;
+            if (arg == -1 && PyErr_Occurred())
+                goto fail;
+            if (strcmp(kind, "randbelow") == 0) {
+                v = PyLong_FromLong(mt_randbelow(g, arg));
+            } else if (strcmp(kind, "getrandbits") == 0) {
+                if (arg < 1 || arg > 32) {
+                    PyErr_SetString(PyExc_ValueError,
+                                    "getrandbits arg must be in [1, 32]");
+                    goto fail;
+                }
+                v = PyLong_FromUnsignedLong(mt_getrandbits(g, (int)arg));
+            } else {
+                PyErr_Format(PyExc_ValueError, "unknown op %s", kind);
+                goto fail;
+            }
+        }
+        if (v == NULL)
+            goto fail;
+        int ar = PyList_Append(out, v);
+        Py_DECREF(v);
+        if (ar < 0)
+            goto fail;
+    }
+    Py_DECREF(seq);
+    return out;
+fail:
+    Py_XDECREF(out);
+    Py_DECREF(seq);
+    return NULL;
+}
+
+/* _rng_parity(rng, ops): import *rng*'s state, draw *ops* in C, export
+ * the advanced state back -- the route fast path's import -> draw ->
+ * export path. */
 static PyObject *
 mod_rng_parity(PyObject *Py_UNUSED(self), PyObject *args)
 {
@@ -3965,61 +4398,100 @@ mod_rng_parity(PyObject *Py_UNUSED(self), PyObject *args)
         return NULL;
     CRng r;
     memset(&r, 0, sizeof(r));
-    r.obj = rng_obj;
-    Py_INCREF(r.obj);
-    if (crng_import(&r) < 0) {
-        crng_drop(&r);
-        return NULL;
-    }
-    PyObject *out = PyList_New(0);
-    PyObject *seq = out ? PySequence_Fast(ops, "ops must be a sequence")
-                        : NULL;
-    if (seq == NULL)
-        goto fail;
-    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
-        PyObject *op = PySequence_Fast_GET_ITEM(seq, i);
-        const char *kind;
-        long arg;
-        if (!PyArg_ParseTuple(op, "sl", &kind, &arg))
-            goto fail;
-        long val;
-        if (strcmp(kind, "randbelow") == 0) {
-            val = mt_randbelow(&r, arg);
-        } else if (strcmp(kind, "getrandbits") == 0) {
-            if (arg < 1 || arg > 32) {
-                PyErr_SetString(PyExc_ValueError,
-                                "getrandbits arg must be in [1, 32]");
-                goto fail;
-            }
-            val = (long)mt_getrandbits(&r, (int)arg);
-        } else {
-            PyErr_Format(PyExc_ValueError, "unknown op %s", kind);
-            goto fail;
-        }
-        PyObject *v = PyLong_FromLong(val);
-        if (v == NULL)
-            goto fail;
-        int ar = PyList_Append(out, v);
-        Py_DECREF(v);
-        if (ar < 0)
-            goto fail;
-    }
-    if (crng_export(&r) < 0)
-        goto fail;
-    Py_DECREF(seq);
+    r.obj = Py_NewRef(rng_obj);
+    PyObject *out = crng_import(&r) < 0 ? NULL : mt_run_ops(&r.g, ops);
+    if (out != NULL && crng_export(&r) < 0)
+        Py_CLEAR(out);
     crng_drop(&r);
     return out;
-fail:
-    Py_XDECREF(seq);
-    Py_XDECREF(out);
-    crng_drop(&r);
-    return NULL;
+}
+
+/* _rng_seeded(seed, ops) -> (draws, state): random.Random(seed) seeded
+ * in C, as the traffic generator seeds each node, then *ops*; *state*
+ * is in the layout of getstate(). */
+static PyObject *
+mod_rng_seeded(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *seedo, *ops;
+    if (!PyArg_ParseTuple(args, "OO", &seedo, &ops))
+        return NULL;
+    unsigned long long seed = PyLong_AsUnsignedLongLong(seedo);
+    if (seed == (unsigned long long)-1 && PyErr_Occurred())
+        return NULL;
+    MT g;
+    mt_seed(&g, (uint64_t)seed);
+    PyObject *out = mt_run_ops(&g, ops);
+    if (out == NULL)
+        return NULL;
+    return Py_BuildValue("(NN)", out, mt_getstate(&g, NULL));
+}
+
+/* _gen_stream(seed, node, nn, pat, table, n, hot, mean_ia, horizon,
+ * poisson) -> (times, dsts, chunks): one node's whole stream, drawn
+ * chunk by chunk exactly as gen_streams and the GEN handler draw it. */
+static PyObject *
+mod_gen_stream(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    long node, nn, n;
+    int pat, poisson;
+    PyObject *seedo, *table;
+    double hot, mean_ia, horizon;
+    if (!PyArg_ParseTuple(args, "OlliOldddp", &seedo, &node, &nn, &pat,
+                          &table, &n, &hot, &mean_ia, &horizon, &poisson))
+        return NULL;
+    unsigned long long seed = PyLong_AsUnsignedLongLong(seedo);
+    if (seed == (unsigned long long)-1 && PyErr_Occurred())
+        return NULL;
+    if (node < 0 || node >= nn) {
+        PyErr_SetString(PyExc_ValueError, "node out of range");
+        return NULL;
+    }
+    GenSpec g;
+    if (gen_spec_load(&g, nn, pat, table, n, hot, mean_ia, horizon,
+                      poisson) < 0)
+        return NULL;
+    GenState st;
+    mt_seed(&st.mt, (uint64_t)seed);
+    st.t = mt_uniform(&st.mt, 0.0, mean_ia);
+    PyObject *times = PyList_New(0), *dsts = PyList_New(0);
+    long chunks = 0;
+    int done = 0;
+    while (times != NULL && dsts != NULL && !done) {
+        double bt[GEN_CHUNK];
+        int32_t bd[GEN_CHUNK];
+        int32_t m = gen_fill(&g, &st, node, bt, bd, GEN_CHUNK, &done);
+        chunks += 1;
+        for (int32_t i = 0; i < m; i++) {
+            PyObject *tv = PyFloat_FromDouble(bt[i]);
+            PyObject *dv = PyLong_FromLong(bd[i]);
+            int bad = tv == NULL || dv == NULL ||
+                      PyList_Append(times, tv) < 0 ||
+                      PyList_Append(dsts, dv) < 0;
+            Py_XDECREF(tv);
+            Py_XDECREF(dv);
+            if (bad) {
+                Py_CLEAR(times);
+                break;
+            }
+        }
+    }
+    PyMem_Free(g.tab);
+    if (times == NULL || dsts == NULL) {
+        Py_XDECREF(times);
+        Py_XDECREF(dsts);
+        return NULL;
+    }
+    return Py_BuildValue("(NNl)", times, dsts, chunks);
 }
 
 static PyMethodDef module_methods[] = {
     {"_rng_parity", mod_rng_parity, METH_VARARGS,
-     "_rng_parity(rng, ops) -> list of draws; ops are "
-     "('randbelow'|'getrandbits', n) pairs. Test-only."},
+     "_rng_parity(rng, ops) -> list of draws. Test-only."},
+    {"_rng_seeded", mod_rng_seeded, METH_VARARGS,
+     "_rng_seeded(seed, ops) -> (draws, state). Test-only."},
+    {"_gen_stream", mod_gen_stream, METH_VARARGS,
+     "_gen_stream(seed, node, nn, pat, table, n, hot, mean_ia, horizon, "
+     "poisson) -> (times, dsts, chunks). Test-only."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -59,11 +59,15 @@ RNG draw order, every float addition producing a timestamp, and every
 round-robin/FIFO arbitration decision -- is reproduced bit-for-bit.
 The golden conformance suite asserts exactly that.
 
-Packet generation for ``run_synthetic`` is pregenerated per node
-(:meth:`KernelEngine.setup_synthetic`): each node's traffic pattern and
-inter-arrival draws come from a *private* per-node RNG, so playing a
-node's draws forward at setup consumes the identical stream the object
-engine draws one event at a time.
+Packet generation for ``run_synthetic`` is drawn ahead of each node's
+GEN events (:meth:`KernelEngine.setup_synthetic`): each node's traffic
+pattern and inter-arrival draws come from a *private* per-node RNG, so
+drawing ahead consumes the identical stream the object engine draws one
+event at a time.  For permutation, uniform and hotspot traffic the
+kernel seeds a C copy of each node's ``random.Random`` and draws its
+stream in chunks of 256 entries as the GEN events consume them, holding
+the generator state only until the stream reaches the horizon; any
+other pattern is drawn in Python, whole, before the run.
 
 Arbitrary callbacks (``schedule(delay, fn, *args)``) remain supported
 via a CALL op, so the drivers in :mod:`repro.sim.network` and
@@ -105,6 +109,9 @@ from repro.routing.ugal import UGALRouting
 from repro.routing.valiant import IndirectRandomRouting
 from repro.sim.packet import Packet
 from repro.sim.vec.state import KernelNIC, SoAState
+from repro.traffic.base import PermutationTraffic, bad_destination
+from repro.traffic.classic import HotspotTraffic
+from repro.traffic.uniform import UniformRandom
 
 __all__ = ["KernelEngine", "load_kernel", "load_error"]
 
@@ -116,7 +123,7 @@ OP_ENTER = 1    # a=port-vc id, b=slot, c=port gid -- enter an output queue
 OP_PWAKE = 2    # a=port gid                 -- elided link-free/credit retry
 OP_DELIVER = 3  # c=slot                     -- the packet reaches its NIC
 OP_NWAKE = 4    # a=node                     -- elided NIC link-free/credit retry
-OP_GEN = 5      # a=node                     -- pregenerated synthetic injection
+OP_GEN = 5      # a=node                     -- open-loop injection (stream entry)
 OP_CALL = 6     # a=callable, b=args         -- generic scheduled callback
 
 #: Why the kernel failed to load (None until an attempt fails).
@@ -145,6 +152,9 @@ def _jit_build_and_load():
         cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
         cmd = shlex.split(cc)[:1] + [
             "-O2",
+            # Python rounds every float operation; a fused multiply-add
+            # (random.uniform's a + (b - a) * r) would not.
+            "-ffp-contract=off",
             "-fPIC",
             "-shared",
             f"-I{sysconfig.get_paths()['include']}",
@@ -153,7 +163,7 @@ def _jit_build_and_load():
         if sys.platform == "darwin":
             cmd += ["-undefined", "dynamic_lookup"]
         tmp = so.with_name(f".{so.name}.{os.getpid()}.tmp")
-        cmd += extra + [str(_SRC), "-o", str(tmp)]
+        cmd += extra + [str(_SRC), "-o", str(tmp), "-lm"]
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
             tmp.unlink(missing_ok=True)
@@ -196,6 +206,42 @@ def _reset_for_tests() -> None:
     _mod = None
     _attempted = False
     load_error = None
+
+
+# Pattern-table kinds (must match _kernel.c).
+PAT_PERM = 1
+PAT_UNIFORM = 2
+PAT_HOTSPOT = 3
+
+
+def _pattern_entry(pattern, num_nodes: int) -> Optional[tuple]:
+    """The kernel's pattern-table entry ``(kind, table, n, hot_fraction)``
+    for *pattern* on *num_nodes* nodes, or ``None`` when its streams must
+    be drawn in Python.
+
+    The entry is chosen by which ``pick_destination`` the pattern runs
+    (a subclass that overrides it has no entry), and only when every
+    destination it can draw is valid, so the C draws never need the
+    error path: anything else goes through the Python draws, which
+    raise where the object engine does.
+    """
+    pick = getattr(getattr(pattern, "pick_destination", None), "__func__", None)
+    if pick is PermutationTraffic.pick_destination:
+        dsts = [int(d) if d >= 0 else -1 for d in pattern.destinations]
+        if len(dsts) == num_nodes and all(
+            d < num_nodes and d != src for src, d in enumerate(dsts)
+        ):
+            return PAT_PERM, dsts, 0, 0.0
+    elif pick is UniformRandom.pick_destination:
+        if 2 <= pattern.num_nodes <= num_nodes:
+            return PAT_UNIFORM, (), pattern.num_nodes, 0.0
+    elif pick is HotspotTraffic.pick_destination:
+        hot = pattern.hotspots
+        if 2 <= pattern.num_nodes <= num_nodes and hot and all(
+            0 <= h < num_nodes for h in hot
+        ):
+            return PAT_HOTSPOT, hot, pattern.num_nodes, float(pattern.hot_fraction)
+    return None
 
 
 class KernelEngine:
@@ -302,7 +348,7 @@ class KernelEngine:
             port.sent_packets = sent[gid]
             port.queued = queued[gid]
 
-    # -- synthetic-traffic pregeneration --------------------------------------
+    # -- open-loop traffic -----------------------------------------------------
 
     def setup_synthetic(
         self,
@@ -313,25 +359,35 @@ class KernelEngine:
         arrival: str,
         packet_bytes: int,
     ) -> None:
-        """Pregenerate every node's injection stream and seed GEN events.
+        """Give every node its injection stream and queue its first GEN.
 
         Exactness: the object engine draws, per node and per event,
         ``pick_destination(node, rng)`` then ``expovariate`` from a
-        *private* per-node RNG seeded off one master stream.  Playing
-        each node's draws forward here consumes the identical per-node
-        stream (patterns are pure functions of ``(node, rng)``), and the
-        per-node timestamps accumulate with the same float additions.
-        The trailing entry is the object engine's final past-horizon
-        generate event (which fires and does nothing); it is kept so
-        event and sequence accounting stay aligned.
+        *private* per-node RNG seeded off one master stream.  Nobody
+        else draws from a node's RNG (patterns are pure functions of
+        ``(node, rng)``), so the node's whole stream can be drawn ahead
+        of its events, and the times accumulate with the same float
+        additions.  A pattern with a table entry (:func:`_pattern_entry`)
+        is drawn in C, chunk by chunk as the GEN handler consumes it;
+        any other pattern is drawn here, whole.  The last entry of a
+        stream is the object engine's final past-horizon generate event
+        (which fires and does nothing); it is kept so event and sequence
+        accounting stay aligned.
         """
         k = self.kernel
+        n = self.st.NN
         master = random.Random(seed)
+        seeds = [master.getrandbits(64) for _ in range(n)]
         poisson = arrival == "poisson"
+        k.pkt_bytes = packet_bytes
+        entry = _pattern_entry(pattern, n)
+        if entry is not None:
+            k.gen_streams(seeds, *entry, mean_ia, horizon, poisson)
+            return
         pick = pattern.pick_destination
         seq = k.seq
-        for node in range(self.st.NN):
-            rng = random.Random(master.getrandbits(64))
+        for node in range(n):
+            rng = random.Random(seeds[node])
             t = rng.uniform(0.0, mean_ia)
             expo = rng.expovariate
             times = []
@@ -340,8 +396,8 @@ class KernelEngine:
                 dst = pick(node, rng)
                 if dst is None:
                     dst = -1
-                elif dst == node:
-                    raise ValueError(f"pattern sent node {node} traffic to itself")
+                elif dst == node or not 0 <= dst < n:
+                    raise bad_destination(node, dst, n)
                 times.append(t)
                 dsts.append(dst)
                 t = t + (expo(1.0 / mean_ia) if poisson else mean_ia)
@@ -351,7 +407,6 @@ class KernelEngine:
             seq += 1
             k.push(times[0], seq, OP_GEN, node, 0, 0)
         k.seq = seq
-        k.pkt_bytes = packet_bytes
 
     # -- fast-path spec --------------------------------------------------------
 

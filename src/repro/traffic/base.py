@@ -19,7 +19,20 @@ __all__ = [
     "SyntheticTraffic",
     "ExchangeTraffic",
     "PermutationTraffic",
+    "bad_destination",
 ]
+
+
+def bad_destination(src_node: int, dst, num_nodes: int) -> ValueError:
+    """The error both engines raise from ``run_synthetic`` for a
+    ``pick_destination`` result that is neither ``None`` nor another
+    node in ``[0, num_nodes)``."""
+    if dst == src_node:
+        return ValueError(f"pattern sent node {src_node} traffic to itself")
+    return ValueError(
+        f"pattern sent node {src_node} traffic to node {dst!r}, "
+        f"outside [0, {num_nodes})"
+    )
 
 
 class SyntheticTraffic(Protocol):

@@ -2,14 +2,19 @@
 
 The golden conformance suite pins a fixed case matrix; this harness
 closes the gap between those and "any configuration": seeded random
-(topology x routing x traffic x load x fault-schedule x checker x
-physics) configs run on the object engine and the compiled kernel,
+(topology x routing x traffic x arrival x load x fault-schedule x
+checker x physics) configs run on the object engine and the compiled
+kernel,
 asserting an identical ordered delivery stream (sha256 fingerprint) and
 identical WindowStats.  The physics axis moves the link and switch
 latencies and the buffer off the paper's values: zero delays make the
 kernel's delay lanes coincide and push events at the executing time,
 and a one-packet-per-VC buffer makes credit stalls wake on the link
-lane.  The
+lane.  The traffic axis covers every pattern the kernel draws in C:
+uniform, shift and tornado, hotspot traffic at three hot fractions
+(hotspots may include the sender, which then falls back to a uniform
+draw) and a partial permutation with idle entries, under Poisson or
+deterministic arrivals.  The
 topologies include a Dragonfly, whose three-hop pairs the kernel routes
 through RouteCache fills; fault schedules fail one to three links in
 overlapping windows, so BFS detours stay memoised while later links
@@ -19,8 +24,8 @@ configuration where the C delivery-accounting fast path is live -- the
 listener legs gate the C route-selection path instead.
 
 On a mismatch the harness *shrinks* the failing config (drop faults,
-drop the checker, the paper's physics, shorter run, lower load -- in
-that order) and prints
+drop the checker, the paper's physics, uniform traffic with Poisson
+arrivals, shorter run, lower load -- in that order) and prints
 the smallest still-failing variant plus its seed, so a reproduction is
 one copy-paste away.
 
@@ -43,7 +48,13 @@ from repro.routing.vc import HopIndexVC
 from repro.sim import PAPER_CONFIG, Network, SimConfig
 from repro.sim.vec.kernel import load_kernel
 from repro.topology import MLFM, OFT, Dragonfly, SlimFly
-from repro.traffic import ShiftTraffic, Tornado, UniformRandom
+from repro.traffic import (
+    HotspotTraffic,
+    PermutationTraffic,
+    ShiftTraffic,
+    Tornado,
+    UniformRandom,
+)
 
 ITERS = int(os.environ.get("REPRO_FUZZ_ITERS", "6"))
 
@@ -71,10 +82,33 @@ _ROUTINGS = {
         topo, seed=seed, vc_policy=vc),
 }
 
+def _hotspot(fraction: float):
+    """Hotspot traffic toward one to three drawn nodes."""
+    return lambda n, rng: HotspotTraffic(
+        n, rng.sample(range(n), rng.randint(1, 3)), hot_fraction=fraction)
+
+
+def _partial_permutation(n: int, rng: random.Random) -> PermutationTraffic:
+    """A random permutation with fixed points and about a third of the
+    senders idle."""
+    dsts = list(range(n))
+    rng.shuffle(dsts)
+    return PermutationTraffic([
+        -1 if d == src or rng.random() < 0.3 else d
+        for src, d in enumerate(dsts)
+    ])
+
+
+#: Pattern factories ``(num_nodes, rng) -> pattern``; *rng* is seeded
+#: from the config's traffic seed.
 _TRAFFICS = {
-    "uniform": lambda n: UniformRandom(n),
-    "shift": lambda n: ShiftTraffic(n, shift=max(1, n // 3)),
-    "tornado": lambda n: Tornado(n),
+    "uniform": lambda n, rng: UniformRandom(n),
+    "shift": lambda n, rng: ShiftTraffic(n, shift=max(1, n // 3)),
+    "tornado": lambda n, rng: Tornado(n),
+    "hotspot:0.0": _hotspot(0.0),
+    "hotspot:0.3": _hotspot(0.3),
+    "hotspot:1.0": _hotspot(1.0),
+    "partial-permutation": _partial_permutation,
 }
 
 #: The paper's physics, which the shrinker restores.
@@ -94,6 +128,7 @@ def _random_config(seed: int) -> dict:
         "topology": topo_key,
         "routing": rng.choice(sorted(_ROUTINGS)),
         "traffic": rng.choice(sorted(_TRAFFICS)),
+        "arrival": rng.choice(["deterministic", "poisson"]),
         "load": rng.choice([0.2, 0.4, 0.7, 0.9]),
         "measure_ns": rng.choice([600.0, 1_000.0]),
         "traffic_seed": rng.randrange(10_000),
@@ -176,10 +211,12 @@ def _run(cfg: dict, backend: str, listener: bool = True) -> dict:
             )
         )
     stats = net.run_synthetic(
-        _TRAFFICS[cfg["traffic"]](topo.num_nodes),
+        _TRAFFICS[cfg["traffic"]](
+            topo.num_nodes, random.Random(cfg["traffic_seed"])),
         load=cfg["load"],
         warmup_ns=300.0,
         measure_ns=cfg["measure_ns"],
+        arrival=cfg["arrival"],
         seed=cfg["traffic_seed"],
         drain=True,
     )
@@ -227,6 +264,7 @@ def _shrink(cfg: dict) -> dict:
         lambda c: dict(c, faults=None),
         lambda c: dict(c, check=False),
         lambda c: dict(c, physics=PAPER_PHYSICS),
+        lambda c: dict(c, traffic="uniform", arrival="poisson"),
         lambda c: dict(c, measure_ns=600.0),
         lambda c: dict(c, load=0.2),
     ):
@@ -267,7 +305,8 @@ def test_backends_agree_while_a_detour_outlives_a_later_fault(
     c, d = next(e for e in sorted(topo.edges()) if not {a, b} & set(e))
     cfg = dict(
         _random_config(0), topology="sf:q=5", routing=routing,
-        traffic="uniform", load=0.7, measure_ns=600.0, check=False,
+        traffic="uniform", arrival="poisson", load=0.7, measure_ns=600.0,
+        check=False,
         physics=PAPER_PHYSICS,
         faults=(f"fail@350:{a}-{b}", f"fail@500:{c}-{d}",
                 f"recover@650:{a}-{b}", f"recover@800:{c}-{d}"),
@@ -302,7 +341,8 @@ def test_shrinker_reports_minimal_config(monkeypatch):
     # reduced away.
     cfg = _random_config(1)
     cfg.update(check=True, faults=("fail@400:0-1",), load=0.7,
-               measure_ns=1_000.0,
+               measure_ns=1_000.0, traffic="hotspot:0.3",
+               arrival="deterministic",
                physics=dict(PAPER_PHYSICS, link_latency_ns=0.0))
     calls = []
 
@@ -318,3 +358,4 @@ def test_shrinker_reports_minimal_config(monkeypatch):
     assert small["faults"]  # the culprit axis survives
     assert small["check"] is False and small["load"] == 0.2
     assert small["physics"] == PAPER_PHYSICS
+    assert small["traffic"] == "uniform" and small["arrival"] == "poisson"

@@ -1,14 +1,19 @@
 """Leaks and boundedness of the compiled kernel's state.
 
 The kernel owns references to routes, message ids, NIC sources,
-callbacks and materialised packets, and recycles packet slots on
-delivery.  Repeating kernel runs of every kind in one process -- open
-loop drained to empty, a closed-loop halo exchange with its delivery
-listener and fault diverts, scheduled CALLs that submit traffic,
-CALLs dropped by ``clear()`` while pending and a CALL that raises --
-must leave reference counts on the shared objects and the traced heap
-where they started, and every run must end with no packet slot alive
-and no credit FIFO deeper than the credits its VC can hold.
+callbacks and materialised packets, recycles packet slots on delivery,
+and draws open-loop streams in chunks from per-node generator states.
+Repeating kernel runs of every kind in one process -- open loop
+drained to empty, long open-loop streams that refill their chunks,
+a run stopped while every node still holds its generator state, a
+closed-loop halo exchange with its delivery listener and fault
+diverts, scheduled CALLs that submit traffic, CALLs dropped by
+``clear()`` while pending and a CALL that raises -- must leave
+reference counts on the shared objects and the traced heap where they
+started, and every run must end with no packet slot alive and no
+credit FIFO deeper than the credits its VC can hold.  The generator's
+memory must not grow with the horizon, and no node may keep its
+generator state once its stream has ended.
 """
 
 from __future__ import annotations
@@ -19,12 +24,12 @@ import tracemalloc
 
 import pytest
 
-from repro.routing import UGALRouting
+from repro.routing import MinimalRouting, UGALRouting
 from repro.sim import Network, SimConfig
 from repro.sim.packet import Packet
 from repro.sim.vec.kernel import load_kernel
 from repro.topology import SlimFly
-from repro.traffic import UniformRandom
+from repro.traffic import PermutationTraffic, UniformRandom
 from repro.workload import build_workload
 
 pytestmark = pytest.mark.skipif(
@@ -36,6 +41,19 @@ ROUNDS = 3
 #: Heap growth tolerated after ROUNDS repetitions (interpreter-level
 #: caches such as the warnings registry); one round allocates megabytes.
 SLACK_BYTES = 64 * 1024
+
+
+#: Load at which the long-stream runs generate: a 40.96 ns mean gap.
+LONG_LOAD = 0.5
+MEAN_IA = 20.48 / LONG_LOAD
+
+
+def sparse_permutation(num_nodes: int) -> PermutationTraffic:
+    """Two active senders; every other node draws idle entries only, so
+    a long horizon costs GEN events, not packets."""
+    dsts = [-1] * num_nodes
+    dsts[0], dsts[7] = 30, 91
+    return PermutationTraffic(dsts)
 
 
 def peak_in_flight(intervals) -> int:
@@ -85,14 +103,15 @@ class Harness:
         self.rngs = [self.routing._minimal._rng, self.routing._indirect._rng]
         self.rng_states = [r.getstate() for r in self.rngs]
         self.pattern = UniformRandom(self.topo.num_nodes)
+        self.sparse = sparse_permutation(self.topo.num_nodes)
         self.route = self.routing.cache.minimal_candidates(0, 5)[0]
         self.halo = build_workload("halo3d", self.topo.num_nodes, 1024)
         self.callback = Callback()
         self.payload = object()
 
     def shared(self):
-        return [self.route, self.pattern, Packet, self.topo, self.halo,
-                self.callback, self.payload, fail, *self.rngs]
+        return [self.route, self.pattern, self.sparse, Packet, self.topo,
+                self.halo, self.callback, self.payload, fail, *self.rngs]
 
     def _fresh_rngs(self):
         # Identical draws every round, so route caches stop growing
@@ -118,6 +137,30 @@ class Harness:
                           measure_ns=600.0, seed=4, drain=True)
         assert net.stats.ejected_total == net.stats.injected_total > 0
         check_bounded(net)
+
+    def long_streams(self):
+        # About 1,100 entries per node: every stream refills its chunk
+        # four times and ends with no generator state left.
+        self._fresh_rngs()
+        net = Network(self.topo, self.routing, SimConfig(backend="kernel"))
+        net.run_synthetic(self.sparse, load=LONG_LOAD, warmup_ns=200.0,
+                          measure_ns=1_100 * MEAN_IA, seed=5, drain=True)
+        mem = net.engine.memory_stats()
+        assert mem["gen_refills"] >= 4 * self.topo.num_nodes, mem
+        assert mem["gen_states"] == 0, mem
+        check_bounded(net)
+
+    def stopped_streams(self):
+        # A CALL that raises stops the run mid-horizon, while every node
+        # still holds its generator state; the kernel frees them with
+        # the network.
+        self._fresh_rngs()
+        net = Network(self.topo, self.routing, SimConfig(backend="kernel"))
+        net.engine.schedule(300 * MEAN_IA, fail, self.payload)
+        with pytest.raises(Failure):
+            net.run_synthetic(self.sparse, load=LONG_LOAD, warmup_ns=200.0,
+                              measure_ns=600 * MEAN_IA, seed=5)
+        assert net.engine.memory_stats()["gen_states"] == self.topo.num_nodes
 
     def halo_with_faults(self):
         # Faults mark links failed in the routing's own RouteCache, so
@@ -170,6 +213,8 @@ class Harness:
     def round(self):
         self.open_loop()
         self.open_loop_fast()
+        self.long_streams()
+        self.stopped_streams()
         self.halo_with_faults()
         self.scheduled_submits()
         self.clear_with_pending_calls()
@@ -208,3 +253,59 @@ def test_slots_recycle_under_saturation():
     assert mem["slots_allocated"] == mem["slots_hwm"]
     assert mem["slots_hwm"] < net.stats.injected_total
     assert mem["credit_fifo_hwm"] <= mem["vc_capacity"]
+
+
+def _sparse_run(entries: int):
+    """Run streams of about *entries* entries per node; returns the
+    kernel's memory stats at time 0, mid-run and at the end, and how
+    much the traced heap grew from before the run to mid-run."""
+    gc.collect()
+    before = tracemalloc.get_traced_memory()[0]
+    topo = SlimFly(5)
+    net = Network(topo, MinimalRouting(topo, seed=1),
+                  SimConfig(backend="kernel"))
+    eng = net.engine
+    measure = entries * MEAN_IA
+    mid = (200.0 + measure) / 2
+    probes = {}
+
+    def probe(t):
+        probes[t] = (eng.memory_stats(), tracemalloc.get_traced_memory()[0])
+
+    eng.schedule(0.0, probe, 0.0)
+    eng.schedule(mid, probe, mid)
+    net.run_synthetic(sparse_permutation(topo.num_nodes), load=LONG_LOAD,
+                      warmup_ns=200.0, measure_ns=measure, seed=5)
+    end = eng.memory_stats()
+    eng.clear()
+    assert eng.memory_stats()["gen_states"] == 0
+    return probes[0.0][0], probes[mid][0], end, probes[mid][1] - before
+
+
+def test_generator_memory_is_bounded_by_the_chunk_not_the_horizon():
+    # A stream that fits one chunk holds no generator state even at
+    # time 0.  Longer ones hold one state per node while they draw and
+    # refill a chunk of gen_chunk_cap entries, so the traced heap in
+    # mid-run does not grow with the horizon (drawn whole, 1,100
+    # entries a node would be 2 MB here); no state outlives its stream.
+    n = SlimFly(5).num_nodes
+    start, mid, end, _ = _sparse_run(30)
+    assert start["gen_states"] == mid["gen_states"] == end["gen_states"] == 0
+    assert end["gen_refills"] == 0
+    assert end["gen_chunk_max"] < end["gen_chunk_cap"]
+
+    tracemalloc.start()
+    try:
+        runs = {entries: _sparse_run(entries) for entries in (300, 1_100)}
+    finally:
+        tracemalloc.stop()
+    for entries, (start, mid, end, _) in runs.items():
+        cap = end["gen_chunk_cap"]
+        assert start["gen_states"] == mid["gen_states"] == n
+        assert 0 < mid["gen_state_bytes"] // n < 2_600
+        assert end["gen_states"] == 0
+        assert end["gen_chunk_max"] == cap
+        assert end["gen_refills"] >= (entries // cap) * n
+    assert runs[300][1]["gen_state_bytes"] == runs[1_100][1]["gen_state_bytes"]
+    assert runs[1_100][3] - runs[300][3] < 64 * 1024, (
+        runs[300][3], runs[1_100][3])

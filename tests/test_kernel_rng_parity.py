@@ -12,6 +12,13 @@ digest mismatch.
 ``_kernel._rng_parity(rng, ops)`` is the test hook: it imports *rng*'s
 state into the C replica, executes the op list C-side, exports the
 state back into *rng*, and returns the drawn values.
+
+Open-loop traffic draws from per-node generators that the kernel seeds
+itself.  ``_kernel._rng_seeded(seed, ops)`` seeds a C generator as
+``random.Random(seed)`` would and returns the draws and the state, and
+``_kernel._gen_stream(...)`` draws one node's whole stream chunk by
+chunk, as the GEN handler does, for comparison with the object
+engine's generate events replayed in Python.
 """
 
 from __future__ import annotations
@@ -186,3 +193,154 @@ class TestStateHandoff:
             )
 
         assert run("kernel") == run("object")
+
+
+# -- open-loop traffic: seeding, float draws and whole streams --------------
+
+#: Seeds as ``master.getrandbits(64)`` hands them to the per-node
+#: generators: the ends of the 32- and 64-bit ranges, and seeds whose
+#: high word is 0 (CPython then seeds from one 32-bit word, not two).
+SEEDS = [0, 1, 2, 12345, 2**31, 2**32 - 1, 2**32, 2**32 + 1,
+         0x9E3779B97F4A7C15, 2**63, 2**64 - 1]
+
+
+class TestSeeding:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seeded_state_matches_random_random(self, seed):
+        draws, state = _mod._rng_seeded(seed, [])
+        assert draws == []
+        assert state == random.Random(seed).getstate()
+
+    def test_master_stream_seeds(self):
+        # The seeds the simulator actually uses, including draws past
+        # the master generator's first MT refill.
+        master = random.Random(7)
+        for _ in range(700):
+            seed = master.getrandbits(64)
+            ref = random.Random(seed)
+            draws, state = _mod._rng_seeded(seed, [("random",)] * 3)
+            assert draws == [ref.random() for _ in range(3)]
+            assert state == ref.getstate()
+
+    def test_seed_out_of_range_is_rejected(self):
+        with pytest.raises(OverflowError):
+            _mod._rng_seeded(2**64, [])
+        with pytest.raises(OverflowError):
+            _mod._rng_seeded(-1, [])
+
+
+class TestFloatDraws:
+    @pytest.mark.parametrize("seed", SEEDS[:6])
+    def test_random_values_and_state_across_mt_refills(self, seed):
+        ref = random.Random(seed)
+        n = 1500  # 3,000 words: several MT refills
+        draws, state = _mod._rng_seeded(seed, [("random",)] * n)
+        assert draws == [ref.random() for _ in range(n)]
+        assert state == ref.getstate()
+
+    @pytest.mark.parametrize("a,b", [(0.0, 28.444444444444443), (0.0, 1.0),
+                                     (-3.5, 7.25), (100.0, 100.0)])
+    def test_uniform(self, a, b):
+        ref = random.Random(31)
+        c = random.Random(31)
+        got = c_draws(c, [("uniform", a, b)] * 400)
+        assert got == [ref.uniform(a, b) for _ in range(400)]
+        assert c.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("mean", [25.6, 28.444444444444443, 1.0, 1e6])
+    def test_expovariate(self, mean):
+        # The inter-arrival draw: -log(1 - random()) / lambd with libm's
+        # log, lambd computed as the simulator computes it.
+        ref = random.Random(17)
+        c = random.Random(17)
+        lambd = 1.0 / mean
+        got = c_draws(c, [("expovariate", lambd)] * 1000)
+        assert got == [ref.expovariate(lambd) for _ in range(1000)]
+        assert c.getstate() == ref.getstate()
+
+    def test_generator_draw_mix(self):
+        # One node's draw pattern: uniform phase, then pick + expovariate
+        # per entry, from a C-seeded generator.
+        seed = 0xDEADBEEFCAFE
+        ref = random.Random(seed)
+        ops, want = [("uniform", 0.0, 30.0)], [ref.uniform(0.0, 30.0)]
+        for i in range(900):
+            n = RANDBELOW_BOUNDS[i % len(RANDBELOW_BOUNDS)]
+            ops += [("random",), ("randbelow", n), ("expovariate", 1 / 30.0)]
+            want += [ref.random(), ref._randbelow(n), ref.expovariate(1 / 30.0)]
+        draws, state = _mod._rng_seeded(seed, ops)
+        assert draws == want
+        assert state == ref.getstate()
+
+
+def py_stream(seed, node, pattern, mean_ia, horizon, poisson):
+    """One node's stream as the object engine's generate events draw it."""
+    rng = random.Random(seed)
+    t = rng.uniform(0.0, mean_ia)
+    times, dsts = [], []
+    while t < horizon:
+        dst = pattern.pick_destination(node, rng)
+        times.append(t)
+        dsts.append(-1 if dst is None else dst)
+        t = t + (rng.expovariate(1.0 / mean_ia) if poisson else mean_ia)
+    times.append(t)
+    dsts.append(-2)
+    return times, dsts
+
+
+def _patterns(n):
+    from repro.traffic import HotspotTraffic, PermutationTraffic, UniformRandom
+
+    perm = [(i + 7) % n for i in range(n)]
+    for i in range(0, n, 3):
+        perm[i] = -1  # idle entries
+    return {
+        "uniform": UniformRandom(n),
+        "uniform-smaller": UniformRandom(n - 5),
+        "partial-perm": PermutationTraffic(perm),
+        "hotspot-0": HotspotTraffic(n, [0, 3], hot_fraction=0.0),
+        "hotspot-0.3": HotspotTraffic(n, [0, 3, 11], hot_fraction=0.3),
+        "hotspot-1": HotspotTraffic(n, [3], hot_fraction=1.0),
+    }
+
+
+class TestStreams:
+    N = 50
+    MEAN_IA = 28.444444444444443  # 25.6 ns packets at load 0.9
+
+    @pytest.mark.parametrize("arrival", ["poisson", "deterministic"])
+    @pytest.mark.parametrize("name", sorted(_patterns(50)))
+    @pytest.mark.parametrize("node", [0, 3, 49])
+    def test_whole_stream_across_chunk_and_mt_refills(self, name, node,
+                                                      arrival):
+        from repro.sim.vec.kernel import _pattern_entry
+
+        pattern = _patterns(self.N)[name]
+        entry = _pattern_entry(pattern, self.N)
+        assert entry is not None
+        horizon = 1_100 * self.MEAN_IA  # ~1,100 entries: 4-5 chunks
+        seed = random.Random(node).getrandbits(64)
+        poisson = arrival == "poisson"
+        times, dsts, chunks = _mod._gen_stream(
+            seed, node, self.N, *entry, self.MEAN_IA, horizon, poisson)
+        want = py_stream(seed, node, pattern, self.MEAN_IA, horizon, poisson)
+        assert (times, dsts) == want
+        assert chunks >= 4
+        assert dsts[-1] == -2 and -2 not in dsts[:-1]
+
+    def test_stream_that_ends_on_a_chunk_boundary(self):
+        # Exactly 256 entries before the horizon: the first chunk is
+        # full, and the refill writes the sentinel alone.
+        from repro.sim.vec.kernel import _pattern_entry
+        from repro.traffic import UniformRandom
+
+        pattern = UniformRandom(self.N)
+        horizon = 255 * 10.0 + 5.0
+        seed = 99
+        assert random.Random(seed).uniform(0.0, 10.0) < 5.0  # the phase
+        times, dsts, chunks = _mod._gen_stream(
+            seed, 1, self.N, *_pattern_entry(pattern, self.N), 10.0, horizon,
+            False)
+        assert (times, dsts) == py_stream(seed, 1, pattern, 10.0, horizon,
+                                          False)
+        assert len(times) == 257 and chunks == 2

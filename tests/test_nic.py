@@ -141,7 +141,7 @@ class TestCreditExhaustionRetry:
 
     @pytest.mark.skipif(load_kernel() is None,
                         reason="compiled kernel unavailable")
-    def test_retry_order_stable_across_compiled_and_legacy(self, sf5):
+    def test_retry_order_stable_across_engines(self, sf5):
         # The regression this guards: a credit-starved NIC resuming in a
         # different order depending on the route producer would
         # silently fork the object engine's and the kernel's

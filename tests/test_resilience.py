@@ -371,7 +371,7 @@ class TestFaultHashSeparation:
 
 
 class TestFaultSimulation:
-    def test_legacy_routing_cannot_be_armed(self, sf5):
+    def test_routing_without_route_cache_cannot_be_armed(self, sf5):
         # Fault awareness lives in the RouteCache: a custom algorithm
         # that routes without one is refused before any traffic runs.
         class Uncached(RoutingAlgorithm):

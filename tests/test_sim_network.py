@@ -150,15 +150,67 @@ class TestThroughput:
             net.run_synthetic(UniformRandom(sf4.num_nodes), load=0.5, arrival="bursty")
 
 
+BACKENDS = [
+    "object",
+    pytest.param("kernel", marks=pytest.mark.skipif(
+        load_kernel() is None, reason="compiled kernel unavailable")),
+]
+
+
+class FixedFromNodeZero:
+    """Node 0 sends every packet to *dst*; every other node stays idle."""
+
+    def __init__(self, dst):
+        self.dst = dst
+
+    def pick_destination(self, src, rng):
+        return self.dst if src == 0 else None
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestSelfTrafficGuard:
-    def test_pattern_self_destination_rejected(self, sf4):
+    def test_pattern_self_destination_rejected(self, sf4, backend):
         class Bad:
             def pick_destination(self, src, rng):
                 return src
 
-        net = Network(sf4, MinimalRouting(sf4))
-        with pytest.raises(ValueError):
+        net = Network(sf4, MinimalRouting(sf4), SimConfig(backend=backend))
+        with pytest.raises(ValueError, match="to itself"):
             net.run_synthetic(Bad(), load=0.5, warmup_ns=100, measure_ns=500)
+
+    @pytest.mark.parametrize("dst", [-1, "N", 0])
+    def test_destination_outside_the_network_rejected(self, sf4, backend, dst):
+        # -1 used to reach the last node on the object engine (negative
+        # indexing) and read as "idle" on the kernel; N, the source node
+        # and -1 are all errors on both engines now.
+        n = sf4.num_nodes
+        dst = n if dst == "N" else dst
+        net = Network(sf4, MinimalRouting(sf4), SimConfig(backend=backend))
+        with pytest.raises(ValueError, match=f"node {dst}"):
+            net.run_synthetic(FixedFromNodeZero(dst), load=0.5,
+                              warmup_ns=100, measure_ns=500)
+        assert net.stats.injected_total == 0
+
+    @pytest.mark.parametrize("dst", [-1, "N"])
+    def test_submit_outside_the_network_raises_index_error(
+        self, sf4, backend, dst
+    ):
+        n = sf4.num_nodes
+        dst = n if dst == "N" else dst
+        net = Network(sf4, MinimalRouting(sf4), SimConfig(backend=backend))
+        with pytest.raises(IndexError, match=rf"out of range \[0, {n}\)"):
+            net.nics[0].submit(dst, 256)
+        net.engine.run()
+        assert net.stats.injected_total == 0
+
+    def test_exchange_outside_the_network_rejected(self, sf4, backend):
+        class Stray:
+            def node_messages(self, node):
+                return [(-1, 256)] if node == 0 else []
+
+        net = Network(sf4, MinimalRouting(sf4), SimConfig(backend=backend))
+        with pytest.raises(ValueError, match="outside"):
+            net.run_exchange(Stray())
 
 
 class TestExchanges:
@@ -232,11 +284,7 @@ class PortlessRouting(RoutingAlgorithm):
 
 
 class TestCustomRouting:
-    @pytest.mark.parametrize("backend", [
-        "object",
-        pytest.param("kernel", marks=pytest.mark.skipif(
-            load_kernel() is None, reason="compiled kernel unavailable")),
-    ])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_portless_routes_run_like_cached_ones(self, sf4, backend):
         # make_packet derives the hop ports from the topology (on the
         # kernel, through its make_packet escape): same routes, same run.

@@ -1,10 +1,17 @@
 """Unit tests for the statistics collector."""
 
+import os
+import subprocess
+import sys
+from array import array
+
+import numpy as np
 import pytest
 
+import repro
 from repro.sim.config import PAPER_CONFIG
 from repro.sim.packet import Packet
-from repro.sim.stats import StatsCollector
+from repro.sim.stats import StatsCollector, percentile99
 
 
 def make_packet(pid, src=0, dst=1, size=256, gen=0.0):
@@ -159,3 +166,72 @@ class TestFairnessIndex:
             warmup_ns=1000, measure_ns=4000, seed=3, drain=True,
         )
         assert net.stats.fairness_index() > 0.95
+
+
+class TestPercentile99:
+    """``percentile99`` against ``np.percentile(values, 99)``, bit for bit."""
+
+    SIZES = list(range(1, 400)) + [1_000, 22_460, 27_231, 100_003]
+
+    @staticmethod
+    def _arrays(rng, n):
+        yield rng.random(n) * 1_000.0                          # uniform
+        yield rng.integers(0, 7, n).astype(np.float64) * 12.5  # ties
+        yield rng.exponential(300.0, n)                        # exponential
+        yield np.full(n, 431.25)                               # one value
+        yield 200.0 + rng.exponential(50.0, n).cumsum() % 977.0
+
+    def test_matches_numpy_percentile(self):
+        rng = np.random.default_rng(2015)
+        checked = 0
+        for n in self.SIZES:
+            for values in self._arrays(rng, n):
+                want = float(np.percentile(values, 99))
+                assert percentile99(values) == want, (n, checked)
+                checked += 1
+        assert checked == 2_015
+
+    def test_leaves_its_input_alone(self):
+        values = np.random.default_rng(3).random(1_000)
+        copy = values.copy()
+        percentile99(values)
+        assert np.array_equal(values, copy)
+
+    def test_window_stats_does_not_import_numpy_ma(self):
+        # np.percentile imports numpy.ma on its first call in a process
+        # (numpy 2 loads it lazily), which used to cost more than the
+        # whole reduction.
+        code = (
+            "import sys\n"
+            "from repro.sim.config import PAPER_CONFIG\n"
+            "from repro.sim.stats import StatsCollector\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "sc = StatsCollector(2, PAPER_CONFIG)\n"
+            "sc.set_window(0.0, 100.0)\n"
+            "sc.latencies.extend([3.0, 1.0, 2.0])\n"
+            "sc.in_window_ejected = 3\n"
+            "assert sc.window_stats().p99_latency_ns == 2.98\n"
+            "print(before, 'numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env).stdout
+        before, after = out.split()
+        assert after == before
+
+
+class TestLatencyStore:
+    def test_latencies_are_raw_float64(self):
+        sc = StatsCollector(4, PAPER_CONFIG)
+        sc.set_window(0.0, 1_000.0)
+        pkt = make_packet(1, gen=10.0)
+        pkt.eject_time = 110.5
+        sc.record_eject(pkt)
+        sc.absorb_kernel(0, 0, None, 2, 2, 512, 4, 300.0,
+                         array("d", [7.25, 8.5]).tobytes(), None, None)
+        assert isinstance(sc.latencies, array) and sc.latencies.typecode == "d"
+        assert list(sc.latencies) == [100.5, 7.25, 8.5]
+        assert sc.window_stats().mean_latency_ns == float(
+            np.mean([100.5, 7.25, 8.5]))
