@@ -37,6 +37,7 @@ import random
 import time
 
 from repro.experiments.configs import configs_for_scale
+from repro.experiments.specs import build_routing
 from repro.sim import Network
 from repro.sim.config import SimConfig
 from repro.traffic import UniformRandom
@@ -76,8 +77,8 @@ def _configs(scale: str):
 
 def _sim_once(cfg, kind: str, backend: str):
     topo = cfg.topology()
-    builder = {"min": cfg.minimal, "inr": cfg.indirect, "ugal": cfg.adaptive}[kind]
-    net = Network(topo, builder(topo), SimConfig(backend=backend))
+    routing = build_routing(*cfg.routing_spec(kind), topo)
+    net = Network(topo, routing, SimConfig(backend=backend))
     t0 = time.perf_counter()
     stats = net.run_synthetic(
         UniformRandom(topo.num_nodes),
@@ -248,8 +249,7 @@ def _bench_checker_overhead(cfg, kind: str = "ugal"):
     packets = None
     for _ in range(REPS):
         for check in (False, True):
-            routing = {"min": cfg.minimal, "inr": cfg.indirect,
-                       "ugal": cfg.adaptive}[kind](topo)
+            routing = build_routing(*cfg.routing_spec(kind), topo)
             net = Network(topo, routing, SimConfig(check=check))
             t0 = time.perf_counter()
             stats = net.run_synthetic(
@@ -282,7 +282,7 @@ def _bench_routing_micro(cfg):
     against live congestion."""
     topo = cfg.topology()
     # Warm a network so congestion lookups see realistic occupancies.
-    net = Network(topo, cfg.adaptive(topo), SimConfig())
+    net = Network(topo, build_routing(*cfg.routing_spec("ugal"), topo), SimConfig())
     net.run_synthetic(
         UniformRandom(topo.num_nodes),
         load=0.6,
@@ -301,7 +301,7 @@ def _bench_routing_micro(cfg):
     best = float("inf")
     kinds = None
     for _ in range(REPS):
-        route = cfg.adaptive(topo).route
+        route = build_routing(*cfg.routing_spec("ugal"), topo).route
         t0 = time.perf_counter()
         indirect = 0
         for s, d in pairs:
@@ -333,7 +333,7 @@ def _bench_fault_overhead(cfg):
     from repro.routing.cache import RouteCache
 
     topo = cfg.topology()
-    vc_policy = cfg.adaptive(topo).cache.vc_policy
+    vc_policy = build_routing(*cfg.routing_spec("ugal"), topo).cache.vc_policy
     pair_rng = random.Random(321)
     n = topo.num_routers
     pairs = []

@@ -15,145 +15,29 @@ Gives shell access to the library's main entry points::
     python -m repro scalability --max-radix 64
     python -m repro bisection oft:k=6
 
-Topology specs are ``family:key=value,...``:
-
-- ``sf:q=5[,p=floor|ceil|<int>]``
-- ``mlfm:h=5[,l=...,p=...]``      - ``oft:k=4[,p=...]``
-- ``sspt:r1=4,r2=2``              - ``hyperx:r=9`` or ``hyperx:s1=4,s2=4,p=3``
-- ``ft2:r=8``  ``ft3:r=8``        - ``dfly:p=2[,a=...,h=...]``
+Topology specs are ``family:key=value,...`` (``sf:q=5,p=ceil``,
+``hyperx:r=9``, ...).  :mod:`repro.experiments.specs` lists the
+families and defines what every topology, routing and pattern name
+means; the commands only parse flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Dict, List, Optional
 
-from repro.topology import (
-    MLFM,
-    OFT,
-    SSPT,
-    Dragonfly,
-    FatTree2L,
-    FatTree3L,
-    HyperX2D,
-    SlimFly,
-    Topology,
+from repro.experiments.specs import (
+    build_pattern,
+    build_routing,
+    build_workload,
+    cli_pattern_spec,
+    cli_routing_spec,
+    parse_topology,
 )
 
 __all__ = ["main", "parse_topology"]
-
-
-def _parse_kv(spec: str) -> Dict[str, str]:
-    out: Dict[str, str] = {}
-    if not spec:
-        return out
-    for item in spec.split(","):
-        if "=" not in item:
-            raise ValueError(f"bad parameter {item!r} (expected key=value)")
-        key, value = item.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
-
-
-def parse_topology(spec: str) -> Topology:
-    """Build a topology from a ``family:key=value,...`` spec string."""
-    family, _, params = spec.partition(":")
-    kv = _parse_kv(params)
-    family = family.lower()
-    try:
-        if family == "sf":
-            p: object = kv.get("p", "floor")
-            if p not in ("floor", "ceil"):
-                p = int(p)  # type: ignore[arg-type]
-            return SlimFly(int(kv["q"]), p)  # type: ignore[arg-type]
-        if family == "mlfm":
-            return MLFM(
-                int(kv["h"]),
-                l=int(kv["l"]) if "l" in kv else None,
-                p=int(kv["p"]) if "p" in kv else None,
-            )
-        if family == "oft":
-            return OFT(int(kv["k"]), p=int(kv["p"]) if "p" in kv else None)
-        if family == "sspt":
-            return SSPT(int(kv["r1"]), int(kv["r2"]))
-        if family == "hyperx":
-            if "r" in kv:
-                return HyperX2D.balanced(int(kv["r"]))
-            return HyperX2D(int(kv["s1"]), int(kv["s2"]), int(kv["p"]) if "p" in kv else None)
-        if family == "ft2":
-            return FatTree2L(int(kv["r"]))
-        if family == "ft3":
-            return FatTree3L(int(kv["r"]))
-        if family == "dfly":
-            return Dragonfly(
-                int(kv["p"]),
-                a=int(kv["a"]) if "a" in kv else None,
-                h=int(kv["h"]) if "h" in kv else None,
-            )
-    except KeyError as exc:
-        raise ValueError(f"topology spec {spec!r}: missing parameter {exc}") from exc
-    raise ValueError(f"unknown topology family {family!r}")
-
-
-def _make_routing(topology: Topology, name: str, seed: int):
-    from repro.routing import IndirectRandomRouting, MinimalRouting, UGALRouting
-
-    name = name.lower()
-    if name == "min":
-        return MinimalRouting(topology, seed=seed)
-    if name == "inr":
-        return IndirectRandomRouting(topology, seed=seed)
-    if name in ("ugal", "ugal-a"):
-        if isinstance(topology, SlimFly):
-            return UGALRouting(topology, cost_mode="sf", c_sf=1.0, num_indirect=4, seed=seed)
-        return UGALRouting(topology, c=2.0, num_indirect=4, seed=seed)
-    if name in ("ugal-ath", "ugalth"):
-        if isinstance(topology, SlimFly):
-            return UGALRouting(
-                topology, cost_mode="sf", c_sf=1.0, num_indirect=4, threshold=0.10, seed=seed
-            )
-        return UGALRouting(topology, c=2.0, num_indirect=4, threshold=0.10, seed=seed)
-    raise ValueError(f"unknown routing {name!r} (min | inr | ugal | ugal-ath)")
-
-
-def _make_pattern(topology: Topology, name: str, seed: int):
-    from repro.traffic import (
-        BitComplement,
-        BitReverse,
-        HotspotTraffic,
-        ShiftTraffic,
-        Tornado,
-        Transpose,
-        UniformRandom,
-        worst_case_traffic,
-    )
-
-    name = name.lower()
-    if name == "uniform":
-        return UniformRandom(topology.num_nodes)
-    if name == "worstcase":
-        return worst_case_traffic(topology, seed=seed)
-    if name.startswith("shift"):
-        _, _, arg = name.partition(":")
-        shift = int(arg) if arg else topology.nodes_attached(topology.endpoint_routers()[0])
-        return ShiftTraffic(topology.num_nodes, shift)
-    if name == "bitcomp":
-        return BitComplement(topology.num_nodes)
-    if name == "bitrev":
-        return BitReverse(topology.num_nodes)
-    if name == "transpose":
-        return Transpose(topology.num_nodes)
-    if name == "tornado":
-        return Tornado(topology.num_nodes)
-    if name.startswith("hotspot"):
-        _, _, arg = name.partition(":")
-        fraction = float(arg) if arg else 0.2
-        return HotspotTraffic(topology.num_nodes, hotspots=[0], hot_fraction=fraction)
-    raise ValueError(
-        f"unknown pattern {name!r} (uniform | worstcase | shift[:k] | bitcomp | "
-        f"bitrev | transpose | tornado | hotspot[:frac])"
-    )
 
 
 def _cmd_info(args) -> int:
@@ -312,11 +196,13 @@ def _cmd_simulate(args) -> int:
     from repro.sim import Network
 
     topo = parse_topology(args.topology)
-    net = Network(topo, _make_routing(topo, args.routing, args.seed), _sim_config(args))
+    routing = build_routing(*cli_routing_spec(topo, args.routing), topo, args.seed)
+    pattern = build_pattern(*cli_pattern_spec(topo, args.pattern, args.seed), topo)
+    net = Network(topo, routing, _sim_config(args))
     tracer = net.enable_trace(capacity=args.trace) if args.trace else None
     with _maybe_profile(args.profile):
         stats = net.run_synthetic(
-            _make_pattern(topo, args.pattern, args.seed),
+            pattern,
             load=args.load,
             warmup_ns=args.warmup,
             measure_ns=args.measure,
@@ -377,43 +263,31 @@ def _print_campaign_stats(stats) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    from repro.experiments import load_sweep, saturation_point
+    from repro.experiments import saturation_point
     from repro.experiments.report import ascii_table
+    from repro.orchestrate import run_jobs, sweep_jobs
 
     topo = parse_topology(args.topology)
-    loads = [float(x) for x in args.loads.split(",")]
-    if _orchestration_requested(args):
-        from repro.orchestrate import cli_pattern_spec, cli_routing_spec, orchestrated_load_sweep
-
-        orch = _make_orchestrator(args)
-        try:
-            points = orchestrated_load_sweep(
-                args.topology,
-                cli_routing_spec(topo, args.routing),
-                cli_pattern_spec(topo, args.pattern, seed=args.seed),
-                loads,
-                orchestrator=orch,
-                warmup_ns=args.warmup,
-                measure_ns=args.measure,
-                seed=args.seed,
-            )
-        except RuntimeError as exc:
-            # A point failed even after retries: report it like every
-            # other CLI error instead of unwinding with a traceback.
-            print(f"error: {exc}", file=sys.stderr)
-            _print_campaign_stats(orch.last_stats)
-            return 1
-    else:
-        points = load_sweep(
-            topo,
-            lambda t, s: _make_routing(t, args.routing, s),
-            lambda t: _make_pattern(t, args.pattern, args.seed),
-            loads,
-            warmup_ns=args.warmup,
-            measure_ns=args.measure,
-            seed=args.seed,
-        )
-        orch = None
+    jobs = sweep_jobs(
+        args.topology,
+        cli_routing_spec(topo, args.routing),
+        cli_pattern_spec(topo, args.pattern, seed=args.seed),
+        [float(x) for x in args.loads.split(",")],
+        warmup_ns=args.warmup,
+        measure_ns=args.measure,
+        seed=args.seed,
+    )
+    orch = _make_orchestrator(args) if _orchestration_requested(args) else None
+    try:
+        points = [result.sweep_point() for result in run_jobs(jobs, orch)]
+    except RuntimeError as exc:
+        if orch is None:
+            raise
+        # A point failed even after retries: report it like every
+        # other CLI error instead of unwinding with a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        _print_campaign_stats(orch.last_stats)
+        return 1
     rows = [
         [p.load, p.throughput, p.mean_latency_ns, p.indirect_fraction] for p in points
     ]
@@ -428,7 +302,7 @@ def _cmd_campaign(args) -> int:
     """Cross-product campaign: topologies x routings x patterns x loads x seeds."""
     from repro.experiments.export import write_json
     from repro.experiments.report import ascii_table
-    from repro.orchestrate import cli_pattern_spec, cli_routing_spec, sweep_jobs
+    from repro.orchestrate import sweep_jobs
 
     loads = [float(x) for x in args.loads.split(",")]
     seeds = [int(x) for x in args.seeds.split(",")]
@@ -470,20 +344,16 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_exchange(args) -> int:
-    from repro.sim import Network
-    from repro.traffic import AllToAll, NearestNeighbor3D, paper_torus_dims
+    from repro.orchestrate import exchange_job, run_job
 
     topo = parse_topology(args.topology)
-    if args.pattern == "a2a":
-        exchange = AllToAll(topo.num_nodes, message_bytes=args.msg_bytes, seed=args.seed)
-    elif args.pattern == "nn":
-        exchange = NearestNeighbor3D(
-            topo.num_nodes, message_bytes=args.msg_bytes, dims=paper_torus_dims(topo)
-        )
-    else:
-        raise ValueError(f"unknown exchange pattern {args.pattern!r} (a2a | nn)")
-    net = Network(topo, _make_routing(topo, args.routing, args.seed))
-    res = net.run_exchange(exchange)
+    job = exchange_job(
+        args.topology,
+        cli_routing_spec(topo, args.routing),
+        (args.pattern, {"message_bytes": args.msg_bytes, "seed": args.seed}),
+        seed=args.seed,
+    )
+    res = run_job(job).payload
     print(
         f"{topo.name} {args.pattern} routing={args.routing}: "
         f"effective_throughput={res['effective_throughput']:.3f} "
@@ -516,43 +386,41 @@ def _cmd_workload(args) -> int:
         return kinds.get("indirect", 0) / total
 
     config = _sim_config(args)
+    routing = cli_routing_spec(topo, args.routing)
     orch = None
     if _orchestration_requested(args):
-        from repro.orchestrate import cli_routing_spec, workload_size_jobs
+        from repro.orchestrate import run_jobs, workload_size_jobs
 
         orch = _make_orchestrator(args)
         jobs = workload_size_jobs(
             args.topology,
-            cli_routing_spec(topo, args.routing),
+            routing,
             args.collective,
             sizes,
             workload_kwargs=wkwargs,
             seed=args.seed,
             config=config,
         )
-        result = orch.run(jobs)
         try:
-            result.raise_on_failure()
+            outcomes = [result.payload for result in run_jobs(jobs, orch)]
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             _print_campaign_stats(orch.last_stats)
             return 1
-        outcomes = [result.outcomes[job_id].result.payload for job_id in result.order]
     else:
         from repro.experiments.runner import run_workload
-        from repro.workload import build_workload
 
         outcomes = []
         nets: list = []
         with _maybe_profile(args.profile):
             for size in sizes:
                 workload = build_workload(
-                    args.collective, topo.num_nodes, size, **wkwargs
+                    args.collective, dict(wkwargs, message_bytes=size), topo
                 )
                 outcomes.append(
                     run_workload(
                         topo,
-                        lambda t, s: _make_routing(t, args.routing, s),
+                        lambda t, s: build_routing(*routing, t, s),
                         workload,
                         seed=args.seed,
                         config=config,
@@ -1008,6 +876,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Output piped into a closed reader (e.g. `| head`): not an
+        # error.  Point stdout at the null device so the interpreter's
+        # exit-time flush of the unwritten output stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except Exception as exc:
         # Surface invariant violations as their structured report rather
         # than a traceback that buries it (lazy import: the checker may
@@ -1018,6 +892,3 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(exc.report(), file=sys.stderr)
             return 3
         raise
-    except BrokenPipeError:
-        # Output piped into a closed reader (e.g. `| head`): not an error.
-        return 0

@@ -17,15 +17,10 @@ scale-invariant ratios), ``paper`` matches the paper exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.routing import (
-    IndirectRandomRouting,
-    MinimalRouting,
-    RoutingAlgorithm,
-    UGALRouting,
-)
-from repro.topology import MLFM, OFT, SlimFly, Topology
+from repro.experiments.specs import Spec, parse_topology
+from repro.topology import Topology
 
 __all__ = ["ExperimentConfig", "SCALES", "configs_for_scale", "SimWindows", "windows_for_scale"]
 
@@ -35,51 +30,29 @@ class ExperimentConfig:
     """One (topology, adaptive-routing defaults) evaluation target."""
 
     key: str  # short id, e.g. "sf-floor"
-    build: Callable[[], Topology]
+    #: Topology spec (e.g. ``"sf:q=5,p=floor"``; :mod:`repro.experiments.specs`).
+    spec: str
     #: Adaptive-routing keyword arguments that performed best for this
     #: topology under synthetic traffic (used for Figs. 13/14).
     ugal_kwargs: Dict[str, object] = field(default_factory=dict)
-    #: Declarative CLI-style topology spec (e.g. ``"sf:q=5,p=floor"``).
-    #: Needed to ship this configuration's work to orchestrator workers
-    #: (see :mod:`repro.orchestrate`); empty for ad-hoc configs, which
-    #: then only support the serial path.
-    spec: str = ""
 
     def topology(self) -> Topology:
-        return self.build()
+        return parse_topology(self.spec)
 
-    def minimal(self, topology: Topology, seed: int = 0) -> RoutingAlgorithm:
-        return MinimalRouting(topology, seed=seed)
+    def routing_spec(self, kind: str, **overrides) -> Spec:
+        """The routing spec of *kind*: ``min``, ``inr``, or this config's UGAL.
 
-    def indirect(self, topology: Topology, seed: int = 0) -> RoutingAlgorithm:
-        return IndirectRandomRouting(topology, seed=seed)
-
-    def adaptive(self, topology: Topology, seed: int = 0, **overrides) -> RoutingAlgorithm:
-        kwargs = dict(self.ugal_kwargs)
-        kwargs.update(overrides)
-        return UGALRouting(topology, seed=seed, **kwargs)
-
-    # -- declarative counterparts (picklable; used by repro.orchestrate) ---
-
-    def minimal_spec(self) -> Tuple[str, Dict[str, object]]:
-        return ("min", {})
-
-    def indirect_spec(self) -> Tuple[str, Dict[str, object]]:
-        return ("inr", {})
-
-    def adaptive_spec(self, **overrides) -> Tuple[str, Dict[str, object]]:
-        """The (name, kwargs) spec building the same router as :meth:`adaptive`."""
-        kwargs = dict(self.ugal_kwargs)
-        kwargs.update(overrides)
-        return ("ugal", kwargs)
-
-    def routing_spec(self, kind: str, **overrides) -> Tuple[str, Dict[str, object]]:
+        *overrides* replace entries of :attr:`ugal_kwargs` for the
+        adaptive kind (``ugal``, ``adaptive`` or ``ADAPT``).
+        """
         if kind in ("min", "MIN"):
-            return self.minimal_spec()
+            return ("min", {})
         if kind in ("inr", "INR"):
-            return self.indirect_spec()
+            return ("inr", {})
         if kind in ("ugal", "adaptive", "ADAPT"):
-            return self.adaptive_spec(**overrides)
+            kwargs = dict(self.ugal_kwargs)
+            kwargs.update(overrides)
+            return ("ugal", kwargs)
         raise ValueError(f"unknown routing kind {kind!r}")
 
 
@@ -95,15 +68,13 @@ def _oft_ugal(threshold: Optional[float] = None) -> Dict[str, object]:
     return {"cost_mode": "const", "c": 2.0, "num_indirect": 1, "threshold": threshold}
 
 
-def _make(scale_params: Dict[str, Tuple]) -> List[ExperimentConfig]:
+def _make(scale_params: Dict[str, int]) -> List[ExperimentConfig]:
     q, h, k = scale_params["q"], scale_params["h"], scale_params["k"]
     return [
-        ExperimentConfig("sf-floor", lambda q=q: SlimFly(q, "floor"), _sf_ugal(),
-                         spec=f"sf:q={q},p=floor"),
-        ExperimentConfig("sf-ceil", lambda q=q: SlimFly(q, "ceil"), _sf_ugal(),
-                         spec=f"sf:q={q},p=ceil"),
-        ExperimentConfig("mlfm", lambda h=h: MLFM(h), _mlfm_ugal(), spec=f"mlfm:h={h}"),
-        ExperimentConfig("oft", lambda k=k: OFT(k), _oft_ugal(), spec=f"oft:k={k}"),
+        ExperimentConfig("sf-floor", f"sf:q={q},p=floor", _sf_ugal()),
+        ExperimentConfig("sf-ceil", f"sf:q={q},p=ceil", _sf_ugal()),
+        ExperimentConfig("mlfm", f"mlfm:h={h}", _mlfm_ugal()),
+        ExperimentConfig("oft", f"oft:k={k}", _oft_ugal()),
     ]
 
 

@@ -32,6 +32,7 @@ import json
 from typing import Dict, List
 
 from repro.experiments.configs import configs_for_scale
+from repro.experiments.specs import build_routing
 from repro.sim import Network, SimConfig
 from repro.traffic import UniformRandom
 
@@ -86,8 +87,7 @@ def _build(case_key: str, check: bool, backend: str = "object") -> Network:
         raise ValueError(f"unknown conformance case {case_key!r}")
     cfg = by_key[topo_key]
     topo = cfg.topology()
-    builder = {"min": cfg.minimal, "inr": cfg.indirect, "ugal": cfg.adaptive}[kind]
-    routing = builder(topo, seed=ROUTING_SEED)
+    routing = build_routing(*cfg.routing_spec(kind), topo, seed=ROUTING_SEED)
     return Network(topo, routing, SimConfig(check=check, backend=backend))
 
 
@@ -176,8 +176,7 @@ def run_fault_case(
     topo_key, _, kind = FAULT_CASE_KEY.partition("/")
     cfg = {c.key: c for c in configs_for_scale(SCALE)}[topo_key]
     topo = cfg.topology()
-    builder = {"min": cfg.minimal, "inr": cfg.indirect, "ugal": cfg.adaptive}[kind]
-    routing = builder(topo, seed=ROUTING_SEED)
+    routing = build_routing(*cfg.routing_spec(kind), topo, seed=ROUTING_SEED)
     net = Network(
         topo,
         routing,

@@ -13,8 +13,7 @@ reproductions share one code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.analysis import (
     bisection_bandwidth,
@@ -27,17 +26,13 @@ from repro.analysis import (
 from repro.analysis.cost import COST_TABLE
 from repro.experiments.configs import ExperimentConfig, configs_for_scale, windows_for_scale
 from repro.experiments.report import ascii_table
-from repro.experiments.runner import SweepPoint, load_sweep, run_exchange, saturation_point
+from repro.experiments.runner import SweepPoint, saturation_point
+from repro.experiments.specs import Spec
+from repro.topology import MLFM, OFT, SlimFly, ml3b_table
+from repro.traffic import paper_torus_dims, worst_case_traffic
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.orchestrate import Orchestrator
-from repro.topology import MLFM, OFT, SlimFly, ml3b_table
-from repro.traffic import (
-    AllToAll,
-    UniformRandom,
-    paper_torus_dims,
-    worst_case_traffic,
-)
+    from repro.orchestrate import Job, Orchestrator
 
 __all__ = [
     "table2_data",
@@ -173,62 +168,31 @@ def fig5_data(scale: str = "tiny", seed: int = 0) -> Dict:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class _SweepTask:
-    """One named sweep of a figure: serial factories + declarative specs."""
-
-    key: str
-    config: ExperimentConfig
-    routing_factory: Callable
-    routing_spec: Tuple[str, Dict[str, object]]
-    pattern_factory: Callable
-    pattern_spec: Tuple[str, Dict[str, object]]
-    loads: Sequence[float]
+# Every simulated point is a repro.orchestrate Job built from a config's
+# specs, and every figure runs its jobs through repro.orchestrate.run_jobs:
+# inline when no orchestrator is given, as one cached, parallel campaign
+# when one is.  repro.orchestrate imports this package, hence the
+# function-level imports below.
 
 
-def _run_sweep_tasks(
-    tasks: Sequence[_SweepTask],
-    orchestrator: Optional["Orchestrator"],
-    warmup_ns: float,
-    measure_ns: float,
-    seed: int,
+def _sweep_points(
+    jobs: Sequence["Job"], orchestrator: Optional["Orchestrator"]
 ) -> Dict[str, List[SweepPoint]]:
-    """Execute every task, in parallel when an orchestrator is given.
+    """Run sweep *jobs*; their points grouped by tag (one per sweep), in job order."""
+    from repro.orchestrate import run_jobs
 
-    Both paths are bit-identical for fixed seeds (the orchestrator
-    executes point ``i`` through the same
-    :func:`~repro.experiments.runner.run_sweep_point` primitive with
-    ``seed = seed + i``).  Ad-hoc configs without a declarative
-    ``spec`` fall back to the serial path.
-    """
-    use_orchestrator = orchestrator is not None and all(t.config.spec for t in tasks)
-    out: Dict[str, List[SweepPoint]] = {}
-    if not use_orchestrator:
-        topo_cache: Dict[str, object] = {}
-        for task in tasks:
-            topo = topo_cache.setdefault(task.config.key, task.config.topology())
-            out[task.key] = load_sweep(
-                topo, task.routing_factory, task.pattern_factory, task.loads,
-                warmup_ns=warmup_ns, measure_ns=measure_ns, seed=seed,
-            )
-        return out
+    by_tag: Dict[str, List[SweepPoint]] = {}
+    for job, result in zip(jobs, run_jobs(jobs, orchestrator)):
+        by_tag.setdefault(job.tag, []).append(result.sweep_point())
+    return by_tag
 
-    from repro.orchestrate import points_from_outcomes, sweep_jobs
 
-    jobs = []
-    slices: Dict[str, Tuple[int, int]] = {}
-    for task in tasks:
-        task_jobs = sweep_jobs(
-            task.config.spec, task.routing_spec, task.pattern_spec, task.loads,
-            warmup_ns=warmup_ns, measure_ns=measure_ns, seed=seed, tag=task.key,
-        )
-        slices[task.key] = (len(jobs), len(task_jobs))
-        jobs.extend(task_jobs)
-    result = orchestrator.run(jobs)
-    for task in tasks:
-        start, count = slices[task.key]
-        out[task.key] = points_from_outcomes(result, result.order[start:start + count])
-    return out
+def _patterns(uni_loads: Sequence[float], wc_loads: Sequence[float], seed: int):
+    """Figs. 6-12's traffic: (label, pattern spec, load grid) per pattern."""
+    return (
+        ("UNI", ("uniform", {}), uni_loads),
+        ("WC", ("worstcase", {"seed": seed}), wc_loads),
+    )
 
 
 def fig6_data(
@@ -245,35 +209,24 @@ def fig6_data(
     every (config, routing, pattern) combination.  With *orchestrator*,
     the 16 sweeps run as one parallel, cached campaign.
     """
+    from repro.orchestrate import sweep_jobs
+
     configs = list(configs) if configs is not None else configs_for_scale(scale)
     windows = windows_for_scale(scale)
-    tasks: List[_SweepTask] = []
+    jobs: List["Job"] = []
     for config in configs:
-        routings = (
-            ("MIN", config.minimal, config.minimal_spec()),
-            ("INR", config.indirect, config.indirect_spec()),
-        )
-        patterns = (
-            ("UNI", lambda t: UniformRandom(t.num_nodes), ("uniform", {}), uni_loads),
-            ("WC", lambda t: worst_case_traffic(t, seed=seed),
-             ("worstcase", {"seed": seed}), wc_loads),
-        )
-        for rname, rfactory, rspec in routings:
-            for pname, pfactory, pspec, loads in patterns:
-                tasks.append(_SweepTask(
-                    key=f"{config.key}/{rname}/{pname}", config=config,
-                    routing_factory=rfactory, routing_spec=rspec,
-                    pattern_factory=pfactory, pattern_spec=pspec, loads=loads,
-                ))
-    by_key = _run_sweep_tasks(
-        tasks, orchestrator, windows.warmup_ns, windows.measure_ns, seed
-    )
+        for rname in ("MIN", "INR"):
+            for pname, pattern, loads in _patterns(uni_loads, wc_loads, seed):
+                jobs += sweep_jobs(
+                    config.spec, config.routing_spec(rname), pattern, loads,
+                    warmup_ns=windows.warmup_ns, measure_ns=windows.measure_ns,
+                    seed=seed, tag=f"{config.key}/{rname}/{pname}",
+                )
     rows: List[List[object]] = []
     saturations: Dict[str, float] = {}
-    for task in tasks:
-        points = by_key[task.key]
-        saturations[task.key] = saturation_point(points)
-        config_key, rname, pname = task.key.split("/")
+    for key, points in _sweep_points(jobs, orchestrator).items():
+        saturations[key] = saturation_point(points)
+        config_key, rname, pname = key.split("/")
         for p in points:
             rows.append([config_key, rname, pname, p.load, p.throughput, p.mean_latency_ns])
     return {
@@ -301,38 +254,25 @@ def _adaptive_parameter_figure(
     orchestrator: Optional["Orchestrator"] = None,
 ) -> Dict:
     """Shared engine of Figs. 7-12: UGAL parameter sensitivity sweeps."""
+    from repro.orchestrate import sweep_jobs
+
     windows = windows_for_scale(scale)
-    tasks: List[_SweepTask] = []
-    labels: Dict[str, str] = {}
+    jobs: List["Job"] = []
     for value in values:
-        overrides = dict(fixed)
-        overrides[vary] = value
-        overrides["threshold"] = threshold
-
-        def rfactory(t, s, overrides=overrides):
-            return config.adaptive(t, seed=s, **overrides)
-
-        for pname, pfactory, pspec, loads in (
-            ("UNI", lambda t: UniformRandom(t.num_nodes), ("uniform", {}), uni_loads),
-            ("WC", lambda t: worst_case_traffic(t, seed=seed),
-             ("worstcase", {"seed": seed}), wc_loads),
-        ):
-            key = f"{config.key}/{vary}={value:g}/{pname}"
-            labels[key] = f"{vary}={value:g}"
-            tasks.append(_SweepTask(
-                key=key, config=config,
-                routing_factory=rfactory,
-                routing_spec=config.adaptive_spec(**overrides),
-                pattern_factory=pfactory, pattern_spec=pspec, loads=loads,
-            ))
-    by_key = _run_sweep_tasks(
-        tasks, orchestrator, windows.warmup_ns, windows.measure_ns, seed
-    )
+        routing = config.routing_spec(
+            "ugal", **dict(fixed, **{vary: value, "threshold": threshold})
+        )
+        for pname, pattern, loads in _patterns(uni_loads, wc_loads, seed):
+            jobs += sweep_jobs(
+                config.spec, routing, pattern, loads,
+                warmup_ns=windows.warmup_ns, measure_ns=windows.measure_ns,
+                seed=seed, tag=f"{config.key}/{vary}={value:g}/{pname}",
+            )
     rows: List[List[object]] = []
-    for task in tasks:
-        pname = task.key.rsplit("/", 1)[-1]
-        for p in by_key[task.key]:
-            rows.append([config.key, labels[task.key], pname, p.load, p.throughput,
+    for key, points in _sweep_points(jobs, orchestrator).items():
+        _, label, pname = key.split("/")
+        for p in points:
+            rows.append([config.key, label, pname, p.load, p.throughput,
                          p.mean_latency_ns, p.indirect_fraction])
     return {
         "rows": rows,
@@ -453,44 +393,24 @@ def fig12_data(scale="tiny", uni_loads=UNI_LOADS, wc_loads=WC_LOADS, seed=0,
     return {"a": part_a, "b": part_b, "report": part_a["report"] + "\n\n" + part_b["report"]}
 
 
-def _run_exchange_tasks(
-    tasks: Sequence[Tuple[str, ExperimentConfig, Callable, Tuple[str, Dict[str, object]],
-                          Tuple[str, Dict[str, object]]]],
-    orchestrator: Optional["Orchestrator"],
+def _exchange_results(
+    configs: Sequence[ExperimentConfig],
+    exchange: Spec,
     seed: int,
+    orchestrator: Optional["Orchestrator"],
 ) -> Dict[str, Dict[str, float]]:
-    """Figs. 13/14 engine: run named finite exchanges, parallel if possible.
-
-    Each task is ``(key, config, routing_factory, routing_spec,
-    exchange_spec)``; returns the :func:`run_exchange` result dict per
-    key.  Exchange objects are rebuilt per run in both paths (they are
-    stateless descriptions), so serial and orchestrated results match.
-    """
-    use_orchestrator = orchestrator is not None and all(t[1].spec for t in tasks)
-    out: Dict[str, Dict[str, float]] = {}
-    if not use_orchestrator:
-        from repro.orchestrate.job import _build_exchange  # shared builder
-
-        topo_cache: Dict[str, object] = {}
-        for key, config, rfactory, _rspec, (xname, xkwargs) in tasks:
-            topo = topo_cache.setdefault(config.key, config.topology())
-            exchange = _build_exchange(xname, xkwargs, topo)
-            out[key] = run_exchange(topo, rfactory, exchange, seed=seed)
-        return out
-
-    from repro.orchestrate import exchange_job
+    """Figs. 13/14 engine: one finite exchange per config under MIN, INR
+    and ADAPT; the :func:`~repro.experiments.runner.run_exchange` result
+    per ``config/routing`` key, in that order."""
+    from repro.orchestrate import exchange_job, run_jobs
 
     jobs = [
-        exchange_job(config.spec, rspec, xspec, seed=seed, tag=key)
-        for key, config, _rfactory, rspec, xspec in tasks
+        exchange_job(config.spec, config.routing_spec(rname), exchange, seed=seed,
+                     tag=f"{config.key}/{rname}")
+        for config in configs
+        for rname in ("MIN", "INR", "ADAPT")
     ]
-    result = orchestrator.run(jobs)
-    for (key, *_), job_id in zip(tasks, result.order):
-        outcome = result.outcomes[job_id]
-        if not outcome.ok or outcome.result is None:
-            raise RuntimeError(f"exchange job {job_id} ({key}) failed: {outcome.error}")
-        out[key] = outcome.result.payload
-    return out
+    return {job.tag: res.payload for job, res in zip(jobs, run_jobs(jobs, orchestrator))}
 
 
 def fig13_data(scale: str = "tiny", seed: int = 0,
@@ -499,23 +419,14 @@ def fig13_data(scale: str = "tiny", seed: int = 0,
     """Fig. 13: effective throughput of one all-to-all exchange."""
     configs = list(configs) if configs is not None else configs_for_scale(scale)
     windows = windows_for_scale(scale)
-    tasks = []
-    for config in configs:
-        xspec = ("a2a", {"message_bytes": windows.a2a_message_bytes, "seed": seed})
-        for rname, rfactory, rspec in (
-            ("MIN", config.minimal, config.minimal_spec()),
-            ("INR", config.indirect, config.indirect_spec()),
-            ("ADAPT", config.adaptive, config.adaptive_spec()),
-        ):
-            tasks.append((f"{config.key}/{rname}", config, rfactory, rspec, xspec))
-    by_key = _run_exchange_tasks(tasks, orchestrator, seed)
+    exchange = ("a2a", {"message_bytes": windows.a2a_message_bytes, "seed": seed})
     rows: List[List[object]] = []
     results: Dict[str, float] = {}
-    for key, config, *_ in tasks:
-        res = by_key[key]
+    for key, res in _exchange_results(configs, exchange, seed, orchestrator).items():
         eff = res["effective_throughput"]
         results[key] = eff
-        rows.append([config.key, key.rsplit("/", 1)[-1], eff, res["completion_ns"]])
+        config_key, rname = key.split("/")
+        rows.append([config_key, rname, eff, res["completion_ns"]])
     return {
         "results": results,
         "rows": rows,
@@ -533,26 +444,16 @@ def fig14_data(scale: str = "tiny", seed: int = 0,
     """Fig. 14: effective throughput of one nearest-neighbour exchange."""
     configs = list(configs) if configs is not None else configs_for_scale(scale)
     windows = windows_for_scale(scale)
-    tasks = []
-    dims_of: Dict[str, Tuple[int, int, int]] = {}
-    for config in configs:
-        dims_of[config.key] = paper_torus_dims(config.topology())
-        xspec = ("nn", {"message_bytes": windows.nn_message_bytes})
-        for rname, rfactory, rspec in (
-            ("MIN", config.minimal, config.minimal_spec()),
-            ("INR", config.indirect, config.indirect_spec()),
-            ("ADAPT", config.adaptive, config.adaptive_spec()),
-        ):
-            tasks.append((f"{config.key}/{rname}", config, rfactory, rspec, xspec))
-    by_key = _run_exchange_tasks(tasks, orchestrator, seed)
+    dims_of = {config.key: paper_torus_dims(config.topology()) for config in configs}
+    exchange = ("nn", {"message_bytes": windows.nn_message_bytes})
     rows: List[List[object]] = []
     results: Dict[str, float] = {}
-    for key, config, *_ in tasks:
-        eff = by_key[key]["effective_throughput"]
+    for key, res in _exchange_results(configs, exchange, seed, orchestrator).items():
+        eff = res["effective_throughput"]
         results[key] = eff
-        dims = dims_of[config.key]
-        rows.append([config.key, f"{dims[0]}x{dims[1]}x{dims[2]}",
-                     key.rsplit("/", 1)[-1], eff])
+        config_key, rname = key.split("/")
+        dims = dims_of[config_key]
+        rows.append([config_key, f"{dims[0]}x{dims[1]}x{dims[2]}", rname, eff])
     return {
         "results": results,
         "rows": rows,
@@ -575,22 +476,24 @@ def tail_effects_data(scale: str = "tiny", seed: int = 0,
     offered load, and the A2A effective throughput, and reports their
     ratio per configuration.
     """
+    from repro.orchestrate import exchange_job, run_jobs, sweep_jobs
+
     configs = list(configs) if configs is not None else configs_for_scale(scale)
     windows = windows_for_scale(scale)
+    exchange = ("a2a", {"message_bytes": windows.a2a_message_bytes, "seed": seed})
+    jobs: List["Job"] = []
+    for config in configs:
+        routing = config.routing_spec("min")
+        jobs += sweep_jobs(config.spec, routing, ("uniform", {}), [0.95],
+                           warmup_ns=windows.warmup_ns, measure_ns=windows.measure_ns,
+                           seed=seed, tag=config.key)
+        jobs.append(exchange_job(config.spec, routing, exchange, seed=seed, tag=config.key))
+    payloads = [result.payload for result in run_jobs(jobs)]
     rows: List[List[object]] = []
     ratios: Dict[str, float] = {}
-    for config in configs:
-        topo = config.topology()
-        points = load_sweep(
-            topo, config.minimal, lambda t: UniformRandom(t.num_nodes), [0.95],
-            warmup_ns=windows.warmup_ns, measure_ns=windows.measure_ns, seed=seed,
-        )
-        steady = points[0].throughput
-        exchange = AllToAll(topo.num_nodes, message_bytes=windows.a2a_message_bytes,
-                            seed=seed)
-        eff = run_exchange(topo, config.minimal, exchange, seed=seed)[
-            "effective_throughput"
-        ]
+    for config, steady_res, exchange_res in zip(configs, payloads[::2], payloads[1::2]):
+        steady = steady_res["throughput"]
+        eff = exchange_res["effective_throughput"]
         ratio = eff / steady
         ratios[config.key] = ratio
         rows.append([config.key, steady, eff, ratio])
@@ -630,48 +533,6 @@ def diversity_data(scale: str = "tiny") -> Dict:
 # --------------------------------------------------------------------------
 
 
-def _run_workload_tasks(
-    tasks: Sequence[Tuple[str, ExperimentConfig, Callable, Tuple[str, Dict[str, object]],
-                          Tuple[str, Dict[str, object]]]],
-    orchestrator: Optional["Orchestrator"],
-    seed: int,
-) -> Dict[str, Dict[str, object]]:
-    """Workload-figure engine: run named collectives, parallel if possible.
-
-    Each task is ``(key, config, routing_factory, routing_spec,
-    workload_spec)``; returns the driver result dict per key.  Mirrors
-    :func:`_run_exchange_tasks`: workloads are rebuilt per run from
-    their declarative spec in both paths, so serial and orchestrated
-    results match bit-for-bit.
-    """
-    use_orchestrator = orchestrator is not None and all(t[1].spec for t in tasks)
-    out: Dict[str, Dict[str, object]] = {}
-    if not use_orchestrator:
-        from repro.experiments.runner import run_workload
-        from repro.orchestrate.job import _build_workload  # shared builder
-
-        topo_cache: Dict[str, object] = {}
-        for key, config, rfactory, _rspec, (wname, wkwargs) in tasks:
-            topo = topo_cache.setdefault(config.key, config.topology())
-            workload = _build_workload(wname, dict(wkwargs), topo)
-            out[key] = run_workload(topo, rfactory, workload, seed=seed)
-        return out
-
-    from repro.orchestrate import workload_job
-
-    jobs = [
-        workload_job(config.spec, rspec, wspec, seed=seed, tag=key)
-        for key, config, _rfactory, rspec, wspec in tasks
-    ]
-    result = orchestrator.run(jobs)
-    for (key, *_), job_id in zip(tasks, result.order):
-        outcome = result.outcomes[job_id]
-        if not outcome.ok or outcome.result is None:
-            raise RuntimeError(f"workload job {job_id} ({key}) failed: {outcome.error}")
-        out[key] = outcome.result.payload
-    return out
-
-
 def collectives_data(scale: str = "tiny", seed: int = 0,
                      collective: str = "ring-allreduce",
                      sizes: Optional[Sequence[int]] = None,
@@ -688,34 +549,33 @@ def collectives_data(scale: str = "tiny", seed: int = 0,
     the DAG critical-path bound, the contention stretch (measured /
     bound) and the observed link-load skew.
     """
+    from repro.orchestrate import run_jobs, workload_job
+
     configs = list(configs) if configs is not None else configs_for_scale(scale)
     if sizes is None:
         # Span latency-bound through bandwidth-bound regimes.  Ring
         # chunks are size/R bytes, so sizes must straddle multiples of
         # R * packet_bytes or adjacent points collapse onto the same
         # per-step packet count (and hence identical completion times).
-        n = max(c.build().num_nodes for c in configs)
+        n = max(c.topology().num_nodes for c in configs)
         step = n * 256  # one extra packet per ring step
         sizes = (step // 2, 2 * step, 8 * step)
-    tasks = []
-    for config in configs:
-        for rname in routings:
-            rspec = config.routing_spec(rname)
-            rfactory = {"MIN": config.minimal, "INR": config.indirect,
-                        "ADAPT": config.adaptive}[rname]
-            for size in sizes:
-                wspec = (collective, {"message_bytes": int(size)})
-                tasks.append((f"{config.key}/{rname}/B{size}", config,
-                              rfactory, rspec, wspec))
-    by_key = _run_workload_tasks(tasks, orchestrator, seed)
+    jobs = [
+        workload_job(config.spec, config.routing_spec(rname),
+                     (collective, {"message_bytes": int(size)}), seed=seed,
+                     tag=f"{config.key}/{rname}/B{size}")
+        for config in configs
+        for rname in routings
+        for size in sizes
+    ]
     rows: List[List[object]] = []
     results: Dict[str, Dict[str, object]] = {}
-    for key, config, *_ in tasks:
-        res = by_key[key]
-        results[key] = res
-        _, rname, blabel = key.split("/")
+    for job, result in zip(jobs, run_jobs(jobs, orchestrator)):
+        res = result.payload
+        results[job.tag] = res
+        config_key, rname, blabel = job.tag.split("/")
         rows.append([
-            config.key, rname, int(blabel[1:]), res["completion_ns"],
+            config_key, rname, int(blabel[1:]), res["completion_ns"],
             res["critical_path_ideal_ns"], res["contention_stretch"],
             res["link_load_skew"],
         ])

@@ -31,10 +31,7 @@ from repro.experiments.configs import (
     windows_for_scale,
 )
 from repro.experiments.report import ascii_table
-from repro.experiments.runner import run_workload
 from repro.sim import SimConfig
-from repro.topology import HyperX2D
-from repro.workload import build_workload
 
 __all__ = ["resilience_data", "resilience_configs", "HYPERX_RADIX"]
 
@@ -52,12 +49,7 @@ def resilience_configs(scale: str = "tiny") -> List[ExperimentConfig]:
     """The degradation-sweep configurations: the paper's four plus HyperX."""
     configs = configs_for_scale(scale)
     r = HYPERX_RADIX[scale]
-    configs.append(ExperimentConfig(
-        "hyperx",
-        lambda r=r: HyperX2D.balanced(r),
-        {"c": 2.0, "num_indirect": 4},
-        spec=f"hyperx:r={r}",
-    ))
+    configs.append(ExperimentConfig("hyperx", f"hyperx:r={r}", {"c": 2.0, "num_indirect": 4}))
     return configs
 
 
@@ -80,19 +72,25 @@ def resilience_data(
     completions also fix the shared failure time), then the degraded
     runs under one identical fault schedule.
     """
+    # Lazy: repro.orchestrate imports this package.
+    from repro.orchestrate import run_jobs, workload_job
+
     configs = (list(configs) if configs is not None
                else resilience_configs(scale))
     if message_bytes is None:
         message_bytes = windows_for_scale(scale).a2a_message_bytes
 
-    def run_one(config: ExperimentConfig, sim_config: SimConfig) -> Dict:
-        topo = config.topology()
-        workload = build_workload(collective, topo.num_nodes, message_bytes)
-        return run_workload(topo, config.adaptive, workload,
-                            seed=seed, config=sim_config)
+    def run_all(sim_config: SimConfig) -> Dict[str, Dict]:
+        """Every config's adaptive-routing run of the collective, inline."""
+        jobs = [
+            workload_job(c.spec, c.routing_spec("ugal"),
+                         (collective, {"message_bytes": int(message_bytes)}),
+                         seed=seed, config=sim_config, tag=c.key)
+            for c in configs
+        ]
+        return {job.tag: res.payload for job, res in zip(jobs, run_jobs(jobs))}
 
-    base_config = SimConfig(backend=backend, check=check)
-    baselines = {c.key: run_one(c, base_config) for c in configs}
+    baselines = run_all(SimConfig(backend=backend, check=check))
 
     first_fault_ns = _FAULT_AT_FRACTION * min(
         res["completion_ns"] for res in baselines.values()
@@ -101,11 +99,10 @@ def resilience_data(
         f"drip@{first_fault_ns:g}:n={drip_count},every={drip_every_ns:g},"
         f"seed={drip_seed}",
     )
-    degraded_config = SimConfig(
+    degraded = run_all(SimConfig(
         backend=backend, check=check,
         faults=fault_specs, fault_policy=fault_policy,
-    )
-    degraded = {c.key: run_one(c, degraded_config) for c in configs}
+    ))
 
     rows: List[List[object]] = []
     results: Dict[str, Dict[str, object]] = {}

@@ -5,7 +5,7 @@ The paper's evaluation (Figs. 6–14) is a large set of independent
 such campaigns across processes with checkpoint/resume semantics:
 
 - :mod:`~repro.orchestrate.job` — declarative, content-hashed job specs
-  and the in-worker executor (bit-identical to the serial path);
+  and :func:`run_job`, the one executor of an experiment point;
 - :mod:`~repro.orchestrate.store` — the disk-backed result cache;
 - :mod:`~repro.orchestrate.scheduler` — serial and process-pool
   back-ends with per-job timeout, retry with backoff, and worker-crash
@@ -14,8 +14,9 @@ such campaigns across processes with checkpoint/resume semantics:
   TTY progress;
 - :mod:`~repro.orchestrate.campaign` — the policy layer
   (:func:`run_campaign`, :class:`Orchestrator`);
-- :mod:`~repro.orchestrate.sweeps` — builders mapping load sweeps and
-  finite exchanges onto jobs.
+- :mod:`~repro.orchestrate.sweeps` — builders mapping load sweeps,
+  finite exchanges and workloads onto jobs, and :func:`run_jobs`, which
+  runs them inline or through an :class:`Orchestrator`.
 """
 
 from repro.orchestrate.campaign import CampaignResult, Orchestrator, run_campaign
@@ -28,11 +29,9 @@ from repro.orchestrate.scheduler import (
 )
 from repro.orchestrate.store import ResultStore
 from repro.orchestrate.sweeps import (
-    cli_pattern_spec,
-    cli_routing_spec,
     exchange_job,
     orchestrated_load_sweep,
-    points_from_outcomes,
+    run_jobs,
     sweep_jobs,
     workload_job,
     workload_size_jobs,
@@ -58,8 +57,6 @@ __all__ = [
     "exchange_job",
     "workload_job",
     "workload_size_jobs",
-    "points_from_outcomes",
+    "run_jobs",
     "orchestrated_load_sweep",
-    "cli_routing_spec",
-    "cli_pattern_spec",
 ]

@@ -4,11 +4,15 @@ A :class:`Job` captures one simulation point as plain data — topology
 spec string, routing/pattern names plus keyword dictionaries, load,
 seed and the :class:`~repro.sim.config.SimConfig` fields — so it can
 cross a process boundary and be content-hashed for result caching.
-``run_job`` rebuilds the live objects inside the worker and executes
-through the same primitives as the serial path
-(:func:`repro.experiments.runner.run_sweep_point`,
-:func:`repro.experiments.runner.run_exchange`), which is what makes the
-parallel and serial paths bit-identical for fixed seeds.
+It is the one description of a point: every simulation figure and the
+``sweep``, ``campaign`` and ``exchange`` commands build jobs.
+``run_job`` is the one executor: it rebuilds the live objects through
+the :mod:`repro.experiments.specs` registry and runs them through the
+library primitives (:func:`repro.experiments.runner.run_sweep_point`,
+:func:`~repro.experiments.runner.run_exchange`,
+:func:`~repro.experiments.runner.run_workload`).  It runs inline when
+no orchestrator is given and inside each worker otherwise, so a point
+gives the same result wherever it executes.
 
 Four job kinds exist:
 
@@ -36,8 +40,14 @@ from repro.experiments.runner import (
     run_sweep_point,
     run_workload,
 )
+from repro.experiments.specs import (
+    build_exchange,
+    build_pattern,
+    build_routing,
+    build_workload,
+    parse_topology,
+)
 from repro.sim.config import SimConfig
-from repro.topology.base import Topology
 
 __all__ = ["Job", "JobResult", "run_job", "CACHE_VERSION", "sim_config_dict"]
 
@@ -143,102 +153,6 @@ class JobResult:
 
 
 # --------------------------------------------------------------------------
-# Spec -> live object builders (run inside the worker process).
-# --------------------------------------------------------------------------
-
-
-def _build_topology(spec: str) -> Topology:
-    from repro.cli import parse_topology  # lazy: cli never imports us at module level
-
-    return parse_topology(spec)
-
-
-def _build_routing(name: str, kwargs: Dict[str, Any], topology: Topology, seed: int):
-    from repro.routing import IndirectRandomRouting, MinimalRouting, UGALRouting
-
-    name = name.lower()
-    if name == "min":
-        return MinimalRouting(topology, seed=seed, **kwargs)
-    if name == "inr":
-        return IndirectRandomRouting(topology, seed=seed, **kwargs)
-    if name == "ugal":
-        return UGALRouting(topology, seed=seed, **kwargs)
-    raise ValueError(f"unknown routing {name!r} (min | inr | ugal)")
-
-
-def _build_pattern(name: str, kwargs: Dict[str, Any], topology: Topology):
-    from repro.traffic import (
-        BitComplement,
-        BitReverse,
-        HotspotTraffic,
-        ShiftTraffic,
-        Tornado,
-        Transpose,
-        UniformRandom,
-        worst_case_traffic,
-    )
-
-    name = name.lower()
-    n = topology.num_nodes
-    if name == "uniform":
-        return UniformRandom(n)
-    if name == "worstcase":
-        return worst_case_traffic(topology, seed=int(kwargs.get("seed", 0)))
-    if name == "shift":
-        shift = kwargs.get("shift")
-        if shift is None:
-            shift = topology.nodes_attached(topology.endpoint_routers()[0])
-        return ShiftTraffic(n, int(shift))
-    if name == "bitcomp":
-        return BitComplement(n)
-    if name == "bitrev":
-        return BitReverse(n)
-    if name == "transpose":
-        return Transpose(n)
-    if name == "tornado":
-        return Tornado(n)
-    if name == "hotspot":
-        return HotspotTraffic(
-            n,
-            hotspots=list(kwargs.get("hotspots", [0])),
-            hot_fraction=float(kwargs.get("fraction", 0.2)),
-        )
-    raise ValueError(f"unknown pattern {name!r}")
-
-
-def _build_exchange(name: str, kwargs: Dict[str, Any], topology: Topology):
-    from repro.traffic import AllToAll, NearestNeighbor3D, paper_torus_dims
-
-    name = name.lower()
-    if name == "a2a":
-        return AllToAll(
-            topology.num_nodes,
-            message_bytes=int(kwargs.get("message_bytes", 512)),
-            seed=int(kwargs.get("seed", 0)),
-        )
-    if name == "nn":
-        return NearestNeighbor3D(
-            topology.num_nodes,
-            message_bytes=int(kwargs.get("message_bytes", 4096)),
-            dims=paper_torus_dims(topology),
-        )
-    raise ValueError(f"unknown exchange {name!r} (a2a | nn)")
-
-
-def _build_workload(name: str, kwargs: Dict[str, Any], topology: Topology):
-    from repro.workload import build_workload
-
-    kw = dict(kwargs)
-    message_bytes = int(kw.pop("message_bytes", 4096))
-    ranks = kw.pop("ranks", None)
-    if "dims" in kw and kw["dims"] is not None:  # JSON round-trips as list
-        kw["dims"] = tuple(int(d) for d in kw["dims"])
-    return build_workload(
-        name, topology.num_nodes, message_bytes, ranks=ranks, **kw
-    )
-
-
-# --------------------------------------------------------------------------
 # Execution.
 # --------------------------------------------------------------------------
 
@@ -274,9 +188,9 @@ def run_job(job: Job) -> JobResult:
     if job.kind == "probe":
         payload = _run_probe(job)
     elif job.kind == "sweep":
-        topo = _build_topology(job.topology)
-        routing = _build_routing(job.routing, job.routing_kwargs, topo, job.seed)
-        pattern = _build_pattern(job.pattern, job.pattern_kwargs, topo)
+        topo = parse_topology(job.topology)
+        routing = build_routing(job.routing, job.routing_kwargs, topo, job.seed)
+        pattern = build_pattern(job.pattern, job.pattern_kwargs, topo)
         point = run_sweep_point(
             topo,
             routing,
@@ -291,24 +205,24 @@ def run_job(job: Job) -> JobResult:
         )
         payload = dataclasses.asdict(point)
     elif job.kind == "exchange":
-        topo = _build_topology(job.topology)
-        exchange = _build_exchange(job.pattern, job.pattern_kwargs, topo)
+        topo = parse_topology(job.topology)
+        exchange = build_exchange(job.pattern, job.pattern_kwargs, topo)
         payload = dict(
             run_exchange(
                 topo,
-                lambda t, s: _build_routing(job.routing, job.routing_kwargs, t, s),
+                lambda t, s: build_routing(job.routing, job.routing_kwargs, t, s),
                 exchange,
                 seed=job.seed,
                 config=job.sim_config(),
             )
         )
     elif job.kind == "workload":
-        topo = _build_topology(job.topology)
-        workload = _build_workload(job.pattern, job.pattern_kwargs, topo)
+        topo = parse_topology(job.topology)
+        workload = build_workload(job.pattern, job.pattern_kwargs, topo)
         payload = dict(
             run_workload(
                 topo,
-                lambda t, s: _build_routing(job.routing, job.routing_kwargs, t, s),
+                lambda t, s: build_routing(job.routing, job.routing_kwargs, t, s),
                 workload,
                 seed=job.seed,
                 config=job.sim_config(),

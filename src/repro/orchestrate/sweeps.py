@@ -1,35 +1,33 @@
-"""Builders that turn sweep/exchange descriptions into campaign jobs.
+"""Builders that turn sweep/exchange/workload descriptions into jobs,
+and :func:`run_jobs`, which runs them inline or through an orchestrator.
 
 The seed contract mirrors :func:`repro.experiments.runner.load_sweep`:
 point ``i`` of a sweep started at base seed ``s`` becomes a job with
 ``seed = s + i`` (routing seed ``s+i``, traffic seed ``s+i+1000`` inside
-the worker) — so the orchestrated and serial paths produce bit-identical
-:class:`SweepPoint` values for the same inputs.
+the worker) — so a sweep's jobs reproduce the library's serial
+:func:`~repro.experiments.runner.load_sweep` bit for bit.  Routing and
+pattern specs are ``(name, kwargs)`` pairs from
+:mod:`repro.experiments.specs`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.experiments.runner import SweepPoint
-from repro.orchestrate.campaign import CampaignResult, Orchestrator
-from repro.orchestrate.job import Job, sim_config_dict
+from repro.experiments.specs import Spec
+from repro.orchestrate.campaign import Orchestrator
+from repro.orchestrate.job import Job, JobResult, run_job, sim_config_dict
 from repro.sim.config import PAPER_CONFIG, SimConfig
-from repro.topology.base import Topology
 
 __all__ = [
     "sweep_jobs",
     "exchange_job",
     "workload_job",
     "workload_size_jobs",
-    "points_from_outcomes",
+    "run_jobs",
     "orchestrated_load_sweep",
-    "cli_routing_spec",
-    "cli_pattern_spec",
 ]
-
-#: A declarative routing/pattern spec: (registry name, picklable kwargs).
-Spec = Tuple[str, Dict[str, Any]]
 
 
 def sweep_jobs(
@@ -153,15 +151,19 @@ def workload_size_jobs(
     return jobs
 
 
-def points_from_outcomes(result: CampaignResult, job_ids: Sequence[str]) -> List[SweepPoint]:
-    """Sweep points for *job_ids*, in order; raises if any of them failed."""
-    points: List[SweepPoint] = []
-    for job_id in job_ids:
-        outcome = result.outcomes[job_id]
-        if not outcome.ok or outcome.result is None:
-            raise RuntimeError(f"sweep job {job_id} failed: {outcome.error}")
-        points.append(outcome.result.sweep_point())
-    return points
+def run_jobs(jobs: Sequence[Job], orchestrator: Optional[Orchestrator] = None) -> List[JobResult]:
+    """The results of *jobs*, in order.
+
+    Without an orchestrator every job runs inline through
+    :func:`run_job`, so a failing point raises its own exception,
+    unretried, and nothing touches a cache.  With one, the jobs run as
+    one strict campaign: cached, parallel and retried as configured,
+    raising :class:`RuntimeError` if any point still fails.
+    """
+    if orchestrator is None:
+        return [run_job(job) for job in jobs]
+    result = orchestrator.run(jobs, strict=True)
+    return [result.outcomes[job_id].result for job_id in result.order]
 
 
 def orchestrated_load_sweep(
@@ -186,55 +188,5 @@ def orchestrated_load_sweep(
         warmup_ns=warmup_ns, measure_ns=measure_ns, seed=seed,
         arrival=arrival, config=config,
     )
-    orch = orchestrator or Orchestrator(jobs=1)
-    result = orch.run(jobs)
-    return points_from_outcomes(result, result.order)
-
-
-# --------------------------------------------------------------------------
-# CLI-name -> declarative-spec translation (mirrors repro.cli defaults).
-# --------------------------------------------------------------------------
-
-
-def cli_routing_spec(topology: Topology, name: str) -> Spec:
-    """The declarative spec matching ``repro.cli``'s routing defaults."""
-    from repro.topology import SlimFly
-
-    name = name.lower()
-    if name == "min":
-        return ("min", {})
-    if name == "inr":
-        return ("inr", {})
-    if name in ("ugal", "ugal-a", "ugal-ath", "ugalth"):
-        threshold = 0.10 if name in ("ugal-ath", "ugalth") else None
-        if isinstance(topology, SlimFly):
-            kwargs: Dict[str, Any] = {"cost_mode": "sf", "c_sf": 1.0, "num_indirect": 4}
-        else:
-            kwargs = {"c": 2.0, "num_indirect": 4}
-        if threshold is not None:
-            kwargs["threshold"] = threshold
-        return ("ugal", kwargs)
-    raise ValueError(f"unknown routing {name!r} (min | inr | ugal | ugal-ath)")
-
-
-def cli_pattern_spec(topology: Topology, name: str, seed: int = 0) -> Spec:
-    """The declarative spec matching ``repro.cli``'s pattern names."""
-    name = name.lower()
-    if name == "uniform":
-        return ("uniform", {})
-    if name == "worstcase":
-        return ("worstcase", {"seed": seed})
-    if name.startswith("shift"):
-        _, _, arg = name.partition(":")
-        if arg:
-            return ("shift", {"shift": int(arg)})
-        return ("shift", {})
-    if name in ("bitcomp", "bitrev", "transpose", "tornado"):
-        return (name, {})
-    if name.startswith("hotspot"):
-        _, _, arg = name.partition(":")
-        return ("hotspot", {"fraction": float(arg) if arg else 0.2})
-    raise ValueError(
-        f"unknown pattern {name!r} (uniform | worstcase | shift[:k] | bitcomp | "
-        f"bitrev | transpose | tornado | hotspot[:frac])"
-    )
+    results = run_jobs(jobs, orchestrator or Orchestrator(jobs=1))
+    return [result.sweep_point() for result in results]

@@ -18,6 +18,7 @@ from repro.experiments import (
     windows_for_scale,
 )
 from repro.experiments.runner import SweepPoint
+from repro.experiments.specs import build_routing
 from repro.routing import MinimalRouting
 from repro.topology import MLFM
 from repro.traffic import AllToAll, UniformRandom
@@ -46,15 +47,15 @@ class TestConfigs:
     def test_routing_factories(self):
         config = configs_for_scale("tiny")[0]
         topo = config.topology()
-        assert config.minimal(topo).name == "MIN"
-        assert config.indirect(topo).name == "INR"
-        adaptive = config.adaptive(topo)
+        assert build_routing(*config.routing_spec("min"), topo).name == "MIN"
+        assert build_routing(*config.routing_spec("inr"), topo).name == "INR"
+        adaptive = build_routing(*config.routing_spec("ugal"), topo)
         assert adaptive.name.startswith("UGAL")
 
     def test_adaptive_overrides(self):
         config = configs_for_scale("tiny")[2]  # mlfm
         topo = config.topology()
-        adaptive = config.adaptive(topo, num_indirect=9)
+        adaptive = build_routing(*config.routing_spec("ugal", num_indirect=9), topo)
         assert adaptive.num_indirect == 9
 
     def test_windows(self):
@@ -186,6 +187,79 @@ class TestAdaptiveFigureFunctions:
 
         data = tail_effects_data(scale="tiny", configs=configs_for_scale("tiny")[3:4])
         assert 0.5 <= data["ratios"]["oft"] <= 1.1
+
+
+class TestWorkloadFigureFunctions:
+    """The closed-loop figure functions at one small size on the OFT config."""
+
+    def test_collectives_rows(self):
+        from repro.experiments import collectives_data
+
+        data = collectives_data(scale="tiny", sizes=(512,),
+                                configs=configs_for_scale("tiny")[3:4])
+        assert data["sizes"] == [512]
+        assert set(data["results"]) == {"oft/MIN/B512", "oft/ADAPT/B512"}
+        assert [row[:3] for row in data["rows"]] == [
+            ["oft", "MIN", 512], ["oft", "ADAPT", 512],
+        ]
+        for row in data["rows"]:
+            completion, critical_path, stretch, skew = row[3:]
+            assert completion >= critical_path > 0
+            assert stretch == pytest.approx(completion / critical_path)
+            assert skew >= 1.0
+
+    def test_resilience_rows(self):
+        from repro.experiments import resilience_configs, resilience_data
+
+        oft = [c for c in resilience_configs("tiny") if c.key == "oft"]
+        data = resilience_data(scale="tiny", message_bytes=512, configs=oft)
+        assert data["message_bytes"] == 512
+        assert len(data["fault_specs"]) == 1
+        assert data["fault_specs"][0].startswith("drip@")
+        (row,) = data["rows"]
+        config_key, base_ns, degraded_ns, stretch, reroutes, dropped, skew = row
+        assert config_key == "oft"
+        assert degraded_ns >= base_ns > 0
+        assert stretch == pytest.approx(degraded_ns / base_ns)
+        assert reroutes >= 0 and dropped == 0 and skew >= 0.0
+        assert data["results"]["oft"]["degraded"]["fault_events"] >= 1
+        assert data["results"]["oft"]["baseline"].get("fault_events", 0) == 0
+
+    def test_resilience_configs_add_hyperx(self):
+        from repro.experiments import resilience_configs
+
+        configs = resilience_configs("tiny")
+        assert [c.key for c in configs] == ["sf-floor", "sf-ceil", "mlfm", "oft", "hyperx"]
+        hyperx = configs[-1].topology()
+        assert (hyperx.num_routers, hyperx.num_nodes) == (9, 18)
+
+
+class TestFiguresThroughOrchestrator:
+    """A figure gives the same rows inline and through a process pool."""
+
+    def test_fig6_rows_identical(self):
+        from repro.experiments import fig6_data
+        from repro.orchestrate import Orchestrator
+
+        kwargs = dict(scale="tiny", uni_loads=(0.5,), wc_loads=(0.2,),
+                      configs=configs_for_scale("tiny")[:1])
+        inline = fig6_data(orchestrator=None, **kwargs)
+        pooled = fig6_data(orchestrator=Orchestrator(jobs=2), **kwargs)
+        assert len(inline["rows"]) == 4
+        assert inline["rows"] == pooled["rows"]
+        assert inline["saturations"] == pooled["saturations"]
+
+    def test_fig13_rows_identical(self):
+        from repro.experiments import fig13_data
+        from repro.orchestrate import Orchestrator
+
+        configs = configs_for_scale("tiny")[3:4]
+        inline = fig13_data(scale="tiny", configs=configs, orchestrator=None)
+        pooled = fig13_data(scale="tiny", configs=configs,
+                            orchestrator=Orchestrator(jobs=2))
+        assert len(inline["rows"]) == 3
+        assert inline["rows"] == pooled["rows"]
+        assert inline["report"] == pooled["report"]
 
 
 class TestMessageTracking:

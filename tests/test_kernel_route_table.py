@@ -31,7 +31,7 @@ pytestmark = pytest.mark.skipif(
     reason="compiled kernel unavailable (no compiler or REPRO_NO_KERNEL set)",
 )
 
-TOPOLOGIES = {c.key: c.build for c in configs_for_scale("tiny")}
+TOPOLOGIES = {c.key: c.topology for c in configs_for_scale("tiny")}
 TOPOLOGIES["sf:q=7"] = lambda: SlimFly(7)
 
 POLICIES = {"hop": HopIndexVC, "phase": PhaseVC}

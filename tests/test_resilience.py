@@ -403,7 +403,7 @@ class TestFaultSimulation:
         faults = (f"fail@2000:{u}-{v}", f"recover@9000:{u}-{v}")
         baseline = self._run_collective(sf5, check=False)
         obj = self._run_collective(sf5, faults, backend="object")
-        bat = self._run_collective(sf5, faults, backend="batched")
+        bat = self._run_collective(sf5, faults, backend="kernel")
         # Both checked backends agree on every observable of the
         # degraded run -- completion time, packet count and the fault
         # counters -- and the checker stayed clean (it raises on any
@@ -425,7 +425,7 @@ class TestFaultSimulation:
         # the checked run's conservation law (delivered + in_flight +
         # dropped) holds to quiescence on both backends.
         obj = conformance.run_fault_case(check=True, policy="drop")
-        bat = conformance.run_fault_case(check=True, backend="batched",
+        bat = conformance.run_fault_case(check=True, backend="kernel",
                                          policy="drop")
         assert obj["faults"]["dropped"] > 0
         assert obj["faults"]["reroutes"] == 0

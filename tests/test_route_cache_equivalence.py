@@ -8,6 +8,7 @@ objects themselves.
 """
 
 from repro.experiments.configs import configs_for_scale
+from repro.experiments.specs import build_routing
 
 CONFIGS = configs_for_scale("tiny")
 
@@ -16,7 +17,7 @@ def test_compiled_ports_match_topology():
     """Cached Route.ports carry the exact per-hop output ports."""
     cfg = CONFIGS[0]
     topo = cfg.topology()
-    routing = cfg.adaptive(topo)
+    routing = build_routing(*cfg.routing_spec("ugal"), topo)
     cache = routing.cache
     n = topo.num_routers
     checked = 0
@@ -36,7 +37,7 @@ def test_shared_cache_reused_across_subrouters():
     """UGAL's minimal/indirect sub-routers compile each pair once."""
     cfg = CONFIGS[0]
     topo = cfg.topology()
-    routing = cfg.adaptive(topo)
+    routing = build_routing(*cfg.routing_spec("ugal"), topo)
     assert routing._minimal.cache is routing.cache
     assert routing._indirect.cache is routing.cache
     a = routing.cache.minimal_candidates(0, 1)

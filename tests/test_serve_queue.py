@@ -69,13 +69,13 @@ class TestValidation:
 
     def test_jobs_carry_simulator_backend(self):
         # The config dict flows verbatim into SimConfig, so served jobs
-        # can select the batched backend -- and two jobs differing only
+        # can select the kernel backend -- and two jobs differing only
         # in backend must neither coalesce nor share a cache entry
         # (per-backend caching keeps conformance regressions visible).
         body = {"kind": "sweep", "topology": "sf:q=5",
-                "config": {"backend": "batched"}}
+                "config": {"backend": "kernel"}}
         job = job_from_request(body)
-        assert job.sim_config().backend == "batched"
+        assert job.sim_config().backend == "kernel"
         other = job_from_request(
             {"kind": "sweep", "topology": "sf:q=5",
              "config": {"backend": "object"}}

@@ -158,6 +158,24 @@ class TestCLICommands:
     def test_bad_topology_exit_code(self, capsys):
         assert main(["info", "nonsense:x=1"]) == 2
 
+    def test_broken_pipe_exits_cleanly(self, monkeypatch, tmp_path):
+        # `repro ... | head`: the reader closing early is not an error,
+        # and stdout is pointed at the null device so the interpreter's
+        # exit-time flush cannot raise again.
+        import os
+        import sys
+
+        import repro.cli
+
+        def closed_reader(args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(repro.cli, "_cmd_info", closed_reader)
+        with open(tmp_path / "stdout", "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["info", "sf:q=5"]) == 0
+            assert os.path.samestat(os.fstat(stdout.fileno()), os.stat(os.devnull))
+
     def test_ugal_routing_names(self, capsys):
         rc = main([
             "simulate", "sf:q=4", "--routing", "ugal-ath", "--pattern", "uniform",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.configs import configs_for_scale
+from repro.experiments.specs import build_routing
 from repro.routing import MinimalRouting
 from repro.sim import Network, SimConfig
 from repro.sim.engine import Engine
@@ -45,8 +46,7 @@ def _tiny(key: str):
 
 def _net(cfg, kind: str, backend: str, check: bool = False) -> Network:
     topo = cfg.topology()
-    builder = {"min": cfg.minimal, "inr": cfg.indirect, "ugal": cfg.adaptive}[kind]
-    return Network(topo, builder(topo, seed=0),
+    return Network(topo, build_routing(*cfg.routing_spec(kind), topo, seed=0),
                    SimConfig(check=check, backend=backend))
 
 
