@@ -121,30 +121,20 @@ class FaultManager:
 
     def _apply_fail(self, links: Tuple[Tuple[int, int], ...]) -> None:
         net = self.net
-        vec = net._vec
         if self.first_fault_ns is None:
             self.first_fault_ns = net.engine.now
-            self._sent_at_fault = self._snapshot_sent()
+            self._sent_at_fault = net.sent_counts()
         cache = self.cache
-        topo = net.topology
-        port_of = topo.port
-        dead_ports: List[Tuple[int, "OutputPort"]] = []
+        dead_ports = []
         for u, v in sorted(links):
             self.failed.add((u, v))
             cache.fail_link(u, v)
-            for a, b in ((u, v), (v, u)):
-                out_idx = port_of(a, b)
-                out = net.routers[a].out[out_idx]
-                out.dead = True
-                dead_ports.append((a, out))
-                if vec is not None:
-                    vec.kernel.set_dead(vec.st.p_off[a] + out_idx, True)
-        if vec is None:
+            dead_ports += (self._set_dead(u, v, True), self._set_dead(v, u, True))
+        if net._vec is None:
             self._drain_object(dead_ports)
         else:
-            for rid, out in dead_ports:
-                vec.kernel.drain_port(vec.st.p_off[rid] + out.out_idx,
-                                      self.divert_packet)
+            for gid in dead_ports:
+                net._vec.kernel.drain_port(gid, self.divert_packet)
 
     def _apply_recover(self, links: Tuple[Tuple[int, int], ...]) -> None:
         """Undo the markings.  Dead output queues are empty by
@@ -152,18 +142,28 @@ class FaultManager:
         since), so recovery needs no packet handling, no sequence
         numbers and no RNG -- in-flight crossbar traversals toward the
         recovered port proceed normally when they land."""
-        net = self.net
-        vec = net._vec
         cache = self.cache
-        port_of = net.topology.port
         for u, v in sorted(links):
             self.failed.discard((u, v))
             cache.restore_link(u, v)
-            for a, b in ((u, v), (v, u)):
-                out_idx = port_of(a, b)
-                net.routers[a].out[out_idx].dead = False
-                if vec is not None:
-                    vec.kernel.set_dead(vec.st.p_off[a] + out_idx, False)
+            self._set_dead(u, v, False)
+            self._set_dead(v, u, False)
+
+    def _set_dead(self, a: int, b: int, dead: bool):
+        """Mark router *a*'s output toward *b* dead (or live again) on
+        the engine that runs.  Returns the port as the fail-time drain
+        takes it: its gid on the kernel, ``(a, OutputPort)`` on the
+        object engine."""
+        net = self.net
+        out_idx = net.topology.port(a, b)
+        vec = net._vec
+        if vec is not None:
+            gid = vec.st.p_off[a] + out_idx
+            vec.kernel.set_dead(gid, dead)
+            return gid
+        out = net.routers[a].out[out_idx]
+        out.dead = dead
+        return a, out
 
     # -- fail-time drain ------------------------------------------------------
 
@@ -291,12 +291,6 @@ class FaultManager:
 
     # -- reporting ------------------------------------------------------------
 
-    def _snapshot_sent(self) -> List[int]:
-        net = self.net
-        if net._vec is not None:
-            return net._vec.sent_counts()
-        return [out.sent_packets for r in net.routers for out in r.out]
-
     def post_fault_skew(self, until_ns: float) -> Optional[Dict[str, float]]:
         """Fabric-link utilization max/mean/skew over the window from
         the first failure to *until_ns* (None before any failure)."""
@@ -305,25 +299,9 @@ class FaultManager:
         window = until_ns - self.first_fault_ns
         if window <= 0:
             return None
-        now_sent = self._snapshot_sent()
-        before = self._sent_at_fault
-        ser = self.net.config.packet_time_ns
-        utils = []
-        gid = 0
-        for router in self.net.routers:
-            for out in router.out:
-                if out.downstream is not None:
-                    utils.append((now_sent[gid] - before[gid]) * ser / window)
-                gid += 1
-        if not utils:
-            return None
-        peak = max(utils)
-        mean = sum(utils) / len(utils)
-        return {
-            "max": peak,
-            "mean": mean,
-            "skew": peak / mean if mean > 0 else 0.0,
-        }
+        sent = [now - then for now, then
+                in zip(self.net.sent_counts(), self._sent_at_fault)]
+        return self.net.fabric_link_load(sent, window)
 
     def summary(self) -> Dict[str, object]:
         """Counters for CLI/experiment reporting."""

@@ -18,7 +18,8 @@ rest on:
   time against the topology (consecutive routers adjacent, hop ports
   correct) and the VC policy (hop-indexed VCs strictly follow the hop
   index; phase VCs are 0/1 and non-decreasing), the deadlock-avoidance
-  rules of :mod:`repro.routing.vc`.
+  rules of :mod:`repro.routing.vc`.  :func:`check_route` holds these
+  rules; the kernel's checker (:mod:`repro.sim.vec.check`) calls it too.
 - **Latency floors** -- no packet is delivered faster than the
   zero-load latency of its hop count allows.
 - **No event starvation** -- a watchdog observes simulator progress and
@@ -42,7 +43,7 @@ simulation callbacks is preserved -- which the golden conformance suite
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.sim.nic import NIC
 from repro.sim.packet import Packet
@@ -55,6 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "InvariantViolation",
     "InvariantChecker",
+    "check_route",
     "CheckedRouter",
     "CheckedNIC",
 ]
@@ -117,6 +119,53 @@ class InvariantViolation(RuntimeError):
             for t, label in self.history:
                 lines.append(f"    [{t:.1f}] {label}")
         return "\n".join(lines)
+
+
+def check_route(net: "Network", pkt: Packet, fail: Callable[..., None]) -> None:
+    """Topology, port-table and VC-policy legality of *pkt*'s route.
+
+    Both engines' checkers run it at injection; each violation goes to
+    ``fail(rule, message, **where)``, the checker's raise.
+    """
+    topo = net.topology
+    routers = pkt.routers
+    hops = len(routers) - 1
+    if routers[0] != topo.router_of(pkt.src_node):
+        fail("route-legality", f"route starts at router {routers[0]}, "
+             f"but node {pkt.src_node} attaches to "
+             f"{topo.router_of(pkt.src_node)}", pid=pkt.pid)
+    if routers[-1] != topo.router_of(pkt.dst_node):
+        fail("route-legality", f"route ends at router {routers[-1]}, "
+             f"but node {pkt.dst_node} attaches to "
+             f"{topo.router_of(pkt.dst_node)}", pid=pkt.pid)
+    if len(pkt.ports) != hops + 1 or len(pkt.vcs) != hops:
+        fail("route-legality",
+             f"route of {hops} hops carries {len(pkt.ports)} ports "
+             f"and {len(pkt.vcs)} VC labels", pid=pkt.pid)
+    for i in range(hops):
+        u, v = routers[i], routers[i + 1]
+        if not topo.is_edge(u, v):
+            fail("route-legality", f"hop {i} uses non-existent "
+                 f"channel ({u}, {v})", router=u, pid=pkt.pid)
+        if pkt.ports[i] != topo.port(u, v):
+            fail("route-legality", f"hop {i} ({u}->{v}) uses port "
+                 f"{pkt.ports[i]}, expected {topo.port(u, v)}",
+                 router=u, port=pkt.ports[i], pid=pkt.pid)
+    if pkt.ports[-1] != net._eject_ports[pkt.dst_node]:
+        fail("route-legality", f"ejection port {pkt.ports[-1]} is not "
+             f"node {pkt.dst_node}'s port "
+             f"{net._eject_ports[pkt.dst_node]}",
+             router=routers[-1], port=pkt.ports[-1], pid=pkt.pid)
+    num_vcs = net.num_vcs
+    for h, vc in enumerate(pkt.vcs):
+        if not (0 <= vc < num_vcs):
+            fail("vc-legality", f"hop {h} uses VC {vc}, outside the "
+                 f"provisioned 0..{num_vcs - 1}", vc=vc, pid=pkt.pid)
+    policy = getattr(net.routing, "vc_policy", None)
+    if policy is not None:
+        problem = policy.check_legal(pkt.vcs, pkt.kind)
+        if problem is not None:
+            fail("vc-legality", problem, pid=pkt.pid)
 
 
 class InvariantChecker:
@@ -242,7 +291,7 @@ class InvariantChecker:
         return pkt
 
     def on_inject(self, pkt: Packet) -> None:
-        self.validate_route(pkt)
+        check_route(self.net, pkt, self.fail)
         self.injected += 1
         self.location[pkt.pid] = (("inj", pkt.src_node), pkt)
         self.inj_in_flight[pkt.src_node] = self.inj_in_flight.get(pkt.src_node, 0) + 1
@@ -250,53 +299,6 @@ class InvariantChecker:
         self.check_conservation()
         if not self._watchdog_running:
             self.start_watchdog()
-
-    def validate_route(self, pkt: Packet) -> None:
-        """Topology, port-table and VC-policy legality of one route."""
-        net = self.net
-        topo = net.topology
-        routers = pkt.routers
-        hops = len(routers) - 1
-        if routers[0] != topo.router_of(pkt.src_node):
-            self.fail("route-legality", f"route starts at router {routers[0]}, "
-                      f"but node {pkt.src_node} attaches to "
-                      f"{topo.router_of(pkt.src_node)}", pid=pkt.pid)
-        if routers[-1] != topo.router_of(pkt.dst_node):
-            self.fail("route-legality", f"route ends at router {routers[-1]}, "
-                      f"but node {pkt.dst_node} attaches to "
-                      f"{topo.router_of(pkt.dst_node)}", pid=pkt.pid)
-        if len(pkt.ports) != hops + 1 or len(pkt.vcs) != hops:
-            self.fail("route-legality",
-                      f"route of {hops} hops carries {len(pkt.ports)} ports "
-                      f"and {len(pkt.vcs)} VC labels", pid=pkt.pid)
-        for i in range(hops):
-            u, v = routers[i], routers[i + 1]
-            if not topo.is_edge(u, v):
-                self.fail("route-legality", f"hop {i} uses non-existent "
-                          f"channel ({u}, {v})", router=u, pid=pkt.pid)
-            if pkt.ports[i] != topo.port(u, v):
-                self.fail("route-legality", f"hop {i} ({u}->{v}) uses port "
-                          f"{pkt.ports[i]}, expected {topo.port(u, v)}",
-                          router=u, port=pkt.ports[i], pid=pkt.pid)
-        if pkt.ports[-1] != net._eject_ports[pkt.dst_node]:
-            self.fail("route-legality", f"ejection port {pkt.ports[-1]} is not "
-                      f"node {pkt.dst_node}'s port "
-                      f"{net._eject_ports[pkt.dst_node]}",
-                      router=routers[-1], port=pkt.ports[-1], pid=pkt.pid)
-        self.validate_vcs(pkt)
-
-    def validate_vcs(self, pkt: Packet) -> None:
-        """VC labels within budget and legal under the routing's VC policy."""
-        num_vcs = self.net.num_vcs
-        for h, vc in enumerate(pkt.vcs):
-            if not (0 <= vc < num_vcs):
-                self.fail("vc-legality", f"hop {h} uses VC {vc}, outside the "
-                          f"provisioned 0..{num_vcs - 1}", vc=vc, pid=pkt.pid)
-        policy = getattr(self.net.routing, "vc_policy", None)
-        if policy is not None:
-            problem = policy.check_legal(pkt.vcs, pkt.kind)
-            if problem is not None:
-                self.fail("vc-legality", problem, pid=pkt.pid)
 
     # -- router transitions -----------------------------------------------------
 

@@ -1,9 +1,11 @@
 """Network assembly and experiment drivers.
 
 :class:`Network` wires a :class:`~repro.topology.base.Topology` and a
-:class:`~repro.routing.base.RoutingAlgorithm` into a simulated system of
-switches and NICs, implements the UGAL-L congestion interface over live
-switch state, and offers the two measurement modes of the paper:
+:class:`~repro.routing.base.RoutingAlgorithm` into the engine that runs
+them -- the object engine's switch and NIC objects, or the compiled
+kernel, whose flat wiring comes straight from the topology -- implements
+the UGAL-L congestion interface over live switch state, and offers the
+two measurement modes of the paper:
 
 - :meth:`Network.run_synthetic` -- rate-driven open-loop traffic with a
   warm-up then a measurement window (Sec. 4.3),
@@ -18,7 +20,6 @@ import warnings
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.routing.base import RoutingAlgorithm
-from repro.sim.clock import SimClock
 from repro.sim.config import PAPER_CONFIG, SimConfig
 from repro.sim.engine import Engine
 from repro.sim.nic import NIC
@@ -43,7 +44,6 @@ class Network:
         self.topology = topology
         self.routing = routing
         self.config = config
-        self.engine = Engine()
         self.num_vcs = routing.num_vcs
         self.stats = StatsCollector(topology.num_nodes, config)
         self.checker = None  # InvariantChecker when config.check is set
@@ -54,24 +54,63 @@ class Network:
         self._msg_track: Optional[Dict] = None  # per-message tracking (exchanges)
         self._delivery_listeners: list = []  # see add_delivery_listener
         self._experiment_ran = False  # one experiment per Network instance
-
-        vc_capacity = config.buffer_packets_per_vc(self.num_vcs)
+        #: Window (ns) behind ``channel_utilization()``: the measurement
+        #: window of ``run_synthetic``, the completion time of a finite
+        #: run; ``None`` until an experiment sets it.
+        self.utilization_window: Optional[float] = None
 
         #: Which engine actually runs: ``"kernel"`` when the compiled
         #: kernel was requested (``"batched"`` is a deprecated alias for
-        #: it) and loads, otherwise ``"object"``.  Resolved before the
-        #: routers are wired, so a checked run that falls back gets the
-        #: object engine's per-transition checker.
+        #: it) and loads, otherwise ``"object"``.  Resolved first, so
+        #: only the engine that runs is built, and a checked run that
+        #: falls back gets the object engine's per-transition checker.
         self.backend_in_use = self._resolve_backend(config.backend)
-        kernel = self.backend_in_use == "kernel"
+
+        if self.backend_in_use == "kernel":
+            # The compiled kernel builds its flat wiring from the
+            # topology and holds all mutable state in C.  The NIC list
+            # is driver-facing shims over the kernel, and UGAL-L's
+            # congestion signal reads its per-port counters (instance
+            # attribute shadows the class method).
+            from repro.sim.vec.kernel import KernelEngine
+
+            self._vec = KernelEngine(self)
+            self.engine = self._vec
+            self.nics = self._vec.nic_shims
+            self.queue_len = self._vec.kernel.queue_len
+            #: Each node's ejection port at its router, which
+            #: make_packet and the checkers read (either engine).
+            self._eject_ports: List[int] = self._vec.st.n_eject
+            if config.check:
+                # No per-transition callbacks to hook: the kernel's
+                # checker audits state instead.
+                from repro.sim.vec.check import KernelChecker
+
+                self.checker = KernelChecker(self)
+                self.checker.attach()
+        else:
+            self._build_object_engine()
+
+        if config.faults:
+            from repro.resilience import FaultManager, FaultSchedule
+
+            self.fault_manager = FaultManager(
+                self, FaultSchedule(config.faults), config.fault_policy
+            )
+
+    def _build_object_engine(self) -> None:
+        """The object engine: an event heap, one :class:`Router` per
+        switch with its :class:`OutputPort` objects, one :class:`NIC`
+        per node, and the checker when ``config.check`` is set."""
+        topology = self.topology
+        config = self.config
+        self.engine = Engine()
+        vc_capacity = config.buffer_packets_per_vc(self.num_vcs)
 
         # With checking enabled, routers and NICs are built as Checked*
         # subclasses that notify the invariant checker around every
         # transition; the unchecked hot path pays nothing for this.
-        # The kernel has no per-transition callbacks to hook, so its
-        # checker (repro.sim.vec.check) audits state instead and the
-        # plain classes suffice as the wiring template.
-        if config.check and not kernel:
+        if config.check:
             from repro.sim.invariants import CheckedNIC, CheckedRouter
 
             router_cls, nic_cls = CheckedRouter, CheckedNIC
@@ -79,7 +118,7 @@ class Network:
             router_cls, nic_cls = Router, NIC
 
         # Build switches.
-        self.routers = []
+        self.routers: List[Router] = []
         for r in range(topology.num_routers):
             deg = topology.degree(r)
             p = topology.nodes_attached(r)
@@ -138,42 +177,11 @@ class Network:
             self.nics.append(nic)
             self._eject_ports.append(deg + local)
 
-        if config.check and not kernel:
+        if config.check:
             from repro.sim.invariants import InvariantChecker
 
             self.checker = InvariantChecker(self)
             self.checker.attach()
-
-        if kernel:
-            # Swap in the compiled kernel.  The object routers and NICs
-            # built above stay the wiring's single source of truth (the
-            # kernel is built *from* them), but all event execution and
-            # all mutable state move into C: the NIC list becomes
-            # driver-facing shims over the kernel and UGAL-L's congestion
-            # signal reads its per-port counters (instance attribute
-            # shadows the class method).
-            from repro.sim.vec.kernel import KernelEngine
-
-            self._vec = KernelEngine(self)
-            self.engine = self._vec
-            self.nics = self._vec.nic_shims
-            self.queue_len = self._vec.kernel.queue_len
-            if config.check:
-                from repro.sim.vec.check import KernelChecker
-
-                self.checker = KernelChecker(self)
-                self.checker.attach()
-
-        if config.faults:
-            from repro.resilience import FaultManager, FaultSchedule
-
-            self.fault_manager = FaultManager(
-                self, FaultSchedule(config.faults), config.fault_policy
-            )
-
-        #: Backend-neutral time source; stats code reads ``clock.now``
-        #: and the utilization window rather than engine internals.
-        self.clock = SimClock(self.engine)
 
     @staticmethod
     def _resolve_backend(requested: str) -> str:
@@ -192,16 +200,6 @@ class Network:
             stacklevel=3,
         )
         return "object"
-
-    @property
-    def _utilization_window(self) -> Optional[float]:
-        """Measurement window behind ``channel_utilization`` -- kept as
-        a compatibility alias; the value lives on :class:`SimClock`."""
-        return self.clock.utilization_window
-
-    @_utilization_window.setter
-    def _utilization_window(self, value: Optional[float]) -> None:
-        self.clock.utilization_window = value
 
     # -- CongestionContext (UGAL-L's local signal) -----------------------------
 
@@ -285,31 +283,60 @@ class Network:
             for out in router.out:
                 out.sent_packets = 0
 
+    def sent_counts(self) -> List[int]:
+        """Packets each output port transmitted since the last reset, in
+        port-gid order: routers in id order, each router's ports toward
+        its neighbours, then toward its nodes."""
+        if self._vec is not None:
+            return self._vec.sent_counts()
+        return [out.sent_packets for router in self.routers for out in router.out]
+
     def channel_utilization(self, window_ns: Optional[float] = None) -> Dict:
         """Link-utilization fractions measured since the last reset.
 
         Returns ``{(u, v): fraction}`` for router-router channels and
         ``{("eject", node): fraction}`` for ejection links.  With
         fixed-size packets the busy time is exactly
-        ``sent_packets * serialization``.  ``window_ns`` defaults to the
-        last synthetic run's measurement window.
+        ``sent_packets * serialization``.  ``window_ns`` defaults to
+        :attr:`utilization_window`.
         """
-        window = window_ns if window_ns is not None else self.clock.utilization_window
+        window = window_ns if window_ns is not None else self.utilization_window
         if window is None or window <= 0:
             raise ValueError("channel_utilization: no measurement window available")
-        if self._vec is not None:
-            # Cold path: surface the flat counters through the object
-            # ports so one loop below serves both backends.
-            self._vec.sync_ports()
         ser = self.config.packet_time_ns
-        out_map: Dict = {}
         topo = self.topology
-        for r, router in enumerate(self.routers):
-            neighbors = topo.neighbors(r)
-            for idx, out in enumerate(router.out):
-                key = (r, neighbors[idx]) if idx < len(neighbors) else ("eject", out.eject_node)
-                out_map[key] = out.sent_packets * ser / window
+        sent = iter(self.sent_counts())
+        out_map: Dict = {}
+        for r in range(topo.num_routers):
+            for neighbor in topo.neighbors(r):
+                out_map[(r, neighbor)] = next(sent) * ser / window
+            for node in topo.nodes_of(r):
+                out_map[("eject", node)] = next(sent) * ser / window
         return out_map
+
+    def fabric_link_load(
+        self, sent: List[int], window_ns: float
+    ) -> Optional[Dict[str, float]]:
+        """Max, mean and max/mean skew of router-router link utilization
+        for per-port transmission counts *sent* (in :meth:`sent_counts`
+        order) over *window_ns*; ``None`` without router-router links."""
+        ser = self.config.packet_time_ns
+        topo = self.topology
+        utils = []
+        gid = 0
+        for r in range(topo.num_routers):
+            deg = topo.degree(r)
+            utils.extend(count * ser / window_ns for count in sent[gid:gid + deg])
+            gid += deg + topo.nodes_attached(r)
+        if not utils:
+            return None
+        peak = max(utils)
+        mean = sum(utils) / len(utils)
+        return {
+            "max": peak,
+            "mean": mean,
+            "skew": peak / mean if mean > 0 else 0.0,
+        }
 
     def enable_trace(self, capacity: int = 10_000, start_ns: float = 0.0):
         """Attach a :class:`repro.sim.trace.PacketTracer`; returns it."""
@@ -341,7 +368,7 @@ class Network:
         flushed via :meth:`StatsCollector.absorb_kernel`); changes
         here must be reflected there.
         """
-        pkt.eject_time = self.clock.now
+        pkt.eject_time = self.engine.now
         self.stats.record_eject(pkt)
         if self.tracer is not None:
             self.tracer.record(pkt)
@@ -410,7 +437,7 @@ class Network:
         self.engine.schedule_at(warmup_ns, self.reset_utilization)
 
         self.engine.run(until=horizon)
-        self.clock.utilization_window = measure_ns
+        self.utilization_window = measure_ns
         if drain:
             self.engine.run()
         if self.checker is not None:
@@ -525,7 +552,7 @@ class Network:
         # channel_utilization() works without an explicit window --
         # previously it raised after run_exchange/run_workload.
         if completion > 0:
-            self.clock.utilization_window = completion
+            self.utilization_window = completion
         result: Dict[str, object] = {
             "completion_ns": completion,
             "effective_throughput": self.stats.effective_throughput(total_bytes),

@@ -16,7 +16,8 @@ Checked invariants:
   packet's source/destination routers, every hop uses an existing
   channel and the topology's port table, the ejection port is the
   destination node's, and VC labels are within budget and legal under
-  the routing's VC policy.  Identical rules to the object checker.
+  the routing's VC policy -- the object checker's rules, one function
+  (:func:`~repro.sim.invariants.check_route`).
 - **Latency floor** (at ``deliver``): no packet arrives earlier than
   the zero-load latency of its hop count allows.
 - **Conservation** (audits): ``injected - delivered - dropped`` equals
@@ -50,7 +51,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.sim.invariants import InvariantViolation
+from repro.sim.invariants import InvariantViolation, check_route
 from repro.sim.packet import Packet
 from repro.sim.vec.kernel import OP_DELIVER, OP_ENTER, OP_RECV
 
@@ -108,54 +109,10 @@ class KernelChecker:
 
     def _checked_make_packet(self, src_node, dst_node, size, msg_id, gen_time):
         pkt = self._orig_make_packet(src_node, dst_node, size, msg_id, gen_time)
-        self.validate_route(pkt)
+        check_route(self.net, pkt, self.fail)
         self.injected += 1
         self.history.appended += 1
         return pkt
-
-    def validate_route(self, pkt: Packet) -> None:
-        """Topology, port-table and VC-policy legality of one route
-        (the object checker's rules, see its ``validate_route``)."""
-        net = self.net
-        topo = net.topology
-        routers = pkt.routers
-        hops = len(routers) - 1
-        if routers[0] != topo.router_of(pkt.src_node):
-            self.fail("route-legality", f"route starts at router {routers[0]}, "
-                      f"but node {pkt.src_node} attaches to "
-                      f"{topo.router_of(pkt.src_node)}", pid=pkt.pid)
-        if routers[-1] != topo.router_of(pkt.dst_node):
-            self.fail("route-legality", f"route ends at router {routers[-1]}, "
-                      f"but node {pkt.dst_node} attaches to "
-                      f"{topo.router_of(pkt.dst_node)}", pid=pkt.pid)
-        if len(pkt.ports) != hops + 1 or len(pkt.vcs) != hops:
-            self.fail("route-legality",
-                      f"route of {hops} hops carries {len(pkt.ports)} ports "
-                      f"and {len(pkt.vcs)} VC labels", pid=pkt.pid)
-        for i in range(hops):
-            u, v = routers[i], routers[i + 1]
-            if not topo.is_edge(u, v):
-                self.fail("route-legality", f"hop {i} uses non-existent "
-                          f"channel ({u}, {v})", router=u, pid=pkt.pid)
-            if pkt.ports[i] != topo.port(u, v):
-                self.fail("route-legality", f"hop {i} ({u}->{v}) uses port "
-                          f"{pkt.ports[i]}, expected {topo.port(u, v)}",
-                          router=u, port=pkt.ports[i], pid=pkt.pid)
-        if pkt.ports[-1] != net._eject_ports[pkt.dst_node]:
-            self.fail("route-legality", f"ejection port {pkt.ports[-1]} is "
-                      f"not node {pkt.dst_node}'s port "
-                      f"{net._eject_ports[pkt.dst_node]}",
-                      router=routers[-1], pid=pkt.pid)
-        num_vcs = net.num_vcs
-        for h, vc in enumerate(pkt.vcs):
-            if not (0 <= vc < num_vcs):
-                self.fail("vc-legality", f"hop {h} uses VC {vc}, outside the "
-                          f"provisioned 0..{num_vcs - 1}", vc=vc, pid=pkt.pid)
-        policy = getattr(net.routing, "vc_policy", None)
-        if policy is not None:
-            problem = policy.check_legal(pkt.vcs, pkt.kind)
-            if problem is not None:
-                self.fail("vc-legality", problem, pid=pkt.pid)
 
     # -- delivery --------------------------------------------------------------
 

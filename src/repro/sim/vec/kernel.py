@@ -12,10 +12,12 @@ slots recycled on delivery.  The event set is four FIFO *delay lanes*
 binary heap for every other push (GEN, CALL, wakes at older reserved
 keys, pushes from Python); a pop takes the least ``(time, seq)`` among
 the lane heads and the heap top, so the order is exactly that of one
-heap.  The extension is built once from the read-only wiring in
-:class:`~repro.sim.vec.state.SoAState`, and enumerates, filters and
-composes routes from that wiring's directed-channel table too, calling
-into ``RouteCache`` only for the pairs its route table cannot serve.  A
+heap.  The extension is built once from the read-only wiring that
+:class:`~repro.sim.vec.state.SoAState` derives from the topology (a
+kernel network builds no object routers, ports or NICs), and
+enumerates, filters and composes routes from that wiring's
+directed-channel table too, calling into ``RouteCache`` only for the
+pairs its route table cannot serve.  A
 :class:`~repro.sim.packet.Packet` is materialised only where Python
 must see one: the make_packet and deliver escapes, delivery observers,
 fault diverts and the checker.
@@ -252,7 +254,7 @@ class KernelEngine:
         if mod is None:
             raise RuntimeError(f"compiled kernel unavailable: {load_error}")
         self.net = net
-        self.st = SoAState.from_network(net)
+        self.st = SoAState.from_topology(net.topology, net.routing, net.config)
         #: The C kernel: event set, simulation state and dispatch loop.
         self.kernel = mod.Kernel(self.st, net, Packet)
         self.nic_shims = [KernelNIC(self.kernel, node)
@@ -337,16 +339,6 @@ class KernelEngine:
     def sent_counts(self) -> list:
         """Packets transmitted per port gid since the last reset."""
         return memoryview(self.kernel.view("p_sent")).tolist()
-
-    def sync_ports(self) -> None:
-        """Write the live per-port counters into the object-mode
-        ``OutputPort`` instances, so cold-path readers (utilization maps,
-        debugging) see one representation."""
-        sent = memoryview(self.kernel.view("p_sent"))
-        queued = memoryview(self.kernel.view("p_queued"))
-        for gid, port in enumerate(self.st.obj_ports):
-            port.sent_packets = sent[gid]
-            port.queued = queued[gid]
 
     # -- open-loop traffic -----------------------------------------------------
 

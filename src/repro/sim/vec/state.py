@@ -1,20 +1,22 @@
 """Read-only wiring the compiled kernel is built from.
 
-:class:`SoAState` flattens the object model's *wiring* (routers owning
-``OutputPort``/input-queue objects, per-node ``NIC`` objects) into
-parallel lists indexed by dense integer ids:
+:class:`SoAState` lays a topology's switch wiring out as parallel lists
+indexed by dense integer ids:
 
 - **ports** get a global id ``gid`` (``p_off[router] + out_idx``);
 - **port x VC** pairs are ``gid * V + vc``;
 - **inputs** (router input ports, including injection inputs) get a
-  global id ``in_off[router] + in_idx``, and input VCs ``in_gid * V + vc``.
+  global id ``p_off[router] + in_idx`` (a router has as many inputs as
+  outputs), and input VCs ``in_gid * V + vc``.
 
-The state is *built from* an assembled object-mode network, so the
-wiring (neighbor ports, credit sinks, ejection ports) has exactly one
-source of truth and cannot drift between the two engines.  The compiled
-kernel (:mod:`repro.sim.vec.kernel`) copies these lists into C arrays
-once and owns every piece of *mutable* state from then on; Python reads
-live state only through kernel methods and read-only buffer views.
+Every id is derived from the topology alone, in the object engine's
+numbering (:meth:`SoAState.from_topology`), so a kernel network builds
+no ``Router``, ``OutputPort`` or ``NIC``; ``tests/test_kernel_wiring.py``
+holds the ids to an object network's wiring on every topology family.
+The compiled kernel (:mod:`repro.sim.vec.kernel`) copies these lists
+into C arrays once and owns every piece of *mutable* state from then
+on; Python reads live state only through kernel methods and read-only
+buffer views.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from repro.routing.vc import HopIndexVC, PhaseVC
 from repro.sim.nic import Descriptor
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.network import Network
+    from repro.routing.base import RoutingAlgorithm
+    from repro.sim.config import SimConfig
+    from repro.topology.base import Topology
 
 __all__ = ["SoAState", "KernelNIC"]
 
@@ -48,99 +52,78 @@ class SoAState:
         "row_port",
         # the routing's VC labelling (see _vc_labelling)
         "vc_scheme", "vc_min", "vc_ind",
-        # object-mode ports in gid order (for utilization sync)
-        "obj_ports",
     )
 
     @classmethod
-    def from_network(cls, net: "Network") -> "SoAState":
+    def from_topology(cls, topology: "Topology", routing: "RoutingAlgorithm",
+                      config: "SimConfig") -> "SoAState":
+        """The wiring of *topology* with *routing*'s VC count and
+        *config*'s physics, numbered as the object engine wires it:
+
+        - router ``r``'s outputs are its neighbours in ``neighbors(r)``
+          order, then its nodes in ``nodes_of(r)`` order;
+        - its input from neighbour ``u`` is ``port(r, u)``;
+        - each node's injection input follows the neighbours, in
+          ``nodes_of(r)`` order.
+        """
         st = cls()
-        topo = net.topology
-        cfg = net.config
-        V = st.V = net.num_vcs
-        st.NN = topo.num_nodes
+        topo = topology
+        V = st.V = routing.num_vcs
+        NN = st.NN = topo.num_nodes
         NR = st.NR = topo.num_routers
-        st.SER = cfg.packet_time_ns
-        st.LINK = cfg.link_latency_ns
-        st.SWITCH = cfg.switch_latency_ns
+        st.SER = config.packet_time_ns
+        st.LINK = config.link_latency_ns
+        st.SWITCH = config.switch_latency_ns
         st.SL = st.SER + st.LINK
         # Output-queue and downstream-buffer capacity per VC (the
         # "input-output-buffered" provisioning), and a NIC's credits.
-        st.OQ_CAP = st.VC_CAP = cfg.buffer_packets_per_vc(V)
-        st.NIC_CAP = cfg.buffer_packets_per_port
+        st.OQ_CAP = st.VC_CAP = config.buffer_packets_per_vc(V)
+        st.NIC_CAP = config.buffer_packets_per_port
 
-        # Port and input id spaces.  Ports and inputs are congruent in
-        # this model (every router has degree+p of each), but they are
-        # flattened independently so the layout survives asymmetries.
-        st.p_off = [0] * NR
-        in_off = [0] * NR
-        np_total = ni_total = 0
-        for r, router in enumerate(net.routers):
-            st.p_off[r] = np_total
-            in_off[r] = ni_total
-            np_total += len(router.out)
-            ni_total += len(router.in_q)
-        NP = st.NP = np_total
-        NI = st.NI = ni_total
-
-        in_rid = [0] * NI
-        st.in_up_port = [-1] * NI
-        st.in_up_node = [-1] * NI
-        st.p_dest_in = [-1] * NP
-        st.p_has_cred = [False] * NP
-        st.obj_ports = []
-
-        from repro.sim.nic import NIC
-        from repro.sim.switch import _PortCreditSink
-
-        for r, router in enumerate(net.routers):
-            base = st.p_off[r]
-            for out_idx, port in enumerate(router.out):
-                gid = base + out_idx
-                st.obj_ports.append(port)
-                if port.downstream is not None:
-                    ds_rid = port.downstream.rid
-                    st.p_dest_in[gid] = in_off[ds_rid] + port.downstream_in_idx
-                if port.credits is not None:
-                    if any(c != st.VC_CAP for c in port.credits):
-                        raise ValueError("kernel wiring: port credits differ "
-                                         "from the per-VC buffer capacity")
-                    st.p_has_cred[gid] = True
-            ibase = in_off[r]
-            for in_idx, upstream in enumerate(router.in_upstream):
-                igid = ibase + in_idx
-                in_rid[igid] = r
-                if isinstance(upstream, NIC):
-                    st.in_up_node[igid] = upstream.node
-                elif isinstance(upstream, _PortCreditSink):
-                    st.in_up_port[igid] = (
-                        st.p_off[upstream.router.rid] + upstream.port.out_idx
-                    )
-
-        # Hot-loop shortcut: input gid -> its router's port-id base.
-        st.in_pbase = [st.p_off[in_rid[i]] for i in range(NI)]
-
-        NN = st.NN
-        st.n_in = [0] * NN
-        # Node -> router id, for the kernel's in-C route selection
-        # (make_packet resolves both endpoints via topology.router_of;
-        # the flat list is the array-friendly equivalent).
-        st.n_rid = [0] * NN
-        for node, nic in enumerate(net.nics):
-            st.n_in[node] = in_off[nic.router_id] + nic.in_idx
-            st.n_rid[node] = nic.router_id
-        st.n_eject = list(net._eject_ports)
-
-        # Directed-channel table in global port ids (row-major, stride
-        # NR -- one multiply-indexed load per UGAL-L probe); the kernel
-        # also enumerates its minimal paths from it.
-        row_port = st.row_port = [-1] * (NR * NR)
+        # A router has one output and one input per neighbour and per
+        # node, numbered alike, so one offset list spaces both ids.
+        p_off = st.p_off = [0] * NR
+        total = 0
         for r in range(NR):
-            base = r * NR
-            gid = st.p_off[r]
-            for out_idx, neighbor in enumerate(topo.neighbors(r)):
-                row_port[base + neighbor] = gid + out_idx
-        st.vc_scheme, st.vc_min, st.vc_ind = _vc_labelling(net.routing)
+            p_off[r] = total
+            total += topo.degree(r) + len(topo.nodes_of(r))
+        st.NP = st.NI = total
+
+        # Hot-loop shortcut in_pbase: input gid -> its router's port-id
+        # base.  row_port is the directed-channel table in global port
+        # ids (row-major, stride NR -- one multiply-indexed load per
+        # UGAL-L probe); the kernel also enumerates its minimal paths
+        # from it.  n_rid is node -> router id, for the kernel's in-C
+        # route selection.
+        st.in_pbase = []
+        st.in_up_port = [-1] * total
+        st.in_up_node = [-1] * total
+        st.p_dest_in = [-1] * total
+        st.p_has_cred = [False] * total
+        row_port = st.row_port = [-1] * (NR * NR)
+        st.n_in = [0] * NN
+        st.n_rid = [0] * NN
+        st.n_eject = [0] * NN
+        port = topo.port
+        for r in range(NR):
+            base = p_off[r]
+            neighbors = topo.neighbors(r)
+            deg = len(neighbors)
+            for out_idx, u in enumerate(neighbors):
+                gid = base + out_idx
+                ds_in = p_off[u] + port(u, r)
+                st.p_dest_in[gid] = ds_in
+                st.p_has_cred[gid] = True
+                st.in_up_port[ds_in] = gid
+                row_port[r * NR + u] = gid
+            nodes = topo.nodes_of(r)
+            for local, node in enumerate(nodes):
+                st.in_up_node[base + deg + local] = node
+                st.n_in[node] = base + deg + local
+                st.n_rid[node] = r
+                st.n_eject[node] = deg + local
+            st.in_pbase.extend([base] * (deg + len(nodes)))
+        st.vc_scheme, st.vc_min, st.vc_ind = _vc_labelling(routing)
         return st
 
 

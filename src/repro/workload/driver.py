@@ -147,7 +147,7 @@ class WorkloadDriver:
         # Finite runs measure utilization over the whole schedule, so
         # net.channel_utilization() works without an explicit window.
         if completion > 0:
-            net.clock.utilization_window = completion
+            net.utilization_window = completion
         cp = self.workload.critical_path()
         ideal = cp.ideal_ns(net.config)
         total_bytes = self.workload.total_bytes
@@ -200,19 +200,11 @@ class WorkloadDriver:
 
     def _link_skew(self, completion_ns: float) -> Dict[str, float]:
         """Max/mean utilization over router-router links for the run."""
-        if completion_ns <= 0:
-            return {"max": 0.0, "mean": 0.0, "skew": 0.0}
-        util = self.net.channel_utilization(window_ns=completion_ns)
-        fabric = [v for k, v in util.items() if k[0] != "eject"]
-        if not fabric:
-            return {"max": 0.0, "mean": 0.0, "skew": 0.0}
-        peak = max(fabric)
-        mean = sum(fabric) / len(fabric)
-        return {
-            "max": peak,
-            "mean": mean,
-            "skew": peak / mean if mean > 0 else 0.0,
-        }
+        net = self.net
+        skew = None
+        if completion_ns > 0:
+            skew = net.fabric_link_load(net.sent_counts(), completion_ns)
+        return skew or {"max": 0.0, "mean": 0.0, "skew": 0.0}
 
 
 def _phase_sizes(workload: Workload) -> Dict[str, int]:

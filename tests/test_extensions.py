@@ -81,7 +81,7 @@ class TestChannelUtilization:
         res = net.run_exchange(AllToAll(sf5.num_nodes, message_bytes=256))
         # Previously raised: no window was recorded for finite runs.
         util = net.channel_utilization()
-        assert net._utilization_window == pytest.approx(res["completion_ns"])
+        assert net.utilization_window == pytest.approx(res["completion_ns"])
         router_links = [v for k, v in util.items() if k[0] != "eject"]
         assert max(router_links) > 0
         assert all(0.0 <= v <= 1.0 + 1e-9 for v in router_links)
@@ -92,8 +92,42 @@ class TestChannelUtilization:
         net = Network(sf5, MinimalRouting(sf5, seed=1))
         res = net.run_workload(ring_allgather(sf5.num_nodes, 512))
         util = net.channel_utilization()
-        assert net._utilization_window == pytest.approx(res["completion_ns"])
+        assert net.utilization_window == pytest.approx(res["completion_ns"])
         assert max(v for k, v in util.items() if k[0] != "eject") > 0
+
+    def test_identical_on_both_engines(self, sf5):
+        # The kernel's flat per-port counters and the object engine's
+        # ports must give the same utilization map and the same
+        # workload link loads, before and after faults, bit for bit.
+        from repro.sim import SimConfig
+        from repro.sim.vec.kernel import load_kernel
+        from repro.workload import build_workload
+
+        if load_kernel() is None:
+            pytest.skip("compiled kernel unavailable")
+
+        def uniform(backend):
+            net = Network(sf5, UGALRouting(sf5, seed=1), SimConfig(backend=backend))
+            net.run_synthetic(UniformRandom(sf5.num_nodes), load=0.6,
+                              warmup_ns=500, measure_ns=2000, seed=3)
+            assert net.backend_in_use == backend
+            return net.channel_utilization()
+
+        def halo(backend):
+            config = SimConfig(backend=backend,
+                               faults=("drip@200:n=2,every=100,seed=1",))
+            net = Network(sf5, UGALRouting(sf5, seed=1), config)
+            res = net.run_workload(build_workload("halo3d", sf5.num_nodes, 2048))
+            assert res["fault_events"] == 2
+            return {k: v for k, v in res.items() if "link_load" in k}
+
+        assert uniform("object") == uniform("kernel")
+        loads = halo("object")
+        assert sorted(loads) == sorted(
+            f"{prefix}link_load_{stat}"
+            for prefix in ("", "post_fault_") for stat in ("max", "mean", "skew")
+        )
+        assert loads == halo("kernel")
 
 
 class TestUGALGlobal:

@@ -17,6 +17,7 @@ from repro.routing.vc import HopIndexVC, PhaseVC
 from repro.sim import InvariantViolation, Network, SimConfig
 from repro.sim.invariants import CheckedNIC, CheckedRouter
 from repro.sim.trace import EventRing
+from repro.sim.vec.kernel import load_kernel
 from repro.traffic import AllToAll, UniformRandom
 from repro.workload import ring_allreduce
 
@@ -25,6 +26,54 @@ CHECKED = SimConfig(check=True)
 
 def checked_net(topo, routing=None):
     return Network(topo, routing or MinimalRouting(topo), CHECKED)
+
+
+needs_kernel = pytest.mark.skipif(
+    load_kernel() is None,
+    reason="compiled kernel unavailable (no compiler or REPRO_NO_KERNEL set)",
+)
+
+
+def bad_vc_routing(topo):
+    """Minimal routing with every hop relabelled onto VC 0."""
+    real = MinimalRouting(topo)
+
+    class BadVCRouting:
+        num_vcs = real.num_vcs
+        vc_policy = real.vc_policy
+
+        def route(self, src, dst, congestion):
+            r = real.route(src, dst, congestion)
+            return Route(routers=r.routers, vcs=(0,) * (len(r.routers) - 1),
+                         kind=r.kind, intermediate=r.intermediate,
+                         ports=r.ports)
+
+    return BadVCRouting()
+
+
+def lost_routing(topo):
+    """Minimal routing toward the router after the destination's."""
+    real = MinimalRouting(topo)
+
+    class LostRouting:
+        num_vcs = real.num_vcs
+        vc_policy = real.vc_policy
+
+        def route(self, src, dst, congestion):
+            wrong = (dst + 1) % topo.num_routers
+            return real.route(src, wrong, congestion)
+
+    return LostRouting()
+
+
+def rejected_at_injection(topo, routing, backend):
+    """The violation a checked run on *backend* raises for *routing*."""
+    net = Network(topo, routing, SimConfig(check=True, backend=backend))
+    assert net.backend_in_use == backend
+    with pytest.raises(InvariantViolation) as excinfo:
+        net.run_synthetic(UniformRandom(topo.num_nodes), load=0.2,
+                          warmup_ns=200, measure_ns=400, seed=0)
+    return excinfo.value
 
 
 # -- clean runs: checker on, nothing to report --------------------------------
@@ -182,42 +231,26 @@ class TestInjectedFaults:
         # A routing that violates the hop-index deadlock-avoidance rule
         # (all hops on VC 0) must be refused before the packet enters
         # the network.
-        real = MinimalRouting(sf5)
+        err = rejected_at_injection(sf5, bad_vc_routing(sf5), "object")
+        assert err.rule == "vc-legality"
+        assert "hop-indexed" in err.message
 
-        class BadVCRouting:
-            num_vcs = real.num_vcs
-            vc_policy = real.vc_policy
-
-            def route(self, src, dst, congestion):
-                r = real.route(src, dst, congestion)
-                return Route(routers=r.routers, vcs=(0,) * (len(r.routers) - 1),
-                             kind=r.kind, intermediate=r.intermediate,
-                             ports=r.ports)
-
-        net = Network(sf5, BadVCRouting(), CHECKED)
-        with pytest.raises(InvariantViolation) as excinfo:
-            net.run_synthetic(UniformRandom(sf5.num_nodes), load=0.2,
-                              warmup_ns=200, measure_ns=400, seed=0)
-        assert excinfo.value.rule == "vc-legality"
-        assert "hop-indexed" in excinfo.value.message
+    @needs_kernel
+    def test_illegal_vc_assignment_rejected_at_injection_kernel(self, sf5):
+        # The kernel's checker applies the same route rules.
+        err = rejected_at_injection(sf5, bad_vc_routing(sf5), "kernel")
+        assert err.rule == "vc-legality"
+        assert "hop-indexed" in err.message
 
     def test_detour_route_rejected(self, sf5):
         # A route whose final router is not the destination's router.
-        real = MinimalRouting(sf5)
+        err = rejected_at_injection(sf5, lost_routing(sf5), "object")
+        assert err.rule == "route-legality"
 
-        class LostRouting:
-            num_vcs = real.num_vcs
-            vc_policy = real.vc_policy
-
-            def route(self, src, dst, congestion):
-                wrong = (dst + 1) % sf5.num_routers
-                return real.route(src, wrong, congestion)
-
-        net = Network(sf5, LostRouting(), CHECKED)
-        with pytest.raises(InvariantViolation) as excinfo:
-            net.run_synthetic(UniformRandom(sf5.num_nodes), load=0.2,
-                              warmup_ns=200, measure_ns=400, seed=0)
-        assert excinfo.value.rule == "route-legality"
+    @needs_kernel
+    def test_detour_route_rejected_kernel(self, sf5):
+        err = rejected_at_injection(sf5, lost_routing(sf5), "kernel")
+        assert err.rule == "route-legality"
 
     def test_latency_floor(self, sf5):
         # Unit-level: a delivery faster than the zero-load floor of its
