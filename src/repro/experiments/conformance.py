@@ -17,6 +17,14 @@ checker's watchdog schedules extra (physics-free) events, and the whole
 point is that checked and unchecked runs must agree on everything a
 paper figure could consume.
 
+A second set pins the closed loop (``tests/golden/closed_loop_conformance
+.json``): collective workloads through
+:class:`~repro.workload.driver.WorkloadDriver` and finite exchanges
+through ``run_exchange`` on the tiny Slim Fly with UGAL, each
+fingerprinted by its result dict (minus the event count and host wall
+time) and a digest over the ordered delivery stream, message ids
+included.
+
 Regenerate after an *intended* behaviour change with::
 
     python -m repro.experiments.conformance --write
@@ -29,12 +37,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-from typing import Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from repro.experiments.configs import configs_for_scale
 from repro.experiments.specs import build_routing
 from repro.sim import Network, SimConfig
-from repro.traffic import UniformRandom
+from repro.traffic import AllToAll, NearestNeighbor3D, UniformRandom
+from repro.workload import Workload, build_workload
 
 __all__ = [
     "GOLDEN_PATH",
@@ -50,6 +59,12 @@ __all__ = [
     "diff_fingerprints",
     "diff_fault_fingerprint",
     "write_fault_golden",
+    "CLOSED_LOOP_GOLDEN_PATH",
+    "CLOSED_LOOP_CASE_KEYS",
+    "run_closed_loop_case",
+    "load_closed_loop_golden",
+    "diff_closed_loop",
+    "write_closed_loop_golden",
 ]
 
 #: Repo-relative location of the committed goldens.
@@ -91,6 +106,20 @@ def _build(case_key: str, check: bool, backend: str = "object") -> Network:
     return Network(topo, routing, SimConfig(check=check, backend=backend))
 
 
+def _delivery_recorder(digest, msg_id: bool = False):
+    """A delivery listener feeding *digest* one line per packet, in
+    delivery order (plus the message id with *msg_id*)."""
+
+    def record(pkt) -> None:
+        tail = f":{pkt.msg_id!r}" if msg_id else ""
+        digest.update(
+            f"{pkt.pid}:{pkt.src_node}:{pkt.dst_node}:{pkt.kind}:"
+            f"{pkt.eject_time!r}{tail};".encode()
+        )
+
+    return record
+
+
 def run_case(
     case_key: str,
     check: bool = False,
@@ -111,15 +140,8 @@ def run_case(
     """
     net = _build(case_key, check, backend)
     digest = hashlib.sha256()
-
-    def record(pkt) -> None:
-        digest.update(
-            f"{pkt.pid}:{pkt.src_node}:{pkt.dst_node}:{pkt.kind}:"
-            f"{pkt.eject_time!r};".encode()
-        )
-
     if listener:
-        net.add_delivery_listener(record)
+        net.add_delivery_listener(_delivery_recorder(digest))
     stats = net.run_synthetic(
         UniformRandom(net.topology.num_nodes),
         load=LOAD,
@@ -188,14 +210,7 @@ def run_fault_case(
         ),
     )
     digest = hashlib.sha256()
-
-    def record(pkt) -> None:
-        digest.update(
-            f"{pkt.pid}:{pkt.src_node}:{pkt.dst_node}:{pkt.kind}:"
-            f"{pkt.eject_time!r};".encode()
-        )
-
-    net.add_delivery_listener(record)
+    net.add_delivery_listener(_delivery_recorder(digest))
     stats = net.run_synthetic(
         UniformRandom(net.topology.num_nodes),
         load=LOAD,
@@ -210,6 +225,158 @@ def run_fault_case(
         "delivered": net.stats.ejected_total,
         "faults": net.fault_manager.summary(),
     }
+
+
+# -- closed-loop goldens ----------------------------------------------------
+
+#: Committed goldens of the closed-loop cases.
+CLOSED_LOOP_GOLDEN_PATH = "tests/golden/closed_loop_conformance.json"
+
+#: The closed-loop cases run on this tiny configuration's UGAL.
+CLOSED_LOOP_CONFIG = "sf-floor"
+
+#: Result fields that are not behaviour: the event count (the checker's
+#: watchdog adds events) and the driver's host wall time.
+_HOST_FIELDS = ("events", "driver_wall_s")
+
+
+def _odd_sizes_workload(num_nodes: int) -> Workload:
+    """Message sizes off the packet grid, gated by local messages.
+
+    Twenty ranks send one round of 1-1000 B messages; a zero-byte
+    message, which completes through a scheduled callback instead of
+    the network, gates a second round on the whole first one, and a
+    self-send (also local) sits among the second round's sends.
+    """
+    ranks = min(20, num_nodes)
+    sizes = (1, 255, 257, 700, 1000)
+    w = Workload("odd-sizes")
+    first = [
+        w.add(i, (i + 1) % ranks, sizes[i % 5], phase="round0")
+        for i in range(ranks)
+    ]
+    gate = w.add(0, 0, 0, deps=first, phase="gate")
+    for i in range(ranks):
+        w.add(i, (i + 7) % ranks, sizes[(i + 2) % 5], deps=[gate], phase="round1")
+    w.add(3, 3, 512, deps=[gate], phase="round1")
+    return w
+
+
+class _FirstRanks:
+    """An in-order *exchange*'s messages from the nodes below its
+    ``num_nodes``; every other node sends nothing."""
+
+    def __init__(self, exchange):
+        self.exchange = exchange
+
+    def node_messages(self, node: int):
+        if node >= self.exchange.num_nodes:
+            return ()
+        return self.exchange.node_messages(node)
+
+
+_DRIP = ("drip@300:n=3,every=200,seed=3",)
+
+#: Case key -> (fault specs, run(net) -> result dict).  Sizes are chosen
+#: so most messages end in a partial packet.
+_CLOSED_LOOP: Dict[str, Tuple[Tuple[str, ...], Callable]] = {
+    "ring-allreduce": ((), lambda net: net.run_workload(build_workload(
+        "ring-allreduce", net.topology.num_nodes, 24 * 700, ranks=24))),
+    "halo3d-t2": ((), lambda net: net.run_workload(build_workload(
+        "halo3d", net.topology.num_nodes, 1_000, iterations=2))),
+    "phased-a2a-barrier": ((), lambda net: net.run_workload(build_workload(
+        "phased-a2a", net.topology.num_nodes, 300, ranks=16, barrier=True))),
+    "odd-sizes": ((), lambda net: net.run_workload(
+        _odd_sizes_workload(net.topology.num_nodes))),
+    "exchange-a2a": ((), lambda net: net.run_exchange(
+        _FirstRanks(AllToAll(48, message_bytes=300, seed=0)),
+        track_messages=True)),
+    "exchange-nn": ((), lambda net: net.run_exchange(
+        NearestNeighbor3D(net.topology.num_nodes, message_bytes=1_000),
+        track_messages=True)),
+    "halo3d-t2-faults": (_DRIP, lambda net: net.run_workload(build_workload(
+        "halo3d", net.topology.num_nodes, 1_000, iterations=2))),
+}
+
+#: Every closed-loop case, in deterministic order.
+CLOSED_LOOP_CASE_KEYS: List[str] = list(_CLOSED_LOOP)
+
+
+def run_closed_loop_case(
+    case_key: str,
+    check: bool = False,
+    backend: str = "object",
+    listener: bool = True,
+) -> Dict:
+    """One closed-loop case's fingerprint: ``{"result": ..., "digest":
+    hex}``.  ``listener=False`` attaches no delivery recorder (digest
+    ``None``), which on the kernel keeps the C delivery path and the C
+    message countdown live."""
+    if case_key not in _CLOSED_LOOP:
+        raise ValueError(f"unknown closed-loop case {case_key!r}")
+    faults, run = _CLOSED_LOOP[case_key]
+    cfg = {c.key: c for c in configs_for_scale(SCALE)}[CLOSED_LOOP_CONFIG]
+    topo = cfg.topology()
+    routing = build_routing(*cfg.routing_spec("ugal"), topo, seed=ROUTING_SEED)
+    net = Network(topo, routing, SimConfig(
+        check=check, backend=backend, faults=faults, fault_policy="reroute"))
+    digest = hashlib.sha256()
+    if listener:
+        net.add_delivery_listener(_delivery_recorder(digest, msg_id=True))
+    result = run(net)
+    return {
+        "result": {k: v for k, v in result.items() if k not in _HOST_FIELDS},
+        "digest": digest.hexdigest() if listener else None,
+    }
+
+
+def load_closed_loop_golden(path: str = CLOSED_LOOP_GOLDEN_PATH) -> Dict[str, Dict]:
+    """The committed closed-loop fingerprints, keyed by case."""
+    with open(path) as fh:
+        return json.load(fh)["cases"]
+
+
+def diff_closed_loop(golden: Dict, computed: Dict) -> List[str]:
+    """Mismatches between two closed-loop fingerprint maps."""
+    problems = []
+    for key in sorted(set(golden) | set(computed)):
+        if key not in computed:
+            problems.append(f"{key}: missing from computed set")
+            continue
+        if key not in golden:
+            problems.append(f"{key}: not in golden file (regenerate goldens)")
+            continue
+        want, got = golden[key], computed[key]
+        if got["digest"] is not None and want["digest"] != got["digest"]:
+            problems.append(
+                f"{key}: delivery-stream digest changed "
+                f"({want['digest'][:12]} -> {got['digest'][:12]})"
+            )
+        for field in sorted(set(want["result"]) | set(got["result"])):
+            ref, val = want["result"].get(field), got["result"].get(field)
+            if val != ref:
+                problems.append(f"{key}: result.{field} changed {ref!r} -> {val!r}")
+    return problems
+
+
+def write_closed_loop_golden(path: str = CLOSED_LOOP_GOLDEN_PATH) -> Dict[str, Dict]:
+    """Recompute the closed-loop fingerprints (object reference) and
+    write them."""
+    cases = {key: run_closed_loop_case(key) for key in CLOSED_LOOP_CASE_KEYS}
+    payload = {
+        "meta": {
+            "config": CLOSED_LOOP_CONFIG,
+            "scale": SCALE,
+            "routing": "ugal",
+            "routing_seed": ROUTING_SEED,
+            "note": "regenerate with: python -m repro.experiments.conformance --write",
+        },
+        "cases": cases,
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return cases
 
 
 def compute_fingerprints(
@@ -346,6 +513,9 @@ def main(argv=None) -> int:
         fault = write_fault_golden()
         print(f"wrote fault fingerprint ({fault['delivered']} delivered, "
               f"{fault['faults']['reroutes']} reroutes) to {FAULT_GOLDEN_PATH}")
+        closed = write_closed_loop_golden()
+        print(f"wrote {len(closed)} closed-loop fingerprints to "
+              f"{CLOSED_LOOP_GOLDEN_PATH}")
         return 0
     problems = diff_fingerprints(
         load_golden(args.path), compute_fingerprints(backend=args.backend)
@@ -353,13 +523,19 @@ def main(argv=None) -> int:
     problems += diff_fault_fingerprint(
         load_fault_golden(), run_fault_case(backend=args.backend)
     )
+    problems += diff_closed_loop(
+        load_closed_loop_golden(),
+        {key: run_closed_loop_case(key, backend=args.backend)
+         for key in CLOSED_LOOP_CASE_KEYS},
+    )
     if problems:
         for problem in problems:
             print(f"MISMATCH {problem}")
         return 1
     print(
-        f"all {len(CASE_KEYS)} conformance cases match {args.path} "
-        f"(backend={args.backend})"
+        f"all {len(CASE_KEYS)} conformance cases, the fault case and "
+        f"{len(CLOSED_LOOP_CASE_KEYS)} closed-loop cases match their "
+        f"goldens (backend={args.backend})"
     )
     return 0
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import random
 import warnings
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from array import array
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.routing.base import RoutingAlgorithm
 from repro.sim.config import PAPER_CONFIG, SimConfig
@@ -53,6 +54,11 @@ class Network:
         self._vec = None  # KernelEngine when the kernel backend runs
         self._msg_track: Optional[Dict] = None  # per-message tracking (exchanges)
         self._delivery_listeners: list = []  # see add_delivery_listener
+        # The message countdown (see watch_messages): packets left and
+        # delivered packets by (message, route kind), and the callback.
+        self._msg_left: Optional[array] = None
+        self._msg_kinds: Dict[Tuple[int, str], int] = {}
+        self._msg_done: Optional[Callable[[int], None]] = None
         self._experiment_ran = False  # one experiment per Network instance
         #: Window (ns) behind ``channel_utilization()``: the measurement
         #: window of ``run_synthetic``, the completion time of a finite
@@ -348,25 +354,65 @@ class Network:
     def add_delivery_listener(self, fn) -> None:
         """Register ``fn(pkt)`` to run on every packet delivery.
 
-        This is the closed-loop hook: a listener observes each ejection
-        (with its ``msg_id``) and may submit new traffic in response --
-        :class:`repro.workload.driver.WorkloadDriver` uses it to release
-        DAG successors the moment their dependencies complete.
-        Listeners run after statistics/trace recording, in registration
-        order, and must not raise.
+        A listener observes each ejection (with its ``msg_id``) and may
+        submit new traffic in response.  Listeners run after
+        statistics/trace recording, in registration order, and must not
+        raise.  On the kernel an observer costs every delivery a
+        :class:`Packet` and a Python call, so a driver that only needs
+        to know when messages complete arms :meth:`watch_messages`
+        instead.
         """
         if not callable(fn):
             raise TypeError(f"delivery listener {fn!r} is not callable")
         self._delivery_listeners.append(fn)
 
+    def watch_messages(
+        self, packets: Iterable[int], on_complete: Callable[[int], None]
+    ) -> None:
+        """Arm the message countdown: message ``i`` completes when
+        ``packets[i]`` packets with ``msg_id == i`` have been delivered,
+        and ``on_complete(i)`` then runs at that delivery's time.
+
+        This is the closed-loop hook: :class:`repro.workload.driver
+        .WorkloadDriver` arms it with every message's packet count and
+        releases DAG successors from the callback.  A message of zero
+        packets never completes here.  Delivered packets are counted per
+        message and route kind (:meth:`message_kinds`); packets with no
+        int ``msg_id``, one outside the table, or one of a message
+        already complete are not counted.  :meth:`deliver` counts down
+        on the object engine and on the kernel's Python path; the
+        kernel's delivery fast path counts down in C, on the same table,
+        and calls back into Python once per completed message.
+        """
+        if not callable(on_complete):
+            raise TypeError(f"completion callback {on_complete!r} is not callable")
+        left = array("i", packets)
+        if any(n < 0 for n in left):
+            raise ValueError("watch_messages: packet counts must be >= 0")
+        self._msg_left = left
+        self._msg_kinds = {}
+        self._msg_done = on_complete
+        if self._vec is not None:
+            self._vec.kernel.watch(left, on_complete)
+
+    def message_kinds(self) -> Dict[Tuple[int, str], int]:
+        """Delivered packets per watched message and route kind,
+        ``{(msg_id, kind): packets}``, from both countdown paths."""
+        counts = dict(self._msg_kinds)
+        if self._vec is not None:
+            for mid, kind, n in self._vec.kernel.message_kinds():
+                counts[mid, kind] = counts.get((mid, kind), 0) + n
+        return counts
+
     def deliver(self, pkt: Packet) -> None:
         """Final hop: the packet reaches its destination node.
 
-        The kernel backend mirrors the stats accounting in C when no
-        observer (tracer, listener, message tracker, checker) is
-        attached (``do_deliver`` in ``repro/sim/vec/_kernel.c``,
-        flushed via :meth:`StatsCollector.absorb_kernel`); changes
-        here must be reflected there.
+        The kernel backend mirrors the stats accounting and the message
+        countdown in C when no observer (tracer, listener, message
+        tracker, checker) is attached (``do_deliver`` in
+        ``repro/sim/vec/_kernel.c``, flushed via
+        :meth:`StatsCollector.absorb_kernel`); changes here must be
+        reflected there.
         """
         pkt.eject_time = self.engine.now
         self.stats.record_eject(pkt)
@@ -374,6 +420,15 @@ class Network:
             self.tracer.record(pkt)
         for listener in self._delivery_listeners:
             listener(pkt)
+        left = self._msg_left
+        if left is not None:
+            mid = pkt.msg_id
+            if isinstance(mid, int) and 0 <= mid < len(left) and left[mid] > 0:
+                key = (mid, pkt.kind)
+                self._msg_kinds[key] = self._msg_kinds.get(key, 0) + 1
+                left[mid] -= 1
+                if not left[mid]:
+                    self._msg_done(mid)
         if self._msg_track is not None and pkt.msg_id is not None:
             key = (pkt.src_node, pkt.msg_id)
             entry = self._msg_track.get(key)
@@ -422,9 +477,7 @@ class Network:
             # identical per-node RNG draws, made ahead of its GEN events
             # (see KernelEngine.setup_synthetic for the exactness
             # argument).
-            self._vec.setup_synthetic(
-                pattern, mean_ia, horizon, seed, arrival, cfg.packet_bytes
-            )
+            self._vec.setup_synthetic(pattern, mean_ia, horizon, seed, arrival)
         else:
             master = random.Random(seed)
             for node in range(self.topology.num_nodes):
@@ -526,6 +579,11 @@ class Network:
                     raise ValueError(
                         f"exchange sends node {node}'s message to node "
                         f"{dst!r}, outside [0, {num_nodes})"
+                    )
+                if size < 0:
+                    raise ValueError(
+                        f"exchange gives node {node} a message of {size!r} "
+                        f"bytes to node {dst}; sizes must be >= 0"
                     )
                 total_bytes += size
                 expected_packets += -(-size // pkt_size)

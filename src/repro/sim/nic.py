@@ -24,10 +24,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.network import Network
     from repro.sim.switch import Router
 
-__all__ = ["NIC"]
+__all__ = ["NIC", "bad_size"]
 
 #: A packet descriptor: (destination node, size in bytes, message id).
 Descriptor = Tuple[int, int, Optional[int]]
+
+
+def bad_size(size) -> ValueError:
+    """The error both engines' ``submit`` and ``submit_message`` raise
+    for a size below one byte (the kernel's C formats the same text)."""
+    return ValueError(f"size {size!r} must be at least 1 byte")
 
 
 class NIC:
@@ -77,10 +83,23 @@ class NIC:
         if not 0 <= dst_node < num_nodes:
             raise IndexError(
                 f"destination node {dst_node} out of range [0, {num_nodes})")
+        if size < 1:
+            raise bad_size(size)
         self.queue.append((dst_node, size, msg_id, self.engine.now))
         self.queued_packets += 1
         if not self.busy:
             self.try_send()
+
+    def submit_message(
+        self, dst_node: int, size: int, msg_id: Optional[int] = None
+    ) -> None:
+        """Queue a *size*-byte message as ``packet_bytes`` packets (the
+        last one holds the remainder): one :meth:`submit` per packet,
+        in order.  The first submit checks the destination and size."""
+        packet = self.net.config.packet_bytes
+        self.submit(dst_node, min(packet, size), msg_id)
+        for offset in range(packet, size, packet):
+            self.submit(dst_node, min(packet, size - offset), msg_id)
 
     def set_source(self, source: Iterator[Descriptor]) -> None:
         """Attach a pull-source of descriptors (finite exchanges).

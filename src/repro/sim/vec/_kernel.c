@@ -27,7 +27,10 @@
  *   refill, and a C-seeded copy of its private ``random.Random`` only
  *   until its stream reaches the horizon;
  * - delivery latencies collect in one fixed block of doubles that is
- *   flushed to the ``StatsCollector`` as raw bytes whenever it fills.
+ *   flushed to the ``StatsCollector`` as raw bytes whenever it fills;
+ * - a closed-loop driver's message countdown (see "message countdown")
+ *   decrements per-message packet counts on delivery and calls back
+ *   into Python once per completed message.
  *
  * A ``repro.sim.packet.Packet`` is built for a slot only when Python has
  * to see one: the make_packet and deliver escapes, a delivery observer
@@ -87,7 +90,7 @@ enum {
 
 /* Python-escape slots for the --profile split. */
 enum { ESC_MAKE = 0, ESC_DELIVER = 1, ESC_CALL = 2, ESC_DIVERT = 3,
-       ESC_FLUSH = 4, ESC_FILL = 5, ESC_N = 6 };
+       ESC_FLUSH = 4, ESC_FILL = 5, ESC_DONE = 6, ESC_N = 7 };
 
 /* Fast-path counters (per-packet work kept fully in C). */
 enum { FAST_MAKE = 0, FAST_DELIVER = 1, FAST_N = 2 };
@@ -555,7 +558,8 @@ typedef struct {
     /* clock and sequence counter, shared with Python through members */
     double now;
     long long seq, cs, executed;
-    long long pkt_bytes; /* packet size of the open-loop streams */
+    long long pkt_bytes; /* config.packet_bytes: open-loop packets and
+                            submit_message's chunks */
     int built, running;
 
     /* pending events: the delay lanes, the heap and the call table */
@@ -630,6 +634,14 @@ typedef struct {
     PyObject *kinds[MAX_KINDS];
     int nkinds, ki_min, ki_ind; /* indices of "minimal" / "indirect" */
     PyObject *net, *packet_cls;
+
+    /* message countdown (see "message countdown"): the watched int32
+     * buffer of packets left per message, shared with Python, delivered
+     * packets per message and route kind, and the completion callback */
+    Py_buffer m_view;   /* m_view.obj is NULL while disarmed */
+    Py_ssize_t m_n;
+    int32_t *m_kind;    /* m_n rows of MAX_KINDS */
+    PyObject *m_done;
 
     /* route table (see "route table"): per-source rows built on first
      * use, and the routing's VC labelling */
@@ -1123,9 +1135,10 @@ done:
 
 /* Flush the C-side inject/eject accumulators into the Python
  * StatsCollector (absorb_kernel).  Called before any escape that could
- * observe the collector mid-run (deliver/CALL/divert), when the latency
- * block fills, and at run end.  Kind counts are passed in first-delivery order since the last flush,
- * which is the order the per-packet path would insert them. */
+ * observe the collector mid-run (deliver/CALL/divert/msg_done), when the
+ * latency block fills, and at run end.  Kind counts are passed in
+ * first-delivery order since the last flush, which is the order the
+ * per-packet path would insert them. */
 static int
 stats_flush(Kernel *k)
 {
@@ -2520,6 +2533,71 @@ do_gen(Kernel *k, double t, long long s, long node)
     return kpush(k, LANE_HEAP, k->g_t[node][i], k->seq, OP_GEN, node, 0, 0);
 }
 
+/* -- message countdown --------------------------------------------------------
+ *
+ * A closed-loop driver arms the countdown through Network.watch_messages
+ * (``watch`` here): an int32 array of the packets each message still
+ * needs, indexed by message id, and a callback for completed messages.
+ * Network.deliver counts it down on the Python path; do_deliver mirrors
+ * that on the fast path, decrementing the same array through its buffer
+ * and counting delivered packets per message and route kind in
+ * ``m_kind``, and escapes to the callback (ESC_DONE) only after the slot
+ * of a message's last packet is released.  Packets with no int message
+ * id, one outside the table or one of a message already complete are
+ * not counted, as on the Python path.  Python reads the kind counts back
+ * once, after the run (``message_kinds``). */
+
+/* Release the watched buffer, the kind table and the callback. */
+static void
+watch_drop(Kernel *k)
+{
+    if (k->m_view.obj != NULL)
+        PyBuffer_Release(&k->m_view);
+    PyMem_Free(k->m_kind);
+    k->m_kind = NULL;
+    k->m_n = 0;
+    Py_CLEAR(k->m_done);
+}
+
+/* The watched message a delivered slot counts toward, or -1. */
+static inline Py_ssize_t
+watch_mid(Kernel *k, const Slot *p)
+{
+    PyObject *o = p->msg_id;
+    if (o == NULL || o == Py_None || !PyLong_Check(o))
+        return -1;
+    int overflow;
+    long long mid = PyLong_AsLongLongAndOverflow(o, &overflow);
+    if (overflow || mid < 0 || mid >= k->m_n ||
+        ((int32_t *)k->m_view.buf)[mid] <= 0)
+        return -1;
+    return (Py_ssize_t)mid;
+}
+
+/* Escape: message *mid* is complete; call the completion callback.
+ * Like the deliver and CALL escapes it flushes the accumulators first,
+ * so the callback sees a coherent StatsCollector. */
+static int
+msg_done(Kernel *k, Py_ssize_t mid)
+{
+    if (k->stats_dirty && stats_flush(k) < 0)
+        return -1;
+    double t0 = mono_ns();
+    /* The callback may re-arm the countdown, which drops the kernel's
+     * reference to it. */
+    PyObject *fn = Py_NewRef(k->m_done);
+    PyObject *m = PyLong_FromSsize_t(mid);
+    PyObject *r = m != NULL ? PyObject_CallOneArg(fn, m) : NULL;
+    Py_XDECREF(m);
+    Py_DECREF(fn);
+    k->esc_ns[ESC_DONE] += mono_ns() - t0;
+    k->esc_counts[ESC_DONE] += 1;
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return refresh_deliver_fast(k);
+}
+
 static int
 do_deliver(Kernel *k, double t, int32_t si)
 {
@@ -2552,8 +2630,15 @@ do_deliver(Kernel *k, double t, int32_t si)
         }
         k->stats_dirty = 1;
         k->fast_counts[FAST_DELIVER] += 1;
+        /* Network.deliver's message countdown. */
+        Py_ssize_t mid = k->m_n ? watch_mid(k, p) : -1;
+        int done = 0;
+        if (mid >= 0) {
+            k->m_kind[mid * MAX_KINDS + p->kind] += 1;
+            done = --((int32_t *)k->m_view.buf)[mid] == 0;
+        }
         slot_release(k, si);
-        return 0;
+        return done ? msg_done(k, mid) : 0;
     }
     /* Escape: flush the accumulators first so listeners and wrapped
      * deliver callbacks observe a coherent StatsCollector. */
@@ -3016,13 +3101,44 @@ kernel_drop_events(Kernel *k)
     PyMem_Free(calls);
 }
 
+/* Drop every packet the dropped events would have moved: the NIC send
+ * queues, the queues holding packet slots, and the slots themselves.
+ * Counters and credits are left as they are (a kernel is built per
+ * Network and never runs again after clear()). */
+static void
+kernel_drop_packets(Kernel *k)
+{
+    if (!k->built)
+        return;
+    for (long i = 0; i < k->NP * k->V; i++)
+        k->pv_oq[i].head = k->pv_oq[i].len = 0;
+    for (long i = 0; i < k->NI * k->V; i++)
+        k->iv_q[i].head = k->iv_q[i].len = 0;
+    for (long i = 0; i < k->NP; i++)
+        k->p_pend[i].head = k->p_pend[i].len = 0;
+    for (long n = 0; n < k->NN; n++) {
+        DRing *q = &k->n_q[n];
+        while (q->len) {
+            Desc d = dring_pop(q);
+            Py_XDECREF(d.msg_id);
+        }
+        k->n_qp[n] = 0;
+    }
+    for (int32_t si = 0; si < k->nslots; si++)
+        if (k->slots[si].hop >= 0)
+            slot_release(k, si);
+}
+
 static PyObject *
 Kernel_clear(Kernel *k, PyObject *Py_UNUSED(ignored))
 {
     kernel_drop_events(k);
-    /* Without their GEN events the streams are over. */
+    /* Without their events the streams are over and the packets in
+     * flight are gone; the message countdown goes with them. */
     for (long node = 0; k->built && node < k->NN; node++)
         gen_drop(k, node);
+    kernel_drop_packets(k);
+    watch_drop(k);
     memset(k->op_counts, 0, sizeof(k->op_counts));
     memset(k->esc_counts, 0, sizeof(k->esc_counts));
     memset(k->esc_ns, 0, sizeof(k->esc_ns));
@@ -3101,7 +3217,7 @@ Kernel_stats(Kernel *k, PyObject *Py_UNUSED(ignored))
         "RECV", "ENTER", "PWAKE", "DELIVER", "NWAKE", "GEN", "CALL"};
     static const char *esc_names[ESC_N] = {
         "make_packet", "deliver", "call", "fault_divert", "stats_flush",
-        "route_fill"};
+        "route_fill", "msg_done"};
     static const char *fast_names[FAST_N] = {"make_packet", "deliver"};
     static const char *lane_names[NLANES] = {
         "SER", "LINK", "SER+LINK", "SWITCH"};
@@ -3178,13 +3294,14 @@ fail:
     return NULL;
 }
 
-/* Memory accounting: packet slots, credit-FIFO high-water marks, and
- * the traffic generator's MT states and chunks. */
+/* Memory accounting: packet slots, credit-FIFO high-water marks, the
+ * traffic generator's MT states and chunks, and the messages the
+ * countdown watches. */
 static PyObject *
 Kernel_memory(Kernel *k, PyObject *Py_UNUSED(ignored))
 {
     return Py_BuildValue(
-        "{s:i,s:i,s:i,s:i,s:l,s:i,s:l,s:l,s:n,s:i,s:i,s:K}",
+        "{s:i,s:i,s:i,s:i,s:l,s:i,s:l,s:l,s:n,s:i,s:i,s:K,s:n}",
         "slots_live", (int)k->live, "slots_hwm", (int)k->hwm,
         "slots_allocated", (int)k->nslots,
         "credit_fifo_hwm", (int)k->arr_hwm, "vc_capacity", k->VC_CAP,
@@ -3192,7 +3309,7 @@ Kernel_memory(Kernel *k, PyObject *Py_UNUSED(ignored))
         "gen_states", k->g_states, "gen_state_bytes",
         (Py_ssize_t)(k->g_states * (long)sizeof(GenState)),
         "gen_chunk_max", (int)k->g_chunk_max, "gen_chunk_cap", GEN_CHUNK,
-        "gen_refills", k->g_refills);
+        "gen_refills", k->g_refills, "msg_watched", k->m_n);
 }
 
 static int
@@ -3210,25 +3327,129 @@ node_arg(Kernel *k, PyObject *o, long *node)
     return 0;
 }
 
+/* The (node, dst, size, msg_id) arguments of nic_submit and
+ * submit_message, checked as NIC.submit checks them (repro.sim.nic's
+ * bad_size gives the size error its text). */
+static int
+submit_args(Kernel *k, const char *name, PyObject *const *args,
+            Py_ssize_t nargs, long *node, long *dst, long long *size)
+{
+    if (nargs != 4) {
+        PyErr_Format(PyExc_TypeError, "%s takes 4 arguments", name);
+        return -1;
+    }
+    if (node_arg(k, args[0], node) < 0)
+        return -1;
+    *dst = PyLong_AsLong(args[1]);
+    *size = PyLong_AsLongLong(args[2]);
+    if (((*dst == -1 || *size == -1) && PyErr_Occurred()) ||
+        dst_check(k, *dst) < 0)
+        return -1;
+    if (*size < 1) {
+        PyErr_Format(PyExc_ValueError, "size %lld must be at least 1 byte",
+                     *size);
+        return -1;
+    }
+    return 0;
+}
+
 /* nic_submit(node, dst, size, msg_id): NIC.submit at the current time. */
 static PyObject *
 Kernel_nic_submit(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
 {
-    long node;
-    if (nargs != 4) {
-        PyErr_SetString(PyExc_TypeError, "nic_submit takes 4 arguments");
-        return NULL;
-    }
-    if (node_arg(k, args[0], &node) < 0)
-        return NULL;
-    long dst = PyLong_AsLong(args[1]);
-    long long size = PyLong_AsLongLong(args[2]);
-    if (((dst == -1 || size == -1) && PyErr_Occurred()) ||
-        dst_check(k, dst) < 0)
-        return NULL;
-    if (nic_enqueue(k, node, (int32_t)dst, size, args[3]) < 0)
+    long node, dst;
+    long long size;
+    if (submit_args(k, "nic_submit", args, nargs, &node, &dst, &size) < 0 ||
+        nic_enqueue(k, node, (int32_t)dst, size, args[3]) < 0)
         return NULL;
     Py_RETURN_NONE;
+}
+
+/* submit_message(node, dst, size, msg_id): NIC.submit_message, one
+ * nic_enqueue per pkt_bytes chunk in order, so sequence numbers are
+ * reserved as by one submit per packet. */
+static PyObject *
+Kernel_submit_message(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
+{
+    long node, dst;
+    long long size;
+    if (submit_args(k, "submit_message", args, nargs, &node, &dst,
+                    &size) < 0)
+        return NULL;
+    if (k->pkt_bytes < 1) {
+        PyErr_SetString(PyExc_RuntimeError, "kernel: pkt_bytes is not set");
+        return NULL;
+    }
+    for (long long left = size; left > 0; left -= k->pkt_bytes)
+        if (nic_enqueue(k, node, (int32_t)dst,
+                        left < k->pkt_bytes ? left : k->pkt_bytes,
+                        args[3]) < 0)
+            return NULL;
+    Py_RETURN_NONE;
+}
+
+/* watch(left, on_complete): arm the message countdown on *left*, a
+ * writable int32 array of packets left per message id, with a fresh
+ * kind table. */
+static PyObject *
+Kernel_watch(Kernel *k, PyObject *args)
+{
+    PyObject *left, *fn;
+    if (!PyArg_ParseTuple(args, "OO", &left, &fn))
+        return NULL;
+    if (!PyCallable_Check(fn)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "kernel: the completion callback is not callable");
+        return NULL;
+    }
+    Py_buffer view;
+    if (PyObject_GetBuffer(left, &view, PyBUF_CONTIG | PyBUF_FORMAT) < 0)
+        return NULL;
+    if (view.ndim != 1 || view.itemsize != (Py_ssize_t)sizeof(int32_t) ||
+        view.format == NULL || strcmp(view.format, "i") != 0) {
+        PyBuffer_Release(&view);
+        PyErr_SetString(PyExc_TypeError,
+                        "kernel: the countdown must be an array('i')");
+        return NULL;
+    }
+    Py_ssize_t n = view.shape[0];
+    int32_t *kinds = (int32_t *)PyMem_Calloc(
+        (size_t)(n ? n : 1) * MAX_KINDS, sizeof(int32_t));
+    if (kinds == NULL) {
+        PyBuffer_Release(&view);
+        return PyErr_NoMemory();
+    }
+    watch_drop(k);
+    k->m_view = view;
+    k->m_n = n;
+    k->m_kind = kinds;
+    k->m_done = Py_NewRef(fn);
+    Py_RETURN_NONE;
+}
+
+/* message_kinds() -> [(msg_id, kind, packets)]: what the fast path's
+ * countdown delivered, by message id then route kind. */
+static PyObject *
+Kernel_message_kinds(Kernel *k, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *out = PyList_New(0);
+    if (out == NULL)
+        return NULL;
+    for (Py_ssize_t m = 0; m < k->m_n; m++) {
+        for (int i = 0; i < k->nkinds; i++) {
+            int32_t c = k->m_kind[m * MAX_KINDS + i];
+            if (c == 0)
+                continue;
+            PyObject *rec = Py_BuildValue("(nOi)", m, k->kinds[i], (int)c);
+            if (rec == NULL || PyList_Append(out, rec) < 0) {
+                Py_XDECREF(rec);
+                Py_DECREF(out);
+                return NULL;
+            }
+            Py_DECREF(rec);
+        }
+    }
+    return out;
 }
 
 /* nic_set_source(node, iterator): attach a pull source of descriptors. */
@@ -4146,6 +4367,8 @@ Kernel_traverse(Kernel *k, visitproc visit, void *arg)
     }
     Py_VISIT(k->net);
     Py_VISIT(k->packet_cls);
+    Py_VISIT(k->m_view.obj);
+    Py_VISIT(k->m_done);
     Py_VISIT(k->deliver);
     Py_VISIT(k->fm_divert);
     Py_VISIT(k->min_rows);
@@ -4185,6 +4408,7 @@ Kernel_tp_clear(Kernel *k)
     k->rng_n = 0;
     k->resident = 0;
     unbind_refs(k);
+    watch_drop(k);
     Py_CLEAR(k->net);
     Py_CLEAR(k->packet_cls);
     return 0;
@@ -4259,8 +4483,8 @@ static PyMethodDef Kernel_methods[] = {
     {"run", (PyCFunction)Kernel_run, METH_VARARGS,
      "run(until=None, max_events=None, fastpath=None) -> executed count."},
     {"clear", (PyCFunction)Kernel_clear, METH_NOARGS,
-     "Drop queued events and open-loop streams; reset clock, sequence "
-     "and profile counters."},
+     "Drop queued events, open-loop streams, packets in flight and the "
+     "message countdown; reset clock, sequence and profile counters."},
     {"pending", (PyCFunction)Kernel_pending, METH_NOARGS,
      "Number of queued events."},
     {"peek_time", (PyCFunction)Kernel_peek_time, METH_NOARGS,
@@ -4273,6 +4497,13 @@ static PyMethodDef Kernel_methods[] = {
      "Packet-slot and credit-FIFO occupancy and high-water marks."},
     {"nic_submit", (PyCFunction)(void (*)(void))Kernel_nic_submit,
      METH_FASTCALL, "nic_submit(node, dst, size, msg_id): NIC.submit."},
+    {"submit_message", (PyCFunction)(void (*)(void))Kernel_submit_message,
+     METH_FASTCALL, "submit_message(node, dst, size, msg_id): "
+     "NIC.submit_message."},
+    {"watch", (PyCFunction)Kernel_watch, METH_VARARGS,
+     "watch(left, on_complete): arm the message countdown."},
+    {"message_kinds", (PyCFunction)Kernel_message_kinds, METH_NOARGS,
+     "[(msg_id, kind, packets)] the fast path's countdown delivered."},
     {"nic_set_source", (PyCFunction)Kernel_nic_set_source, METH_VARARGS,
      "nic_set_source(node, iterator): NIC.set_source."},
     {"nic_info", (PyCFunction)Kernel_nic_info, METH_O,

@@ -257,6 +257,7 @@ class KernelEngine:
         self.st = SoAState.from_topology(net.topology, net.routing, net.config)
         #: The C kernel: event set, simulation state and dispatch loop.
         self.kernel = mod.Kernel(self.st, net, Packet)
+        self.kernel.pkt_bytes = net.config.packet_bytes
         self.nic_shims = [KernelNIC(self.kernel, node)
                           for node in range(self.st.NN)]
 
@@ -306,7 +307,8 @@ class KernelEngine:
         k.push(when, k.seq, OP_CALL, fn, args, 0)
 
     def clear(self) -> None:
-        """Reset queue, clock and counters (simulation state is
+        """Reset queue, clock and counters, dropping the packets in
+        flight and the message countdown (simulation state is
         per-Network and rebuilt with it)."""
         self.kernel.clear()
 
@@ -349,7 +351,6 @@ class KernelEngine:
         horizon: float,
         seed: int,
         arrival: str,
-        packet_bytes: int,
     ) -> None:
         """Give every node its injection stream and queue its first GEN.
 
@@ -371,7 +372,6 @@ class KernelEngine:
         master = random.Random(seed)
         seeds = [master.getrandbits(64) for _ in range(n)]
         poisson = arrival == "poisson"
-        k.pkt_bytes = packet_bytes
         entry = _pattern_entry(pattern, n)
         if entry is not None:
             k.gen_streams(seeds, *entry, mean_ia, horizon, poisson)
@@ -413,8 +413,11 @@ class KernelEngine:
           Requires routing of a known type and no checker (the
           checker wraps ``net.make_packet``).
         * ``deliver_fast`` accumulates the per-packet eject statistics
-          in C arrays, flushed via ``StatsCollector.absorb_kernel``.
-          Requires no checker/tracer/listener/message-tracking observer.
+          in C arrays, flushed via ``StatsCollector.absorb_kernel``, and
+          counts down a closed-loop driver's messages
+          (``Network.watch_messages``) in C, calling into Python once
+          per completed message (the ``msg_done`` escape).  Requires no
+          checker/tracer/listener/message-tracking observer.
 
         Routes come from the kernel's own route table (built from
         ``row_port``, see ``_kernel.c``); only the pairs it cannot serve
@@ -424,7 +427,8 @@ class KernelEngine:
         other than ``HopIndexVC`` / ``PhaseVC``.  Scheduled CALLs and
         fault diverts run in Python, and unknown routing setups keep the
         ``make_packet`` escape.  Set ``REPRO_KERNEL_NO_FASTPATH=1`` to
-        force escapes everywhere.
+        force escapes everywhere (the countdown then runs in
+        ``Network.deliver``).
         """
         if os.environ.get("REPRO_KERNEL_NO_FASTPATH"):
             return None

@@ -144,7 +144,8 @@ class KernelNIC:
     """Driver-facing NIC shim over kernel state.
 
     Implements the object :class:`~repro.sim.nic.NIC`'s driver interface
-    (``submit`` / ``set_source`` plus the observability counters) so
+    (``submit`` / ``submit_message`` / ``set_source`` plus the
+    observability counters) so
     workload drivers, exchanges and tests address NICs identically on
     both engines.  Every call goes straight into the kernel, which
     queues the descriptor and sends at once when the NIC is idle.
@@ -159,6 +160,12 @@ class KernelNIC:
     def submit(self, dst_node: int, size: int, msg_id: Optional[int] = None) -> None:
         """Queue one packet for transmission (time-driven traffic)."""
         self._k.nic_submit(self.node, dst_node, size, msg_id)
+
+    def submit_message(
+        self, dst_node: int, size: int, msg_id: Optional[int] = None
+    ) -> None:
+        """Queue a *size*-byte message as ``packet_bytes`` packets."""
+        self._k.submit_message(self.node, dst_node, size, msg_id)
 
     def set_source(self, source: Iterator[Descriptor]) -> None:
         """Attach a pull-source of descriptors (finite exchanges)."""

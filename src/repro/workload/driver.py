@@ -3,12 +3,14 @@
 :class:`WorkloadDriver` releases a :class:`~repro.workload.dag.Workload`
 into a :class:`~repro.sim.Network`: root messages are submitted at time
 zero, and every subsequent message enters its source NIC the moment the
-last packet of its last dependency is ejected at the destination --
-observed through the network's delivery-notification hook
-(:meth:`Network.add_delivery_listener`).  This is the closed-loop dual
-of ``run_synthetic``/``run_exchange``: injection is gated by delivery,
-so the measured quantity is *schedule completion time*, not sustained
-rate.
+last packet of its last dependency is ejected at the destination.  The
+network counts each message's packets down
+(:meth:`Network.watch_messages`) and calls the driver once per completed
+message -- on the kernel from its C delivery path, with no Python call
+per packet.  Releasing a message hands it to its source NIC whole
+(``submit_message``).  This is the closed-loop dual of
+``run_synthetic``/``run_exchange``: injection is gated by delivery, so
+the measured quantity is *schedule completion time*, not sustained rate.
 
 The driver reports, per phase and overall:
 
@@ -38,58 +40,34 @@ class WorkloadDriver:
         workload.validate(num_nodes=net.topology.num_nodes)
         self.net = net
         self.workload = workload
-        self._pkt_bytes = net.config.packet_bytes
         # Mutable DAG execution state.
         self._deps_left: Dict[int, int] = {}
-        self._packets_left: Dict[int, int] = {}
         self._dependents = workload.dependents()
         self._complete_ns: Dict[int, float] = {}
         self._released = 0
-        self._delivered_packets = 0
-        self._expected_packets = 0
         # Per-phase accounting.
-        self._phase_kinds: Dict[str, Dict[str, int]] = {}
         self._phase_done_ns: Dict[str, float] = {}
         self._phase_msgs_left: Dict[str, int] = {}
 
     # -- release / completion machinery -------------------------------------
 
     def _release(self, msg: Message) -> None:
-        """Submit all packets of *msg* (or complete it instantly if local)."""
+        """Submit *msg* to its source NIC (or complete it instantly if
+        local)."""
         self._released += 1
         if msg.is_local:
             # Control-only edge: completes at release time, but via the
             # event queue so dependents observe a consistent clock.
-            self.net.engine.schedule(0.0, self._complete, msg)
+            self.net.engine.schedule(0.0, self._complete, msg.mid)
             return
-        nic = self.net.nics[msg.src]
-        remaining = msg.size
-        while remaining > 0:
-            chunk = min(self._pkt_bytes, remaining)
-            nic.submit(msg.dst, chunk, msg_id=msg.mid)
-            remaining -= chunk
+        self.net.nics[msg.src].submit_message(msg.dst, msg.size, msg.mid)
 
-    def _on_delivery(self, pkt) -> None:
-        """Network delivery hook: count down the packet's message."""
-        mid = pkt.msg_id
-        if mid is None:
-            return
-        left = self._packets_left.get(mid)
-        if left is None:
-            return
-        self._delivered_packets += 1
+    def _complete(self, mid: int) -> None:
+        """Message *mid* finished: its last packet was delivered (the
+        network's countdown calls this) or, if local, it was released."""
         msg = self.workload.messages[mid]
-        kinds = self._phase_kinds.setdefault(msg.phase, {})
-        kinds[pkt.kind] = kinds.get(pkt.kind, 0) + 1
-        if left == 1:
-            self._complete(msg)
-        else:
-            self._packets_left[mid] = left - 1
-
-    def _complete(self, msg: Message) -> None:
         now = self.net.engine.now
-        self._packets_left[msg.mid] = 0
-        self._complete_ns[msg.mid] = now
+        self._complete_ns[mid] = now
         self._phase_msgs_left[msg.phase] -= 1
         if self._phase_msgs_left[msg.phase] == 0:
             self._phase_done_ns[msg.phase] = now
@@ -107,20 +85,19 @@ class WorkloadDriver:
         net.stats.set_window(0.0, None)
         wall_start = time.perf_counter()
 
-        pkt_bytes = self._pkt_bytes
+        pkt_bytes = net.config.packet_bytes
         roots: List[Message] = []
+        packets: List[int] = []
         for msg in self.workload:
             self._deps_left[msg.mid] = len(msg.deps)
-            packets = 0 if msg.is_local else -(-msg.size // pkt_bytes)
-            self._packets_left[msg.mid] = packets
-            self._expected_packets += packets
+            packets.append(0 if msg.is_local else -(-msg.size // pkt_bytes))
             self._phase_msgs_left[msg.phase] = (
                 self._phase_msgs_left.get(msg.phase, 0) + 1
             )
             if not msg.deps:
                 roots.append(msg)
 
-        net.add_delivery_listener(self._on_delivery)
+        net.watch_messages(packets, self._complete)
         for msg in roots:
             self._release(msg)
         events = net.engine.run(max_events=max_events)
@@ -154,11 +131,17 @@ class WorkloadDriver:
         rate = net.config.link_bandwidth_gbps / 8.0  # bytes per ns
         n = net.topology.num_nodes
         skew = self._link_skew(completion)
+        phase_kinds: Dict[str, Dict[str, int]] = {}
+        delivered = 0
+        for (mid, kind), count in net.message_kinds().items():
+            kinds = phase_kinds.setdefault(self.workload.messages[mid].phase, {})
+            kinds[kind] = kinds.get(kind, 0) + count
+            delivered += count
         phases = {
             phase: {
                 "messages": count_total,
                 "done_ns": self._phase_done_ns[phase],
-                "kind_counts": dict(self._phase_kinds.get(phase, {})),
+                "kind_counts": phase_kinds.get(phase, {}),
             }
             for phase, count_total in _phase_sizes(self.workload).items()
         }
@@ -166,7 +149,7 @@ class WorkloadDriver:
             "workload": self.workload.name,
             "completion_ns": completion,
             "messages": self.workload.num_messages,
-            "packets": self._delivered_packets,
+            "packets": delivered,
             "total_bytes": float(total_bytes),
             "effective_throughput": (
                 total_bytes / (completion * n * rate) if completion > 0 else 0.0

@@ -23,11 +23,20 @@ kernel-without-listener leg compares WindowStats only, which is the one
 configuration where the C delivery-accounting fast path is live -- the
 listener legs gate the C route-selection path instead.
 
+The closed-loop axis draws a collective from ``WORKLOAD_GENERATORS``
+instead of open-loop traffic: fewer ranks than nodes, one to three halo
+iterations, a phased all-to-all with or without barriers, and message
+sizes off the packet grid, under the same topology, routing, physics
+and fault axes.  Its object result (checked or not) must equal the
+result of an unchecked kernel run with no listener, which is where the
+kernel counts the messages down in C.
+
 On a mismatch the harness *shrinks* the failing config (drop faults,
-drop the checker, the paper's physics, uniform traffic with Poisson
-arrivals, shorter run, lower load -- in that order) and prints
-the smallest still-failing variant plus its seed, so a reproduction is
-one copy-paste away.
+drop the checker, the paper's physics, then uniform traffic with
+Poisson arrivals, shorter run, lower load -- or, on the closed-loop
+axis, one halo iteration, no barrier, the fewest ranks, one-byte
+messages -- in that order) and prints the smallest still-failing variant plus its
+seed, so a reproduction is one copy-paste away.
 
 CI runs a bounded number of iterations; set ``REPRO_FUZZ_ITERS=<n>``
 for a deeper local run.
@@ -55,6 +64,7 @@ from repro.traffic import (
     Tornado,
     UniformRandom,
 )
+from repro.workload import WORKLOAD_GENERATORS, build_workload
 
 ITERS = int(os.environ.get("REPRO_FUZZ_ITERS", "6"))
 
@@ -119,6 +129,16 @@ PAPER_PHYSICS = {
 }
 
 
+def _random_physics(rng: random.Random) -> dict:
+    return {
+        "link_latency_ns": rng.choice(
+            [0.0, PAPER_CONFIG.packet_time_ns, 50.0]),
+        "switch_latency_ns": rng.choice([0.0, 100.0]),
+        "buffer_bytes_per_port": rng.choice(
+            [1024, PAPER_PHYSICS["buffer_bytes_per_port"]]),
+    }
+
+
 def _random_config(seed: int) -> dict:
     """One fuzz case: every axis drawn from *seed* (reproducible)."""
     rng = random.Random(seed)
@@ -138,14 +158,45 @@ def _random_config(seed: int) -> dict:
     }
     if rng.random() < 0.4:
         cfg["faults"] = _fault_churn(_TOPOLOGIES[topo_key](), rng)
-    cfg["physics"] = {
-        "link_latency_ns": rng.choice(
-            [0.0, PAPER_CONFIG.packet_time_ns, 50.0]),
-        "switch_latency_ns": rng.choice([0.0, 100.0]),
-        "buffer_bytes_per_port": rng.choice(
-            [1024, PAPER_PHYSICS["buffer_bytes_per_port"]]),
-    }
+    cfg["physics"] = _random_physics(rng)
     return cfg
+
+
+def _min_ranks(name: str) -> int:
+    """The fewest ranks collective *name* runs on (a 3D torus needs
+    eight)."""
+    return 8 if name == "halo3d" else 2
+
+
+def _random_closed_loop_config(seed: int) -> dict:
+    """One fuzz case on the closed-loop axis, drawn from *seed*.
+
+    Up to 32 ranks keep a checked object run near a second.  Sizes are
+    1-1023 B and never a multiple of the 256 B packet.
+    """
+    rng = random.Random(seed)
+    topo_key = rng.choice(sorted(_TOPOLOGIES))
+    topo = _TOPOLOGIES[topo_key]()
+    name = rng.choice(sorted(WORKLOAD_GENERATORS))
+    workload = {
+        "name": name,
+        "ranks": rng.randint(_min_ranks(name), min(topo.num_nodes - 1, 32)),
+        "message_bytes": 256 * rng.randrange(4) + rng.randrange(1, 256),
+    }
+    if name == "halo3d":
+        workload["iterations"] = rng.randint(1, 3)
+    if name == "phased-a2a":
+        workload["barrier"] = rng.random() < 0.5
+    return {
+        "seed": seed,
+        "topology": topo_key,
+        "routing": rng.choice(sorted(_ROUTINGS)),
+        "routing_seed": rng.randrange(10_000),
+        "check": rng.random() < 0.3,
+        "faults": _fault_churn(topo, rng) if rng.random() < 0.4 else None,
+        "physics": _random_physics(rng),
+        "workload": workload,
+    }
 
 
 def _fault_churn(topo, rng: random.Random) -> tuple:
@@ -193,6 +244,8 @@ def _vc_policy(cfg: dict, topo):
 
 
 def _run(cfg: dict, backend: str, listener: bool = True) -> dict:
+    """One run of *cfg*: the delivery digest (with *listener*) and the
+    WindowStats, or on the closed-loop axis the workload's result."""
     topo = _TOPOLOGIES[cfg["topology"]]()
     routing = _ROUTINGS[cfg["routing"]](
         topo, cfg["routing_seed"], _vc_policy(cfg, topo))
@@ -210,6 +263,16 @@ def _run(cfg: dict, backend: str, listener: bool = True) -> dict:
                 f"{p.eject_time!r};".encode()
             )
         )
+    if cfg.get("workload"):
+        spec = dict(cfg["workload"])
+        work = build_workload(spec.pop("name"), topo.num_nodes,
+                              spec.pop("message_bytes"), **spec)
+        result = net.run_workload(work)
+        return {
+            "digest": digest.hexdigest() if listener else None,
+            "result": {k: v for k, v in result.items()
+                       if k not in ("events", "driver_wall_s")},
+        }
     stats = net.run_synthetic(
         _TRAFFICS[cfg["traffic"]](
             topo.num_nodes, random.Random(cfg["traffic_seed"])),
@@ -239,6 +302,8 @@ def _backends() -> list:
 
 def _diverges(cfg: dict) -> list:
     """Run *cfg* on every backend; return human-readable mismatches."""
+    if cfg.get("workload"):
+        return _closed_loop_diverges(cfg)
     ref = _run(cfg, "object")
     problems = []
     for backend in _backends()[1:]:
@@ -257,16 +322,52 @@ def _diverges(cfg: dict) -> list:
     return problems
 
 
+def _closed_loop_diverges(cfg: dict) -> list:
+    """The object result of a closed-loop *cfg* against an unchecked
+    kernel run with no listener (the C message countdown)."""
+    if len(_backends()) < 2:
+        return []
+    ref = _run(cfg, "object", listener=False)["result"]
+    got = _run(dict(cfg, check=False), "kernel", listener=False)["result"]
+    return [
+        f"kernel: result.{field} {ref.get(field)!r} -> {got.get(field)!r}"
+        for field in sorted(set(ref) | set(got))
+        if ref.get(field) != got.get(field)
+    ]
+
+
+def _workload_reduction(change):
+    """A shrink step setting the closed-loop workload fields that
+    ``change(workload)`` names and the workload has."""
+    def reduce(c: dict) -> dict:
+        work = c["workload"]
+        return dict(c, workload=dict(
+            work, **{k: v for k, v in change(work).items() if k in work}))
+    return reduce
+
+
 def _shrink(cfg: dict) -> dict:
     """Smallest still-failing variant of a diverging config."""
     current = dict(cfg)
+    axis = (
+        (
+            _workload_reduction(lambda w: {"iterations": 1}),
+            _workload_reduction(lambda w: {"barrier": False}),
+            _workload_reduction(lambda w: {"ranks": _min_ranks(w["name"])}),
+            _workload_reduction(lambda w: {"message_bytes": 1}),
+        )
+        if cfg.get("workload")
+        else (
+            lambda c: dict(c, traffic="uniform", arrival="poisson"),
+            lambda c: dict(c, measure_ns=600.0),
+            lambda c: dict(c, load=0.2),
+        )
+    )
     for reduction in (
         lambda c: dict(c, faults=None),
         lambda c: dict(c, check=False),
         lambda c: dict(c, physics=PAPER_PHYSICS),
-        lambda c: dict(c, traffic="uniform", arrival="poisson"),
-        lambda c: dict(c, measure_ns=600.0),
-        lambda c: dict(c, load=0.2),
+        *axis,
     ):
         cand = reduction(current)
         if cand != current and _diverges(cand):
@@ -282,6 +383,21 @@ def test_backends_agree_on_random_config(iteration):
         small = _shrink(cfg)
         pytest.fail(
             "backend divergence on fuzzed config\n"
+            f"  config: {cfg}\n"
+            f"  shrunk: {small}\n  " + "\n  ".join(_diverges(small) or problems)
+        )
+
+
+@pytest.mark.skipif(load_kernel() is None,
+                    reason="compiled kernel unavailable")
+@pytest.mark.parametrize("iteration", range(ITERS))
+def test_backends_agree_on_random_closed_loop(iteration):
+    cfg = _random_closed_loop_config(20_261_017 + iteration)
+    problems = _diverges(cfg)
+    if problems:
+        small = _shrink(cfg)
+        pytest.fail(
+            "closed-loop divergence on fuzzed config\n"
             f"  config: {cfg}\n"
             f"  shrunk: {small}\n  " + "\n  ".join(_diverges(small) or problems)
         )
@@ -359,3 +475,28 @@ def test_shrinker_reports_minimal_config(monkeypatch):
     assert small["check"] is False and small["load"] == 0.2
     assert small["physics"] == PAPER_PHYSICS
     assert small["traffic"] == "uniform" and small["arrival"] == "poisson"
+
+
+def test_shrinker_reduces_the_closed_loop_axis(monkeypatch):
+    # A closed-loop config shrinks along its own axis: with a fake
+    # divergence that needs only the fault axis, the workload ends at
+    # one iteration of the fewest ranks a halo runs on, sending one
+    # byte, and the open-loop fields are never added.
+    cfg = dict(_random_closed_loop_config(3), check=True,
+               faults=("fail@400:0-1",),
+               physics=dict(PAPER_PHYSICS, link_latency_ns=0.0),
+               workload={"name": "halo3d", "ranks": 20,
+                         "message_bytes": 700, "iterations": 3})
+
+    def fake_diverges(c):
+        return ["boom"] if c["faults"] else []
+
+    import tests.test_fuzz_backend_diff as mod
+
+    monkeypatch.setattr(mod, "_diverges", fake_diverges)
+    small = mod._shrink(cfg)
+    assert small["faults"] and small["check"] is False
+    assert small["physics"] == PAPER_PHYSICS
+    assert small["workload"] == {"name": "halo3d", "ranks": 8,
+                                 "message_bytes": 1, "iterations": 1}
+    assert "traffic" not in small and "load" not in small

@@ -213,3 +213,77 @@ def test_diff_reports_are_actionable(golden):
     assert conformance.diff_fingerprints({"oft/min": ref}, {}) == [
         "oft/min: missing from computed set"
     ]
+
+
+# -- closed-loop goldens (workloads and exchanges) --------------------------
+
+CLOSED_LOOP_GOLDEN = (Path(__file__).parent / "golden"
+                      / "closed_loop_conformance.json")
+
+
+@pytest.fixture(scope="module")
+def closed_loop_golden():
+    return conformance.load_closed_loop_golden(str(CLOSED_LOOP_GOLDEN))
+
+
+def _closed_loop_problems(golden, case_key, **kwargs):
+    got = conformance.run_closed_loop_case(case_key, **kwargs)
+    if not kwargs.get("listener", True):
+        assert got["digest"] is None  # result-only fingerprint
+    return conformance.diff_closed_loop({case_key: golden[case_key]},
+                                        {case_key: got})
+
+
+def test_closed_loop_golden_covers_every_case(closed_loop_golden):
+    assert set(closed_loop_golden) == set(conformance.CLOSED_LOOP_CASE_KEYS)
+
+
+@pytest.mark.parametrize("check", [False, True], ids=["unchecked", "checked"])
+@pytest.mark.parametrize("case_key", conformance.CLOSED_LOOP_CASE_KEYS)
+def test_closed_loop_object_matches_golden(closed_loop_golden, case_key,
+                                           check):
+    # The object engine is the reference the goldens were written from;
+    # its per-transition checker must not perturb a closed-loop run.
+    problems = _closed_loop_problems(closed_loop_golden, case_key, check=check)
+    assert not problems, "\n".join(problems)
+
+
+@needs_kernel
+@pytest.mark.parametrize("check,fastpath", [
+    (False, True),   # delivery recorder attached: deliveries escape
+    (False, False),  # REPRO_KERNEL_NO_FASTPATH: every packet escapes
+    (True, True),    # the audit checker: fast paths self-gate
+], ids=["fast", "nofastpath", "checked"])
+@pytest.mark.parametrize("case_key", conformance.CLOSED_LOOP_CASE_KEYS)
+def test_closed_loop_kernel_matches_golden(closed_loop_golden, case_key,
+                                           check, fastpath, monkeypatch):
+    if fastpath:
+        monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_KERNEL_NO_FASTPATH", "1")
+    problems = _closed_loop_problems(closed_loop_golden, case_key,
+                                     check=check, backend="kernel")
+    assert not problems, "\n".join(problems)
+
+
+@needs_kernel
+@pytest.mark.parametrize("case_key", conformance.CLOSED_LOOP_CASE_KEYS)
+def test_closed_loop_kernel_no_listener_matches_golden(closed_loop_golden,
+                                                       case_key):
+    # Without the recorder nothing observes single deliveries, so the C
+    # delivery path and the C message countdown run; the result (phase
+    # completion times, route-kind counts, message latencies) must
+    # still equal the golden.
+    problems = _closed_loop_problems(closed_loop_golden, case_key,
+                                     backend="kernel", listener=False)
+    assert not problems, "\n".join(problems)
+
+
+def test_closed_loop_diff_names_the_field(closed_loop_golden):
+    ref = closed_loop_golden["ring-allreduce"]
+    mutated = {"result": dict(ref["result"], completion_ns=-1.0),
+               "digest": "0" * 64}
+    problems = conformance.diff_closed_loop({"ring-allreduce": ref},
+                                            {"ring-allreduce": mutated})
+    assert any("digest changed" in p for p in problems)
+    assert any("result.completion_ns changed" in p for p in problems)

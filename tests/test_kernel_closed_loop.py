@@ -1,0 +1,177 @@
+"""The closed loop on the compiled kernel, with nothing observing single
+deliveries.
+
+A :class:`~repro.workload.driver.WorkloadDriver` arms the network's
+message countdown (``Network.watch_messages``).  With no delivery
+listener, tracer, message tracker or checker attached, the kernel
+counts it down in C and calls back into Python once per completed
+message (the ``msg_done`` escape), so these tests rerun
+``tests/test_workload.py::TestDriver``'s cases on that path, check the
+escape ledger of a halo run, and hold the C countdown to the Python one
+in ``Network.deliver`` packet for packet.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.cli import main
+from repro.routing import MinimalRouting, UGALRouting
+from repro.sim import Network, SimConfig
+from repro.sim.vec.kernel import load_kernel
+from repro.workload import (
+    Workload,
+    build_workload,
+    phased_alltoall,
+    ring_allgather,
+    ring_allreduce,
+)
+
+pytestmark = pytest.mark.skipif(
+    load_kernel() is None,
+    reason="compiled kernel unavailable (no compiler or REPRO_NO_KERNEL set)",
+)
+
+KERNEL = SimConfig(backend="kernel")
+
+
+@pytest.fixture
+def fastpath(monkeypatch):
+    """The kernel's fast paths on, whatever the environment says."""
+    monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
+
+
+def escapes(net) -> dict:
+    return {name: e["count"]
+            for name, e in net.engine.kernel_stats()["escapes"].items()}
+
+
+class TestKernelDriver:
+    """``TestDriver``'s cases on the kernel, with no listener."""
+
+    def test_local_messages_complete_and_release(self, sf5):
+        w = Workload("ctl")
+        gate = w.add(0, 0, 0)  # pure control node
+        w.add(0, 1, 512, deps=[gate])
+        res = Network(sf5, MinimalRouting(sf5, seed=1), KERNEL).run_workload(w)
+        assert res["messages"] == 2
+        assert res["packets"] == 2  # 512 B = 2 packets; control moved none
+
+    def test_dependencies_gate_release(self, sf5):
+        single = Workload("one")
+        single.add(0, 1, 256)
+        chain = Workload("chain")
+        prev = None
+        for i in range(5):
+            prev = chain.add(i % 2, (i + 1) % 2, 256,
+                             deps=[prev] if prev is not None else [])
+        t1 = Network(sf5, MinimalRouting(sf5, seed=1), KERNEL).run_workload(single)
+        t5 = Network(sf5, MinimalRouting(sf5, seed=1), KERNEL).run_workload(chain)
+        assert t5["completion_ns"] == pytest.approx(5 * t1["completion_ns"], rel=0.01)
+
+    def test_incomplete_run_raises(self, sf5):
+        net = Network(sf5, MinimalRouting(sf5, seed=1), KERNEL)
+        with pytest.raises(RuntimeError, match="incomplete"):
+            net.run_workload(ring_allreduce(16, 4096), max_events=10)
+
+    def test_network_reuse_rejected(self, sf5):
+        net = Network(sf5, MinimalRouting(sf5, seed=1), KERNEL)
+        net.run_workload(ring_allgather(8, 256))
+        with pytest.raises(RuntimeError, match="already ran"):
+            net.run_workload(ring_allgather(8, 256))
+
+    def test_per_phase_kind_counts_cover_all_packets(self, sf5):
+        net = Network(sf5, UGALRouting(sf5, cost_mode="sf", c_sf=1.0,
+                                       num_indirect=4, seed=2), KERNEL)
+        res = net.run_workload(phased_alltoall(24, 512))
+        counted = sum(
+            c for ph in res["phases"].values() for c in ph["kind_counts"].values()
+        )
+        assert counted == res["packets"] == 24 * 23 * 2
+        assert {k for ph in res["phases"].values() for k in ph["kind_counts"]} \
+            == {"minimal", "indirect"}
+
+
+def test_halo_counts_down_in_c(sf5, fastpath):
+    # Every delivery stays on the C fast path; Python is entered once
+    # per completed non-local message, and never per packet.
+    w = build_workload("halo3d", sf5.num_nodes, 1_000, iterations=2)
+    net = Network(sf5, UGALRouting(sf5, seed=0), KERNEL)
+    res = net.run_workload(w)
+    esc = escapes(net)
+    fast = net.engine.kernel_stats()["fast_path"]
+    assert esc["deliver"] == 0
+    assert fast["deliver"]["count"] == res["packets"] == 7_200
+    assert esc["msg_done"] == sum(not m.is_local for m in w) == w.num_messages
+    assert net.engine.memory_stats()["msg_watched"] == w.num_messages
+
+
+def test_workload_profile_prints_the_completion_escape(capsys, fastpath):
+    rc = main([
+        "workload", "sf:q=4", "--collective", "halo3d", "--routing", "ugal",
+        "--sizes", "1024", "--backend", "kernel", "--profile",
+    ])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert "escape msg_done:" in err
+    assert "escape deliver:" not in err
+
+
+def _countdown_run(topo, backend: str, listener: bool):
+    """Packets a countdown must and must not count: two watched
+    messages, plus packets with no message id, an id outside the table,
+    a negative id and a non-int id, and one packet more than message 1
+    needs."""
+    net = Network(topo, MinimalRouting(topo, seed=3), SimConfig(backend=backend))
+    done = []
+    net.watch_messages([3, 1, 0], lambda mid: done.append((mid, net.engine.now)))
+    if listener:
+        net.add_delivery_listener(lambda pkt: None)
+    nics = net.nics
+    nics[0].submit_message(9, 700, 0)  # 256 + 256 + 188
+    nics[4].submit(17, 100, None)
+    nics[5].submit(17, 100, 3)
+    nics[6].submit(17, 100, -1)
+    nics[7].submit(17, 100, "1")
+    nics[8].submit(30, 64, 1)
+    net.engine.schedule(2_000.0, nics[2].submit, 30, 64, 1)  # 1 is complete
+    net.engine.run()
+    return done, net.message_kinds()
+
+
+@pytest.mark.parametrize("backend,listener", [
+    ("kernel", False),  # the C countdown
+    ("kernel", True),   # Network.deliver's countdown on kernel escapes
+])
+def test_c_and_python_countdowns_agree(sf5, backend, listener, fastpath):
+    ref = _countdown_run(sf5, "object", listener=False)
+    got = _countdown_run(sf5, backend, listener)
+    assert got == ref
+    done, kinds = ref
+    assert sorted(mid for mid, _ in done) == [0, 1]
+    assert all(t < 2_000.0 for _, t in done)
+    assert sum(n for (mid, _), n in kinds.items() if mid == 0) == 3
+    assert sum(n for (mid, _), n in kinds.items() if mid == 1) == 1
+
+
+def test_countdown_moves_to_python_when_a_listener_attaches(sf5, fastpath):
+    # A scheduled call attaches a listener mid-run: the kernel leaves
+    # its delivery fast path and Network.deliver continues the
+    # countdown on the same table.
+    w = build_workload("halo3d", sf5.num_nodes, 1_000, iterations=2)
+
+    def run(backend):
+        net = Network(sf5, UGALRouting(sf5, seed=0), SimConfig(backend=backend))
+        seen = []
+        net.engine.schedule(1_500.0, net.add_delivery_listener, seen.append)
+        res = net.run_workload(w)
+        return net, res, len(seen)
+
+    _, ref, ref_seen = run("object")
+    net, got, seen = run("kernel")
+    for field in ("completion_ns", "packets", "phases"):
+        assert got[field] == ref[field]
+    assert seen == ref_seen > 0
+    esc = escapes(net)
+    assert esc["deliver"] == seen
+    assert 0 < esc["msg_done"] < w.num_messages

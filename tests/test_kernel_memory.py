@@ -1,17 +1,19 @@
 """Leaks and boundedness of the compiled kernel's state.
 
 The kernel owns references to routes, message ids, NIC sources,
-callbacks and materialised packets, recycles packet slots on delivery,
-and draws open-loop streams in chunks from per-node generator states.
-Repeating kernel runs of every kind in one process -- open loop
-drained to empty, long open-loop streams that refill their chunks,
-a run stopped while every node still holds its generator state, a
-closed-loop halo exchange with its delivery listener and fault
-diverts, scheduled CALLs that submit traffic, CALLs dropped by
-``clear()`` while pending and a CALL that raises -- must leave
-reference counts on the shared objects and the traced heap where they
-started, and every run must end with no packet slot alive and no
-credit FIFO deeper than the credits its VC can hold.  The generator's
+callbacks, materialised packets and a closed-loop driver's message
+countdown, recycles packet slots on delivery, and draws open-loop
+streams in chunks from per-node generator states.  Repeating kernel
+runs of every kind in one process -- open loop drained to empty, long
+open-loop streams that refill their chunks, a run stopped while every
+node still holds its generator state, closed-loop halo exchanges of one
+and of two iterations with fault diverts and the C message countdown, a
+completion callback that raises, scheduled CALLs that submit traffic,
+CALLs dropped by ``clear()`` while pending and a CALL that raises --
+must leave reference counts on the shared objects (callbacks, message
+ids) and the traced heap where they started, free every driver, and
+every run must end with no packet slot alive and no credit FIFO deeper
+than the credits its VC can hold.  The generator's
 memory must not grow with the horizon, and no node may keep its
 generator state once its stream has ended.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 import gc
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -30,7 +33,7 @@ from repro.sim.packet import Packet
 from repro.sim.vec.kernel import load_kernel
 from repro.topology import SlimFly
 from repro.traffic import PermutationTraffic, UniformRandom
-from repro.workload import build_workload
+from repro.workload import WorkloadDriver, build_workload
 
 pytestmark = pytest.mark.skipif(
     load_kernel() is None,
@@ -106,12 +109,20 @@ class Harness:
         self.sparse = sparse_permutation(self.topo.num_nodes)
         self.route = self.routing.cache.minimal_candidates(0, 5)[0]
         self.halo = build_workload("halo3d", self.topo.num_nodes, 1024)
+        # Two iterations: completions release messages mid-run.
+        self.halo2 = build_workload("halo3d", self.topo.num_nodes, 1000,
+                                    iterations=2)
+        # Message ids past the small-int cache, which the kernel holds
+        # in queued sends and packet slots.
+        self.mids = [m.mid for m in self.halo2 if m.mid > 1_000][:4]
         self.callback = Callback()
         self.payload = object()
+        self.drivers = []  # weak references to every driver run
 
     def shared(self):
         return [self.route, self.pattern, self.sparse, Packet, self.topo,
-                self.halo, self.callback, self.payload, fail, *self.rngs]
+                self.halo, self.halo2, self.callback, self.payload, fail,
+                *self.mids, *self.rngs]
 
     def _fresh_rngs(self):
         # Identical draws every round, so route caches stop growing
@@ -172,6 +183,40 @@ class Harness:
         assert result["fault_events"] == 2
         check_bounded(net)
 
+    def halo_iterations_with_faults(self):
+        # The C countdown releases the second iteration from its
+        # completion escapes while drip faults divert packets.
+        routing = UGALRouting(self.topo, seed=2)
+        net = Network(self.topo, routing, SimConfig(
+            backend="kernel", faults=("drip@500:n=3,every=400,seed=5",)))
+        driver = WorkloadDriver(net, self.halo2)
+        self.drivers.append(weakref.ref(driver))
+        result = driver.run()
+        assert result["fault_events"] == 3
+        check_bounded(net)
+
+    def raising_completion(self):
+        # The first completion callback raises: the run stops with the
+        # other messages' packets in flight, and clear() frees their
+        # slots and the message table.
+        self._fresh_rngs()
+        net = Network(self.topo, self.routing, SimConfig(backend="kernel"))
+        pkt = net.config.packet_bytes
+        net.watch_messages(
+            [0 if m.is_local else -(-m.size // pkt) for m in self.halo2], fail)
+        for msg in self.halo2:
+            if not msg.deps:
+                net.nics[msg.src].submit_message(msg.dst, msg.size, msg.mid)
+        eng = net.engine
+        with pytest.raises(Failure):
+            eng.run()
+        mem = eng.memory_stats()
+        assert mem["slots_live"] > 0
+        assert mem["msg_watched"] == self.halo2.num_messages
+        eng.clear()
+        mem = eng.memory_stats()
+        assert mem["slots_live"] == 0 and mem["msg_watched"] == 0, mem
+
     def scheduled_submits(self):
         self._fresh_rngs()
         net = Network(self.topo, self.routing, SimConfig(backend="kernel"))
@@ -216,6 +261,8 @@ class Harness:
         self.long_streams()
         self.stopped_streams()
         self.halo_with_faults()
+        self.halo_iterations_with_faults()
+        self.raising_completion()
         self.scheduled_submits()
         self.clear_with_pending_calls()
         self.raising_call()
@@ -237,6 +284,8 @@ def test_repeated_runs_leak_nothing_and_stay_bounded():
     finally:
         tracemalloc.stop()
     assert [sys.getrefcount(obj) for obj in h.shared()] == refs
+    assert len(h.drivers) == ROUNDS + 1
+    assert all(ref() is None for ref in h.drivers)
     assert after - before <= SLACK_BYTES, (
         f"traced heap grew by {after - before} bytes over {ROUNDS} rounds")
 

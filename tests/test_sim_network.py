@@ -213,6 +213,43 @@ class TestSelfTrafficGuard:
             net.run_exchange(Stray())
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestSizeGuard:
+    @pytest.mark.parametrize("size", [0, -256])
+    @pytest.mark.parametrize("method", ["submit", "submit_message"])
+    def test_send_below_one_byte_rejected(self, sf4, backend, size, method):
+        # A -256 B packet used to be queued and reported as negative
+        # throughput.  Both engines raise one shared message (the
+        # kernel's C formats the text of repro.sim.nic.bad_size).
+        from repro.sim.nic import bad_size
+
+        net = Network(sf4, MinimalRouting(sf4), SimConfig(backend=backend))
+        with pytest.raises(ValueError) as err:
+            getattr(net.nics[0], method)(3, size)
+        assert str(err.value) == str(bad_size(size))
+        net.engine.run()
+        assert net.stats.injected_total == 0
+
+    def test_submit_message_splits_into_packets(self, sf4, backend):
+        net = Network(sf4, MinimalRouting(sf4), SimConfig(backend=backend))
+        sizes = []
+        net.add_delivery_listener(lambda pkt: sizes.append((pkt.size, pkt.msg_id)))
+        net.nics[0].submit_message(3, 700, 9)
+        net.engine.run()
+        assert sizes == [(256, 9), (256, 9), (188, 9)]
+
+    def test_exchange_negative_size_rejected(self, sf4, backend):
+        # It used to fail as "exchange incomplete: 8/4 packets delivered
+        # (possible deadlock ...)", the wrong diagnosis.
+        class Negative:
+            def node_messages(self, node):
+                return [(3, -256), (5, 1024)] if node == 0 else []
+
+        net = Network(sf4, MinimalRouting(sf4), SimConfig(backend=backend))
+        with pytest.raises(ValueError, match="-256 bytes to node 3"):
+            net.run_exchange(Negative())
+
+
 class TestExchanges:
     def test_small_exchange_completes(self, mlfm4):
         from repro.traffic import AllToAll

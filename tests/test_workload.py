@@ -330,6 +330,13 @@ class TestDriver:
         with pytest.raises(TypeError):
             net.add_delivery_listener(42)
 
+    def test_message_countdown_rejects_bad_arming(self, sf5):
+        net = Network(sf5, MinimalRouting(sf5, seed=1))
+        with pytest.raises(TypeError, match="not callable"):
+            net.watch_messages([1], 42)
+        with pytest.raises(ValueError, match=">= 0"):
+            net.watch_messages([1, -1], print)
+
 
 class TestPhasedAllToAllOrdering:
     def test_ordering_consistent_with_steady_state_exchange(self):
