@@ -14,9 +14,14 @@
  *   credits still on the wire, plus a per-VC *matured* count of arrivals
  *   whose key has passed but that are not yet materialised into the
  *   credit count (``credit_push`` / ``credit_drain``);
- * - packets are slots recycled on delivery.  A slot holds the hop
- *   cursor, the router, port and VC of every hop, the route kind,
- *   endpoints, size, times and the message id;
+ * - packets are slots of at most 96 bytes, handed out from pages that
+ *   are never moved or written ahead of use, and recycled on delivery.
+ *   A slot holds the hop cursor, the output-port index (uint16) and VC
+ *   (uint8) of every hop -- inline for routes of up to SLOT_INLINE
+ *   ports, in one spilled block beyond -- the route kind, endpoints,
+ *   size, times and the message id.  It does not store routers: a
+ *   materialised Packet derives them from the ports through the
+ *   wiring;
  * - routes come from an integer route table built from the wiring's
  *   ``row_port`` (see "route table" below), so the fast path composes
  *   them without a Python object; ``RouteCache`` is called only for the
@@ -533,23 +538,63 @@ RING_OPS(ering, ERing, Event)
 
 /* -- packet slots ---------------------------------------------------------- */
 
+/* Route entries a slot holds inline: every minimal and Valiant route of
+ * a diameter-two topology (at most four router hops plus the ejection
+ * port) and fault detours of up to seven hops. */
+#define SLOT_INLINE 8
+
+/* One packet in flight.  The route is the output-port index and the VC
+ * of every hop, the ejection port last (its VC is 0 unless the route
+ * labels that hop); a route of more than SLOT_INLINE ports spills to
+ * one allocated block of nports ports followed by nports VCs.  The
+ * routers are not stored: they follow from the source node's router
+ * and the ports through the wiring (slot_route_tuples).  Ports fit
+ * uint16 and VCs uint8 because Kernel_init bounds the radix and V. */
 typedef struct {
     long long pid;
     double gen_time, send_time;
     long long size;
     PyObject *msg_id; /* owned */
     PyObject *pkt;    /* materialised Packet (owned), or NULL */
-    int32_t *path;    /* ports, vcs, routers: [0..cap) each, reused */
-    int32_t cap;
-    int32_t nports;   /* hop ports + the ejection port */
-    int32_t src, dst, nhops, kind;
+    int32_t src, dst;
     int32_t hop;      /* hop cursor; -1 while the slot is free */
     int32_t next;     /* free-list link */
+    union {
+        struct {
+            uint16_t port[SLOT_INLINE];
+            uint8_t vc[SLOT_INLINE];
+        } in;          /* nports <= SLOT_INLINE */
+        uint16_t *out; /* owned spill block */
+    } r;
+    uint16_t nports;  /* hop ports + the ejection port; 0 while unset */
+    uint8_t kind;
 } Slot;
 
-#define S_PORT(p, h) ((p)->path[(h)])
-#define S_VC(p, h) ((p)->path[(p)->cap + (h)])
-#define S_ROUTER(p, h) ((p)->path[2 * (p)->cap + (h)])
+_Static_assert(sizeof(Slot) <= 96, "a packet slot outgrew 96 bytes");
+
+static inline uint16_t *
+slot_ports(Slot *p)
+{
+    return p->nports <= SLOT_INLINE ? p->r.in.port : p->r.out;
+}
+
+static inline uint8_t *
+slot_vcs(Slot *p)
+{
+    return p->nports <= SLOT_INLINE ? p->r.in.vc
+                                    : (uint8_t *)(p->r.out + p->nports);
+}
+
+#define S_PORT(p, h) (slot_ports(p)[h])
+#define S_VC(p, h) (slot_vcs(p)[h])
+
+/* Slots live in pages of SLOT_PAGE that are never moved, so a Slot
+ * pointer stays valid across any call that allocates a slot, and a
+ * page is written only as its slots are first handed out. */
+#define SLOT_SHIFT 10
+#define SLOT_PAGE (1 << SLOT_SHIFT)
+#define SLOT(k, si) \
+    (&(k)->slot_pages[(si) >> SLOT_SHIFT][(si) & (SLOT_PAGE - 1)])
 
 /* -- the kernel object ------------------------------------------------------ */
 
@@ -625,9 +670,12 @@ typedef struct {
     int32_t g_chunk_max;      /* longest chunk allocated, in entries */
     unsigned long long g_refills;
 
-    /* packet slots */
-    Slot *slots;
-    int32_t nslots, slot_cap, free_head, live, hwm;
+    /* packet slots: pages, slots handed out, free list, live and peak
+     * slots and spilled routes */
+    Slot **slot_pages;
+    int32_t npages, pages_cap;
+    int32_t nslots, free_head, live, hwm;
+    long spill_live, spill_hwm;
     int32_t arr_hwm, narr_hwm; /* longest router / NIC credit FIFO seen */
 
     /* route kinds seen, and bindings fixed at build time */
@@ -918,45 +966,88 @@ credit_drain(KRing *r, int32_t *mat, double t, long long s)
 
 /* -- packet slots ------------------------------------------------------------ */
 
+/* Add a page of SLOT_PAGE slots (uninitialised: slot_alloc writes a
+ * slot when it hands it out). */
+static int
+slot_page_add(Kernel *k)
+{
+    if (k->npages == k->pages_cap) {
+        int32_t ncap = k->pages_cap ? k->pages_cap * 2 : 16;
+        Slot **np = (Slot **)PyMem_Realloc(k->slot_pages,
+                                           (size_t)ncap * sizeof(Slot *));
+        if (np == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        k->slot_pages = np;
+        k->pages_cap = ncap;
+    }
+    Slot *page = (Slot *)PyMem_Malloc((size_t)SLOT_PAGE * sizeof(Slot));
+    if (page == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    k->slot_pages[k->npages++] = page;
+    return 0;
+}
+
+/* A cleared slot with no route, hop 0: recycled, or the next unused
+ * one. */
 static int32_t
 slot_alloc(Kernel *k)
 {
     int32_t si;
     if (k->free_head >= 0) {
         si = k->free_head;
-        k->free_head = k->slots[si].next;
+        k->free_head = SLOT(k, si)->next;
     } else {
-        if (k->nslots == k->slot_cap) {
-            int32_t ncap = k->slot_cap ? k->slot_cap * 2 : 1024;
-            Slot *ns = (Slot *)PyMem_Realloc(k->slots,
-                                             (size_t)ncap * sizeof(Slot));
-            if (ns == NULL) {
-                PyErr_NoMemory();
-                return -1;
-            }
-            memset(ns + k->slot_cap, 0,
-                   (size_t)(ncap - k->slot_cap) * sizeof(Slot));
-            k->slots = ns;
-            k->slot_cap = ncap;
-        }
+        if ((k->nslots & (SLOT_PAGE - 1)) == 0 && slot_page_add(k) < 0)
+            return -1;
         si = k->nslots++;
     }
-    Slot *p = &k->slots[si];
-    p->msg_id = p->pkt = NULL;
-    p->hop = 0;
-    p->next = -1;
+    *SLOT(k, si) = (Slot){.next = -1};
     k->live += 1;
     if (k->live > k->hwm)
         k->hwm = k->live;
     return si;
 }
 
+/* Size slot p's route for n ports: inline, or one spilled block of n
+ * ports followed by n VCs.  A previous spill is freed; the caller
+ * writes the entries. */
+static int
+slot_route_size(Kernel *k, Slot *p, Py_ssize_t n)
+{
+    if (p->nports > SLOT_INLINE) {
+        PyMem_Free(p->r.out);
+        k->spill_live -= 1;
+    }
+    p->nports = 0;
+    if (n > SLOT_INLINE) {
+        if (n > UINT16_MAX) {
+            PyErr_SetString(PyExc_OverflowError, "kernel: route too long");
+            return -1;
+        }
+        p->r.out = (uint16_t *)PyMem_Malloc(
+            (size_t)n * (sizeof(uint16_t) + sizeof(uint8_t)));
+        if (p->r.out == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        if (++k->spill_live > k->spill_hwm)
+            k->spill_hwm = k->spill_live;
+    }
+    p->nports = (uint16_t)n;
+    return 0;
+}
+
 /* Return a delivered or dropped packet's slot to the free list. */
 static void
 slot_release(Kernel *k, int32_t si)
 {
-    Slot *p = &k->slots[si];
+    Slot *p = SLOT(k, si);
     PyObject *msg_id = p->msg_id, *pkt = p->pkt;
+    slot_route_size(k, p, 0);
     p->msg_id = p->pkt = NULL;
     p->hop = -1;
     p->next = k->free_head;
@@ -987,31 +1078,6 @@ kind_index(Kernel *k, PyObject *kind)
     Py_INCREF(kind);
     k->kinds[k->nkinds] = kind;
     return k->nkinds++;
-}
-
-/* Size slot si's path rows to hold *n* entries each, zeroed, so hop h may
- * read vcs[h] unconditionally (the ejection hop included). */
-static int
-slot_reserve(Kernel *k, int32_t si, Py_ssize_t n)
-{
-    Py_ssize_t need = n + 1;
-    if (need > INT32_MAX / 3) {
-        PyErr_SetString(PyExc_OverflowError, "kernel: route too long");
-        return -1;
-    }
-    Slot *p = &k->slots[si];
-    if (p->cap < need) {
-        int32_t *np = (int32_t *)PyMem_Realloc(
-            p->path, (size_t)need * 3 * sizeof(int32_t));
-        if (np == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        p->path = np;
-        p->cap = (int32_t)need;
-    }
-    memset(p->path, 0, (size_t)p->cap * 3 * sizeof(int32_t));
-    return 0;
 }
 
 /* Copy an int tuple into *out* (at most *cap* entries); returns its
@@ -1055,7 +1121,60 @@ int_tuple(const int32_t *v, Py_ssize_t n)
     return t;
 }
 
-/* Reload a slot's path from its Packet (escape-made or rewritten). */
+/* The router a hop's output port gid leads to, or -1 when it ejects. */
+static inline long
+port_next_router(Kernel *k, long gid)
+{
+    long din = k->p_dest_in[gid];
+    return din < 0 ? -1 : k->p_rid[k->in_pbase[din]];
+}
+
+/* Load slot p's route, sized for nports entries, from a Packet's
+ * tuples.  Its routers must be the ones its ports lead through from
+ * the source node's router, its last port (only) must eject, and every
+ * VC it labels must be provisioned; an unlabelled hop uses VC 0, as
+ * the object switch reads it. */
+static int
+route_read(Kernel *k, Slot *p, PyObject *routers, PyObject *ports,
+           PyObject *vcs)
+{
+    Py_ssize_t n = p->nports, nv = PyTuple_GET_SIZE(vcs);
+    uint16_t *port = slot_ports(p);
+    uint8_t *vc = slot_vcs(p);
+    long r = k->n_rid[p->src];
+    for (Py_ssize_t h = 0; h < n; h++) {
+        long at = PyLong_AsLong(PyTuple_GET_ITEM(routers, h));
+        long pt = PyLong_AsLong(PyTuple_GET_ITEM(ports, h));
+        long v = h < nv ? PyLong_AsLong(PyTuple_GET_ITEM(vcs, h)) : 0;
+        if ((at == -1 || pt == -1 || v == -1) && PyErr_Occurred())
+            return -1;
+        long base = k->p_off[r];
+        long end = r + 1 < k->NR ? k->p_off[r + 1] : k->NP;
+        if (pt < 0 || pt >= end - base) {
+            PyErr_Format(PyExc_IndexError,
+                         "kernel: route port %ld out of range at hop %zd",
+                         pt, h);
+            return -1;
+        }
+        if (v < 0 || v >= k->V) {
+            PyErr_Format(PyExc_IndexError,
+                         "kernel: route VC %ld out of range at hop %zd", v, h);
+            return -1;
+        }
+        long nr = port_next_router(k, base + pt);
+        if (at != r || (nr < 0) != (h == n - 1)) {
+            PyErr_SetString(PyExc_ValueError,
+                            "kernel: route routers do not follow its ports");
+            return -1;
+        }
+        port[h] = (uint16_t)pt;
+        vc[h] = (uint8_t)v;
+        r = nr;
+    }
+    return 0;
+}
+
+/* Reload a slot's route from its Packet (escape-made or rewritten). */
 static int
 slot_load_packet(Kernel *k, int32_t si, PyObject *pkt)
 {
@@ -1072,25 +1191,54 @@ slot_load_packet(Kernel *k, int32_t si, PyObject *pkt)
         goto done;
     }
     Py_ssize_t n = PyTuple_GET_SIZE(ports);
-    if (PyTuple_GET_SIZE(vcs) > n)
-        n = PyTuple_GET_SIZE(vcs);
-    if (PyTuple_GET_SIZE(routers) > n)
-        n = PyTuple_GET_SIZE(routers);
-    if (slot_reserve(k, si, n) < 0)
+    if (PyTuple_GET_SIZE(routers) != n) {
+        PyErr_SetString(PyExc_ValueError,
+                        "kernel: route routers do not follow its ports");
         goto done;
-    Slot *p = &k->slots[si];
-    Py_ssize_t np = tuple_ints(ports, &S_PORT(p, 0), p->cap);
-    if (np < 0 || tuple_ints(vcs, &S_VC(p, 0), p->cap) < 0 ||
-        tuple_ints(routers, &S_ROUTER(p, 0), p->cap) < 0)
-        goto done;
-    p->nports = (int32_t)np;
-    p->nhops = (int32_t)PyTuple_GET_SIZE(routers) - 1;
-    rc = 0;
+    }
+    Slot *p = SLOT(k, si);
+    if (slot_route_size(k, p, n) == 0)
+        rc = route_read(k, p, routers, ports, vcs);
 done:
     Py_XDECREF(routers);
     Py_XDECREF(vcs);
     Py_XDECREF(ports);
     return rc;
+}
+
+/* The slot's route as new (routers, ports, vcs) tuples; the routers
+ * are derived from the source node's router and the ports. */
+static int
+slot_route_tuples(Kernel *k, Slot *p, PyObject **routers, PyObject **ports,
+                  PyObject **vcs)
+{
+    Py_ssize_t n = p->nports;
+    const uint16_t *port = slot_ports(p);
+    const uint8_t *vc = slot_vcs(p);
+    *routers = PyTuple_New(n);
+    *ports = PyTuple_New(n);
+    *vcs = PyTuple_New(n - 1);
+    if (*routers == NULL || *ports == NULL || *vcs == NULL)
+        return -1;
+    long r = k->n_rid[p->src];
+    for (Py_ssize_t h = 0; h < n; h++) {
+        PyObject *x = PyLong_FromLong(r);
+        PyObject *y = PyLong_FromLong(port[h]);
+        PyObject *z = h + 1 < n ? PyLong_FromLong(vc[h]) : NULL;
+        if (x == NULL || y == NULL || (h + 1 < n && z == NULL)) {
+            Py_XDECREF(x);
+            Py_XDECREF(y);
+            Py_XDECREF(z);
+            return -1;
+        }
+        PyTuple_SET_ITEM(*routers, h, x);
+        PyTuple_SET_ITEM(*ports, h, y);
+        if (z != NULL)
+            PyTuple_SET_ITEM(*vcs, h, z);
+        if (h + 1 < n)
+            r = port_next_router(k, k->p_off[r] + port[h]);
+    }
+    return 0;
 }
 
 /* The slot's Packet, built on first request and kept by the slot
@@ -1100,15 +1248,12 @@ done:
 static PyObject *
 slot_packet(Kernel *k, int32_t si)
 {
-    Slot *p = &k->slots[si];
+    Slot *p = SLOT(k, si);
     if (p->pkt != NULL)
         return p->pkt;
     PyObject *routers = NULL, *ports = NULL, *vcs = NULL;
     PyObject *pkt = NULL, *tf = NULL;
-    routers = int_tuple(&S_ROUTER(p, 0), p->nhops + 1);
-    ports = routers ? int_tuple(&S_PORT(p, 0), p->nports) : NULL;
-    vcs = ports ? int_tuple(&S_VC(p, 0), p->nhops) : NULL;
-    if (vcs == NULL)
+    if (slot_route_tuples(k, p, &routers, &ports, &vcs) < 0)
         goto done;
     pkt = PyObject_CallFunction(k->packet_cls, "LiiLOOOOdO", p->pid,
                                 (int)p->src, (int)p->dst, p->size, routers,
@@ -1116,13 +1261,12 @@ slot_packet(Kernel *k, int32_t si)
                                 p->msg_id);
     if (pkt == NULL)
         goto done;
-    p = &k->slots[si];
     tf = PyFloat_FromDouble(p->send_time);
     if (tf == NULL || PyObject_SetAttr(pkt, str_send_time, tf) < 0) {
         Py_CLEAR(pkt);
         goto done;
     }
-    k->slots[si].pkt = pkt;
+    p->pkt = pkt;
 done:
     Py_XDECREF(tf);
     Py_XDECREF(vcs);
@@ -1865,17 +2009,25 @@ static int
 slot_load_route(Kernel *k, int32_t si, long eject)
 {
     int32_t n = k->rt_n;
-    if (rt_ports(k) < 0 || slot_reserve(k, si, n) < 0)
+    if (rt_ports(k) < 0)
         return -1;
-    Slot *p = &k->slots[si];
-    size_t hops = (size_t)(n - 1) * sizeof(int32_t);
-    memcpy(&S_PORT(p, 0), k->rt_p, hops);
-    S_PORT(p, n - 1) = (int32_t)eject;
-    memcpy(&S_VC(p, 0), k->rt_v, hops);
-    memcpy(&S_ROUTER(p, 0), k->rt_r, (size_t)n * sizeof(int32_t));
-    p->nports = n;
-    p->nhops = n - 1;
-    p->kind = k->rt_kind;
+    Slot *p = SLOT(k, si);
+    if (slot_route_size(k, p, n) < 0)
+        return -1;
+    uint16_t *port = slot_ports(p);
+    uint8_t *vc = slot_vcs(p);
+    for (int32_t h = 0; h + 1 < n; h++) {
+        if ((uint32_t)k->rt_v[h] >= (uint32_t)k->V) {
+            PyErr_Format(PyExc_IndexError, "kernel: route VC %d out of range",
+                         (int)k->rt_v[h]);
+            return -1;
+        }
+        port[h] = (uint16_t)k->rt_p[h];
+        vc[h] = (uint8_t)k->rt_v[h];
+    }
+    port[n - 1] = (uint16_t)eject;
+    vc[n - 1] = 0;
+    p->kind = (uint8_t)k->rt_kind;
     return 0;
 }
 
@@ -1917,7 +2069,7 @@ make_fast(Kernel *k, long node, const Desc *d, double t)
         slot_release(k, si);
         return -1;
     }
-    Slot *p = &k->slots[si];
+    Slot *p = SLOT(k, si);
     p->msg_id = Py_NewRef(d->msg_id);
     p->pid = ++k->pid;
     p->src = (int32_t)node;
@@ -1982,21 +2134,21 @@ make_escape(Kernel *k, long node, const Desc *d, double t)
     si = slot_alloc(k);
     if (si < 0)
         goto done;
+    Slot *p = SLOT(k, si);
+    p->src = (int32_t)node; /* route_read follows the route from here */
     if (slot_load_packet(k, si, pkt) < 0) {
         slot_release(k, si);
         si = -1;
         goto done;
     }
-    Slot *p = &k->slots[si];
     p->pkt = Py_NewRef(pkt);
     p->msg_id = Py_NewRef(d->msg_id);
     p->pid = pid;
-    p->src = (int32_t)node;
     p->dst = d->dst;
     p->size = d->size;
     p->gen_time = d->gen;
     p->send_time = t;
-    p->kind = ki;
+    p->kind = (uint8_t)ki;
 done:
     Py_XDECREF(kind);
     Py_XDECREF(v);
@@ -2196,7 +2348,7 @@ transfer_one(Kernel *k, long in_gid, long vc, long gid, int32_t si,
         }
     }
     k->seq += 1;
-    Slot *p = &k->slots[si];
+    Slot *p = SLOT(k, si);
     long pv = gid * k->V + S_VC(p, p->hop);
     return kpush(k, LANE_SWITCH, t + k->SWITCH, k->seq, OP_ENTER, pv, si,
                  gid);
@@ -2211,7 +2363,7 @@ try_transfer(Kernel *k, long in_gid, long vc, double t, long long s)
     long base = k->in_pbase[in_gid];
     while (q->len) {
         int32_t si = q->buf[q->head];
-        Slot *p = &k->slots[si];
+        Slot *p = SLOT(k, si);
         long gid = base + S_PORT(p, p->hop);
         long pv = gid * k->V + S_VC(p, p->hop);
         if (k->pv_occ[pv] >= k->OQ_CAP)
@@ -2238,7 +2390,7 @@ admit_pending(Kernel *k, long gid, long freed_vc, double t, long long s)
                             "kernel: parked input has an empty queue");
             return -1;
         }
-        Slot *p = &k->slots[q->buf[q->head]];
+        Slot *p = SLOT(k, q->buf[q->head]);
         if (S_VC(p, p->hop) == freed_vc) {
             for (int32_t j = 0; j < i; j++) {
                 int32_t x = iring_pop(pend);
@@ -2316,7 +2468,7 @@ try_transmit(Kernel *k, long gid, double t, long long s)
             if (kpush(k, LANE_SL, t + k->SL, k->seq, OP_DELIVER, 0, 0, si) < 0)
                 return -1;
         } else {
-            k->slots[si].hop += 1;
+            SLOT(k, si)->hop += 1;
             if (kpush(k, LANE_SL, t + k->SL, k->seq, OP_RECV, din, vc, si) < 0)
                 return -1;
         }
@@ -2369,7 +2521,7 @@ divert_packet(Kernel *k, PyObject *divert, int32_t si, long gid,
         return -1;
     Py_INCREF(pkt);
     PyObject *res = PyObject_CallFunction(divert, "Oi", pkt,
-                                          (int)k->slots[si].hop);
+                                          (int)SLOT(k, si)->hop);
     int keep = res ? PyObject_IsTrue(res) : -1;
     Py_XDECREF(res);
     if (keep > 0 && slot_load_packet(k, si, pkt) < 0)
@@ -2380,7 +2532,7 @@ divert_packet(Kernel *k, PyObject *divert, int32_t si, long gid,
             slot_release(k, si);
         return keep;
     }
-    Slot *p = &k->slots[si];
+    Slot *p = SLOT(k, si);
     *ngid = k->p_off[k->p_rid[gid]] + S_PORT(p, p->hop);
     *npv = *ngid * k->V + S_VC(p, p->hop);
     if (*ngid < 0 || *ngid >= k->NP || S_VC(p, p->hop) >= k->V) {
@@ -2396,7 +2548,7 @@ divert_packet(Kernel *k, PyObject *divert, int32_t si, long gid,
 static int
 do_recv(Kernel *k, double t, long long s, long a, long b, int32_t si)
 {
-    Slot *p = &k->slots[si];
+    Slot *p = SLOT(k, si);
     long gid = k->in_pbase[a] + S_PORT(p, p->hop);
     k->p_queued[gid] += 1;
     IRing *q = &k->iv_q[a * k->V + b];
@@ -2603,7 +2755,7 @@ do_deliver(Kernel *k, double t, int32_t si)
 {
     if (k->deliver_fast) {
         /* Network.deliver + StatsCollector.record_eject, in C. */
-        Slot *p = &k->slots[si];
+        Slot *p = SLOT(k, si);
         if (p->pkt != NULL) {
             PyObject *tf = PyFloat_FromDouble(t);
             if (tf == NULL)
@@ -2612,7 +2764,6 @@ do_deliver(Kernel *k, double t, int32_t si)
             Py_DECREF(tf);
             if (sr < 0)
                 return -1;
-            p = &k->slots[si];
         }
         k->a_ej += 1;
         k->a_last = t; /* event times are monotone: running max */
@@ -2623,10 +2774,9 @@ do_deliver(Kernel *k, double t, int32_t si)
             k->a_bytes += p->size;
             if (lat_push(k, t - p->gen_time) < 0)
                 return -1;
-            p = &k->slots[si];
             if (k->a_kind_cnt[p->kind]++ == 0)
                 k->a_kind_order[k->a_nkind_order++] = p->kind;
-            k->a_hops += p->nhops;
+            k->a_hops += p->nports - 1;
         }
         k->stats_dirty = 1;
         k->fast_counts[FAST_DELIVER] += 1;
@@ -3125,7 +3275,7 @@ kernel_drop_packets(Kernel *k)
         k->n_qp[n] = 0;
     }
     for (int32_t si = 0; si < k->nslots; si++)
-        if (k->slots[si].hop >= 0)
+        if (SLOT(k, si)->hop >= 0)
             slot_release(k, si);
 }
 
@@ -3294,18 +3444,28 @@ fail:
     return NULL;
 }
 
-/* Memory accounting: packet slots, credit-FIFO high-water marks, the
- * traffic generator's MT states and chunks, and the messages the
- * countdown watches. */
+/* Memory accounting: packet slots (their size, how many the pages
+ * hold, live and peak routes spilled out of line), credit-FIFO
+ * high-water marks, the queued NIC descriptors, the traffic
+ * generator's MT states and chunks, and the messages the countdown
+ * watches. */
 static PyObject *
 Kernel_memory(Kernel *k, PyObject *Py_UNUSED(ignored))
 {
+    long long backlog = 0;
+    for (long n = 0; k->built && n < k->NN; n++)
+        backlog += k->n_q[n].len;
     return Py_BuildValue(
-        "{s:i,s:i,s:i,s:i,s:l,s:i,s:l,s:l,s:n,s:i,s:i,s:K,s:n}",
+        "{s:i,s:i,s:i,s:n,s:l,s:l,s:l,s:i,s:l,s:i,s:l,s:L,"
+        "s:l,s:n,s:i,s:i,s:K,s:n}",
         "slots_live", (int)k->live, "slots_hwm", (int)k->hwm,
         "slots_allocated", (int)k->nslots,
+        "slot_bytes", (Py_ssize_t)sizeof(Slot),
+        "slot_capacity", (long)k->npages * SLOT_PAGE,
+        "spilled_routes", k->spill_live, "spilled_routes_hwm", k->spill_hwm,
         "credit_fifo_hwm", (int)k->arr_hwm, "vc_capacity", k->VC_CAP,
         "nic_credit_fifo_hwm", (int)k->narr_hwm, "nic_capacity", k->NIC_CAP,
+        "nic_backlog", backlog,
         "gen_states", k->g_states, "gen_state_bytes",
         (Py_ssize_t)(k->g_states * (long)sizeof(GenState)),
         "gen_chunk_max", (int)k->g_chunk_max, "gen_chunk_cap", GEN_CHUNK,
@@ -4026,7 +4186,7 @@ slot_arg(Kernel *k, PyObject *o, int32_t *si)
     long v = PyLong_AsLong(o);
     if (v == -1 && PyErr_Occurred())
         return -1;
-    if (v < 0 || v >= k->nslots || k->slots[v].hop < 0) {
+    if (v < 0 || v >= k->nslots || SLOT(k, v)->hop < 0) {
         PyErr_Format(PyExc_IndexError, "kernel: slot %ld holds no packet", v);
         return -1;
     }
@@ -4041,7 +4201,7 @@ Kernel_next_port(Kernel *k, PyObject *slo)
     int32_t si;
     if (slot_arg(k, slo, &si) < 0)
         return NULL;
-    Slot *p = &k->slots[si];
+    Slot *p = SLOT(k, si);
     return Py_BuildValue("(ii)", (int)p->hop, (int)S_PORT(p, p->hop));
 }
 
@@ -4261,10 +4421,20 @@ Kernel_init(Kernel *k, PyObject *args, PyObject *kwds)
         return -1;
     CALLOC(k->p_has_cred, NP)
     CALLOC(k->p_rid, NP)
+    long radix = 0;
     for (long r = 0; r < NR; r++) {
         long end = r + 1 < NR ? k->p_off[r + 1] : NP;
+        if (end - k->p_off[r] > radix)
+            radix = end - k->p_off[r];
         for (long g = k->p_off[r]; g < end && g < NP; g++)
             k->p_rid[g] = (int32_t)r;
+    }
+    /* A slot stores port indices as uint16 and VCs as uint8. */
+    if (radix > UINT16_MAX + 1L || V > UINT8_MAX + 1L) {
+        PyErr_Format(PyExc_ValueError,
+                     "kernel: radix %ld or %ld VCs past a slot's route "
+                     "entries", radix, V);
+        return -1;
     }
     CALLOC(k->pv_cred, NP * V)
     for (long g = 0; g < NP; g++) {
@@ -4348,8 +4518,8 @@ Kernel_traverse(Kernel *k, visitproc visit, void *arg)
         Py_VISIT(k->calls[i].args);
     }
     for (int32_t i = 0; i < k->nslots; i++) {
-        Py_VISIT(k->slots[i].msg_id);
-        Py_VISIT(k->slots[i].pkt);
+        Py_VISIT(SLOT(k, i)->msg_id);
+        Py_VISIT(SLOT(k, i)->pkt);
     }
     if (k->built) {
         for (long n = 0; n < k->NN; n++) {
@@ -4387,8 +4557,8 @@ Kernel_tp_clear(Kernel *k)
 {
     kernel_drop_events(k);
     for (int32_t i = 0; i < k->nslots; i++) {
-        Py_CLEAR(k->slots[i].msg_id);
-        Py_CLEAR(k->slots[i].pkt);
+        Py_CLEAR(SLOT(k, i)->msg_id);
+        Py_CLEAR(SLOT(k, i)->pkt);
     }
     if (k->built) {
         for (long n = 0; n < k->NN; n++) {
@@ -4423,8 +4593,10 @@ Kernel_dealloc(Kernel *k)
     for (int i = 0; i < NLANES; i++)
         PyMem_Free(k->lanes[i].buf);
     for (int32_t i = 0; i < k->nslots; i++)
-        PyMem_Free(k->slots[i].path);
-    PyMem_Free(k->slots);
+        slot_route_size(k, SLOT(k, i), 0);
+    for (int32_t i = 0; i < k->npages; i++)
+        PyMem_Free(k->slot_pages[i]);
+    PyMem_Free(k->slot_pages);
     for (long a = 0; k->rt_off != NULL && k->rt_mid != NULL && a < k->NR; a++) {
         PyMem_Free(k->rt_off[a]);
         PyMem_Free(k->rt_mid[a]);

@@ -7,7 +7,13 @@
 set *and* all mutable simulation state: per-port, per-VC and per-NIC
 scalars as typed C arrays, the output, input-VC, NIC and pending-input
 queues and the credit-arrival FIFOs as C ring buffers, and packets as C
-slots recycled on delivery.  The event set is four FIFO *delay lanes*
+slots recycled on delivery.  A slot is one record of at most 96 bytes
+that holds a route of up to eight ports inline as output-port indices
+and VCs (a longer route, from a fault detour or a custom routing,
+spills to one block of its own); the routers are derived from the
+ports when a ``Packet`` is materialised, and a ``Packet`` loaded from
+Python must have routers that follow its ports.  The event set is four
+FIFO *delay lanes*
 (one per fixed handler delay: serialisation, link, both, switch) plus a
 binary heap for every other push (GEN, CALL, wakes at older reserved
 keys, pushes from Python); a pop takes the least ``(time, seq)`` among
@@ -329,7 +335,11 @@ class KernelEngine:
         return self.kernel.stats()
 
     def memory_stats(self) -> dict:
-        """Live and peak packet slots, credit-FIFO high-water marks."""
+        """Live and peak packet slots, what one costs (``slot_bytes``)
+        and how many the slot pages hold (``slot_capacity``), live and
+        peak routes spilled out of their slots, credit-FIFO high-water
+        marks, queued NIC descriptors (``nic_backlog``), the traffic
+        generator's states and chunks, and the watched messages."""
         return self.kernel.memory()
 
     # -- per-port counters ----------------------------------------------------

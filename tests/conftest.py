@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.routing import MinimalRouting
+from repro.routing.base import NULL_CONGESTION, Route, RoutingAlgorithm
 from repro.topology import MLFM, OFT, Dragonfly, FatTree2L, FatTree3L, HyperX2D, SlimFly
 
 
@@ -87,3 +89,35 @@ def all_diameter2(sf5, mlfm4, oft4, hyperx, ft2):
 def paper_trio(sf5, mlfm4, oft4):
     """The three topologies the paper evaluates, at test scale."""
     return [sf5, mlfm4, oft4]
+
+
+class LoopingRouting(RoutingAlgorithm):
+    """Minimal routes that first circle *loops* times between the source
+    router and its lowest neighbour, on VC 0: with three loops every
+    route between distinct routers has more than eight ports, the
+    route a kernel packet slot holds inline."""
+
+    def __init__(self, topo, loops: int = 3, seed: int = 5):
+        self.inner = MinimalRouting(topo, seed=seed)
+        self.topo = topo
+        self.loops = loops
+
+    @property
+    def num_vcs(self):
+        return self.inner.num_vcs
+
+    def route(self, src_router, dst_router, congestion=NULL_CONGESTION):
+        r = self.inner.route(src_router, dst_router, congestion)
+        if src_router == dst_router:
+            return r
+        via = min(self.topo.neighbors(src_router))
+        loop = (src_router, via) * self.loops
+        return Route(loop + r.routers, (0,) * (2 * self.loops) + r.vcs,
+                     r.kind)
+
+
+@pytest.fixture(scope="session")
+def looping_routing():
+    """The :class:`LoopingRouting` class (a custom routing whose routes
+    spill out of a kernel slot)."""
+    return LoopingRouting

@@ -15,7 +15,11 @@ ids) and the traced heap where they started, free every driver, and
 every run must end with no packet slot alive and no credit FIFO deeper
 than the credits its VC can hold.  The generator's
 memory must not grow with the horizon, and no node may keep its
-generator state once its stream has ended.
+generator state once its stream has ended.  A packet costs its slot
+and nothing else: a saturated run grows the traced heap by no more
+than its slots plus a fixed allowance, and a route too long for a
+slot's inline route spills to a block that goes with the packet on
+delivery, with ``clear()`` and with the kernel.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ def peak_in_flight(intervals) -> int:
 
 def check_bounded(net: Network, intervals=None) -> None:
     mem = net.engine.memory_stats()
-    assert mem["slots_live"] == 0, mem
+    assert mem["slots_live"] == mem["spilled_routes"] == 0, mem
     assert mem["credit_fifo_hwm"] <= mem["vc_capacity"], mem
     assert mem["nic_credit_fifo_hwm"] <= mem["nic_capacity"], mem
     if intervals is not None:
@@ -302,6 +306,92 @@ def test_slots_recycle_under_saturation():
     assert mem["slots_allocated"] == mem["slots_hwm"]
     assert mem["slots_hwm"] < net.stats.injected_total
     assert mem["credit_fifo_hwm"] <= mem["vc_capacity"]
+
+
+#: What a saturated run may add to the traced heap besides its packet
+#: slots: the event lanes, the queue rings, the NIC backlog and the
+#: latency block, about 0.6 MiB on the run below.  A block per packet
+#: on top of the slot would add 48 B or more for each of its ~5,700
+#: packets.
+SATURATED_ALLOWANCE = 768 * 1024
+
+
+def test_saturated_run_allocates_no_block_per_packet(monkeypatch):
+    # Probed from t=0 (the streams already set up) to the end of a
+    # saturated window: the heap grows by the slot pages, a page of
+    # which at most is unused, and by structures that do not grow with
+    # the packets (no more blocks than there are packets).  On the fast
+    # path, which builds no Packet (the escapes make one per packet).
+    monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
+    topo = SlimFly(5)
+    net = Network(topo, UGALRouting(topo, seed=2), SimConfig(backend="kernel"))
+    eng = net.engine
+    probes = []
+
+    def probe(t):
+        gc.collect()
+        heap = tracemalloc.get_traced_memory()[0]
+        stats = tracemalloc.take_snapshot().statistics("filename")
+        probes.append((heap, sum(s.count for s in stats), eng.memory_stats()))
+
+    eng.schedule(0.0, probe, 0.0)
+    eng.schedule(1_650.0, probe, 1_650.0)
+    tracemalloc.start()
+    try:
+        net.run_synthetic(UniformRandom(topo.num_nodes), load=1.0,
+                          warmup_ns=200.0, measure_ns=1_500.0, seed=2)
+    finally:
+        tracemalloc.stop()
+    (heap0, blocks0, _), (heap1, blocks1, mem) = probes
+    slots = mem["slots_allocated"]
+    assert slots > 5_000, mem  # the network is full
+    assert mem["slot_bytes"] <= 96, mem
+    assert slots <= mem["slot_capacity"], mem
+    assert mem["spilled_routes_hwm"] == 0, mem
+    assert heap1 - heap0 <= slots * mem["slot_bytes"] + SATURATED_ALLOWANCE, (
+        heap1 - heap0, mem)
+    assert blocks1 - blocks0 < slots, (blocks1 - blocks0, mem)
+
+
+def test_spilled_routes_are_freed(looping_routing):
+    # Every looping route spills out of its slot.  The spill blocks go
+    # with the delivered packets, with clear() while the packets are in
+    # flight, and with a kernel freed while they are: a leak on the
+    # last path alone would be ~3,000 blocks of 40 B.
+    topo = SlimFly(5)
+    routing = looping_routing(topo)
+    rng_state = routing.inner._rng.getstate()
+    pattern = UniformRandom(topo.num_nodes)
+
+    def run(drain=False):
+        routing.inner._rng.setstate(rng_state)
+        net = Network(topo, routing, SimConfig(backend="kernel"))
+        net.run_synthetic(pattern, load=0.6, warmup_ns=200.0,
+                          measure_ns=600.0, seed=7, drain=drain)
+        return net, net.engine.memory_stats()
+
+    net, mem = run(drain=True)  # also fills the route cache
+    assert mem["spilled_routes_hwm"] > 1_000, mem
+    check_bounded(net)
+    del net
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        net, mem = run()
+        assert mem["spilled_routes"] > 1_000, mem
+        net.engine.clear()
+        mem = net.engine.memory_stats()
+        assert mem["slots_live"] == mem["spilled_routes"] == 0, mem
+        net, mem = run()
+        assert mem["spilled_routes"] > 1_000, mem
+        del net
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before <= SLACK_BYTES, (
+        f"traced heap grew by {after - before} bytes")
 
 
 def _sparse_run(entries: int):
