@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import warnings
 from array import array
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.routing.base import RoutingAlgorithm
 from repro.sim.config import PAPER_CONFIG, SimConfig
@@ -550,12 +550,14 @@ class Network:
         """Simulate a finite exchange to completion (paper Sec. 4.4).
 
         *exchange* provides ``node_messages(node) -> iterable of
-        (dst_node, size_bytes)`` message descriptors, packetised into
-        ``packet_bytes`` units.  If the exchange sets ``interleave =
-        True`` (e.g. the nearest-neighbour exchange, which models
-        concurrent non-blocking sends to all six neighbours) packets are
-        drawn round-robin across the node's messages; otherwise messages
-        are sent strictly in order.
+        (dst_node, size_bytes)``.  Every non-empty message is submitted
+        to its node's NIC at time 0, with its index in the node's list
+        as ``msg_id`` (so a zero-byte message sends nothing but keeps
+        the later ids stable), and leaves as ``packet_bytes`` packets.
+        If the exchange sets ``interleave = True`` (e.g. the
+        nearest-neighbour exchange, which models concurrent non-blocking
+        sends to all six neighbours) the NIC sends one packet of each
+        message in turn; otherwise messages are sent strictly in order.
 
         Returns a dict with ``completion_ns``, ``effective_throughput``
         (fraction of injection bandwidth per node), ``total_bytes`` and
@@ -572,9 +574,14 @@ class Network:
         pkt_size = self.config.packet_bytes
         interleave = bool(getattr(exchange, "interleave", False))
         num_nodes = self.topology.num_nodes
+        # One int object per message index, shared by every node's
+        # queue entries, so a queued message holds no object of its own.
+        msg_ids: List[int] = []
         for node in range(num_nodes):
             messages = list(exchange.node_messages(node))
-            for dst, size in messages:
+            msg_ids.extend(range(len(msg_ids), len(messages)))
+            submit = self.nics[node].submit
+            for msg_id, (dst, size) in zip(msg_ids, messages):
                 if not 0 <= dst < num_nodes:
                     raise ValueError(
                         f"exchange sends node {node}'s message to node "
@@ -585,15 +592,10 @@ class Network:
                         f"exchange gives node {node} a message of {size!r} "
                         f"bytes to node {dst}; sizes must be >= 0"
                     )
-                total_bytes += size
-                expected_packets += -(-size // pkt_size)
-            if messages:
-                source = (
-                    _packetize_interleaved(messages, pkt_size)
-                    if interleave
-                    else _packetize(messages, pkt_size)
-                )
-                self.nics[node].set_source(source)
+                if size:
+                    submit(dst, size, msg_id, interleave)
+                    total_bytes += size
+                    expected_packets += -(-size // pkt_size)
         if total_bytes == 0:
             raise ValueError("exchange generated no traffic")
 
@@ -635,33 +637,3 @@ class Network:
             self._msg_track = None
         return result
 
-
-def _packetize(
-    messages: Iterable[Tuple[int, int]], packet_bytes: int
-) -> Iterator[Tuple[int, int, Optional[int]]]:
-    """Split (dst, size) messages into packet descriptors, in order."""
-    for msg_id, (dst, size) in enumerate(messages):
-        remaining = size
-        while remaining > 0:
-            chunk = min(packet_bytes, remaining)
-            yield (dst, chunk, msg_id)
-            remaining -= chunk
-
-
-def _packetize_interleaved(
-    messages: Iterable[Tuple[int, int]], packet_bytes: int
-) -> Iterator[Tuple[int, int, Optional[int]]]:
-    """Round-robin packets across concurrent messages (non-blocking sends)."""
-    remaining = [
-        (msg_id, dst, size)
-        for msg_id, (dst, size) in enumerate(messages)
-        if size > 0  # zero-byte messages emit no packets (matches _packetize)
-    ]
-    while remaining:
-        nxt = []
-        for msg_id, dst, size in remaining:
-            chunk = min(packet_bytes, size)
-            yield (dst, chunk, msg_id)
-            if size > chunk:
-                nxt.append((msg_id, dst, size - chunk))
-        remaining = nxt

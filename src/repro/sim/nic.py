@@ -2,8 +2,14 @@
 
 Each end-node owns a NIC with:
 
-- an unbounded *source queue* of packet descriptors (drivers push into
-  it, or attach a pull-source iterator for finite exchanges),
+- an unbounded queue of *messages*, one entry each, into which every
+  driver -- open-loop traffic, the closed-loop workload driver, a
+  finite exchange -- puts traffic with :meth:`NIC.submit`; the NIC cuts
+  one ``packet_bytes`` packet off the head entry per send.  An in-order
+  message stays at the head until it is empty.  An interleaved message
+  that sent a packet moves to the tail before the next send, so every
+  message queued by then sends once before it sends again (round robin,
+  as concurrent non-blocking sends),
 - a serializing injection link toward its router (same bandwidth and
   latency as network links),
 - credit-based flow control toward the router's injection input buffer.
@@ -16,9 +22,7 @@ congestion information.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, Optional, Tuple, TYPE_CHECKING
-
-from repro.sim.packet import Packet
+from typing import Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.network import Network
@@ -26,13 +30,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["NIC", "bad_size"]
 
-#: A packet descriptor: (destination node, size in bytes, message id).
-Descriptor = Tuple[int, int, Optional[int]]
-
 
 def bad_size(size) -> ValueError:
-    """The error both engines' ``submit`` and ``submit_message`` raise
-    for a size below one byte (the kernel's C formats the same text)."""
+    """The error both engines' ``submit`` raises for a size below one
+    byte (the kernel's C formats the same text)."""
     return ValueError(f"size {size!r} must be at least 1 byte")
 
 
@@ -47,9 +48,10 @@ class NIC:
         "router_id",
         "in_idx",
         "queue",
-        "source",
         "credits",
         "busy",
+        "_turn_over",
+        "_packet",
         "_ser",
         "_link",
         "queued_packets",
@@ -64,12 +66,16 @@ class NIC:
         self.router = router
         self.router_id = router.rid
         self.in_idx = in_idx
+        # Entries (dst, bytes left, msg_id, post time, interleave).
         self.queue: deque = deque()
-        self.source: Optional[Iterator[Descriptor]] = None
         self.credits = cfg.buffer_packets_per_port
         self.busy = False
+        # The head entry is interleaved and sent the last packet.
+        self._turn_over = False
+        self._packet = cfg.packet_bytes
         self._ser = cfg.packet_time_ns
         self._link = cfg.link_latency_ns
+        #: Packets the queued messages have not sent yet.
         self.queued_packets = 0
         # Times a pending packet found the link free but no injection
         # credit; each such stall is resumed by credit_return().
@@ -77,38 +83,26 @@ class NIC:
 
     # -- driver interface ---------------------------------------------------
 
-    def submit(self, dst_node: int, size: int, msg_id: Optional[int] = None) -> None:
-        """Queue one packet for transmission (time-driven traffic)."""
+    def submit(
+        self,
+        dst_node: int,
+        size: int,
+        msg_id: Optional[int] = None,
+        interleave: bool = False,
+    ) -> None:
+        """Queue a *size*-byte message, sent as ``packet_bytes`` packets
+        (the last one holds the remainder) that all carry the current
+        time as their ``gen_time``.  An *interleave* message sends one
+        packet per turn with the other queued messages (non-blocking
+        sends); otherwise its packets leave back to back."""
         num_nodes = len(self.net.nics)
         if not 0 <= dst_node < num_nodes:
             raise IndexError(
                 f"destination node {dst_node} out of range [0, {num_nodes})")
         if size < 1:
             raise bad_size(size)
-        self.queue.append((dst_node, size, msg_id, self.engine.now))
-        self.queued_packets += 1
-        if not self.busy:
-            self.try_send()
-
-    def submit_message(
-        self, dst_node: int, size: int, msg_id: Optional[int] = None
-    ) -> None:
-        """Queue a *size*-byte message as ``packet_bytes`` packets (the
-        last one holds the remainder): one :meth:`submit` per packet,
-        in order.  The first submit checks the destination and size."""
-        packet = self.net.config.packet_bytes
-        self.submit(dst_node, min(packet, size), msg_id)
-        for offset in range(packet, size, packet):
-            self.submit(dst_node, min(packet, size - offset), msg_id)
-
-    def set_source(self, source: Iterator[Descriptor]) -> None:
-        """Attach a pull-source of descriptors (finite exchanges).
-
-        The NIC draws the next descriptor whenever its queue is empty and
-        the link is free, so a finite exchange never materialises more
-        than one outstanding descriptor per node.
-        """
-        self.source = source
+        self.queue.append((dst_node, size, msg_id, self.engine.now, interleave))
+        self.queued_packets += -(-size // self._packet)
         if not self.busy:
             self.try_send()
 
@@ -131,21 +125,23 @@ class NIC:
             # Link free but no downstream slot: the send is stalled
             # until a credit returns.  Count it so tests (and the
             # invariant checker's reports) can see the back-pressure.
-            if self.queue or self.source is not None:
+            if self.queue:
                 self.credit_stalls += 1
             return
-        gen_time = self.engine.now
-        if self.queue:
-            dst_node, size, msg_id, gen_time = self.queue.popleft()
-            self.queued_packets -= 1
-        elif self.source is not None:
-            try:
-                dst_node, size, msg_id = next(self.source)
-            except StopIteration:
-                self.source = None
-                return
-        else:
+        queue = self.queue
+        if not queue:
             return
+        if self._turn_over:
+            self._turn_over = False
+            queue.rotate(-1)  # the head to the tail
+        dst_node, left, msg_id, gen_time, interleave = queue[0]
+        size = min(left, self._packet)
+        if left > size:
+            queue[0] = (dst_node, left - size, msg_id, gen_time, interleave)
+            self._turn_over = interleave
+        else:
+            queue.popleft()
+        self.queued_packets -= 1
 
         pkt = self.net.make_packet(self.node, dst_node, size, msg_id, gen_time)
         pkt.send_time = self.engine.now

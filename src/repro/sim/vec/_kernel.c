@@ -9,7 +9,10 @@
  *   arrays indexed by the wiring's flat ids (port gid, ``gid * V + vc``,
  *   input gid, node);
  * - output queues, input-VC queues, the pending-input lists and the NIC
- *   descriptor queues are growable C ring buffers;
+ *   queues are growable C ring buffers.  A NIC queue holds one entry
+ *   per message, from open-loop traffic, a closed-loop driver or a
+ *   finite exchange alike, and the NIC cuts one packet off its head
+ *   entry per send (``nic_send``);
  * - credit arrivals are FIFOs of ``(time, seq)`` keys that hold only the
  *   credits still on the wire, plus a per-VC *matured* count of arrivals
  *   whose key has passed but that are not yet materialised into the
@@ -475,13 +478,22 @@ typedef struct {
     int32_t head, len, cap;
 } KRing;
 
-/* One queued NIC send: the descriptor plus its generation time. */
+/* One queued NIC message: its post time (every packet's gen_time), the
+ * bytes it has not sent yet, its id and destination.  nic_send cuts one
+ * pkt_bytes packet off the head entry, and an in-order entry stays at
+ * the head until it is empty.  An interleaved entry that sent a packet
+ * and has bytes left is marked turn_over, and the next send first moves
+ * it to the tail: every message queued by then sends once before it
+ * sends again (round robin, as concurrent non-blocking sends). */
 typedef struct {
     double gen;
-    long long size;
+    long long left;
     PyObject *msg_id; /* owned */
     int32_t dst;
+    uint8_t interleave, turn_over;
 } Desc;
+
+_Static_assert(sizeof(Desc) == 32, "a NIC queue entry outgrew 32 bytes");
 
 typedef struct {
     Desc *buf;
@@ -603,8 +615,7 @@ typedef struct {
     /* clock and sequence counter, shared with Python through members */
     double now;
     long long seq, cs, executed;
-    long long pkt_bytes; /* config.packet_bytes: open-loop packets and
-                            submit_message's chunks */
+    long long pkt_bytes; /* config.packet_bytes: the packets nic_send cuts */
     int built, running;
 
     /* pending events: the delay lanes, the heap and the call table */
@@ -652,11 +663,11 @@ typedef struct {
     /* per NIC (len NN) */
     double *n_busy_t;
     long long *n_busy_s, *n_stalls;
-    int32_t *n_cred, *n_mat, *n_qp;
+    int32_t *n_cred, *n_mat;
+    long long *n_qp; /* packets the queued messages have left */
     uint8_t *n_wake;
     DRing *n_q;
     KRing *n_arr;
-    PyObject **n_src;
 
     /* open-loop streams (see "traffic generation"): per node, the
      * current chunk of (time, dst) entries, its cursor and length, and
@@ -740,6 +751,21 @@ static PyObject *str_fault_manager, *str_divert_packet, *str_tracer;
 static PyObject *str_msg_track, *str_delivery_listeners, *str_make_packet;
 static PyObject *str_stats, *str_record_inject, *str_net_pid;
 static PyObject *str_minimal, *str_indirect;
+
+/* getattr(obj, name) by the interned *name*.  CPython's type attribute
+ * cache keeps a reference to the name object of every lookup it
+ * serves, so a fresh string per lookup (PyObject_GetAttrString) stays
+ * on the heap after the kernel that made it is gone. */
+static PyObject *
+get_attr(PyObject *obj, const char *name)
+{
+    PyObject *key = PyUnicode_InternFromString(name);
+    if (key == NULL)
+        return NULL;
+    PyObject *v = PyObject_GetAttr(obj, key);
+    Py_DECREF(key);
+    return v;
+}
 
 static double
 mono_ns(void)
@@ -2035,9 +2061,10 @@ slot_load_route(Kernel *k, int32_t si, long eject)
 
 /* Fast path: route in C, fill a slot, accumulate the inject stats.
  * Network.make_packet + StatsCollector.record_inject, golden- and
- * fuzz-gated against them. */
+ * fuzz-gated against them.  *d* is the message the packet of *size*
+ * bytes was cut from. */
 static int32_t
-make_fast(Kernel *k, long node, const Desc *d, double t)
+make_fast(Kernel *k, long node, const Desc *d, long long size, double t)
 {
     if (d->dst < 0 || d->dst >= k->NN) {
         PyErr_Format(PyExc_IndexError,
@@ -2074,7 +2101,7 @@ make_fast(Kernel *k, long node, const Desc *d, double t)
     p->pid = ++k->pid;
     p->src = (int32_t)node;
     p->dst = d->dst;
-    p->size = d->size;
+    p->size = size;
     p->gen_time = d->gen;
     p->send_time = t;
 
@@ -2094,7 +2121,7 @@ make_fast(Kernel *k, long node, const Desc *d, double t)
  * with no C replica, see KernelEngine._fastpath_spec), then the send
  * time and StatsCollector.record_inject. */
 static int32_t
-make_escape(Kernel *k, long node, const Desc *d, double t)
+make_escape(Kernel *k, long node, const Desc *d, long long size, double t)
 {
     double t0 = mono_ns();
     int32_t si = -1;
@@ -2104,7 +2131,7 @@ make_escape(Kernel *k, long node, const Desc *d, double t)
         PyObject *mp = PyObject_GetAttr(k->net, str_make_packet);
         if (mp == NULL)
             goto done;
-        pkt = PyObject_CallFunction(mp, "liLOd", node, (int)d->dst, d->size,
+        pkt = PyObject_CallFunction(mp, "liLOd", node, (int)d->dst, size,
                                     d->msg_id, d->gen);
         Py_DECREF(mp);
     }
@@ -2145,7 +2172,7 @@ make_escape(Kernel *k, long node, const Desc *d, double t)
     p->msg_id = Py_NewRef(d->msg_id);
     p->pid = pid;
     p->dst = d->dst;
-    p->size = d->size;
+    p->size = size;
     p->gen_time = d->gen;
     p->send_time = t;
     p->kind = (uint8_t)ki;
@@ -2161,47 +2188,6 @@ done:
         k->esc_counts[ESC_MAKE] += 1;
     }
     return si;
-}
-
-/* A descriptor's destination indexes per-node state: it must be a node
- * (NIC.submit raises the same IndexError on the object engine). */
-static int
-dst_check(Kernel *k, long dst)
-{
-    if (dst >= 0 && dst < k->NN)
-        return 0;
-    PyErr_Format(PyExc_IndexError,
-                 "destination node %ld out of range [0, %ld)", dst, k->NN);
-    return -1;
-}
-
-/* Parse one (dst, size, msg_id) descriptor pulled from a NIC source. */
-static int
-desc_from_item(Kernel *k, PyObject *item, double t, Desc *d)
-{
-    PyObject *fast = PySequence_Fast(item,
-                                     "kernel: NIC source yielded a non-sequence");
-    if (fast == NULL)
-        return -1;
-    if (PySequence_Fast_GET_SIZE(fast) != 3) {
-        Py_DECREF(fast);
-        PyErr_SetString(PyExc_ValueError,
-                        "kernel: NIC source descriptor is not a 3-tuple");
-        return -1;
-    }
-    long dst = PyLong_AsLong(PySequence_Fast_GET_ITEM(fast, 0));
-    long long size = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(fast, 1));
-    if (((dst == -1 || size == -1) && PyErr_Occurred()) ||
-        dst_check(k, dst) < 0) {
-        Py_DECREF(fast);
-        return -1;
-    }
-    d->dst = (int32_t)dst;
-    d->size = size;
-    d->msg_id = Py_NewRef(PySequence_Fast_GET_ITEM(fast, 2));
-    d->gen = t;
-    Py_DECREF(fast);
-    return 0;
 }
 
 /* -- NIC send (the object NIC's try_send over kernel state) ------------------ */
@@ -2220,7 +2206,7 @@ nic_send(Kernel *k, long node, double t, long long s)
     }
     DRing *q = &k->n_q[node];
     if (cred <= 0) {
-        if (q->len || k->n_src[node] != NULL) {
+        if (q->len) {
             k->n_stalls[node] += 1;
             if (arr->len) {
                 CKey h = arr->buf[arr->head];
@@ -2230,31 +2216,31 @@ nic_send(Kernel *k, long node, double t, long long s)
         }
         return 0;
     }
-    Desc d;
-    if (q->len) {
-        d = dring_pop(q); /* takes over the msg_id reference */
-        k->n_qp[node] -= 1;
-    } else {
-        PyObject *src = k->n_src[node];
-        if (src == NULL)
-            return 0;
-        Py_INCREF(src);
-        PyObject *item = PyIter_Next(src);
-        Py_DECREF(src);
-        if (item == NULL) {
-            if (PyErr_Occurred())
-                return -1;
-            Py_CLEAR(k->n_src[node]); /* source exhausted */
-            return 0;
-        }
-        int pr = desc_from_item(k, item, t, &d);
-        Py_DECREF(item);
-        if (pr < 0)
+    if (!q->len)
+        return 0;
+    Desc *h = dring_at(q, 0);
+    if (h->turn_over) {
+        /* To the tail (it was just popped, so the ring never grows). */
+        h->turn_over = 0;
+        if (q->len > 1 && dring_push(q, dring_pop(q)) < 0)
             return -1;
+        h = dring_at(q, 0);
+    }
+    /* Cut one packet off the head message; d keeps its id and post
+     * time for the packet. */
+    Desc d = *h;
+    long long size = h->left < k->pkt_bytes ? h->left : k->pkt_bytes;
+    h->left -= size;
+    k->n_qp[node] -= 1;
+    if (!h->left) {
+        dring_pop(q); /* d takes over the msg_id reference */
+    } else {
+        Py_INCREF(d.msg_id);
+        h->turn_over = h->interleave;
     }
     int32_t si = (k->running && k->route_mode >= 0)
-                     ? make_fast(k, node, &d, t)
-                     : make_escape(k, node, &d, t);
+                     ? make_fast(k, node, &d, size, t)
+                     : make_escape(k, node, &d, size, t);
     Py_DECREF(d.msg_id);
     if (si < 0)
         return -1;
@@ -2268,7 +2254,7 @@ nic_send(Kernel *k, long node, double t, long long s)
     if (kpush(k, LANE_SL, t + k->SL, k->seq, OP_RECV, k->n_in[node], 0,
               si) < 0)
         return -1;
-    if (q->len || k->n_src[node] != NULL) {
+    if (q->len) {
         /* Work already waiting: the link-free retry would send, so
          * wake at its reserved key. */
         if (kpush(k, LANE_SER, bt, bs, OP_NWAKE, node, 0, 0) < 0)
@@ -2280,20 +2266,24 @@ nic_send(Kernel *k, long node, double t, long long s)
     return 0;
 }
 
-/* Queue a send at the current time (NIC.submit); a busy NIC gets at
- * most one wake at its reserved link-free key. */
+/* Queue a message of *size* bytes at the current time (NIC.submit); a
+ * busy NIC gets at most one wake at its reserved link-free key. */
 static int
 nic_enqueue(Kernel *k, long node, int32_t dst, long long size,
-            PyObject *msg_id)
+            PyObject *msg_id, int interleave)
 {
+    if (k->pkt_bytes < 1) {
+        PyErr_SetString(PyExc_RuntimeError, "kernel: pkt_bytes is not set");
+        return -1;
+    }
     double t = k->now;
     long long s = k->cs;
-    Desc d = {t, size, Py_NewRef(msg_id), dst};
+    Desc d = {t, size, Py_NewRef(msg_id), dst, (uint8_t)interleave, 0};
     if (dring_push(&k->n_q[node], d) < 0) {
         Py_DECREF(msg_id);
         return -1;
     }
-    k->n_qp[node] += 1;
+    k->n_qp[node] += (size - 1) / k->pkt_bytes + 1;
     double bt = k->n_busy_t[node];
     long long bs = k->n_busy_s[node];
     if (is_busy(t, s, bt, bs)) {
@@ -2340,8 +2330,7 @@ transfer_one(Kernel *k, long in_gid, long vc, long gid, int32_t si,
             if (credit_push(&k->n_arr[upn], &k->n_mat[upn], at, k->seq, t, s,
                             &k->narr_hwm) < 0)
                 return -1;
-            if (k->n_cred[upn] == 0 &&
-                (k->n_q[upn].len || k->n_src[upn] != NULL)) {
+            if (k->n_cred[upn] == 0 && k->n_q[upn].len) {
                 if (kpush(k, LANE_LINK, at, k->seq, OP_NWAKE, upn, 0, 0) < 0)
                     return -1;
             }
@@ -2645,7 +2634,7 @@ gen_refill(Kernel *k, long node)
 /* The object engine's generate event: queue the entry's packet (if
  * any), then schedule the stream's next entry. */
 static int
-do_gen(Kernel *k, double t, long long s, long node)
+do_gen(Kernel *k, long node)
 {
     int32_t i = k->g_i[node];
     if (i >= k->g_n[node]) {
@@ -2655,26 +2644,10 @@ do_gen(Kernel *k, double t, long long s, long node)
     int32_t dst = k->g_d[node][i];
     if (dst == -2) /* past-horizon sentinel */
         return 0;
-    if (dst >= 0) {
-        /* Inlined NIC.submit(dst, packet_bytes). */
-        Desc d = {t, k->pkt_bytes, Py_NewRef(Py_None), dst};
-        if (dring_push(&k->n_q[node], d) < 0) {
-            Py_DECREF(Py_None);
-            return -1;
-        }
-        k->n_qp[node] += 1;
-        double bt = k->n_busy_t[node];
-        long long bs = k->n_busy_s[node];
-        if (is_busy(t, s, bt, bs)) {
-            if (!k->n_wake[node]) {
-                if (kpush(k, LANE_HEAP, bt, bs, OP_NWAKE, node, 0, 0) < 0)
-                    return -1;
-                k->n_wake[node] = 1;
-            }
-        } else if (nic_send(k, node, t, s) < 0) {
-            return -1;
-        }
-    }
+    /* NIC.submit(dst, packet_bytes) at this event's key, to which the
+     * run loop set the clock. */
+    if (dst >= 0 && nic_enqueue(k, node, dst, k->pkt_bytes, Py_None, 0) < 0)
+        return -1;
     if (++i == k->g_n[node]) {
         if (gen_refill(k, node) < 0)
             return -1;
@@ -2880,7 +2853,7 @@ export_resident(Kernel *k)
 static int
 fp_long(PyObject *fp, const char *name, long *out)
 {
-    PyObject *v = PyObject_GetAttrString(fp, name);
+    PyObject *v = get_attr(fp, name);
     if (v == NULL)
         return -1;
     *out = PyLong_AsLong(v);
@@ -2892,7 +2865,7 @@ fp_long(PyObject *fp, const char *name, long *out)
 static int
 fp_opt_double(PyObject *fp, const char *name, double *out, int *has)
 {
-    PyObject *v = PyObject_GetAttrString(fp, name);
+    PyObject *v = get_attr(fp, name);
     if (v == NULL)
         return -1;
     if (v == Py_None) {
@@ -2935,7 +2908,7 @@ bind_run(Kernel *k, PyObject *fp)
     if (mode < 0 && !dfast)
         return 0;
     int has_thr = 0;
-    if ((k->stats_absorb = PyObject_GetAttrString(fp, "stats_absorb")) == NULL ||
+    if ((k->stats_absorb = get_attr(fp, "stats_absorb")) == NULL ||
         fp_opt_double(fp, "win_start", &k->win_start, &has_thr) < 0 ||
         fp_opt_double(fp, "win_end", &k->win_end, &k->win_has_end) < 0)
         return -1;
@@ -2944,7 +2917,7 @@ bind_run(Kernel *k, PyObject *fp)
         return 0;
 
 #define FPGETO(field, name)                                               \
-    if ((k->field = PyObject_GetAttrString(fp, name)) == NULL)                            \
+    if ((k->field = get_attr(fp, name)) == NULL)                          \
         return -1;
     FPGETO(min_rows, "min_rows")
     FPGETO(leg_rows, "leg_rows")
@@ -2968,7 +2941,7 @@ bind_run(Kernel *k, PyObject *fp)
         fp_opt_double(fp, "c_sf", &k->c_sf, &has) < 0 ||
         fp_opt_double(fp, "thr_cap", &k->thr_cap, &k->has_thr) < 0)
         return -1;
-    PyObject *pool = PyObject_GetAttrString(fp, "pool");
+    PyObject *pool = get_attr(fp, "pool");
     if (pool == NULL)
         return -1;
     if (pool != Py_None) {
@@ -3004,7 +2977,7 @@ bind_run(Kernel *k, PyObject *fp)
     }
 
     /* RNG + packet-id residency. */
-    PyObject *rngs = PyObject_GetAttrString(fp, "rngs");
+    PyObject *rngs = get_attr(fp, "rngs");
     if (rngs == NULL)
         return -1;
     Py_ssize_t nr = PyList_Check(rngs) ? PyList_GET_SIZE(rngs) : -1;
@@ -3183,7 +3156,7 @@ Kernel_run(Kernel *k, PyObject *args)
                          ? 0 : nic_send(k, ev.a, t, ev.seq);
                 break;
             case OP_GEN:
-                rc = do_gen(k, t, ev.seq, ev.a);
+                rc = do_gen(k, ev.a);
                 break;
             default: { /* OP_CALL: the record is released before the call */
                 PyObject *fn, *fargs;
@@ -3446,7 +3419,7 @@ fail:
 
 /* Memory accounting: packet slots (their size, how many the pages
  * hold, live and peak routes spilled out of line), credit-FIFO
- * high-water marks, the queued NIC descriptors, the traffic
+ * high-water marks, the queued NIC messages, the traffic
  * generator's MT states and chunks, and the messages the countdown
  * watches. */
 static PyObject *
@@ -3487,64 +3460,37 @@ node_arg(Kernel *k, PyObject *o, long *node)
     return 0;
 }
 
-/* The (node, dst, size, msg_id) arguments of nic_submit and
- * submit_message, checked as NIC.submit checks them (repro.sim.nic's
- * bad_size gives the size error its text). */
-static int
-submit_args(Kernel *k, const char *name, PyObject *const *args,
-            Py_ssize_t nargs, long *node, long *dst, long long *size)
-{
-    if (nargs != 4) {
-        PyErr_Format(PyExc_TypeError, "%s takes 4 arguments", name);
-        return -1;
-    }
-    if (node_arg(k, args[0], node) < 0)
-        return -1;
-    *dst = PyLong_AsLong(args[1]);
-    *size = PyLong_AsLongLong(args[2]);
-    if (((*dst == -1 || *size == -1) && PyErr_Occurred()) ||
-        dst_check(k, *dst) < 0)
-        return -1;
-    if (*size < 1) {
-        PyErr_Format(PyExc_ValueError, "size %lld must be at least 1 byte",
-                     *size);
-        return -1;
-    }
-    return 0;
-}
-
-/* nic_submit(node, dst, size, msg_id): NIC.submit at the current time. */
+/* nic_submit(node, dst, size, msg_id, interleave): NIC.submit at the
+ * current time, its arguments checked as NIC.submit checks them
+ * (repro.sim.nic's bad_size gives the size error its text). */
 static PyObject *
 Kernel_nic_submit(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
 {
-    long node, dst;
-    long long size;
-    if (submit_args(k, "nic_submit", args, nargs, &node, &dst, &size) < 0 ||
-        nic_enqueue(k, node, (int32_t)dst, size, args[3]) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-/* submit_message(node, dst, size, msg_id): NIC.submit_message, one
- * nic_enqueue per pkt_bytes chunk in order, so sequence numbers are
- * reserved as by one submit per packet. */
-static PyObject *
-Kernel_submit_message(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
-{
-    long node, dst;
-    long long size;
-    if (submit_args(k, "submit_message", args, nargs, &node, &dst,
-                    &size) < 0)
-        return NULL;
-    if (k->pkt_bytes < 1) {
-        PyErr_SetString(PyExc_RuntimeError, "kernel: pkt_bytes is not set");
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError, "nic_submit takes 5 arguments");
         return NULL;
     }
-    for (long long left = size; left > 0; left -= k->pkt_bytes)
-        if (nic_enqueue(k, node, (int32_t)dst,
-                        left < k->pkt_bytes ? left : k->pkt_bytes,
-                        args[3]) < 0)
-            return NULL;
+    long node;
+    if (node_arg(k, args[0], &node) < 0)
+        return NULL;
+    long dst = PyLong_AsLong(args[1]);
+    long long size = PyLong_AsLongLong(args[2]);
+    if ((dst == -1 || size == -1) && PyErr_Occurred())
+        return NULL;
+    if (dst < 0 || dst >= k->NN) { /* it indexes per-node state */
+        PyErr_Format(PyExc_IndexError,
+                     "destination node %ld out of range [0, %ld)", dst, k->NN);
+        return NULL;
+    }
+    if (size < 1) {
+        PyErr_Format(PyExc_ValueError, "size %lld must be at least 1 byte",
+                     size);
+        return NULL;
+    }
+    int interleave = PyObject_IsTrue(args[4]);
+    if (interleave < 0 ||
+        nic_enqueue(k, node, (int32_t)dst, size, args[3], interleave) < 0)
+        return NULL;
     Py_RETURN_NONE;
 }
 
@@ -3612,47 +3558,15 @@ Kernel_message_kinds(Kernel *k, PyObject *Py_UNUSED(ignored))
     return out;
 }
 
-/* nic_set_source(node, iterator): attach a pull source of descriptors. */
-static PyObject *
-Kernel_nic_set_source(Kernel *k, PyObject *args)
-{
-    PyObject *nodeo, *src;
-    long node;
-    if (!PyArg_ParseTuple(args, "OO", &nodeo, &src))
-        return NULL;
-    if (node_arg(k, nodeo, &node) < 0)
-        return NULL;
-    if (src != Py_None && !PyIter_Check(src)) {
-        PyErr_SetString(PyExc_TypeError, "kernel: NIC source is not an iterator");
-        return NULL;
-    }
-    Py_XSETREF(k->n_src[node], src == Py_None ? NULL : Py_NewRef(src));
-    double t = k->now;
-    long long s = k->cs;
-    double bt = k->n_busy_t[node];
-    long long bs = k->n_busy_s[node];
-    if (is_busy(t, s, bt, bs)) {
-        if (!k->n_wake[node]) {
-            if (kpush(k, LANE_HEAP, bt, bs, OP_NWAKE, node, 0, 0) < 0)
-                return NULL;
-            k->n_wake[node] = 1;
-        }
-    } else if (nic_send(k, node, t, s) < 0) {
-        return NULL;
-    }
-    Py_RETURN_NONE;
-}
-
-/* nic_info(node) -> (queued_packets, credit_stalls, credits, source). */
+/* nic_info(node) -> (queued_packets, credit_stalls, credits). */
 static PyObject *
 Kernel_nic_info(Kernel *k, PyObject *nodeo)
 {
     long node;
     if (node_arg(k, nodeo, &node) < 0)
         return NULL;
-    PyObject *src = k->n_src[node] ? k->n_src[node] : Py_None;
-    return Py_BuildValue("(iLiO)", (int)k->n_qp[node], k->n_stalls[node],
-                         (int)k->n_cred[node], src);
+    return Py_BuildValue("(LLi)", k->n_qp[node], k->n_stalls[node],
+                         (int)k->n_cred[node]);
 }
 
 /* queue_len(router, neighbor): UGAL-L's congestion signal. */
@@ -4314,7 +4228,7 @@ Kernel_route_compose(Kernel *k, PyObject *args)
 static int
 st_long(PyObject *st, const char *name, long *out)
 {
-    PyObject *v = PyObject_GetAttrString(st, name);
+    PyObject *v = get_attr(st, name);
     if (v == NULL)
         return -1;
     *out = PyLong_AsLong(v);
@@ -4325,7 +4239,7 @@ st_long(PyObject *st, const char *name, long *out)
 static int
 st_double(PyObject *st, const char *name, double *out)
 {
-    PyObject *v = PyObject_GetAttrString(st, name);
+    PyObject *v = get_attr(st, name);
     if (v == NULL)
         return -1;
     *out = PyFloat_AsDouble(v);
@@ -4337,7 +4251,7 @@ st_double(PyObject *st, const char *name, double *out)
 static int32_t *
 st_ints(PyObject *st, const char *name, long n)
 {
-    PyObject *v = PyObject_GetAttrString(st, name);
+    PyObject *v = get_attr(st, name);
     if (v == NULL)
         return NULL;
     PyObject *seq = PySequence_Fast(v, "kernel: wiring is not a sequence");
@@ -4474,7 +4388,6 @@ Kernel_init(Kernel *k, PyObject *args, PyObject *kwds)
     CALLOC(k->n_wake, NN)
     CALLOC(k->n_q, NN)
     CALLOC(k->n_arr, NN)
-    CALLOC(k->n_src, NN)
     CALLOC(k->g_t, NN)
     CALLOC(k->g_d, NN)
     CALLOC(k->g_i, NN)
@@ -4523,7 +4436,6 @@ Kernel_traverse(Kernel *k, visitproc visit, void *arg)
     }
     if (k->built) {
         for (long n = 0; n < k->NN; n++) {
-            Py_VISIT(k->n_src[n]);
             DRing *q = &k->n_q[n];
             for (int32_t j = 0; j < q->len; j++)
                 Py_VISIT(dring_at(q, j)->msg_id);
@@ -4562,7 +4474,6 @@ Kernel_tp_clear(Kernel *k)
     }
     if (k->built) {
         for (long n = 0; n < k->NN; n++) {
-            Py_CLEAR(k->n_src[n]);
             DRing *q = &k->n_q[n];
             while (q->len) {
                 Desc d = dring_pop(q);
@@ -4625,7 +4536,7 @@ Kernel_dealloc(Kernel *k)
         k->p_rr, k->p_oqtot, k->p_wake, k->p_dead, k->p_pend, k->pv_occ,
         k->pv_cred, k->pv_mat, k->pv_oq, k->pv_arr, k->iv_q, k->n_busy_t,
         k->n_busy_s, k->n_stalls, k->n_cred, k->n_mat, k->n_qp, k->n_wake,
-        k->n_q, k->n_arr, k->n_src, k->g_t, k->g_d, k->g_i, k->g_n,
+        k->n_q, k->n_arr, k->g_t, k->g_d, k->g_i, k->g_n,
         k->g_st, k->gen.tab,
         k->a_lat, k->a_ejcnt, k->rt_off, k->rt_mid, k->rt_live, k->rt_r,
         k->rt_p, k->rt_v,
@@ -4668,18 +4579,14 @@ static PyMethodDef Kernel_methods[] = {
     {"memory", (PyCFunction)Kernel_memory, METH_NOARGS,
      "Packet-slot and credit-FIFO occupancy and high-water marks."},
     {"nic_submit", (PyCFunction)(void (*)(void))Kernel_nic_submit,
-     METH_FASTCALL, "nic_submit(node, dst, size, msg_id): NIC.submit."},
-    {"submit_message", (PyCFunction)(void (*)(void))Kernel_submit_message,
-     METH_FASTCALL, "submit_message(node, dst, size, msg_id): "
-     "NIC.submit_message."},
+     METH_FASTCALL,
+     "nic_submit(node, dst, size, msg_id, interleave): NIC.submit."},
     {"watch", (PyCFunction)Kernel_watch, METH_VARARGS,
      "watch(left, on_complete): arm the message countdown."},
     {"message_kinds", (PyCFunction)Kernel_message_kinds, METH_NOARGS,
      "[(msg_id, kind, packets)] the fast path's countdown delivered."},
-    {"nic_set_source", (PyCFunction)Kernel_nic_set_source, METH_VARARGS,
-     "nic_set_source(node, iterator): NIC.set_source."},
     {"nic_info", (PyCFunction)Kernel_nic_info, METH_O,
-     "nic_info(node) -> (queued_packets, credit_stalls, credits, source)."},
+     "nic_info(node) -> (queued_packets, credit_stalls, credits)."},
     {"queue_len", (PyCFunction)(void (*)(void))Kernel_queue_len,
      METH_FASTCALL, "queue_len(router, neighbor): UGAL-L's signal."},
     {"set_stream", (PyCFunction)Kernel_set_stream, METH_VARARGS,

@@ -7,7 +7,11 @@
 set *and* all mutable simulation state: per-port, per-VC and per-NIC
 scalars as typed C arrays, the output, input-VC, NIC and pending-input
 queues and the credit-arrival FIFOs as C ring buffers, and packets as C
-slots recycled on delivery.  A slot is one record of at most 96 bytes
+slots recycled on delivery.  A NIC queue holds one 32-byte entry per
+message, whichever driver submitted it (open-loop GEN, the closed-loop
+driver or a finite exchange), and the NIC cuts one packet off its head
+entry per send: a queued packet has no record of its own.  A slot is
+one record of at most 96 bytes
 that holds a route of up to eight ports inline as output-port indices
 and VCs (a longer route, from a fault detour or a custom routing,
 spills to one block of its own); the routers are derived from the
@@ -338,7 +342,8 @@ class KernelEngine:
         """Live and peak packet slots, what one costs (``slot_bytes``)
         and how many the slot pages hold (``slot_capacity``), live and
         peak routes spilled out of their slots, credit-FIFO high-water
-        marks, queued NIC descriptors (``nic_backlog``), the traffic
+        marks, the NIC queue entries (``nic_backlog``: one per queued
+        message, however many packets it has left), the traffic
         generator's states and chunks, and the watched messages."""
         return self.kernel.memory()
 

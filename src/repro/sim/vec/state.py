@@ -21,10 +21,9 @@ buffer views.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.routing.vc import HopIndexVC, PhaseVC
-from repro.sim.nic import Descriptor
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.routing.base import RoutingAlgorithm
@@ -144,11 +143,11 @@ class KernelNIC:
     """Driver-facing NIC shim over kernel state.
 
     Implements the object :class:`~repro.sim.nic.NIC`'s driver interface
-    (``submit`` / ``submit_message`` / ``set_source`` plus the
-    observability counters) so
-    workload drivers, exchanges and tests address NICs identically on
-    both engines.  Every call goes straight into the kernel, which
-    queues the descriptor and sends at once when the NIC is idle.
+    (``submit`` plus the observability counters) so workload drivers,
+    exchanges and tests address NICs identically on both engines.
+    ``submit`` goes straight into the kernel, which queues the message
+    as one entry and sends its first packet at once when the NIC is
+    idle.
     """
 
     __slots__ = ("_k", "node")
@@ -157,19 +156,15 @@ class KernelNIC:
         self._k = kernel
         self.node = node
 
-    def submit(self, dst_node: int, size: int, msg_id: Optional[int] = None) -> None:
-        """Queue one packet for transmission (time-driven traffic)."""
-        self._k.nic_submit(self.node, dst_node, size, msg_id)
-
-    def submit_message(
-        self, dst_node: int, size: int, msg_id: Optional[int] = None
+    def submit(
+        self,
+        dst_node: int,
+        size: int,
+        msg_id: Optional[int] = None,
+        interleave: bool = False,
     ) -> None:
-        """Queue a *size*-byte message as ``packet_bytes`` packets."""
-        self._k.submit_message(self.node, dst_node, size, msg_id)
-
-    def set_source(self, source: Iterator[Descriptor]) -> None:
-        """Attach a pull-source of descriptors (finite exchanges)."""
-        self._k.nic_set_source(self.node, source)
+        """Queue a *size*-byte message (see :meth:`repro.sim.nic.NIC.submit`)."""
+        self._k.nic_submit(self.node, dst_node, size, msg_id, interleave)
 
     # -- observability (mirrors the object NIC's counters) -------------------
 
@@ -185,7 +180,3 @@ class KernelNIC:
     def credits(self) -> int:
         """Credits materialised so far (pending arrivals not drained)."""
         return self._k.nic_info(self.node)[2]
-
-    @property
-    def source(self):
-        return self._k.nic_info(self.node)[3]

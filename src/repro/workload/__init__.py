@@ -13,7 +13,7 @@ the flit-level simulator:
   recursive-doubling all-reduce, ring all-gather, 3D-stencil halo
   exchange, and the paper's phased linear-shift all-to-all;
 - :mod:`~repro.workload.driver` -- the closed-loop driver releasing
-  messages via ``NIC.submit_message`` as their predecessors complete,
+  messages via ``NIC.submit`` as their predecessors complete,
   which the network reports once per message through its countdown
   (:meth:`repro.sim.Network.watch_messages`; on the kernel, counted in
   C).

@@ -7,8 +7,8 @@ last packet of its last dependency is ejected at the destination.  The
 network counts each message's packets down
 (:meth:`Network.watch_messages`) and calls the driver once per completed
 message -- on the kernel from its C delivery path, with no Python call
-per packet.  Releasing a message hands it to its source NIC whole
-(``submit_message``).  This is the closed-loop dual of
+per packet.  Releasing a message hands it to its source NIC whole, as
+one queue entry (``submit``).  This is the closed-loop dual of
 ``run_synthetic``/``run_exchange``: injection is gated by delivery, so
 the measured quantity is *schedule completion time*, not sustained rate.
 
@@ -60,7 +60,7 @@ class WorkloadDriver:
             # event queue so dependents observe a consistent clock.
             self.net.engine.schedule(0.0, self._complete, msg.mid)
             return
-        self.net.nics[msg.src].submit_message(msg.dst, msg.size, msg.mid)
+        self.net.nics[msg.src].submit(msg.dst, msg.size, msg.mid)
 
     def _complete(self, mid: int) -> None:
         """Message *mid* finished: its last packet was delivered (the

@@ -128,7 +128,7 @@ def _countdown_run(topo, backend: str, listener: bool):
     if listener:
         net.add_delivery_listener(lambda pkt: None)
     nics = net.nics
-    nics[0].submit_message(9, 700, 0)  # 256 + 256 + 188
+    nics[0].submit(9, 700, 0)  # 256 + 256 + 188
     nics[4].submit(17, 100, None)
     nics[5].submit(17, 100, 3)
     nics[6].submit(17, 100, -1)

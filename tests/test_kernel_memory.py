@@ -1,19 +1,22 @@
 """Leaks and boundedness of the compiled kernel's state.
 
-The kernel owns references to routes, message ids, NIC sources,
-callbacks, materialised packets and a closed-loop driver's message
-countdown, recycles packet slots on delivery, and draws open-loop
-streams in chunks from per-node generator states.  Repeating kernel
-runs of every kind in one process -- open loop drained to empty, long
-open-loop streams that refill their chunks, a run stopped while every
-node still holds its generator state, closed-loop halo exchanges of one
-and of two iterations with fault diverts and the C message countdown, a
-completion callback that raises, scheduled CALLs that submit traffic,
-CALLs dropped by ``clear()`` while pending and a CALL that raises --
-must leave reference counts on the shared objects (callbacks, message
-ids) and the traced heap where they started, free every driver, and
-every run must end with no packet slot alive and no credit FIFO deeper
-than the credits its VC can hold.  The generator's
+The kernel owns references to routes, message ids, callbacks,
+materialised packets and a closed-loop driver's message countdown,
+holds one NIC queue entry per queued message, recycles packet slots on
+delivery, and draws open-loop streams in chunks from per-node generator
+states.  Repeating kernel runs of every kind in one process -- open
+loop drained to empty, long open-loop streams that refill their chunks,
+a run stopped while every node still holds its generator state,
+closed-loop halo exchanges of one and of two iterations with fault
+diverts and the C message countdown, a completion callback that raises,
+scheduled CALLs that submit traffic, CALLs dropped by ``clear()`` while
+pending and a CALL that raises, finite exchanges in order and
+interleaved and one stopped with messages still queued -- must leave
+reference counts on the shared objects (callbacks, message ids) and the
+traced heap where they started, free every driver, and every run must
+end with no packet slot alive, no message queued and no credit FIFO
+deeper than the credits its VC can hold.  Building a kernel and freeing
+it leaves nothing behind either.  The generator's
 memory must not grow with the horizon, and no node may keep its
 generator state once its stream has ended.  A packet costs its slot
 and nothing else: a saturated run grows the traced heap by no more
@@ -36,7 +39,12 @@ from repro.sim import Network, SimConfig
 from repro.sim.packet import Packet
 from repro.sim.vec.kernel import load_kernel
 from repro.topology import SlimFly
-from repro.traffic import PermutationTraffic, UniformRandom
+from repro.traffic import (
+    AllToAll,
+    NearestNeighbor3D,
+    PermutationTraffic,
+    UniformRandom,
+)
 from repro.workload import WorkloadDriver, build_workload
 
 pytestmark = pytest.mark.skipif(
@@ -77,6 +85,7 @@ def peak_in_flight(intervals) -> int:
 def check_bounded(net: Network, intervals=None) -> None:
     mem = net.engine.memory_stats()
     assert mem["slots_live"] == mem["spilled_routes"] == 0, mem
+    assert mem["nic_backlog"] == 0, mem
     assert mem["credit_fifo_hwm"] <= mem["vc_capacity"], mem
     assert mem["nic_credit_fifo_hwm"] <= mem["nic_capacity"], mem
     if intervals is not None:
@@ -119,14 +128,18 @@ class Harness:
         # Message ids past the small-int cache, which the kernel holds
         # in queued sends and packet slots.
         self.mids = [m.mid for m in self.halo2 if m.mid > 1_000][:4]
+        # Two packets per message, sent in order; six neighbours'
+        # messages sent in turn.
+        self.a2a = AllToAll(self.topo.num_nodes, message_bytes=300)
+        self.nn = NearestNeighbor3D(self.topo.num_nodes, message_bytes=1_000)
         self.callback = Callback()
         self.payload = object()
         self.drivers = []  # weak references to every driver run
 
     def shared(self):
         return [self.route, self.pattern, self.sparse, Packet, self.topo,
-                self.halo, self.halo2, self.callback, self.payload, fail,
-                *self.mids, *self.rngs]
+                self.halo, self.halo2, self.a2a, self.nn, self.callback,
+                self.payload, fail, *self.mids, *self.rngs]
 
     def _fresh_rngs(self):
         # Identical draws every round, so route caches stop growing
@@ -210,7 +223,7 @@ class Harness:
             [0 if m.is_local else -(-m.size // pkt) for m in self.halo2], fail)
         for msg in self.halo2:
             if not msg.deps:
-                net.nics[msg.src].submit_message(msg.dst, msg.size, msg.mid)
+                net.nics[msg.src].submit(msg.dst, msg.size, msg.mid)
         eng = net.engine
         with pytest.raises(Failure):
             eng.run()
@@ -259,6 +272,31 @@ class Harness:
         assert eng.pending == 1
         eng.clear()
 
+    def exchanges(self):
+        # Tracked, so every delivery escapes to the message tracker.
+        self._fresh_rngs()
+        net = Network(self.topo, self.routing, SimConfig(backend="kernel"))
+        result = net.run_exchange(self.a2a, track_messages=True)
+        n = self.topo.num_nodes
+        assert result["messages"]["count"] == n * (n - 1)
+        check_bounded(net)
+        self._fresh_rngs()
+        net = Network(self.topo, self.routing, SimConfig(backend="kernel"))
+        net.run_exchange(self.nn)
+        check_bounded(net)
+        # Stopped with most messages still queued: clear() frees their
+        # entries and the packets in flight.
+        self._fresh_rngs()
+        net = Network(self.topo, self.routing, SimConfig(backend="kernel"))
+        with pytest.raises(RuntimeError, match="exchange incomplete"):
+            net.run_exchange(self.a2a, max_events=2_000)
+        eng = net.engine
+        mem = eng.memory_stats()
+        assert mem["nic_backlog"] > self.topo.num_nodes, mem
+        assert mem["slots_live"] > 0, mem
+        eng.clear()
+        check_bounded(net)
+
     def round(self):
         self.open_loop()
         self.open_loop_fast()
@@ -270,6 +308,7 @@ class Harness:
         self.scheduled_submits()
         self.clear_with_pending_calls()
         self.raising_call()
+        self.exchanges()
         gc.collect()
 
 
@@ -292,6 +331,30 @@ def test_repeated_runs_leak_nothing_and_stay_bounded():
     assert all(ref() is None for ref in h.drivers)
     assert after - before <= SLACK_BYTES, (
         f"traced heap grew by {after - before} bytes over {ROUNDS} rounds")
+
+
+def test_building_kernels_leaves_nothing_behind():
+    # Kernel_init reads the wiring by attribute name.  A fresh name
+    # string per lookup stayed referenced by CPython's type attribute
+    # cache, so 150 more builds grew the traced heap by about 11 KB.
+    topo = SlimFly(5)
+    routing = MinimalRouting(topo, seed=0)
+    config = SimConfig(backend="kernel")
+
+    def build(times):
+        for _ in range(times):
+            Network(topo, routing, config)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        first = build(10)
+        later = build(150)
+    finally:
+        tracemalloc.stop()
+    assert later - first < 2 * 1024, (
+        f"150 more kernels grew the traced heap by {later - first} bytes")
 
 
 def test_slots_recycle_under_saturation():

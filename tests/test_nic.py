@@ -1,4 +1,4 @@
-"""Unit tests of the NIC model (injection queue, source-pull, credits)."""
+"""Unit tests of the NIC model (message queue, credits)."""
 
 import pytest
 
@@ -55,46 +55,37 @@ class TestSubmitPath:
 
 
 class TestSourcePull:
+    """A message is one queue entry, cut into packets as the NIC sends."""
+
     def test_source_drained_lazily(self):
         topo, net = build()
-        produced = []
-
-        def gen():
-            for i in range(4):
-                produced.append(i)
-                yield (1, 256, i)
-
-        net.nics[0].set_source(gen())
-        # Only the first descriptor is pulled synchronously.
-        assert len(produced) == 1
+        nic = net.nics[0]
+        nic.submit(1, 4 * 256, 0)
+        # The first packet leaves at once; the other three wait in the
+        # message's one entry.
+        assert len(nic.queue) == 1
+        assert nic.queued_packets == 3
         net.engine.run()
-        assert len(produced) == 4
         assert net.stats.ejected_total == 4
 
     def test_source_exhaustion_clears(self):
         topo, net = build()
-
-        def gen():
-            yield (1, 256, 0)
-
         nic = net.nics[0]
-        nic.set_source(gen())
+        nic.submit(1, 700, 0)
         net.engine.run()
-        assert nic.source is None
+        assert net.stats.ejected_total == 3
+        assert not nic.queue
+        assert nic.queued_packets == 0
 
     def test_queue_takes_priority_over_source(self):
         topo, net = build(p=2)
         tracer = net.enable_trace()
-
-        def gen():
-            yield (3, 256, 0)
-
         nic = net.nics[0]
         nic.submit(2, 256)
-        nic.set_source(gen())
+        nic.submit(3, 512, 0, interleave=True)
         net.engine.run()
-        # Both delivered; the queued packet first.
-        assert [r.dst_node for r in tracer.records] == [2, 3]
+        # All delivered; the earlier submit first.
+        assert [r.dst_node for r in tracer.records] == [2, 3, 3]
 
 
 class TestCreditExhaustionRetry:

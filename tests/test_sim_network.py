@@ -216,7 +216,7 @@ class TestSelfTrafficGuard:
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestSizeGuard:
     @pytest.mark.parametrize("size", [0, -256])
-    @pytest.mark.parametrize("method", ["submit", "submit_message"])
+    @pytest.mark.parametrize("method", ["submit"])
     def test_send_below_one_byte_rejected(self, sf4, backend, size, method):
         # A -256 B packet used to be queued and reported as negative
         # throughput.  Both engines raise one shared message (the
@@ -234,7 +234,7 @@ class TestSizeGuard:
         net = Network(sf4, MinimalRouting(sf4), SimConfig(backend=backend))
         sizes = []
         net.add_delivery_listener(lambda pkt: sizes.append((pkt.size, pkt.msg_id)))
-        net.nics[0].submit_message(3, 700, 9)
+        net.nics[0].submit(3, 700, 9)
         net.engine.run()
         assert sizes == [(256, 9), (256, 9), (188, 9)]
 
@@ -248,6 +248,56 @@ class TestSizeGuard:
         net = Network(sf4, MinimalRouting(sf4), SimConfig(backend=backend))
         with pytest.raises(ValueError, match="-256 bytes to node 3"):
             net.run_exchange(Negative())
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestMessageQueue:
+    """Every driver's traffic enters a NIC as messages, one queue entry
+    each, that the NIC cuts into ``packet_bytes`` packets."""
+
+    def test_oversized_submit_is_cut_into_packets(self, sf4, backend):
+        # It used to leave as one 1,024 B packet serialised in the time
+        # of one 256 B packet.
+        net = Network(sf4, MinimalRouting(sf4), SimConfig(backend=backend))
+        pkts = []
+        net.add_delivery_listener(pkts.append)
+        net.nics[0].submit(40, 1024)
+        net.nics[0].submit(40, 256)
+        net.engine.run()
+        ser = net.config.packet_time_ns
+        assert [p.size for p in pkts] == [256] * 5
+        assert [p.send_time for p in pkts] == [i * ser for i in range(5)]
+
+    def test_exchange_packets_carry_the_post_time(self, sf4, backend):
+        from repro.traffic import AllToAll, NearestNeighbor3D
+
+        for exchange in (AllToAll(sf4.num_nodes, message_bytes=600),
+                         NearestNeighbor3D(sf4.num_nodes, message_bytes=600)):
+            net = Network(sf4, MinimalRouting(sf4, seed=1),
+                          SimConfig(backend=backend))
+            pkts = []
+            net.add_delivery_listener(pkts.append)
+            net.run_exchange(exchange)
+            assert {p.gen_time for p in pkts} == {0.0}
+            assert max(p.send_time for p in pkts) > 0.0
+
+    def test_backlog_holds_one_entry_per_message(self, sf4, backend):
+        net = Network(sf4, MinimalRouting(sf4), SimConfig(backend=backend))
+        nic = net.nics[0]
+
+        def backlog():
+            if backend == "object":
+                return sum(len(n.queue) for n in net.nics)
+            return net.engine.memory_stats()["nic_backlog"]
+
+        nic.submit(3, 1024, 0)  # its first packet leaves at once
+        nic.submit(5, 1024, 1)
+        nic.submit(7, 700, 2, interleave=True)
+        assert backlog() == 3
+        assert nic.queued_packets == 3 + 4 + 3
+        net.engine.run()
+        assert backlog() == nic.queued_packets == 0
+        assert net.stats.ejected_total == 11
 
 
 class TestExchanges:
@@ -354,15 +404,44 @@ class TestSingleUse:
             net.run_exchange(AllToAll(sf4.num_nodes, message_bytes=256))
 
 
+class OneSender:
+    """An exchange in which the last node sends *messages* and every
+    other node sends nothing."""
+
+    def __init__(self, num_nodes, messages, interleave):
+        self.num_nodes = num_nodes
+        self.messages = messages
+        self.interleave = interleave
+
+    def node_messages(self, node):
+        return self.messages if node == self.num_nodes - 1 else []
+
+
 class TestPacketize:
-    """Unit tests for the exchange packetisation helpers."""
+    """How an exchange's messages leave one NIC as packets."""
 
     @staticmethod
     def _run(fn, messages, pkt):
-        from repro.sim.network import _packetize, _packetize_interleaved
-
-        impl = _packetize if fn == "ordered" else _packetize_interleaved
-        return list(impl(messages, pkt))
+        """``(dst, size, msg_id)`` of every packet *messages* send from
+        one NIC through ``run_exchange``, in send order (the same on
+        both engines)."""
+        topo = SlimFly(4)
+        exchange = OneSender(topo.num_nodes, messages, fn == "interleaved")
+        sent = {}
+        for backend in ("object",) + (("kernel",) if load_kernel() else ()):
+            net = Network(topo, MinimalRouting(topo, seed=1),
+                          SimConfig(packet_bytes=pkt, backend=backend))
+            pkts = []
+            net.add_delivery_listener(pkts.append)
+            if not any(size for _, size in messages):
+                with pytest.raises(ValueError, match="no traffic"):
+                    net.run_exchange(exchange)
+            else:
+                net.run_exchange(exchange)
+            sent[backend] = [(p.dst_node, p.size, p.msg_id)
+                             for p in sorted(pkts, key=lambda p: p.pid)]
+        assert len(set(map(tuple, sent.values()))) == 1, sent
+        return sent["object"]
 
     @pytest.mark.parametrize("fn", ["ordered", "interleaved"])
     def test_chunks_reassemble_to_message_sizes(self, fn):
