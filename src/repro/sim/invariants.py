@@ -21,7 +21,8 @@ rest on:
   rules of :mod:`repro.routing.vc`.  :func:`check_route` holds these
   rules; the kernel's checker (:mod:`repro.sim.vec.check`) calls it too.
 - **Latency floors** -- no packet is delivered faster than the
-  zero-load latency of its hop count allows.
+  zero-load latency of its hop count allows (:func:`check_latency_floor`,
+  which the kernel's checker calls too).
 - **No event starvation** -- a watchdog observes simulator progress and
   converts any stall (deadlock, lost wake-up) into a structured report
   with a full buffer/credit snapshot instead of a silent hang or an
@@ -57,6 +58,7 @@ __all__ = [
     "InvariantViolation",
     "InvariantChecker",
     "check_route",
+    "check_latency_floor",
     "CheckedRouter",
     "CheckedNIC",
 ]
@@ -168,6 +170,24 @@ def check_route(net: "Network", pkt: Packet, fail: Callable[..., None]) -> None:
             fail("vc-legality", problem, pid=pkt.pid)
 
 
+def check_latency_floor(net: "Network", pkt: Packet, fail: Callable[..., None]) -> None:
+    """*pkt*, delivered now, took no less than the zero-load latency of
+    its hop count since it was sent.
+
+    Both engines' checkers run it at delivery; a violation goes to
+    ``fail(rule, message, **where)``.
+    """
+    hops = len(pkt.routers) - 1
+    floor = net.config.zero_load_latency_ns(hops)
+    elapsed = net.engine.now - pkt.send_time
+    if elapsed < floor * (1.0 - 1e-9) - 1e-9:
+        fail("latency-floor", f"packet {pkt.pid} delivered "
+             f"{elapsed:.3f}ns after transmission, below the "
+             f"{floor:.3f}ns zero-load floor for {hops} hops (time "
+             f"travel: lost serialization or switch delay)",
+             router=pkt.routers[-1], pid=pkt.pid)
+
+
 class InvariantChecker:
     """Tracks every in-flight packet and credit; verifies the invariants.
 
@@ -206,12 +226,13 @@ class InvariantChecker:
         self._nic_capacity = 0
         self._watchdog_period_ns = 0.0
         self._orig_make_packet = None
-        self._orig_deliver = None
 
     # -- wiring ----------------------------------------------------------------
 
     def attach(self) -> None:
-        """Hook packet creation/delivery; called once the network is built."""
+        """Wrap packet creation and register the delivery check as the
+        network's first delivery listener; called once the network is
+        built."""
         net = self.net
         cfg = net.config
         self._vc_capacity = cfg.buffer_packets_per_vc(net.num_vcs)
@@ -221,13 +242,9 @@ class InvariantChecker:
         # enough that a deadlock is reported promptly.
         step = cfg.switch_latency_ns + cfg.packet_time_ns + cfg.link_latency_ns
         self._watchdog_period_ns = max(step * 16.0, 1.0)
-        # Wrapping both seams is also what gates the kernel backend's C
-        # fast paths off (KernelEngine._fastpath_spec checks
-        # net.checker): a checked run must see every packet in Python.
         self._orig_make_packet = net.make_packet
-        self._orig_deliver = net.deliver
         net.make_packet = self._checked_make_packet
-        net.deliver = self._checked_deliver
+        net.add_delivery_listener(self.on_deliver)
 
     # -- violation plumbing ----------------------------------------------------
 
@@ -467,22 +484,9 @@ class InvariantChecker:
 
     # -- delivery ---------------------------------------------------------------
 
-    def _checked_deliver(self, pkt: Packet) -> None:
-        self.on_deliver(pkt)
-        self._orig_deliver(pkt)
-
     def on_deliver(self, pkt: Packet) -> None:
         self.expect_location(pkt, "eject")
-        now = self.net.engine.now
-        floor = self.net.config.zero_load_latency_ns(len(pkt.routers) - 1)
-        elapsed = now - pkt.send_time
-        if elapsed < floor * (1.0 - 1e-9) - 1e-9:
-            self.fail("latency-floor", f"packet {pkt.pid} delivered "
-                      f"{elapsed:.3f}ns after transmission, below the "
-                      f"{floor:.3f}ns zero-load floor for "
-                      f"{len(pkt.routers) - 1} hops (time travel: lost "
-                      f"serialization or switch delay)",
-                      router=pkt.routers[-1], pid=pkt.pid)
+        check_latency_floor(self.net, pkt, self.fail)
         del self.location[pkt.pid]
         self.delivered += 1
         self._note("deliver pid=%d -> node %d", pkt.pid, pkt.dst_node)

@@ -50,9 +50,7 @@ class Network:
         self.checker = None  # InvariantChecker when config.check is set
         self.fault_manager = None  # FaultManager when config.faults is set
         self._pid = 0
-        self.tracer = None  # optional PacketTracer (see enable_trace)
         self._vec = None  # KernelEngine when the kernel backend runs
-        self._msg_track: Optional[Dict] = None  # per-message tracking (exchanges)
         self._delivery_listeners: list = []  # see add_delivery_listener
         # The message countdown (see watch_messages): packets left and
         # delivered packets by (message, route kind), and the callback.
@@ -345,22 +343,28 @@ class Network:
         }
 
     def enable_trace(self, capacity: int = 10_000, start_ns: float = 0.0):
-        """Attach a :class:`repro.sim.trace.PacketTracer`; returns it."""
+        """Register a new :class:`repro.sim.trace.PacketTracer`'s
+        ``record`` as a delivery listener; returns the tracer."""
         from repro.sim.trace import PacketTracer
 
-        self.tracer = PacketTracer(capacity=capacity, start_ns=start_ns)
-        return self.tracer
+        tracer = PacketTracer(capacity=capacity, start_ns=start_ns)
+        self.add_delivery_listener(tracer.record)
+        return tracer
 
     def add_delivery_listener(self, fn) -> None:
         """Register ``fn(pkt)`` to run on every packet delivery.
 
-        A listener observes each ejection (with its ``msg_id``) and may
-        submit new traffic in response.  Listeners run after
-        statistics/trace recording, in registration order, and must not
-        raise.  On the kernel an observer costs every delivery a
-        :class:`Packet` and a Python call, so a driver that only needs
-        to know when messages complete arms :meth:`watch_messages`
-        instead.
+        Listeners are the one delivery hook: the tracer
+        (:meth:`enable_trace`), an exchange's message tracking and the
+        checkers' delivery checks are listeners too.  A listener
+        observes each ejection (with its ``msg_id`` and ``eject_time``)
+        after the statistics record it, in registration order, so the
+        checker, registered when the network is built, observes first.
+        It may submit new traffic in response, and an exception it
+        raises (a checker's violation) propagates out of the run.  On
+        the kernel a listener costs every delivery a :class:`Packet`
+        and a Python call, so a driver that only needs to know when
+        messages complete arms :meth:`watch_messages` instead.
         """
         if not callable(fn):
             raise TypeError(f"delivery listener {fn!r} is not callable")
@@ -407,17 +411,16 @@ class Network:
     def deliver(self, pkt: Packet) -> None:
         """Final hop: the packet reaches its destination node.
 
-        The kernel backend mirrors the stats accounting and the message
-        countdown in C when no observer (tracer, listener, message
-        tracker, checker) is attached (``do_deliver`` in
-        ``repro/sim/vec/_kernel.c``, flushed via
-        :meth:`StatsCollector.absorb_kernel`); changes here must be
-        reflected there.
+        Stamps the eject time, records the statistics, runs the
+        delivery listeners (:meth:`add_delivery_listener`) and counts
+        the message down (:meth:`watch_messages`).  The kernel backend
+        mirrors the statistics and the countdown in C while no listener
+        is registered (``do_deliver`` in ``repro/sim/vec/_kernel.c``,
+        flushed via :meth:`StatsCollector.absorb_kernel`); changes here
+        must be reflected there.
         """
         pkt.eject_time = self.engine.now
         self.stats.record_eject(pkt)
-        if self.tracer is not None:
-            self.tracer.record(pkt)
         for listener in self._delivery_listeners:
             listener(pkt)
         left = self._msg_left
@@ -429,16 +432,6 @@ class Network:
                 left[mid] -= 1
                 if not left[mid]:
                     self._msg_done(mid)
-        if self._msg_track is not None and pkt.msg_id is not None:
-            key = (pkt.src_node, pkt.msg_id)
-            entry = self._msg_track.get(key)
-            if entry is None:
-                self._msg_track[key] = [pkt.send_time, pkt.eject_time]
-            else:
-                if pkt.send_time < entry[0]:
-                    entry[0] = pkt.send_time
-                if pkt.eject_time > entry[1]:
-                    entry[1] = pkt.eject_time
 
     # -- synthetic (rate-driven) experiments -----------------------------------
 
@@ -568,7 +561,21 @@ class Network:
         """
         self._claim_experiment()
         self.stats.set_window(0.0, None)
-        self._msg_track: Optional[Dict] = {} if track_messages else None
+        # (src, msg_id) -> [first send, last eject] of each message.
+        spans: Dict[Tuple[int, int], List[float]] = {}
+        if track_messages:
+
+            def track(pkt: Packet) -> None:
+                if pkt.msg_id is None:
+                    return
+                span = spans.get((pkt.src_node, pkt.msg_id))
+                if span is None:
+                    spans[pkt.src_node, pkt.msg_id] = [pkt.send_time, pkt.eject_time]
+                else:
+                    span[0] = min(span[0], pkt.send_time)
+                    span[1] = max(span[1], pkt.eject_time)
+
+            self.add_delivery_listener(track)
         total_bytes = 0
         expected_packets = 0
         pkt_size = self.config.packet_bytes
@@ -619,10 +626,9 @@ class Network:
             "total_bytes": float(total_bytes),
             "packets": float(expected_packets),
         }
-        if self._msg_track is not None:
+        if track_messages:
             latencies = sorted(
-                last_eject - first_send
-                for first_send, last_eject in self._msg_track.values()
+                last_eject - first_send for first_send, last_eject in spans.values()
             )
             count = len(latencies)
             result["messages"] = {
@@ -634,6 +640,5 @@ class Network:
                 else 0.0,
                 "max_latency_ns": latencies[-1] if count else 0.0,
             }
-            self._msg_track = None
         return result
 

@@ -143,11 +143,6 @@ class Router:
 
     # -- stage 2: crossbar transfer into the output queue -------------------------
 
-    def _out_vc_of(self, pkt: Packet) -> int:
-        """Output-queue VC of a packet: its next-hop VC (0 for ejection)."""
-        hop = pkt.hop
-        return pkt.vcs[hop] if hop < len(pkt.vcs) else 0
-
     def _try_transfer(self, in_idx: int, vc: int) -> None:
         q = self.in_q[in_idx][vc]
         engine = self.engine

@@ -41,12 +41,14 @@
  *   into Python once per completed message.
  *
  * A ``repro.sim.packet.Packet`` is built for a slot only when Python has
- * to see one: the make_packet and deliver escapes, a delivery observer
- * (listener, tracer, message tracker, checker), a fault divert, or the
- * checker's audits.  With no observer attached the RECV, ENTER, PWAKE,
- * NWAKE, GEN and DELIVER handlers allocate no Python objects, and the
- * kernel's memory scales with the packets and credits in flight rather
- * than with the packets, hops and simulated time of the whole run.
+ * to see one: the make_packet and deliver escapes, a fault divert, or
+ * the checker's audits.  Deliveries escape while ``Network`` has a
+ * delivery listener (the tracer, an exchange's message tracking and the
+ * checker are listeners too).  With no listener registered the RECV,
+ * ENTER, PWAKE, NWAKE, GEN and DELIVER handlers allocate no Python
+ * objects, and the kernel's memory scales with the packets and credits
+ * in flight rather than with the packets, hops and simulated time of
+ * the whole run.
  *
  * Event set: four FIFO *delay lanes* plus a binary heap of 32-byte
  * event records.  Most pushes land at the current time plus one of four
@@ -58,8 +60,8 @@
  * lane; a lane takes the event only if it does not sort before the
  * lane's tail, so every lane stays sorted under any physics (zero
  * delays, coinciding lanes, a clock set by Python).  Everything else --
- * GEN, CALL, wakes at older reserved keys, and pushes from
- * ``drain_port`` and from Python -- goes to the heap.  A pop takes the
+ * GEN, CALL, wakes at older reserved keys and pushes from
+ * ``drain_port`` -- goes to the heap.  A pop takes the
  * least ``(time, seq)`` among the lane heads and the heap top, which is
  * the global order of one heap holding every event.  A CALL's callable
  * and arguments live in a side table indexed by the record's ``a``.
@@ -714,7 +716,8 @@ typedef struct {
     int32_t rt_n, rt_cap, rt_kind;
 
     /* -- per-run bindings (bind_run / unbind_refs) ------------------------ */
-    PyObject *deliver;   /* net.deliver (checker-wrapped if any) */
+    PyObject *deliver;   /* net.deliver: stats, listeners, countdown */
+    PyObject *listeners; /* net._delivery_listeners, a list */
     PyObject *fm_divert; /* fault_manager.divert_packet, or NULL */
     int route_mode;      /* -1 off, 0 min-rand, 1 min-best, 2 INR, 3 UGAL */
     int deliver_fast;    /* 1 = accumulate delivery stats in C */
@@ -747,8 +750,8 @@ typedef struct {
 /* Interned attribute names (module init). */
 static PyObject *str_routers, *str_ports, *str_vcs, *str_kind, *str_pid;
 static PyObject *str_send_time, *str_eject_time, *str_deliver;
-static PyObject *str_fault_manager, *str_divert_packet, *str_tracer;
-static PyObject *str_msg_track, *str_delivery_listeners, *str_make_packet;
+static PyObject *str_fault_manager, *str_divert_packet;
+static PyObject *str_delivery_listeners, *str_make_packet;
 static PyObject *str_stats, *str_record_inject, *str_net_pid;
 static PyObject *str_minimal, *str_indirect;
 
@@ -1403,46 +1406,18 @@ lat_push(Kernel *k, double v)
     return 0;
 }
 
-/* Re-check the deliver-fast preconditions after an escape that ran
- * arbitrary Python (CALL, divert): a callback may have attached a
- * tracer / delivery listener / message tracker mid-run.  Disable-only:
- * once off it stays off for the rest of the run. */
+/* Re-check the deliver-fast precondition after an escape that ran
+ * arbitrary Python (CALL, completion callback, divert): a callback may
+ * have registered a delivery listener mid-run.  Disable-only: once off
+ * it stays off for the rest of the run. */
 static int
 refresh_deliver_fast(Kernel *k)
 {
-    if (!k->deliver_fast)
+    if (!k->deliver_fast || PyList_GET_SIZE(k->listeners) == 0)
         return 0;
-    int ok = 1;
-    PyObject *v = PyObject_GetAttr(k->net, str_tracer);
-    if (v == NULL)
+    if (stats_flush(k) < 0)
         return -1;
-    if (v != Py_None)
-        ok = 0;
-    Py_DECREF(v);
-    if (ok) {
-        v = PyObject_GetAttr(k->net, str_msg_track);
-        if (v == NULL)
-            return -1;
-        if (v != Py_None)
-            ok = 0;
-        Py_DECREF(v);
-    }
-    if (ok) {
-        v = PyObject_GetAttr(k->net, str_delivery_listeners);
-        if (v == NULL)
-            return -1;
-        Py_ssize_t n = PyObject_Size(v);
-        Py_DECREF(v);
-        if (n < 0)
-            return -1;
-        if (n > 0)
-            ok = 0;
-    }
-    if (!ok) {
-        if (stats_flush(k) < 0)
-            return -1;
-        k->deliver_fast = 0;
-    }
+    k->deliver_fast = 0;
     return 0;
 }
 
@@ -2763,8 +2738,8 @@ do_deliver(Kernel *k, double t, int32_t si)
         slot_release(k, si);
         return done ? msg_done(k, mid) : 0;
     }
-    /* Escape: flush the accumulators first so listeners and wrapped
-     * deliver callbacks observe a coherent StatsCollector. */
+    /* Escape: flush the accumulators first so the listeners observe a
+     * coherent StatsCollector. */
     if (k->stats_dirty && stats_flush(k) < 0)
         return -1;
     double t0 = mono_ns();
@@ -2772,7 +2747,7 @@ do_deliver(Kernel *k, double t, int32_t si)
     PyObject *r = NULL;
     if (pkt != NULL) {
         /* The packet has left the network: recycle its slot first, so
-         * observers (and the checker's audits) see it delivered. */
+         * the listeners (and the checker's audits) see it delivered. */
         Py_INCREF(pkt);
         slot_release(k, si);
         r = PyObject_CallOneArg(k->deliver, pkt);
@@ -2810,6 +2785,7 @@ static void
 unbind_refs(Kernel *k)
 {
     Py_CLEAR(k->deliver);
+    Py_CLEAR(k->listeners);
     Py_CLEAR(k->fm_divert);
     Py_CLEAR(k->min_rows);
     Py_CLEAR(k->leg_rows);
@@ -2879,9 +2855,10 @@ fp_opt_double(PyObject *fp, const char *name, double *out, int *has)
     return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
 }
 
-/* Bind net.deliver, the fault manager's divert and the fast-path spec
- * (a namespace from KernelEngine._fastpath_spec, or None).  Route mode
- * makes the routing RNG streams and Network._pid resident in C. */
+/* Bind net.deliver, its listener list, the fault manager's divert and
+ * the fast-path spec (a namespace from KernelEngine._fastpath_spec, or
+ * None).  Route mode makes the routing RNG streams and Network._pid
+ * resident in C. */
 static int
 bind_run(Kernel *k, PyObject *fp)
 {
@@ -2890,6 +2867,14 @@ bind_run(Kernel *k, PyObject *fp)
     k->deliver = PyObject_GetAttr(k->net, str_deliver);
     if (k->deliver == NULL)
         return -1;
+    k->listeners = PyObject_GetAttr(k->net, str_delivery_listeners);
+    if (k->listeners == NULL)
+        return -1;
+    if (!PyList_Check(k->listeners)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "kernel: Network._delivery_listeners is not a list");
+        return -1;
+    }
     PyObject *fm = PyObject_GetAttr(k->net, str_fault_manager);
     if (fm == NULL)
         return -1;
@@ -3014,56 +2999,25 @@ bind_run(Kernel *k, PyObject *fp)
 
 /* -- Kernel methods ---------------------------------------------------------- */
 
+/* call(when, fn, args): queue a CALL of fn(*args) at *when* under the
+ * next sequence number, as every engine.schedule() does. */
 static PyObject *
-Kernel_push(Kernel *k, PyObject *args)
+Kernel_call(Kernel *k, PyObject *args)
 {
-    double t;
-    long long seq;
-    int op;
-    PyObject *a, *b, *cc;
-    if (!PyArg_ParseTuple(args, "dLiOOO", &t, &seq, &op, &a, &b, &cc))
+    double when;
+    PyObject *fn, *fargs;
+    if (!PyArg_ParseTuple(args, "dOO!", &when, &fn, &PyTuple_Type, &fargs))
         return NULL;
-    if (op < 0 || op >= OP_COUNT) {
-        PyErr_Format(PyExc_ValueError, "kernel: unknown opcode %d", op);
+    if (!PyCallable_Check(fn)) {
+        PyErr_SetString(PyExc_TypeError, "kernel: call needs a callable");
         return NULL;
     }
-    Event ev = {t, seq, op, 0, 0, 0};
-    if (op == OP_CALL) {
-        if (!PyCallable_Check(a) || !PyTuple_Check(b)) {
-            PyErr_SetString(PyExc_TypeError,
-                            "kernel: CALL needs a callable and an args tuple");
-            return NULL;
-        }
-        if ((ev.a = call_new(k, a, b)) < 0)
-            return NULL;
-    } else {
-        long va = PyLong_AsLong(a);
-        long vb = PyLong_AsLong(b);
-        long vc = PyLong_AsLong(cc);
-        if (PyErr_Occurred())
-            return NULL;
-        /* Index fields the handlers use unchecked (slot ids are the
-         * kernel's own and are only checked to fit a record field). */
-        long lim_a = op == OP_RECV ? k->NI : op == OP_ENTER ? k->NP * k->V
-                     : op == OP_PWAKE ? k->NP : op == OP_DELIVER ? 1 : k->NN;
-        int ok = va >= 0 && va < lim_a && vb == (int32_t)vb &&
-                 vc == (int32_t)vc;
-        if (op == OP_RECV)
-            ok = ok && vb >= 0 && vb < k->V;
-        if (op == OP_ENTER)
-            ok = ok && vc >= 0 && vc < k->NP;
-        if (!k->built || !ok) {
-            PyErr_Format(PyExc_ValueError,
-                         "kernel: event fields out of range for opcode %d", op);
-            return NULL;
-        }
-        ev.a = (int32_t)va;
-        ev.b = (int32_t)vb;
-        ev.c = (int32_t)vc;
-    }
-    if (heap_push_ev(k, ev) < 0) {
-        if (op == OP_CALL)
-            call_release(k, ev.a);
+    int32_t ci = call_new(k, fn, fargs);
+    if (ci < 0)
+        return NULL;
+    k->seq += 1;
+    if (kpush(k, LANE_HEAP, when, k->seq, OP_CALL, ci, 0, 0) < 0) {
+        call_release(k, ci);
         return NULL;
     }
     Py_RETURN_NONE;
@@ -3587,7 +3541,8 @@ Kernel_queue_len(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
 
 /* set_stream(node, times, dsts): one node's whole stream, drawn in
  * Python for a pattern without a table entry (see "traffic
- * generation"; dst -1: no packet this draw, -2: the sentinel). */
+ * generation"; dst -1: no packet this draw, -2: the sentinel); queues
+ * the node's first GEN event, as gen_streams does. */
 static PyObject *
 Kernel_set_stream(Kernel *k, PyObject *args)
 {
@@ -3636,6 +3591,9 @@ Kernel_set_stream(Kernel *k, PyObject *args)
         k->g_chunk_max = k->g_n[node];
     Py_DECREF(ft);
     Py_DECREF(fd);
+    k->seq += 1;
+    if (kpush(k, LANE_HEAP, gt[0], k->seq, OP_GEN, node, 0, 0) < 0)
+        return NULL;
     Py_RETURN_NONE;
 fail:
     PyMem_Free(gt);
@@ -3905,81 +3863,10 @@ Kernel_reset_sent(Kernel *k, PyObject *Py_UNUSED(ignored))
     Py_RETURN_NONE;
 }
 
-/* -- read-only views ---------------------------------------------------------- */
+/* -- state snapshots ---------------------------------------------------------- */
 
-typedef struct {
-    PyObject_HEAD
-    PyObject *owner; /* the Kernel keeping the memory alive */
-    void *ptr;
-    Py_ssize_t n, itemsize;
-    const char *fmt;
-} KView;
-
-static PyTypeObject KViewType;
-
-static int
-KView_getbuffer(KView *v, Py_buffer *view, int flags)
-{
-    if (flags & PyBUF_WRITABLE) {
-        PyErr_SetString(PyExc_BufferError, "kernel state views are read-only");
-        view->obj = NULL;
-        return -1;
-    }
-    view->buf = v->ptr;
-    view->obj = Py_NewRef((PyObject *)v);
-    view->len = v->n * v->itemsize;
-    view->readonly = 1;
-    view->itemsize = v->itemsize;
-    view->format = (flags & PyBUF_FORMAT) ? (char *)v->fmt : NULL;
-    view->ndim = 1;
-    view->shape = (flags & PyBUF_ND) ? &v->n : NULL;
-    view->strides = (flags & PyBUF_STRIDES) ? &v->itemsize : NULL;
-    view->suboffsets = NULL;
-    view->internal = NULL;
-    return 0;
-}
-
-static int
-KView_traverse(KView *v, visitproc visit, void *arg)
-{
-    Py_VISIT(v->owner);
-    return 0;
-}
-
-static int
-KView_clear(KView *v)
-{
-    Py_CLEAR(v->owner);
-    v->ptr = NULL;
-    v->n = 0;
-    return 0;
-}
-
-static void
-KView_dealloc(KView *v)
-{
-    PyObject_GC_UnTrack(v);
-    KView_clear(v);
-    Py_TYPE(v)->tp_free((PyObject *)v);
-}
-
-static PyBufferProcs KView_as_buffer = {
-    (getbufferproc)KView_getbuffer, NULL};
-
-static PyTypeObject KViewType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.sim.vec._kernel.StateView",
-    .tp_basicsize = sizeof(KView),
-    .tp_dealloc = (destructor)KView_dealloc,
-    .tp_as_buffer = &KView_as_buffer,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Read-only buffer over one kernel state array.",
-    .tp_traverse = (traverseproc)KView_traverse,
-    .tp_clear = (inquiry)KView_clear,
-};
-
-/* view(name): a live read-only buffer over one per-port, per-VC or
- * per-NIC counter array (memoryview / numpy.frombuffer read it). */
+/* view(name): a bytes copy of one per-port, per-VC or per-NIC counter
+ * array (int64 "p_sent", int32 otherwise). */
 static PyObject *
 Kernel_view(Kernel *k, PyObject *nameo)
 {
@@ -3991,31 +3878,20 @@ Kernel_view(Kernel *k, PyObject *nameo)
     long NPV = k->NP * k->V;
     struct {
         const char *name;
-        void *ptr;
+        const void *ptr;
         long n;
-        Py_ssize_t size;
-        const char *fmt;
+        size_t size;
     } tab[] = {
-        {"p_sent", k->p_sent, k->NP, 8, "q"},
-        {"p_queued", k->p_queued, k->NP, 4, "i"},
-        {"pv_occ", k->pv_occ, NPV, 4, "i"},
-        {"pv_cred", k->pv_cred, NPV, 4, "i"},
-        {"n_cred", k->n_cred, k->NN, 4, "i"},
+        {"p_sent", k->p_sent, k->NP, sizeof(long long)},
+        {"p_queued", k->p_queued, k->NP, sizeof(int32_t)},
+        {"pv_occ", k->pv_occ, NPV, sizeof(int32_t)},
+        {"pv_cred", k->pv_cred, NPV, sizeof(int32_t)},
+        {"n_cred", k->n_cred, k->NN, sizeof(int32_t)},
     };
-    for (size_t i = 0; i < sizeof(tab) / sizeof(tab[0]); i++) {
-        if (strcmp(tab[i].name, name) != 0)
-            continue;
-        KView *v = PyObject_GC_New(KView, &KViewType);
-        if (v == NULL)
-            return NULL;
-        v->owner = Py_NewRef((PyObject *)k);
-        v->ptr = tab[i].ptr;
-        v->n = tab[i].n;
-        v->itemsize = tab[i].size;
-        v->fmt = tab[i].fmt;
-        PyObject_GC_Track(v);
-        return (PyObject *)v;
-    }
+    for (size_t i = 0; i < sizeof(tab) / sizeof(tab[0]); i++)
+        if (strcmp(tab[i].name, name) == 0)
+            return PyBytes_FromStringAndSize(
+                (const char *)tab[i].ptr, (Py_ssize_t)(tab[i].n * tab[i].size));
     PyErr_Format(PyExc_KeyError, "kernel: no state array %R", nameo);
     return NULL;
 }
@@ -4452,6 +4328,7 @@ Kernel_traverse(Kernel *k, visitproc visit, void *arg)
     Py_VISIT(k->m_view.obj);
     Py_VISIT(k->m_done);
     Py_VISIT(k->deliver);
+    Py_VISIT(k->listeners);
     Py_VISIT(k->fm_divert);
     Py_VISIT(k->min_rows);
     Py_VISIT(k->leg_rows);
@@ -4549,7 +4426,7 @@ Kernel_dealloc(Kernel *k)
 static PyMemberDef Kernel_members[] = {
     {"now", T_DOUBLE, offsetof(Kernel, now), 0,
      "Current simulated time (ns)."},
-    {"seq", T_LONGLONG, offsetof(Kernel, seq), 0,
+    {"seq", T_LONGLONG, offsetof(Kernel, seq), READONLY,
      "Last sequence number handed out."},
     {"cs", T_LONGLONG, offsetof(Kernel, cs), 0,
      "Sequence number of the executing (or last executed) event."},
@@ -4561,8 +4438,9 @@ static PyMemberDef Kernel_members[] = {
 };
 
 static PyMethodDef Kernel_methods[] = {
-    {"push", (PyCFunction)Kernel_push, METH_VARARGS,
-     "push(t, seq, op, a, b, c): queue one event record."},
+    {"call", (PyCFunction)Kernel_call, METH_VARARGS,
+     "call(when, fn, args): run fn(*args) at time when, after the events "
+     "already queued for it."},
     {"run", (PyCFunction)Kernel_run, METH_VARARGS,
      "run(until=None, max_events=None, fastpath=None) -> executed count."},
     {"clear", (PyCFunction)Kernel_clear, METH_NOARGS,
@@ -4590,7 +4468,8 @@ static PyMethodDef Kernel_methods[] = {
     {"queue_len", (PyCFunction)(void (*)(void))Kernel_queue_len,
      METH_FASTCALL, "queue_len(router, neighbor): UGAL-L's signal."},
     {"set_stream", (PyCFunction)Kernel_set_stream, METH_VARARGS,
-     "set_stream(node, times, dsts): one node's whole open-loop stream."},
+     "set_stream(node, times, dsts): one node's whole open-loop stream; "
+     "queues its first GEN event."},
     {"gen_streams", (PyCFunction)Kernel_gen_streams, METH_VARARGS,
      "gen_streams(seeds, pat, table, n, hot, mean_ia, horizon, poisson): "
      "every node's open-loop stream, drawn in C."},
@@ -4601,7 +4480,7 @@ static PyMethodDef Kernel_methods[] = {
     {"reset_sent", (PyCFunction)Kernel_reset_sent, METH_NOARGS,
      "Zero the per-port transmission counters."},
     {"view", (PyCFunction)Kernel_view, METH_O,
-     "view(name): live read-only buffer over one state array."},
+     "view(name): bytes copy of one state array."},
     {"lengths", (PyCFunction)Kernel_lengths, METH_O,
      "lengths(name): int32 bytes of every queue's length."},
     {"queue", (PyCFunction)Kernel_queue, METH_VARARGS,
@@ -4824,8 +4703,7 @@ PyInit__kernel(void)
         {&str_kind, "kind"}, {&str_pid, "pid"}, {&str_send_time, "send_time"},
         {&str_eject_time, "eject_time"}, {&str_deliver, "deliver"},
         {&str_fault_manager, "fault_manager"},
-        {&str_divert_packet, "divert_packet"}, {&str_tracer, "tracer"},
-        {&str_msg_track, "_msg_track"},
+        {&str_divert_packet, "divert_packet"},
         {&str_delivery_listeners, "_delivery_listeners"},
         {&str_make_packet, "make_packet"}, {&str_stats, "stats"},
         {&str_record_inject, "record_inject"}, {&str_net_pid, "_pid"},
@@ -4834,7 +4712,7 @@ PyInit__kernel(void)
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++)
         if ((*names[i].dst = PyUnicode_InternFromString(names[i].s)) == NULL)
             return NULL;
-    if (PyType_Ready(&KernelType) < 0 || PyType_Ready(&KViewType) < 0)
+    if (PyType_Ready(&KernelType) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&kernelmodule);
     if (m == NULL)

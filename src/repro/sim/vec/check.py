@@ -3,12 +3,13 @@
 The object engine's :class:`~repro.sim.invariants.InvariantChecker`
 shadows every router/NIC transition through Checked* subclasses; the
 compiled kernel has no per-transition callbacks to hook, so its checker
-works from the two seams both engines share -- packet creation and
-delivery -- plus *full-state audits* that reconcile the kernel's state
-arrays, its pending events (delay lanes and heap, read through
-``iter_pending``) and the statistics counters against each other.  Audits read live state only through kernel methods and
-read-only buffer views (``Kernel.view`` / ``Kernel.lengths``), reduced
-with numpy.
+works from the two seams both engines share -- packet creation (a
+wrapped ``Network.make_packet``) and delivery (a delivery listener) --
+plus *full-state audits* that reconcile the kernel's state arrays, its
+pending events (delay lanes and heap, read through ``iter_pending``)
+and the statistics counters against each other.  Audits read live
+state only through kernel methods, including the snapshot copies
+``Kernel.view`` and ``Kernel.lengths`` return, reduced with numpy.
 
 Checked invariants:
 
@@ -18,8 +19,9 @@ Checked invariants:
   destination node's, and VC labels are within budget and legal under
   the routing's VC policy -- the object checker's rules, one function
   (:func:`~repro.sim.invariants.check_route`).
-- **Latency floor** (at ``deliver``): no packet arrives earlier than
-  the zero-load latency of its hop count allows.
+- **Latency floor** (at delivery): no packet arrives earlier than the
+  zero-load latency of its hop count allows
+  (:func:`~repro.sim.invariants.check_latency_floor`).
 - **Conservation** (audits): ``injected - delivered - dropped`` equals
   the packets found in input queues, output queues and in-flight pending
   events, and equals the kernel's live packet slots; the per-port
@@ -38,9 +40,10 @@ the object checker exposes); they read state and schedule no events,
 so checking cannot perturb event order -- a checked run produces the
 same fingerprint as an unchecked one.
 
-An attached checker also gates the C fast paths off
-(``KernelEngine._fastpath_spec`` requires ``net.checker is None``
-because the checker wraps both seams): checked kernel runs take the
+An attached checker also gates the C fast paths off: its delivery
+listener keeps every delivery out of the C delivery path, and its
+wrapped ``make_packet`` keeps every send out of the C route path
+(``KernelEngine._fastpath_spec``).  Checked kernel runs take the
 per-packet make_packet/deliver escapes, and the goldens pin that both
 routes produce identical fingerprints.
 """
@@ -51,7 +54,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.sim.invariants import InvariantViolation, check_route
+from repro.sim.invariants import InvariantViolation, check_latency_floor, check_route
 from repro.sim.packet import Packet
 from repro.sim.vec.kernel import OP_DELIVER, OP_ENTER, OP_RECV
 
@@ -87,17 +90,17 @@ class KernelChecker:
         self._vc_capacity = net.config.buffer_packets_per_vc(net.num_vcs)
         self._nic_capacity = net.config.buffer_packets_per_port
         self._orig_make_packet = None
-        self._orig_deliver = None
 
     # -- wiring ----------------------------------------------------------------
 
     def attach(self) -> None:
-        """Hook packet creation/delivery; called once the engine is built."""
+        """Wrap packet creation and register the delivery check as the
+        network's first delivery listener; called once the engine is
+        built."""
         net = self.net
         self._orig_make_packet = net.make_packet
-        self._orig_deliver = net.deliver
         net.make_packet = self._checked_make_packet
-        net.deliver = self._checked_deliver
+        net.add_delivery_listener(self.on_deliver)
 
     def fail(self, rule: str, message: str, **where) -> None:
         raise InvariantViolation(
@@ -116,23 +119,13 @@ class KernelChecker:
 
     # -- delivery --------------------------------------------------------------
 
-    def _checked_deliver(self, pkt: Packet) -> None:
-        now = self.net.engine.now
-        floor = self.net.config.zero_load_latency_ns(len(pkt.routers) - 1)
-        elapsed = now - pkt.send_time
-        if elapsed < floor * (1.0 - 1e-9) - 1e-9:
-            self.fail("latency-floor", f"packet {pkt.pid} delivered "
-                      f"{elapsed:.3f}ns after transmission, below the "
-                      f"{floor:.3f}ns zero-load floor for "
-                      f"{len(pkt.routers) - 1} hops (time travel: lost "
-                      f"serialization or switch delay)",
-                      router=pkt.routers[-1], pid=pkt.pid)
+    def on_deliver(self, pkt: Packet) -> None:
+        check_latency_floor(self.net, pkt, self.fail)
         self.delivered += 1
         self.history.appended += 1
         if self.delivered > self.injected:
             self.fail("conservation", f"delivered {self.delivered} packets "
                       f"but only {self.injected} were injected", pid=pkt.pid)
-        self._orig_deliver(pkt)
         self._since_audit += 1
         if self._since_audit >= AUDIT_PERIOD:
             self._since_audit = 0
@@ -295,6 +288,6 @@ class KernelChecker:
                       f"{n_home[node]}/{self._nic_capacity} credits")
 
 
-#: numpy dtypes of the kernel views the audits read.
+#: numpy dtypes of the kernel state arrays the audits read.
 _VIEW_DTYPES = {"pv_occ": np.int32, "p_queued": np.int32,
                 "pv_cred": np.int32, "n_cred": np.int32}

@@ -20,7 +20,7 @@ Python must have routers that follow its ports.  The event set is four
 FIFO *delay lanes*
 (one per fixed handler delay: serialisation, link, both, switch) plus a
 binary heap for every other push (GEN, CALL, wakes at older reserved
-keys, pushes from Python); a pop takes the least ``(time, seq)`` among
+keys); a pop takes the least ``(time, seq)`` among
 the lane heads and the heap top, so the order is exactly that of one
 heap.  The extension is built once from the read-only wiring that
 :class:`~repro.sim.vec.state.SoAState` derives from the topology (a
@@ -29,8 +29,14 @@ enumerates, filters and composes routes from that wiring's
 directed-channel table too, calling into ``RouteCache`` only for the
 pairs its route table cannot serve.  A
 :class:`~repro.sim.packet.Packet` is materialised only where Python
-must see one: the make_packet and deliver escapes, delivery observers,
-fault diverts and the checker.
+must see one: the make_packet and deliver escapes (deliveries escape
+while the network has a delivery listener; the tracer and the checker
+are listeners too), fault diverts and the checker.  Python queues no
+raw event records: a scheduled callback enters through
+``Kernel.call``, which reserves its sequence number in C, and
+``Kernel.set_stream`` queues a node's first GEN itself.  Python reads
+kernel state as snapshots (``Kernel.view`` and ``Kernel.lengths``
+return bytes copies).
 
 Exactness model
 ===============
@@ -278,21 +284,10 @@ class KernelEngine:
         return self.kernel.now
 
     @property
-    def _seq(self) -> int:
-        return self.kernel.seq
-
-    @_seq.setter
-    def _seq(self, value: int) -> None:
-        self.kernel.seq = value
-
-    @property
     def events_executed(self) -> int:
         return self.kernel.executed
 
     # -- engine API ----------------------------------------------------------
-
-    def _push(self, t: float, s: int, op: int, a, b, c) -> None:
-        self.kernel.push(t, s, op, a, b, c)
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> None:
         """Run ``fn(*args)`` *delay* ns (>= 0) after the current time."""
@@ -302,8 +297,7 @@ class KernelEngine:
                 f"non-negative number of nanoseconds"
             )
         k = self.kernel
-        k.seq += 1
-        k.push(k.now + delay, k.seq, OP_CALL, fn, args, 0)
+        k.call(k.now + delay, fn, args)
 
     def schedule_at(self, when: float, fn: Callable, *args: Any) -> None:
         """Run ``fn(*args)`` at absolute time *when* (>= now)."""
@@ -313,8 +307,7 @@ class KernelEngine:
                 f"schedule_at(when={when!r}) is in the past (now={k.now!r}); "
                 f"events cannot be scheduled before the current simulated time"
             )
-        k.seq += 1
-        k.push(when, k.seq, OP_CALL, fn, args, 0)
+        k.call(when, fn, args)
 
     def clear(self) -> None:
         """Reset queue, clock and counters, dropping the packets in
@@ -355,7 +348,7 @@ class KernelEngine:
 
     def sent_counts(self) -> list:
         """Packets transmitted per port gid since the last reset."""
-        return memoryview(self.kernel.view("p_sent")).tolist()
+        return memoryview(self.kernel.view("p_sent")).cast("q").tolist()
 
     # -- open-loop traffic -----------------------------------------------------
 
@@ -392,7 +385,6 @@ class KernelEngine:
             k.gen_streams(seeds, *entry, mean_ia, horizon, poisson)
             return
         pick = pattern.pick_destination
-        seq = k.seq
         for node in range(n):
             rng = random.Random(seeds[node])
             t = rng.uniform(0.0, mean_ia)
@@ -411,9 +403,6 @@ class KernelEngine:
             times.append(t)  # past-horizon sentinel event
             dsts.append(-2)
             k.set_stream(node, times, dsts)
-            seq += 1
-            k.push(times[0], seq, OP_GEN, node, 0, 0)
-        k.seq = seq
 
     # -- fast-path spec --------------------------------------------------------
 
@@ -425,14 +414,18 @@ class KernelEngine:
         * ``route_mode >= 0`` moves the entire NIC send -- routing
           candidate selection (with a C replica of the ``random.Random``
           draw stream) and inject accounting -- behind the C boundary.
-          Requires routing of a known type and no checker (the
-          checker wraps ``net.make_packet``).
+          Requires routing of a known type and an unwrapped
+          ``Network.make_packet`` (the checker wraps it, so a checked
+          run routes every packet in Python).
         * ``deliver_fast`` accumulates the per-packet eject statistics
           in C arrays, flushed via ``StatsCollector.absorb_kernel``, and
           counts down a closed-loop driver's messages
           (``Network.watch_messages``) in C, calling into Python once
-          per completed message (the ``msg_done`` escape).  Requires no
-          checker/tracer/listener/message-tracking observer.
+          per completed message (the ``msg_done`` escape).  It is on
+          exactly while ``Network._delivery_listeners`` is empty (the
+          tracer, exchange message tracking and the checker are
+          listeners too); the kernel holds that list for the run and
+          leaves the tier when an escape registers a listener mid-run.
 
         Routes come from the kernel's own route table (built from
         ``row_port``, see ``_kernel.c``); only the pairs it cannot serve
@@ -448,13 +441,11 @@ class KernelEngine:
         if os.environ.get("REPRO_KERNEL_NO_FASTPATH"):
             return None
         net = self.net
-        if net.checker is not None:
-            return None
         routing = net.routing
         cache = getattr(routing, "cache", None)
         route_mode = -1
         rngs = []
-        if cache is not None:
+        if cache is not None and "make_packet" not in vars(net):
             # Strict type checks: a subclass could override route(), so
             # only the exact implementations ported to C are eligible.
             rtype = type(routing)
@@ -472,11 +463,7 @@ class KernelEngine:
             ):
                 route_mode = 3
                 rngs = [routing._minimal._rng, routing._indirect._rng]
-        deliver_fast = int(
-            net.tracer is None
-            and not net._delivery_listeners
-            and net._msg_track is None
-        )
+        deliver_fast = int(not net._delivery_listeners)
         if route_mode < 0 and not deliver_fast:
             return None
         stats = net.stats
@@ -514,7 +501,7 @@ class KernelEngine:
         :meth:`repro.sim.engine.Engine.run`."""
         k = self.kernel
         # The hot handlers allocate nothing; escapes (deliveries to
-        # observers, CALLs) allocate but never create cycles, so the
+        # listeners, CALLs) allocate but never create cycles, so the
         # cyclic GC would only trace young Packets and records.
         gc_was = gc.isenabled()
         if gc_was:

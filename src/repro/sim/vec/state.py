@@ -15,8 +15,8 @@ no ``Router``, ``OutputPort`` or ``NIC``; ``tests/test_kernel_wiring.py``
 holds the ids to an object network's wiring on every topology family.
 The compiled kernel (:mod:`repro.sim.vec.kernel`) copies these lists
 into C arrays once and owns every piece of *mutable* state from then
-on; Python reads live state only through kernel methods and read-only
-buffer views.
+on; Python reads live state only through kernel methods, which return
+snapshot copies of it.
 """
 
 from __future__ import annotations

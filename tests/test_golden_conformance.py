@@ -21,9 +21,8 @@ from repro.sim.vec.kernel import load_kernel as _load_kernel
 
 GOLDEN = Path(__file__).parent / "golden" / "conformance.json"
 
-#: One case per topology for the expensive re-runs (process pool,
-#: checked ``"batched"``); the full matrix runs serially and under the
-#: checker.
+#: One case per topology for the expensive process-pool re-run; the
+#: full matrix runs serially, under the checker and on the kernel.
 SPOT_CASES = ["sf-floor/ugal", "sf-ceil/min", "mlfm/inr", "oft/ugal"]
 
 
@@ -70,16 +69,6 @@ def test_batched_backend_matches_golden(golden, case_key):
     assert not problems, "\n".join(problems)
 
 
-@pytest.mark.parametrize("case_key", SPOT_CASES)
-def test_checked_batched_matches_golden(golden, case_key):
-    # The audit-based BatchedChecker must not perturb event order:
-    # checked batched runs reproduce the goldens too.
-    got = conformance.run_case(case_key, check=True, backend="batched")
-    problems = conformance.diff_fingerprints({case_key: golden[case_key]},
-                                             {case_key: got})
-    assert not problems, "\n".join(problems)
-
-
 needs_kernel = pytest.mark.skipif(
     _load_kernel() is None,
     reason="compiled kernel unavailable (no compiler or REPRO_NO_KERNEL set)",
@@ -90,14 +79,14 @@ needs_kernel = pytest.mark.skipif(
 @pytest.mark.parametrize("check,fastpath", [
     (False, True),   # route fast path live (the production default)
     (False, False),  # REPRO_KERNEL_NO_FASTPATH: per-packet escapes
-    (True, True),    # checker wraps make_packet: fast path self-gates
+    (True, True),    # the checker's wrap and listener gate both tiers off
 ])
 @pytest.mark.parametrize("case_key", conformance.CASE_KEYS)
 def test_kernel_backend_matches_golden(golden, case_key, check, fastpath,
                                        monkeypatch):
     # The compiled-kernel acceptance bar: every committed fingerprint is
     # reproduced bit-identically by the C dispatch core -- checked (the
-    # audit-based BatchedChecker over kernel runs), unchecked with the
+    # audit-based KernelChecker over kernel runs), unchecked with the
     # C route-selection fast path live (where the delivery listener
     # forces only the deliver escape), and with the fast path disabled
     # via the REPRO_KERNEL_NO_FASTPATH escape hatch.  The on/off pair
@@ -149,8 +138,6 @@ def fault_golden():
 @pytest.mark.parametrize("check,backend", [
     (False, "object"),
     (True, "object"),
-    (False, "batched"),
-    (True, "batched"),
     pytest.param(False, "kernel", marks=needs_kernel),
     pytest.param(True, "kernel", marks=needs_kernel),
 ])

@@ -121,6 +121,22 @@ class TestCleanRuns:
         assert res["completion_ns"] > 0
         assert not net.checker.location
 
+    @pytest.mark.parametrize("backend", [
+        "object", pytest.param("kernel", marks=needs_kernel),
+    ])
+    def test_checker_and_user_listener_see_every_delivery(self, sf5, backend):
+        # The checker's delivery check is the network's first delivery
+        # listener, not a replacement of Network.deliver: it, a user
+        # listener and the statistics all count every delivery.
+        net = Network(sf5, MinimalRouting(sf5), SimConfig(check=True, backend=backend))
+        seen = []
+        net.add_delivery_listener(seen.append)
+        net.run_synthetic(UniformRandom(sf5.num_nodes), load=0.4,
+                          warmup_ns=300, measure_ns=1_200, seed=3, drain=True)
+        assert "deliver" not in vars(net)
+        assert net._delivery_listeners == [net.checker.on_deliver, seen.append]
+        assert net.checker.delivered == len(seen) == net.stats.ejected_total > 0
+
     def test_watchdog_terminates(self, sf5):
         # The watchdog stops rescheduling once the network is empty, so
         # a drained run leaves an empty event heap (no immortal timers).

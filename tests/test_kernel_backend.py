@@ -260,16 +260,20 @@ class TestKernelEngine:
         # including CALL records carrying their callable and args.
         net = self._net()
         eng = net.engine
+        st = eng.st
         marker = lambda: None  # noqa: E731
         eng.schedule(5.0, marker, 1, 2)
-        eng._seq += 1
-        eng._push(3.0, eng._seq, 0, 7, 1, 0)  # a RECV-shaped record
-        recs = sorted(eng.iter_pending())
+        # An idle NIC sends a one-packet message at once: the packet's
+        # arrival at its router's injection input is a pending RECV.
+        net.nics[0].submit(1, 256)
+        recs = sorted(eng.iter_pending(), key=lambda r: r[:2])
         assert len(recs) == 2 and eng.pending == 2
-        t, s, op, a, b, c = recs[0]
-        assert (t, op, a, b, c) == (3.0, 0, 7, 1, 0)
-        t, s, op, fn, args, _ = recs[1]
-        assert (t, op, fn, args) == (5.0, 6, marker, (1, 2))
+        (t, s, op, fn, args, _), (t2, s2, op2, a, b, c) = recs
+        assert (t, s, op, fn, args) == (5.0, 1, 6, marker, (1, 2))
+        assert (t2, op2, a, b) == (st.SL, 0, st.n_in[0], 0)
+        assert s2 == eng.kernel.seq > s
+        assert eng.kernel.next_port(c)[0] == 0  # not yet at its first hop
+        assert eng.kernel.memory()["slots_live"] == 1
         eng.clear()
         assert eng.pending == 0
 

@@ -3,12 +3,12 @@ deliveries.
 
 A :class:`~repro.workload.driver.WorkloadDriver` arms the network's
 message countdown (``Network.watch_messages``).  With no delivery
-listener, tracer, message tracker or checker attached, the kernel
-counts it down in C and calls back into Python once per completed
-message (the ``msg_done`` escape), so these tests rerun
-``tests/test_workload.py::TestDriver``'s cases on that path, check the
-escape ledger of a halo run, and hold the C countdown to the Python one
-in ``Network.deliver`` packet for packet.
+listener registered (the tracer, message tracking and the checker are
+listeners too), the kernel counts it down in C and calls back into
+Python once per completed message (the ``msg_done`` escape), so these
+tests rerun ``tests/test_workload.py::TestDriver``'s cases on that path,
+check the escape ledger of a halo run, and hold the C countdown to the
+Python one in ``Network.deliver`` packet for packet.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro.cli import main
 from repro.routing import MinimalRouting, UGALRouting
 from repro.sim import Network, SimConfig
 from repro.sim.vec.kernel import load_kernel
+from repro.traffic import NearestNeighbor3D
 from repro.workload import (
     Workload,
     build_workload,
@@ -175,3 +176,21 @@ def test_countdown_moves_to_python_when_a_listener_attaches(sf5, fastpath):
     esc = escapes(net)
     assert esc["deliver"] == seen
     assert 0 < esc["msg_done"] < w.num_messages
+
+
+def test_tracked_exchange_escapes_every_delivery(sf5, fastpath):
+    # An exchange's message tracking is a delivery listener: on the
+    # kernel every delivery escapes to it, and the per-message
+    # statistics equal the object engine's.
+    exchange = NearestNeighbor3D(sf5.num_nodes, message_bytes=1_000)
+
+    def run(backend):
+        net = Network(sf5, MinimalRouting(sf5, seed=1), SimConfig(backend=backend))
+        return net, net.run_exchange(exchange, track_messages=True)
+
+    _, ref = run("object")
+    net, got = run("kernel")
+    assert got == ref
+    assert got["messages"]["count"] == 6 * sf5.num_nodes
+    assert escapes(net)["deliver"] == net.stats.ejected_total == got["packets"]
+    assert net.engine.kernel_stats()["fast_path"]["deliver"]["count"] == 0

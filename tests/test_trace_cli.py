@@ -3,9 +3,10 @@
 import pytest
 
 from repro.cli import main, parse_topology
-from repro.routing import MinimalRouting
-from repro.sim import Network
+from repro.routing import MinimalRouting, UGALRouting
+from repro.sim import Network, SimConfig
 from repro.sim.trace import PacketTracer
+from repro.sim.vec.kernel import load_kernel
 from repro.topology import MLFM, OFT, SSPT, SlimFly
 from repro.traffic import UniformRandom
 
@@ -51,6 +52,35 @@ class TestTracer:
             warmup_ns=200, measure_ns=600, seed=3, drain=True,
         )
         assert set(tracer.by_kind()) == {"minimal"}
+
+    @pytest.mark.skipif(load_kernel() is None, reason="compiled kernel unavailable")
+    def test_enabled_mid_run_records_same_packets_on_both_engines(
+        self, sf5, monkeypatch
+    ):
+        # The tracer is a delivery listener like any other: enabled
+        # from a scheduled callback, it sees every later delivery, and
+        # the kernel leaves its delivery fast path for it.
+        monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
+
+        def run(backend):
+            net = Network(sf5, UGALRouting(sf5, seed=1), SimConfig(backend=backend))
+            tracers = []
+            net.engine.schedule_at(
+                700.0, lambda: tracers.append(net.enable_trace(capacity=100_000))
+            )
+            net.run_synthetic(
+                UniformRandom(sf5.num_nodes), load=0.5,
+                warmup_ns=200, measure_ns=1_000, seed=3, drain=True,
+            )
+            return net, tracers[0]
+
+        ref_net, ref = run("object")
+        net, got = run("kernel")
+        assert got.records == ref.records
+        assert 0 < len(ref.records) < ref_net.stats.ejected_total
+        assert min(r.eject_time for r in ref.records) >= 700.0
+        escapes = net.engine.kernel_stats()["escapes"]
+        assert escapes["deliver"]["count"] == len(got.records)
 
     def test_latencies_list(self):
         tracer = PacketTracer(capacity=3)
