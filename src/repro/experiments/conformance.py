@@ -236,7 +236,8 @@ CLOSED_LOOP_GOLDEN_PATH = "tests/golden/closed_loop_conformance.json"
 CLOSED_LOOP_CONFIG = "sf-floor"
 
 #: Result fields that are not behaviour: the event count (the checker's
-#: watchdog adds events) and the driver's host wall time.
+#: watchdog adds events, and a driver's root release is an event) and
+#: the driver's host wall time.
 _HOST_FIELDS = ("events", "driver_wall_s")
 
 

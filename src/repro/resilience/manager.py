@@ -15,15 +15,23 @@ Freed slots re-admit inputs parked on the dead port, so upstream
 head-of-line blocking resolves by *flowing through* the dead port's
 crossbar into the divert path below.
 
-**Divert** (``divert_enter`` / ``divert_packet``): everything else is
-lazy.  Packets in input buffers, on wires, or mid-crossbar keep their
-(now stale) routes until the moment they would enter a dead port's
-output queue -- the ``_enter_oq`` seam in the object switch, the
-``ENTER`` opcode in the compiled kernel -- and are rerouted or dropped
-*there*, at their current router, against the fault state current at
-that instant.  This makes fail/recover races inherently correct: a
-packet whose target link recovered before its crossbar traversal
-finished simply proceeds.
+**Divert** (``divert_enter``): everything else is lazy.  Packets in
+input buffers, on wires, or mid-crossbar keep their (now stale) routes
+until the moment they would enter a dead port's output queue -- the
+``_enter_oq`` seam in the object switch, the ``ENTER`` opcode in the
+compiled kernel -- and are rerouted or dropped *there*, at their
+current router, against the fault state current at that instant.  This
+makes fail/recover races inherently correct: a packet whose target link
+recovered before its crossbar traversal finished simply proceeds.
+
+The compiled kernel diverts in C, at ``ENTER`` and in its fail-time
+``drain_port`` alike (``fault_divert`` in ``repro/sim/vec/_kernel.c``):
+the candidates :meth:`_live_candidates` would give, the one draw of
+:meth:`_rewrite` on a resident copy of :attr:`rng` (imported and
+exported with the routing RNGs), and :meth:`_rewrite`'s labels.  It
+writes :attr:`reroutes` and :attr:`dropped` back before every escape
+that runs Python and at the end of the run, so Python code sees them
+current.
 
 Rerouted packets keep their original VC labels up to the divert hop and
 continue hop-indexed (capped at the provisioned VC count) afterwards;
@@ -134,7 +142,7 @@ class FaultManager:
             self._drain_object(dead_ports)
         else:
             for gid in dead_ports:
-                net._vec.kernel.drain_port(gid, self.divert_packet)
+                net._vec.kernel.drain_port(gid)
 
     def _apply_recover(self, links: Tuple[Tuple[int, int], ...]) -> None:
         """Undo the markings.  Dead output queues are empty by
@@ -236,19 +244,6 @@ class FaultManager:
             checker.on_fault_move(pkt, router.rid, nout.out_idx, nvc)
         router._admit_pending(out, out_vc)
         return nout, nvc
-
-    def divert_packet(self, pkt: "Packet", hop: int) -> bool:
-        """Kernel-backend policy hook, called for every packet that
-        would enter a dead output queue (``ENTER`` on a dead port) and
-        for every packet drained from one at fail time.  Returns False
-        when the packet is dropped, True once its route has been
-        rewritten from *hop*; the kernel does the queue accounting."""
-        if self.policy == "drop":
-            self.dropped += 1
-            return False
-        self._rewrite(pkt, hop)
-        self.reroutes += 1
-        return True
 
     # -- route rewriting ------------------------------------------------------
 

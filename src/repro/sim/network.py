@@ -259,12 +259,19 @@ class Network:
             msg_id=msg_id,
         )
 
-    def _claim_experiment(self) -> None:
+    def _claim_experiment(self, start: Optional[Callable[[], None]] = None) -> None:
         """Guard against reusing a Network across experiments.
 
         Warmed-up buffers, advanced clocks and mixed statistics make a
         second run silently wrong; build a fresh :class:`Network` per
         experiment instead (topologies and configs are reusable).
+
+        *start*, when given, is a finite driver's first sends: it runs
+        as the run's first event, at the current time (0 on a fresh
+        network), ahead of the fault events (so a fault at time 0 still
+        finds them sent).  Sent from inside the run, the first packets
+        route like every later one -- on the kernel in C, without
+        filling the ``RouteCache``.
         """
         if self._experiment_ran:
             raise RuntimeError(
@@ -272,10 +279,13 @@ class Network:
                 "Network(topology, routing) for the next one"
             )
         self._experiment_ran = True
+        if start is not None:
+            self.engine.schedule(0.0, start)
         if self.fault_manager is not None:
             # Arm before any traffic is scheduled so fault events take
-            # the earliest sequence numbers -- identically on both
-            # backends (every driver claims before submitting work).
+            # the earliest sequence numbers after *start* -- identically
+            # on both backends (every driver claims before submitting
+            # work).
             self.fault_manager.arm()
 
     def reset_utilization(self) -> None:
@@ -544,7 +554,9 @@ class Network:
 
         *exchange* provides ``node_messages(node) -> iterable of
         (dst_node, size_bytes)``.  Every non-empty message is submitted
-        to its node's NIC at time 0, with its index in the node's list
+        to its node's NIC by the run's first event, at time 0 (an
+        invalid message or an exchange without traffic raises from
+        there), with its index in the node's list
         as ``msg_id`` (so a zero-byte message sends nothing but keeps
         the later ids stable), and leaves as ``packet_bytes`` packets.
         If the exchange sets ``interleave = True`` (e.g. the
@@ -559,7 +571,41 @@ class Network:
         mean/max latency from first packet transmitted to last packet
         delivered).
         """
-        self._claim_experiment()
+        pkt_size = self.config.packet_bytes
+        interleave = bool(getattr(exchange, "interleave", False))
+        num_nodes = self.topology.num_nodes
+        total_bytes = expected_packets = 0
+
+        def submit_all() -> None:
+            nonlocal total_bytes, expected_packets
+            # One int object per message index, shared by every node's
+            # queue entries, so a queued message holds no object of its
+            # own.
+            msg_ids: List[int] = []
+            for node in range(num_nodes):
+                messages = list(exchange.node_messages(node))
+                msg_ids.extend(range(len(msg_ids), len(messages)))
+                submit = self.nics[node].submit
+                for msg_id, (dst, size) in zip(msg_ids, messages):
+                    if not 0 <= dst < num_nodes:
+                        raise ValueError(
+                            f"exchange sends node {node}'s message to node "
+                            f"{dst!r}, outside [0, {num_nodes})"
+                        )
+                    if size < 0:
+                        raise ValueError(
+                            f"exchange gives node {node} a message of "
+                            f"{size!r} bytes to node {dst}; sizes must be >= 0"
+                        )
+                    if size:
+                        submit(dst, size, msg_id, interleave)
+                        total_bytes += size
+                        expected_packets += -(-size // pkt_size)
+            if total_bytes == 0:
+                raise ValueError("exchange generated no traffic")
+
+        # Every message is submitted by the run's first event, at time 0.
+        self._claim_experiment(submit_all)
         self.stats.set_window(0.0, None)
         # (src, msg_id) -> [first send, last eject] of each message.
         spans: Dict[Tuple[int, int], List[float]] = {}
@@ -576,36 +622,6 @@ class Network:
                     span[1] = max(span[1], pkt.eject_time)
 
             self.add_delivery_listener(track)
-        total_bytes = 0
-        expected_packets = 0
-        pkt_size = self.config.packet_bytes
-        interleave = bool(getattr(exchange, "interleave", False))
-        num_nodes = self.topology.num_nodes
-        # One int object per message index, shared by every node's
-        # queue entries, so a queued message holds no object of its own.
-        msg_ids: List[int] = []
-        for node in range(num_nodes):
-            messages = list(exchange.node_messages(node))
-            msg_ids.extend(range(len(msg_ids), len(messages)))
-            submit = self.nics[node].submit
-            for msg_id, (dst, size) in zip(msg_ids, messages):
-                if not 0 <= dst < num_nodes:
-                    raise ValueError(
-                        f"exchange sends node {node}'s message to node "
-                        f"{dst!r}, outside [0, {num_nodes})"
-                    )
-                if size < 0:
-                    raise ValueError(
-                        f"exchange gives node {node} a message of {size!r} "
-                        f"bytes to node {dst}; sizes must be >= 0"
-                    )
-                if size:
-                    submit(dst, size, msg_id, interleave)
-                    total_bytes += size
-                    expected_packets += -(-size // pkt_size)
-        if total_bytes == 0:
-            raise ValueError("exchange generated no traffic")
-
         self.engine.run(max_events=max_events)
         if self.stats.ejected_total != expected_packets:
             raise RuntimeError(

@@ -38,11 +38,16 @@
  *   flushed to the ``StatsCollector`` as raw bytes whenever it fills;
  * - a closed-loop driver's message countdown (see "message countdown")
  *   decrements per-message packet counts on delivery and calls back
- *   into Python once per completed message.
+ *   into Python once per completed message;
+ * - link faults (see "fault diverts"): dead ports, the per-source BFS
+ *   trees of the route table's detours, and, while a run binds the
+ *   FaultManager, a copy of its reroute RNG and its reroute and drop
+ *   counts.  A packet headed for a dead port is rerouted or dropped
+ *   here, with no Python call.
  *
  * A ``repro.sim.packet.Packet`` is built for a slot only when Python has
- * to see one: the make_packet and deliver escapes, a fault divert, or
- * the checker's audits.  Deliveries escape while ``Network`` has a
+ * to see one: the make_packet and deliver escapes, or the checker's
+ * audits.  Deliveries escape while ``Network`` has a
  * delivery listener (the tracer, an exchange's message tracking and the
  * checker are listeners too).  With no listener registered the RECV,
  * ENTER, PWAKE, NWAKE, GEN and DELIVER handlers allocate no Python
@@ -99,8 +104,8 @@ enum {
 };
 
 /* Python-escape slots for the --profile split. */
-enum { ESC_MAKE = 0, ESC_DELIVER = 1, ESC_CALL = 2, ESC_DIVERT = 3,
-       ESC_FLUSH = 4, ESC_FILL = 5, ESC_DONE = 6, ESC_N = 7 };
+enum { ESC_MAKE = 0, ESC_DELIVER = 1, ESC_CALL = 2, ESC_FLUSH = 3,
+       ESC_FILL = 4, ESC_DONE = 5, ESC_N = 6 };
 
 /* Fast-path counters (per-packet work kept fully in C). */
 enum { FAST_MAKE = 0, FAST_DELIVER = 1, FAST_N = 2 };
@@ -709,6 +714,13 @@ typedef struct {
     int32_t **rt_off, **rt_mid;
     int32_t *rt_live;         /* filtered candidates; row-build neighbours */
     long ndead;               /* dead ports: filter candidates when > 0 */
+    /* per-source BFS trees over the live ports (see "route table"),
+     * built on first use and dropped on every set_dead change; the
+     * BFS queue; pair lookups served with a detour */
+    int32_t **bfs;
+    long nbfs;
+    int32_t *bfs_q;
+    unsigned long long detours;
     int vc_mode;              /* VC_HOP, VC_PHASE or VC_OTHER */
     long vc_min, vc_ind;      /* HopIndexVC budgets */
     /* the route under construction: routers, hop ports, VCs, kind */
@@ -718,12 +730,17 @@ typedef struct {
     /* -- per-run bindings (bind_run / unbind_refs) ------------------------ */
     PyObject *deliver;   /* net.deliver: stats, listeners, countdown */
     PyObject *listeners; /* net._delivery_listeners, a list */
-    PyObject *fm_divert; /* fault_manager.divert_packet, or NULL */
     int route_mode;      /* -1 off, 0 min-rand, 1 min-best, 2 INR, 3 UGAL */
     int deliver_fast;    /* 1 = accumulate delivery stats in C */
     PyObject *min_rows, *leg_rows;                 /* RouteCache row memos */
     PyObject *minimal_fill, *leg_fill, *compose;   /* ... and its fills */
-    PyObject *no_route_error;
+    /* the armed FaultManager (see "fault diverts"), or NULL: a resident
+     * copy of its reroute RNG, its policy and the reroutes and drops not
+     * yet written back to it */
+    PyObject *fm;
+    CRng fm_rng;
+    int fm_drop;
+    long long fm_rer, fm_drp;
     int32_t *pool;
     long npool, nI;
     int sf_mode, has_thr;
@@ -750,10 +767,13 @@ typedef struct {
 /* Interned attribute names (module init). */
 static PyObject *str_routers, *str_ports, *str_vcs, *str_kind, *str_pid;
 static PyObject *str_send_time, *str_eject_time, *str_deliver;
-static PyObject *str_fault_manager, *str_divert_packet;
+static PyObject *str_reroutes, *str_dropped;
 static PyObject *str_delivery_listeners, *str_make_packet;
 static PyObject *str_stats, *str_record_inject, *str_net_pid;
 static PyObject *str_minimal, *str_indirect;
+
+/* repro.routing.cache.NoRouteError, looked up by the first Kernel built. */
+static PyObject *no_route_cls;
 
 /* getattr(obj, name) by the interned *name*.  CPython's type attribute
  * cache keeps a reference to the name object of every lookup it
@@ -1308,7 +1328,7 @@ done:
 
 /* Flush the C-side inject/eject accumulators into the Python
  * StatsCollector (absorb_kernel).  Called before any escape that could
- * observe the collector mid-run (deliver/CALL/divert/msg_done), when the
+ * observe the collector mid-run (deliver/CALL/msg_done), when the
  * latency block fills, and at run end.  Kind counts are passed in
  * first-delivery order since the last flush, which is the order the
  * per-packet path would insert them. */
@@ -1407,7 +1427,7 @@ lat_push(Kernel *k, double v)
 }
 
 /* Re-check the deliver-fast precondition after an escape that ran
- * arbitrary Python (CALL, completion callback, divert): a callback may
+ * arbitrary Python (CALL, completion callback): a callback may
  * have registered a delivery listener mid-run.  Disable-only: once off
  * it stays off for the rest of the run. */
 static int
@@ -1418,6 +1438,33 @@ refresh_deliver_fast(Kernel *k)
     if (stats_flush(k) < 0)
         return -1;
     k->deliver_fast = 0;
+    return 0;
+}
+
+/* Add the reroutes and drops not yet written back to the FaultManager's
+ * counts (see "fault diverts"); a no-op while there are none, as
+ * without a FaultManager. */
+static int
+fault_writeback(Kernel *k)
+{
+    if (k->fm_rer == 0 && k->fm_drp == 0)
+        return 0;
+    PyObject *names[2] = {str_reroutes, str_dropped};
+    long long *counts[2] = {&k->fm_rer, &k->fm_drp};
+    for (int i = 0; i < 2; i++) {
+        if (*counts[i] == 0)
+            continue;
+        PyObject *v = PyObject_GetAttr(k->fm, names[i]);
+        PyObject *d = v ? PyLong_FromLongLong(*counts[i]) : NULL;
+        PyObject *sum = d ? PyNumber_Add(v, d) : NULL;
+        int rc = sum ? PyObject_SetAttr(k->fm, names[i], sum) : -1;
+        Py_XDECREF(sum);
+        Py_XDECREF(d);
+        Py_XDECREF(v);
+        if (rc < 0)
+            return -1;
+        *counts[i] = 0;
+    }
     return 0;
 }
 
@@ -1432,7 +1479,16 @@ refresh_deliver_fast(Kernel *k)
  * candidates and its Valiant legs, so every selection indexes the order
  * RouteCache would, and every randbelow draw matches.  With ports dead,
  * a pair's list is filtered by p_dead into RouteCache's live subset, in
- * the same order.
+ * the same order.  A pair whose every listed path crosses a dead port
+ * gets the one candidate RouteCache's BFS fallback would give it (the
+ * detour, RT_DETOUR): the path to b in source a's BFS tree over the live
+ * ports, whose neighbours are visited in port order -- ascending, as
+ * RouteCache._degraded_path visits them -- so each router's parent is
+ * its predecessor on the lexicographically least shortest path.  The
+ * trees are built per source on first use and dropped on every set_dead
+ * change; a detour that needs more VCs than a minimal route has takes
+ * the indirect labels and kind of RouteCache._degraded_route, and a
+ * cut-off pair or an over-long detour raises its NoRouteError.
  *
  * VC labels and kinds follow the two stock policies: HopIndexVC (VC =
  * hop index, within the minimal / indirect budget) and PhaseVC (minimal
@@ -1440,14 +1496,15 @@ refresh_deliver_fast(Kernel *k)
  *
  * What the table cannot reproduce escapes to RouteCache (counted as
  * route_fill when a fill or compose runs): pairs more than two hops
- * apart; pairs with no live candidate, whose BFS detour stays memoised
- * in RouteCache's rows; minimal pairs past the HopIndexVC minimal budget
- * and indirect routes past the indirect one (INR raises NoRouteError
- * there, UGAL routes minimally); and any other VC policy.
+ * apart; minimal pairs past the HopIndexVC minimal budget and indirect
+ * routes past the indirect one (INR raises NoRouteError there, UGAL
+ * routes minimally); and any other VC policy's minimal routes and
+ * compositions.
  */
 
 #define RT_SELF (-2)   /* the one-router path (a) */
 #define RT_DIRECT (-1) /* the edge (a, b) */
+#define RT_DETOUR (-3) /* the path to b in a's BFS tree over live ports */
 
 enum { VC_OTHER = -1, VC_HOP = 0, VC_PHASE = 1 };
 
@@ -1512,9 +1569,67 @@ rt_dead(Kernel *k, long a, long b, int32_t mid)
     return k->p_dead[rt_port(k, a, mid)] || k->p_dead[rt_port(k, mid, b)];
 }
 
+/* Free every BFS tree (the dead ports changed). */
+static void
+bfs_drop(Kernel *k)
+{
+    for (long a = 0; k->nbfs && a < k->NR; a++) {
+        if (k->bfs[a] != NULL) {
+            PyMem_Free(k->bfs[a]);
+            k->bfs[a] = NULL;
+            k->nbfs -= 1;
+        }
+    }
+}
+
+/* Source a's BFS tree over the live ports: NR parents (-1 at a, -2 for
+ * a router cut off from a), then NR hop counts (set where reached). */
+static const int32_t *
+bfs_tree(Kernel *k, long a)
+{
+    if (k->bfs[a] != NULL)
+        return k->bfs[a];
+    long NR = k->NR;
+    int32_t *par = (int32_t *)PyMem_Malloc((size_t)(2 * NR) * sizeof(int32_t));
+    if (par == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    int32_t *dist = par + NR, *q = k->bfs_q;
+    for (long v = 0; v < NR; v++)
+        par[v] = -2;
+    par[a] = -1;
+    dist[a] = 0;
+    int32_t head = 0, tail = 0;
+    q[tail++] = (int32_t)a;
+    while (head < tail) {
+        int32_t u = q[head++];
+        long end = u + 1 < NR ? k->p_off[u + 1] : k->NP;
+        for (long g = k->p_off[u]; g < end; g++) {
+            long v = port_next_router(k, g);
+            if (v < 0 || par[v] != -2 || k->p_dead[g])
+                continue;
+            par[v] = u;
+            dist[v] = dist[u] + 1;
+            q[tail++] = (int32_t)v;
+        }
+    }
+    k->bfs[a] = par;
+    k->nbfs += 1;
+    return par;
+}
+
+/* Hops of pair (a, b)'s detour (its BFS tree is built). */
+static inline long
+detour_hops(Kernel *k, long a, long b)
+{
+    return k->bfs[a][k->NR + b];
+}
+
 /* Pair (a, b)'s live candidates: their count (0 when the pair escapes,
  * -1 on error) with *out at the table entry or, with ports dead, at the
- * filtered copy in rt_live (valid until the next call). */
+ * filtered copy in rt_live (valid until the next call) -- the detour
+ * alone when every entry is dead (NoRouteError when b is cut off). */
 static int32_t
 rt_candidates(Kernel *k, long a, long b, const int32_t **out)
 {
@@ -1530,21 +1645,65 @@ rt_candidates(Kernel *k, long a, long b, const int32_t **out)
     for (int32_t i = 0; i < n; i++)
         if (!rt_dead(k, a, b, mid[i]))
             k->rt_live[live++] = mid[i];
+    if (live == 0) {
+        const int32_t *par = bfs_tree(k, a);
+        if (par == NULL)
+            return -1;
+        if (par[b] == -2) {
+            PyErr_Format(no_route_cls,
+                         "routers %ld and %ld are disconnected by the current "
+                         "link failures (%ld links down)", a, b, k->ndead / 2);
+            return -1;
+        }
+        k->rt_live[live++] = RT_DETOUR;
+        k->detours += 1;
+    }
     *out = k->rt_live;
     return live;
 }
 
+/* The kind RouteCache._degraded_route gives pair (a, b)'s detour:
+ * minimal when the policy labels a minimal route that long, else
+ * indirect with hop-indexed VCs within the indirect budget and -- once
+ * a FaultManager is armed, which caps its cache at the provisioned VCs
+ * (runtime_vcs) -- within V, else (-1) its NoRouteError. */
+static int
+detour_kind(Kernel *k, long a, long b)
+{
+    long hops = detour_hops(k, a, b);
+    if (k->vc_mode == VC_PHASE || hops <= k->vc_min)
+        return k->ki_min;
+    long limit = k->vc_ind;
+    if (k->fm != NULL && k->V < limit)
+        limit = k->V;
+    if (hops > limit) {
+        PyErr_Format(no_route_cls,
+                     "degraded path %ld->%ld needs %ld hops but only %ld VCs "
+                     "are available; provision headroom with "
+                     "repro.analysis.faults.safe_vc_policy", a, b, hops, limit);
+        return -1;
+    }
+    return k->ki_ind;
+}
+
 /* The same for minimal candidates, which need VC labels: 0 as well for
  * a policy C does not label and for pairs past the HopIndexVC minimal
- * budget (minimal_fill raises the budget error). */
+ * budget (minimal_fill raises the budget error on the listed paths,
+ * dead or not); a detour past every budget raises NoRouteError. */
 static int32_t
 rt_min_candidates(Kernel *k, long a, long b, const int32_t **out)
 {
     if (k->vc_mode == VC_OTHER)
         return 0;
-    int32_t n = rt_candidates(k, a, b, out);
-    if (n > 0 && k->vc_mode == VC_HOP && rt_hops((*out)[0]) > k->vc_min)
+    if (k->rt_off[a] == NULL && rt_build_row(k, a) < 0)
+        return -1;
+    const int32_t *off = k->rt_off[a];
+    if (off[b + 1] > off[b] && k->vc_mode == VC_HOP &&
+        rt_hops(k->rt_mid[a][off[b]]) > k->vc_min)
         return 0;
+    int32_t n = rt_candidates(k, a, b, out);
+    if (n == 1 && (*out)[0] == RT_DETOUR && detour_kind(k, a, b) < 0)
+        return -1;
     return n;
 }
 
@@ -1574,9 +1733,11 @@ pick_clear(Pick *p)
 }
 
 static inline long
-pick_hops(const Pick *p)
+pick_hops(Kernel *k, const Pick *p)
 {
-    return p->path ? (long)PyTuple_GET_SIZE(p->path) - 1 : rt_hops(p->mid);
+    if (p->path)
+        return (long)PyTuple_GET_SIZE(p->path) - 1;
+    return p->mid == RT_DETOUR ? detour_hops(k, p->a, p->b) : rt_hops(p->mid);
 }
 
 /* Output-queue depth at router *u*'s port toward *v* (what
@@ -1616,7 +1777,13 @@ pick_first_qlen(Kernel *k, const Pick *p)
         return path_first_qlen(k, p->path);
     if (p->mid == RT_SELF)
         return 0;
-    return k->p_queued[rt_port(k, p->a, p->mid == RT_DIRECT ? p->b : p->mid)];
+    long first = p->mid == RT_DIRECT ? p->b : p->mid;
+    if (p->mid == RT_DETOUR) {
+        const int32_t *par = k->bfs[p->a];
+        for (first = p->b; par[first] != p->a; first = par[first])
+            ;
+    }
+    return k->p_queued[rt_port(k, p->a, first)];
 }
 
 /* Call into RouteCache, timed and counted as the route_fill escape. */
@@ -1774,6 +1941,14 @@ static int32_t
 rt_put_path(Kernel *k, const Pick *p, int32_t at)
 {
     int32_t *r = k->rt_r;
+    if (p->mid == RT_DETOUR && p->path == NULL) {
+        const int32_t *par = k->bfs[p->a];
+        long hops = detour_hops(k, p->a, p->b);
+        int32_t v = (int32_t)p->b;
+        for (long i = hops; i >= 0; i--, v = par[v])
+            r[at + i] = v;
+        return at + (int32_t)hops + 1;
+    }
     if (p->path == NULL) {
         r[at++] = (int32_t)p->a;
         if (p->mid >= 0)
@@ -1824,11 +1999,14 @@ emit_min(Kernel *k, const Pick *p)
 {
     if (p->route != NULL)
         return rt_put_route(k, p->route);
+    int kind = p->mid == RT_DETOUR ? detour_kind(k, p->a, p->b) : k->ki_min;
+    if (kind < 0)
+        return -1;
     int32_t n = rt_put_path(k, p, 0);
     k->rt_n = n;
     for (int32_t h = 0; h + 1 < n; h++)
         k->rt_v[h] = k->vc_mode == VC_HOP ? h : 0;
-    k->rt_kind = k->ki_min;
+    k->rt_kind = kind;
     return 0;
 }
 
@@ -1876,7 +2054,7 @@ emit_composed(Kernel *k, const Pick *first, const Pick *second,
     Py_XDECREF(f);
     Py_XDECREF(s);
     if (route == NULL) {
-        if (or_minimal && PyErr_ExceptionMatches(k->no_route_error)) {
+        if (or_minimal && PyErr_ExceptionMatches(no_route_cls)) {
             PyErr_Clear();
             return 0;
         }
@@ -1926,7 +2104,7 @@ route_ugal(Kernel *k, long sr, long dr)
     int rc = -1;
     if (route_min(k, sr, dr, &k->rng[0].g, &minimal) < 0)
         goto done;
-    long len_min = pick_hops(&minimal);
+    long len_min = pick_hops(k, &minimal);
     if (len_min == 0)
         goto minimal_route; /* self-pair: nothing to adapt */
     long q_min = pick_first_qlen(k, &minimal);
@@ -1946,7 +2124,7 @@ route_ugal(Kernel *k, long sr, long dr)
             goto done;
         double cost;
         if (k->sf_mode) {
-            long hops = pick_hops(&f) + pick_hops(&s);
+            long hops = pick_hops(k, &f) + pick_hops(k, &s);
             /* Same association as the Python scoring expression so the
              * doubles are bit-identical. */
             cost = (((double)hops / (double)len_min) * k->c_sf) *
@@ -2102,6 +2280,8 @@ make_escape(Kernel *k, long node, const Desc *d, long long size, double t)
     int32_t si = -1;
     PyObject *pkt = NULL, *tf = NULL, *stats = NULL, *r = NULL, *v = NULL;
     PyObject *kind = NULL;
+    if (fault_writeback(k) < 0)
+        goto done;
     {
         PyObject *mp = PyObject_GetAttr(k->net, str_make_packet);
         if (mp == NULL)
@@ -2472,38 +2652,105 @@ enter_oq(Kernel *k, long pv, int32_t si, long gid, double t, long long s)
     return try_transmit(k, gid, t, s);
 }
 
-/* Hand a packet headed for dead port gid to the fault manager's policy
- * (``divert(pkt, hop)``: False drops it, True means its route was
- * rewritten from the current hop).  Returns 1 rerouted (*npv / *ngid
- * set), 0 dropped (slot released), -1 on error. */
+/* -- fault diverts ------------------------------------------------------------
+ *
+ * FaultManager._rewrite in C.  A packet about to enter the output queue
+ * of a dead port (ENTER), or queued there when its link fails
+ * (drain_port), is dropped under the "drop" policy.  Otherwise its route
+ * gets a new tail from its current hop j: a packet already at its
+ * destination router ejects there; any other takes one of the pair's
+ * live minimal candidates as FaultManager._live_candidates gives them
+ * (the route table filtered by p_dead, else the detour, else a
+ * RouteCache fill for a pair outside the table), drawn with randbelow on
+ * the resident copy of FaultManager.rng when several survive.  The new
+ * hops are labelled min(j + i, V - 1); the labels before hop j, the
+ * ejection port and the route kind stay.  The reroute and drop counts
+ * go back to the FaultManager before any escape that runs Python and at
+ * the end of the run (fault_writeback).
+ */
+
+/* Resize slot p's route to n entries keeping its first *keep* ports and
+ * VCs. */
 static int
-divert_packet(Kernel *k, PyObject *divert, int32_t si, long gid,
-              long *npv, long *ngid)
+slot_route_keep(Kernel *k, Slot *p, Py_ssize_t n, Py_ssize_t keep)
 {
-    PyObject *pkt = slot_packet(k, si);
-    if (pkt == NULL)
+    if (p->nports <= SLOT_INLINE && n <= SLOT_INLINE) {
+        p->nports = (uint16_t)n; /* the inline entries stay where they are */
+        return 0;
+    }
+    uint16_t *port = (uint16_t *)PyMem_Malloc(
+        (size_t)(keep ? keep : 1) * (sizeof(uint16_t) + sizeof(uint8_t)));
+    if (port == NULL) {
+        PyErr_NoMemory();
         return -1;
-    Py_INCREF(pkt);
-    PyObject *res = PyObject_CallFunction(divert, "Oi", pkt,
-                                          (int)SLOT(k, si)->hop);
-    int keep = res ? PyObject_IsTrue(res) : -1;
-    Py_XDECREF(res);
-    if (keep > 0 && slot_load_packet(k, si, pkt) < 0)
-        keep = -1;
-    Py_DECREF(pkt);
-    if (keep <= 0) {
-        if (keep == 0)
-            slot_release(k, si);
-        return keep;
+    }
+    uint8_t *vc = (uint8_t *)(port + keep);
+    memcpy(port, slot_ports(p), (size_t)keep * sizeof(uint16_t));
+    memcpy(vc, slot_vcs(p), (size_t)keep);
+    int rc = slot_route_size(k, p, n);
+    if (rc == 0) {
+        memcpy(slot_ports(p), port, (size_t)keep * sizeof(uint16_t));
+        memcpy(slot_vcs(p), vc, (size_t)keep);
+    }
+    PyMem_Free(port);
+    return rc;
+}
+
+/* Divert the packet in slot si, headed for dead port gid.  Returns 1
+ * rerouted (*npv / *ngid: the port-VC and port it enters instead), 0
+ * dropped (slot released), -1 on error. */
+static int
+fault_divert(Kernel *k, int32_t si, long gid, long *npv, long *ngid)
+{
+    if (k->fm_drop) {
+        k->fm_drp += 1;
+        slot_release(k, si);
+        return 0;
     }
     Slot *p = SLOT(k, si);
-    *ngid = k->p_off[k->p_rid[gid]] + S_PORT(p, p->hop);
-    *npv = *ngid * k->V + S_VC(p, p->hop);
-    if (*ngid < 0 || *ngid >= k->NP || S_VC(p, p->hop) >= k->V) {
-        PyErr_SetString(PyExc_RuntimeError,
-                        "kernel: divert produced an out-of-range port");
-        return -1;
+    int32_t j = p->hop, n = p->nports;
+    const uint16_t *port = slot_ports(p);
+    long origin = k->p_rid[gid], dst = origin;
+    for (int32_t h = j; h + 1 < n; h++)
+        dst = port_next_router(k, k->p_off[dst] + port[h]);
+    uint16_t eject = port[n - 1];
+    int32_t tail = 1; /* routers of the new tail, the current one first */
+    if (dst != origin) {
+        Pick pk;
+        int rc = route_min(k, origin, dst, &k->fm_rng.g, &pk);
+        if (rc == 0 && (tail = k->rt_n = rt_put_path(k, &pk, 0)) < 0)
+            rc = -1;
+        pick_clear(&pk);
+        if (rc < 0 || rt_ports(k) < 0)
+            return -1;
     }
+    if (slot_route_keep(k, p, j + tail, j) < 0)
+        return -1;
+    uint16_t *nport = slot_ports(p);
+    uint8_t *nvc = slot_vcs(p);
+    for (int32_t i = 0; i + 1 < tail; i++) {
+        nport[j + i] = (uint16_t)k->rt_p[i];
+        nvc[j + i] = (uint8_t)(j + i < k->V - 1 ? j + i : k->V - 1);
+    }
+    nport[j + tail - 1] = eject;
+    nvc[j + tail - 1] = 0;
+    if (p->pkt != NULL) {
+        /* A materialised Packet carries the rewritten route too. */
+        PyObject *routers = NULL, *ports = NULL, *vcs = NULL;
+        int rc = slot_route_tuples(k, p, &routers, &ports, &vcs);
+        if (rc == 0 && (PyObject_SetAttr(p->pkt, str_routers, routers) < 0 ||
+                        PyObject_SetAttr(p->pkt, str_ports, ports) < 0 ||
+                        PyObject_SetAttr(p->pkt, str_vcs, vcs) < 0))
+            rc = -1;
+        Py_XDECREF(routers);
+        Py_XDECREF(ports);
+        Py_XDECREF(vcs);
+        if (rc < 0)
+            return -1;
+    }
+    k->fm_rer += 1;
+    *ngid = k->p_off[origin] + nport[j];
+    *npv = *ngid * k->V + nvc[j];
     return 1;
 }
 
@@ -2536,18 +2783,13 @@ do_enter(Kernel *k, double t, long long s, long pv, int32_t si, long gid)
     if (k->p_dead[gid]) {
         /* Failed link: divert (reroute or drop) at this router,
          * mirroring the object backend's _enter_oq dead branch. */
-        if (k->fm_divert == NULL) {
+        if (k->fm == NULL) {
             PyErr_SetString(PyExc_RuntimeError,
                             "dead port entered with no fault manager");
             return -1;
         }
-        if (k->stats_dirty && stats_flush(k) < 0)
-            return -1;
-        double t0 = mono_ns();
         long npv = 0, ngid = 0;
-        int kept = divert_packet(k, k->fm_divert, si, gid, &npv, &ngid);
-        k->esc_ns[ESC_DIVERT] += mono_ns() - t0;
-        k->esc_counts[ESC_DIVERT] += 1;
+        int kept = fault_divert(k, si, gid, &npv, &ngid);
         if (kept < 0)
             return -1;
         k->pv_occ[pv] -= 1;
@@ -2556,8 +2798,7 @@ do_enter(Kernel *k, double t, long long s, long pv, int32_t si, long gid)
             k->pv_occ[npv] += 1;
             k->p_queued[ngid] += 1;
         }
-        if (refresh_deliver_fast(k) < 0 ||
-            admit_pending(k, gid, pv - gid * k->V, t, s) < 0)
+        if (admit_pending(k, gid, pv - gid * k->V, t, s) < 0)
             return -1;
         if (!kept)
             return 0;
@@ -2680,7 +2921,8 @@ watch_mid(Kernel *k, const Slot *p)
 static int
 msg_done(Kernel *k, Py_ssize_t mid)
 {
-    if (k->stats_dirty && stats_flush(k) < 0)
+    if ((k->stats_dirty && stats_flush(k) < 0) ||
+        fault_writeback(k) < 0)
         return -1;
     double t0 = mono_ns();
     /* The callback may re-arm the countdown, which drops the kernel's
@@ -2739,8 +2981,9 @@ do_deliver(Kernel *k, double t, int32_t si)
         return done ? msg_done(k, mid) : 0;
     }
     /* Escape: flush the accumulators first so the listeners observe a
-     * coherent StatsCollector. */
-    if (k->stats_dirty && stats_flush(k) < 0)
+     * coherent StatsCollector (and FaultManager). */
+    if ((k->stats_dirty && stats_flush(k) < 0) ||
+        fault_writeback(k) < 0)
         return -1;
     double t0 = mono_ns();
     PyObject *pkt = slot_packet(k, si);
@@ -2765,7 +3008,8 @@ static int
 do_call(Kernel *k, PyObject *fn, PyObject *args)
 {
     /* Caller owns fn/args and decrefs them after we return. */
-    if (k->stats_dirty && stats_flush(k) < 0)
+    if ((k->stats_dirty && stats_flush(k) < 0) ||
+        fault_writeback(k) < 0)
         return -1;
     double t0 = mono_ns();
     PyObject *r = PyObject_Call(fn, args, NULL);
@@ -2786,14 +3030,15 @@ unbind_refs(Kernel *k)
 {
     Py_CLEAR(k->deliver);
     Py_CLEAR(k->listeners);
-    Py_CLEAR(k->fm_divert);
     Py_CLEAR(k->min_rows);
     Py_CLEAR(k->leg_rows);
     Py_CLEAR(k->minimal_fill);
     Py_CLEAR(k->leg_fill);
     Py_CLEAR(k->compose);
-    Py_CLEAR(k->no_route_error);
     Py_CLEAR(k->stats_absorb);
+    crng_drop(&k->fm_rng);
+    Py_CLEAR(k->fm);
+    k->fm_rer = k->fm_drp = 0;
     PyMem_Free(k->pool);
     k->pool = NULL;
     k->npool = 0;
@@ -2804,14 +3049,18 @@ unbind_refs(Kernel *k)
     k->deliver_fast = 0;
 }
 
-/* End residency: push RNG streams + packet-id counter back to Python.
- * Always drops the references, even if an export step fails. */
+/* End residency: push the fault counts and RNG, the routing RNG streams
+ * and the packet-id counter back to Python.  Always drops the
+ * references, even if an export step fails. */
 static int
 export_resident(Kernel *k)
 {
+    int rc = fault_writeback(k);
+    if (k->fm_rng.obj != NULL && crng_export(&k->fm_rng) < 0)
+        rc = -1;
+    crng_drop(&k->fm_rng);
     if (!k->resident)
-        return 0;
-    int rc = 0;
+        return rc;
     for (int i = 0; i < k->rng_n; i++) {
         if (k->rng[i].obj != NULL && crng_export(&k->rng[i]) < 0)
             rc = -1;
@@ -2855,10 +3104,36 @@ fp_opt_double(PyObject *fp, const char *name, double *out, int *has)
     return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
 }
 
-/* Bind net.deliver, its listener list, the fault manager's divert and
- * the fast-path spec (a namespace from KernelEngine._fastpath_spec, or
- * None).  Route mode makes the routing RNG streams and Network._pid
- * resident in C. */
+/* Bind the armed FaultManager of the spec (its fault_* fields): a
+ * resident copy of its reroute RNG and its policy. */
+static int
+bind_faults(Kernel *k, PyObject *fp)
+{
+    PyObject *fm = get_attr(fp, "fault_manager");
+    if (fm == NULL)
+        return -1;
+    if (fm == Py_None) {
+        Py_DECREF(fm);
+        return 0;
+    }
+    k->fm = fm;
+    long drop;
+    if (fp_long(fp, "fault_drop", &drop) < 0 ||
+        (k->fm_rng.obj = get_attr(fp, "fault_rng")) == NULL)
+        return -1;
+    k->fm_drop = drop != 0;
+    if (crng_import(&k->fm_rng) < 0) {
+        crng_drop(&k->fm_rng);
+        return -1;
+    }
+    return 0;
+}
+
+/* Bind net.deliver, its listener list and the fast-path spec (a
+ * namespace from KernelEngine._fastpath_spec, or None): the RouteCache
+ * hooks for route mode and fault diverts, the fault manager, and the
+ * stats accumulators.  Route mode makes the routing RNG streams and
+ * Network._pid resident in C. */
 static int
 bind_run(Kernel *k, PyObject *fp)
 {
@@ -2875,21 +3150,32 @@ bind_run(Kernel *k, PyObject *fp)
                         "kernel: Network._delivery_listeners is not a list");
         return -1;
     }
-    PyObject *fm = PyObject_GetAttr(k->net, str_fault_manager);
-    if (fm == NULL)
-        return -1;
-    if (fm != Py_None)
-        k->fm_divert = PyObject_GetAttr(fm, str_divert_packet);
-    Py_DECREF(fm);
-    if (fm != Py_None && k->fm_divert == NULL)
-        return -1;
     if (fp == Py_None)
         return 0;
 
     long mode, dfast, sf, nI;
     if (fp_long(fp, "route_mode", &mode) < 0 ||
-        fp_long(fp, "deliver_fast", &dfast) < 0)
+        fp_long(fp, "deliver_fast", &dfast) < 0 || bind_faults(k, fp) < 0)
         return -1;
+    if (mode >= 0 || k->fm != NULL) {
+#define FPGETO(field, name)                                               \
+    if ((k->field = get_attr(fp, name)) == NULL)                          \
+        return -1;
+        FPGETO(min_rows, "min_rows")
+        FPGETO(leg_rows, "leg_rows")
+        FPGETO(minimal_fill, "minimal_fill")
+        FPGETO(leg_fill, "leg_fill")
+        FPGETO(compose, "compose")
+#undef FPGETO
+        if (!PyList_Check(k->min_rows) ||
+            PyList_GET_SIZE(k->min_rows) != k->NR ||
+            !PyList_Check(k->leg_rows) ||
+            PyList_GET_SIZE(k->leg_rows) != k->NR) {
+            PyErr_SetString(PyExc_ValueError,
+                            "kernel: RouteCache rows do not match the routers");
+            return -1;
+        }
+    }
     if (mode < 0 && !dfast)
         return 0;
     int has_thr = 0;
@@ -2900,23 +3186,6 @@ bind_run(Kernel *k, PyObject *fp)
     k->deliver_fast = dfast ? 1 : 0;
     if (mode < 0)
         return 0;
-
-#define FPGETO(field, name)                                               \
-    if ((k->field = get_attr(fp, name)) == NULL)                          \
-        return -1;
-    FPGETO(min_rows, "min_rows")
-    FPGETO(leg_rows, "leg_rows")
-    FPGETO(minimal_fill, "minimal_fill")
-    FPGETO(leg_fill, "leg_fill")
-    FPGETO(compose, "compose")
-    FPGETO(no_route_error, "no_route_error")
-#undef FPGETO
-    if (!PyList_Check(k->min_rows) || PyList_GET_SIZE(k->min_rows) != k->NR ||
-        !PyList_Check(k->leg_rows) || PyList_GET_SIZE(k->leg_rows) != k->NR) {
-        PyErr_SetString(PyExc_ValueError,
-                        "kernel: RouteCache rows do not match the routers");
-        return -1;
-    }
     if (fp_long(fp, "n_indirect", &nI) < 0 || fp_long(fp, "sf_mode", &sf) < 0)
         return -1;
     k->nI = nI;
@@ -3221,6 +3490,7 @@ Kernel_clear(Kernel *k, PyObject *Py_UNUSED(ignored))
     memset(k->esc_ns, 0, sizeof(k->esc_ns));
     memset(k->fast_counts, 0, sizeof(k->fast_counts));
     memset(k->lane_push, 0, sizeof(k->lane_push));
+    k->detours = 0;
     k->heap_push = 0;
     k->heap_hwm = 0;
     k->smp_n = 0;
@@ -3293,8 +3563,8 @@ Kernel_stats(Kernel *k, PyObject *Py_UNUSED(ignored))
     static const char *op_names[OP_COUNT] = {
         "RECV", "ENTER", "PWAKE", "DELIVER", "NWAKE", "GEN", "CALL"};
     static const char *esc_names[ESC_N] = {
-        "make_packet", "deliver", "call", "fault_divert", "stats_flush",
-        "route_fill", "msg_done"};
+        "make_packet", "deliver", "call", "stats_flush", "route_fill",
+        "msg_done"};
     static const char *fast_names[FAST_N] = {"make_packet", "deliver"};
     static const char *lane_names[NLANES] = {
         "SER", "LINK", "SER+LINK", "SWITCH"};
@@ -3353,10 +3623,10 @@ Kernel_stats(Kernel *k, PyObject *Py_UNUSED(ignored))
         Py_DECREF(e);
     }
     return Py_BuildValue(
-        "{s:K,s:N,s:N,s:N,s:d,s:d,s:K,"
+        "{s:K,s:N,s:N,s:N,s:K,s:d,s:d,s:K,"
         "s:{s:K,s:K,s:n,s:N},s:{s:i,s:K,s:d,s:N}}",
         "events", total, "op_counts", ops, "escapes", escs,
-        "fast_path", fasts, "run_ns", k->run_ns,
+        "fast_path", fasts, "detours", k->detours, "run_ns", k->run_ns,
         "escape_ns", esc_total_ns, "runs", k->runs,
         "queue", "lane_pushes", lane_total, "heap_pushes", k->heap_push,
         "heap_hwm", k->heap_hwm, "lanes", lanes,
@@ -3759,8 +4029,10 @@ Kernel_set_dead(Kernel *k, PyObject *args)
         return NULL;
     if (port_arg(k, gido, &gid) < 0)
         return NULL;
-    if (k->p_dead[gid] != (flag != 0))
+    if (k->p_dead[gid] != (flag != 0)) {
         k->ndead += flag ? 1 : -1;
+        bfs_drop(k);
+    }
     k->p_dead[gid] = (uint8_t)(flag != 0);
     Py_RETURN_NONE;
 }
@@ -3772,24 +4044,25 @@ cmp_long(const void *a, const void *b)
     return (x > y) - (x < y);
 }
 
-/* drain_port(gid, divert): fail-time drain of a dead port's output
- * queues at the current event key, mirroring the object backend's
- * drain.  Every queued packet goes through ``divert(pkt, hop)`` (False
- * drops it, True means its route was rewritten) and a rerouted one
- * enters the sibling queue its new route names (waking the port at its
- * link-free key if it is transmitting); then the parked
- * inputs are re-admitted VC by VC, and each port that received packets
- * gets one PWAKE at the current time, in port order, each consuming a
- * sequence number. */
+/* drain_port(gid): fail-time drain of a dead port's output queues at
+ * the current event key, mirroring the object backend's drain, inside a
+ * run with a fault manager bound.  Every queued packet is diverted (see
+ * "fault diverts") and a rerouted one enters the sibling queue its new
+ * route names (waking the port at its link-free key if it is
+ * transmitting); then the parked inputs are re-admitted VC by VC, and
+ * each port that received packets gets one PWAKE at the current time,
+ * in port order, each consuming a sequence number. */
 static PyObject *
-Kernel_drain_port(Kernel *k, PyObject *args)
+Kernel_drain_port(Kernel *k, PyObject *gido)
 {
-    PyObject *gido, *divert;
     long gid;
-    if (!PyArg_ParseTuple(args, "OO", &gido, &divert))
-        return NULL;
     if (port_arg(k, gido, &gid) < 0)
         return NULL;
+    if (k->fm == NULL) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "kernel: drain_port needs a run with a fault manager");
+        return NULL;
+    }
     double t = k->now;
     long long s = k->cs;
     long V = k->V;
@@ -3803,7 +4076,7 @@ Kernel_drain_port(Kernel *k, PyObject *args)
             k->p_oqtot[gid] -= 1;
             k->p_queued[gid] -= 1;
             long npv = 0, ngid = 0;
-            int kept = divert_packet(k, divert, si, gid, &npv, &ngid);
+            int kept = fault_divert(k, si, gid, &npv, &ngid);
             if (kept < 0)
                 goto fail;
             if (!kept)
@@ -3847,6 +4120,8 @@ Kernel_drain_port(Kernel *k, PyObject *args)
             goto fail;
     }
     PyMem_Free(moved);
+    if (fault_writeback(k) < 0)
+        return NULL;
     Py_RETURN_NONE;
 fail:
     PyMem_Free(moved);
@@ -4052,12 +4327,10 @@ Kernel_route_candidates(Kernel *k, PyObject *args)
         pick_init(&p, a, b);
         p.mid = mid[i];
         PyObject *c;
-        if (legs) {
+        if (legs)
             c = int_tuple(k->rt_r, rt_put_path(k, &p, 0));
-        } else {
-            emit_min(k, &p);
-            c = route_tuple(k);
-        }
+        else
+            c = emit_min(k, &p) < 0 ? NULL : route_tuple(k);
         if (c == NULL) {
             Py_DECREF(out);
             return NULL;
@@ -4282,6 +4555,8 @@ Kernel_init(Kernel *k, PyObject *args, PyObject *kwds)
     CALLOC(k->rt_off, NR)
     CALLOC(k->rt_mid, NR)
     CALLOC(k->rt_live, NR)
+    CALLOC(k->bfs, NR)
+    CALLOC(k->bfs_q, NR)
     k->rt_cap = (int32_t)(2 * NR + 2); /* two legs of at most NR routers */
     CALLOC(k->rt_r, k->rt_cap)
     CALLOC(k->rt_p, k->rt_cap)
@@ -4289,6 +4564,13 @@ Kernel_init(Kernel *k, PyObject *args, PyObject *kwds)
     if ((k->ki_min = kind_index(k, str_minimal)) < 0 ||
         (k->ki_ind = kind_index(k, str_indirect)) < 0)
         return -1;
+    if (no_route_cls == NULL) {
+        PyObject *mod = PyImport_ImportModule("repro.routing.cache");
+        no_route_cls = mod ? get_attr(mod, "NoRouteError") : NULL;
+        Py_XDECREF(mod);
+        if (no_route_cls == NULL)
+            return -1;
+    }
     k->free_head = -1;
     k->route_mode = -1;
     k->net = Py_NewRef(net);
@@ -4329,13 +4611,14 @@ Kernel_traverse(Kernel *k, visitproc visit, void *arg)
     Py_VISIT(k->m_done);
     Py_VISIT(k->deliver);
     Py_VISIT(k->listeners);
-    Py_VISIT(k->fm_divert);
+    Py_VISIT(k->fm);
+    Py_VISIT(k->fm_rng.obj);
+    Py_VISIT(k->fm_rng.gauss);
     Py_VISIT(k->min_rows);
     Py_VISIT(k->leg_rows);
     Py_VISIT(k->minimal_fill);
     Py_VISIT(k->leg_fill);
     Py_VISIT(k->compose);
-    Py_VISIT(k->no_route_error);
     Py_VISIT(k->stats_absorb);
     return 0;
 }
@@ -4389,6 +4672,8 @@ Kernel_dealloc(Kernel *k)
         PyMem_Free(k->rt_off[a]);
         PyMem_Free(k->rt_mid[a]);
     }
+    if (k->bfs != NULL)
+        bfs_drop(k);
     if (k->built) {
         for (long i = 0; i < k->NP * k->V; i++) {
             PyMem_Free(k->pv_oq[i].buf);
@@ -4416,7 +4701,7 @@ Kernel_dealloc(Kernel *k)
         k->n_q, k->n_arr, k->g_t, k->g_d, k->g_i, k->g_n,
         k->g_st, k->gen.tab,
         k->a_lat, k->a_ejcnt, k->rt_off, k->rt_mid, k->rt_live, k->rt_r,
-        k->rt_p, k->rt_v,
+        k->rt_p, k->rt_v, k->bfs, k->bfs_q,
     };
     for (size_t i = 0; i < sizeof(arrays) / sizeof(arrays[0]); i++)
         PyMem_Free(arrays[i]);
@@ -4475,8 +4760,8 @@ static PyMethodDef Kernel_methods[] = {
      "every node's open-loop stream, drawn in C."},
     {"set_dead", (PyCFunction)Kernel_set_dead, METH_VARARGS,
      "set_dead(gid, flag): mark an output port failed or live."},
-    {"drain_port", (PyCFunction)Kernel_drain_port, METH_VARARGS,
-     "drain_port(gid, divert): fail-time drain of a dead port."},
+    {"drain_port", (PyCFunction)Kernel_drain_port, METH_O,
+     "drain_port(gid): fail-time drain of a dead port (inside a run)."},
     {"reset_sent", (PyCFunction)Kernel_reset_sent, METH_NOARGS,
      "Zero the per-port transmission counters."},
     {"view", (PyCFunction)Kernel_view, METH_O,
@@ -4702,8 +4987,7 @@ PyInit__kernel(void)
         {&str_routers, "routers"}, {&str_ports, "ports"}, {&str_vcs, "vcs"},
         {&str_kind, "kind"}, {&str_pid, "pid"}, {&str_send_time, "send_time"},
         {&str_eject_time, "eject_time"}, {&str_deliver, "deliver"},
-        {&str_fault_manager, "fault_manager"},
-        {&str_divert_packet, "divert_packet"},
+        {&str_reroutes, "reroutes"}, {&str_dropped, "dropped"},
         {&str_delivery_listeners, "_delivery_listeners"},
         {&str_make_packet, "make_packet"}, {&str_stats, "stats"},
         {&str_record_inject, "record_inject"}, {&str_net_pid, "_pid"},

@@ -31,7 +31,9 @@ pairs its route table cannot serve.  A
 :class:`~repro.sim.packet.Packet` is materialised only where Python
 must see one: the make_packet and deliver escapes (deliveries escape
 while the network has a delivery listener; the tracer and the checker
-are listeners too), fault diverts and the checker.  Python queues no
+are listeners too) and the checker.  A link fault costs no Python per
+packet: the kernel reroutes or drops packets off dead ports itself,
+with BFS detours of its own.  Python queues no
 raw event records: a scheduled callback enters through
 ``Kernel.call``, which reserves its sequence number in C, and
 ``Kernel.set_stream`` queues a node's first GEN itself.  Python reads
@@ -121,7 +123,6 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, Iterator, Optional
 
-from repro.routing.cache import NoRouteError
 from repro.routing.minimal import MinimalRouting
 from repro.routing.ugal import UGALRouting
 from repro.routing.valiant import IndirectRandomRouting
@@ -428,24 +429,34 @@ class KernelEngine:
           leaves the tier when an escape registers a listener mid-run.
 
         Routes come from the kernel's own route table (built from
-        ``row_port``, see ``_kernel.c``); only the pairs it cannot serve
-        call into ``RouteCache`` (the ``route_fill`` escape): pairs more
-        than two hops apart, pairs whose every candidate crosses a
-        failed link (the BFS detour), VC-budget errors and VC policies
-        other than ``HopIndexVC`` / ``PhaseVC``.  Scheduled CALLs and
-        fault diverts run in Python, and unknown routing setups keep the
-        ``make_packet`` escape.  Set ``REPRO_KERNEL_NO_FASTPATH=1`` to
-        force escapes everywhere (the countdown then runs in
+        ``row_port``, see ``_kernel.c``), which also gives a pair whose
+        every candidate crosses a failed link its BFS detour; only the
+        pairs it cannot serve call into ``RouteCache`` (the
+        ``route_fill`` escape): pairs more than two hops apart,
+        VC-budget errors and VC policies other than ``HopIndexVC`` /
+        ``PhaseVC``.  Scheduled CALLs run in Python, and unknown routing
+        setups keep the ``make_packet`` escape.
+
+        An armed :class:`~repro.resilience.FaultManager` is bound on
+        every run, fast paths or not: the kernel diverts packets off
+        dead ports in C, drawing from a resident copy of its ``rng``,
+        and writes its ``reroutes`` and ``dropped`` counts back before
+        each escape that runs Python and at the end of the run.
+
+        Set ``REPRO_KERNEL_NO_FASTPATH=1`` to force the per-packet
+        escapes everywhere (the countdown then runs in
         ``Network.deliver``).
         """
-        if os.environ.get("REPRO_KERNEL_NO_FASTPATH"):
-            return None
         net = self.net
+        fast = not os.environ.get("REPRO_KERNEL_NO_FASTPATH")
+        fm = net.fault_manager
+        if fm is not None and fm.cache is None:
+            fm = None  # not armed: no fault fires, no port dies
         routing = net.routing
         cache = getattr(routing, "cache", None)
         route_mode = -1
         rngs = []
-        if cache is not None and "make_packet" not in vars(net):
+        if fast and cache is not None and "make_packet" not in vars(net):
             # Strict type checks: a subclass could override route(), so
             # only the exact implementations ported to C are eligible.
             rtype = type(routing)
@@ -463,8 +474,8 @@ class KernelEngine:
             ):
                 route_mode = 3
                 rngs = [routing._minimal._rng, routing._indirect._rng]
-        deliver_fast = int(not net._delivery_listeners)
-        if route_mode < 0 and not deliver_fast:
+        deliver_fast = int(fast and not net._delivery_listeners)
+        if route_mode < 0 and not deliver_fast and fm is None:
             return None
         stats = net.stats
         threshold = getattr(routing, "threshold", None)
@@ -480,7 +491,9 @@ class KernelEngine:
             minimal_fill=cache.minimal_fill if cache is not None else None,
             leg_fill=cache.leg_fill if cache is not None else None,
             compose=cache.compose if cache is not None else None,
-            no_route_error=NoRouteError,
+            fault_manager=fm,
+            fault_rng=fm.rng if fm is not None else None,
+            fault_drop=int(fm is not None and fm.policy == "drop"),
             pool=getattr(routing, "_pool", None),
             n_indirect=getattr(routing, "num_indirect", 0),
             sf_mode=int(getattr(routing, "_sf_mode", False)),

@@ -1,9 +1,10 @@
 """Closed-loop workload execution through the flit-level simulator.
 
 :class:`WorkloadDriver` releases a :class:`~repro.workload.dag.Workload`
-into a :class:`~repro.sim.Network`: root messages are submitted at time
-zero, and every subsequent message enters its source NIC the moment the
-last packet of its last dependency is ejected at the destination.  The
+into a :class:`~repro.sim.Network`: root messages are submitted by the
+run's first event, at time zero, and every subsequent message enters
+its source NIC the moment the last packet of its last dependency is
+ejected at the destination.  The
 network counts each message's packets down
 (:meth:`Network.watch_messages`) and calls the driver once per completed
 message -- on the kernel from its C delivery path, with no Python call
@@ -81,8 +82,6 @@ class WorkloadDriver:
     def run(self, max_events: Optional[int] = None) -> Dict[str, Any]:
         """Execute to completion; returns a plain-data result dict."""
         net = self.net
-        net._claim_experiment()
-        net.stats.set_window(0.0, None)
         wall_start = time.perf_counter()
 
         pkt_bytes = net.config.packet_bytes
@@ -97,9 +96,14 @@ class WorkloadDriver:
             if not msg.deps:
                 roots.append(msg)
 
+        def release_roots() -> None:
+            for msg in roots:
+                self._release(msg)
+
+        # The roots go out from the run's first event, at time 0.
+        net._claim_experiment(release_roots)
+        net.stats.set_window(0.0, None)
         net.watch_messages(packets, self._complete)
-        for msg in roots:
-            self._release(msg)
         events = net.engine.run(max_events=max_events)
         wall_s = time.perf_counter() - wall_start
 

@@ -18,10 +18,15 @@ deterministic arrivals.  The
 topologies include a Dragonfly, whose three-hop pairs the kernel routes
 through RouteCache fills; fault schedules fail one to three links in
 overlapping windows, so BFS detours stay memoised while later links
-fail and recover.  A
+fail and recover.  On fault configs the runs must also agree on the
+fault manager's reroute and drop counts and leave its reroute RNG, of
+which the kernel draws from a resident copy, in the same state.  A
 kernel-without-listener leg compares WindowStats only, which is the one
 configuration where the C delivery-accounting fast path is live -- the
-listener legs gate the C route-selection path instead.
+listener legs gate the C route-selection path instead.  Two fixed
+``fail@0`` runs, a closed loop and an exchange, hold both engines to
+digests recorded while a driver's first sends were still made before
+the event loop, ahead of the fault.
 
 The closed-loop axis draws a collective from ``WORKLOAD_GENERATORS``
 instead of open-loop traffic: fewer ranks than nodes, one to three halo
@@ -45,6 +50,7 @@ for a deeper local run.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import random
 
@@ -59,6 +65,7 @@ from repro.sim.vec.kernel import load_kernel
 from repro.topology import MLFM, OFT, Dragonfly, SlimFly
 from repro.traffic import (
     HotspotTraffic,
+    NearestNeighbor3D,
     PermutationTraffic,
     ShiftTraffic,
     Tornado,
@@ -243,9 +250,20 @@ def _vc_policy(cfg: dict, topo):
     return HopIndexVC(minimal_vcs=minimal, indirect_vcs=2 * minimal)
 
 
+def _fault_state(net) -> tuple:
+    """The fault manager's reroutes, drops and reroute-RNG state (the
+    kernel draws from a resident copy of that RNG and hands it back),
+    or ``None`` without faults."""
+    fm = net.fault_manager
+    if fm is None:
+        return None
+    return fm.reroutes, fm.dropped, fm.rng.getstate()
+
+
 def _run(cfg: dict, backend: str, listener: bool = True) -> dict:
-    """One run of *cfg*: the delivery digest (with *listener*) and the
-    WindowStats, or on the closed-loop axis the workload's result."""
+    """One run of *cfg*: the delivery digest (with *listener*), the
+    WindowStats and the fault state, or on the closed-loop axis the
+    workload's result and the fault state."""
     topo = _TOPOLOGIES[cfg["topology"]]()
     routing = _ROUTINGS[cfg["routing"]](
         topo, cfg["routing_seed"], _vc_policy(cfg, topo))
@@ -272,6 +290,7 @@ def _run(cfg: dict, backend: str, listener: bool = True) -> dict:
             "digest": digest.hexdigest() if listener else None,
             "result": {k: v for k, v in result.items()
                        if k not in ("events", "driver_wall_s")},
+            "faults": _fault_state(net),
         }
     stats = net.run_synthetic(
         _TRAFFICS[cfg["traffic"]](
@@ -283,13 +302,15 @@ def _run(cfg: dict, backend: str, listener: bool = True) -> dict:
         seed=cfg["traffic_seed"],
         drain=True,
     )
-    kernel_stats = getattr(net.engine, "kernel_stats", None)
+    kstats = getattr(net.engine, "kernel_stats", lambda: None)()
     return {
         "digest": digest.hexdigest() if listener else None,
         "delivered": net.stats.ejected_total,
         "stats": {name: getattr(stats, name) for name in stats.__slots__},
-        "route_fills": (kernel_stats()["escapes"]["route_fill"]["count"]
-                        if kernel_stats else None),
+        "faults": _fault_state(net),
+        "route_fills": (kstats["escapes"]["route_fill"]["count"]
+                        if kstats else None),
+        "detours": kstats["detours"] if kstats else None,
     }
 
 
@@ -319,6 +340,9 @@ def _diverges(cfg: dict) -> list:
                     f"{backend}: stats.{field} {want!r} -> "
                     f"{got['stats'][field]!r}"
                 )
+        if got["faults"] != ref["faults"]:
+            problems.append(f"{backend}: fault reroutes, drops or RNG state "
+                            f"diverged")
     return problems
 
 
@@ -327,13 +351,17 @@ def _closed_loop_diverges(cfg: dict) -> list:
     kernel run with no listener (the C message countdown)."""
     if len(_backends()) < 2:
         return []
-    ref = _run(cfg, "object", listener=False)["result"]
-    got = _run(dict(cfg, check=False), "kernel", listener=False)["result"]
-    return [
-        f"kernel: result.{field} {ref.get(field)!r} -> {got.get(field)!r}"
-        for field in sorted(set(ref) | set(got))
-        if ref.get(field) != got.get(field)
+    ref = _run(cfg, "object", listener=False)
+    got = _run(dict(cfg, check=False), "kernel", listener=False)
+    problems = [
+        f"kernel: result.{field} {ref['result'].get(field)!r} -> "
+        f"{got['result'].get(field)!r}"
+        for field in sorted(set(ref["result"]) | set(got["result"]))
+        if ref["result"].get(field) != got["result"].get(field)
     ]
+    if got["faults"] != ref["faults"]:
+        problems.append("kernel: fault reroutes, drops or RNG state diverged")
+    return problems
 
 
 def _workload_reduction(change):
@@ -410,11 +438,12 @@ def test_backends_agree_while_a_detour_outlives_a_later_fault(
     routing, monkeypatch
 ):
     # Router 0's link to its first neighbour is that pair's only minimal
-    # path, so while it is down the pair routes on the BFS detour that
-    # RouteCache fills and memoises.  A link sharing no router with it
-    # fails while the detour is memoised; they recover in fail order.
-    # (The kernel's route table is its fast path's, which the CI
-    # no-fastpath leg turns off.)
+    # path, so while it is down the pair routes on the BFS detour, which
+    # RouteCache memoises on the object engine and the kernel takes from
+    # a BFS tree dropped whenever a port dies or recovers.  A link
+    # sharing no router with it fails while the detour is memoised; they
+    # recover in fail order.  (The kernel's route table is its fast
+    # path's, which the CI no-fastpath leg turns off.)
     monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
     topo = _TOPOLOGIES["sf:q=5"]()
     a, b = 0, min(topo.neighbors(0))
@@ -428,9 +457,60 @@ def test_backends_agree_while_a_detour_outlives_a_later_fault(
                 f"recover@650:{a}-{b}", f"recover@800:{c}-{d}"),
     )
     assert not _diverges(cfg)
-    # The cut pairs really left the kernel's route table: it called
-    # into RouteCache for their detours.
-    assert _run(cfg, "kernel")["route_fills"] > 0
+    # The cut pairs took the kernel's own detours: nothing called into
+    # RouteCache.
+    got = _run(cfg, "kernel")
+    assert got["detours"] > 0
+    assert got["route_fills"] == 0
+
+
+#: Digests of the ``fail@0`` runs below, recorded while a driver's first
+#: sends were made before the event loop started: the sends must still
+#: precede the fault at time 0 now that the run's first event makes them.
+_FAIL_AT_ZERO_DIGESTS = {
+    "closed-loop": "3040cea823b36a872dd9ea8190a8096f7ab724fe965410d5b57740c9c6e00548",
+    "exchange": "3d182954a989bd98d28966c595015b2e54997d341f09e09f55994479e994da5a",
+}
+
+
+def _fail_at_zero(kind: str, backend: str) -> str:
+    """One ``fail@0`` run on Slim Fly q=5 with UGAL: a two-iteration
+    halo (*kind* ``"closed-loop"``) or an interleaved nearest-neighbour
+    exchange (``"exchange"``) while router 0's first link is down from
+    time 0 to 900 ns.  Returns a digest over the delivery stream, the
+    result and the fault state."""
+    topo = _TOPOLOGIES["sf:q=5"]()
+    a, b = 0, min(topo.neighbors(0))
+    net = Network(topo, UGALRouting(topo, seed=4), SimConfig(
+        backend=backend, faults=(f"fail@0:{a}-{b}", f"recover@900:{a}-{b}")))
+    digest = hashlib.sha256()
+    net.add_delivery_listener(
+        lambda p: digest.update(
+            f"{p.pid}:{p.src_node}:{p.dst_node}:{p.kind}:{p.msg_id}:"
+            f"{p.eject_time!r};".encode()))
+    if kind == "closed-loop":
+        result = net.run_workload(build_workload(
+            "halo3d", topo.num_nodes, 700, iterations=2))
+    else:
+        result = net.run_exchange(
+            NearestNeighbor3D(topo.num_nodes, message_bytes=700))
+    assert net.fault_manager.reroutes > 0
+    payload = {
+        "deliveries": digest.hexdigest(),
+        "result": {k: v for k, v in result.items()
+                   if k not in ("events", "driver_wall_s")},
+        "faults": net.fault_manager.summary(),
+        "rng": net.fault_manager.rng.getstate(),
+    }
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("backend", _backends())
+@pytest.mark.parametrize("kind", sorted(_FAIL_AT_ZERO_DIGESTS))
+def test_fail_at_zero_follows_the_first_sends(kind, backend, monkeypatch):
+    monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
+    assert _fail_at_zero(kind, backend) == _FAIL_AT_ZERO_DIGESTS[kind]
 
 
 @pytest.mark.skipif(load_kernel() is None,

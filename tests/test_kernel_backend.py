@@ -128,8 +128,8 @@ class TestKernelEngine:
         assert s["events"] > 0
         assert s["runs"] >= 1
         assert set(s["escapes"]) == {
-            "make_packet", "deliver", "call", "fault_divert", "stats_flush",
-            "route_fill", "msg_done"}
+            "make_packet", "deliver", "call", "stats_flush", "route_fill",
+            "msg_done"}
         assert set(s["fast_path"]) == {"make_packet", "deliver"}
         # UGAL routing compiles to the C fast path: every injected
         # packet routes and lands without a per-packet Python escape.
@@ -145,7 +145,7 @@ class TestKernelEngine:
         assert (s["fast_path"]["make_packet"]["count"]
                 == net.stats.injected_total)
         assert s["fast_path"]["deliver"]["count"] == net.stats.ejected_total
-        assert s["escapes"]["fault_divert"]["count"] == 0
+        assert s["detours"] == 0  # no failed link
         assert s["escapes"]["msg_done"]["count"] == 0  # no closed loop
         # Cold paths still escape: the scheduled reset_utilization CALL
         # and the accumulator flushes it fences.

@@ -8,7 +8,9 @@ states.  Repeating kernel runs of every kind in one process -- open
 loop drained to empty, long open-loop streams that refill their chunks,
 a run stopped while every node still holds its generator state,
 closed-loop halo exchanges of one and of two iterations with fault
-diverts and the C message countdown, a completion callback that raises,
+diverts and the C message countdown, one whose faults drop packets, a
+fault detour that grows a route past a slot's inline entries, a
+completion callback that raises,
 scheduled CALLs that submit traffic, CALLs dropped by ``clear()`` while
 pending and a CALL that raises, finite exchanges in order and
 interleaved and one stopped with messages still queued -- must leave
@@ -35,6 +37,7 @@ import weakref
 import pytest
 
 from repro.routing import MinimalRouting, UGALRouting
+from repro.routing.vc import HopIndexVC
 from repro.sim import Network, SimConfig
 from repro.sim.packet import Packet
 from repro.sim.vec.kernel import load_kernel
@@ -46,6 +49,7 @@ from repro.traffic import (
     UniformRandom,
 )
 from repro.workload import WorkloadDriver, build_workload
+from tests.conftest import LoopingRouting
 
 pytestmark = pytest.mark.skipif(
     load_kernel() is None,
@@ -104,6 +108,19 @@ class Callback:
 
 class Failure(Exception):
     pass
+
+
+class ReroutedLoops(LoopingRouting):
+    """Looping routes with the ``RouteCache`` a fault manager needs, and
+    the VCs of a detour of up to four hops."""
+
+    def __init__(self, topo):
+        super().__init__(topo)
+        self.inner = MinimalRouting(topo, seed=5, vc_policy=HopIndexVC(4, 8))
+
+    @property
+    def cache(self):
+        return self.inner.cache
 
 
 def fail(arg):
@@ -212,6 +229,42 @@ class Harness:
         assert result["fault_events"] == 3
         check_bounded(net)
 
+    def halo_dropped_at_faults(self):
+        # Under fault_policy="drop" the kernel drops the packets that
+        # would enter a dead port, releasing their slots and message
+        # ids; the halo cannot complete, but the network drains.
+        routing = UGALRouting(self.topo, seed=3)
+        net = Network(self.topo, routing, SimConfig(
+            backend="kernel", faults=("drip@300:n=3,every=200,seed=3",),
+            fault_policy="drop"))
+        with pytest.raises(RuntimeError, match="dropped at failed links"):
+            net.run_workload(self.halo2)
+        assert net.fault_manager.dropped > 0
+        check_bounded(net)
+
+    def detour_past_inline(self):
+        # Router 0's nodes send one packet each to a neighbour's node at
+        # time 0, on routes that loop three times first: eight ports,
+        # inline.  Their last link fails while they loop, so each is
+        # rerouted from hop 6, and its detour spills the route.
+        topo = self.topo
+        src, dst = 0, max(topo.neighbors(0))
+        net = Network(topo, ReroutedLoops(topo), SimConfig(
+            backend="kernel", faults=(f"fail@10:{src}-{dst}",)))
+        nodes = topo.nodes_of(src)
+        target = topo.nodes_of(dst)[0]
+
+        def send():
+            for node, mid in zip(nodes, self.mids):
+                net.nics[node].submit(target, 200, mid)
+
+        net._claim_experiment(send)
+        net.engine.run()
+        mem = net.engine.memory_stats()
+        assert net.fault_manager.reroutes == min(len(nodes), len(self.mids))
+        assert mem["spilled_routes_hwm"] == net.fault_manager.reroutes, mem
+        check_bounded(net)
+
     def raising_completion(self):
         # The first completion callback raises: the run stops with the
         # other messages' packets in flight, and clear() frees their
@@ -304,6 +357,8 @@ class Harness:
         self.stopped_streams()
         self.halo_with_faults()
         self.halo_iterations_with_faults()
+        self.halo_dropped_at_faults()
+        self.detour_past_inline()
         self.raising_completion()
         self.scheduled_submits()
         self.clear_with_pending_calls()
