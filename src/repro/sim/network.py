@@ -52,9 +52,12 @@ class Network:
         self._pid = 0
         self._vec = None  # KernelEngine when the kernel backend runs
         self._delivery_listeners: list = []  # see add_delivery_listener
-        # The message countdown (see watch_messages): packets left and
-        # delivered packets by (message, route kind), and the callback.
+        # The message countdown (see watch_messages): packets left,
+        # release flags and completion times per message, delivered
+        # packets by (message, route kind), and the callback.
         self._msg_left: Optional[array] = None
+        self._msg_release: Optional[bytes] = None
+        self._msg_time: Optional[array] = None
         self._msg_kinds: Dict[Tuple[int, str], int] = {}
         self._msg_done: Optional[Callable[[int], None]] = None
         self._experiment_ran = False  # one experiment per Network instance
@@ -381,41 +384,58 @@ class Network:
         self._delivery_listeners.append(fn)
 
     def watch_messages(
-        self, packets: Iterable[int], on_complete: Callable[[int], None]
-    ) -> None:
+        self,
+        packets: Iterable[int],
+        releases: Iterable[object],
+        on_complete: Callable[[int], None],
+    ) -> array:
         """Arm the message countdown: message ``i`` completes when
-        ``packets[i]`` packets with ``msg_id == i`` have been delivered,
-        and ``on_complete(i)`` then runs at that delivery's time.
+        ``packets[i]`` packets with ``msg_id == i`` have been delivered.
+        Its completion time (that delivery's) is then written to the
+        returned table, an ``array('d')`` that reads ``-1.0`` for a
+        message not complete, and if ``releases[i]`` is true,
+        ``on_complete(i)`` runs at that time.
 
         This is the closed-loop hook: :class:`repro.workload.driver
-        .WorkloadDriver` arms it with every message's packet count and
-        releases DAG successors from the callback.  A message of zero
-        packets never completes here.  Delivered packets are counted per
-        message and route kind (:meth:`message_kinds`); packets with no
-        int ``msg_id``, one outside the table, or one of a message
-        already complete are not counted.  :meth:`deliver` counts down
-        on the object engine and on the kernel's Python path; the
-        kernel's delivery fast path counts down in C, on the same table,
-        and calls back into Python once per completed message.
+        .WorkloadDriver` arms it with every message's packet count,
+        flags the messages that DAG successors depend on and releases
+        those from the callback; a completion that releases nothing
+        calls no Python.  A message of zero packets never completes
+        here (the driver writes its time to the table itself).
+        Delivered packets are counted per message and route kind
+        (:meth:`message_kinds`); packets with no int ``msg_id``, one
+        outside the table, or one of a message already complete are not
+        counted.  :meth:`deliver` counts down on the object engine and
+        on the kernel's Python path; the kernel's delivery fast path
+        counts down in C, on the same tables, with the same rule.
         """
         if not callable(on_complete):
             raise TypeError(f"completion callback {on_complete!r} is not callable")
         left = array("i", packets)
         if any(n < 0 for n in left):
             raise ValueError("watch_messages: packet counts must be >= 0")
+        release = bytes(map(bool, releases))
+        if len(release) != len(left):
+            raise ValueError(
+                f"watch_messages: {len(release)} release flags for "
+                f"{len(left)} messages"
+            )
+        times = array("d", [-1.0]) * len(left)
         self._msg_left = left
+        self._msg_release = release
+        self._msg_time = times
         self._msg_kinds = {}
         self._msg_done = on_complete
         if self._vec is not None:
-            self._vec.kernel.watch(left, on_complete)
+            self._vec.kernel.watch(left, release, times, on_complete)
+        return times
 
     def message_kinds(self) -> Dict[Tuple[int, str], int]:
         """Delivered packets per watched message and route kind,
         ``{(msg_id, kind): packets}``, from both countdown paths."""
-        counts = dict(self._msg_kinds)
-        if self._vec is not None:
-            for mid, kind, n in self._vec.kernel.message_kinds():
-                counts[mid, kind] = counts.get((mid, kind), 0) + n
+        counts = self._vec.kernel.message_kinds() if self._vec is not None else {}
+        for key, n in self._msg_kinds.items():
+            counts[key] = counts.get(key, 0) + n
         return counts
 
     def deliver(self, pkt: Packet) -> None:
@@ -423,7 +443,9 @@ class Network:
 
         Stamps the eject time, records the statistics, runs the
         delivery listeners (:meth:`add_delivery_listener`) and counts
-        the message down (:meth:`watch_messages`).  The kernel backend
+        the message down (:meth:`watch_messages`): its last packet
+        writes its completion time, and calls back only for a message
+        that releases others.  The kernel backend
         mirrors the statistics and the countdown in C while no listener
         is registered (``do_deliver`` in ``repro/sim/vec/_kernel.c``,
         flushed via :meth:`StatsCollector.absorb_kernel`); changes here
@@ -441,7 +463,9 @@ class Network:
                 self._msg_kinds[key] = self._msg_kinds.get(key, 0) + 1
                 left[mid] -= 1
                 if not left[mid]:
-                    self._msg_done(mid)
+                    self._msg_time[mid] = pkt.eject_time
+                    if self._msg_release[mid]:
+                        self._msg_done(mid)
 
     # -- synthetic (rate-driven) experiments -----------------------------------
 

@@ -37,8 +37,9 @@
  * - delivery latencies collect in one fixed block of doubles that is
  *   flushed to the ``StatsCollector`` as raw bytes whenever it fills;
  * - a closed-loop driver's message countdown (see "message countdown")
- *   decrements per-message packet counts on delivery and calls back
- *   into Python once per completed message;
+ *   decrements per-message packet counts on delivery, writes each
+ *   message's completion time into its table and calls back into
+ *   Python only for a completed message that releases others;
  * - link faults (see "fault diverts"): dead ports, the per-source BFS
  *   trees of the route table's detours, and, while a run binds the
  *   FaultManager, a copy of its reroute RNG and its reroute and drop
@@ -701,11 +702,15 @@ typedef struct {
     int nkinds, ki_min, ki_ind; /* indices of "minimal" / "indirect" */
     PyObject *net, *packet_cls;
 
-    /* message countdown (see "message countdown"): the watched int32
-     * buffer of packets left per message, shared with Python, delivered
+    /* message countdown (see "message countdown"): the watched tables
+     * shared with Python -- packets left (int32), release flags (one
+     * byte) and completion times (float64) per message -- delivered
      * packets per message and route kind, and the completion callback */
-    Py_buffer m_view;   /* m_view.obj is NULL while disarmed */
+    Py_buffer m_left_view, m_rel_view, m_time_view; /* .obj NULL: disarmed */
     Py_ssize_t m_n;
+    int32_t *m_left;    /* the three tables' items */
+    const unsigned char *m_rel;
+    double *m_time;
     int32_t *m_kind;    /* m_n rows of MAX_KINDS */
     PyObject *m_done;
 
@@ -2877,23 +2882,35 @@ do_gen(Kernel *k, long node)
 /* -- message countdown --------------------------------------------------------
  *
  * A closed-loop driver arms the countdown through Network.watch_messages
- * (``watch`` here): an int32 array of the packets each message still
- * needs, indexed by message id, and a callback for completed messages.
- * Network.deliver counts it down on the Python path; do_deliver mirrors
+ * (``watch`` here) with three tables indexed by message id: an int32
+ * array of the packets each message still needs, one byte per message
+ * that is nonzero when its completion releases other messages, and a
+ * float64 array that receives each message's completion time.
+ * Network.deliver counts down on the Python path; do_deliver mirrors
  * that on the fast path, decrementing the same array through its buffer
  * and counting delivered packets per message and route kind in
- * ``m_kind``, and escapes to the callback (ESC_DONE) only after the slot
- * of a message's last packet is released.  Packets with no int message
+ * ``m_kind``.  When a message's last packet is delivered, its slot is
+ * released and its completion time written, and only a message that
+ * releases others then escapes to the callback (ESC_DONE): a completion
+ * that releases nothing runs no Python.  Packets with no int message
  * id, one outside the table or one of a message already complete are
  * not counted, as on the Python path.  Python reads the kind counts back
- * once, after the run (``message_kinds``). */
+ * once, after the run (``message_kinds``), and the completion times from
+ * its own table. */
 
-/* Release the watched buffer, the kind table and the callback. */
+/* Release the watched tables, the kind table and the callback. */
 static void
 watch_drop(Kernel *k)
 {
-    if (k->m_view.obj != NULL)
-        PyBuffer_Release(&k->m_view);
+    if (k->m_left_view.obj != NULL)
+        PyBuffer_Release(&k->m_left_view);
+    if (k->m_rel_view.obj != NULL)
+        PyBuffer_Release(&k->m_rel_view);
+    if (k->m_time_view.obj != NULL)
+        PyBuffer_Release(&k->m_time_view);
+    k->m_left = NULL;
+    k->m_rel = NULL;
+    k->m_time = NULL;
     PyMem_Free(k->m_kind);
     k->m_kind = NULL;
     k->m_n = 0;
@@ -2909,15 +2926,14 @@ watch_mid(Kernel *k, const Slot *p)
         return -1;
     int overflow;
     long long mid = PyLong_AsLongLongAndOverflow(o, &overflow);
-    if (overflow || mid < 0 || mid >= k->m_n ||
-        ((int32_t *)k->m_view.buf)[mid] <= 0)
+    if (overflow || mid < 0 || mid >= k->m_n || k->m_left[mid] <= 0)
         return -1;
     return (Py_ssize_t)mid;
 }
 
-/* Escape: message *mid* is complete; call the completion callback.
- * Like the deliver and CALL escapes it flushes the accumulators first,
- * so the callback sees a coherent StatsCollector. */
+/* Escape: message *mid*, which releases others, is complete; call the
+ * completion callback.  Like the deliver and CALL escapes it flushes the
+ * accumulators first, so the callback sees a coherent StatsCollector. */
 static int
 msg_done(Kernel *k, Py_ssize_t mid)
 {
@@ -2972,13 +2988,16 @@ do_deliver(Kernel *k, double t, int32_t si)
         k->fast_counts[FAST_DELIVER] += 1;
         /* Network.deliver's message countdown. */
         Py_ssize_t mid = k->m_n ? watch_mid(k, p) : -1;
-        int done = 0;
+        int release = 0;
         if (mid >= 0) {
             k->m_kind[mid * MAX_KINDS + p->kind] += 1;
-            done = --((int32_t *)k->m_view.buf)[mid] == 0;
+            if (--k->m_left[mid] == 0) {
+                k->m_time[mid] = t;
+                release = k->m_rel[mid];
+            }
         }
         slot_release(k, si);
-        return done ? msg_done(k, mid) : 0;
+        return release ? msg_done(k, mid) : 0;
     }
     /* Escape: flush the accumulators first so the listeners observe a
      * coherent StatsCollector (and FaultManager). */
@@ -3336,8 +3355,11 @@ Kernel_run(Kernel *k, PyObject *args)
         double t_run0 = mono_ns();
         for (;;) {
             /* One event in SAMPLE_EVERY times its pop (finding the
-             * least key included) apart from its handler. */
-            int smp = (executed & (SAMPLE_EVERY - 1)) == 0;
+             * least key included) apart from its handler: the last of
+             * each SAMPLE_EVERY, so a run's first event, often a
+             * driver's CALL that sends every first message, is not
+             * weighed like SAMPLE_EVERY ordinary ones. */
+            int smp = (executed & (SAMPLE_EVERY - 1)) == SAMPLE_EVERY - 1;
             double t0 = smp ? mono_ns() : 0.0;
             const Event *head;
             int q = next_queue(k, &head);
@@ -3718,51 +3740,91 @@ Kernel_nic_submit(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
     Py_RETURN_NONE;
 }
 
-/* watch(left, on_complete): arm the message countdown on *left*, a
- * writable int32 array of packets left per message id, with a fresh
- * kind table. */
+/* A one-dimensional view of the countdown table *obj*, whose items must
+ * have the struct format *fmt* and *size* bytes; TypeError names the
+ * table's expected *type* otherwise. */
+static int
+watch_table(PyObject *obj, Py_buffer *view, int flags, const char *fmt,
+            Py_ssize_t size, const char *type)
+{
+    if (PyObject_GetBuffer(obj, view, flags | PyBUF_FORMAT) < 0)
+        return -1;
+    if (view->ndim != 1 || view->itemsize != size || view->format == NULL ||
+        strcmp(view->format, fmt) != 0) {
+        PyBuffer_Release(view);
+        PyErr_Format(PyExc_TypeError, "kernel: the countdown needs %s", type);
+        return -1;
+    }
+    return 0;
+}
+
+/* watch(left, release, times, on_complete): arm the message countdown on
+ * *left*, a writable int32 array of packets left per message id,
+ * *release*, one byte per message (nonzero: its completion calls
+ * *on_complete*), and *times*, a writable float64 array that receives
+ * each completion time, with a fresh kind table. */
 static PyObject *
 Kernel_watch(Kernel *k, PyObject *args)
 {
-    PyObject *left, *fn;
-    if (!PyArg_ParseTuple(args, "OO", &left, &fn))
+    PyObject *left, *rel, *times, *fn;
+    if (!PyArg_ParseTuple(args, "OOOO", &left, &rel, &times, &fn))
         return NULL;
     if (!PyCallable_Check(fn)) {
         PyErr_SetString(PyExc_TypeError,
                         "kernel: the completion callback is not callable");
         return NULL;
     }
-    Py_buffer view;
-    if (PyObject_GetBuffer(left, &view, PyBUF_CONTIG | PyBUF_FORMAT) < 0)
+    Py_buffer lv, rv, tv;
+    if (watch_table(left, &lv, PyBUF_CONTIG, "i", sizeof(int32_t),
+                    "an array('i') of packets left") < 0)
         return NULL;
-    if (view.ndim != 1 || view.itemsize != (Py_ssize_t)sizeof(int32_t) ||
-        view.format == NULL || strcmp(view.format, "i") != 0) {
-        PyBuffer_Release(&view);
-        PyErr_SetString(PyExc_TypeError,
-                        "kernel: the countdown must be an array('i')");
+    if (watch_table(rel, &rv, PyBUF_CONTIG_RO, "B", 1,
+                    "bytes of release flags") < 0) {
+        PyBuffer_Release(&lv);
         return NULL;
     }
-    Py_ssize_t n = view.shape[0];
-    int32_t *kinds = (int32_t *)PyMem_Calloc(
-        (size_t)(n ? n : 1) * MAX_KINDS, sizeof(int32_t));
+    if (watch_table(times, &tv, PyBUF_CONTIG, "d", sizeof(double),
+                    "an array('d') of completion times") < 0) {
+        PyBuffer_Release(&rv);
+        PyBuffer_Release(&lv);
+        return NULL;
+    }
+    Py_ssize_t n = lv.shape[0];
+    int32_t *kinds = NULL;
+    if (rv.shape[0] != n || tv.shape[0] != n) {
+        PyErr_SetString(PyExc_ValueError,
+                        "kernel: the countdown tables differ in length");
+    } else {
+        kinds = (int32_t *)PyMem_Calloc((size_t)(n ? n : 1) * MAX_KINDS,
+                                        sizeof(int32_t));
+        if (kinds == NULL)
+            PyErr_NoMemory();
+    }
     if (kinds == NULL) {
-        PyBuffer_Release(&view);
-        return PyErr_NoMemory();
+        PyBuffer_Release(&tv);
+        PyBuffer_Release(&rv);
+        PyBuffer_Release(&lv);
+        return NULL;
     }
     watch_drop(k);
-    k->m_view = view;
+    k->m_left_view = lv;
+    k->m_rel_view = rv;
+    k->m_time_view = tv;
+    k->m_left = (int32_t *)lv.buf;
+    k->m_rel = (const unsigned char *)rv.buf;
+    k->m_time = (double *)tv.buf;
     k->m_n = n;
     k->m_kind = kinds;
     k->m_done = Py_NewRef(fn);
     Py_RETURN_NONE;
 }
 
-/* message_kinds() -> [(msg_id, kind, packets)]: what the fast path's
+/* message_kinds() -> {(msg_id, kind): packets}: what the fast path's
  * countdown delivered, by message id then route kind. */
 static PyObject *
 Kernel_message_kinds(Kernel *k, PyObject *Py_UNUSED(ignored))
 {
-    PyObject *out = PyList_New(0);
+    PyObject *out = PyDict_New();
     if (out == NULL)
         return NULL;
     for (Py_ssize_t m = 0; m < k->m_n; m++) {
@@ -3770,13 +3832,15 @@ Kernel_message_kinds(Kernel *k, PyObject *Py_UNUSED(ignored))
             int32_t c = k->m_kind[m * MAX_KINDS + i];
             if (c == 0)
                 continue;
-            PyObject *rec = Py_BuildValue("(nOi)", m, k->kinds[i], (int)c);
-            if (rec == NULL || PyList_Append(out, rec) < 0) {
-                Py_XDECREF(rec);
+            PyObject *key = Py_BuildValue("(nO)", m, k->kinds[i]);
+            PyObject *v = key != NULL ? PyLong_FromLong(c) : NULL;
+            int rc = v != NULL ? PyDict_SetItem(out, key, v) : -1;
+            Py_XDECREF(v);
+            Py_XDECREF(key);
+            if (rc < 0) {
                 Py_DECREF(out);
                 return NULL;
             }
-            Py_DECREF(rec);
         }
     }
     return out;
@@ -4607,7 +4671,9 @@ Kernel_traverse(Kernel *k, visitproc visit, void *arg)
     }
     Py_VISIT(k->net);
     Py_VISIT(k->packet_cls);
-    Py_VISIT(k->m_view.obj);
+    Py_VISIT(k->m_left_view.obj);
+    Py_VISIT(k->m_rel_view.obj);
+    Py_VISIT(k->m_time_view.obj);
     Py_VISIT(k->m_done);
     Py_VISIT(k->deliver);
     Py_VISIT(k->listeners);
@@ -4745,9 +4811,9 @@ static PyMethodDef Kernel_methods[] = {
      METH_FASTCALL,
      "nic_submit(node, dst, size, msg_id, interleave): NIC.submit."},
     {"watch", (PyCFunction)Kernel_watch, METH_VARARGS,
-     "watch(left, on_complete): arm the message countdown."},
+     "watch(left, release, times, on_complete): arm the message countdown."},
     {"message_kinds", (PyCFunction)Kernel_message_kinds, METH_NOARGS,
-     "[(msg_id, kind, packets)] the fast path's countdown delivered."},
+     "{(msg_id, kind): packets} the fast path's countdown delivered."},
     {"nic_info", (PyCFunction)Kernel_nic_info, METH_O,
      "nic_info(node) -> (queued_packets, credit_stalls, credits)."},
     {"queue_len", (PyCFunction)(void (*)(void))Kernel_queue_len,

@@ -421,8 +421,10 @@ class KernelEngine:
         * ``deliver_fast`` accumulates the per-packet eject statistics
           in C arrays, flushed via ``StatsCollector.absorb_kernel``, and
           counts down a closed-loop driver's messages
-          (``Network.watch_messages``) in C, calling into Python once
-          per completed message (the ``msg_done`` escape).  It is on
+          (``Network.watch_messages``) in C, writing each completion
+          time to the countdown's table and calling into Python only
+          for a completed message that releases others (the
+          ``msg_done`` escape).  It is on
           exactly while ``Network._delivery_listeners`` is empty (the
           tracer, exchange message tracking and the checker are
           listeners too); the kernel holds that list for the run and

@@ -13,10 +13,10 @@ the flit-level simulator:
   recursive-doubling all-reduce, ring all-gather, 3D-stencil halo
   exchange, and the paper's phased linear-shift all-to-all;
 - :mod:`~repro.workload.driver` -- the closed-loop driver releasing
-  messages via ``NIC.submit`` as their predecessors complete,
-  which the network reports once per message through its countdown
-  (:meth:`repro.sim.Network.watch_messages`; on the kernel, counted in
-  C).
+  messages via ``NIC.submit`` as their predecessors complete.  The
+  network's countdown (:meth:`repro.sim.Network.watch_messages`; on
+  the kernel, counted in C) records every completion time and reports
+  only the completions that release other messages, once each.
 
 Typical use::
 

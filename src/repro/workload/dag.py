@@ -163,8 +163,11 @@ class Workload:
 
     def topological_order(self) -> List[int]:
         """Kahn's algorithm; raises ``ValueError`` on a cycle."""
+        return self._kahn(self.dependents())
+
+    def _kahn(self, fwd: Dict[int, List[int]]) -> List[int]:
+        """:meth:`topological_order` over the dependents map *fwd*."""
         indeg = {mid: len(m.deps) for mid, m in self.messages.items()}
-        fwd = self.dependents()
         ready = deque(mid for mid, d in indeg.items() if d == 0)
         order: List[int] = []
         while ready:
@@ -184,6 +187,14 @@ class Workload:
 
     def validate(self, num_nodes: Optional[int] = None) -> None:
         """Full structural check: endpoints in range, DAG acyclic."""
+        self._checked_graph(num_nodes)
+
+    def _checked_graph(
+        self, num_nodes: Optional[int] = None
+    ) -> Tuple[Dict[int, List[int]], List[int]]:
+        """:meth:`validate`, returning the dependents map and the
+        topological order its checks built, so that one run of a driver
+        builds each once (see :meth:`_critical_path`)."""
         if not self.messages:
             raise ValueError(f"workload {self.name!r} has no messages")
         if num_nodes is not None:
@@ -193,7 +204,8 @@ class Workload:
                         f"workload {self.name!r}: message {m.mid} endpoints "
                         f"({m.src}, {m.dst}) exceed node count {num_nodes}"
                     )
-        self.topological_order()
+        fwd = self.dependents()
+        return fwd, self._kahn(fwd)
 
     def critical_path(self) -> CriticalPath:
         """Longest chain by serialized bytes (ties broken by length).
@@ -202,7 +214,10 @@ class Workload:
         count toward the chain length, so a barrier-heavy schedule shows
         a deep critical path even when it moves few bytes.
         """
-        order = self.topological_order()
+        return self._critical_path(self.topological_order())
+
+    def _critical_path(self, order: List[int]) -> CriticalPath:
+        """:meth:`critical_path` over the topological *order*."""
         best_bytes: Dict[int, int] = {}
         best_len: Dict[int, int] = {}
         prev: Dict[int, Optional[int]] = {}

@@ -4,12 +4,15 @@
 into a :class:`~repro.sim.Network`: root messages are submitted by the
 run's first event, at time zero, and every subsequent message enters
 its source NIC the moment the last packet of its last dependency is
-ejected at the destination.  The
-network counts each message's packets down
-(:meth:`Network.watch_messages`) and calls the driver once per completed
-message -- on the kernel from its C delivery path, with no Python call
-per packet.  Releasing a message hands it to its source NIC whole, as
-one queue entry (``submit``).  This is the closed-loop dual of
+ejected at the destination.  The network counts each message's packets
+down (:meth:`Network.watch_messages`), writes every completion time to
+its table, and calls the driver only for a completed message that other
+messages depend on -- on the kernel from its C delivery path, so a
+message that releases nothing costs no Python call at all.  Releasing a
+message hands it to its source NIC whole, as one queue entry
+(``submit``).  The DAG's dependents map and topological order are built
+once per run, for the validation, the releases and the critical path.
+This is the closed-loop dual of
 ``run_synthetic``/``run_exchange``: injection is gated by delivery, so
 the measured quantity is *schedule completion time*, not sustained rate.
 
@@ -26,6 +29,7 @@ The driver reports, per phase and overall:
 from __future__ import annotations
 
 import time
+from array import array
 from typing import Any, Dict, List, Optional
 
 from repro.sim.network import Network
@@ -38,17 +42,16 @@ class WorkloadDriver:
     """Drives one workload through one (fresh) network instance."""
 
     def __init__(self, net: Network, workload: Workload):
-        workload.validate(num_nodes=net.topology.num_nodes)
+        self._dependents, self._order = workload._checked_graph(
+            num_nodes=net.topology.num_nodes
+        )
         self.net = net
         self.workload = workload
-        # Mutable DAG execution state.
+        # Mutable DAG execution state: dependencies not yet complete per
+        # message, and the countdown's completion-time table.
         self._deps_left: Dict[int, int] = {}
-        self._dependents = workload.dependents()
-        self._complete_ns: Dict[int, float] = {}
+        self._complete_ns = array("d")
         self._released = 0
-        # Per-phase accounting.
-        self._phase_done_ns: Dict[str, float] = {}
-        self._phase_msgs_left: Dict[str, int] = {}
 
     # -- release / completion machinery -------------------------------------
 
@@ -59,20 +62,22 @@ class WorkloadDriver:
         if msg.is_local:
             # Control-only edge: completes at release time, but via the
             # event queue so dependents observe a consistent clock.
-            self.net.engine.schedule(0.0, self._complete, msg.mid)
+            self.net.engine.schedule(0.0, self._complete_local, msg.mid)
             return
         self.net.nics[msg.src].submit(msg.dst, msg.size, msg.mid)
 
+    def _complete_local(self, mid: int) -> None:
+        """Local message *mid* completes: the event its release
+        scheduled writes its time to the table and releases its
+        dependents."""
+        self._complete_ns[mid] = self.net.engine.now
+        self._complete(mid)
+
     def _complete(self, mid: int) -> None:
-        """Message *mid* finished: its last packet was delivered (the
-        network's countdown calls this) or, if local, it was released."""
-        msg = self.workload.messages[mid]
-        now = self.net.engine.now
-        self._complete_ns[mid] = now
-        self._phase_msgs_left[msg.phase] -= 1
-        if self._phase_msgs_left[msg.phase] == 0:
-            self._phase_done_ns[msg.phase] = now
-        for dep_mid in self._dependents[msg.mid]:
+        """Message *mid*, which other messages depend on, finished (the
+        network's countdown calls this once its last packet is
+        delivered): release every dependent it was the last wait of."""
+        for dep_mid in self._dependents[mid]:
             self._deps_left[dep_mid] -= 1
             if self._deps_left[dep_mid] == 0:
                 self._release(self.workload.messages[dep_mid])
@@ -90,9 +95,6 @@ class WorkloadDriver:
         for msg in self.workload:
             self._deps_left[msg.mid] = len(msg.deps)
             packets.append(0 if msg.is_local else -(-msg.size // pkt_bytes))
-            self._phase_msgs_left[msg.phase] = (
-                self._phase_msgs_left.get(msg.phase, 0) + 1
-            )
             if not msg.deps:
                 roots.append(msg)
 
@@ -103,12 +105,15 @@ class WorkloadDriver:
         # The roots go out from the run's first event, at time 0.
         net._claim_experiment(release_roots)
         net.stats.set_window(0.0, None)
-        net.watch_messages(packets, self._complete)
+        self._complete_ns = net.watch_messages(
+            packets, self._dependents.values(), self._complete
+        )
         events = net.engine.run(max_events=max_events)
         wall_s = time.perf_counter() - wall_start
 
-        if len(self._complete_ns) != self.workload.num_messages:
-            done = len(self._complete_ns)
+        times = self._complete_ns
+        done = sum(t >= 0.0 for t in times)
+        if done != self.workload.num_messages:
             fm = getattr(net, "fault_manager", None)
             dropped = fm.dropped if fm is not None else 0
             why = (
@@ -124,31 +129,36 @@ class WorkloadDriver:
                 f"{self._released - done} in flight ({why})"
             )
 
-        completion = max(self._complete_ns.values())
+        completion = max(times)
         # Finite runs measure utilization over the whole schedule, so
         # net.channel_utilization() works without an explicit window.
         if completion > 0:
             net.utilization_window = completion
-        cp = self.workload.critical_path()
+        cp = self.workload._critical_path(self._order)
         ideal = cp.ideal_ns(net.config)
         total_bytes = self.workload.total_bytes
         rate = net.config.link_bandwidth_gbps / 8.0  # bytes per ns
         n = net.topology.num_nodes
         skew = self._link_skew(completion)
-        phase_kinds: Dict[str, Dict[str, int]] = {}
+        # Each phase, in first-appearance order: its messages, when its
+        # last one completed and its delivered packets per route kind;
+        # phase_kinds[mid] is the kind counts of message mid's phase.
+        phases: Dict[str, Dict[str, Any]] = {}
+        phase_kinds: List[Dict[str, int]] = []
+        for msg, t in zip(self.workload, times):
+            phase = phases.get(msg.phase)
+            if phase is None:
+                phase = phases[msg.phase] = {
+                    "messages": 0, "done_ns": t, "kind_counts": {}
+                }
+            phase["messages"] += 1
+            phase["done_ns"] = max(phase["done_ns"], t)
+            phase_kinds.append(phase["kind_counts"])
         delivered = 0
         for (mid, kind), count in net.message_kinds().items():
-            kinds = phase_kinds.setdefault(self.workload.messages[mid].phase, {})
+            kinds = phase_kinds[mid]
             kinds[kind] = kinds.get(kind, 0) + count
             delivered += count
-        phases = {
-            phase: {
-                "messages": count_total,
-                "done_ns": self._phase_done_ns[phase],
-                "kind_counts": phase_kinds.get(phase, {}),
-            }
-            for phase, count_total in _phase_sizes(self.workload).items()
-        }
         result = {
             "workload": self.workload.name,
             "completion_ns": completion,
@@ -192,13 +202,6 @@ class WorkloadDriver:
         if completion_ns > 0:
             skew = net.fabric_link_load(net.sent_counts(), completion_ns)
         return skew or {"max": 0.0, "mean": 0.0, "skew": 0.0}
-
-
-def _phase_sizes(workload: Workload) -> Dict[str, int]:
-    out: Dict[str, int] = {}
-    for msg in workload:
-        out[msg.phase] = out.get(msg.phase, 0) + 1
-    return out
 
 
 def run_workload(

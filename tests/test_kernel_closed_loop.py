@@ -4,11 +4,14 @@ deliveries.
 A :class:`~repro.workload.driver.WorkloadDriver` arms the network's
 message countdown (``Network.watch_messages``).  With no delivery
 listener registered (the tracer, message tracking and the checker are
-listeners too), the kernel counts it down in C and calls back into
-Python once per completed message (the ``msg_done`` escape), so these
+listeners too), the kernel counts it down in C, writes each completion
+time to the countdown's table and calls back into Python only for a
+completed message that releases others (the ``msg_done`` escape).  These
 tests rerun ``tests/test_workload.py::TestDriver``'s cases on that path,
-check the escape ledger of a halo run, and hold the C countdown to the
-Python one in ``Network.deliver`` packet for packet.
+check the escape ledger of halo runs with and without releasing
+messages, and hold the C countdown to the Python one in
+``Network.deliver`` packet for packet, completion times and callbacks
+included.
 """
 
 from __future__ import annotations
@@ -95,22 +98,53 @@ class TestKernelDriver:
 
 def test_halo_counts_down_in_c(sf5, fastpath):
     # Every delivery stays on the C fast path; Python is entered once
-    # per completed non-local message, and never per packet.
+    # per completed message that the second iteration depends on (the
+    # first iteration's), and never per packet.
     w = build_workload("halo3d", sf5.num_nodes, 1_000, iterations=2)
+    releasing = sum(1 for deps in w.dependents().values() if deps)
+    assert releasing == w.num_messages // 2 == 900
     net = Network(sf5, UGALRouting(sf5, seed=0), KERNEL)
     res = net.run_workload(w)
     esc = escapes(net)
     fast = net.engine.kernel_stats()["fast_path"]
     assert esc["deliver"] == 0
     assert fast["deliver"]["count"] == res["packets"] == 7_200
-    assert esc["msg_done"] == sum(not m.is_local for m in w) == w.num_messages
+    assert esc["msg_done"] == releasing
     assert net.engine.memory_stats()["msg_watched"] == w.num_messages
+
+
+def test_one_iteration_halo_calls_no_python_per_message(sf5, fastpath):
+    # Every message of one halo iteration is a sink: the countdown
+    # writes its completion time in C and nothing escapes for it, and
+    # the result is the object engine's.
+    w = build_workload("halo3d", sf5.num_nodes, 1_000)
+    ref = Network(sf5, UGALRouting(sf5, seed=0)).run_workload(w)
+    net = Network(sf5, UGALRouting(sf5, seed=0), KERNEL)
+    res = net.run_workload(w)
+    for field in ("completion_ns", "packets", "phases"):
+        assert res[field] == ref[field]
+    esc = escapes(net)
+    assert esc["msg_done"] == esc["deliver"] == 0
+    assert esc["call"] == 1  # the root release
+
+
+def test_sampled_split_skips_the_runs_first_event(sf5, fastpath):
+    # The halo's only CALL is the root release, the run's first event:
+    # the sampled split no longer times it.
+    w = build_workload("halo3d", sf5.num_nodes, 1_000)
+    net = Network(sf5, UGALRouting(sf5, seed=0), KERNEL)
+    net.run_workload(w)
+    s = net.engine.kernel_stats()
+    assert s["op_counts"]["CALL"] == 1
+    assert s["sampled"]["ops"]["CALL"]["count"] == 0
+    assert s["sampled"]["count"] == s["events"] // s["sampled"]["every"]
 
 
 def test_workload_profile_prints_the_completion_escape(capsys, fastpath):
     rc = main([
-        "workload", "sf:q=4", "--collective", "halo3d", "--routing", "ugal",
-        "--sizes", "1024", "--backend", "kernel", "--profile",
+        "workload", "sf:q=4", "--collective", "ring-allreduce",
+        "--routing", "ugal", "--sizes", "1024", "--backend", "kernel",
+        "--profile",
     ])
     assert rc == 0
     err = capsys.readouterr().err
@@ -118,26 +152,43 @@ def test_workload_profile_prints_the_completion_escape(capsys, fastpath):
     assert "escape deliver:" not in err
 
 
+def test_halo_profile_prints_no_completion_escape(capsys, fastpath):
+    rc = main([
+        "workload", "sf:q=4", "--collective", "halo3d", "--routing", "ugal",
+        "--sizes", "1024", "--backend", "kernel", "--profile",
+    ])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert "kernel escape split" in err
+    assert "escape msg_done:" not in err
+
+
 def _countdown_run(topo, backend: str, listener: bool):
-    """Packets a countdown must and must not count: two watched
-    messages, plus packets with no message id, an id outside the table,
+    """Packets a countdown must and must not count: four watched
+    messages -- 0 and 2 release others, 1 and 3 do not, 2 has no
+    packets -- plus packets with no message id, an id outside the table,
     a negative id and a non-int id, and one packet more than message 1
-    needs."""
+    needs.  Returns the callbacks, the completion-time table and the
+    kind counts."""
     net = Network(topo, MinimalRouting(topo, seed=3), SimConfig(backend=backend))
     done = []
-    net.watch_messages([3, 1, 0], lambda mid: done.append((mid, net.engine.now)))
+    times = net.watch_messages(
+        [3, 1, 0, 2], [True, False, True, False],
+        lambda mid: done.append((mid, net.engine.now)),
+    )
     if listener:
         net.add_delivery_listener(lambda pkt: None)
     nics = net.nics
     nics[0].submit(9, 700, 0)  # 256 + 256 + 188
+    nics[3].submit(40, 300, 3)  # 256 + 44
     nics[4].submit(17, 100, None)
-    nics[5].submit(17, 100, 3)
+    nics[5].submit(17, 100, 4)
     nics[6].submit(17, 100, -1)
     nics[7].submit(17, 100, "1")
     nics[8].submit(30, 64, 1)
     net.engine.schedule(2_000.0, nics[2].submit, 30, 64, 1)  # 1 is complete
     net.engine.run()
-    return done, net.message_kinds()
+    return done, list(times), net.message_kinds()
 
 
 @pytest.mark.parametrize("backend,listener", [
@@ -148,11 +199,15 @@ def test_c_and_python_countdowns_agree(sf5, backend, listener, fastpath):
     ref = _countdown_run(sf5, "object", listener=False)
     got = _countdown_run(sf5, backend, listener)
     assert got == ref
-    done, kinds = ref
-    assert sorted(mid for mid, _ in done) == [0, 1]
-    assert all(t < 2_000.0 for _, t in done)
+    done, times, kinds = ref
+    # Only the flagged message that completes calls back, at the time
+    # the table holds for it; the unflagged ones complete silently.
+    assert done == [(0, times[0])]
+    assert times[2] == -1.0
+    assert all(0.0 < times[mid] < 2_000.0 for mid in (0, 1, 3))
     assert sum(n for (mid, _), n in kinds.items() if mid == 0) == 3
     assert sum(n for (mid, _), n in kinds.items() if mid == 1) == 1
+    assert sum(n for (mid, _), n in kinds.items() if mid == 3) == 2
 
 
 def test_countdown_moves_to_python_when_a_listener_attaches(sf5, fastpath):

@@ -10,7 +10,8 @@ a run stopped while every node still holds its generator state,
 closed-loop halo exchanges of one and of two iterations with fault
 diverts and the C message countdown, one whose faults drop packets, a
 fault detour that grows a route past a slot's inline entries, a
-completion callback that raises,
+completion callback that raises (and the countdown's tables, released
+by ``clear()``, by re-arming and with the kernel),
 scheduled CALLs that submit traffic, CALLs dropped by ``clear()`` while
 pending and a CALL that raises, finite exchanges in order and
 interleaved and one stopped with messages still queued -- must leave
@@ -33,6 +34,7 @@ import gc
 import sys
 import tracemalloc
 import weakref
+from array import array
 
 import pytest
 
@@ -268,12 +270,17 @@ class Harness:
     def raising_completion(self):
         # The first completion callback raises: the run stops with the
         # other messages' packets in flight, and clear() frees their
-        # slots and the message table.
+        # slots and the message tables.  The kernel holds a view of each
+        # table (packets left, release flags, completion times) while
+        # armed: clear(), re-arming and freeing the kernel each hand the
+        # tables' owners their references back.
         self._fresh_rngs()
         net = Network(self.topo, self.routing, SimConfig(backend="kernel"))
         pkt = net.config.packet_bytes
-        net.watch_messages(
-            [0 if m.is_local else -(-m.size // pkt) for m in self.halo2], fail)
+        packets = [0 if m.is_local else -(-m.size // pkt) for m in self.halo2]
+        releases = [bool(d) for d in self.halo2.dependents().values()]
+        times = net.watch_messages(packets, releases, fail)
+        tables = [net._msg_left, net._msg_release, times]
         for msg in self.halo2:
             if not msg.deps:
                 net.nics[msg.src].submit(msg.dst, msg.size, msg.mid)
@@ -283,9 +290,25 @@ class Harness:
         mem = eng.memory_stats()
         assert mem["slots_live"] > 0
         assert mem["msg_watched"] == self.halo2.num_messages
+        assert sum(t >= 0.0 for t in times) > 0
+        held = [sys.getrefcount(t) for t in tables]
         eng.clear()
         mem = eng.memory_stats()
         assert mem["slots_live"] == 0 and mem["msg_watched"] == 0, mem
+        start = [n - 1 for n in held]
+        assert [sys.getrefcount(t) for t in tables] == start
+        fresh = [array("i", packets), bytes(releases), array("d", times)]
+        fresh_start = [sys.getrefcount(t) for t in fresh]
+        kernel = eng.kernel
+        kernel.watch(*tables, fail)
+        assert [sys.getrefcount(t) for t in tables] == [n + 1 for n in start]
+        kernel.watch(*fresh, fail)  # re-arming releases the old tables
+        assert [sys.getrefcount(t) for t in tables] == start
+        assert [sys.getrefcount(t) for t in fresh] == [n + 1 for n in fresh_start]
+        assert eng.memory_stats()["msg_watched"] == self.halo2.num_messages
+        del net, eng, kernel, tables, times
+        gc.collect()  # the kernel is freed with its network
+        assert [sys.getrefcount(t) for t in fresh] == fresh_start
 
     def scheduled_submits(self):
         self._fresh_rngs()

@@ -333,9 +333,13 @@ class TestDriver:
     def test_message_countdown_rejects_bad_arming(self, sf5):
         net = Network(sf5, MinimalRouting(sf5, seed=1))
         with pytest.raises(TypeError, match="not callable"):
-            net.watch_messages([1], 42)
+            net.watch_messages([1], [True], 42)
         with pytest.raises(ValueError, match=">= 0"):
-            net.watch_messages([1, -1], print)
+            net.watch_messages([1, -1], [True, True], print)
+        with pytest.raises(ValueError, match="1 release flags for 2 messages"):
+            net.watch_messages([1, 2], [True], print)
+        with pytest.raises(ValueError, match="3 release flags for 2 messages"):
+            net.watch_messages([1, 2], [True, False, True], print)
 
 
 class TestPhasedAllToAllOrdering:
