@@ -372,7 +372,8 @@ class Network:
         checkers' delivery checks are listeners too.  A listener
         observes each ejection (with its ``msg_id`` and ``eject_time``)
         after the statistics record it, in registration order, so the
-        checker, registered when the network is built, observes first.
+        checker, registered when the network is built, observes first;
+        a listener registered during a delivery is called for it too.
         It may submit new traffic in response, and an exception it
         raises (a checker's violation) propagates out of the run.  On
         the kernel a listener costs every delivery a :class:`Packet`
@@ -405,9 +406,9 @@ class Network:
         Delivered packets are counted per message and route kind
         (:meth:`message_kinds`); packets with no int ``msg_id``, one
         outside the table, or one of a message already complete are not
-        counted.  :meth:`deliver` counts down on the object engine and
-        on the kernel's Python path; the kernel's delivery fast path
-        counts down in C, on the same tables, with the same rule.
+        counted.  :meth:`deliver` counts down on the object engine; the
+        kernel counts every delivery down in C, on the same tables, with
+        the same rule, after any delivery listeners have run.
         """
         if not callable(on_complete):
             raise TypeError(f"completion callback {on_complete!r} is not callable")
@@ -432,24 +433,24 @@ class Network:
 
     def message_kinds(self) -> Dict[Tuple[int, str], int]:
         """Delivered packets per watched message and route kind,
-        ``{(msg_id, kind): packets}``, from both countdown paths."""
-        counts = self._vec.kernel.message_kinds() if self._vec is not None else {}
-        for key, n in self._msg_kinds.items():
-            counts[key] = counts.get(key, 0) + n
-        return counts
+        ``{(msg_id, kind): packets}``."""
+        if self._vec is not None:
+            return self._vec.kernel.message_kinds()
+        return dict(self._msg_kinds)
 
     def deliver(self, pkt: Packet) -> None:
-        """Final hop: the packet reaches its destination node.
+        """Final hop on the object engine: the packet reaches its
+        destination node.
 
         Stamps the eject time, records the statistics, runs the
         delivery listeners (:meth:`add_delivery_listener`) and counts
         the message down (:meth:`watch_messages`): its last packet
         writes its completion time, and calls back only for a message
-        that releases others.  The kernel backend
-        mirrors the statistics and the countdown in C while no listener
-        is registered (``do_deliver`` in ``repro/sim/vec/_kernel.c``,
-        flushed via :meth:`StatsCollector.absorb_kernel`); changes here
-        must be reflected there.
+        that releases others.  The kernel never calls this: its DELIVER
+        handler runs the same steps in C and calls the listeners itself
+        (``do_deliver`` in ``repro/sim/vec/_kernel.c``, flushed via
+        :meth:`StatsCollector.absorb_kernel`); changes here must be
+        reflected there.
         """
         pkt.eject_time = self.engine.now
         self.stats.record_eject(pkt)
@@ -484,7 +485,11 @@ class Network:
         Every node generates ``packet_bytes`` packets at fraction *load*
         of the link rate with destinations drawn from *pattern*
         (:meth:`pick_destination`), for ``warmup + measure`` ns;
-        statistics are computed over the measurement window.
+        statistics are computed over the measurement window.  Each node
+        draws from a private RNG in generate events (:meth:`_generate`);
+        on the kernel the built-in permutation, uniform and hotspot
+        patterns draw the same streams in C instead, and any other
+        pattern runs these generate events there too.
 
         Set ``drain=True`` to additionally run the network empty after
         generation stops (used by conservation tests).
@@ -499,13 +504,11 @@ class Network:
         mean_ia = cfg.packet_time_ns / load
         self.stats.set_window(warmup_ns, horizon)
 
-        if self._vec is not None:
-            # Kernel backend: every node's injection stream from the
-            # identical per-node RNG draws, made ahead of its GEN events
-            # (see KernelEngine.setup_synthetic for the exactness
-            # argument).
-            self._vec.setup_synthetic(pattern, mean_ia, horizon, seed, arrival)
-        else:
+        # The kernel draws a tabled pattern's streams in C; any other
+        # pattern runs these generate events on either engine.
+        if self._vec is None or not self._vec.setup_synthetic(
+            pattern, mean_ia, horizon, seed, arrival
+        ):
             master = random.Random(seed)
             for node in range(self.topology.num_nodes):
                 rng = random.Random(master.getrandbits(64))

@@ -84,10 +84,15 @@ class StatsCollector:
         self.config = config
         self.window_start = 0.0
         self.window_end: Optional[float] = None
+        self.eject_count_per_node = np.zeros(num_nodes, dtype=np.int64)
         self.reset()
 
     def reset(self) -> None:
-        """Clear all recorded state (window bounds are kept)."""
+        """Clear all recorded state (window bounds are kept).
+
+        The per-node eject counts are zeroed in place: the compiled
+        kernel increments that array directly for as long as it lives.
+        """
         self.injected_total = 0
         self.ejected_total = 0
         self.in_window_ejected = 0
@@ -99,14 +104,14 @@ class StatsCollector:
         self.hops_sum = 0
         self.first_inject: Optional[float] = None
         self.last_eject: Optional[float] = None
-        self.eject_count_per_node = np.zeros(self.num_nodes, dtype=np.int64)
+        self.eject_count_per_node.fill(0)
 
     def set_window(self, start: float, end: Optional[float]) -> None:
         """Restrict windowed metrics to ejections in ``[start, end)``."""
         self.window_start = start
         self.window_end = end
 
-    # -- recording (called from the hot path) ---------------------------------
+    # -- recording (the object engine's hot path) ------------------------------
 
     def record_inject(self, pkt: Packet) -> None:
         self.injected_total += 1
@@ -141,21 +146,23 @@ class StatsCollector:
         last_eject: Optional[float],
         latencies: Optional[bytes],
         kind_counts: Optional[Dict[str, int]],
-        eject_counts: Optional[bytes],
     ) -> None:
-        """Merge statistics accumulated C-side by the kernel fast paths.
+        """Merge statistics accumulated C-side by the compiled kernel.
 
-        The compiled kernel (:mod:`repro.sim.vec.kernel`) batches the
-        per-packet :meth:`record_inject`/:meth:`record_eject` work into
-        plain C counters and arrays, flushing them here at run end and
-        before any escape that could observe the collector mid-run.
-        Every field merges exactly: counters are additive, the
-        inject/eject timestamps combine by min/max (simulated time is
-        monotone, so this reproduces the first/last semantics of the
-        per-packet path), *latencies* arrive as the raw float64 bytes of
-        the kernel's latency block, in exact ejection order, so numpy's
-        order-sensitive pairwise mean stays bit-identical, and the
-        per-node eject counts (raw int64 bytes) add elementwise.
+        The kernel (:mod:`repro.sim.vec.kernel`) records every send and
+        delivery itself -- it never calls :meth:`record_inject` or
+        :meth:`record_eject` -- in plain C counters and a latency
+        block, flushing them here when the block fills, before any
+        Python runs mid-run (a listener, a CALL, a completion callback),
+        at run end and after a send made outside a run.  Every field
+        merges exactly: counters are additive, the inject/eject
+        timestamps combine by min/max (simulated time is monotone, so
+        this reproduces the first/last semantics of the per-packet
+        path), and *latencies* arrive as the raw float64 bytes of the
+        kernel's latency block, in exact ejection order, so numpy's
+        order-sensitive pairwise mean stays bit-identical.  The per-node
+        eject counts need no merge: the kernel increments
+        :attr:`eject_count_per_node` in place.
         """
         self.injected_total += injected
         self.in_window_injected += in_window_injected
@@ -176,8 +183,6 @@ class StatsCollector:
         if kind_counts:
             for kind, count in kind_counts.items():
                 self.kind_counts[kind] = self.kind_counts.get(kind, 0) + count
-        if eject_counts is not None:
-            self.eject_count_per_node += np.frombuffer(eject_counts, dtype=np.int64)
 
     # -- reductions ------------------------------------------------------------
 

@@ -34,10 +34,14 @@
  *   most GEN_CHUNK (time, destination) entries that its GEN events
  *   refill, and a C-seeded copy of its private ``random.Random`` only
  *   until its stream reaches the horizon;
- * - delivery latencies collect in one fixed block of doubles that is
- *   flushed to the ``StatsCollector`` as raw bytes whenever it fills;
+ * - every send and every delivery is accounted here, whichever path
+ *   routed the packet and whether or not listeners observe it: counters
+ *   and one fixed block of delivery latencies, flushed to the
+ *   ``StatsCollector`` (latencies as raw bytes) whenever the block
+ *   fills and before any Python runs, and the per-node eject counts
+ *   incremented in the collector's own array;
  * - a closed-loop driver's message countdown (see "message countdown")
- *   decrements per-message packet counts on delivery, writes each
+ *   decrements per-message packet counts on every delivery, writes each
  *   message's completion time into its table and calls back into
  *   Python only for a completed message that releases others;
  * - link faults (see "fault diverts"): dead ports, the per-source BFS
@@ -47,14 +51,14 @@
  *   here, with no Python call.
  *
  * A ``repro.sim.packet.Packet`` is built for a slot only when Python has
- * to see one: the make_packet and deliver escapes, or the checker's
- * audits.  Deliveries escape while ``Network`` has a
- * delivery listener (the tracer, an exchange's message tracking and the
- * checker are listeners too).  With no listener registered the RECV,
- * ENTER, PWAKE, NWAKE, GEN and DELIVER handlers allocate no Python
- * objects, and the kernel's memory scales with the packets and credits
- * in flight rather than with the packets, hops and simulated time of
- * the whole run.
+ * to see one: the make_packet escape, a delivery while ``Network`` has
+ * delivery listeners (the tracer, an exchange's message tracking and
+ * the checker are listeners too; DELIVER calls them itself, in
+ * registration order), or the checker's audits.  With no listener
+ * registered the RECV, ENTER, PWAKE, NWAKE, GEN and DELIVER handlers
+ * allocate no Python objects, and the kernel's memory scales with the
+ * packets and credits in flight rather than with the packets, hops and
+ * simulated time of the whole run.
  *
  * Event set: four FIFO *delay lanes* plus a binary heap of 32-byte
  * event records.  Most pushes land at the current time plus one of four
@@ -302,8 +306,11 @@ mt_randbelow(MT *r, long n)
  * an entry in the pattern table (GenSpec) and its streams are drawn
  * here from a C-seeded copy of each node's generator (GenState): the
  * same draws in the same order, and the same float additions for the
- * times.  Every other pattern is drawn in Python and handed over whole
- * (``set_stream``).
+ * times.  Every other pattern runs the object engine's own generate
+ * events, as CALLs at the keys the GEN events would have taken
+ * (``Network.run_synthetic``), so its draws happen in Python one event
+ * at a time and a bad destination raises at the same simulated time on
+ * both engines.
  *
  * A stream is a sequence of (time, dst) entries ending in one entry at
  * or past the horizon (dst -2), which is the object engine's last,
@@ -697,10 +704,14 @@ typedef struct {
     long spill_live, spill_hwm;
     int32_t arr_hwm, narr_hwm; /* longest router / NIC credit FIFO seen */
 
-    /* route kinds seen, and bindings fixed at build time */
+    /* route kinds seen, and bindings fixed at build time: the network,
+     * the Packet class, its StatsCollector with absorb_kernel, and a
+     * view of the collector's per-node eject counts (int64, len NN) */
     PyObject *kinds[MAX_KINDS];
     int nkinds, ki_min, ki_ind; /* indices of "minimal" / "indirect" */
-    PyObject *net, *packet_cls;
+    PyObject *net, *packet_cls, *stats, *stats_absorb;
+    Py_buffer ejcnt_view;
+    long long *ejcnt;
 
     /* message countdown (see "message countdown"): the watched tables
      * shared with Python -- packets left (int32), release flags (one
@@ -733,10 +744,8 @@ typedef struct {
     int32_t rt_n, rt_cap, rt_kind;
 
     /* -- per-run bindings (bind_run / unbind_refs) ------------------------ */
-    PyObject *deliver;   /* net.deliver: stats, listeners, countdown */
     PyObject *listeners; /* net._delivery_listeners, a list */
     int route_mode;      /* -1 off, 0 min-rand, 1 min-best, 2 INR, 3 UGAL */
-    int deliver_fast;    /* 1 = accumulate delivery stats in C */
     PyObject *min_rows, *leg_rows;                 /* RouteCache row memos */
     PyObject *minimal_fill, *leg_fill, *compose;   /* ... and its fills */
     /* the armed FaultManager (see "fault diverts"), or NULL: a resident
@@ -753,28 +762,28 @@ typedef struct {
     CRng rng[2];
     int rng_n, resident;
     long long pid; /* Network._pid while resident */
-    PyObject *stats_absorb;
+    /* the StatsCollector's window, read at each run and at each send
+     * made outside one */
     double win_start, win_end;
     int win_has_end;
 
-    /* delivery/injection accumulators, flushed via absorb_kernel */
+    /* delivery/injection accumulators, flushed via absorb_kernel (the
+     * per-node eject counts go straight into the collector's array) */
     int stats_dirty;
     long long a_inj, a_inj_w, a_ej, a_ej_w, a_bytes, a_hops;
     double a_first, a_last;
     int a_has_first, a_has_last;
     double *a_lat;
     Py_ssize_t a_lat_n;
-    long long *a_ejcnt;                 /* len NN */
     long long a_kind_cnt[MAX_KINDS];
     int a_kind_order[MAX_KINDS], a_nkind_order;
 } Kernel;
 
 /* Interned attribute names (module init). */
 static PyObject *str_routers, *str_ports, *str_vcs, *str_kind, *str_pid;
-static PyObject *str_send_time, *str_eject_time, *str_deliver;
+static PyObject *str_send_time, *str_eject_time;
 static PyObject *str_reroutes, *str_dropped;
-static PyObject *str_delivery_listeners, *str_make_packet;
-static PyObject *str_stats, *str_record_inject, *str_net_pid;
+static PyObject *str_delivery_listeners, *str_make_packet, *str_net_pid;
 static PyObject *str_minimal, *str_indirect;
 
 /* repro.routing.cache.NoRouteError, looked up by the first Kernel built. */
@@ -1329,26 +1338,25 @@ done:
     return pkt;
 }
 
-/* -- fast path: stats accumulation ----------------------------------------- */
+/* -- statistics: send and delivery accounting ------------------------------- */
 
 /* Flush the C-side inject/eject accumulators into the Python
  * StatsCollector (absorb_kernel).  Called before any escape that could
- * observe the collector mid-run (deliver/CALL/msg_done), when the
- * latency block fills, and at run end.  Kind counts are passed in
- * first-delivery order since the last flush, which is the order the
- * per-packet path would insert them. */
+ * observe the collector mid-run (listeners/CALL/msg_done), when the
+ * latency block fills, at run end and after a send made outside a run.
+ * Kind counts are passed in first-delivery order since the last flush,
+ * which is the order StatsCollector.record_eject would insert them. */
 static int
 stats_flush(Kernel *k)
 {
     if (!k->stats_dirty)
         return 0;
     double t0 = mono_ns();
-    PyObject *lat = NULL, *first = NULL, *last = NULL, *ejcnt = NULL;
+    PyObject *lat = NULL, *first = NULL, *last = NULL;
     PyObject *kinds = NULL, *res = NULL;
     int rc = -1;
 
-    /* The latencies and the per-node eject counts as raw float64 and
-     * int64 bytes: no Python object per packet or per node. */
+    /* The latencies as raw float64 bytes: no Python object per packet. */
     lat = k->a_lat_n
               ? PyBytes_FromStringAndSize((const char *)k->a_lat,
                                           k->a_lat_n *
@@ -1361,13 +1369,6 @@ stats_flush(Kernel *k)
     last = k->a_has_last ? PyFloat_FromDouble(k->a_last)
                          : Py_NewRef(Py_None);
     if (first == NULL || last == NULL)
-        goto done;
-    ejcnt = k->a_ej > 0
-                ? PyBytes_FromStringAndSize((const char *)k->a_ejcnt,
-                                            k->NN *
-                                                (Py_ssize_t)sizeof(long long))
-                : Py_NewRef(Py_None);
-    if (ejcnt == NULL)
         goto done;
     kinds = PyDict_New();
     if (kinds == NULL)
@@ -1383,9 +1384,9 @@ stats_flush(Kernel *k)
             goto done;
     }
     res = PyObject_CallFunction(
-        k->stats_absorb, "LLOLLLLOOOO",
+        k->stats_absorb, "LLOLLLLOOO",
         k->a_inj, k->a_inj_w, first, k->a_ej, k->a_ej_w, k->a_bytes,
-        k->a_hops, last, lat, kinds, ejcnt);
+        k->a_hops, last, lat, kinds);
     if (res == NULL)
         goto done;
     k->a_inj = k->a_inj_w = k->a_ej = k->a_ej_w = 0;
@@ -1395,13 +1396,11 @@ stats_flush(Kernel *k)
     for (int j = 0; j < k->a_nkind_order; j++)
         k->a_kind_cnt[k->a_kind_order[j]] = 0;
     k->a_nkind_order = 0;
-    memset(k->a_ejcnt, 0, (size_t)k->NN * sizeof(long long));
     k->stats_dirty = 0;
     rc = 0;
 done:
     Py_XDECREF(res);
     Py_XDECREF(kinds);
-    Py_XDECREF(ejcnt);
     Py_XDECREF(last);
     Py_XDECREF(first);
     Py_XDECREF(lat);
@@ -1431,18 +1430,39 @@ lat_push(Kernel *k, double v)
     return 0;
 }
 
-/* Re-check the deliver-fast precondition after an escape that ran
- * arbitrary Python (CALL, completion callback): a callback may
- * have registered a delivery listener mid-run.  Disable-only: once off
- * it stays off for the rest of the run. */
-static int
-refresh_deliver_fast(Kernel *k)
+/* StatsCollector.record_inject for a packet sent at *t*, whichever path
+ * routed it. */
+static inline void
+acct_inject(Kernel *k, double t)
 {
-    if (!k->deliver_fast || PyList_GET_SIZE(k->listeners) == 0)
-        return 0;
-    if (stats_flush(k) < 0)
-        return -1;
-    k->deliver_fast = 0;
+    k->a_inj += 1;
+    if (!k->a_has_first) {
+        k->a_first = t;
+        k->a_has_first = 1;
+    }
+    if (t >= k->win_start && (!k->win_has_end || t < k->win_end))
+        k->a_inj_w += 1;
+    k->stats_dirty = 1;
+}
+
+/* StatsCollector.record_eject for the packet in *p*, delivered at *t*. */
+static inline int
+acct_eject(Kernel *k, const Slot *p, double t)
+{
+    k->a_ej += 1;
+    k->a_last = t; /* event times are monotone: running max */
+    k->a_has_last = 1;
+    k->ejcnt[p->dst] += 1;
+    k->stats_dirty = 1;
+    if (t >= k->win_start && (!k->win_has_end || t < k->win_end)) {
+        k->a_ej_w += 1;
+        k->a_bytes += p->size;
+        if (lat_push(k, t - p->gen_time) < 0)
+            return -1;
+        if (k->a_kind_cnt[p->kind]++ == 0)
+            k->a_kind_order[k->a_nkind_order++] = p->kind;
+        k->a_hops += p->nports - 1;
+    }
     return 0;
 }
 
@@ -2262,29 +2282,20 @@ make_fast(Kernel *k, long node, const Desc *d, long long size, double t)
     p->size = size;
     p->gen_time = d->gen;
     p->send_time = t;
-
-    k->a_inj += 1;
-    if (!k->a_has_first) {
-        k->a_first = t;
-        k->a_has_first = 1;
-    }
-    if (t >= k->win_start && (!k->win_has_end || t < k->win_end))
-        k->a_inj_w += 1;
-    k->stats_dirty = 1;
+    acct_inject(k, t);
     k->fast_counts[FAST_MAKE] += 1;
     return si;
 }
 
 /* Escape: Network.make_packet (checker-wrapped, or a routing setup
  * with no C replica, see KernelEngine._fastpath_spec), then the send
- * time and StatsCollector.record_inject. */
+ * time and the inject accounting, in C as on the fast path. */
 static int32_t
 make_escape(Kernel *k, long node, const Desc *d, long long size, double t)
 {
     double t0 = mono_ns();
     int32_t si = -1;
-    PyObject *pkt = NULL, *tf = NULL, *stats = NULL, *r = NULL, *v = NULL;
-    PyObject *kind = NULL;
+    PyObject *pkt = NULL, *tf = NULL, *v = NULL, *kind = NULL;
     if (fault_writeback(k) < 0)
         goto done;
     {
@@ -2299,12 +2310,6 @@ make_escape(Kernel *k, long node, const Desc *d, long long size, double t)
         goto done;
     tf = PyFloat_FromDouble(t);
     if (tf == NULL || PyObject_SetAttr(pkt, str_send_time, tf) < 0)
-        goto done;
-    stats = PyObject_GetAttr(k->net, str_stats);
-    if (stats == NULL)
-        goto done;
-    r = PyObject_CallMethodOneArg(stats, str_record_inject, pkt);
-    if (r == NULL)
         goto done;
     v = PyObject_GetAttr(pkt, str_pid);
     if (v == NULL)
@@ -2336,11 +2341,10 @@ make_escape(Kernel *k, long node, const Desc *d, long long size, double t)
     p->gen_time = d->gen;
     p->send_time = t;
     p->kind = (uint8_t)ki;
+    acct_inject(k, t);
 done:
     Py_XDECREF(kind);
     Py_XDECREF(v);
-    Py_XDECREF(r);
-    Py_XDECREF(stats);
     Py_XDECREF(tf);
     Py_XDECREF(pkt);
     if (k->running) { /* sends made outside run() are not escapes */
@@ -2829,17 +2833,13 @@ gen_drop(Kernel *k, long node)
     }
 }
 
-/* Draw *node*'s next chunk over the consumed one.  A stream still
- * drawing filled its first chunk, so the chunk holds GEN_CHUNK entries;
- * a stream handed over from Python has no state and must have ended. */
-static int
+/* Draw *node*'s next chunk over the consumed one.  A chunk whose last
+ * entry is not the sentinel was drawn by a node still holding its
+ * state, and filled to GEN_CHUNK entries. */
+static void
 gen_refill(Kernel *k, long node)
 {
     GenState *st = k->g_st[node];
-    if (st == NULL) {
-        PyErr_SetString(PyExc_RuntimeError, "kernel: stream without sentinel");
-        return -1;
-    }
     int done;
     k->g_n[node] = gen_fill(&k->gen, st, node, k->g_t[node], k->g_d[node],
                             GEN_CHUNK, &done);
@@ -2849,7 +2849,6 @@ gen_refill(Kernel *k, long node)
         k->g_st[node] = NULL;
         k->g_states -= 1;
     }
-    return 0;
 }
 
 /* The object engine's generate event: queue the entry's packet (if
@@ -2870,8 +2869,7 @@ do_gen(Kernel *k, long node)
     if (dst >= 0 && nic_enqueue(k, node, dst, k->pkt_bytes, Py_None, 0) < 0)
         return -1;
     if (++i == k->g_n[node]) {
-        if (gen_refill(k, node) < 0)
-            return -1;
+        gen_refill(k, node);
         i = 0;
     }
     k->g_i[node] = i;
@@ -2885,18 +2883,17 @@ do_gen(Kernel *k, long node)
  * (``watch`` here) with three tables indexed by message id: an int32
  * array of the packets each message still needs, one byte per message
  * that is nonzero when its completion releases other messages, and a
- * float64 array that receives each message's completion time.
- * Network.deliver counts down on the Python path; do_deliver mirrors
- * that on the fast path, decrementing the same array through its buffer
- * and counting delivered packets per message and route kind in
- * ``m_kind``.  When a message's last packet is delivered, its slot is
- * released and its completion time written, and only a message that
- * releases others then escapes to the callback (ESC_DONE): a completion
- * that releases nothing runs no Python.  Packets with no int message
- * id, one outside the table or one of a message already complete are
- * not counted, as on the Python path.  Python reads the kind counts back
- * once, after the run (``message_kinds``), and the completion times from
- * its own table. */
+ * float64 array that receives each message's completion time.  Every
+ * delivery counts down here, through the tables' buffers, whether or
+ * not listeners observe it (Network.deliver applies the same rule on
+ * the object engine), and delivered packets are counted per message and
+ * route kind in ``m_kind``.  When a message's last packet is delivered,
+ * its completion time is written, and only a message that releases
+ * others then escapes to the callback (ESC_DONE): a completion that
+ * releases nothing runs no Python.  Packets with no int message id, one
+ * outside the table or one of a message already complete are not
+ * counted.  Python reads the kind counts back once, after the run
+ * (``message_kinds``), and the completion times from its own table. */
 
 /* Release the watched tables, the kind table and the callback. */
 static void
@@ -2917,28 +2914,33 @@ watch_drop(Kernel *k)
     Py_CLEAR(k->m_done);
 }
 
-/* The watched message a delivered slot counts toward, or -1. */
+/* Count down the watched message *o* (a packet's msg_id) for one packet
+ * of route kind *kind* delivered at *t*.  Returns the message if this
+ * completed it and it releases others, or -1. */
 static inline Py_ssize_t
-watch_mid(Kernel *k, const Slot *p)
+count_down(Kernel *k, PyObject *o, int kind, double t)
 {
-    PyObject *o = p->msg_id;
-    if (o == NULL || o == Py_None || !PyLong_Check(o))
+    if (!k->m_n || o == NULL || o == Py_None || !PyLong_Check(o))
         return -1;
     int overflow;
     long long mid = PyLong_AsLongLongAndOverflow(o, &overflow);
     if (overflow || mid < 0 || mid >= k->m_n || k->m_left[mid] <= 0)
         return -1;
-    return (Py_ssize_t)mid;
+    k->m_kind[mid * MAX_KINDS + kind] += 1;
+    if (--k->m_left[mid] != 0)
+        return -1;
+    k->m_time[mid] = t;
+    return k->m_rel[mid] ? (Py_ssize_t)mid : -1;
 }
 
 /* Escape: message *mid*, which releases others, is complete; call the
- * completion callback.  Like the deliver and CALL escapes it flushes the
- * accumulators first, so the callback sees a coherent StatsCollector. */
+ * completion callback.  Like the listener and CALL escapes it flushes
+ * the accumulators first, so the callback sees a coherent
+ * StatsCollector. */
 static int
 msg_done(Kernel *k, Py_ssize_t mid)
 {
-    if ((k->stats_dirty && stats_flush(k) < 0) ||
-        fault_writeback(k) < 0)
+    if (stats_flush(k) < 0 || fault_writeback(k) < 0)
         return -1;
     double t0 = mono_ns();
     /* The callback may re-arm the countdown, which drops the kernel's
@@ -2953,82 +2955,84 @@ msg_done(Kernel *k, Py_ssize_t mid)
     if (r == NULL)
         return -1;
     Py_DECREF(r);
-    return refresh_deliver_fast(k);
+    return 0;
 }
 
+/* Escape: run the delivery listeners on the delivered slot *si* (its
+ * delivery already accounted), as Network.deliver does on the object
+ * engine: flush the accumulators, so the listeners observe a coherent
+ * StatsCollector (and FaultManager); build the Packet and stamp its
+ * eject time; recycle the slot, so the listeners (and the checker's
+ * audits) see the packet delivered; call every listener in registration
+ * order, one a listener registers included; then count the message
+ * down. */
+static int
+deliver_listeners(Kernel *k, double t, int32_t si)
+{
+    if (stats_flush(k) < 0 || fault_writeback(k) < 0)
+        return -1;
+    double t0 = mono_ns();
+    Slot *p = SLOT(k, si);
+    PyObject *pkt = slot_packet(k, si);
+    if (pkt == NULL)
+        return -1;
+    pkt = Py_NewRef(pkt);
+    PyObject *mid_o = Py_XNewRef(p->msg_id);
+    int kind = p->kind;
+    slot_release(k, si);
+    PyObject *tf = PyFloat_FromDouble(t);
+    int rc = tf != NULL && PyObject_SetAttr(pkt, str_eject_time, tf) == 0
+                 ? 0 : -1;
+    Py_XDECREF(tf);
+    for (Py_ssize_t i = 0; rc == 0 && i < PyList_GET_SIZE(k->listeners); i++) {
+        PyObject *fn = Py_NewRef(PyList_GET_ITEM(k->listeners, i));
+        PyObject *r = PyObject_CallOneArg(fn, pkt);
+        Py_DECREF(fn);
+        if (r == NULL)
+            rc = -1;
+        Py_XDECREF(r);
+    }
+    Py_DECREF(pkt);
+    Py_ssize_t mid = rc == 0 ? count_down(k, mid_o, kind, t) : -1;
+    Py_XDECREF(mid_o);
+    k->esc_ns[ESC_DELIVER] += mono_ns() - t0;
+    k->esc_counts[ESC_DELIVER] += 1;
+    if (rc < 0)
+        return -1;
+    return mid >= 0 ? msg_done(k, mid) : 0;
+}
+
+/* The packet in slot *si* reaches its NIC at *t*: account it, then
+ * either run the listeners or, with none registered, count its message
+ * down and recycle the slot without a Python call. */
 static int
 do_deliver(Kernel *k, double t, int32_t si)
 {
-    if (k->deliver_fast) {
-        /* Network.deliver + StatsCollector.record_eject, in C. */
-        Slot *p = SLOT(k, si);
-        if (p->pkt != NULL) {
-            PyObject *tf = PyFloat_FromDouble(t);
-            if (tf == NULL)
-                return -1;
-            int sr = PyObject_SetAttr(p->pkt, str_eject_time, tf);
-            Py_DECREF(tf);
-            if (sr < 0)
-                return -1;
-        }
-        k->a_ej += 1;
-        k->a_last = t; /* event times are monotone: running max */
-        k->a_has_last = 1;
-        k->a_ejcnt[p->dst] += 1;
-        if (t >= k->win_start && (!k->win_has_end || t < k->win_end)) {
-            k->a_ej_w += 1;
-            k->a_bytes += p->size;
-            if (lat_push(k, t - p->gen_time) < 0)
-                return -1;
-            if (k->a_kind_cnt[p->kind]++ == 0)
-                k->a_kind_order[k->a_nkind_order++] = p->kind;
-            k->a_hops += p->nports - 1;
-        }
-        k->stats_dirty = 1;
-        k->fast_counts[FAST_DELIVER] += 1;
-        /* Network.deliver's message countdown. */
-        Py_ssize_t mid = k->m_n ? watch_mid(k, p) : -1;
-        int release = 0;
-        if (mid >= 0) {
-            k->m_kind[mid * MAX_KINDS + p->kind] += 1;
-            if (--k->m_left[mid] == 0) {
-                k->m_time[mid] = t;
-                release = k->m_rel[mid];
-            }
-        }
-        slot_release(k, si);
-        return release ? msg_done(k, mid) : 0;
-    }
-    /* Escape: flush the accumulators first so the listeners observe a
-     * coherent StatsCollector (and FaultManager). */
-    if ((k->stats_dirty && stats_flush(k) < 0) ||
-        fault_writeback(k) < 0)
+    Slot *p = SLOT(k, si);
+    if (acct_eject(k, p, t) < 0)
         return -1;
-    double t0 = mono_ns();
-    PyObject *pkt = slot_packet(k, si);
-    PyObject *r = NULL;
-    if (pkt != NULL) {
-        /* The packet has left the network: recycle its slot first, so
-         * the listeners (and the checker's audits) see it delivered. */
-        Py_INCREF(pkt);
-        slot_release(k, si);
-        r = PyObject_CallOneArg(k->deliver, pkt);
-        Py_DECREF(pkt);
+    if (PyList_GET_SIZE(k->listeners))
+        return deliver_listeners(k, t, si);
+    if (p->pkt != NULL) { /* a Packet Python built (make_packet escape) */
+        PyObject *tf = PyFloat_FromDouble(t);
+        if (tf == NULL)
+            return -1;
+        int sr = PyObject_SetAttr(p->pkt, str_eject_time, tf);
+        Py_DECREF(tf);
+        if (sr < 0)
+            return -1;
     }
-    k->esc_ns[ESC_DELIVER] += mono_ns() - t0;
-    k->esc_counts[ESC_DELIVER] += 1;
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
+    k->fast_counts[FAST_DELIVER] += 1;
+    Py_ssize_t mid = count_down(k, p->msg_id, p->kind, t);
+    slot_release(k, si);
+    return mid >= 0 ? msg_done(k, mid) : 0;
 }
 
 static int
 do_call(Kernel *k, PyObject *fn, PyObject *args)
 {
     /* Caller owns fn/args and decrefs them after we return. */
-    if ((k->stats_dirty && stats_flush(k) < 0) ||
-        fault_writeback(k) < 0)
+    if (stats_flush(k) < 0 || fault_writeback(k) < 0)
         return -1;
     double t0 = mono_ns();
     PyObject *r = PyObject_Call(fn, args, NULL);
@@ -3037,7 +3041,7 @@ do_call(Kernel *k, PyObject *fn, PyObject *args)
     if (r == NULL)
         return -1;
     Py_DECREF(r);
-    return refresh_deliver_fast(k);
+    return 0;
 }
 
 
@@ -3047,14 +3051,12 @@ do_call(Kernel *k, PyObject *fn, PyObject *args)
 static void
 unbind_refs(Kernel *k)
 {
-    Py_CLEAR(k->deliver);
     Py_CLEAR(k->listeners);
     Py_CLEAR(k->min_rows);
     Py_CLEAR(k->leg_rows);
     Py_CLEAR(k->minimal_fill);
     Py_CLEAR(k->leg_fill);
     Py_CLEAR(k->compose);
-    Py_CLEAR(k->stats_absorb);
     crng_drop(&k->fm_rng);
     Py_CLEAR(k->fm);
     k->fm_rer = k->fm_drp = 0;
@@ -3065,7 +3067,6 @@ unbind_refs(Kernel *k)
         crng_drop(&k->rng[i]);
     k->rng_n = 0;
     k->route_mode = -1;
-    k->deliver_fast = 0;
 }
 
 /* End residency: push the fault counts and RNG, the routing RNG streams
@@ -3148,19 +3149,27 @@ bind_faults(Kernel *k, PyObject *fp)
     return 0;
 }
 
-/* Bind net.deliver, its listener list and the fast-path spec (a
- * namespace from KernelEngine._fastpath_spec, or None): the RouteCache
- * hooks for route mode and fault diverts, the fault manager, and the
- * stats accumulators.  Route mode makes the routing RNG streams and
- * Network._pid resident in C. */
+/* The StatsCollector's window [window_start, window_end), which the
+ * accounting reads at each run and at each send made outside one. */
+static int
+read_window(Kernel *k)
+{
+    int has;
+    return fp_opt_double(k->stats, "window_start", &k->win_start, &has) < 0 ||
+                   fp_opt_double(k->stats, "window_end", &k->win_end,
+                                 &k->win_has_end) < 0
+               ? -1 : 0;
+}
+
+/* Bind the delivery listener list, the stats window and the fast-path
+ * spec (a namespace from KernelEngine._fastpath_spec, or None): the
+ * RouteCache hooks for route mode and fault diverts, and the fault
+ * manager.  Route mode makes the routing RNG streams and Network._pid
+ * resident in C. */
 static int
 bind_run(Kernel *k, PyObject *fp)
 {
     k->route_mode = -1;
-    k->deliver_fast = 0;
-    k->deliver = PyObject_GetAttr(k->net, str_deliver);
-    if (k->deliver == NULL)
-        return -1;
     k->listeners = PyObject_GetAttr(k->net, str_delivery_listeners);
     if (k->listeners == NULL)
         return -1;
@@ -3169,12 +3178,13 @@ bind_run(Kernel *k, PyObject *fp)
                         "kernel: Network._delivery_listeners is not a list");
         return -1;
     }
+    if (read_window(k) < 0)
+        return -1;
     if (fp == Py_None)
         return 0;
 
-    long mode, dfast, sf, nI;
-    if (fp_long(fp, "route_mode", &mode) < 0 ||
-        fp_long(fp, "deliver_fast", &dfast) < 0 || bind_faults(k, fp) < 0)
+    long mode, sf, nI;
+    if (fp_long(fp, "route_mode", &mode) < 0 || bind_faults(k, fp) < 0)
         return -1;
     if (mode >= 0 || k->fm != NULL) {
 #define FPGETO(field, name)                                               \
@@ -3195,14 +3205,6 @@ bind_run(Kernel *k, PyObject *fp)
             return -1;
         }
     }
-    if (mode < 0 && !dfast)
-        return 0;
-    int has_thr = 0;
-    if ((k->stats_absorb = get_attr(fp, "stats_absorb")) == NULL ||
-        fp_opt_double(fp, "win_start", &k->win_start, &has_thr) < 0 ||
-        fp_opt_double(fp, "win_end", &k->win_end, &k->win_has_end) < 0)
-        return -1;
-    k->deliver_fast = dfast ? 1 : 0;
     if (mode < 0)
         return 0;
     if (fp_long(fp, "n_indirect", &nI) < 0 || fp_long(fp, "sf_mode", &sf) < 0)
@@ -3433,7 +3435,7 @@ Kernel_run(Kernel *k, PyObject *args)
     PyObject *exc_type = NULL, *exc_val = NULL, *exc_tb = NULL;
     if (failed)
         PyErr_Fetch(&exc_type, &exc_val, &exc_tb);
-    if (k->stats_absorb != NULL && stats_flush(k) < 0)
+    if (stats_flush(k) < 0)
         failed = 1;
     if (export_resident(k) < 0)
         failed = 1;
@@ -3708,7 +3710,9 @@ node_arg(Kernel *k, PyObject *o, long *node)
 
 /* nic_submit(node, dst, size, msg_id, interleave): NIC.submit at the
  * current time, its arguments checked as NIC.submit checks them
- * (repro.sim.nic's bad_size gives the size error its text). */
+ * (repro.sim.nic's bad_size gives the size error its text).  A send
+ * made outside a run is accounted against the window of that moment
+ * and flushed before this returns. */
 static PyObject *
 Kernel_nic_submit(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -3734,8 +3738,9 @@ Kernel_nic_submit(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     int interleave = PyObject_IsTrue(args[4]);
-    if (interleave < 0 ||
-        nic_enqueue(k, node, (int32_t)dst, size, args[3], interleave) < 0)
+    if (interleave < 0 || (!k->running && read_window(k) < 0) ||
+        nic_enqueue(k, node, (int32_t)dst, size, args[3], interleave) < 0 ||
+        (!k->running && stats_flush(k) < 0))
         return NULL;
     Py_RETURN_NONE;
 }
@@ -3819,8 +3824,8 @@ Kernel_watch(Kernel *k, PyObject *args)
     Py_RETURN_NONE;
 }
 
-/* message_kinds() -> {(msg_id, kind): packets}: what the fast path's
- * countdown delivered, by message id then route kind. */
+/* message_kinds() -> {(msg_id, kind): packets}: what the countdown
+ * delivered, by message id then route kind. */
 static PyObject *
 Kernel_message_kinds(Kernel *k, PyObject *Py_UNUSED(ignored))
 {
@@ -3871,70 +3876,6 @@ Kernel_queue_len(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     long q = fp_qlen(k, u, v);
     return q < 0 ? NULL : PyLong_FromLong(q);
-}
-
-/* set_stream(node, times, dsts): one node's whole stream, drawn in
- * Python for a pattern without a table entry (see "traffic
- * generation"; dst -1: no packet this draw, -2: the sentinel); queues
- * the node's first GEN event, as gen_streams does. */
-static PyObject *
-Kernel_set_stream(Kernel *k, PyObject *args)
-{
-    PyObject *nodeo, *times, *dsts;
-    long node;
-    if (!PyArg_ParseTuple(args, "OOO", &nodeo, &times, &dsts))
-        return NULL;
-    if (node_arg(k, nodeo, &node) < 0)
-        return NULL;
-    PyObject *ft = PySequence_Fast(times, "times must be a sequence");
-    PyObject *fd = ft ? PySequence_Fast(dsts, "dsts must be a sequence") : NULL;
-    if (fd == NULL) {
-        Py_XDECREF(ft);
-        return NULL;
-    }
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(ft);
-    double *gt = NULL;
-    int32_t *gd = NULL;
-    if (n < 1 || n != PySequence_Fast_GET_SIZE(fd) || n > INT32_MAX) {
-        PyErr_SetString(PyExc_ValueError,
-                        "kernel: stream times/dsts must be equal, non-empty");
-        goto fail;
-    }
-    gt = (double *)PyMem_Malloc((size_t)n * sizeof(double));
-    gd = (int32_t *)PyMem_Malloc((size_t)n * sizeof(int32_t));
-    if (gt == NULL || gd == NULL) {
-        PyErr_NoMemory();
-        goto fail;
-    }
-    for (Py_ssize_t i = 0; i < n; i++) {
-        gt[i] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(ft, i));
-        long d = PyLong_AsLong(PySequence_Fast_GET_ITEM(fd, i));
-        if (PyErr_Occurred())
-            goto fail;
-        if (d < -2 || d >= k->NN) {
-            PyErr_Format(PyExc_ValueError, "kernel: stream dst %ld", d);
-            goto fail;
-        }
-        gd[i] = (int32_t)d;
-    }
-    gen_drop(k, node);
-    k->g_t[node] = gt;
-    k->g_d[node] = gd;
-    k->g_n[node] = (int32_t)n;
-    if (k->g_n[node] > k->g_chunk_max)
-        k->g_chunk_max = k->g_n[node];
-    Py_DECREF(ft);
-    Py_DECREF(fd);
-    k->seq += 1;
-    if (kpush(k, LANE_HEAP, gt[0], k->seq, OP_GEN, node, 0, 0) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-fail:
-    PyMem_Free(gt);
-    PyMem_Free(gd);
-    Py_DECREF(ft);
-    Py_DECREF(fd);
-    return NULL;
 }
 
 /* Load a pattern-table entry into *g* (a fresh ``tab``; the caller owns
@@ -4502,6 +4443,40 @@ done:
         return -1;                                                        \
     }
 
+/* Bind net.stats for the kernel's lifetime: its absorb_kernel, which
+ * the accumulators flush into, and a writable view of its
+ * eject_count_per_node, which deliveries increment in place (one int64
+ * per node; StatsCollector.reset zeroes it without reallocating). */
+static int
+bind_stats(Kernel *k, PyObject *net)
+{
+    if ((k->stats = get_attr(net, "stats")) == NULL ||
+        (k->stats_absorb = get_attr(k->stats, "absorb_kernel")) == NULL)
+        return -1;
+    PyObject *cnt = get_attr(k->stats, "eject_count_per_node");
+    if (cnt == NULL)
+        return -1;
+    int rc = PyObject_GetBuffer(cnt, &k->ejcnt_view,
+                                PyBUF_WRITABLE | PyBUF_FORMAT |
+                                    PyBUF_C_CONTIGUOUS);
+    Py_DECREF(cnt);
+    if (rc < 0)
+        return -1;
+    const Py_buffer *v = &k->ejcnt_view;
+    const char *f = v->format;
+    if (f[0] == '@' || f[0] == '=' || f[0] == '<')
+        f += 1;
+    if (v->ndim != 1 || v->itemsize != sizeof(long long) ||
+        v->shape[0] != k->NN || (strcmp(f, "q") != 0 && strcmp(f, "l") != 0)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "kernel: stats.eject_count_per_node must be an int64 "
+                        "array of one entry per node");
+        return -1;
+    }
+    k->ejcnt = (long long *)v->buf;
+    return 0;
+}
+
 /* Kernel(st, net, packet_cls): build the state from SoAState's wiring.
  * Every router-router port starts with a full VC's worth of credits and
  * every NIC with a full port's worth, as the object ports do. */
@@ -4606,7 +4581,6 @@ Kernel_init(Kernel *k, PyObject *args, PyObject *kwds)
     CALLOC(k->g_i, NN)
     CALLOC(k->g_n, NN)
     CALLOC(k->g_st, NN)
-    CALLOC(k->a_ejcnt, NN)
 
     /* Route table: empty rows, buffers and the routing's VC labelling. */
     long scheme;
@@ -4635,6 +4609,8 @@ Kernel_init(Kernel *k, PyObject *args, PyObject *kwds)
         if (no_route_cls == NULL)
             return -1;
     }
+    if (bind_stats(k, net) < 0)
+        return -1;
     k->free_head = -1;
     k->route_mode = -1;
     k->net = Py_NewRef(net);
@@ -4671,11 +4647,13 @@ Kernel_traverse(Kernel *k, visitproc visit, void *arg)
     }
     Py_VISIT(k->net);
     Py_VISIT(k->packet_cls);
+    Py_VISIT(k->stats);
+    Py_VISIT(k->stats_absorb);
+    Py_VISIT(k->ejcnt_view.obj);
     Py_VISIT(k->m_left_view.obj);
     Py_VISIT(k->m_rel_view.obj);
     Py_VISIT(k->m_time_view.obj);
     Py_VISIT(k->m_done);
-    Py_VISIT(k->deliver);
     Py_VISIT(k->listeners);
     Py_VISIT(k->fm);
     Py_VISIT(k->fm_rng.obj);
@@ -4685,7 +4663,6 @@ Kernel_traverse(Kernel *k, visitproc visit, void *arg)
     Py_VISIT(k->minimal_fill);
     Py_VISIT(k->leg_fill);
     Py_VISIT(k->compose);
-    Py_VISIT(k->stats_absorb);
     return 0;
 }
 
@@ -4716,6 +4693,11 @@ Kernel_tp_clear(Kernel *k)
     k->resident = 0;
     unbind_refs(k);
     watch_drop(k);
+    if (k->ejcnt_view.obj != NULL)
+        PyBuffer_Release(&k->ejcnt_view);
+    k->ejcnt = NULL;
+    Py_CLEAR(k->stats_absorb);
+    Py_CLEAR(k->stats);
     Py_CLEAR(k->net);
     Py_CLEAR(k->packet_cls);
     return 0;
@@ -4766,7 +4748,7 @@ Kernel_dealloc(Kernel *k)
         k->n_busy_s, k->n_stalls, k->n_cred, k->n_mat, k->n_qp, k->n_wake,
         k->n_q, k->n_arr, k->g_t, k->g_d, k->g_i, k->g_n,
         k->g_st, k->gen.tab,
-        k->a_lat, k->a_ejcnt, k->rt_off, k->rt_mid, k->rt_live, k->rt_r,
+        k->a_lat, k->rt_off, k->rt_mid, k->rt_live, k->rt_r,
         k->rt_p, k->rt_v, k->bfs, k->bfs_q,
     };
     for (size_t i = 0; i < sizeof(arrays) / sizeof(arrays[0]); i++)
@@ -4813,14 +4795,11 @@ static PyMethodDef Kernel_methods[] = {
     {"watch", (PyCFunction)Kernel_watch, METH_VARARGS,
      "watch(left, release, times, on_complete): arm the message countdown."},
     {"message_kinds", (PyCFunction)Kernel_message_kinds, METH_NOARGS,
-     "{(msg_id, kind): packets} the fast path's countdown delivered."},
+     "{(msg_id, kind): packets} the countdown delivered."},
     {"nic_info", (PyCFunction)Kernel_nic_info, METH_O,
      "nic_info(node) -> (queued_packets, credit_stalls, credits)."},
     {"queue_len", (PyCFunction)(void (*)(void))Kernel_queue_len,
      METH_FASTCALL, "queue_len(router, neighbor): UGAL-L's signal."},
-    {"set_stream", (PyCFunction)Kernel_set_stream, METH_VARARGS,
-     "set_stream(node, times, dsts): one node's whole open-loop stream; "
-     "queues its first GEN event."},
     {"gen_streams", (PyCFunction)Kernel_gen_streams, METH_VARARGS,
      "gen_streams(seeds, pat, table, n, hot, mean_ia, horizon, poisson): "
      "every node's open-loop stream, drawn in C."},
@@ -5052,11 +5031,10 @@ PyInit__kernel(void)
     } names[] = {
         {&str_routers, "routers"}, {&str_ports, "ports"}, {&str_vcs, "vcs"},
         {&str_kind, "kind"}, {&str_pid, "pid"}, {&str_send_time, "send_time"},
-        {&str_eject_time, "eject_time"}, {&str_deliver, "deliver"},
+        {&str_eject_time, "eject_time"},
         {&str_reroutes, "reroutes"}, {&str_dropped, "dropped"},
         {&str_delivery_listeners, "_delivery_listeners"},
-        {&str_make_packet, "make_packet"}, {&str_stats, "stats"},
-        {&str_record_inject, "record_inject"}, {&str_net_pid, "_pid"},
+        {&str_make_packet, "make_packet"}, {&str_net_pid, "_pid"},
         {&str_minimal, "minimal"}, {&str_indirect, "indirect"},
     };
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++)

@@ -40,12 +40,13 @@ the object checker exposes); they read state and schedule no events,
 so checking cannot perturb event order -- a checked run produces the
 same fingerprint as an unchecked one.
 
-An attached checker also gates the C fast paths off: its delivery
-listener keeps every delivery out of the C delivery path, and its
-wrapped ``make_packet`` keeps every send out of the C route path
-(``KernelEngine._fastpath_spec``).  Checked kernel runs take the
-per-packet make_packet/deliver escapes, and the goldens pin that both
-routes produce identical fingerprints.
+An attached checker costs Python per packet: its wrapped
+``make_packet`` keeps every send out of the C route path
+(``KernelEngine._fastpath_spec``), and the kernel calls its delivery
+listener on every delivery.  The statistics it reconciles are still
+accounted in C, as in an unchecked run, and flushed before each
+listener call; the goldens pin that checked and unchecked runs
+produce identical fingerprints.
 """
 
 from __future__ import annotations

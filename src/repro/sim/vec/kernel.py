@@ -27,18 +27,22 @@ heap.  The extension is built once from the read-only wiring that
 kernel network builds no object routers, ports or NICs), and
 enumerates, filters and composes routes from that wiring's
 directed-channel table too, calling into ``RouteCache`` only for the
-pairs its route table cannot serve.  A
+pairs its route table cannot serve.  The kernel records every send
+and delivery and counts every closed-loop message down itself, in C,
+whichever path routed the packet; the statistics reach the
+``StatsCollector`` through ``absorb_kernel`` and the collector's
+per-node eject counts, never through ``record_inject``,
+``record_eject`` or ``Network.deliver``.  A
 :class:`~repro.sim.packet.Packet` is materialised only where Python
-must see one: the make_packet and deliver escapes (deliveries escape
-while the network has a delivery listener; the tracer and the checker
-are listeners too) and the checker.  A link fault costs no Python per
-packet: the kernel reroutes or drops packets off dead ports itself,
-with BFS detours of its own.  Python queues no
-raw event records: a scheduled callback enters through
-``Kernel.call``, which reserves its sequence number in C, and
-``Kernel.set_stream`` queues a node's first GEN itself.  Python reads
-kernel state as snapshots (``Kernel.view`` and ``Kernel.lengths``
-return bytes copies).
+must see one: the make_packet escape, a delivery while the network has
+delivery listeners (the tracer and the checker are listeners too; the
+kernel calls them itself) and the checker.  A link fault costs no
+Python per packet: the kernel reroutes or drops packets off dead ports
+itself, with BFS detours of its own.  Python queues no raw event
+records: a scheduled callback enters through ``Kernel.call``, which
+reserves its sequence number in C.  Python reads kernel state as
+snapshots (``Kernel.view`` and ``Kernel.lengths`` return bytes
+copies).
 
 Exactness model
 ===============
@@ -86,8 +90,10 @@ drawing ahead consumes the identical stream the object engine draws one
 event at a time.  For permutation, uniform and hotspot traffic the
 kernel seeds a C copy of each node's ``random.Random`` and draws its
 stream in chunks of 256 entries as the GEN events consume them, holding
-the generator state only until the stream reaches the horizon; any
-other pattern is drawn in Python, whole, before the run.
+the generator state only until the stream reaches the horizon.  Any
+other pattern runs the object engine's own generate events
+(``Network._generate``) as CALLs, at the keys GEN events would take:
+one Python call per generated packet.
 
 Arbitrary callbacks (``schedule(delay, fn, *args)``) remain supported
 via a CALL op, so the drivers in :mod:`repro.sim.network` and
@@ -128,7 +134,7 @@ from repro.routing.ugal import UGALRouting
 from repro.routing.valiant import IndirectRandomRouting
 from repro.sim.packet import Packet
 from repro.sim.vec.state import KernelNIC, SoAState
-from repro.traffic.base import PermutationTraffic, bad_destination
+from repro.traffic.base import PermutationTraffic
 from repro.traffic.classic import HotspotTraffic
 from repro.traffic.uniform import UniformRandom
 
@@ -235,14 +241,14 @@ PAT_HOTSPOT = 3
 
 def _pattern_entry(pattern, num_nodes: int) -> Optional[tuple]:
     """The kernel's pattern-table entry ``(kind, table, n, hot_fraction)``
-    for *pattern* on *num_nodes* nodes, or ``None`` when its streams must
-    be drawn in Python.
+    for *pattern* on *num_nodes* nodes, or ``None`` when it has none and
+    runs the object engine's generate events.
 
     The entry is chosen by which ``pick_destination`` the pattern runs
     (a subclass that overrides it has no entry), and only when every
     destination it can draw is valid, so the C draws never need the
-    error path: anything else goes through the Python draws, which
-    raise where the object engine does.
+    error path: anything else draws in ``Network._generate``, which
+    raises where and when the object engine does.
     """
     pick = getattr(getattr(pattern, "pick_destination", None), "__func__", None)
     if pick is PermutationTraffic.pick_destination:
@@ -360,75 +366,50 @@ class KernelEngine:
         horizon: float,
         seed: int,
         arrival: str,
-    ) -> None:
-        """Give every node its injection stream and queue its first GEN.
+    ) -> bool:
+        """Draw every node's injection stream in C and queue its first
+        GEN, if *pattern* has a table entry (:func:`_pattern_entry`);
+        returns whether it has.  Without one, ``Network.run_synthetic``
+        schedules the object engine's generate events instead.
 
         Exactness: the object engine draws, per node and per event,
         ``pick_destination(node, rng)`` then ``expovariate`` from a
         *private* per-node RNG seeded off one master stream.  Nobody
-        else draws from a node's RNG (patterns are pure functions of
-        ``(node, rng)``), so the node's whole stream can be drawn ahead
-        of its events, and the times accumulate with the same float
-        additions.  A pattern with a table entry (:func:`_pattern_entry`)
-        is drawn in C, chunk by chunk as the GEN handler consumes it;
-        any other pattern is drawn here, whole.  The last entry of a
-        stream is the object engine's final past-horizon generate event
-        (which fires and does nothing); it is kept so event and sequence
-        accounting stay aligned.
+        else draws from a node's RNG (a tabled pattern is a pure
+        function of ``(node, rng)``), so the node's whole stream can be
+        drawn ahead of its events, chunk by chunk as the GEN handler
+        consumes it, and the times accumulate with the same float
+        additions.  The last entry of a stream is the object engine's
+        final past-horizon generate event (which fires and does
+        nothing); it is kept so event and sequence accounting stay
+        aligned.
         """
-        k = self.kernel
         n = self.st.NN
+        entry = _pattern_entry(pattern, n)
+        if entry is None:
+            return False
         master = random.Random(seed)
         seeds = [master.getrandbits(64) for _ in range(n)]
-        poisson = arrival == "poisson"
-        entry = _pattern_entry(pattern, n)
-        if entry is not None:
-            k.gen_streams(seeds, *entry, mean_ia, horizon, poisson)
-            return
-        pick = pattern.pick_destination
-        for node in range(n):
-            rng = random.Random(seeds[node])
-            t = rng.uniform(0.0, mean_ia)
-            expo = rng.expovariate
-            times = []
-            dsts = []
-            while t < horizon:
-                dst = pick(node, rng)
-                if dst is None:
-                    dst = -1
-                elif dst == node or not 0 <= dst < n:
-                    raise bad_destination(node, dst, n)
-                times.append(t)
-                dsts.append(dst)
-                t = t + (expo(1.0 / mean_ia) if poisson else mean_ia)
-            times.append(t)  # past-horizon sentinel event
-            dsts.append(-2)
-            k.set_stream(node, times, dsts)
+        self.kernel.gen_streams(seeds, *entry, mean_ia, horizon,
+                                arrival == "poisson")
+        return True
 
     # -- fast-path spec --------------------------------------------------------
 
     def _fastpath_spec(self):
-        """Bindings for the C fast paths, or ``None`` when ineligible.
+        """Bindings for the C route path and the fault diverts, or
+        ``None`` when neither applies.
 
-        Two independently-gated tiers:
-
-        * ``route_mode >= 0`` moves the entire NIC send -- routing
-          candidate selection (with a C replica of the ``random.Random``
-          draw stream) and inject accounting -- behind the C boundary.
-          Requires routing of a known type and an unwrapped
-          ``Network.make_packet`` (the checker wraps it, so a checked
-          run routes every packet in Python).
-        * ``deliver_fast`` accumulates the per-packet eject statistics
-          in C arrays, flushed via ``StatsCollector.absorb_kernel``, and
-          counts down a closed-loop driver's messages
-          (``Network.watch_messages``) in C, writing each completion
-          time to the countdown's table and calling into Python only
-          for a completed message that releases others (the
-          ``msg_done`` escape).  It is on
-          exactly while ``Network._delivery_listeners`` is empty (the
-          tracer, exchange message tracking and the checker are
-          listeners too); the kernel holds that list for the run and
-          leaves the tier when an escape registers a listener mid-run.
+        ``route_mode >= 0`` moves the routing of every NIC send --
+        candidate selection, with a C replica of the ``random.Random``
+        draw stream -- behind the C boundary.  It requires routing of a
+        known type and an unwrapped ``Network.make_packet`` (the
+        checker wraps it, so a checked run routes every packet in
+        Python, the ``make_packet`` escape).  The accounting is not
+        gated: the kernel records every send and delivery and counts
+        every closed-loop message down in C whichever path routed the
+        packet, and calls the delivery listeners itself when there are
+        any (see ``do_deliver`` in ``_kernel.c``).
 
         Routes come from the kernel's own route table (built from
         ``row_port``, see ``_kernel.c``), which also gives a pair whose
@@ -445,9 +426,8 @@ class KernelEngine:
         and writes its ``reroutes`` and ``dropped`` counts back before
         each escape that runs Python and at the end of the run.
 
-        Set ``REPRO_KERNEL_NO_FASTPATH=1`` to force the per-packet
-        escapes everywhere (the countdown then runs in
-        ``Network.deliver``).
+        Set ``REPRO_KERNEL_NO_FASTPATH=1`` to route every packet in
+        Python (``route_mode`` -1: the ``make_packet`` escape per send).
         """
         net = self.net
         fast = not os.environ.get("REPRO_KERNEL_NO_FASTPATH")
@@ -476,17 +456,11 @@ class KernelEngine:
             ):
                 route_mode = 3
                 rngs = [routing._minimal._rng, routing._indirect._rng]
-        deliver_fast = int(fast and not net._delivery_listeners)
-        if route_mode < 0 and not deliver_fast and fm is None:
+        if route_mode < 0 and fm is None:
             return None
-        stats = net.stats
         threshold = getattr(routing, "threshold", None)
         return SimpleNamespace(
             route_mode=route_mode,
-            deliver_fast=deliver_fast,
-            stats_absorb=stats.absorb_kernel,
-            win_start=stats.window_start,
-            win_end=stats.window_end,
             rngs=rngs,
             min_rows=cache.minimal_rows if cache is not None else None,
             leg_rows=cache.leg_rows if cache is not None else None,

@@ -517,10 +517,10 @@ def test_fail_at_zero_follows_the_first_sends(kind, backend, monkeypatch):
                     reason="compiled kernel unavailable")
 @pytest.mark.parametrize("iteration", range(min(ITERS, 4)))
 def test_kernel_deliver_fast_matches_object_stats(iteration):
-    # No listener, no checker: the only configuration where the C
-    # delivery-accounting fast path runs.  WindowStats (including the
-    # order-sensitive mean/percentile latency reductions) must match
-    # the object engine's per-packet accounting exactly.
+    # No listener, no checker: no send or delivery calls Python.
+    # WindowStats (including the order-sensitive mean/percentile latency
+    # reductions), accounted in C, must match the object engine's
+    # per-packet accounting exactly.
     cfg = dict(_random_config(10_987 + iteration), check=False)
     ref = _run(cfg, "object", listener=False)
     got = _run(cfg, "kernel", listener=False)

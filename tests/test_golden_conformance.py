@@ -3,7 +3,8 @@
 The committed fingerprints pin the simulator's end-to-end behaviour --
 full WindowStats plus a digest over the ordered delivery stream -- for
 every tiny-scale topology x routing combination.  Serial, process-pool,
-checker-enabled and kernel-backend runs must all reproduce them
+checker-enabled and kernel-backend runs (with and without the C route
+path and the delivery recorder) must all reproduce them
 bit-identically; an intended behaviour change regenerates the goldens
 (``python -m repro.experiments.conformance --write``) so the diff is
 reviewed with the change that caused it.
@@ -57,18 +58,6 @@ def test_checker_preserves_physics(golden, case_key):
     assert not problems, "\n".join(problems)
 
 
-@pytest.mark.parametrize("case_key", conformance.CASE_KEYS)
-def test_batched_backend_matches_golden(golden, case_key):
-    # The tentpole contract of the batched backend: every committed
-    # fingerprint -- WindowStats and the ordered delivery stream, which
-    # encodes RNG draw order and every arbitration decision -- is
-    # reproduced bit-identically by the struct-of-arrays engine.
-    got = conformance.run_case(case_key, backend="batched")
-    problems = conformance.diff_fingerprints({case_key: golden[case_key]},
-                                             {case_key: got})
-    assert not problems, "\n".join(problems)
-
-
 needs_kernel = pytest.mark.skipif(
     _load_kernel() is None,
     reason="compiled kernel unavailable (no compiler or REPRO_NO_KERNEL set)",
@@ -77,9 +66,9 @@ needs_kernel = pytest.mark.skipif(
 
 @needs_kernel
 @pytest.mark.parametrize("check,fastpath", [
-    (False, True),   # route fast path live (the production default)
-    (False, False),  # REPRO_KERNEL_NO_FASTPATH: per-packet escapes
-    (True, True),    # the checker's wrap and listener gate both tiers off
+    (False, True),   # C route path live (the production default)
+    (False, False),  # REPRO_KERNEL_NO_FASTPATH: every packet routes in Python
+    (True, True),    # the checker's wrapped make_packet routes in Python too
 ])
 @pytest.mark.parametrize("case_key", conformance.CASE_KEYS)
 def test_kernel_backend_matches_golden(golden, case_key, check, fastpath,
@@ -87,10 +76,14 @@ def test_kernel_backend_matches_golden(golden, case_key, check, fastpath,
     # The compiled-kernel acceptance bar: every committed fingerprint is
     # reproduced bit-identically by the C dispatch core -- checked (the
     # audit-based KernelChecker over kernel runs), unchecked with the
-    # C route-selection fast path live (where the delivery listener
-    # forces only the deliver escape), and with the fast path disabled
-    # via the REPRO_KERNEL_NO_FASTPATH escape hatch.  The on/off pair
-    # is the differential gate on the C routing + RNG replica itself.
+    # C route selection live, and with it disabled via the
+    # REPRO_KERNEL_NO_FASTPATH escape hatch, which sends every packet
+    # through Network.make_packet.  The on/off pair is the differential
+    # gate on the C routing + RNG replica itself.  The delivery recorder
+    # is a listener: the kernel calls it on every delivery, after
+    # accounting the delivery in C as it does with no listener.
+    # (``backend="batched"`` is an alias that resolves to this engine,
+    # so these legs cover it too.)
     if fastpath:
         monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
     else:
@@ -104,9 +97,8 @@ def test_kernel_backend_matches_golden(golden, case_key, check, fastpath,
 @needs_kernel
 @pytest.mark.parametrize("case_key", conformance.CASE_KEYS)
 def test_kernel_no_listener_stats_match_golden(golden, case_key):
-    # Without a delivery listener the kernel's C delivery-accounting
-    # fast path is live (no per-packet deliver escape at all); the
-    # WindowStats it accumulates C-side -- including the order-
+    # Without a delivery listener no delivery calls Python at all; the
+    # WindowStats the kernel accumulates C-side -- including the order-
     # sensitive latency reductions -- must still equal the goldens.
     got = conformance.run_case(case_key, backend="kernel", listener=False)
     assert got["digest"] is None  # stats-only fingerprint
@@ -156,9 +148,9 @@ def test_fault_case_matches_golden(fault_golden, check, backend):
 @pytest.mark.parametrize("check", [False, True])
 def test_fault_case_kernel_no_fastpath_matches_golden(fault_golden, check,
                                                       monkeypatch):
-    # The fault golden again with the kernel fast paths forced off:
-    # both halves of the escape hatch must reproduce the same
-    # fingerprint, or the hatch itself would mask a fast-path bug.
+    # The fault golden again with the C route path forced off: the
+    # escape hatch must reproduce the same fingerprint, or the hatch
+    # itself would mask a fast-path bug.
     if _load_kernel() is None:
         pytest.skip("compiled kernel unavailable")
     monkeypatch.setenv("REPRO_KERNEL_NO_FASTPATH", "1")
@@ -237,9 +229,9 @@ def test_closed_loop_object_matches_golden(closed_loop_golden, case_key,
 
 @needs_kernel
 @pytest.mark.parametrize("check,fastpath", [
-    (False, True),   # delivery recorder attached: deliveries escape
-    (False, False),  # REPRO_KERNEL_NO_FASTPATH: every packet escapes
-    (True, True),    # the audit checker: fast paths self-gate
+    (False, True),   # the kernel calls the delivery recorder per delivery
+    (False, False),  # REPRO_KERNEL_NO_FASTPATH: every packet routes in Python
+    (True, True),    # the audit checker: its make_packet routes in Python
 ], ids=["fast", "nofastpath", "checked"])
 @pytest.mark.parametrize("case_key", conformance.CLOSED_LOOP_CASE_KEYS)
 def test_closed_loop_kernel_matches_golden(closed_loop_golden, case_key,
@@ -257,10 +249,10 @@ def test_closed_loop_kernel_matches_golden(closed_loop_golden, case_key,
 @pytest.mark.parametrize("case_key", conformance.CLOSED_LOOP_CASE_KEYS)
 def test_closed_loop_kernel_no_listener_matches_golden(closed_loop_golden,
                                                        case_key):
-    # Without the recorder nothing observes single deliveries, so the C
-    # delivery path and the C message countdown run; the result (phase
-    # completion times, route-kind counts, message latencies) must
-    # still equal the golden.
+    # Without the recorder nothing observes single deliveries, so no
+    # delivery calls Python; the result (phase completion times,
+    # route-kind counts, message latencies) must still equal the
+    # golden.
     problems = _closed_loop_problems(closed_loop_golden, case_key,
                                      backend="kernel", listener=False)
     assert not problems, "\n".join(problems)

@@ -154,11 +154,12 @@ class TestKernelEngine:
         # Opcode counters sum to the events the engine reported.
         assert sum(s["op_counts"].values()) == s["events"]
 
-    def test_no_fastpath_escape_hatch_restores_per_packet_escapes(
+    def test_no_fastpath_hatch_routes_every_packet_in_python(
         self, monkeypatch
     ):
-        # REPRO_KERNEL_NO_FASTPATH forces the per-packet escapes (the
-        # fallback leg the conformance matrix parametrizes over).
+        # REPRO_KERNEL_NO_FASTPATH forces the make_packet escape for
+        # every send (the leg the conformance matrix parametrizes
+        # over); deliveries, with no listener, still stay in C.
         monkeypatch.setenv("REPRO_KERNEL_NO_FASTPATH", "1")
         net = self._net()
         net.run_synthetic(
@@ -167,9 +168,10 @@ class TestKernelEngine:
         )
         s = net.engine.kernel_stats()
         assert s["fast_path"]["make_packet"]["count"] == 0
-        assert s["fast_path"]["deliver"]["count"] == 0
-        assert s["escapes"]["make_packet"]["count"] > 0
-        assert s["escapes"]["deliver"]["count"] == net.stats.ejected_total
+        assert (s["escapes"]["make_packet"]["count"]
+                == net.stats.injected_total > 0)
+        assert s["fast_path"]["deliver"]["count"] == net.stats.ejected_total
+        assert s["escapes"]["deliver"]["count"] == 0
 
     def test_kernel_stats_attribute_the_event_set(self, monkeypatch):
         # The loop's ledger: every push lands on a delay lane or on the
@@ -310,3 +312,102 @@ class TestKernelEngine:
         assert eng.pending == 1  # the 'after' event survived the error
         eng.run()
         assert seen == ["before", "after"]
+
+
+def _listened_run(net):
+    """A short uniform load on *net*, drained; returns its WindowStats.
+    Its first scheduled call (the warm-up's end) comes long after the
+    first deliveries."""
+    return net.run_synthetic(
+        UniformRandom(net.topology.num_nodes), load=0.5, warmup_ns=1_000.0,
+        measure_ns=600.0, seed=5, drain=True,
+    )
+
+
+def _register(net, when, fn):
+    """Register listener *fn* before the run, or from the first send's
+    make_packet (which a wrapper turns into a Python escape), mid-run
+    on the kernel."""
+    if when == "run":
+        net.add_delivery_listener(fn)
+        return
+    make_packet = net.make_packet
+
+    def registering_make_packet(*args):
+        if fn not in net._delivery_listeners:
+            net.add_delivery_listener(fn)
+        return make_packet(*args)
+
+    net.make_packet = registering_make_packet
+
+
+@needs_kernel
+def test_raising_listener_propagates_after_its_slot_is_recycled():
+    # A listener registered mid-run (from a make_packet escape) raises
+    # at its 100th delivery.  The error leaves the run at the same
+    # simulated time, after the same deliveries, as on the object
+    # engine, and the kernel had recycled the delivered packet's slot
+    # and accounted its delivery before the listener ran: live slots
+    # are the packets injected and not yet delivered, inside the
+    # listener and after.
+    topo = SlimFly(5)
+
+    def run(backend):
+        net = Network(topo, UGALRouting(topo, seed=0),
+                      SimConfig(backend=backend))
+        calls = []
+
+        def listener(pkt):
+            calls.append(pkt.pid)
+            if backend == "kernel":
+                live = net.engine.memory_stats()["slots_live"]
+                assert live == (net.stats.injected_total
+                                - net.stats.ejected_total)
+            if len(calls) == 100:
+                raise RuntimeError("listener failure")
+
+        _register(net, "make_packet", listener)
+        with pytest.raises(RuntimeError, match="listener failure"):
+            _listened_run(net)
+        st = net.stats
+        return net, (net.engine.now, calls, st.injected_total,
+                     st.ejected_total)
+
+    _, ref = run("object")
+    net, got = run("kernel")
+    assert got == ref
+    assert (net.engine.memory_stats()["slots_live"]
+            == net.stats.injected_total - net.stats.ejected_total > 0)
+
+
+@needs_kernel
+@pytest.mark.parametrize("when", ["run", "make_packet"])
+def test_listener_registered_during_a_delivery_sees_that_packet(when):
+    # The first listener registers a second one at its tenth delivery:
+    # the second is called for that same packet and every later one,
+    # in registration order, on both engines alike.
+    topo = SlimFly(5)
+
+    def run(backend):
+        net = Network(topo, UGALRouting(topo, seed=0),
+                      SimConfig(backend=backend))
+        calls = []
+
+        def second(pkt):
+            calls.append(("second", pkt.pid))
+
+        def first(pkt):
+            calls.append(("first", pkt.pid))
+            if len(calls) == 10:
+                net.add_delivery_listener(second)
+
+        _register(net, when, first)
+        stats = _listened_run(net)
+        return calls, stats.mean_latency_ns, stats.ejected_packets
+
+    ref = run("object")
+    got = run("kernel")
+    assert got == ref
+    calls = got[0]
+    assert calls[9][0] == "first" and calls[10] == ("second", calls[9][1])
+

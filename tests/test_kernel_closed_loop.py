@@ -1,17 +1,18 @@
-"""The closed loop on the compiled kernel, with nothing observing single
-deliveries.
+"""The closed loop on the compiled kernel.
 
 A :class:`~repro.workload.driver.WorkloadDriver` arms the network's
-message countdown (``Network.watch_messages``).  With no delivery
-listener registered (the tracer, message tracking and the checker are
-listeners too), the kernel counts it down in C, writes each completion
-time to the countdown's table and calls back into Python only for a
-completed message that releases others (the ``msg_done`` escape).  These
-tests rerun ``tests/test_workload.py::TestDriver``'s cases on that path,
-check the escape ledger of halo runs with and without releasing
-messages, and hold the C countdown to the Python one in
+message countdown (``Network.watch_messages``).  The kernel counts it
+down in C on every delivery, whether or not delivery listeners (the
+tracer, message tracking and the checker are listeners too) observe
+it, writes each completion time to the countdown's table and calls back
+into Python only for a completed message that releases others (the
+``msg_done`` escape).  These tests rerun
+``tests/test_workload.py::TestDriver``'s cases on the kernel, check the
+escape ledger of halo runs with and without releasing messages and
+listeners, hold the C countdown to the object engine's in
 ``Network.deliver`` packet for packet, completion times and callbacks
-included.
+included, and check that the kernel never calls the object engine's
+accounting (``Network.deliver``, ``record_inject``, ``record_eject``).
 """
 
 from __future__ import annotations
@@ -192,8 +193,8 @@ def _countdown_run(topo, backend: str, listener: bool):
 
 
 @pytest.mark.parametrize("backend,listener", [
-    ("kernel", False),  # the C countdown
-    ("kernel", True),   # Network.deliver's countdown on kernel escapes
+    ("kernel", False),  # the C countdown, no Python per delivery
+    ("kernel", True),   # the C countdown after the kernel calls a listener
 ])
 def test_c_and_python_countdowns_agree(sf5, backend, listener, fastpath):
     ref = _countdown_run(sf5, "object", listener=False)
@@ -210,11 +211,12 @@ def test_c_and_python_countdowns_agree(sf5, backend, listener, fastpath):
     assert sum(n for (mid, _), n in kinds.items() if mid == 3) == 2
 
 
-def test_countdown_moves_to_python_when_a_listener_attaches(sf5, fastpath):
-    # A scheduled call attaches a listener mid-run: the kernel leaves
-    # its delivery fast path and Network.deliver continues the
-    # countdown on the same table.
+def test_countdown_stays_in_c_when_a_listener_attaches(sf5, fastpath):
+    # A scheduled call attaches a listener mid-run: from then on the
+    # kernel calls it on every delivery, and the countdown stays in C,
+    # calling back once per message that releases others.
     w = build_workload("halo3d", sf5.num_nodes, 1_000, iterations=2)
+    releasing = sum(1 for deps in w.dependents().values() if deps)
 
     def run(backend):
         net = Network(sf5, UGALRouting(sf5, seed=0), SimConfig(backend=backend))
@@ -230,13 +232,13 @@ def test_countdown_moves_to_python_when_a_listener_attaches(sf5, fastpath):
     assert seen == ref_seen > 0
     esc = escapes(net)
     assert esc["deliver"] == seen
-    assert 0 < esc["msg_done"] < w.num_messages
+    assert esc["msg_done"] == releasing == 900
 
 
 def test_tracked_exchange_escapes_every_delivery(sf5, fastpath):
     # An exchange's message tracking is a delivery listener: on the
-    # kernel every delivery escapes to it, and the per-message
-    # statistics equal the object engine's.
+    # kernel every delivery calls it, and the per-message statistics
+    # equal the object engine's.
     exchange = NearestNeighbor3D(sf5.num_nodes, message_bytes=1_000)
 
     def run(backend):
@@ -249,3 +251,44 @@ def test_tracked_exchange_escapes_every_delivery(sf5, fastpath):
     assert got["messages"]["count"] == 6 * sf5.num_nodes
     assert escapes(net)["deliver"] == net.stats.ejected_total == got["packets"]
     assert net.engine.kernel_stats()["fast_path"]["deliver"]["count"] == 0
+
+
+def test_kernel_never_calls_the_object_engines_accounting(sf5):
+    # A checked two-iteration halo with a user listener: the checker
+    # routes every send through make_packet and both listeners see
+    # every delivery, yet the kernel records sends and deliveries and
+    # counts the messages down in C.  The object engine's accounting,
+    # replaced on the instance by functions that raise, is never
+    # called, and the run equals an unpatched object-engine run.
+    w = build_workload("halo3d", sf5.num_nodes, 1_000, iterations=2)
+    releasing = sum(1 for deps in w.dependents().values() if deps)
+
+    def forbidden(*args):
+        raise AssertionError("the kernel called the object engine's accounting")
+
+    def run(backend):
+        net = Network(sf5, UGALRouting(sf5, seed=0),
+                      SimConfig(backend=backend, check=True))
+        seen = []
+        net.add_delivery_listener(
+            lambda p: seen.append((p.pid, p.msg_id, p.kind, p.eject_time)))
+        if backend == "kernel":
+            net.deliver = forbidden
+            net.stats.record_inject = forbidden
+            net.stats.record_eject = forbidden
+        res = net.run_workload(w)
+        res = {k: v for k, v in res.items()
+               if k not in ("events", "driver_wall_s")}
+        st = net.stats
+        return net, (res, seen, st.injected_total, st.ejected_total,
+                     st.first_inject, st.last_eject,
+                     st.eject_count_per_node.tolist())
+
+    _, ref = run("object")
+    net, got = run("kernel")
+    assert got == ref
+    assert len(got[1]) == got[0]["packets"] == 7_200
+    esc = escapes(net)
+    assert esc["make_packet"] == esc["deliver"] == 7_200
+    assert esc["msg_done"] == releasing
+

@@ -19,7 +19,8 @@ reference counts on the shared objects (callbacks, message ids) and the
 traced heap where they started, free every driver, and every run must
 end with no packet slot alive, no message queued and no credit FIFO
 deeper than the credits its VC can hold.  Building a kernel and freeing
-it leaves nothing behind either.  The generator's
+it leaves nothing behind either, and hands back its view of the
+collector's per-node eject counts.  The generator's
 memory must not grow with the horizon, and no node may keep its
 generator state once its stream has ended.  A packet costs its slot
 and nothing else: a saturated run grows the traced heap by no more
@@ -433,6 +434,26 @@ def test_building_kernels_leaves_nothing_behind():
         tracemalloc.stop()
     assert later - first < 2 * 1024, (
         f"150 more kernels grew the traced heap by {later - first} bytes")
+
+
+def test_eject_count_view_is_released_with_the_kernel():
+    # The kernel increments the collector's per-node eject counts in
+    # place, through a view it holds from build to dealloc, which pins
+    # the array's size.  Freed with its network, the kernel hands the
+    # view back, and the array can be resized again.
+    topo = SlimFly(5)
+    net = Network(topo, MinimalRouting(topo, seed=0),
+                  SimConfig(backend="kernel"))
+    counts = net.stats.eject_count_per_node
+    with pytest.raises(ValueError, match="cannot resize"):
+        counts.resize(topo.num_nodes + 1)
+    held = sys.getrefcount(counts)
+    del net
+    gc.collect()
+    # The collector's attribute and the kernel's view are gone.
+    assert sys.getrefcount(counts) == held - 2
+    counts.resize(topo.num_nodes + 1)
+    assert counts.shape == (topo.num_nodes + 1,)
 
 
 def test_slots_recycle_under_saturation():

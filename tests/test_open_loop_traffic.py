@@ -1,13 +1,15 @@
-"""Open-loop traffic on both engines: streams drawn in C, the Python
-draws for patterns without a table entry, and latency accounting.
+"""Open-loop traffic on both engines: streams drawn in C, the generate
+events of patterns without a table entry, and latency accounting.
 
 The kernel draws a node's stream in C when its pattern's
 ``pick_destination`` is one of the three it has a table entry for
 (permutations, uniform, hotspot), chunk by chunk as its GEN events
-consume it; any other pattern is drawn in Python up front.  Both must
-reproduce the object engine's generate events.  The kernel's delivery
-fast path hands latencies to the collector in fixed blocks, which must
-give the same window statistics as recording them one by one.
+consume it; any other pattern runs the object engine's own generate
+events (``Network._generate``) as scheduled calls.  Both must reproduce
+the object engine's generate events, and a bad destination must raise
+at the same simulated time on both engines.  The kernel hands
+latencies to the collector in fixed blocks, which must give the same
+window statistics as the object engine's recording them one by one.
 """
 
 from __future__ import annotations
@@ -82,18 +84,71 @@ def sparse_permutation(num_nodes):
     return PermutationTraffic(dsts)
 
 
+class CountingGenerates(SometimesIdle):
+    """``SometimesIdle`` that counts its draws: one per generate event
+    before the horizon."""
+
+    def __init__(self, num_nodes):
+        super().__init__(num_nodes)
+        self.draws = 0
+
+    def pick_destination(self, src, rng):
+        self.draws += 1
+        return super().pick_destination(src, rng)
+
+
 @pytest.mark.parametrize("arrival", ["poisson", "deterministic"])
 def test_untabled_pattern_matches_across_engines(sf4, arrival):
-    pattern = SometimesIdle(sf4.num_nodes)
-    assert _pattern_entry(pattern, sf4.num_nodes) is None
-    ref = run(sf4, "object", pattern, load=0.5, measure_ns=800.0,
+    patterns = [CountingGenerates(sf4.num_nodes) for _ in range(2)]
+    assert _pattern_entry(patterns[0], sf4.num_nodes) is None
+    ref = run(sf4, "object", patterns[0], load=0.5, measure_ns=800.0,
               arrival=arrival)
-    got = run(sf4, "kernel", pattern, load=0.5, measure_ns=800.0,
+    got = run(sf4, "kernel", patterns[1], load=0.5, measure_ns=800.0,
               arrival=arrival)
     assert got[:2] == ref[:2]
-    # Drawn in Python: whole streams, no generator state, no refill.
+    # The object engine's generate events, one CALL each: a draw per
+    # event before the horizon plus every node's idle last one, and the
+    # warm-up's reset_utilization.  No GEN, no generator state.
+    ops = got[2].engine.kernel_stats()["op_counts"]
+    assert patterns[0].draws == patterns[1].draws > 0
+    assert ops["CALL"] == patterns[0].draws + sf4.num_nodes + 1
+    assert ops["GEN"] == 0
     mem = got[2].engine.memory_stats()
     assert mem["gen_refills"] == 0 and mem["gen_states"] == 0
+
+
+class BadAtDraw:
+    """Draws like ``UniformRandom``, through a pick_destination the
+    kernel has no table entry for, but returns the source itself at
+    the *n*-th draw over all nodes."""
+
+    def __init__(self, num_nodes, n):
+        self.inner = UniformRandom(num_nodes)
+        self.n = n
+        self.draws = 0
+
+    def pick_destination(self, src, rng):
+        self.draws += 1
+        if self.draws == self.n:
+            return src
+        return self.inner.pick_destination(src, rng)
+
+
+def test_bad_destination_raises_at_the_same_time_on_both_engines(sf4):
+    # The draw raises from its generate event: at the same simulated
+    # time on both engines, with the same message, after the same
+    # draws.
+    def fail(backend):
+        net = Network(sf4, UGALRouting(sf4, seed=2), SimConfig(backend=backend))
+        pattern = BadAtDraw(sf4.num_nodes, 500)
+        with pytest.raises(ValueError) as err:
+            net.run_synthetic(pattern, load=0.5, warmup_ns=200.0,
+                              measure_ns=800.0, seed=11)
+        return net.engine.now, str(err.value), pattern.draws
+
+    ref = fail("object")
+    assert ref[0] > 0.0 and ref[2] == 500
+    assert fail("kernel") == ref
 
 
 @pytest.mark.parametrize("arrival", ["poisson", "deterministic"])
@@ -133,16 +188,17 @@ def test_long_streams_drawn_in_c_match_python_draws(sf4, make):
 
 
 def test_latency_blocks_match_per_packet_recording(sf4, monkeypatch):
-    # Over 12k in-window deliveries through the C delivery fast path,
-    # flushed in blocks, against the per-packet Python path a listener
-    # forces: the same latencies in the same order, so the same mean
-    # and p99, and the same per-node eject counts.  (The fast path is
-    # what is under test, so the no-fastpath leg keeps it on here.)
+    # Over 12k in-window deliveries accounted in C and flushed in
+    # blocks, against the object engine's per-packet recording: the
+    # same latencies in the same order, so the same mean and p99, and
+    # the same per-node eject counts.  (The C route path keeps the run
+    # short, so the no-fastpath leg keeps it on here.)
     monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
     pattern = UniformRandom(sf4.num_nodes)
     fast = run(sf4, "kernel", pattern, load=0.9, measure_ns=4_000.0,
                listener=False)
-    slow = run(sf4, "kernel", pattern, load=0.9, measure_ns=4_000.0)
+    slow = run(sf4, "object", pattern, load=0.9, measure_ns=4_000.0,
+               listener=False)
     assert fast[0] == slow[0]
     assert list(fast[2].stats.latencies) == list(slow[2].stats.latencies)
     assert (fast[2].stats.eject_count_per_node.tolist()

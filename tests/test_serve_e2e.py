@@ -329,6 +329,15 @@ class TestDrainRestart:
         server = LiveServer(tmp_path, max_running=1).start()
         try:
             server.submit(probe(1, seconds=1.5))
+            # Drain only once the probe runs: a drain that wins the race
+            # against its start requeues it, leaves nothing running and
+            # stops the server before the POST below is answered.
+            events = server.app.events_dir
+            deadline = time.monotonic() + 10
+            while not any('"type": "job_start"' in f.read_text()
+                          for f in events.glob("*.jsonl")):
+                assert time.monotonic() < deadline, "the probe never started"
+                time.sleep(0.01)
             server.app._loop.call_soon_threadsafe(server.app.begin_drain)
             deadline = time.monotonic() + 5
             status = None

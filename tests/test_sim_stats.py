@@ -230,8 +230,15 @@ class TestLatencyStore:
         pkt.eject_time = 110.5
         sc.record_eject(pkt)
         sc.absorb_kernel(0, 0, None, 2, 2, 512, 4, 300.0,
-                         array("d", [7.25, 8.5]).tobytes(), None, None)
+                         array("d", [7.25, 8.5]).tobytes(), None)
         assert isinstance(sc.latencies, array) and sc.latencies.typecode == "d"
         assert list(sc.latencies) == [100.5, 7.25, 8.5]
         assert sc.window_stats().mean_latency_ns == float(
             np.mean([100.5, 7.25, 8.5]))
+        # Per-node eject counts are the kernel's to increment in place:
+        # absorb_kernel leaves them, and reset() zeroes the same array.
+        counts = sc.eject_count_per_node
+        assert counts.tolist() == [0, 1, 0, 0]
+        sc.reset()
+        assert sc.eject_count_per_node is counts
+        assert counts.tolist() == [0, 0, 0, 0]

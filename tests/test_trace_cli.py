@@ -58,8 +58,8 @@ class TestTracer:
         self, sf5, monkeypatch
     ):
         # The tracer is a delivery listener like any other: enabled
-        # from a scheduled callback, it sees every later delivery, and
-        # the kernel leaves its delivery fast path for it.
+        # from a scheduled callback, it sees every later delivery, which
+        # the kernel then calls it for.
         monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
 
         def run(backend):
