@@ -28,10 +28,10 @@ The compiled kernel diverts in C, at ``ENTER`` and in its fail-time
 ``drain_port`` alike (``fault_divert`` in ``repro/sim/vec/_kernel.c``):
 the candidates :meth:`_live_candidates` would give, the one draw of
 :meth:`_rewrite` on a resident copy of :attr:`rng` (imported and
-exported with the routing RNGs), and :meth:`_rewrite`'s labels.  It
-writes :attr:`reroutes` and :attr:`dropped` back before every escape
-that runs Python and at the end of the run, so Python code sees them
-current.
+exported with the routing RNGs), and :meth:`_rewrite`'s labels.  Both
+engines add each reroute and drop to :attr:`counts`, the kernel
+through a buffer view it holds for the run, so :attr:`reroutes` and
+:attr:`dropped` read current at any moment, mid-run included.
 
 Rerouted packets keep their original VC labels up to the divert hop and
 continue hop-indexed (capped at the provisioned VC count) afterwards;
@@ -52,6 +52,7 @@ both backends to the same delivery fingerprint.
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
 
 from repro.resilience.schedule import FaultEvent, FaultSchedule
@@ -84,8 +85,9 @@ class FaultManager:
         self.policy = policy
         self.failed: set = set()
         self.fired = 0
-        self.reroutes = 0
-        self.dropped = 0
+        #: Packets rerouted and dropped so far, ``(reroutes, dropped)``:
+        #: one array both engines add to in place.
+        self.counts = array("q", [0, 0])
         self.first_fault_ns: Optional[float] = None
         self._sent_at_fault: Optional[List[int]] = None
         self._events: Tuple[FaultEvent, ...] = ()
@@ -93,6 +95,16 @@ class FaultManager:
         # Reroute selection draws; seeded from the schedule text so a
         # given schedule reproduces exactly, independent of traffic.
         self.rng = random.Random("resilience:" + ";".join(schedule.specs))
+
+    @property
+    def reroutes(self) -> int:
+        """Packets rerouted off failed links so far."""
+        return self.counts[0]
+
+    @property
+    def dropped(self) -> int:
+        """Packets dropped at failed links so far (policy ``"drop"``)."""
+        return self.counts[1]
 
     # -- arming ---------------------------------------------------------------
 
@@ -191,7 +203,7 @@ class FaultManager:
                     out.oq_occ[ovc] -= 1
                     out.queued -= 1
                     if drop:
-                        self.dropped += 1
+                        self.counts[1] += 1
                         if checker is not None:
                             checker.on_fault_drop(pkt)
                     else:
@@ -202,7 +214,7 @@ class FaultManager:
                         nout.oq[nvc].append(pkt)
                         nout.oq_occ[nvc] += 1
                         nout.queued += 1
-                        self.reroutes += 1
+                        self.counts[0] += 1
                         moved.add(nout.out_idx)
                         if checker is not None:
                             checker.on_fault_move(pkt, rid, nout.out_idx, nvc)
@@ -224,7 +236,7 @@ class FaultManager:
         if self.policy == "drop":
             out.oq_occ[out_vc] -= 1
             out.queued -= 1
-            self.dropped += 1
+            self.counts[1] += 1
             if checker is not None:
                 checker.on_fault_drop(pkt)
             router._admit_pending(out, out_vc)
@@ -239,7 +251,7 @@ class FaultManager:
         # gates crossbar admission, and the slot drains by transmission.
         nout.oq_occ[nvc] += 1
         nout.queued += 1
-        self.reroutes += 1
+        self.counts[0] += 1
         if checker is not None:
             checker.on_fault_move(pkt, router.rid, nout.out_idx, nvc)
         router._admit_pending(out, out_vc)

@@ -376,9 +376,12 @@ class Network:
         a listener registered during a delivery is called for it too.
         It may submit new traffic in response, and an exception it
         raises (a checker's violation) propagates out of the run.  On
-        the kernel a listener costs every delivery a :class:`Packet`
-        and a Python call, so a driver that only needs to know when
-        messages complete arms :meth:`watch_messages` instead.
+        the kernel each delivery builds the listeners a new
+        :class:`Packet`, equal field for field to the object engine's
+        but never the object :meth:`make_packet` returned, so a listener
+        costs every delivery a ``Packet`` and a Python call; a driver
+        that only needs to know when messages complete arms
+        :meth:`watch_messages` instead.
         """
         if not callable(fn):
             raise TypeError(f"delivery listener {fn!r} is not callable")
@@ -404,7 +407,7 @@ class Network:
         calls no Python.  A message of zero packets never completes
         here (the driver writes its time to the table itself).
         Delivered packets are counted per message and route kind
-        (:meth:`message_kinds`); packets with no int ``msg_id``, one
+        (:meth:`message_kinds`); packets with no ``msg_id``, one
         outside the table, or one of a message already complete are not
         counted.  :meth:`deliver` counts down on the object engine; the
         kernel counts every delivery down in C, on the same tables, with
@@ -458,8 +461,8 @@ class Network:
             listener(pkt)
         left = self._msg_left
         if left is not None:
-            mid = pkt.msg_id
-            if isinstance(mid, int) and 0 <= mid < len(left) and left[mid] > 0:
+            mid = pkt.msg_id  # None or an int in [0, 2**63): see NIC.submit
+            if mid is not None and mid < len(left) and left[mid] > 0:
                 key = (mid, pkt.kind)
                 self._msg_kinds[key] = self._msg_kinds.get(key, 0) + 1
                 left[mid] -= 1
@@ -585,7 +588,8 @@ class Network:
         invalid message or an exchange without traffic raises from
         there), with its index in the node's list
         as ``msg_id`` (so a zero-byte message sends nothing but keeps
-        the later ids stable), and leaves as ``packet_bytes`` packets.
+        the later ids stable; the kernel keeps each id as a C integer),
+        and leaves as ``packet_bytes`` packets.
         If the exchange sets ``interleave = True`` (e.g. the
         nearest-neighbour exchange, which models concurrent non-blocking
         sends to all six neighbours) the NIC sends one packet of each
@@ -596,7 +600,8 @@ class Network:
         packet counts.  With ``track_messages=True`` it also includes
         per-message completion statistics under ``"messages"`` (count,
         mean/max latency from first packet transmitted to last packet
-        delivered).
+        delivered), from a delivery listener keyed by source node and
+        ``msg_id`` (on the kernel, each delivery builds it a ``Packet``).
         """
         pkt_size = self.config.packet_bytes
         interleave = bool(getattr(exchange, "interleave", False))
@@ -605,15 +610,10 @@ class Network:
 
         def submit_all() -> None:
             nonlocal total_bytes, expected_packets
-            # One int object per message index, shared by every node's
-            # queue entries, so a queued message holds no object of its
-            # own.
-            msg_ids: List[int] = []
             for node in range(num_nodes):
-                messages = list(exchange.node_messages(node))
-                msg_ids.extend(range(len(msg_ids), len(messages)))
                 submit = self.nics[node].submit
-                for msg_id, (dst, size) in zip(msg_ids, messages):
+                messages = exchange.node_messages(node)
+                for msg_id, (dst, size) in enumerate(messages):
                     if not 0 <= dst < num_nodes:
                         raise ValueError(
                             f"exchange sends node {node}'s message to node "

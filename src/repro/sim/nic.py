@@ -22,19 +22,26 @@ congestion information.
 from __future__ import annotations
 
 from collections import deque
+from operator import index
 from typing import Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.network import Network
     from repro.sim.switch import Router
 
-__all__ = ["NIC", "bad_size"]
+__all__ = ["NIC", "bad_msg_id", "bad_size"]
 
 
 def bad_size(size) -> ValueError:
     """The error both engines' ``submit`` raises for a size below one
     byte (the kernel's C formats the same text)."""
     return ValueError(f"size {size!r} must be at least 1 byte")
+
+
+def bad_msg_id(msg_id) -> ValueError:
+    """The error both engines' ``submit`` raises for a message id outside
+    ``[0, 2**63)`` (the kernel's C formats the same text)."""
+    return ValueError(f"message id {msg_id!r} must be in [0, 2**63)")
 
 
 class NIC:
@@ -92,15 +99,27 @@ class NIC:
     ) -> None:
         """Queue a *size*-byte message, sent as ``packet_bytes`` packets
         (the last one holds the remainder) that all carry the current
-        time as their ``gen_time``.  An *interleave* message sends one
-        packet per turn with the other queued messages (non-blocking
-        sends); otherwise its packets leave back to back."""
+        time as their ``gen_time`` and *msg_id*.  An *interleave* message
+        sends one packet per turn with the other queued messages
+        (non-blocking sends); otherwise its packets leave back to back.
+
+        *dst_node*, *size* and a *msg_id* other than ``None`` go through
+        :func:`operator.index` (a float or a string raises ``TypeError``)
+        and are stored as plain ints; a *msg_id* must lie in
+        ``[0, 2**63)``.  The kernel's NIC takes the same arguments with
+        the same errors."""
+        dst_node = index(dst_node)
+        size = index(size)
         num_nodes = len(self.net.nics)
         if not 0 <= dst_node < num_nodes:
             raise IndexError(
                 f"destination node {dst_node} out of range [0, {num_nodes})")
         if size < 1:
             raise bad_size(size)
+        if msg_id is not None:
+            msg_id = index(msg_id)
+            if not 0 <= msg_id < 2**63:
+                raise bad_msg_id(msg_id)
         self.queue.append((dst_node, size, msg_id, self.engine.now, interleave))
         self.queued_packets += -(-size // self._packet)
         if not self.busy:

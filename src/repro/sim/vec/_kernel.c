@@ -17,14 +17,14 @@
  *   credits still on the wire, plus a per-VC *matured* count of arrivals
  *   whose key has passed but that are not yet materialised into the
  *   credit count (``credit_push`` / ``credit_drain``);
- * - packets are slots of at most 96 bytes, handed out from pages that
- *   are never moved or written ahead of use, and recycled on delivery.
- *   A slot holds the hop cursor, the output-port index (uint16) and VC
- *   (uint8) of every hop -- inline for routes of up to SLOT_INLINE
- *   ports, in one spilled block beyond -- the route kind, endpoints,
- *   size, times and the message id.  It does not store routers: a
- *   materialised Packet derives them from the ports through the
- *   wiring;
+ * - packets are slots of at most 88 bytes of plain C data, handed out
+ *   from pages that are never moved or written ahead of use, and
+ *   recycled on delivery.  A slot holds the hop cursor, the output-port
+ *   index (uint16) and VC (uint8) of every hop -- inline for routes of
+ *   up to SLOT_INLINE ports, in one spilled block beyond -- the route
+ *   kind, endpoints, size, times and the message id (an integer, -1 for
+ *   none).  It does not store routers: a Packet built for a listener
+ *   derives them from the ports through the wiring;
  * - routes come from an integer route table built from the wiring's
  *   ``row_port`` (see "route table" below), so the fast path composes
  *   them without a Python object; ``RouteCache`` is called only for the
@@ -46,19 +46,22 @@
  *   Python only for a completed message that releases others;
  * - link faults (see "fault diverts"): dead ports, the per-source BFS
  *   trees of the route table's detours, and, while a run binds the
- *   FaultManager, a copy of its reroute RNG and its reroute and drop
- *   counts.  A packet headed for a dead port is rerouted or dropped
- *   here, with no Python call.
+ *   FaultManager, a copy of its reroute RNG and a view of its reroute
+ *   and drop counts.  A packet headed for a dead port is rerouted or
+ *   dropped here, with no Python call.
  *
- * A ``repro.sim.packet.Packet`` is built for a slot only when Python has
- * to see one: the make_packet escape, a delivery while ``Network`` has
- * delivery listeners (the tracer, an exchange's message tracking and
- * the checker are listeners too; DELIVER calls them itself, in
- * registration order), or the checker's audits.  With no listener
- * registered the RECV, ENTER, PWAKE, NWAKE, GEN and DELIVER handlers
- * allocate no Python objects, and the kernel's memory scales with the
- * packets and credits in flight rather than with the packets, hops and
- * simulated time of the whole run.
+ * Neither a NIC queue entry nor a slot holds a Python object, so the
+ * send and delivery paths take no references and the GC traversal does
+ * not grow with the traffic.  A ``repro.sim.packet.Packet`` exists only
+ * while Python has to see one: the make_packet escape, whose Packet the
+ * kernel drops once it has loaded the route, and a delivery while
+ * ``Network`` has delivery listeners (the tracer, an exchange's message
+ * tracking and the checker are listeners too; DELIVER builds one new
+ * Packet for them and calls them itself, in registration order).  With
+ * no listener registered the RECV, ENTER, PWAKE, NWAKE, GEN and DELIVER
+ * handlers allocate no Python objects, and the kernel's memory scales
+ * with the packets and credits in flight rather than with the packets,
+ * hops and simulated time of the whole run.
  *
  * Event set: four FIFO *delay lanes* plus a binary heap of 32-byte
  * event records.  Most pushes land at the current time plus one of four
@@ -494,7 +497,8 @@ typedef struct {
 } KRing;
 
 /* One queued NIC message: its post time (every packet's gen_time), the
- * bytes it has not sent yet, its id and destination.  nic_send cuts one
+ * bytes it has not sent yet, its id (-1 for none) and destination; no
+ * Python object.  nic_send cuts one
  * pkt_bytes packet off the head entry, and an in-order entry stays at
  * the head until it is empty.  An interleaved entry that sent a packet
  * and has bytes left is marked turn_over, and the next send first moves
@@ -503,7 +507,7 @@ typedef struct {
 typedef struct {
     double gen;
     long long left;
-    PyObject *msg_id; /* owned */
+    long long msg_id; /* -1: none */
     int32_t dst;
     uint8_t interleave, turn_over;
 } Desc;
@@ -570,19 +574,19 @@ RING_OPS(ering, ERing, Event)
  * port) and fault detours of up to seven hops. */
 #define SLOT_INLINE 8
 
-/* One packet in flight.  The route is the output-port index and the VC
- * of every hop, the ejection port last (its VC is 0 unless the route
- * labels that hop); a route of more than SLOT_INLINE ports spills to
- * one allocated block of nports ports followed by nports VCs.  The
- * routers are not stored: they follow from the source node's router
- * and the ports through the wiring (slot_route_tuples).  Ports fit
- * uint16 and VCs uint8 because Kernel_init bounds the radix and V. */
+/* One packet in flight, plain C data.  The route is the output-port
+ * index and the VC of every hop, the ejection port last (its VC is 0
+ * unless the route labels that hop); a route of more than SLOT_INLINE
+ * ports spills to one allocated block of nports ports followed by
+ * nports VCs.  The routers are not stored: they follow from the source
+ * node's router and the ports through the wiring (slot_route_tuples).
+ * Ports fit uint16 and VCs uint8 because Kernel_init bounds the radix
+ * and V. */
 typedef struct {
     long long pid;
     double gen_time, send_time;
     long long size;
-    PyObject *msg_id; /* owned */
-    PyObject *pkt;    /* materialised Packet (owned), or NULL */
+    long long msg_id; /* -1: none */
     int32_t src, dst;
     int32_t hop;      /* hop cursor; -1 while the slot is free */
     int32_t next;     /* free-list link */
@@ -597,7 +601,7 @@ typedef struct {
     uint8_t kind;
 } Slot;
 
-_Static_assert(sizeof(Slot) <= 96, "a packet slot outgrew 96 bytes");
+_Static_assert(sizeof(Slot) <= 88, "a packet slot outgrew 88 bytes");
 
 static inline uint16_t *
 slot_ports(Slot *p)
@@ -749,12 +753,13 @@ typedef struct {
     PyObject *min_rows, *leg_rows;                 /* RouteCache row memos */
     PyObject *minimal_fill, *leg_fill, *compose;   /* ... and its fills */
     /* the armed FaultManager (see "fault diverts"), or NULL: a resident
-     * copy of its reroute RNG, its policy and the reroutes and drops not
-     * yet written back to it */
+     * copy of its reroute RNG, its policy and a view of its counts
+     * (reroutes, drops) */
     PyObject *fm;
     CRng fm_rng;
     int fm_drop;
-    long long fm_rer, fm_drp;
+    Py_buffer fm_counts_view; /* .obj NULL: unbound */
+    long long *fm_counts;
     int32_t *pool;
     long npool, nI;
     int sf_mode, has_thr;
@@ -781,8 +786,7 @@ typedef struct {
 
 /* Interned attribute names (module init). */
 static PyObject *str_routers, *str_ports, *str_vcs, *str_kind, *str_pid;
-static PyObject *str_send_time, *str_eject_time;
-static PyObject *str_reroutes, *str_dropped;
+static PyObject *str_send_time, *str_eject_time, *str_hop;
 static PyObject *str_delivery_listeners, *str_make_packet, *str_net_pid;
 static PyObject *str_minimal, *str_indirect;
 
@@ -1109,15 +1113,11 @@ static void
 slot_release(Kernel *k, int32_t si)
 {
     Slot *p = SLOT(k, si);
-    PyObject *msg_id = p->msg_id, *pkt = p->pkt;
     slot_route_size(k, p, 0);
-    p->msg_id = p->pkt = NULL;
     p->hop = -1;
     p->next = k->free_head;
     k->free_head = si;
     k->live -= 1;
-    Py_XDECREF(msg_id);
-    Py_XDECREF(pkt);
 }
 
 /* Interned index of a route kind (for the C-side kind counters). */
@@ -1237,7 +1237,7 @@ route_read(Kernel *k, Slot *p, PyObject *routers, PyObject *ports,
     return 0;
 }
 
-/* Reload a slot's route from its Packet (escape-made or rewritten). */
+/* Load a slot's route from the Packet the make_packet escape made. */
 static int
 slot_load_packet(Kernel *k, int32_t si, PyObject *pkt)
 {
@@ -1304,34 +1304,42 @@ slot_route_tuples(Kernel *k, Slot *p, PyObject **routers, PyObject **ports,
     return 0;
 }
 
-/* The slot's Packet, built on first request and kept by the slot
- * (borrowed reference).  Field for field what make_packet returns plus
- * the kernel's send time; ``hop`` stays 0 as it always has for packets
- * the kernel moves (the slot's hop cursor is authoritative). */
-static PyObject *
-slot_packet(Kernel *k, int32_t si)
+/* setattr(obj, name, v) for a new reference *v* (NULL: an error is
+ * set), which it drops. */
+static int
+set_new(PyObject *obj, PyObject *name, PyObject *v)
 {
-    Slot *p = SLOT(k, si);
-    if (p->pkt != NULL)
-        return p->pkt;
-    PyObject *routers = NULL, *ports = NULL, *vcs = NULL;
-    PyObject *pkt = NULL, *tf = NULL;
+    int rc = v != NULL ? PyObject_SetAttr(obj, name, v) : -1;
+    Py_XDECREF(v);
+    return rc;
+}
+
+/* A new Packet for the delivery listeners of the packet in *p*,
+ * delivered at *t*: field for field the object engine's Packet at its
+ * delivery, that is what make_packet returns plus the send and eject
+ * times and the hop cursor (at the destination router, where the
+ * object switch leaves it). */
+static PyObject *
+slot_packet(Kernel *k, Slot *p, double t)
+{
+    PyObject *routers = NULL, *ports = NULL, *vcs = NULL, *mid = NULL;
+    PyObject *pkt = NULL;
     if (slot_route_tuples(k, p, &routers, &ports, &vcs) < 0)
+        goto done;
+    mid = p->msg_id < 0 ? Py_NewRef(Py_None) : PyLong_FromLongLong(p->msg_id);
+    if (mid == NULL)
         goto done;
     pkt = PyObject_CallFunction(k->packet_cls, "LiiLOOOOdO", p->pid,
                                 (int)p->src, (int)p->dst, p->size, routers,
                                 ports, vcs, k->kinds[p->kind], p->gen_time,
-                                p->msg_id);
-    if (pkt == NULL)
-        goto done;
-    tf = PyFloat_FromDouble(p->send_time);
-    if (tf == NULL || PyObject_SetAttr(pkt, str_send_time, tf) < 0) {
+                                mid);
+    if (pkt != NULL &&
+        (set_new(pkt, str_send_time, PyFloat_FromDouble(p->send_time)) < 0 ||
+         set_new(pkt, str_eject_time, PyFloat_FromDouble(t)) < 0 ||
+         set_new(pkt, str_hop, PyLong_FromLong(p->hop)) < 0))
         Py_CLEAR(pkt);
-        goto done;
-    }
-    p->pkt = pkt;
 done:
-    Py_XDECREF(tf);
+    Py_XDECREF(mid);
     Py_XDECREF(vcs);
     Py_XDECREF(ports);
     Py_XDECREF(routers);
@@ -1462,33 +1470,6 @@ acct_eject(Kernel *k, const Slot *p, double t)
         if (k->a_kind_cnt[p->kind]++ == 0)
             k->a_kind_order[k->a_nkind_order++] = p->kind;
         k->a_hops += p->nports - 1;
-    }
-    return 0;
-}
-
-/* Add the reroutes and drops not yet written back to the FaultManager's
- * counts (see "fault diverts"); a no-op while there are none, as
- * without a FaultManager. */
-static int
-fault_writeback(Kernel *k)
-{
-    if (k->fm_rer == 0 && k->fm_drp == 0)
-        return 0;
-    PyObject *names[2] = {str_reroutes, str_dropped};
-    long long *counts[2] = {&k->fm_rer, &k->fm_drp};
-    for (int i = 0; i < 2; i++) {
-        if (*counts[i] == 0)
-            continue;
-        PyObject *v = PyObject_GetAttr(k->fm, names[i]);
-        PyObject *d = v ? PyLong_FromLongLong(*counts[i]) : NULL;
-        PyObject *sum = d ? PyNumber_Add(v, d) : NULL;
-        int rc = sum ? PyObject_SetAttr(k->fm, names[i], sum) : -1;
-        Py_XDECREF(sum);
-        Py_XDECREF(d);
-        Py_XDECREF(v);
-        if (rc < 0)
-            return -1;
-        *counts[i] = 0;
     }
     return 0;
 }
@@ -2275,7 +2256,7 @@ make_fast(Kernel *k, long node, const Desc *d, long long size, double t)
         return -1;
     }
     Slot *p = SLOT(k, si);
-    p->msg_id = Py_NewRef(d->msg_id);
+    p->msg_id = d->msg_id;
     p->pid = ++k->pid;
     p->src = (int32_t)node;
     p->dst = d->dst;
@@ -2288,28 +2269,26 @@ make_fast(Kernel *k, long node, const Desc *d, long long size, double t)
 }
 
 /* Escape: Network.make_packet (checker-wrapped, or a routing setup
- * with no C replica, see KernelEngine._fastpath_spec), then the send
- * time and the inject accounting, in C as on the fast path. */
+ * with no C replica, see KernelEngine._fastpath_spec); the slot takes
+ * its pid, kind and route, and the Packet is dropped.  The send time
+ * and the inject accounting are the kernel's, as on the fast path. */
 static int32_t
 make_escape(Kernel *k, long node, const Desc *d, long long size, double t)
 {
     double t0 = mono_ns();
     int32_t si = -1;
-    PyObject *pkt = NULL, *tf = NULL, *v = NULL, *kind = NULL;
-    if (fault_writeback(k) < 0)
-        goto done;
+    PyObject *pkt = NULL, *v = NULL, *kind = NULL;
     {
         PyObject *mp = PyObject_GetAttr(k->net, str_make_packet);
-        if (mp == NULL)
-            goto done;
-        pkt = PyObject_CallFunction(mp, "liLOd", node, (int)d->dst, size,
-                                    d->msg_id, d->gen);
-        Py_DECREF(mp);
+        PyObject *mid = d->msg_id < 0 ? Py_NewRef(Py_None)
+                                      : PyLong_FromLongLong(d->msg_id);
+        if (mp != NULL && mid != NULL)
+            pkt = PyObject_CallFunction(mp, "liLOd", node, (int)d->dst, size,
+                                        mid, d->gen);
+        Py_XDECREF(mid);
+        Py_XDECREF(mp);
     }
     if (pkt == NULL)
-        goto done;
-    tf = PyFloat_FromDouble(t);
-    if (tf == NULL || PyObject_SetAttr(pkt, str_send_time, tf) < 0)
         goto done;
     v = PyObject_GetAttr(pkt, str_pid);
     if (v == NULL)
@@ -2333,8 +2312,7 @@ make_escape(Kernel *k, long node, const Desc *d, long long size, double t)
         si = -1;
         goto done;
     }
-    p->pkt = Py_NewRef(pkt);
-    p->msg_id = Py_NewRef(d->msg_id);
+    p->msg_id = d->msg_id;
     p->pid = pid;
     p->dst = d->dst;
     p->size = size;
@@ -2345,7 +2323,6 @@ make_escape(Kernel *k, long node, const Desc *d, long long size, double t)
 done:
     Py_XDECREF(kind);
     Py_XDECREF(v);
-    Py_XDECREF(tf);
     Py_XDECREF(pkt);
     if (k->running) { /* sends made outside run() are not escapes */
         k->esc_ns[ESC_MAKE] += mono_ns() - t0;
@@ -2396,16 +2373,13 @@ nic_send(Kernel *k, long node, double t, long long s)
     long long size = h->left < k->pkt_bytes ? h->left : k->pkt_bytes;
     h->left -= size;
     k->n_qp[node] -= 1;
-    if (!h->left) {
-        dring_pop(q); /* d takes over the msg_id reference */
-    } else {
-        Py_INCREF(d.msg_id);
+    if (!h->left)
+        dring_pop(q);
+    else
         h->turn_over = h->interleave;
-    }
     int32_t si = (k->running && k->route_mode >= 0)
                      ? make_fast(k, node, &d, size, t)
                      : make_escape(k, node, &d, size, t);
-    Py_DECREF(d.msg_id);
     if (si < 0)
         return -1;
     k->n_cred[node] = cred - 1;
@@ -2434,7 +2408,7 @@ nic_send(Kernel *k, long node, double t, long long s)
  * busy NIC gets at most one wake at its reserved link-free key. */
 static int
 nic_enqueue(Kernel *k, long node, int32_t dst, long long size,
-            PyObject *msg_id, int interleave)
+            long long msg_id, int interleave)
 {
     if (k->pkt_bytes < 1) {
         PyErr_SetString(PyExc_RuntimeError, "kernel: pkt_bytes is not set");
@@ -2442,11 +2416,9 @@ nic_enqueue(Kernel *k, long node, int32_t dst, long long size,
     }
     double t = k->now;
     long long s = k->cs;
-    Desc d = {t, size, Py_NewRef(msg_id), dst, (uint8_t)interleave, 0};
-    if (dring_push(&k->n_q[node], d) < 0) {
-        Py_DECREF(msg_id);
+    Desc d = {t, size, msg_id, dst, (uint8_t)interleave, 0};
+    if (dring_push(&k->n_q[node], d) < 0)
         return -1;
-    }
     k->n_qp[node] += (size - 1) / k->pkt_bytes + 1;
     double bt = k->n_busy_t[node];
     long long bs = k->n_busy_s[node];
@@ -2673,9 +2645,10 @@ enter_oq(Kernel *k, long pv, int32_t si, long gid, double t, long long s)
  * RouteCache fill for a pair outside the table), drawn with randbelow on
  * the resident copy of FaultManager.rng when several survive.  The new
  * hops are labelled min(j + i, V - 1); the labels before hop j, the
- * ejection port and the route kind stay.  The reroute and drop counts
- * go back to the FaultManager before any escape that runs Python and at
- * the end of the run (fault_writeback).
+ * ejection port and the route kind stay.  Only the slot changes: no
+ * Packet exists for a packet in flight.  Each reroute and drop is added
+ * to FaultManager.counts through the view bind_faults took, so Python
+ * reads them live.
  */
 
 /* Resize slot p's route to n entries keeping its first *keep* ports and
@@ -2712,7 +2685,7 @@ static int
 fault_divert(Kernel *k, int32_t si, long gid, long *npv, long *ngid)
 {
     if (k->fm_drop) {
-        k->fm_drp += 1;
+        k->fm_counts[1] += 1;
         slot_release(k, si);
         return 0;
     }
@@ -2743,21 +2716,7 @@ fault_divert(Kernel *k, int32_t si, long gid, long *npv, long *ngid)
     }
     nport[j + tail - 1] = eject;
     nvc[j + tail - 1] = 0;
-    if (p->pkt != NULL) {
-        /* A materialised Packet carries the rewritten route too. */
-        PyObject *routers = NULL, *ports = NULL, *vcs = NULL;
-        int rc = slot_route_tuples(k, p, &routers, &ports, &vcs);
-        if (rc == 0 && (PyObject_SetAttr(p->pkt, str_routers, routers) < 0 ||
-                        PyObject_SetAttr(p->pkt, str_ports, ports) < 0 ||
-                        PyObject_SetAttr(p->pkt, str_vcs, vcs) < 0))
-            rc = -1;
-        Py_XDECREF(routers);
-        Py_XDECREF(ports);
-        Py_XDECREF(vcs);
-        if (rc < 0)
-            return -1;
-    }
-    k->fm_rer += 1;
+    k->fm_counts[0] += 1;
     *ngid = k->p_off[origin] + nport[j];
     *npv = *ngid * k->V + nvc[j];
     return 1;
@@ -2866,7 +2825,7 @@ do_gen(Kernel *k, long node)
         return 0;
     /* NIC.submit(dst, packet_bytes) at this event's key, to which the
      * run loop set the clock. */
-    if (dst >= 0 && nic_enqueue(k, node, dst, k->pkt_bytes, Py_None, 0) < 0)
+    if (dst >= 0 && nic_enqueue(k, node, dst, k->pkt_bytes, -1, 0) < 0)
         return -1;
     if (++i == k->g_n[node]) {
         gen_refill(k, node);
@@ -2890,7 +2849,7 @@ do_gen(Kernel *k, long node)
  * route kind in ``m_kind``.  When a message's last packet is delivered,
  * its completion time is written, and only a message that releases
  * others then escapes to the callback (ESC_DONE): a completion that
- * releases nothing runs no Python.  Packets with no int message id, one
+ * releases nothing runs no Python.  Packets with no message id, one
  * outside the table or one of a message already complete are not
  * counted.  Python reads the kind counts back once, after the run
  * (``message_kinds``), and the completion times from its own table. */
@@ -2914,17 +2873,13 @@ watch_drop(Kernel *k)
     Py_CLEAR(k->m_done);
 }
 
-/* Count down the watched message *o* (a packet's msg_id) for one packet
- * of route kind *kind* delivered at *t*.  Returns the message if this
- * completed it and it releases others, or -1. */
+/* Count down the watched message *mid* (a packet's msg_id, -1 for
+ * none) for one packet of route kind *kind* delivered at *t*.  Returns
+ * the message if this completed it and it releases others, or -1. */
 static inline Py_ssize_t
-count_down(Kernel *k, PyObject *o, int kind, double t)
+count_down(Kernel *k, long long mid, int kind, double t)
 {
-    if (!k->m_n || o == NULL || o == Py_None || !PyLong_Check(o))
-        return -1;
-    int overflow;
-    long long mid = PyLong_AsLongLongAndOverflow(o, &overflow);
-    if (overflow || mid < 0 || mid >= k->m_n || k->m_left[mid] <= 0)
+    if (mid < 0 || mid >= k->m_n || k->m_left[mid] <= 0)
         return -1;
     k->m_kind[mid * MAX_KINDS + kind] += 1;
     if (--k->m_left[mid] != 0)
@@ -2940,7 +2895,7 @@ count_down(Kernel *k, PyObject *o, int kind, double t)
 static int
 msg_done(Kernel *k, Py_ssize_t mid)
 {
-    if (stats_flush(k) < 0 || fault_writeback(k) < 0)
+    if (stats_flush(k) < 0)
         return -1;
     double t0 = mono_ns();
     /* The callback may re-arm the countdown, which drops the kernel's
@@ -2961,29 +2916,24 @@ msg_done(Kernel *k, Py_ssize_t mid)
 /* Escape: run the delivery listeners on the delivered slot *si* (its
  * delivery already accounted), as Network.deliver does on the object
  * engine: flush the accumulators, so the listeners observe a coherent
- * StatsCollector (and FaultManager); build the Packet and stamp its
- * eject time; recycle the slot, so the listeners (and the checker's
- * audits) see the packet delivered; call every listener in registration
- * order, one a listener registers included; then count the message
- * down. */
+ * StatsCollector; build the slot's Packet; recycle the slot, so the
+ * listeners (and the checker's audits) see the packet delivered; call
+ * every listener in registration order, one a listener registers
+ * included; then count the message down. */
 static int
 deliver_listeners(Kernel *k, double t, int32_t si)
 {
-    if (stats_flush(k) < 0 || fault_writeback(k) < 0)
+    if (stats_flush(k) < 0)
         return -1;
     double t0 = mono_ns();
     Slot *p = SLOT(k, si);
-    PyObject *pkt = slot_packet(k, si);
+    PyObject *pkt = slot_packet(k, p, t);
     if (pkt == NULL)
         return -1;
-    pkt = Py_NewRef(pkt);
-    PyObject *mid_o = Py_XNewRef(p->msg_id);
+    long long mid = p->msg_id;
     int kind = p->kind;
     slot_release(k, si);
-    PyObject *tf = PyFloat_FromDouble(t);
-    int rc = tf != NULL && PyObject_SetAttr(pkt, str_eject_time, tf) == 0
-                 ? 0 : -1;
-    Py_XDECREF(tf);
+    int rc = 0;
     for (Py_ssize_t i = 0; rc == 0 && i < PyList_GET_SIZE(k->listeners); i++) {
         PyObject *fn = Py_NewRef(PyList_GET_ITEM(k->listeners, i));
         PyObject *r = PyObject_CallOneArg(fn, pkt);
@@ -2993,13 +2943,12 @@ deliver_listeners(Kernel *k, double t, int32_t si)
         Py_XDECREF(r);
     }
     Py_DECREF(pkt);
-    Py_ssize_t mid = rc == 0 ? count_down(k, mid_o, kind, t) : -1;
-    Py_XDECREF(mid_o);
+    Py_ssize_t done = rc == 0 ? count_down(k, mid, kind, t) : -1;
     k->esc_ns[ESC_DELIVER] += mono_ns() - t0;
     k->esc_counts[ESC_DELIVER] += 1;
     if (rc < 0)
         return -1;
-    return mid >= 0 ? msg_done(k, mid) : 0;
+    return done >= 0 ? msg_done(k, done) : 0;
 }
 
 /* The packet in slot *si* reaches its NIC at *t*: account it, then
@@ -3013,15 +2962,6 @@ do_deliver(Kernel *k, double t, int32_t si)
         return -1;
     if (PyList_GET_SIZE(k->listeners))
         return deliver_listeners(k, t, si);
-    if (p->pkt != NULL) { /* a Packet Python built (make_packet escape) */
-        PyObject *tf = PyFloat_FromDouble(t);
-        if (tf == NULL)
-            return -1;
-        int sr = PyObject_SetAttr(p->pkt, str_eject_time, tf);
-        Py_DECREF(tf);
-        if (sr < 0)
-            return -1;
-    }
     k->fast_counts[FAST_DELIVER] += 1;
     Py_ssize_t mid = count_down(k, p->msg_id, p->kind, t);
     slot_release(k, si);
@@ -3032,7 +2972,7 @@ static int
 do_call(Kernel *k, PyObject *fn, PyObject *args)
 {
     /* Caller owns fn/args and decrefs them after we return. */
-    if (stats_flush(k) < 0 || fault_writeback(k) < 0)
+    if (stats_flush(k) < 0)
         return -1;
     double t0 = mono_ns();
     PyObject *r = PyObject_Call(fn, args, NULL);
@@ -3059,7 +2999,9 @@ unbind_refs(Kernel *k)
     Py_CLEAR(k->compose);
     crng_drop(&k->fm_rng);
     Py_CLEAR(k->fm);
-    k->fm_rer = k->fm_drp = 0;
+    if (k->fm_counts_view.obj != NULL)
+        PyBuffer_Release(&k->fm_counts_view);
+    k->fm_counts = NULL;
     PyMem_Free(k->pool);
     k->pool = NULL;
     k->npool = 0;
@@ -3069,13 +3011,13 @@ unbind_refs(Kernel *k)
     k->route_mode = -1;
 }
 
-/* End residency: push the fault counts and RNG, the routing RNG streams
- * and the packet-id counter back to Python.  Always drops the
- * references, even if an export step fails. */
+/* End residency: push the fault RNG, the routing RNG streams and the
+ * packet-id counter back to Python.  Always drops the references, even
+ * if an export step fails. */
 static int
 export_resident(Kernel *k)
 {
-    int rc = fault_writeback(k);
+    int rc = 0;
     if (k->fm_rng.obj != NULL && crng_export(&k->fm_rng) < 0)
         rc = -1;
     crng_drop(&k->fm_rng);
@@ -3125,7 +3067,8 @@ fp_opt_double(PyObject *fp, const char *name, double *out, int *has)
 }
 
 /* Bind the armed FaultManager of the spec (its fault_* fields): a
- * resident copy of its reroute RNG and its policy. */
+ * resident copy of its reroute RNG, its policy and a writable view of
+ * its counts, an array('q') of (reroutes, drops). */
 static int
 bind_faults(Kernel *k, PyObject *fp)
 {
@@ -3138,10 +3081,28 @@ bind_faults(Kernel *k, PyObject *fp)
     }
     k->fm = fm;
     long drop;
+    PyObject *counts = NULL;
     if (fp_long(fp, "fault_drop", &drop) < 0 ||
-        (k->fm_rng.obj = get_attr(fp, "fault_rng")) == NULL)
+        (counts = get_attr(fp, "fault_counts")) == NULL)
         return -1;
+    Py_buffer *cv = &k->fm_counts_view;
+    int rc = PyObject_GetBuffer(counts, cv, PyBUF_CONTIG | PyBUF_FORMAT);
+    Py_DECREF(counts);
+    if (rc < 0) {
+        cv->obj = NULL;
+        return -1;
+    }
+    if (cv->ndim != 1 || cv->itemsize != sizeof(long long) ||
+        cv->format == NULL || strcmp(cv->format, "q") != 0 ||
+        cv->shape[0] != 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "kernel: fault counts must be an array('q') of two");
+        return -1; /* unbind_refs releases the view */
+    }
+    k->fm_counts = (long long *)cv->buf;
     k->fm_drop = drop != 0;
+    if ((k->fm_rng.obj = get_attr(fp, "fault_rng")) == NULL)
+        return -1;
     if (crng_import(&k->fm_rng) < 0) {
         crng_drop(&k->fm_rng);
         return -1;
@@ -3487,11 +3448,7 @@ kernel_drop_packets(Kernel *k)
     for (long i = 0; i < k->NP; i++)
         k->p_pend[i].head = k->p_pend[i].len = 0;
     for (long n = 0; n < k->NN; n++) {
-        DRing *q = &k->n_q[n];
-        while (q->len) {
-            Desc d = dring_pop(q);
-            Py_XDECREF(d.msg_id);
-        }
+        k->n_q[n].head = k->n_q[n].len = 0;
         k->n_qp[n] = 0;
     }
     for (int32_t si = 0; si < k->nslots; si++)
@@ -3708,11 +3665,33 @@ node_arg(Kernel *k, PyObject *o, long *node)
     return 0;
 }
 
+/* A message id argument as *mid*: -1 for None, else an integer (by the
+ * index protocol, as operator.index takes it) in [0, 2**63). */
+static int
+msg_id_arg(PyObject *o, long long *mid)
+{
+    *mid = -1;
+    if (o == Py_None)
+        return 0;
+    PyObject *i = PyNumber_Index(o);
+    if (i == NULL)
+        return -1;
+    int overflow;
+    *mid = PyLong_AsLongLongAndOverflow(i, &overflow);
+    int rc = overflow || *mid < 0 ? -1 : 0;
+    if (rc < 0)
+        PyErr_Format(PyExc_ValueError, "message id %R must be in [0, 2**63)",
+                     i);
+    Py_DECREF(i);
+    return rc;
+}
+
 /* nic_submit(node, dst, size, msg_id, interleave): NIC.submit at the
- * current time, its arguments checked as NIC.submit checks them
- * (repro.sim.nic's bad_size gives the size error its text).  A send
- * made outside a run is accounted against the window of that moment
- * and flushed before this returns. */
+ * current time, its arguments converted and checked as NIC.submit does
+ * (repro.sim.nic's bad_size and bad_msg_id give the errors their text),
+ * the message id kept as a C integer.  A send made outside a run is
+ * accounted against the window of that moment and flushed before this
+ * returns. */
 static PyObject *
 Kernel_nic_submit(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -3737,9 +3716,12 @@ Kernel_nic_submit(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
                      size);
         return NULL;
     }
+    long long mid;
+    if (msg_id_arg(args[3], &mid) < 0)
+        return NULL;
     int interleave = PyObject_IsTrue(args[4]);
     if (interleave < 0 || (!k->running && read_window(k) < 0) ||
-        nic_enqueue(k, node, (int32_t)dst, size, args[3], interleave) < 0 ||
+        nic_enqueue(k, node, (int32_t)dst, size, mid, interleave) < 0 ||
         (!k->running && stats_flush(k) < 0))
         return NULL;
     Py_RETURN_NONE;
@@ -4125,8 +4107,6 @@ Kernel_drain_port(Kernel *k, PyObject *gido)
             goto fail;
     }
     PyMem_Free(moved);
-    if (fault_writeback(k) < 0)
-        return NULL;
     Py_RETURN_NONE;
 fail:
     PyMem_Free(moved);
@@ -4628,17 +4608,6 @@ Kernel_traverse(Kernel *k, visitproc visit, void *arg)
         Py_VISIT(k->calls[i].fn);
         Py_VISIT(k->calls[i].args);
     }
-    for (int32_t i = 0; i < k->nslots; i++) {
-        Py_VISIT(SLOT(k, i)->msg_id);
-        Py_VISIT(SLOT(k, i)->pkt);
-    }
-    if (k->built) {
-        for (long n = 0; n < k->NN; n++) {
-            DRing *q = &k->n_q[n];
-            for (int32_t j = 0; j < q->len; j++)
-                Py_VISIT(dring_at(q, j)->msg_id);
-        }
-    }
     for (int i = 0; i < k->nkinds; i++)
         Py_VISIT(k->kinds[i]);
     for (int i = 0; i < k->rng_n; i++) {
@@ -4656,6 +4625,7 @@ Kernel_traverse(Kernel *k, visitproc visit, void *arg)
     Py_VISIT(k->m_done);
     Py_VISIT(k->listeners);
     Py_VISIT(k->fm);
+    Py_VISIT(k->fm_counts_view.obj);
     Py_VISIT(k->fm_rng.obj);
     Py_VISIT(k->fm_rng.gauss);
     Py_VISIT(k->min_rows);
@@ -4671,19 +4641,6 @@ static int
 Kernel_tp_clear(Kernel *k)
 {
     kernel_drop_events(k);
-    for (int32_t i = 0; i < k->nslots; i++) {
-        Py_CLEAR(SLOT(k, i)->msg_id);
-        Py_CLEAR(SLOT(k, i)->pkt);
-    }
-    if (k->built) {
-        for (long n = 0; n < k->NN; n++) {
-            DRing *q = &k->n_q[n];
-            while (q->len) {
-                Desc d = dring_pop(q);
-                Py_XDECREF(d.msg_id);
-            }
-        }
-    }
     for (int i = 0; i < k->nkinds; i++)
         Py_CLEAR(k->kinds[i]);
     k->nkinds = 0;
@@ -5031,8 +4988,7 @@ PyInit__kernel(void)
     } names[] = {
         {&str_routers, "routers"}, {&str_ports, "ports"}, {&str_vcs, "vcs"},
         {&str_kind, "kind"}, {&str_pid, "pid"}, {&str_send_time, "send_time"},
-        {&str_eject_time, "eject_time"},
-        {&str_reroutes, "reroutes"}, {&str_dropped, "dropped"},
+        {&str_eject_time, "eject_time"}, {&str_hop, "hop"},
         {&str_delivery_listeners, "_delivery_listeners"},
         {&str_make_packet, "make_packet"}, {&str_net_pid, "_pid"},
         {&str_minimal, "minimal"}, {&str_indirect, "indirect"},

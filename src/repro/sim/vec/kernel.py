@@ -11,13 +11,14 @@ slots recycled on delivery.  A NIC queue holds one 32-byte entry per
 message, whichever driver submitted it (open-loop GEN, the closed-loop
 driver or a finite exchange), and the NIC cuts one packet off its head
 entry per send: a queued packet has no record of its own.  A slot is
-one record of at most 96 bytes
+one record of at most 88 bytes
 that holds a route of up to eight ports inline as output-port indices
 and VCs (a longer route, from a fault detour or a custom routing,
 spills to one block of its own); the routers are derived from the
-ports when a ``Packet`` is materialised, and a ``Packet`` loaded from
-Python must have routers that follow its ports.  The event set is four
-FIFO *delay lanes*
+ports when a ``Packet`` is built, and a ``Packet`` loaded from
+Python must have routers that follow its ports.  Queue entries and
+slots are plain C data, their message ids C integers: they hold no
+Python object.  The event set is four FIFO *delay lanes*
 (one per fixed handler delay: serialisation, link, both, switch) plus a
 binary heap for every other push (GEN, CALL, wakes at older reserved
 keys); a pop takes the least ``(time, seq)`` among
@@ -33,12 +34,15 @@ whichever path routed the packet; the statistics reach the
 ``StatsCollector`` through ``absorb_kernel`` and the collector's
 per-node eject counts, never through ``record_inject``,
 ``record_eject`` or ``Network.deliver``.  A
-:class:`~repro.sim.packet.Packet` is materialised only where Python
-must see one: the make_packet escape, a delivery while the network has
-delivery listeners (the tracer and the checker are listeners too; the
-kernel calls them itself) and the checker.  A link fault costs no
-Python per packet: the kernel reroutes or drops packets off dead ports
-itself, with BFS detours of its own.  Python queues no raw event
+:class:`~repro.sim.packet.Packet` exists only where Python must see
+one: the make_packet escape, whose ``Packet`` the kernel drops once it
+has loaded the route, and a delivery while the network has delivery
+listeners (the tracer and the checker are listeners too; the kernel
+calls them itself), which builds the listeners a new ``Packet`` equal
+field for field to the object engine's.  A link fault costs no Python
+per packet: the kernel reroutes or drops packets off dead ports
+itself, with BFS detours of its own, rewriting only their slots.
+Python queues no raw event
 records: a scheduled callback enters through ``Kernel.call``, which
 reserves its sequence number in C.  Python reads kernel state as
 snapshots (``Kernel.view`` and ``Kernel.lengths`` return bytes
@@ -423,8 +427,7 @@ class KernelEngine:
         An armed :class:`~repro.resilience.FaultManager` is bound on
         every run, fast paths or not: the kernel diverts packets off
         dead ports in C, drawing from a resident copy of its ``rng``,
-        and writes its ``reroutes`` and ``dropped`` counts back before
-        each escape that runs Python and at the end of the run.
+        and adds each reroute and drop to its ``counts`` array in place.
 
         Set ``REPRO_KERNEL_NO_FASTPATH=1`` to route every packet in
         Python (``route_mode`` -1: the ``make_packet`` escape per send).
@@ -469,6 +472,7 @@ class KernelEngine:
             compose=cache.compose if cache is not None else None,
             fault_manager=fm,
             fault_rng=fm.rng if fm is not None else None,
+            fault_counts=fm.counts if fm is not None else None,
             fault_drop=int(fm is not None and fm.policy == "drop"),
             pool=getattr(routing, "_pool", None),
             n_indirect=getattr(routing, "num_indirect", 0),

@@ -167,10 +167,10 @@ def test_halo_profile_prints_no_completion_escape(capsys, fastpath):
 def _countdown_run(topo, backend: str, listener: bool):
     """Packets a countdown must and must not count: four watched
     messages -- 0 and 2 release others, 1 and 3 do not, 2 has no
-    packets -- plus packets with no message id, an id outside the table,
-    a negative id and a non-int id, and one packet more than message 1
-    needs.  Returns the callbacks, the completion-time table and the
-    kind counts."""
+    packets -- plus packets with no message id and with two ids outside
+    the table (the largest id ``submit`` takes among them), and one
+    packet more than message 1 needs.  Returns the callbacks, the
+    completion-time table and the kind counts."""
     net = Network(topo, MinimalRouting(topo, seed=3), SimConfig(backend=backend))
     done = []
     times = net.watch_messages(
@@ -184,8 +184,7 @@ def _countdown_run(topo, backend: str, listener: bool):
     nics[3].submit(40, 300, 3)  # 256 + 44
     nics[4].submit(17, 100, None)
     nics[5].submit(17, 100, 4)
-    nics[6].submit(17, 100, -1)
-    nics[7].submit(17, 100, "1")
+    nics[6].submit(17, 100, 2**63 - 1)
     nics[8].submit(30, 64, 1)
     net.engine.schedule(2_000.0, nics[2].submit, 30, 64, 1)  # 1 is complete
     net.engine.run()

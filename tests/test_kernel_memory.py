@@ -1,32 +1,32 @@
 """Leaks and boundedness of the compiled kernel's state.
 
-The kernel owns references to routes, message ids, callbacks,
-materialised packets and a closed-loop driver's message countdown,
-holds one NIC queue entry per queued message, recycles packet slots on
-delivery, and draws open-loop streams in chunks from per-node generator
-states.  Repeating kernel runs of every kind in one process -- open
-loop drained to empty, long open-loop streams that refill their chunks,
-a run stopped while every node still holds its generator state,
-closed-loop halo exchanges of one and of two iterations with fault
-diverts and the C message countdown, one whose faults drop packets, a
-fault detour that grows a route past a slot's inline entries, a
-completion callback that raises (and the countdown's tables, released
-by ``clear()``, by re-arming and with the kernel),
-scheduled CALLs that submit traffic, CALLs dropped by ``clear()`` while
-pending and a CALL that raises, finite exchanges in order and
-interleaved and one stopped with messages still queued -- must leave
-reference counts on the shared objects (callbacks, message ids) and the
-traced heap where they started, free every driver, and every run must
-end with no packet slot alive, no message queued and no credit FIFO
-deeper than the credits its VC can hold.  Building a kernel and freeing
-it leaves nothing behind either, and hands back its view of the
-collector's per-node eject counts.  The generator's
-memory must not grow with the horizon, and no node may keep its
-generator state once its stream has ended.  A packet costs its slot
-and nothing else: a saturated run grows the traced heap by no more
-than its slots plus a fixed allowance, and a route too long for a
-slot's inline route spills to a block that goes with the packet on
-delivery, with ``clear()`` and with the kernel.
+The kernel owns references to routes, callbacks and a closed-loop
+driver's message countdown, holds one NIC queue entry of plain C data
+per queued message (its message id a C integer), recycles packet slots
+(plain C data too) on delivery, and draws open-loop streams in chunks
+from per-node generator states.  Repeating kernel runs of every kind in
+one process -- open loop drained to empty, long open-loop streams that
+refill their chunks, a run stopped while every node still holds its
+generator state, closed-loop halo exchanges of one and of two iterations
+with fault diverts and the C message countdown, one whose faults drop
+packets, a fault detour that grows a route past a slot's inline entries,
+a completion callback that raises (and the countdown's tables, released
+by ``clear()``, by re-arming and with the kernel), scheduled CALLs that
+submit traffic, CALLs dropped by ``clear()`` while pending and a CALL
+that raises, finite exchanges in order and interleaved and one stopped
+with messages still queued -- must leave reference counts on the shared
+objects (callbacks, message ids) and the traced heap where they started,
+free every driver, and every run must end with no packet slot alive, no
+message queued and no credit FIFO deeper than the credits its VC can
+hold.  Building a kernel and freeing it leaves nothing behind either,
+and hands back its view of the collector's per-node eject counts.  The
+generator's memory must not grow with the horizon, and no node may keep
+its generator state once its stream has ended.  A packet costs its slot
+and nothing else: a saturated run grows the traced heap by no more than
+its slots plus a fixed allowance, and a route too long for a slot's
+inline route spills to a block that goes with the packet on delivery,
+with ``clear()`` and with the kernel.  The kernel's GC referents do not
+grow with the packets in flight or the messages queued.
 """
 
 from __future__ import annotations
@@ -145,8 +145,9 @@ class Harness:
         # Two iterations: completions release messages mid-run.
         self.halo2 = build_workload("halo3d", self.topo.num_nodes, 1000,
                                     iterations=2)
-        # Message ids past the small-int cache, which the kernel holds
-        # in queued sends and packet slots.
+        # Message ids past the small-int cache: queued sends and
+        # packet slots keep them as C integers, so their reference
+        # counts must not move.
         self.mids = [m.mid for m in self.halo2 if m.mid > 1_000][:4]
         # Two packets per message, sent in order; six neighbours'
         # messages sent in turn.
@@ -507,12 +508,30 @@ def test_saturated_run_allocates_no_block_per_packet(monkeypatch):
     (heap0, blocks0, _), (heap1, blocks1, mem) = probes
     slots = mem["slots_allocated"]
     assert slots > 5_000, mem  # the network is full
-    assert mem["slot_bytes"] <= 96, mem
+    assert mem["slot_bytes"] <= 88, mem
     assert slots <= mem["slot_capacity"], mem
     assert mem["spilled_routes_hwm"] == 0, mem
     assert heap1 - heap0 <= slots * mem["slot_bytes"] + SATURATED_ALLOWANCE, (
         heap1 - heap0, mem)
     assert blocks1 - blocks0 < slots, (blocks1 - blocks0, mem)
+
+
+def test_gc_referents_do_not_grow_with_the_traffic():
+    # Queue entries and packet slots are plain C data: the kernel shows
+    # the collector the same referents with packets in flight and
+    # messages queued as when idle.
+    topo = SlimFly(5)
+    net = Network(topo, UGALRouting(topo, seed=0), SimConfig(backend="kernel"))
+    kernel = net._vec.kernel
+    idle = len(gc.get_referents(kernel))
+    n = topo.num_nodes
+    for node in range(n):
+        for i in range(3):
+            net.nics[node].submit((node + 7 + i) % n, 256 * 12, 10_000 + i)
+    net.engine.run(max_events=3_000)
+    mem = net.engine.memory_stats()
+    assert mem["slots_live"] > 1_000 and mem["nic_backlog"] > n, mem
+    assert len(gc.get_referents(kernel)) == idle
 
 
 def test_spilled_routes_are_freed(looping_routing):

@@ -10,7 +10,10 @@ Fly and MLFM, INR's four-hop Valiant routes on the OFT, the fault
 golden's schedule (whose detours are eight ports long) and a custom
 routing whose looping routes outgrow the slot's inline route.  With a
 listener attached every delivery materialises its ``Packet`` from the
-slot, so the kernel's routes come back through its own storage.  A
+slot, so the kernel's routes come back through its own storage.  That
+``Packet`` is built new at each delivery, and it equals the object
+engine's field for field, ``hop``, ``msg_id`` and the times included,
+even where ``Network.make_packet`` routed the packet in Python.  A
 route the slot cannot hold as given -- routers that do not follow its
 ports, an unprovisioned VC, more VCs than a slot's uint8 -- is
 refused.
@@ -26,8 +29,9 @@ from repro.experiments.specs import build_routing
 from repro.routing import MinimalRouting
 from repro.routing.base import NULL_CONGESTION, Route, RoutingAlgorithm
 from repro.sim import Network, SimConfig
+from repro.sim.packet import Packet
 from repro.sim.vec.kernel import load_kernel
-from repro.traffic import UniformRandom
+from repro.traffic import NearestNeighbor3D, UniformRandom
 
 pytestmark = pytest.mark.skipif(
     load_kernel() is None,
@@ -137,6 +141,67 @@ def test_routes_past_the_inline_capacity_match(looping_routing):
     routes, mem = assert_same_routes(build, load=0.2, seed=13)
     assert longest(routes) > INLINE_PORTS
     assert mem["spilled_routes_hwm"] > 0, mem
+
+
+def fields(pkt) -> tuple:
+    """Every field of a delivered Packet."""
+    return tuple(getattr(pkt, name) for name in Packet.__slots__)
+
+
+@pytest.mark.parametrize("faults", [False, True])
+def test_listener_packets_match_field_for_field(faults):
+    # The fault golden's case, with and without its schedule: the Packet
+    # each delivery hands a listener is the object engine's, hop
+    # included (at the destination router, after any reroute).
+    topo = tiny_topology(conformance.FAULT_CASE_KEY.split("/")[0])
+    runs = {}
+    for engine in ENGINES:
+        net = Network(topo, tiny_routing("sf-floor", "ugal", topo), SimConfig(
+            backend=engine,
+            faults=conformance.fault_specs(topo) if faults else ()))
+        got = []
+        net.add_delivery_listener(lambda pkt: got.append(fields(pkt)))
+        net.run_synthetic(UniformRandom(topo.num_nodes), load=conformance.LOAD,
+                          warmup_ns=200.0, measure_ns=900.0, seed=1_000,
+                          drain=True)
+        runs[engine] = got
+    assert runs["kernel"] == runs["object"]
+    hop = Packet.__slots__.index("hop")
+    assert {f[hop] for f in runs["kernel"]} >= {0, 1, 2}
+    if faults:
+        assert net.fault_manager.reroutes > 0
+
+
+def test_listener_packet_is_built_at_delivery():
+    # A wrapped make_packet routes every send in Python.  The kernel
+    # loads the route from the Packet it returns and drops it; each
+    # delivery builds the listeners a new one, equal field for field to
+    # the object engine's, which is the object make_packet returned.
+    topo = tiny_topology("sf-floor")
+    runs = {}
+    for engine in ENGINES:
+        net = Network(topo, tiny_routing("sf-floor", "ugal", topo),
+                      SimConfig(backend=engine))
+        made, got = {}, []
+        make_packet = net.make_packet
+
+        def wrapped(*args, made=made, make_packet=make_packet):
+            pkt = make_packet(*args)
+            made[pkt.pid] = pkt
+            return pkt
+
+        net.make_packet = wrapped
+        net.add_delivery_listener(got.append)
+        net.run_exchange(NearestNeighbor3D(topo.num_nodes, message_bytes=600))
+        assert len(got) == len(made) > 0
+        runs[engine] = made, got
+    made, got = runs["object"]
+    assert all(made[pkt.pid] is pkt for pkt in got)
+    made, got = runs["kernel"]
+    assert not any(made[pkt.pid] is pkt for pkt in got)
+    assert [fields(p) for p in got] == [fields(p) for p in runs["object"][1]]
+    assert {p.msg_id for p in got} == set(range(6))
+    assert any(p.hop > 0 for p in got)
 
 
 class RewrittenRouting(RoutingAlgorithm):

@@ -11,6 +11,7 @@ cache-keying separation between fault-free and fault-bearing runs.
 from __future__ import annotations
 
 import json
+from array import array
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.serve.coalesce import Coalescer, Execution
 from repro.serve.models import job_from_request
 from repro.sim.config import SimConfig
 from repro.sim.network import Network
+from repro.sim.vec.kernel import load_kernel
 from repro.topology.serialize import (
     load_topology,
     save_topology,
@@ -33,6 +35,7 @@ from repro.topology.serialize import (
     topology_to_dict,
 )
 from repro.topology.validate import validate_topology
+from repro.traffic import UniformRandom
 from repro.workload import build_workload
 from repro.experiments.runner import run_workload
 
@@ -418,6 +421,46 @@ class TestFaultSimulation:
         stretch = obj["completion_ns"] / baseline["completion_ns"]
         assert stretch >= 1.0
         assert obj["packets"] == baseline["packets"]  # nothing lost
+
+    @pytest.mark.parametrize("policy", ["reroute", "drop"])
+    def test_mid_run_calls_read_live_fault_counts(self, sf5, policy):
+        # Both engines add every reroute and drop to FaultManager.counts
+        # in place (the kernel through a view it holds for the run), so
+        # a CALL mid-run reads them as they stand, the same on both.
+        def run(backend):
+            net = Network(sf5, UGALRouting(sf5, seed=0), SimConfig(
+                backend=backend, fault_policy=policy,
+                faults=("drip@400:n=6,every=300,seed=4",)))
+            fm = net.fault_manager
+            counts = fm.counts
+            seen = []
+            for t in (700.0, 1_300.0, 1_900.0):
+                net.engine.schedule_at(
+                    t, lambda: seen.append((fm.reroutes, fm.dropped)))
+            net.run_synthetic(UniformRandom(sf5.num_nodes), load=0.8,
+                              warmup_ns=200.0, measure_ns=2_000.0, seed=5)
+            assert fm.counts is counts
+            return seen, tuple(counts)
+
+        ref = run("object")
+        assert run("kernel") == ref
+        seen, final = ref
+        moved = 1 if policy == "drop" else 0
+        assert 0 < seen[0][moved] < seen[-1][moved] <= final[moved]
+        assert final[1 - moved] == 0
+
+    @pytest.mark.skipif(load_kernel() is None,
+                        reason="compiled kernel unavailable")
+    @pytest.mark.parametrize("counts", [array("q", [0, 0, 0]),
+                                        array("d", [0.0, 0.0])])
+    def test_kernel_refuses_fault_counts_it_cannot_add_to(self, sf5, counts):
+        u, v = _link(sf5)
+        net = Network(sf5, UGALRouting(sf5, seed=0), SimConfig(
+            backend="kernel", faults=(f"fail@100:{u}-{v}",)))
+        net.fault_manager.counts = counts
+        with pytest.raises(TypeError, match="fault counts"):
+            net.run_synthetic(UniformRandom(sf5.num_nodes), load=0.3,
+                              warmup_ns=100.0, measure_ns=300.0, seed=1)
 
     def test_drop_policy_accounts_for_lost_packets(self):
         # The conformance fault case under policy="drop": packets bound

@@ -5,6 +5,7 @@ throughput ceilings, backpressure, VC provisioning and the congestion
 interface used by UGAL-L.
 """
 
+import numpy as np
 import pytest
 
 from repro.routing import (
@@ -248,6 +249,59 @@ class TestSizeGuard:
         net = Network(sf4, MinimalRouting(sf4), SimConfig(backend=backend))
         with pytest.raises(ValueError, match="-256 bytes to node 3"):
             net.run_exchange(Negative())
+
+
+def submit_outcome(topo, backend: str, *args):
+    """What ``nics[0].submit(*args)`` does on *backend*: the exception it
+    raises, as its type and text, or the ``(dst_node, size, msg_id,
+    type of msg_id)`` of every packet a delivery listener then sees."""
+    net = Network(topo, MinimalRouting(topo), SimConfig(backend=backend))
+    assert net.backend_in_use == backend
+    pkts = []
+    net.add_delivery_listener(pkts.append)
+    try:
+        net.nics[0].submit(*args)
+    except (TypeError, ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+    net.engine.run()
+    return [(p.dst_node, p.size, p.msg_id, type(p.msg_id)) for p in pkts]
+
+
+@pytest.mark.skipif(load_kernel() is None, reason="compiled kernel unavailable")
+class TestSubmitArguments:
+    """``submit`` takes its arguments by one rule on both engines: every
+    integer argument goes through ``operator.index`` (the kernel's
+    ``PyLong_As*``), and a message id is ``None`` or in ``[0, 2**63)``."""
+
+    @pytest.mark.parametrize("msg_id", ["1", -1, 2**63, 1.0])
+    def test_both_engines_refuse_the_same_message_ids(self, sf4, msg_id):
+        ref = submit_outcome(sf4, "object", 3, 256, msg_id)
+        assert ref[0] in (TypeError, ValueError), ref
+        assert submit_outcome(sf4, "kernel", 3, 256, msg_id) == ref
+
+    def test_both_engines_accept_the_same_message_ids(self, sf4):
+        # Numpy integers reach the listeners as plain ints.
+        for msg_id in (None, 0, 2**63 - 1, np.int64(7)):
+            mid = None if msg_id is None else int(msg_id)
+            sent = [(3, 256, mid, type(mid)), (3, 44, mid, type(mid))]
+            for dst, size in ((3, 300), (np.int32(3), np.int64(300))):
+                ref = submit_outcome(sf4, "object", dst, size, msg_id)
+                assert ref == sent
+                assert submit_outcome(sf4, "kernel", dst, size, msg_id) == ref
+
+    @pytest.mark.parametrize("args", [
+        (3, 256.5), (3, 256.0), (3.0, 256), (True, 256),
+    ], ids=["float-size", "integral-float-size", "float-dst", "bool-dst"])
+    def test_both_engines_take_the_same_arguments(self, sf4, args):
+        # A float is refused at submit, not cut into a 256 B and a 0.5 B
+        # packet or left to fail at delivery, and a bool is the node it
+        # indexes.
+        ref = submit_outcome(sf4, "object", *args)
+        if isinstance(args[0], bool):
+            assert ref == [(1, 256, None, type(None))]
+        else:
+            assert ref[0] is TypeError, ref
+        assert submit_outcome(sf4, "kernel", *args) == ref
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
