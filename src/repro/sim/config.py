@@ -38,10 +38,8 @@ class SimConfig:
     #: ``"kernel"`` runs the same physics in a compiled C kernel that
     #: owns the event queue and all simulation state
     #: (repro.sim.vec.kernel), falling back to ``"object"`` with one
-    #: RuntimeWarning when no compiler/ABI is available.  ``"batched"``
-    #: is accepted as a deprecated alias for ``"kernel"`` (the pure-
-    #: Python batched loop it once named is gone).  Both engines are
-    #: bit-identical -- the golden conformance suite
+    #: RuntimeWarning when no compiler/ABI is available.  Both engines
+    #: are bit-identical -- the golden conformance suite
     #: (tests/golden/conformance.json) is the gate -- so the choice is
     #: purely a speed/memory trade-off.
     backend: str = "object"
@@ -56,10 +54,10 @@ class SimConfig:
     fault_policy: str = "reroute"
 
     def __post_init__(self) -> None:
-        if self.backend not in ("object", "batched", "kernel"):
+        if self.backend not in ("object", "kernel"):
             raise ValueError(
                 f"unknown backend {self.backend!r} "
-                f"(expected 'object', 'batched' or 'kernel')"
+                f"(expected 'object' or 'kernel')"
             )
         if not isinstance(self.faults, tuple):
             # Frozen dataclass: normalize list inputs (JSON round-trips

@@ -49,7 +49,7 @@ class Network:
         self.stats = StatsCollector(topology.num_nodes, config)
         self.checker = None  # InvariantChecker when config.check is set
         self.fault_manager = None  # FaultManager when config.faults is set
-        self._pid = 0
+        self._pid = array("q", [0])  # the last packet id (make_packet)
         self._vec = None  # KernelEngine when the kernel backend runs
         self._delivery_listeners: list = []  # see add_delivery_listener
         # The message countdown (see watch_messages): packets left,
@@ -67,10 +67,9 @@ class Network:
         self.utilization_window: Optional[float] = None
 
         #: Which engine actually runs: ``"kernel"`` when the compiled
-        #: kernel was requested (``"batched"`` is a deprecated alias for
-        #: it) and loads, otherwise ``"object"``.  Resolved first, so
-        #: only the engine that runs is built, and a checked run that
-        #: falls back gets the object engine's per-transition checker.
+        #: kernel was requested and loads, otherwise ``"object"``.
+        #: Resolved first, so only the engine that runs is built, and a
+        #: checked run that falls back gets the object checker.
         self.backend_in_use = self._resolve_backend(config.backend)
 
         if self.backend_in_use == "kernel":
@@ -232,9 +231,10 @@ class Network:
 
         The kernel backend mirrors this method in C for the compiled
         routing implementations (``make_fast`` in
-        ``repro/sim/vec/_kernel.c``, golden- and fuzz-gated); changes
-        to routing dispatch, packet construction or inject accounting
-        here must be reflected there.
+        ``repro/sim/vec/_kernel.c``, golden- and fuzz-gated), taking ids
+        from the same ``_pid`` array; changes to routing dispatch,
+        packet construction or inject accounting here must be reflected
+        there.
         """
         topo = self.topology
         node_router = topo.router_of
@@ -248,9 +248,10 @@ class Network:
                 topo.port(routers[i], routers[i + 1]) for i in range(len(routers) - 1)
             )
 
-        self._pid += 1
+        pid = self._pid
+        pid[0] += 1
         return Packet(
-            pid=self._pid,
+            pid=pid[0],
             src_node=src_node,
             dst_node=dst_node,
             size=size,
@@ -371,9 +372,10 @@ class Network:
         (:meth:`enable_trace`), an exchange's message tracking and the
         checkers' delivery checks are listeners too.  A listener
         observes each ejection (with its ``msg_id`` and ``eject_time``)
-        after the statistics record it, in registration order, so the
+        after the statistics count it, in registration order, so the
         checker, registered when the network is built, observes first;
-        a listener registered during a delivery is called for it too.
+        a listener registered during a delivery is called for it too
+        (the kernel's latencies and kind counts complete at run end).
         It may submit new traffic in response, and an exception it
         raises (a checker's violation) propagates out of the run.  On
         the kernel each delivery builds the listeners a new
@@ -450,10 +452,10 @@ class Network:
         the message down (:meth:`watch_messages`): its last packet
         writes its completion time, and calls back only for a message
         that releases others.  The kernel never calls this: its DELIVER
-        handler runs the same steps in C and calls the listeners itself
-        (``do_deliver`` in ``repro/sim/vec/_kernel.c``, flushed via
-        :meth:`StatsCollector.absorb_kernel`); changes here must be
-        reflected there.
+        handler runs the same steps in C, writing the collector's
+        counters in place, and calls the listeners itself
+        (``do_deliver`` in ``repro/sim/vec/_kernel.c``); changes here
+        must be reflected there.
         """
         pkt.eject_time = self.engine.now
         self.stats.record_eject(pkt)

@@ -33,9 +33,9 @@ __all__ = ["NIC", "bad_msg_id", "bad_size"]
 
 
 def bad_size(size) -> ValueError:
-    """The error both engines' ``submit`` raises for a size below one
-    byte (the kernel's C formats the same text)."""
-    return ValueError(f"size {size!r} must be at least 1 byte")
+    """The error both engines' ``submit`` raises for a size outside
+    ``[1, 2**63)`` bytes (the kernel's C formats the same text)."""
+    return ValueError(f"size {size!r} must be in [1, 2**63)")
 
 
 def bad_msg_id(msg_id) -> ValueError:
@@ -105,16 +105,18 @@ class NIC:
 
         *dst_node*, *size* and a *msg_id* other than ``None`` go through
         :func:`operator.index` (a float or a string raises ``TypeError``)
-        and are stored as plain ints; a *msg_id* must lie in
-        ``[0, 2**63)``.  The kernel's NIC takes the same arguments with
-        the same errors."""
+        and are stored as plain ints; a *dst_node* outside the network
+        raises ``IndexError``, and a *size* outside ``[1, 2**63)`` or a
+        *msg_id* outside ``[0, 2**63)`` raises ``ValueError``.  The
+        kernel's NIC takes the same arguments with the same errors,
+        however large an integer."""
         dst_node = index(dst_node)
         size = index(size)
         num_nodes = len(self.net.nics)
         if not 0 <= dst_node < num_nodes:
             raise IndexError(
                 f"destination node {dst_node} out of range [0, {num_nodes})")
-        if size < 1:
+        if not 1 <= size < 2**63:
             raise bad_size(size)
         if msg_id is not None:
             msg_id = index(msg_id)

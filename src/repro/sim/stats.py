@@ -76,113 +76,116 @@ class WindowStats:
         )
 
 
+#: Indices into ``StatsCollector.counts`` and ``.times`` (``_kernel.c``'s
+#: ``ST_*`` and ``TM_*``).
+INJECTED, INJECTED_IN_WINDOW, EJECTED, EJECTED_IN_WINDOW, BYTES_IN_WINDOW, \
+    HOPS_IN_WINDOW = range(6)
+WINDOW_START, WINDOW_END, FIRST_INJECT, LAST_EJECT = range(4)
+
+
+def _counter(i: int) -> property:
+    def put(self, value: int) -> None:
+        self.counts[i] = value
+
+    return property(lambda self: self.counts[i], put)
+
+
+def _time(i: int) -> property:
+    """An entry of ``times``, where ``None`` is stored as infinity."""
+
+    def put(self, value: Optional[float]) -> None:
+        self.times[i] = math.inf if value is None else value
+
+    return property(lambda self: None if self.times[i] == math.inf
+                    else self.times[i], put)
+
+
 class StatsCollector:
-    """Records injections and ejections; computes windowed metrics."""
+    """Records injections and ejections; computes windowed metrics.
+
+    The counters live in :attr:`counts`, an ``array('q')`` of six, and
+    the window bounds and first-send and last-delivery times in
+    :attr:`times`, an ``array('d')`` of four (an open window end and a
+    time not yet recorded are infinities); the attributes below read
+    and write them.  Both engines update these arrays and
+    :attr:`eject_count_per_node` in place, the compiled kernel through
+    views it holds for its lifetime, so they are current at every
+    moment of a run.
+    """
+
+    injected_total = _counter(INJECTED)
+    in_window_injected = _counter(INJECTED_IN_WINDOW)
+    ejected_total = _counter(EJECTED)
+    in_window_ejected = _counter(EJECTED_IN_WINDOW)
+    in_window_bytes = _counter(BYTES_IN_WINDOW)
+    hops_sum = _counter(HOPS_IN_WINDOW)
+    window_start = _time(WINDOW_START)
+    window_end = _time(WINDOW_END)
+    first_inject = _time(FIRST_INJECT)
+    last_eject = _time(LAST_EJECT)
 
     def __init__(self, num_nodes: int, config: SimConfig):
         self.num_nodes = num_nodes
         self.config = config
-        self.window_start = 0.0
-        self.window_end: Optional[float] = None
+        self.counts = array("q", bytes(48))
+        self.times = array("d", (0.0, math.inf, math.inf, math.inf))
         self.eject_count_per_node = np.zeros(num_nodes, dtype=np.int64)
         self.reset()
 
     def reset(self) -> None:
-        """Clear all recorded state (window bounds are kept).
-
-        The per-node eject counts are zeroed in place: the compiled
-        kernel increments that array directly for as long as it lives.
-        """
-        self.injected_total = 0
-        self.ejected_total = 0
-        self.in_window_ejected = 0
-        self.in_window_bytes = 0
-        self.in_window_injected = 0
+        """Clear all recorded state (window bounds are kept), clearing
+        the arrays the kernel writes in place rather than replacing
+        them."""
+        self.counts[:] = array("q", bytes(48))
+        self.times[FIRST_INJECT] = self.times[LAST_EJECT] = math.inf
         #: In-window latencies (ns) in ejection order, as raw float64.
         self.latencies = array("d")
         self.kind_counts: Dict[str, int] = {}
-        self.hops_sum = 0
-        self.first_inject: Optional[float] = None
-        self.last_eject: Optional[float] = None
         self.eject_count_per_node.fill(0)
 
     def set_window(self, start: float, end: Optional[float]) -> None:
-        """Restrict windowed metrics to ejections in ``[start, end)``."""
+        """Restrict windowed metrics to ``[start, end)``, in place."""
         self.window_start = start
         self.window_end = end
 
     # -- recording (the object engine's hot path) ------------------------------
 
     def record_inject(self, pkt: Packet) -> None:
-        self.injected_total += 1
-        if self.first_inject is None:
-            self.first_inject = pkt.send_time
-        if pkt.send_time >= self.window_start and (
-            self.window_end is None or pkt.send_time < self.window_end
-        ):
-            self.in_window_injected += 1
+        c, w, t = self.counts, self.times, pkt.send_time
+        c[INJECTED] += 1
+        if w[FIRST_INJECT] == math.inf:
+            w[FIRST_INJECT] = t
+        if w[WINDOW_START] <= t < w[WINDOW_END]:
+            c[INJECTED_IN_WINDOW] += 1
 
     def record_eject(self, pkt: Packet) -> None:
-        self.ejected_total += 1
-        t = pkt.eject_time
-        self.last_eject = t
+        c, w, t = self.counts, self.times, pkt.eject_time
+        c[EJECTED] += 1
+        w[LAST_EJECT] = t
         self.eject_count_per_node[pkt.dst_node] += 1
-        if t >= self.window_start and (self.window_end is None or t < self.window_end):
-            self.in_window_ejected += 1
-            self.in_window_bytes += pkt.size
+        if w[WINDOW_START] <= t < w[WINDOW_END]:
+            c[EJECTED_IN_WINDOW] += 1
+            c[BYTES_IN_WINDOW] += pkt.size
+            c[HOPS_IN_WINDOW] += pkt.num_hops
             self.latencies.append(t - pkt.gen_time)
             self.kind_counts[pkt.kind] = self.kind_counts.get(pkt.kind, 0) + 1
-            self.hops_sum += pkt.num_hops
 
-    def absorb_kernel(
-        self,
-        injected: int,
-        in_window_injected: int,
-        first_inject: Optional[float],
-        ejected: int,
-        in_window_ejected: int,
-        in_window_bytes: int,
-        hops_sum: int,
-        last_eject: Optional[float],
-        latencies: Optional[bytes],
-        kind_counts: Optional[Dict[str, int]],
-    ) -> None:
-        """Merge statistics accumulated C-side by the compiled kernel.
+    def absorb_kernel(self, latencies: bytes, kind_counts: Dict[str, int]) -> None:
+        """Take a block of in-window latencies from the compiled kernel.
 
         The kernel (:mod:`repro.sim.vec.kernel`) records every send and
-        delivery itself -- it never calls :meth:`record_inject` or
-        :meth:`record_eject` -- in plain C counters and a latency
-        block, flushing them here when the block fills, before any
-        Python runs mid-run (a listener, a CALL, a completion callback),
-        at run end and after a send made outside a run.  Every field
-        merges exactly: counters are additive, the inject/eject
-        timestamps combine by min/max (simulated time is monotone, so
-        this reproduces the first/last semantics of the per-packet
-        path), and *latencies* arrive as the raw float64 bytes of the
-        kernel's latency block, in exact ejection order, so numpy's
-        order-sensitive pairwise mean stays bit-identical.  The per-node
-        eject counts need no merge: the kernel increments
-        :attr:`eject_count_per_node` in place.
+        delivery itself, writing the arrays above in place; only the
+        in-window latencies and their route-kind counts collect in a
+        block of its own, handed over here when it fills and when a run
+        returns, so they are complete once a run has.  *latencies* are
+        the block's raw float64 bytes in ejection order (numpy's
+        order-sensitive pairwise mean stays bit-identical), and
+        *kind_counts* come in first-delivery order, as
+        :meth:`record_eject` would insert them.
         """
-        self.injected_total += injected
-        self.in_window_injected += in_window_injected
-        if first_inject is not None and (
-            self.first_inject is None or first_inject < self.first_inject
-        ):
-            self.first_inject = first_inject
-        self.ejected_total += ejected
-        self.in_window_ejected += in_window_ejected
-        self.in_window_bytes += in_window_bytes
-        self.hops_sum += hops_sum
-        if last_eject is not None and (
-            self.last_eject is None or last_eject > self.last_eject
-        ):
-            self.last_eject = last_eject
-        if latencies:
-            self.latencies.frombytes(latencies)
-        if kind_counts:
-            for kind, count in kind_counts.items():
-                self.kind_counts[kind] = self.kind_counts.get(kind, 0) + count
+        self.latencies.frombytes(latencies)
+        for kind, count in kind_counts.items():
+            self.kind_counts[kind] = self.kind_counts.get(kind, 0) + count
 
     # -- reductions ------------------------------------------------------------
 

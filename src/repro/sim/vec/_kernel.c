@@ -35,11 +35,14 @@
  *   refill, and a C-seeded copy of its private ``random.Random`` only
  *   until its stream reaches the horizon;
  * - every send and every delivery is accounted here, whichever path
- *   routed the packet and whether or not listeners observe it: counters
- *   and one fixed block of delivery latencies, flushed to the
- *   ``StatsCollector`` (latencies as raw bytes) whenever the block
- *   fills and before any Python runs, and the per-node eject counts
- *   incremented in the collector's own array;
+ *   routed the packet and whether or not listeners observe it.  The
+ *   ``StatsCollector``'s counters, window, first and last times and
+ *   per-node eject counts, and ``Network._pid``, are written in place
+ *   through buffer views bound at build, so Python reads them correct
+ *   at every moment.  Only the in-window latencies and their route
+ *   kinds collect in one fixed block of the kernel's own, handed to the
+ *   collector (latencies as raw bytes) when it fills and when a run
+ *   returns;
  * - a closed-loop driver's message countdown (see "message countdown")
  *   decrements per-message packet counts on every delivery, writes each
  *   message's completion time into its table and calls back into
@@ -708,14 +711,17 @@ typedef struct {
     long spill_live, spill_hwm;
     int32_t arr_hwm, narr_hwm; /* longest router / NIC credit FIFO seen */
 
-    /* route kinds seen, and bindings fixed at build time: the network,
-     * the Packet class, its StatsCollector with absorb_kernel, and a
-     * view of the collector's per-node eject counts (int64, len NN) */
+    /* route kinds seen, and bindings fixed at build time (bind_stats):
+     * the network, the Packet class, its StatsCollector's absorb_kernel
+     * and writable views of the collector's per-node eject counts
+     * (int64, len NN), counters (ST_* below) and times (TM_* below),
+     * and of Network._pid, the last packet id handed out */
     PyObject *kinds[MAX_KINDS];
     int nkinds, ki_min, ki_ind; /* indices of "minimal" / "indirect" */
-    PyObject *net, *packet_cls, *stats, *stats_absorb;
-    Py_buffer ejcnt_view;
-    long long *ejcnt;
+    PyObject *net, *packet_cls, *stats_absorb;
+    Py_buffer ejcnt_view, st_view, tm_view, pid_view;
+    long long *ejcnt, *st, *last_pid;
+    double *tm;
 
     /* message countdown (see "message countdown"): the watched tables
      * shared with Python -- packets left (int32), release flags (one
@@ -765,29 +771,26 @@ typedef struct {
     int sf_mode, has_thr;
     double cc, c_sf, thr_cap;
     CRng rng[2];
-    int rng_n, resident;
-    long long pid; /* Network._pid while resident */
-    /* the StatsCollector's window, read at each run and at each send
-     * made outside one */
-    double win_start, win_end;
-    int win_has_end;
+    int rng_n;
 
-    /* delivery/injection accumulators, flushed via absorb_kernel (the
-     * per-node eject counts go straight into the collector's array) */
-    int stats_dirty;
-    long long a_inj, a_inj_w, a_ej, a_ej_w, a_bytes, a_hops;
-    double a_first, a_last;
-    int a_has_first, a_has_last;
+    /* the in-window latencies and their route-kind counts since the
+     * last flush into absorb_kernel (everything else the accounting
+     * writes straight into the collector's arrays) */
     double *a_lat;
     Py_ssize_t a_lat_n;
     long long a_kind_cnt[MAX_KINDS];
     int a_kind_order[MAX_KINDS], a_nkind_order;
 } Kernel;
 
+/* StatsCollector.counts and .times by index (repro/sim/stats.py). */
+enum { ST_INJ = 0, ST_INJ_W = 1, ST_EJ = 2, ST_EJ_W = 3, ST_BYTES_W = 4,
+       ST_HOPS_W = 5, ST_N = 6 };
+enum { TM_WSTART = 0, TM_WEND = 1, TM_FIRST = 2, TM_LAST = 3, TM_N = 4 };
+
 /* Interned attribute names (module init). */
 static PyObject *str_routers, *str_ports, *str_vcs, *str_kind, *str_pid;
 static PyObject *str_send_time, *str_eject_time, *str_hop;
-static PyObject *str_delivery_listeners, *str_make_packet, *str_net_pid;
+static PyObject *str_delivery_listeners, *str_make_packet;
 static PyObject *str_minimal, *str_indirect;
 
 /* repro.routing.cache.NoRouteError, looked up by the first Kernel built. */
@@ -1348,38 +1351,24 @@ done:
 
 /* -- statistics: send and delivery accounting ------------------------------- */
 
-/* Flush the C-side inject/eject accumulators into the Python
- * StatsCollector (absorb_kernel).  Called before any escape that could
- * observe the collector mid-run (listeners/CALL/msg_done), when the
- * latency block fills, at run end and after a send made outside a run.
- * Kind counts are passed in first-delivery order since the last flush,
- * which is the order StatsCollector.record_eject would insert them. */
+/* Hand the latency block and its kind counts to the StatsCollector
+ * (absorb_kernel), when the block fills and when a run returns: the
+ * only two flushes, since every other number the accounting keeps is
+ * written in place.  Kind counts are passed in first-delivery order
+ * since the last flush, which is the order StatsCollector.record_eject
+ * would insert them. */
 static int
 stats_flush(Kernel *k)
 {
-    if (!k->stats_dirty)
+    if (k->a_lat_n == 0) /* a kind is counted only with its latency */
         return 0;
     double t0 = mono_ns();
-    PyObject *lat = NULL, *first = NULL, *last = NULL;
     PyObject *kinds = NULL, *res = NULL;
-    int rc = -1;
-
     /* The latencies as raw float64 bytes: no Python object per packet. */
-    lat = k->a_lat_n
-              ? PyBytes_FromStringAndSize((const char *)k->a_lat,
-                                          k->a_lat_n *
-                                              (Py_ssize_t)sizeof(double))
-              : Py_NewRef(Py_None);
-    if (lat == NULL)
-        goto done;
-    first = k->a_has_first ? PyFloat_FromDouble(k->a_first)
-                           : Py_NewRef(Py_None);
-    last = k->a_has_last ? PyFloat_FromDouble(k->a_last)
-                         : Py_NewRef(Py_None);
-    if (first == NULL || last == NULL)
-        goto done;
-    kinds = PyDict_New();
-    if (kinds == NULL)
+    PyObject *lat = PyBytes_FromStringAndSize(
+        (const char *)k->a_lat, k->a_lat_n * (Py_ssize_t)sizeof(double));
+    int rc = -1;
+    if (lat == NULL || (kinds = PyDict_New()) == NULL)
         goto done;
     for (int j = 0; j < k->a_nkind_order; j++) {
         int idx = k->a_kind_order[j];
@@ -1391,26 +1380,17 @@ stats_flush(Kernel *k)
         if (sr < 0)
             goto done;
     }
-    res = PyObject_CallFunction(
-        k->stats_absorb, "LLOLLLLOOO",
-        k->a_inj, k->a_inj_w, first, k->a_ej, k->a_ej_w, k->a_bytes,
-        k->a_hops, last, lat, kinds);
+    res = PyObject_CallFunctionObjArgs(k->stats_absorb, lat, kinds, NULL);
     if (res == NULL)
         goto done;
-    k->a_inj = k->a_inj_w = k->a_ej = k->a_ej_w = 0;
-    k->a_bytes = k->a_hops = 0;
-    k->a_has_first = k->a_has_last = 0;
     k->a_lat_n = 0;
     for (int j = 0; j < k->a_nkind_order; j++)
         k->a_kind_cnt[k->a_kind_order[j]] = 0;
     k->a_nkind_order = 0;
-    k->stats_dirty = 0;
     rc = 0;
 done:
     Py_XDECREF(res);
     Py_XDECREF(kinds);
-    Py_XDECREF(last);
-    Py_XDECREF(first);
     Py_XDECREF(lat);
     k->esc_ns[ESC_FLUSH] += mono_ns() - t0;
     k->esc_counts[ESC_FLUSH] += 1;
@@ -1439,37 +1419,36 @@ lat_push(Kernel *k, double v)
 }
 
 /* StatsCollector.record_inject for a packet sent at *t*, whichever path
- * routed it. */
+ * routed it, written into the collector's arrays.  An unrecorded time
+ * and an open window end are infinities. */
 static inline void
 acct_inject(Kernel *k, double t)
 {
-    k->a_inj += 1;
-    if (!k->a_has_first) {
-        k->a_first = t;
-        k->a_has_first = 1;
-    }
-    if (t >= k->win_start && (!k->win_has_end || t < k->win_end))
-        k->a_inj_w += 1;
-    k->stats_dirty = 1;
+    double *tm = k->tm;
+    k->st[ST_INJ] += 1;
+    if (tm[TM_FIRST] == INFINITY)
+        tm[TM_FIRST] = t;
+    if (t >= tm[TM_WSTART] && t < tm[TM_WEND])
+        k->st[ST_INJ_W] += 1;
 }
 
 /* StatsCollector.record_eject for the packet in *p*, delivered at *t*. */
 static inline int
 acct_eject(Kernel *k, const Slot *p, double t)
 {
-    k->a_ej += 1;
-    k->a_last = t; /* event times are monotone: running max */
-    k->a_has_last = 1;
+    long long *st = k->st;
+    double *tm = k->tm;
+    st[ST_EJ] += 1;
+    tm[TM_LAST] = t;
     k->ejcnt[p->dst] += 1;
-    k->stats_dirty = 1;
-    if (t >= k->win_start && (!k->win_has_end || t < k->win_end)) {
-        k->a_ej_w += 1;
-        k->a_bytes += p->size;
+    if (t >= tm[TM_WSTART] && t < tm[TM_WEND]) {
+        st[ST_EJ_W] += 1;
+        st[ST_BYTES_W] += p->size;
+        st[ST_HOPS_W] += p->nports - 1;
         if (lat_push(k, t - p->gen_time) < 0)
             return -1;
         if (k->a_kind_cnt[p->kind]++ == 0)
             k->a_kind_order[k->a_nkind_order++] = p->kind;
-        k->a_hops += p->nports - 1;
     }
     return 0;
 }
@@ -2218,10 +2197,10 @@ slot_load_route(Kernel *k, int32_t si, long eject)
 
 /* -- packet construction ---------------------------------------------------- */
 
-/* Fast path: route in C, fill a slot, accumulate the inject stats.
- * Network.make_packet + StatsCollector.record_inject, golden- and
- * fuzz-gated against them.  *d* is the message the packet of *size*
- * bytes was cut from. */
+/* Fast path: route in C, fill a slot under the next id of Network._pid,
+ * account the send.  Network.make_packet + StatsCollector.record_inject,
+ * golden- and fuzz-gated against them.  *d* is the message the packet of
+ * *size* bytes was cut from. */
 static int32_t
 make_fast(Kernel *k, long node, const Desc *d, long long size, double t)
 {
@@ -2257,7 +2236,7 @@ make_fast(Kernel *k, long node, const Desc *d, long long size, double t)
     }
     Slot *p = SLOT(k, si);
     p->msg_id = d->msg_id;
-    p->pid = ++k->pid;
+    p->pid = ++*k->last_pid;
     p->src = (int32_t)node;
     p->dst = d->dst;
     p->size = size;
@@ -2852,7 +2831,9 @@ do_gen(Kernel *k, long node)
  * releases nothing runs no Python.  Packets with no message id, one
  * outside the table or one of a message already complete are not
  * counted.  Python reads the kind counts back once, after the run
- * (``message_kinds``), and the completion times from its own table. */
+ * (``message_kinds``), and the completion times from its own table.  A
+ * callback reads the StatsCollector's counters and times as they stand,
+ * as a listener or a CALL does: the accounting writes them in place. */
 
 /* Release the watched tables, the kind table and the callback. */
 static void
@@ -2889,14 +2870,10 @@ count_down(Kernel *k, long long mid, int kind, double t)
 }
 
 /* Escape: message *mid*, which releases others, is complete; call the
- * completion callback.  Like the listener and CALL escapes it flushes
- * the accumulators first, so the callback sees a coherent
- * StatsCollector. */
+ * completion callback. */
 static int
 msg_done(Kernel *k, Py_ssize_t mid)
 {
-    if (stats_flush(k) < 0)
-        return -1;
     double t0 = mono_ns();
     /* The callback may re-arm the countdown, which drops the kernel's
      * reference to it. */
@@ -2914,17 +2891,14 @@ msg_done(Kernel *k, Py_ssize_t mid)
 }
 
 /* Escape: run the delivery listeners on the delivered slot *si* (its
- * delivery already accounted), as Network.deliver does on the object
- * engine: flush the accumulators, so the listeners observe a coherent
- * StatsCollector; build the slot's Packet; recycle the slot, so the
- * listeners (and the checker's audits) see the packet delivered; call
- * every listener in registration order, one a listener registers
- * included; then count the message down. */
+ * delivery already accounted in the collector's arrays), as
+ * Network.deliver does on the object engine: build the slot's Packet;
+ * recycle the slot, so the listeners (and the checker's audits) see the
+ * packet delivered; call every listener in registration order, one a
+ * listener registers included; then count the message down. */
 static int
 deliver_listeners(Kernel *k, double t, int32_t si)
 {
-    if (stats_flush(k) < 0)
-        return -1;
     double t0 = mono_ns();
     Slot *p = SLOT(k, si);
     PyObject *pkt = slot_packet(k, p, t);
@@ -2972,8 +2946,6 @@ static int
 do_call(Kernel *k, PyObject *fn, PyObject *args)
 {
     /* Caller owns fn/args and decrefs them after we return. */
-    if (stats_flush(k) < 0)
-        return -1;
     double t0 = mono_ns();
     PyObject *r = PyObject_Call(fn, args, NULL);
     k->esc_ns[ESC_CALL] += mono_ns() - t0;
@@ -3005,15 +2977,14 @@ unbind_refs(Kernel *k)
     PyMem_Free(k->pool);
     k->pool = NULL;
     k->npool = 0;
-    for (int i = 0; i < k->rng_n; i++) /* imported, never made resident */
+    for (int i = 0; i < k->rng_n; i++) /* without exporting them */
         crng_drop(&k->rng[i]);
     k->rng_n = 0;
     k->route_mode = -1;
 }
 
-/* End residency: push the fault RNG, the routing RNG streams and the
- * packet-id counter back to Python.  Always drops the references, even
- * if an export step fails. */
+/* End residency: push the fault RNG and the routing RNG streams back to
+ * Python.  Always drops the references, even if an export step fails. */
 static int
 export_resident(Kernel *k)
 {
@@ -3021,19 +2992,12 @@ export_resident(Kernel *k)
     if (k->fm_rng.obj != NULL && crng_export(&k->fm_rng) < 0)
         rc = -1;
     crng_drop(&k->fm_rng);
-    if (!k->resident)
-        return rc;
     for (int i = 0; i < k->rng_n; i++) {
         if (k->rng[i].obj != NULL && crng_export(&k->rng[i]) < 0)
             rc = -1;
         crng_drop(&k->rng[i]);
     }
     k->rng_n = 0;
-    PyObject *v = PyLong_FromLongLong(k->pid);
-    if (v == NULL || PyObject_SetAttr(k->net, str_net_pid, v) < 0)
-        rc = -1;
-    Py_XDECREF(v);
-    k->resident = 0;
     return rc;
 }
 
@@ -3066,6 +3030,36 @@ fp_opt_double(PyObject *fp, const char *name, double *out, int *has)
     return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
 }
 
+/* A one-dimensional view of *obj* (*flags* plus PyBUF_FORMAT) of *n*
+ * items, or of any number when *n* < 0, each of *size* bytes in the
+ * struct format *fmt*, after an optional native or little-endian
+ * prefix ('@', '=', '<'); "l" passes for "q" (numpy's int64).  Else a
+ * TypeError "kernel: <what> must be <type>", and no view is held
+ * (view->obj is NULL) on any failure.  Every buffer the kernel binds
+ * is taken through here. */
+static int
+bind_buffer(PyObject *obj, Py_buffer *view, int flags, const char *fmt,
+            Py_ssize_t size, Py_ssize_t n, const char *what,
+            const char *type)
+{
+    if (PyObject_GetBuffer(obj, view, flags | PyBUF_FORMAT) < 0) {
+        view->obj = NULL;
+        return -1;
+    }
+    const char *f = view->format;
+    if (f != NULL && (f[0] == '@' || f[0] == '=' || f[0] == '<'))
+        f += 1;
+    if (view->ndim != 1 || view->itemsize != size || f == NULL ||
+        (strcmp(f, fmt) != 0 && !(strcmp(fmt, "q") == 0 &&
+                                  strcmp(f, "l") == 0)) ||
+        (n >= 0 && view->shape[0] != n)) {
+        PyBuffer_Release(view);
+        PyErr_Format(PyExc_TypeError, "kernel: %s must be %s", what, type);
+        return -1;
+    }
+    return 0;
+}
+
 /* Bind the armed FaultManager of the spec (its fault_* fields): a
  * resident copy of its reroute RNG, its policy and a writable view of
  * its counts, an array('q') of (reroutes, drops). */
@@ -3085,21 +3079,13 @@ bind_faults(Kernel *k, PyObject *fp)
     if (fp_long(fp, "fault_drop", &drop) < 0 ||
         (counts = get_attr(fp, "fault_counts")) == NULL)
         return -1;
-    Py_buffer *cv = &k->fm_counts_view;
-    int rc = PyObject_GetBuffer(counts, cv, PyBUF_CONTIG | PyBUF_FORMAT);
+    int rc = bind_buffer(counts, &k->fm_counts_view, PyBUF_CONTIG, "q",
+                         sizeof(long long), 2, "the fault counts",
+                         "an array('q') of two");
     Py_DECREF(counts);
-    if (rc < 0) {
-        cv->obj = NULL;
+    if (rc < 0)
         return -1;
-    }
-    if (cv->ndim != 1 || cv->itemsize != sizeof(long long) ||
-        cv->format == NULL || strcmp(cv->format, "q") != 0 ||
-        cv->shape[0] != 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "kernel: fault counts must be an array('q') of two");
-        return -1; /* unbind_refs releases the view */
-    }
-    k->fm_counts = (long long *)cv->buf;
+    k->fm_counts = (long long *)k->fm_counts_view.buf;
     k->fm_drop = drop != 0;
     if ((k->fm_rng.obj = get_attr(fp, "fault_rng")) == NULL)
         return -1;
@@ -3110,23 +3096,10 @@ bind_faults(Kernel *k, PyObject *fp)
     return 0;
 }
 
-/* The StatsCollector's window [window_start, window_end), which the
- * accounting reads at each run and at each send made outside one. */
-static int
-read_window(Kernel *k)
-{
-    int has;
-    return fp_opt_double(k->stats, "window_start", &k->win_start, &has) < 0 ||
-                   fp_opt_double(k->stats, "window_end", &k->win_end,
-                                 &k->win_has_end) < 0
-               ? -1 : 0;
-}
-
-/* Bind the delivery listener list, the stats window and the fast-path
- * spec (a namespace from KernelEngine._fastpath_spec, or None): the
- * RouteCache hooks for route mode and fault diverts, and the fault
- * manager.  Route mode makes the routing RNG streams and Network._pid
- * resident in C. */
+/* Bind the delivery listener list and the fast-path spec (a namespace
+ * from KernelEngine._fastpath_spec, or None): the RouteCache hooks for
+ * route mode and fault diverts, and the fault manager.  Route mode
+ * makes the routing RNG streams resident in C. */
 static int
 bind_run(Kernel *k, PyObject *fp)
 {
@@ -3139,8 +3112,6 @@ bind_run(Kernel *k, PyObject *fp)
                         "kernel: Network._delivery_listeners is not a list");
         return -1;
     }
-    if (read_window(k) < 0)
-        return -1;
     if (fp == Py_None)
         return 0;
 
@@ -3212,7 +3183,7 @@ bind_run(Kernel *k, PyObject *fp)
         Py_DECREF(pool);
     }
 
-    /* RNG + packet-id residency. */
+    /* RNG residency. */
     PyObject *rngs = get_attr(fp, "rngs");
     if (rngs == NULL)
         return -1;
@@ -3236,14 +3207,6 @@ bind_run(Kernel *k, PyObject *fp)
         }
     }
     Py_DECREF(rngs);
-    PyObject *v = PyObject_GetAttr(k->net, str_net_pid);
-    if (v == NULL)
-        return -1;
-    k->pid = PyLong_AsLongLong(v);
-    Py_DECREF(v);
-    if (k->pid == -1 && PyErr_Occurred())
-        return -1;
-    k->resident = 1;
     k->route_mode = (int)mode;
     return 0;
 }
@@ -3391,8 +3354,8 @@ Kernel_run(Kernel *k, PyObject *args)
         k->running = 0;
     }
 
-    /* Drain the accumulators and end residency even when aborting, so
-     * the StatsCollector, routing RNGs and Network._pid stay coherent. */
+    /* Flush the latency block and end residency even when aborting, so
+     * the StatsCollector and the routing RNGs stay coherent. */
     PyObject *exc_type = NULL, *exc_val = NULL, *exc_tb = NULL;
     if (failed)
         PyErr_Fetch(&exc_type, &exc_val, &exc_tb);
@@ -3687,11 +3650,11 @@ msg_id_arg(PyObject *o, long long *mid)
 }
 
 /* nic_submit(node, dst, size, msg_id, interleave): NIC.submit at the
- * current time, its arguments converted and checked as NIC.submit does
- * (repro.sim.nic's bad_size and bad_msg_id give the errors their text),
- * the message id kept as a C integer.  A send made outside a run is
- * accounted against the window of that moment and flushed before this
- * returns. */
+ * current time, its arguments converted and checked as NIC.submit does,
+ * whatever their magnitude (repro.sim.nic's bad_size and bad_msg_id
+ * give the errors their text), the message id kept as a C integer.  A
+ * send made outside a run is accounted in the collector's arrays like
+ * any other. */
 static PyObject *
 Kernel_nic_submit(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -3702,47 +3665,31 @@ Kernel_nic_submit(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
     long node;
     if (node_arg(k, args[0], &node) < 0)
         return NULL;
-    long dst = PyLong_AsLong(args[1]);
-    long long size = PyLong_AsLongLong(args[2]);
-    if ((dst == -1 || size == -1) && PyErr_Occurred())
-        return NULL;
-    if (dst < 0 || dst >= k->NN) { /* it indexes per-node state */
-        PyErr_Format(PyExc_IndexError,
-                     "destination node %ld out of range [0, %ld)", dst, k->NN);
-        return NULL;
+    PyObject *dst_o = PyNumber_Index(args[1]);
+    PyObject *size_o = dst_o != NULL ? PyNumber_Index(args[2]) : NULL;
+    PyObject *rv = NULL;
+    if (size_o != NULL) {
+        int dst_ovf, size_ovf;
+        long long dst = PyLong_AsLongLongAndOverflow(dst_o, &dst_ovf);
+        long long size = PyLong_AsLongLongAndOverflow(size_o, &size_ovf);
+        long long mid;
+        if (dst_ovf || dst < 0 || dst >= k->NN) { /* indexes node state */
+            PyErr_Format(PyExc_IndexError,
+                         "destination node %S out of range [0, %ld)", dst_o,
+                         k->NN);
+        } else if (size_ovf || size < 1) {
+            PyErr_Format(PyExc_ValueError, "size %R must be in [1, 2**63)",
+                         size_o);
+        } else if (msg_id_arg(args[3], &mid) == 0) {
+            int interleave = PyObject_IsTrue(args[4]);
+            if (interleave >= 0 &&
+                nic_enqueue(k, node, (int32_t)dst, size, mid, interleave) == 0)
+                rv = Py_NewRef(Py_None);
+        }
     }
-    if (size < 1) {
-        PyErr_Format(PyExc_ValueError, "size %lld must be at least 1 byte",
-                     size);
-        return NULL;
-    }
-    long long mid;
-    if (msg_id_arg(args[3], &mid) < 0)
-        return NULL;
-    int interleave = PyObject_IsTrue(args[4]);
-    if (interleave < 0 || (!k->running && read_window(k) < 0) ||
-        nic_enqueue(k, node, (int32_t)dst, size, mid, interleave) < 0 ||
-        (!k->running && stats_flush(k) < 0))
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-/* A one-dimensional view of the countdown table *obj*, whose items must
- * have the struct format *fmt* and *size* bytes; TypeError names the
- * table's expected *type* otherwise. */
-static int
-watch_table(PyObject *obj, Py_buffer *view, int flags, const char *fmt,
-            Py_ssize_t size, const char *type)
-{
-    if (PyObject_GetBuffer(obj, view, flags | PyBUF_FORMAT) < 0)
-        return -1;
-    if (view->ndim != 1 || view->itemsize != size || view->format == NULL ||
-        strcmp(view->format, fmt) != 0) {
-        PyBuffer_Release(view);
-        PyErr_Format(PyExc_TypeError, "kernel: the countdown needs %s", type);
-        return -1;
-    }
-    return 0;
+    Py_XDECREF(size_o);
+    Py_XDECREF(dst_o);
+    return rv;
 }
 
 /* watch(left, release, times, on_complete): arm the message countdown on
@@ -3762,16 +3709,17 @@ Kernel_watch(Kernel *k, PyObject *args)
         return NULL;
     }
     Py_buffer lv, rv, tv;
-    if (watch_table(left, &lv, PyBUF_CONTIG, "i", sizeof(int32_t),
-                    "an array('i') of packets left") < 0)
+    if (bind_buffer(left, &lv, PyBUF_CONTIG, "i", sizeof(int32_t), -1,
+                    "the countdown's packets left", "an array('i')") < 0)
         return NULL;
-    if (watch_table(rel, &rv, PyBUF_CONTIG_RO, "B", 1,
-                    "bytes of release flags") < 0) {
+    if (bind_buffer(rel, &rv, PyBUF_CONTIG_RO, "B", 1, -1,
+                    "the countdown's release flags", "bytes") < 0) {
         PyBuffer_Release(&lv);
         return NULL;
     }
-    if (watch_table(times, &tv, PyBUF_CONTIG, "d", sizeof(double),
-                    "an array('d') of completion times") < 0) {
+    if (bind_buffer(times, &tv, PyBUF_CONTIG, "d", sizeof(double), -1,
+                    "the countdown's completion times",
+                    "an array('d')") < 0) {
         PyBuffer_Release(&rv);
         PyBuffer_Release(&lv);
         return NULL;
@@ -4423,38 +4371,49 @@ done:
         return -1;                                                        \
     }
 
-/* Bind net.stats for the kernel's lifetime: its absorb_kernel, which
- * the accumulators flush into, and a writable view of its
- * eject_count_per_node, which deliveries increment in place (one int64
- * per node; StatsCollector.reset zeroes it without reallocating). */
+/* Bind net.stats and net._pid for the kernel's lifetime: the
+ * collector's absorb_kernel, which takes the latency blocks, and
+ * writable views of its per-node eject counts (one int64 per node), its
+ * counters (ST_N int64) and times (TM_N float64), and of Network._pid
+ * (one int64), all of which the accounting and make_fast write in
+ * place.  The views pin their arrays' sizes; StatsCollector.reset and
+ * set_window write them without reallocating. */
 static int
 bind_stats(Kernel *k, PyObject *net)
 {
-    if ((k->stats = get_attr(net, "stats")) == NULL ||
-        (k->stats_absorb = get_attr(k->stats, "absorb_kernel")) == NULL)
+    PyObject *stats = get_attr(net, "stats");
+    if (stats == NULL)
         return -1;
-    PyObject *cnt = get_attr(k->stats, "eject_count_per_node");
-    if (cnt == NULL)
-        return -1;
-    int rc = PyObject_GetBuffer(cnt, &k->ejcnt_view,
-                                PyBUF_WRITABLE | PyBUF_FORMAT |
-                                    PyBUF_C_CONTIGUOUS);
-    Py_DECREF(cnt);
-    if (rc < 0)
-        return -1;
-    const Py_buffer *v = &k->ejcnt_view;
-    const char *f = v->format;
-    if (f[0] == '@' || f[0] == '=' || f[0] == '<')
-        f += 1;
-    if (v->ndim != 1 || v->itemsize != sizeof(long long) ||
-        v->shape[0] != k->NN || (strcmp(f, "q") != 0 && strcmp(f, "l") != 0)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "kernel: stats.eject_count_per_node must be an int64 "
-                        "array of one entry per node");
-        return -1;
-    }
-    k->ejcnt = (long long *)v->buf;
-    return 0;
+    PyObject *cnt = NULL, *st = NULL, *tm = NULL, *pid = NULL;
+    int w = PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS, rc = -1;
+    if ((k->stats_absorb = get_attr(stats, "absorb_kernel")) == NULL ||
+        (cnt = get_attr(stats, "eject_count_per_node")) == NULL ||
+        (st = get_attr(stats, "counts")) == NULL ||
+        (tm = get_attr(stats, "times")) == NULL ||
+        (pid = get_attr(net, "_pid")) == NULL)
+        goto done;
+    if (bind_buffer(cnt, &k->ejcnt_view, w, "q", sizeof(long long), k->NN,
+                    "stats.eject_count_per_node",
+                    "an int64 array of one entry per node") < 0 ||
+        bind_buffer(st, &k->st_view, w, "q", sizeof(long long), ST_N,
+                    "stats.counts", "an array('q') of six") < 0 ||
+        bind_buffer(tm, &k->tm_view, w, "d", sizeof(double), TM_N,
+                    "stats.times", "an array('d') of four") < 0 ||
+        bind_buffer(pid, &k->pid_view, w, "q", sizeof(long long), 1,
+                    "Network._pid", "an array('q') of one") < 0)
+        goto done;
+    k->ejcnt = (long long *)k->ejcnt_view.buf;
+    k->st = (long long *)k->st_view.buf;
+    k->tm = (double *)k->tm_view.buf;
+    k->last_pid = (long long *)k->pid_view.buf;
+    rc = 0;
+done:
+    Py_XDECREF(pid);
+    Py_XDECREF(tm);
+    Py_XDECREF(st);
+    Py_XDECREF(cnt);
+    Py_DECREF(stats);
+    return rc;
 }
 
 /* Kernel(st, net, packet_cls): build the state from SoAState's wiring.
@@ -4616,9 +4575,11 @@ Kernel_traverse(Kernel *k, visitproc visit, void *arg)
     }
     Py_VISIT(k->net);
     Py_VISIT(k->packet_cls);
-    Py_VISIT(k->stats);
     Py_VISIT(k->stats_absorb);
     Py_VISIT(k->ejcnt_view.obj);
+    Py_VISIT(k->st_view.obj);
+    Py_VISIT(k->tm_view.obj);
+    Py_VISIT(k->pid_view.obj);
     Py_VISIT(k->m_left_view.obj);
     Py_VISIT(k->m_rel_view.obj);
     Py_VISIT(k->m_time_view.obj);
@@ -4644,17 +4605,16 @@ Kernel_tp_clear(Kernel *k)
     for (int i = 0; i < k->nkinds; i++)
         Py_CLEAR(k->kinds[i]);
     k->nkinds = 0;
-    for (int i = 0; i < k->rng_n; i++)
-        crng_drop(&k->rng[i]);
-    k->rng_n = 0;
-    k->resident = 0;
     unbind_refs(k);
     watch_drop(k);
-    if (k->ejcnt_view.obj != NULL)
-        PyBuffer_Release(&k->ejcnt_view);
-    k->ejcnt = NULL;
+    Py_buffer *views[] = {&k->ejcnt_view, &k->st_view, &k->tm_view,
+                          &k->pid_view};
+    for (size_t i = 0; i < sizeof(views) / sizeof(views[0]); i++)
+        if (views[i]->obj != NULL)
+            PyBuffer_Release(views[i]);
+    k->ejcnt = k->st = k->last_pid = NULL;
+    k->tm = NULL;
     Py_CLEAR(k->stats_absorb);
-    Py_CLEAR(k->stats);
     Py_CLEAR(k->net);
     Py_CLEAR(k->packet_cls);
     return 0;
@@ -4990,7 +4950,7 @@ PyInit__kernel(void)
         {&str_kind, "kind"}, {&str_pid, "pid"}, {&str_send_time, "send_time"},
         {&str_eject_time, "eject_time"}, {&str_hop, "hop"},
         {&str_delivery_listeners, "_delivery_listeners"},
-        {&str_make_packet, "make_packet"}, {&str_net_pid, "_pid"},
+        {&str_make_packet, "make_packet"},
         {&str_minimal, "minimal"}, {&str_indirect, "indirect"},
     };
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++)

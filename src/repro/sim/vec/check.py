@@ -44,9 +44,10 @@ An attached checker costs Python per packet: its wrapped
 ``make_packet`` keeps every send out of the C route path
 (``KernelEngine._fastpath_spec``), and the kernel calls its delivery
 listener on every delivery.  The statistics it reconciles are still
-accounted in C, as in an unchecked run, and flushed before each
-listener call; the goldens pin that checked and unchecked runs
-produce identical fingerprints.
+accounted in C, as in an unchecked run, written in place into the
+collector's counters, so an audit reads them as they stand; the
+goldens pin that checked and unchecked runs produce identical
+fingerprints.
 """
 
 from __future__ import annotations

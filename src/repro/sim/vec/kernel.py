@@ -30,10 +30,11 @@ enumerates, filters and composes routes from that wiring's
 directed-channel table too, calling into ``RouteCache`` only for the
 pairs its route table cannot serve.  The kernel records every send
 and delivery and counts every closed-loop message down itself, in C,
-whichever path routed the packet; the statistics reach the
-``StatsCollector`` through ``absorb_kernel`` and the collector's
-per-node eject counts, never through ``record_inject``,
-``record_eject`` or ``Network.deliver``.  A
+whichever path routed the packet, never through ``record_inject``,
+``record_eject`` or ``Network.deliver``: it writes the
+``StatsCollector``'s counter, time and eject-count arrays and
+``Network._pid`` in place, and hands over only its latency block
+(``absorb_kernel``), when the block fills and when a run returns.  A
 :class:`~repro.sim.packet.Packet` exists only where Python must see
 one: the make_packet escape, whose ``Packet`` the kernel drops once it
 has loaded the route, and a delivery while the network has delivery

@@ -82,8 +82,6 @@ def test_kernel_backend_matches_golden(golden, case_key, check, fastpath,
     # gate on the C routing + RNG replica itself.  The delivery recorder
     # is a listener: the kernel calls it on every delivery, after
     # accounting the delivery in C as it does with no listener.
-    # (``backend="batched"`` is an alias that resolves to this engine,
-    # so these legs cover it too.)
     if fastpath:
         monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
     else:

@@ -19,7 +19,8 @@ objects (callbacks, message ids) and the traced heap where they started,
 free every driver, and every run must end with no packet slot alive, no
 message queued and no credit FIFO deeper than the credits its VC can
 hold.  Building a kernel and freeing it leaves nothing behind either,
-and hands back its view of the collector's per-node eject counts.  The
+and hands back its views of the collector's per-node eject counts,
+counters and times and of the network's packet-id counter.  The
 generator's memory must not grow with the horizon, and no node may keep
 its generator state once its stream has ended.  A packet costs its slot
 and nothing else: a saturated run grows the traced heap by no more than
@@ -438,23 +439,34 @@ def test_building_kernels_leaves_nothing_behind():
 
 
 def test_eject_count_view_is_released_with_the_kernel():
-    # The kernel increments the collector's per-node eject counts in
-    # place, through a view it holds from build to dealloc, which pins
-    # the array's size.  Freed with its network, the kernel hands the
-    # view back, and the array can be resized again.
+    # The kernel writes every buffer it shares in place -- the
+    # collector's per-node eject counts, its counters and its times, and
+    # Network._pid -- through views it holds from build to dealloc,
+    # which pin the buffers' sizes.  Freed with its network, the kernel
+    # hands the views back, and each buffer can be resized again.
     topo = SlimFly(5)
     net = Network(topo, MinimalRouting(topo, seed=0),
                   SimConfig(backend="kernel"))
-    counts = net.stats.eject_count_per_node
+    stats = net.stats
+    counts = stats.eject_count_per_node
+    arrays = [stats.counts, stats.times, net._pid]
     with pytest.raises(ValueError, match="cannot resize"):
         counts.resize(topo.num_nodes + 1)
-    held = sys.getrefcount(counts)
-    del net
+    for a in arrays:
+        with pytest.raises(BufferError, match="cannot resize"):
+            a.append(0)
+    held = [sys.getrefcount(counts)] + [sys.getrefcount(a) for a in arrays]
+    del net, stats
     gc.collect()
-    # The collector's attribute and the kernel's view are gone.
-    assert sys.getrefcount(counts) == held - 2
+    # The owner's attribute and the kernel's view are gone.
+    assert ([sys.getrefcount(counts)] + [sys.getrefcount(a) for a in arrays]
+            == [n - 2 for n in held])
     counts.resize(topo.num_nodes + 1)
     assert counts.shape == (topo.num_nodes + 1,)
+    for a in arrays:
+        n = len(a)
+        a.append(0)
+        assert len(a) == n + 1
 
 
 def test_slots_recycle_under_saturation():

@@ -109,12 +109,20 @@ def test_untabled_pattern_matches_across_engines(sf4, arrival):
     # The object engine's generate events, one CALL each: a draw per
     # event before the horizon plus every node's idle last one, and the
     # warm-up's reset_utilization.  No GEN, no generator state.
-    ops = got[2].engine.kernel_stats()["op_counts"]
+    kstats = got[2].engine.kernel_stats()
+    ops = kstats["op_counts"]
     assert patterns[0].draws == patterns[1].draws > 0
     assert ops["CALL"] == patterns[0].draws + sf4.num_nodes + 1
     assert ops["GEN"] == 0
     mem = got[2].engine.memory_stats()
     assert mem["gen_refills"] == 0 and mem["gen_states"] == 0
+    # A CALL costs no flush: the kernel hands its latencies over only
+    # when its 4,096-entry block fills and when a run returns with some
+    # in the block -- the run to the horizon, not the drain after it,
+    # whose deliveries all fall past the window.
+    assert kstats["runs"] == 2
+    n = got[0]["ejected_packets"]
+    assert kstats["escapes"]["stats_flush"]["count"] == (n - 1) // 4096 + 1
 
 
 class BadAtDraw:

@@ -449,6 +449,32 @@ class TestFaultSimulation:
         assert 0 < seen[0][moved] < seen[-1][moved] <= final[moved]
         assert final[1 - moved] == 0
 
+    def test_mid_run_calls_read_live_statistics(self, sf5):
+        # The kernel writes the collector's counters and first and last
+        # times, and the network's packet-id counter, in place, as the
+        # object engine does: a CALL mid-run reads them as they stand,
+        # the same on both engines.
+        def run(backend):
+            net = Network(sf5, UGALRouting(sf5, seed=0), SimConfig(
+                backend=backend, faults=("drip@400:n=6,every=300,seed=4",)))
+            st = net.stats
+            seen = []
+            for t in (150.0, 700.0, 1_300.0, 1_900.0):
+                net.engine.schedule_at(t, lambda: seen.append((
+                    st.injected_total, st.ejected_total, st.first_inject,
+                    st.last_eject, net._pid[0])))
+            net.run_synthetic(UniformRandom(sf5.num_nodes), load=0.8,
+                              warmup_ns=200.0, measure_ns=2_000.0, seed=5)
+            return seen
+
+        ref = run("object")
+        assert run("kernel") == ref
+        # Every send takes the next packet id.
+        assert [s[4] for s in ref] == [s[0] for s in ref]
+        assert ref[0][1] == 0 and ref[0][3] is None
+        assert ref[0][2] is not None
+        assert 0 < ref[1][1] < ref[-1][1] < ref[-1][0]
+
     @pytest.mark.skipif(load_kernel() is None,
                         reason="compiled kernel unavailable")
     @pytest.mark.parametrize("counts", [array("q", [0, 0, 0]),

@@ -263,7 +263,8 @@ def submit_outcome(topo, backend: str, *args):
         net.nics[0].submit(*args)
     except (TypeError, ValueError, IndexError) as exc:
         return type(exc), str(exc)
-    net.engine.run()
+    # Bounded: an accepted size of 2**63 bytes would never finish.
+    net.engine.run(max_events=100_000)
     return [(p.dst_node, p.size, p.msg_id, type(p.msg_id)) for p in pkts]
 
 
@@ -289,18 +290,23 @@ class TestSubmitArguments:
                 assert ref == sent
                 assert submit_outcome(sf4, "kernel", dst, size, msg_id) == ref
 
-    @pytest.mark.parametrize("args", [
-        (3, 256.5), (3, 256.0), (3.0, 256), (True, 256),
-    ], ids=["float-size", "integral-float-size", "float-dst", "bool-dst"])
-    def test_both_engines_take_the_same_arguments(self, sf4, args):
+    @pytest.mark.parametrize("args, expect", [
+        ((3, 256.5), TypeError), ((3, 256.0), TypeError),
+        ((3.0, 256), TypeError), ((True, 256), [(1, 256, None, type(None))]),
+        ((2**70, 256), IndexError), ((-2**70, 256), IndexError),
+        ((3, 2**63), ValueError), ((3, 2**70), ValueError),
+    ], ids=["float-size", "integral-float-size", "float-dst", "bool-dst",
+            "huge-dst", "huge-negative-dst", "size-2**63", "huge-size"])
+    def test_both_engines_take_the_same_arguments(self, sf4, args, expect):
         # A float is refused at submit, not cut into a 256 B and a 0.5 B
         # packet or left to fail at delivery, and a bool is the node it
-        # indexes.
+        # indexes.  An integer too large for C is refused with the error
+        # of any other out-of-range value.
         ref = submit_outcome(sf4, "object", *args)
-        if isinstance(args[0], bool):
-            assert ref == [(1, 256, None, type(None))]
+        if isinstance(expect, list):
+            assert ref == expect
         else:
-            assert ref[0] is TypeError, ref
+            assert ref[0] is expect, ref
         assert submit_outcome(sf4, "kernel", *args) == ref
 
 

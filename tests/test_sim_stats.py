@@ -229,16 +229,25 @@ class TestLatencyStore:
         pkt = make_packet(1, gen=10.0)
         pkt.eject_time = 110.5
         sc.record_eject(pkt)
-        sc.absorb_kernel(0, 0, None, 2, 2, 512, 4, 300.0,
-                         array("d", [7.25, 8.5]).tobytes(), None)
+        # The kernel hands over latencies and kind counts only, in
+        # first-delivery order; every counter it writes in place.
+        sc.absorb_kernel(array("d", [7.25, 8.5]).tobytes(),
+                         {"indirect": 1, "minimal": 1})
         assert isinstance(sc.latencies, array) and sc.latencies.typecode == "d"
         assert list(sc.latencies) == [100.5, 7.25, 8.5]
+        assert list(sc.kind_counts.items()) == [("minimal", 2), ("indirect", 1)]
+        assert (sc.ejected_total, sc.in_window_ejected) == (1, 1)
         assert sc.window_stats().mean_latency_ns == float(
             np.mean([100.5, 7.25, 8.5]))
-        # Per-node eject counts are the kernel's to increment in place:
-        # absorb_kernel leaves them, and reset() zeroes the same array.
-        counts = sc.eject_count_per_node
-        assert counts.tolist() == [0, 1, 0, 0]
+        # Per-node eject counts, counters and times are the kernel's to
+        # write in place: absorb_kernel leaves them, and reset() clears
+        # the same arrays.
+        arrays = sc.eject_count_per_node, sc.counts, sc.times
+        assert arrays[0].tolist() == [0, 1, 0, 0]
         sc.reset()
-        assert sc.eject_count_per_node is counts
-        assert counts.tolist() == [0, 0, 0, 0]
+        assert all(a is b for a, b in zip(
+            (sc.eject_count_per_node, sc.counts, sc.times), arrays))
+        assert arrays[0].tolist() == [0, 0, 0, 0]
+        assert list(sc.counts) == [0] * 6
+        assert (sc.window_start, sc.window_end) == (0.0, 1_000.0)
+        assert sc.first_inject is sc.last_eject is None

@@ -36,11 +36,6 @@ needs_kernel = pytest.mark.skipif(
 
 KERNEL = pytest.param("kernel", marks=needs_kernel)
 
-#: The kernel under both of its names: ``"batched"`` is the deprecated
-#: alias that now selects the kernel too (and, like ``"kernel"``, falls
-#: back to the object engine when the kernel cannot load).
-VEC_BACKENDS = ["batched", KERNEL]
-
 
 def _tiny(key: str):
     return {c.key: c for c in configs_for_scale("tiny")}[key]
@@ -95,7 +90,7 @@ class TestNearSaturationEquivalence:
 
 
 class TestFiniteRunsEquivalence:
-    @pytest.mark.parametrize("vec_backend", VEC_BACKENDS)
+    @pytest.mark.parametrize("vec_backend", [KERNEL])
     @pytest.mark.parametrize("kind", ["min", "ugal"])
     def test_exchange_matches_object(self, kind, vec_backend):
         cfg = _tiny("sf-floor")
@@ -110,7 +105,7 @@ class TestFiniteRunsEquivalence:
             )
         assert results[0] == results[1]
 
-    @pytest.mark.parametrize("vec_backend", VEC_BACKENDS)
+    @pytest.mark.parametrize("vec_backend", [KERNEL])
     def test_workload_matches_object(self, vec_backend):
         cfg = _tiny("sf-floor")
         results = []
@@ -125,23 +120,22 @@ class TestFiniteRunsEquivalence:
         assert results[0] == results[1]
 
     @needs_kernel
-    def test_batched_executes_fewer_events(self):
-        # The elision is the point: same physics, fewer heap events
-        # (a kernel property: without it "batched" runs the object engine).
+    def test_kernel_executes_fewer_events(self):
+        # The elision is the point: same physics, fewer events.
         cfg = _tiny("sf-floor")
         events = {}
-        for backend in ("object", "batched"):
+        for backend in ("object", "kernel"):
             net = _net(cfg, "min", backend)
             net.run_synthetic(
                 UniformRandom(net.topology.num_nodes), load=0.4,
                 warmup_ns=300.0, measure_ns=1200.0, seed=1, drain=True,
             )
             events[backend] = net.engine.events_executed
-        assert events["batched"] < events["object"]
+        assert events["kernel"] < events["object"]
 
 
 class TestCheckedBatchedRuns:
-    @pytest.mark.parametrize("backend", VEC_BACKENDS)
+    @pytest.mark.parametrize("backend", [KERNEL])
     @pytest.mark.parametrize("seed", [0, 3])
     def test_unstructured_topology_audits_pass(self, seed, backend):
         # Random-ish structure off the paper's beaten path: MLFM with a
@@ -160,7 +154,7 @@ class TestCheckedBatchedRuns:
     def test_checker_counters_feed_cli_summary(self):
         # The CLI's --check summary reads these attributes.
         cfg = _tiny("sf-floor")
-        net = _net(cfg, "min", "batched", check=True)
+        net = _net(cfg, "min", "kernel", check=True)
         net.run_synthetic(
             UniformRandom(net.topology.num_nodes), load=0.3,
             warmup_ns=300.0, measure_ns=600.0, seed=2, drain=True,
@@ -256,10 +250,12 @@ class TestEngineAPI:
 
 class TestConfigValidation:
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            SimConfig(backend="vectorised")
+        # "batched", once an alias of the kernel, is gone too.
+        for backend in ("vectorised", "batched"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                SimConfig(backend=backend)
 
-    @pytest.mark.parametrize("backend", ["batched", "kernel"])
+    @pytest.mark.parametrize("backend", ["object", "kernel"])
     def test_backend_flows_through_orchestrate_config_dict(self, backend):
         from repro.orchestrate.job import sim_config_dict
 
