@@ -13,29 +13,24 @@ This subpackage is self-contained (no dependency on the rest of
   problem.
 """
 
-from repro.maths.galois import GaloisField
-from repro.maths.mols import latin_square, mols_prime, are_orthogonal, is_latin_square
-from repro.maths.moore import moore_bound
-from repro.maths.primes import (
-    is_prime,
-    is_prime_power,
-    factorize,
-    prime_power_decomposition,
-    primes_up_to,
-    next_prime,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GaloisField",
-    "latin_square",
-    "mols_prime",
-    "are_orthogonal",
-    "is_latin_square",
-    "moore_bound",
-    "is_prime",
-    "is_prime_power",
-    "factorize",
-    "prime_power_decomposition",
-    "primes_up_to",
-    "next_prime",
-]
+#: Every public name and the submodule that defines it, imported when
+#: the name is first read (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "GaloisField": ".galois",
+    "latin_square": ".mols",
+    "mols_prime": ".mols",
+    "are_orthogonal": ".mols",
+    "is_latin_square": ".mols",
+    "moore_bound": ".moore",
+    "is_prime": ".primes",
+    "is_prime_power": ".primes",
+    "factorize": ".primes",
+    "prime_power_decomposition": ".primes",
+    "primes_up_to": ".primes",
+    "next_prime": ".primes",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

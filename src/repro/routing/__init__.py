@@ -12,51 +12,35 @@
   and cycle detection, used to prove deadlock freedom per instance.
 """
 
-from repro.routing.base import (
-    NULL_CONGESTION,
-    ROUTE_INDIRECT,
-    ROUTE_MINIMAL,
-    CongestionContext,
-    NullCongestion,
-    Route,
-    RoutingAlgorithm,
-)
-from repro.routing.deadlock import (
-    ChannelDependencyGraph,
-    build_cdg_indirect,
-    build_cdg_minimal,
-    find_cycle,
-)
-from repro.routing.cache import RouteCache, compose_indirect
-from repro.routing.minimal import MinimalRouting
-from repro.routing.tables import ForwardingTables
-from repro.routing.paths import MinimalPaths, all_shortest_paths_bfs
-from repro.routing.ugal import UGALRouting
-from repro.routing.valiant import IndirectRandomRouting
-from repro.routing.vc import HopIndexVC, PhaseVC, VCPolicy, default_vc_policy
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Route",
-    "RoutingAlgorithm",
-    "CongestionContext",
-    "NullCongestion",
-    "NULL_CONGESTION",
-    "ROUTE_MINIMAL",
-    "ROUTE_INDIRECT",
-    "MinimalPaths",
-    "all_shortest_paths_bfs",
-    "RouteCache",
-    "MinimalRouting",
-    "ForwardingTables",
-    "IndirectRandomRouting",
-    "compose_indirect",
-    "UGALRouting",
-    "VCPolicy",
-    "HopIndexVC",
-    "PhaseVC",
-    "default_vc_policy",
-    "ChannelDependencyGraph",
-    "build_cdg_minimal",
-    "build_cdg_indirect",
-    "find_cycle",
-]
+#: Every public name and the submodule that defines it, imported when
+#: the name is first read (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "Route": ".base",
+    "RoutingAlgorithm": ".base",
+    "CongestionContext": ".base",
+    "NullCongestion": ".base",
+    "NULL_CONGESTION": ".base",
+    "ROUTE_MINIMAL": ".base",
+    "ROUTE_INDIRECT": ".base",
+    "MinimalPaths": ".paths",
+    "all_shortest_paths_bfs": ".paths",
+    "RouteCache": ".cache",
+    "MinimalRouting": ".minimal",
+    "ForwardingTables": ".tables",
+    "IndirectRandomRouting": ".valiant",
+    "compose_indirect": ".cache",
+    "UGALRouting": ".ugal",
+    "VCPolicy": ".vc",
+    "HopIndexVC": ".vc",
+    "PhaseVC": ".vc",
+    "default_vc_policy": ".vc",
+    "ChannelDependencyGraph": ".deadlock",
+    "build_cdg_minimal": ".deadlock",
+    "build_cdg_indirect": ".deadlock",
+    "find_cycle": ".deadlock",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -18,21 +18,21 @@ Typical use::
     print(stats.throughput, stats.mean_latency_ns)
 """
 
-from repro.sim.config import PAPER_CONFIG, SimConfig
-from repro.sim.engine import Engine
-from repro.sim.invariants import InvariantChecker, InvariantViolation
-from repro.sim.network import Network
-from repro.sim.packet import Packet
-from repro.sim.stats import StatsCollector, WindowStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SimConfig",
-    "PAPER_CONFIG",
-    "Engine",
-    "Network",
-    "Packet",
-    "StatsCollector",
-    "WindowStats",
-    "InvariantChecker",
-    "InvariantViolation",
-]
+#: Every public name and the submodule that defines it, imported when
+#: the name is first read (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "SimConfig": ".config",
+    "PAPER_CONFIG": ".config",
+    "Engine": ".engine",
+    "Network": ".network",
+    "Packet": ".packet",
+    "StatsCollector": ".stats",
+    "WindowStats": ".stats",
+    "InvariantChecker": ".invariants",
+    "InvariantViolation": ".invariants",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -18,17 +18,18 @@ from __future__ import annotations
 import random
 import warnings
 from array import array
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from repro.routing.base import RoutingAlgorithm
 from repro.sim.config import PAPER_CONFIG, SimConfig
-from repro.sim.engine import Engine
-from repro.sim.nic import NIC
 from repro.sim.packet import Packet
 from repro.sim.stats import StatsCollector, WindowStats
-from repro.sim.switch import OutputPort, Router
 from repro.topology.base import Topology
 from repro.traffic.base import bad_destination
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.switch import OutputPort, Router
 
 __all__ = ["Network"]
 
@@ -86,7 +87,7 @@ class Network:
             self.queue_len = self._vec.kernel.queue_len
             #: Each node's ejection port at its router, which
             #: make_packet and the checkers read (either engine).
-            self._eject_ports: List[int] = self._vec.st.n_eject
+            self._eject_ports: Sequence[int] = self._vec.st.n_eject
             if config.check:
                 # No per-transition callbacks to hook: the kernel's
                 # checker audits state instead.
@@ -107,7 +108,12 @@ class Network:
     def _build_object_engine(self) -> None:
         """The object engine: an event heap, one :class:`Router` per
         switch with its :class:`OutputPort` objects, one :class:`NIC`
-        per node, and the checker when ``config.check`` is set."""
+        per node, and the checker when ``config.check`` is set.  Their
+        modules are imported here, so a kernel network loads none."""
+        from repro.sim.engine import Engine
+        from repro.sim.nic import NIC
+        from repro.sim.switch import OutputPort, Router
+
         topology = self.topology
         config = self.config
         self.engine = Engine()

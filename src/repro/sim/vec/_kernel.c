@@ -3,7 +3,8 @@
  * The ``Kernel`` object owns the pending-event set (see "event set"
  * below) *and* every piece of mutable simulation state the opcode
  * handlers touch.  ``KernelEngine`` builds it once from the read-only
- * wiring in ``SoAState`` (repro/sim/vec/state.py):
+ * wiring in ``SoAState`` (repro/sim/vec/state.py), int32 arrays whose
+ * buffers ``Kernel_init`` copies whole (``st_ints``):
  *
  * - per-port, per-port-VC, per-input and per-NIC scalars are typed C
  *   arrays indexed by the wiring's flat ids (port gid, ``gid * V + vc``,
@@ -33,7 +34,8 @@
  *   table (see "traffic generation"): each node holds a chunk of at
  *   most GEN_CHUNK (time, destination) entries that its GEN events
  *   refill, and a C-seeded copy of its private ``random.Random`` only
- *   until its stream reaches the horizon;
+ *   until its stream reaches the horizon (the nodes are seeded
+ *   MT_BATCH at a time, see ``mt_seed``);
  * - every send and every delivery is accounted here, whichever path
  *   routed the packet and whether or not listeners observe it.  The
  *   ``StatsCollector``'s counters, window, first and last times and
@@ -159,8 +161,9 @@ typedef struct {
  * draws from these streams: every NIC send, including one submitted
  * from a scheduled CALL, routes in C.  Open-loop traffic draws from one
  * private ``random.Random(seed)`` per node that no Python code ever
- * sees, so those states are *seeded* here (``mt_seed``) and never leave
- * C.  The seeding, the tempering constants, the rejection loop and the
+ * sees, so those states are *seeded* here (``mt_seed``, a batch of
+ * nodes at a time) and never leave C.  The seeding, the tempering
+ * constants, the rejection loop and the
  * float derivations below must match Modules/_randommodule.c and
  * Lib/random.py draw for draw -- tests/test_kernel_rng_parity.py
  * asserts it per draw site.
@@ -211,43 +214,68 @@ mt_next(MT *r)
     return y;
 }
 
-/* random.Random(seed) for an int 0 <= seed < 2**64: init_by_array over
- * the seed's 32-bit words, least significant first, with as many words
- * as the seed needs (one when the high word is 0, so seed 0 is one zero
- * word). */
+/* Generators seeded together: init_by_array's chains for different
+ * seeds are independent, so MT_BATCH of them run interleaved. */
+#define MT_BATCH 8
+
+/* random.Random(seeds[i]) into *rs[i], for each of *n* ints
+ * 0 <= seed < 2**64: init_by_array over the seed's 32-bit words, least
+ * significant first, with as many words as the seed needs (one when
+ * the high word is 0, so seed 0 is one zero word).  Every seed starts
+ * from the init_genrand(19650218) state, drawn once per call; then
+ * MT_BATCH seeds at a time mix their keys into it side by side, state
+ * word i of seed l at w[i][l], so the words of one step sit together
+ * (a batch's unused lanes mix seed 0 and are discarded).  This is the
+ * kernel's one seeding routine: a single generator is a batch of one. */
 static void
-mt_seed(MT *r, uint64_t seed)
+mt_seed(MT *const *rs, const uint64_t *seeds, long n)
 {
-    uint32_t key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
-    size_t nkey = key[1] ? 2 : 1;
-    uint32_t *mt = r->mt;
-    mt[0] = 19650218U; /* init_genrand(19650218) */
+    uint32_t init[MT_N];
+    init[0] = 19650218U;
     for (uint32_t i = 1; i < MT_N; i++)
-        mt[i] = 1812433253U * (mt[i - 1] ^ (mt[i - 1] >> 30)) + i;
-    size_t i = 1, j = 0;
-    for (size_t n = MT_N; n; n--) { /* max(MT_N, nkey) == MT_N */
-        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U)) +
-                key[j] + (uint32_t)j;
-        i++;
-        j++;
-        if (i >= MT_N) {
-            mt[0] = mt[MT_N - 1];
-            i = 1;
+        init[i] = 1812433253U * (init[i - 1] ^ (init[i - 1] >> 30)) + i;
+    for (long b = 0; b < n; b += MT_BATCH) {
+        long m = n - b < MT_BATCH ? n - b : MT_BATCH;
+        uint32_t w[MT_N][MT_BATCH], add[2][MT_BATCH];
+        /* Step s of the key loop adds key[j] + j with j = s % nkey:
+         * the low word at even steps, and at odd steps the high word
+         * plus one for a two-word key, the low word again for one. */
+        for (long l = 0; l < MT_BATCH; l++) {
+            uint64_t s = l < m ? seeds[b + l] : 0;
+            uint32_t lo = (uint32_t)s, hi = (uint32_t)(s >> 32);
+            add[0][l] = lo;
+            add[1][l] = hi ? hi + 1U : lo;
         }
-        if (j >= nkey)
-            j = 0;
-    }
-    for (size_t n = MT_N - 1; n; n--) {
-        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U)) -
-                (uint32_t)i;
-        i++;
-        if (i >= MT_N) {
-            mt[0] = mt[MT_N - 1];
-            i = 1;
+        for (int i = 0; i < MT_N; i++)
+            for (int l = 0; l < MT_BATCH; l++)
+                w[i][l] = init[i];
+        int i = 1;
+        for (int s = 0; s < MT_N; s++) { /* max(MT_N, nkey) == MT_N */
+            for (int l = 0; l < MT_BATCH; l++)
+                w[i][l] = (w[i][l] ^ ((w[i - 1][l] ^ (w[i - 1][l] >> 30)) *
+                                      1664525U)) + add[s & 1][l];
+            if (++i >= MT_N) {
+                memcpy(w[0], w[MT_N - 1], sizeof(w[0]));
+                i = 1;
+            }
+        }
+        for (int s = MT_N - 1; s; s--) {
+            for (int l = 0; l < MT_BATCH; l++)
+                w[i][l] = (w[i][l] ^ ((w[i - 1][l] ^ (w[i - 1][l] >> 30)) *
+                                      1566083941U)) - (uint32_t)i;
+            if (++i >= MT_N) {
+                memcpy(w[0], w[MT_N - 1], sizeof(w[0]));
+                i = 1;
+            }
+        }
+        for (long l = 0; l < m; l++) {
+            MT *r = rs[b + l];
+            r->mt[0] = 0x80000000U;
+            for (int j = 1; j < MT_N; j++)
+                r->mt[j] = w[j][l];
+            r->mti = MT_N;
         }
     }
-    mt[0] = 0x80000000U;
-    r->mti = MT_N;
 }
 
 /* random.getrandbits(k) for 0 < k <= 32. */
@@ -325,6 +353,9 @@ mt_randbelow(MT *r, long n)
  * handler refills a node's chunk when it has consumed it, and the node
  * drops its MT state as soon as the sentinel is written.  A stream that
  * fits one chunk is allocated at its exact length and holds no state.
+ * ``gen_streams`` seeds the nodes MT_BATCH at a time and starts each
+ * stream before seeding the next batch, so set-up holds at most one
+ * batch of states beyond those the streams keep.
  */
 
 enum { PAT_PERM = 1, PAT_UNIFORM = 2, PAT_HOTSPOT = 3 };
@@ -3854,10 +3885,46 @@ fail:
     return -1;
 }
 
+/* Start *node*'s stream from *st*, a generator seeded for it (which
+ * this takes over): draw the first chunk, keep the state only if the
+ * stream goes on past it, and queue the node's first GEN. */
+static int
+gen_start(Kernel *k, long node, GenState *st)
+{
+    gen_drop(k, node);
+    st->t = mt_uniform(&st->mt, 0.0, k->gen.mean_ia);
+    double bt[GEN_CHUNK];
+    int32_t bd[GEN_CHUNK];
+    int done;
+    int32_t m = gen_fill(&k->gen, st, node, bt, bd, GEN_CHUNK, &done);
+    k->g_t[node] = (double *)PyMem_Malloc((size_t)m * sizeof(double));
+    k->g_d[node] = (int32_t *)PyMem_Malloc((size_t)m * sizeof(int32_t));
+    if (k->g_t[node] == NULL || k->g_d[node] == NULL) {
+        PyMem_Free(st);
+        PyErr_NoMemory();
+        return -1;
+    }
+    memcpy(k->g_t[node], bt, (size_t)m * sizeof(double));
+    memcpy(k->g_d[node], bd, (size_t)m * sizeof(int32_t));
+    k->g_n[node] = m;
+    if (m > k->g_chunk_max)
+        k->g_chunk_max = m;
+    if (done) {
+        PyMem_Free(st);
+    } else {
+        k->g_st[node] = st;
+        k->g_states += 1;
+    }
+    k->seq += 1;
+    return kpush(k, LANE_HEAP, bt[0], k->seq, OP_GEN, node, 0, 0);
+}
+
 /* gen_streams(seeds, pat, table, n, hot, mean_ia, horizon, poisson):
  * every node's stream from random.Random(seeds[node]) and the pattern
  * table entry (pat, table, n, hot), drawn in C; queues each node's
- * first GEN event, in node order. */
+ * first GEN event, in node order.  The nodes are seeded MT_BATCH at a
+ * time, so at most one batch of generators is held beyond the streams
+ * that still need theirs. */
 static PyObject *
 Kernel_gen_streams(Kernel *k, PyObject *args)
 {
@@ -3894,40 +3961,28 @@ Kernel_gen_streams(Kernel *k, PyObject *args)
         goto fail;
     PyMem_Free(k->gen.tab);
     k->gen = g;
-    for (long node = 0; node < k->NN; node++) {
-        gen_drop(k, node);
-        GenState *st = (GenState *)PyMem_Malloc(sizeof(GenState));
-        if (st == NULL) {
+    for (long b = 0; b < k->NN; b += MT_BATCH) {
+        long m = k->NN - b < MT_BATCH ? k->NN - b : MT_BATCH, got = 0;
+        GenState *st[MT_BATCH];
+        MT *mt[MT_BATCH];
+        while (got < m && (st[got] = (GenState *)PyMem_Malloc(
+                               sizeof(GenState))) != NULL) {
+            mt[got] = &st[got]->mt;
+            got += 1;
+        }
+        if (got < m) {
+            while (got > 0)
+                PyMem_Free(st[--got]);
             PyErr_NoMemory();
             goto fail;
         }
-        mt_seed(&st->mt, sv[node]);
-        st->t = mt_uniform(&st->mt, 0.0, mean_ia);
-        double bt[GEN_CHUNK];
-        int32_t bd[GEN_CHUNK];
-        int done;
-        int32_t m = gen_fill(&k->gen, st, node, bt, bd, GEN_CHUNK, &done);
-        k->g_t[node] = (double *)PyMem_Malloc((size_t)m * sizeof(double));
-        k->g_d[node] = (int32_t *)PyMem_Malloc((size_t)m * sizeof(int32_t));
-        if (k->g_t[node] == NULL || k->g_d[node] == NULL) {
-            PyMem_Free(st);
-            PyErr_NoMemory();
-            goto fail;
-        }
-        memcpy(k->g_t[node], bt, (size_t)m * sizeof(double));
-        memcpy(k->g_d[node], bd, (size_t)m * sizeof(int32_t));
-        k->g_n[node] = m;
-        if (m > k->g_chunk_max)
-            k->g_chunk_max = m;
-        if (done) {
-            PyMem_Free(st);
-        } else {
-            k->g_st[node] = st;
-            k->g_states += 1;
-        }
-        k->seq += 1;
-        if (kpush(k, LANE_HEAP, bt[0], k->seq, OP_GEN, node, 0, 0) < 0)
-            goto fail;
+        mt_seed(mt, sv + b, m);
+        for (long l = 0; l < m; l++)
+            if (gen_start(k, b + l, st[l]) < 0) {
+                while (++l < m) /* gen_start took st[l] over */
+                    PyMem_Free(st[l]);
+                goto fail;
+            }
     }
     PyMem_Free(sv);
     Py_DECREF(fs);
@@ -4329,39 +4384,27 @@ st_double(PyObject *st, const char *name, double *out)
     return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
 }
 
-/* A fresh int32 array copied from the n-element list ``st.<name>``. */
+/* A fresh int32 array copied from ``st.<name>``, a buffer of *n* int32
+ * items (SoAState's array('i') wiring). */
 static int32_t *
 st_ints(PyObject *st, const char *name, long n)
 {
     PyObject *v = get_attr(st, name);
     if (v == NULL)
         return NULL;
-    PyObject *seq = PySequence_Fast(v, "kernel: wiring is not a sequence");
+    Py_buffer view;
+    int rc = bind_buffer(v, &view, PyBUF_CONTIG_RO, "i", sizeof(int32_t), n,
+                         name, "an int32 array of the wiring's size");
     Py_DECREF(v);
-    if (seq == NULL)
+    if (rc < 0)
         return NULL;
-    int32_t *out = NULL;
-    if (PySequence_Fast_GET_SIZE(seq) != n) {
-        PyErr_Format(PyExc_ValueError, "kernel: st.%s has %zd entries, "
-                     "expected %ld", name, PySequence_Fast_GET_SIZE(seq), n);
-        goto done;
-    }
-    out = (int32_t *)PyMem_Malloc((size_t)(n ? n : 1) * sizeof(int32_t));
-    if (out == NULL) {
+    int32_t *out = (int32_t *)PyMem_Malloc((size_t)(n ? n : 1) *
+                                           sizeof(int32_t));
+    if (out == NULL)
         PyErr_NoMemory();
-        goto done;
-    }
-    for (long i = 0; i < n; i++) {
-        long x = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i));
-        if (x == -1 && PyErr_Occurred()) {
-            PyMem_Free(out);
-            out = NULL;
-            goto done;
-        }
-        out[i] = (int32_t)x;
-    }
-done:
-    Py_DECREF(seq);
+    else
+        memcpy(out, view.buf, (size_t)n * sizeof(int32_t));
+    PyBuffer_Release(&view);
     return out;
 }
 
@@ -4844,22 +4887,55 @@ mod_rng_parity(PyObject *Py_UNUSED(self), PyObject *args)
 
 /* _rng_seeded(seed, ops) -> (draws, state): random.Random(seed) seeded
  * in C, as the traffic generator seeds each node, then *ops*; *state*
- * is in the layout of getstate(). */
+ * is in the layout of getstate().  Given a list of seeds, it seeds them
+ * together, as gen_streams seeds a network's nodes, and returns a list
+ * of one (draws, state) per seed. */
 static PyObject *
 mod_rng_seeded(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *seedo, *ops;
     if (!PyArg_ParseTuple(args, "OO", &seedo, &ops))
         return NULL;
-    unsigned long long seed = PyLong_AsUnsignedLongLong(seedo);
-    if (seed == (unsigned long long)-1 && PyErr_Occurred())
+    int one = PyLong_Check(seedo);
+    PyObject *fs = one ? PyTuple_Pack(1, seedo)
+                       : PySequence_Fast(seedo, "seeds must be a sequence");
+    if (fs == NULL)
         return NULL;
-    MT g;
-    mt_seed(&g, (uint64_t)seed);
-    PyObject *out = mt_run_ops(&g, ops);
-    if (out == NULL)
-        return NULL;
-    return Py_BuildValue("(NN)", out, mt_getstate(&g, NULL));
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(fs);
+    size_t cap = (size_t)(n ? n : 1);
+    uint64_t *sv = (uint64_t *)PyMem_Malloc(cap * sizeof(uint64_t));
+    MT *g = (MT *)PyMem_Malloc(cap * sizeof(MT));
+    MT **gp = (MT **)PyMem_Malloc(cap * sizeof(MT *));
+    PyObject *out = NULL, *list = NULL;
+    if (sv == NULL || g == NULL || gp == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        sv[i] = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(fs, i));
+        if (sv[i] == (uint64_t)-1 && PyErr_Occurred())
+            goto done;
+        gp[i] = &g[i];
+    }
+    mt_seed(gp, sv, (long)n);
+    if ((list = PyList_New(n)) == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *draws = mt_run_ops(&g[i], ops);
+        PyObject *item = draws == NULL ? NULL
+            : Py_BuildValue("(NN)", draws, mt_getstate(&g[i], NULL));
+        if (item == NULL)
+            goto done;
+        PyList_SET_ITEM(list, i, item);
+    }
+    out = Py_NewRef(one ? PyList_GET_ITEM(list, 0) : list);
+done:
+    Py_XDECREF(list);
+    PyMem_Free(gp);
+    PyMem_Free(g);
+    PyMem_Free(sv);
+    Py_DECREF(fs);
+    return out;
 }
 
 /* _gen_stream(seed, node, nn, pat, table, n, hot, mean_ia, horizon,
@@ -4887,7 +4963,9 @@ mod_gen_stream(PyObject *Py_UNUSED(self), PyObject *args)
                       poisson) < 0)
         return NULL;
     GenState st;
-    mt_seed(&st.mt, (uint64_t)seed);
+    MT *mt = &st.mt;
+    uint64_t sv = (uint64_t)seed;
+    mt_seed(&mt, &sv, 1);
     st.t = mt_uniform(&st.mt, 0.0, mean_ia);
     PyObject *times = PyList_New(0), *dsts = PyList_New(0);
     long chunks = 0;

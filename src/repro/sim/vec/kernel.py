@@ -112,8 +112,11 @@ Loading
 cache directory keyed by a hash of the source, the interpreter ABI and
 those flags (``REPRO_KERNEL_CACHE``, default ``~/.cache/repro-kernel``),
 and loads it from there; nothing else is ever imported, so a stale
-binary cannot load against newer source.  Set ``REPRO_NO_KERNEL=1`` to
-skip the build.  Any build/load failure is recorded in
+binary cannot load against newer source.  A load from the cache imports
+no toolchain: ``subprocess`` and ``sysconfig`` are imported only to
+compile, and ``shlex`` only to compile or to split a set
+``REPRO_KERNEL_CFLAGS``.  Set ``REPRO_NO_KERNEL=1`` to skip the build.
+Any build/load failure is recorded in
 :data:`load_error` and surfaces as a single ``RuntimeWarning`` from
 :class:`~repro.sim.network.Network`, which then runs the object engine.
 """
@@ -126,10 +129,7 @@ import importlib.machinery
 import importlib.util
 import os
 import random
-import shlex
-import subprocess
 import sys
-import sysconfig
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, Iterator, Optional
@@ -163,10 +163,21 @@ _mod = None
 _attempted = False
 
 
+def _extra_cflags() -> list:
+    """``$REPRO_KERNEL_CFLAGS`` split as a shell splits it."""
+    flags = os.environ.get("REPRO_KERNEL_CFLAGS")
+    if not flags:
+        return []
+    import shlex
+
+    return shlex.split(flags)
+
+
 def _jit_build_and_load():
-    """Compile the shipped C source into a cached extension and load it."""
+    """Compile the shipped C source into a cached extension (on a cache
+    miss only, the one place that imports the toolchain) and load it."""
     source = _SRC.read_bytes()
-    extra = shlex.split(os.environ.get("REPRO_KERNEL_CFLAGS", ""))
+    extra = _extra_cflags()
     tag = hashlib.sha256(
         source + sys.implementation.cache_tag.encode()
         + "\0".join(extra).encode()
@@ -175,9 +186,14 @@ def _jit_build_and_load():
         os.environ.get("REPRO_KERNEL_CACHE")
         or Path.home() / ".cache" / "repro-kernel"
     )
-    ext = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    # The interpreter's own suffix: the first entry is EXT_SUFFIX.
+    ext = importlib.machinery.EXTENSION_SUFFIXES[0]
     so = cache / f"_kernel-{tag}{ext}"
     if not so.exists():
+        import shlex
+        import subprocess
+        import sysconfig
+
         cache.mkdir(parents=True, exist_ok=True)
         cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
         cmd = shlex.split(cc)[:1] + [

@@ -1,7 +1,7 @@
 """Read-only wiring the compiled kernel is built from.
 
-:class:`SoAState` lays a topology's switch wiring out as parallel lists
-indexed by dense integer ids:
+:class:`SoAState` lays a topology's switch wiring out as parallel int32
+arrays (``array('i')``) indexed by dense integer ids:
 
 - **ports** get a global id ``gid`` (``p_off[router] + out_idx``);
 - **port x VC** pairs are ``gid * V + vc``;
@@ -10,18 +10,23 @@ indexed by dense integer ids:
   outputs), and input VCs ``in_gid * V + vc``.
 
 Every id is derived from the topology alone, in the object engine's
-numbering (:meth:`SoAState.from_topology`), so a kernel network builds
-no ``Router``, ``OutputPort`` or ``NIC``; ``tests/test_kernel_wiring.py``
+numbering (:meth:`SoAState.from_topology`, whole arrays at a time with
+numpy, no Python loop per port), so a kernel network builds no
+``Router``, ``OutputPort`` or ``NIC``; ``tests/test_kernel_wiring.py``
 holds the ids to an object network's wiring on every topology family.
-The compiled kernel (:mod:`repro.sim.vec.kernel`) copies these lists
-into C arrays once and owns every piece of *mutable* state from then
-on; Python reads live state only through kernel methods, which return
-snapshot copies of it.
+The compiled kernel (:mod:`repro.sim.vec.kernel`) copies each array's
+buffer into its own C array once and owns every piece of *mutable*
+state from then on; Python reads live state only through kernel
+methods, which return snapshot copies of it.
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import chain
 from typing import TYPE_CHECKING, Optional
+
+import numpy as np
 
 from repro.routing.vc import HopIndexVC, PhaseVC
 
@@ -80,50 +85,77 @@ class SoAState:
         st.NIC_CAP = config.buffer_packets_per_port
 
         # A router has one output and one input per neighbour and per
-        # node, numbered alike, so one offset list spaces both ids.
-        p_off = st.p_off = [0] * NR
-        total = 0
-        for r in range(NR):
-            p_off[r] = total
-            total += topo.degree(r) + len(topo.nodes_of(r))
-        st.NP = st.NI = total
+        # node, numbered alike, so one offset array spaces both ids.
+        nbrs = [topo.neighbors(r) for r in range(NR)]
+        nodes = [topo.nodes_of(r) for r in range(NR)]
+        deg = np.fromiter(map(len, nbrs), np.int64, NR)
+        npr = np.fromiter(map(len, nodes), np.int64, NR)
+        radix = deg + npr
+        p_off = _starts(radix)
+        total = st.NP = st.NI = int(radix.sum())
 
-        # Hot-loop shortcut in_pbase: input gid -> its router's port-id
-        # base.  row_port is the directed-channel table in global port
-        # ids (row-major, stride NR -- one multiply-indexed load per
-        # UGAL-L probe); the kernel also enumerates its minimal paths
-        # from it.  n_rid is node -> router id, for the kernel's in-C
-        # route selection.
-        st.in_pbase = []
-        st.in_up_port = [-1] * total
-        st.in_up_node = [-1] * total
-        st.p_dest_in = [-1] * total
-        st.p_has_cred = [False] * total
-        row_port = st.row_port = [-1] * (NR * NR)
-        st.n_in = [0] * NN
-        st.n_rid = [0] * NN
-        st.n_eject = [0] * NN
-        port = topo.port
-        for r in range(NR):
-            base = p_off[r]
-            neighbors = topo.neighbors(r)
-            deg = len(neighbors)
-            for out_idx, u in enumerate(neighbors):
-                gid = base + out_idx
-                ds_in = p_off[u] + port(u, r)
-                st.p_dest_in[gid] = ds_in
-                st.p_has_cred[gid] = True
-                st.in_up_port[ds_in] = gid
-                row_port[r * NR + u] = gid
-            nodes = topo.nodes_of(r)
-            for local, node in enumerate(nodes):
-                st.in_up_node[base + deg + local] = node
-                st.n_in[node] = base + deg + local
-                st.n_rid[node] = r
-                st.n_eject[node] = deg + local
-            st.in_pbase.extend([base] * (deg + len(nodes)))
+        # Router-router channels in (router, out_idx) order: channel e
+        # leaves router src[e] for dst[e] through output gid[e].
+        src = np.repeat(np.arange(NR), deg)
+        dst = np.fromiter(chain.from_iterable(nbrs), np.int64, src.size)
+        gid = p_off[src] + np.arange(src.size) - _starts(deg)[src]
+
+        # Each node's injection input and ejection output follow its
+        # router's neighbours, in nodes_of order.
+        node = np.fromiter(chain.from_iterable(nodes), np.int64)
+        rid = np.repeat(np.arange(NR), npr)
+        eject = deg[rid] + np.arange(node.size) - _starts(npr)[rid]
+        n_gid = p_off[rid] + eject
+
+        # row_port is the directed-channel table in global port ids
+        # (row-major, stride NR -- one multiply-indexed load per UGAL-L
+        # probe); the kernel also enumerates its minimal paths from it.
+        # A channel's downstream input, dst's input from src, is
+        # numbered port(dst, src) like dst's output back to src: the
+        # reverse channel's entry.  in_pbase (input gid -> its router's
+        # port-id base) is a hot-loop shortcut; n_rid is node -> router
+        # id, for the kernel's in-C route selection.
+        row_port = np.full(NR * NR, -1, np.int32)
+        row_port[src * NR + dst] = gid
+        ds_in = row_port[dst * NR + src]
+        p_dest_in = np.full(total, -1, np.int32)
+        p_dest_in[gid] = ds_in
+        p_has_cred = np.zeros(total, np.int32)
+        p_has_cred[gid] = 1
+        in_up_port = np.full(total, -1, np.int32)
+        in_up_port[ds_in] = gid
+        in_up_node = np.full(total, -1, np.int32)
+        in_up_node[n_gid] = node
+        n_in, n_rid, n_eject = (np.zeros(NN, np.int32) for _ in range(3))
+        n_in[node] = n_gid
+        n_rid[node] = rid
+        n_eject[node] = eject
+        st.p_off = _int32(p_off)
+        st.in_pbase = _int32(np.repeat(p_off, radix))
+        st.in_up_port = _int32(in_up_port)
+        st.in_up_node = _int32(in_up_node)
+        st.p_dest_in = _int32(p_dest_in)
+        st.p_has_cred = _int32(p_has_cred)
+        st.n_in = _int32(n_in)
+        st.n_rid = _int32(n_rid)
+        st.n_eject = _int32(n_eject)
+        st.row_port = _int32(row_port)
         st.vc_scheme, st.vc_min, st.vc_ind = _vc_labelling(routing)
         return st
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Where each of the runs of lengths *counts* starts when they are
+    laid end to end.  (With ``np.cumsum`` instead, every network build
+    left about 70 bytes on the traced heap; see
+    ``tests/test_kernel_memory.py``.)"""
+    return np.add.accumulate(counts) - counts
+
+
+def _int32(values: np.ndarray) -> array:
+    """*values* as an ``array('i')``: int32 items, a buffer the kernel
+    copies at once, and plain ints when indexed from Python."""
+    return array("i", values.astype(np.int32, copy=False).tobytes())
 
 
 def _vc_labelling(routing) -> tuple:

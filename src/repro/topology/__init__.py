@@ -17,50 +17,39 @@ All of them are :class:`repro.topology.Topology` instances; see
 :mod:`repro.topology.base` for the shared interface.
 """
 
-from repro.topology.base import LINK_DOWN, LINK_FLAT, LINK_UP, Topology
-from repro.topology.dragonfly import Dragonfly
-from repro.topology.fattree import FatTree2L, FatTree3L
-from repro.topology.hyperx import HyperX2D
-from repro.topology.ml3b import ml3b_table, valid_oft_k, verify_ml3b
-from repro.topology.mlfm import MLFM
-from repro.topology.oft import OFT
-from repro.topology.slimfly import SlimFly, slim_fly_delta, slim_fly_generator_sets, valid_slim_fly_q
-from repro.topology.spt import SSPT, spt_incidence, verify_spt_incidence
-from repro.topology.serialize import (
-    LoadedTopology,
-    load_topology,
-    save_topology,
-    topology_from_dict,
-    topology_to_dict,
-)
-from repro.topology.validate import ValidationReport, validate_topology
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Topology",
-    "LINK_FLAT",
-    "LINK_UP",
-    "LINK_DOWN",
-    "SlimFly",
-    "slim_fly_delta",
-    "slim_fly_generator_sets",
-    "valid_slim_fly_q",
-    "HyperX2D",
-    "FatTree2L",
-    "FatTree3L",
-    "MLFM",
-    "OFT",
-    "SSPT",
-    "spt_incidence",
-    "verify_spt_incidence",
-    "ml3b_table",
-    "verify_ml3b",
-    "valid_oft_k",
-    "Dragonfly",
-    "ValidationReport",
-    "validate_topology",
-    "LoadedTopology",
-    "save_topology",
-    "load_topology",
-    "topology_to_dict",
-    "topology_from_dict",
-]
+#: Every public name and the submodule that defines it, imported when
+#: the name is first read (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "Topology": ".base",
+    "LINK_FLAT": ".base",
+    "LINK_UP": ".base",
+    "LINK_DOWN": ".base",
+    "SlimFly": ".slimfly",
+    "slim_fly_delta": ".slimfly",
+    "slim_fly_generator_sets": ".slimfly",
+    "valid_slim_fly_q": ".slimfly",
+    "HyperX2D": ".hyperx",
+    "FatTree2L": ".fattree",
+    "FatTree3L": ".fattree",
+    "MLFM": ".mlfm",
+    "OFT": ".oft",
+    "SSPT": ".spt",
+    "spt_incidence": ".spt",
+    "verify_spt_incidence": ".spt",
+    "ml3b_table": ".ml3b",
+    "verify_ml3b": ".ml3b",
+    "valid_oft_k": ".ml3b",
+    "Dragonfly": ".dragonfly",
+    "ValidationReport": ".validate",
+    "validate_topology": ".validate",
+    "LoadedTopology": ".serialize",
+    "save_topology": ".serialize",
+    "load_topology": ".serialize",
+    "topology_to_dict": ".serialize",
+    "topology_from_dict": ".serialize",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -7,44 +7,32 @@ from :func:`worst_case_traffic`.
 Exchanges (finite): :class:`AllToAll` and :class:`NearestNeighbor3D`.
 """
 
-from repro.traffic.alltoall import AllToAll
-from repro.traffic.base import ExchangeTraffic, PermutationTraffic, SyntheticTraffic
-from repro.traffic.classic import (
-    BitComplement,
-    BitReverse,
-    HotspotTraffic,
-    Tornado,
-    Transpose,
-)
-from repro.traffic.mapping import best_torus_dims, paper_torus_dims, torus_coords, torus_rank
-from repro.traffic.nearest import NearestNeighbor3D
-from repro.traffic.shift import ShiftTraffic, shift_permutation
-from repro.traffic.uniform import UniformRandom
-from repro.traffic.worstcase import (
-    SlimFlyWorstCase,
-    slimfly_worst_case_chain,
-    worst_case_traffic,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SyntheticTraffic",
-    "ExchangeTraffic",
-    "PermutationTraffic",
-    "UniformRandom",
-    "BitComplement",
-    "BitReverse",
-    "Transpose",
-    "Tornado",
-    "HotspotTraffic",
-    "ShiftTraffic",
-    "shift_permutation",
-    "worst_case_traffic",
-    "SlimFlyWorstCase",
-    "slimfly_worst_case_chain",
-    "AllToAll",
-    "NearestNeighbor3D",
-    "best_torus_dims",
-    "paper_torus_dims",
-    "torus_rank",
-    "torus_coords",
-]
+#: Every public name and the submodule that defines it, imported when
+#: the name is first read (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "SyntheticTraffic": ".base",
+    "ExchangeTraffic": ".base",
+    "PermutationTraffic": ".base",
+    "UniformRandom": ".uniform",
+    "BitComplement": ".classic",
+    "BitReverse": ".classic",
+    "Transpose": ".classic",
+    "Tornado": ".classic",
+    "HotspotTraffic": ".classic",
+    "ShiftTraffic": ".shift",
+    "shift_permutation": ".shift",
+    "worst_case_traffic": ".worstcase",
+    "SlimFlyWorstCase": ".worstcase",
+    "slimfly_worst_case_chain": ".worstcase",
+    "AllToAll": ".alltoall",
+    "NearestNeighbor3D": ".nearest",
+    "best_torus_dims": ".mapping",
+    "paper_torus_dims": ".mapping",
+    "torus_rank": ".mapping",
+    "torus_coords": ".mapping",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

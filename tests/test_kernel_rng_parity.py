@@ -18,7 +18,9 @@ itself.  ``_kernel._rng_seeded(seed, ops)`` seeds a C generator as
 ``random.Random(seed)`` would and returns the draws and the state, and
 ``_kernel._gen_stream(...)`` draws one node's whole stream chunk by
 chunk, as the GEN handler does, for comparison with the object
-engine's generate events replayed in Python.
+engine's generate events replayed in Python.  Given a list of seeds,
+``_rng_seeded`` seeds them in one call, in batches, as ``gen_streams``
+seeds a network's nodes.
 """
 
 from __future__ import annotations
@@ -211,6 +213,17 @@ class TestSeeding:
         assert draws == []
         assert state == random.Random(seed).getstate()
 
+    def test_seeds_seeded_together_match_random_random(self):
+        # The whole list in one call, as gen_streams seeds a network's
+        # nodes: 11 seeds, so the second batch of 8 is partial, and the
+        # first holds one- and two-word keys side by side.
+        got = _mod._rng_seeded(SEEDS, [("random",)] * 2)
+        assert len(got) == len(SEEDS)
+        for seed, (draws, state) in zip(SEEDS, got):
+            ref = random.Random(seed)
+            assert draws == [ref.random(), ref.random()]
+            assert state == ref.getstate()
+
     def test_master_stream_seeds(self):
         # The seeds the simulator actually uses, including draws past
         # the master generator's first MT refill.
@@ -327,6 +340,39 @@ class TestStreams:
         assert (times, dsts) == want
         assert chunks >= 4
         assert dsts[-1] == -2 and -2 not in dsts[:-1]
+
+    @pytest.mark.parametrize("name", sorted(_patterns(150)))
+    def test_network_streams_match_one_node_streams(self, name):
+        # gen_streams seeds the nodes of SF q=5 in batches of 8; its 150
+        # nodes leave a partial last batch.  Every packet a node's
+        # stream generates is delivered, with its generation time.
+        from repro.routing import MinimalRouting
+        from repro.sim import Network, SimConfig
+        from repro.sim.vec.kernel import _pattern_entry
+        from repro.topology import SlimFly
+
+        topo = SlimFly(5)
+        n = topo.num_nodes
+        assert n % 8
+        pattern = _patterns(n)[name]
+        net = Network(topo, MinimalRouting(topo, seed=0),
+                      SimConfig(backend="kernel"))
+        sent = [[] for _ in range(n)]
+        net.add_delivery_listener(
+            lambda p: sent[p.src_node].append((p.gen_time, p.dst_node)))
+        load, horizon, seed = 0.5, 800.0, 4
+        net.run_synthetic(pattern, load=load, warmup_ns=200.0,
+                          measure_ns=horizon - 200.0, seed=seed, drain=True)
+        mean_ia = net.config.packet_time_ns / load
+        master = random.Random(seed)
+        entry = _pattern_entry(pattern, n)
+        for node in range(n):
+            times, dsts, _ = _mod._gen_stream(
+                master.getrandbits(64), node, n, *entry, mean_ia, horizon,
+                True)
+            want = [(t, d) for t, d in zip(times, dsts) if d >= 0]
+            assert sorted(sent[node]) == want, node
+        assert sum(map(len, sent)) > 2 * n
 
     def test_stream_that_ends_on_a_chunk_boundary(self):
         # Exactly 256 entries before the horizon: the first chunk is
