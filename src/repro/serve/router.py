@@ -41,10 +41,10 @@ class Router:
     """Ordered (method, template) → handler table."""
 
     def __init__(self):
-        self._routes: List[Tuple[str, re.Pattern, str, Callable]] = []
+        self._routes: List[Tuple[str, re.Pattern, Callable]] = []
 
     def add(self, method: str, template: str, handler: Callable) -> None:
-        self._routes.append((method.upper(), _compile(template), template, handler))
+        self._routes.append((method.upper(), _compile(template), handler))
 
     def match(self, method: str, path: str) -> Tuple[Callable, Dict[str, str]]:
         """The handler and path params for *method path*.
@@ -52,7 +52,7 @@ class Router:
         Raises :class:`NotFound` or :class:`MethodNotAllowed`.
         """
         allowed: List[str] = []
-        for route_method, pattern, _template, handler in self._routes:
+        for route_method, pattern, handler in self._routes:
             m = pattern.match(path)
             if m is None:
                 continue
@@ -65,6 +65,3 @@ class Router:
                 f"{method} not allowed on {path}", allowed=allowed
             )
         raise NotFound(f"no such endpoint: {path}")
-
-    def templates(self) -> List[Tuple[str, str]]:
-        return [(method, template) for method, _p, template, _h in self._routes]

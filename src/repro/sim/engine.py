@@ -20,7 +20,12 @@ __all__ = ["Engine"]
 
 
 class Engine:
-    """Event queue with a simulated clock in nanoseconds."""
+    """Event queue with a simulated clock in nanoseconds.
+
+    Built once per :class:`~repro.sim.network.Network`, which runs one
+    experiment: nothing resets an engine, and a new run builds a new
+    network.
+    """
 
     __slots__ = ("now", "_heap", "_seq", "events_executed")
 
@@ -49,19 +54,6 @@ class Engine:
             )
         self._seq += 1
         heappush(self._heap, (when, self._seq, fn, args))
-
-    def clear(self) -> None:
-        """Reset to a pristine state: empty queue, clock at zero.
-
-        Long-lived processes that reuse an engine across experiments
-        (e.g. pooled orchestrator workers) call this between runs so no
-        stale events or clock state leak from one simulation into the
-        next.  All counters (including ``events_executed``) restart.
-        """
-        self.now = 0.0
-        self._heap.clear()
-        self._seq = 0
-        self.events_executed = 0
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Execute events in timestamp order.

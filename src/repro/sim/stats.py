@@ -130,18 +130,9 @@ class StatsCollector:
         self.counts = array("q", bytes(48))
         self.times = array("d", (0.0, math.inf, math.inf, math.inf))
         self.eject_count_per_node = np.zeros(num_nodes, dtype=np.int64)
-        self.reset()
-
-    def reset(self) -> None:
-        """Clear all recorded state (window bounds are kept), clearing
-        the arrays the kernel writes in place rather than replacing
-        them."""
-        self.counts[:] = array("q", bytes(48))
-        self.times[FIRST_INJECT] = self.times[LAST_EJECT] = math.inf
         #: In-window latencies (ns) in ejection order, as raw float64.
         self.latencies = array("d")
         self.kind_counts: Dict[str, int] = {}
-        self.eject_count_per_node.fill(0)
 
     def set_window(self, start: float, end: Optional[float]) -> None:
         """Restrict windowed metrics to ``[start, end)``, in place."""

@@ -668,7 +668,6 @@ typedef struct {
     /* clock and sequence counter, shared with Python through members */
     double now;
     long long seq, cs, executed;
-    long long pkt_bytes; /* config.packet_bytes: the packets nic_send cuts */
     int built, running;
 
     /* pending events: the delay lanes, the heap and the call table */
@@ -693,6 +692,7 @@ typedef struct {
 
     /* dimensions and physics constants */
     long V, NN, NR, NP, NI, OQ_CAP, VC_CAP, NIC_CAP;
+    long pkt_bytes; /* the packets nic_send cuts (st.PKT_BYTES) */
     double SER, LINK, SWITCH, SL;
 
     /* read-only wiring */
@@ -786,7 +786,7 @@ typedef struct {
 
     /* -- per-run bindings (bind_run / unbind_refs) ------------------------ */
     PyObject *listeners; /* net._delivery_listeners, a list */
-    int route_mode;      /* -1 off, 0 min-rand, 1 min-best, 2 INR, 3 UGAL */
+    int route_mode;      /* -1 off, 0 MIN (random), 2 INR, 3 UGAL-L */
     PyObject *min_rows, *leg_rows;                 /* RouteCache row memos */
     PyObject *minimal_fill, *leg_fill, *compose;   /* ... and its fills */
     /* the armed FaultManager (see "fault diverts"), or NULL: a resident
@@ -1842,9 +1842,8 @@ rc_candidates(Kernel *k, long a, long b, int leg)
     return c;
 }
 
-/* MinimalRouting.route: among the pair's live candidates, the only one,
- * a randbelow draw on *rng*, or (rng NULL) the first strict minimum of
- * the first-hop queue. */
+/* MinimalRouting.route with random selection: among the pair's live
+ * candidates, the only one or a randbelow draw on *rng*. */
 static int
 route_min(Kernel *k, long a, long b, MT *rng, Pick *out)
 {
@@ -1854,50 +1853,15 @@ route_min(Kernel *k, long a, long b, MT *rng, Pick *out)
     if (n < 0)
         return -1;
     if (n > 0) {
-        int32_t i = 0;
-        if (n > 1 && rng != NULL) {
-            i = (int32_t)mt_randbelow(rng, n);
-        } else if (n > 1) {
-            long best_q = 0;
-            for (int32_t j = 0; j < n; j++) {
-                out->mid = mid[j];
-                long q = pick_first_qlen(k, out);
-                if (j == 0 || q < best_q) {
-                    i = j;
-                    best_q = q;
-                }
-            }
-        }
+        int32_t i = n > 1 ? (int32_t)mt_randbelow(rng, n) : 0;
         out->mid = mid[i];
         return 0;
     }
     PyObject *cands = rc_candidates(k, a, b, 0);
     if (cands == NULL)
         return -1;
-    Py_ssize_t nc = PyTuple_GET_SIZE(cands), i = 0;
-    if (nc > 1 && rng != NULL) {
-        i = (Py_ssize_t)mt_randbelow(rng, (long)nc);
-    } else if (nc > 1) {
-        long best_q = 0;
-        for (Py_ssize_t j = 0; j < nc; j++) {
-            PyObject *routers = PyObject_GetAttr(PyTuple_GET_ITEM(cands, j),
-                                                 str_routers);
-            long q = -1;
-            if (routers != NULL && PyTuple_Check(routers))
-                q = path_first_qlen(k, routers);
-            else if (routers != NULL)
-                PyErr_SetString(PyExc_TypeError, "kernel: route routers");
-            Py_XDECREF(routers);
-            if (q < 0) {
-                Py_DECREF(cands);
-                return -1;
-            }
-            if (j == 0 || q < best_q) {
-                i = j;
-                best_q = q;
-            }
-        }
-    }
+    Py_ssize_t nc = PyTuple_GET_SIZE(cands);
+    Py_ssize_t i = nc > 1 ? (Py_ssize_t)mt_randbelow(rng, (long)nc) : 0;
     out->route = Py_NewRef(PyTuple_GET_ITEM(cands, i));
     Py_DECREF(cands);
     out->path = PyObject_GetAttr(out->route, str_routers);
@@ -2244,10 +2208,9 @@ make_fast(Kernel *k, long node, const Desc *d, long long size, double t)
     long sr = k->n_rid[node];
     long dr = k->n_rid[d->dst];
     int rc;
-    if (k->route_mode <= 1) {
+    if (k->route_mode == 0) {
         Pick pk;
-        rc = route_min(k, sr, dr, k->route_mode == 0 ? &k->rng[0].g : NULL,
-                       &pk);
+        rc = route_min(k, sr, dr, &k->rng[0].g, &pk);
         if (rc == 0)
             rc = emit_min(k, &pk);
         pick_clear(&pk);
@@ -2420,10 +2383,6 @@ static int
 nic_enqueue(Kernel *k, long node, int32_t dst, long long size,
             long long msg_id, int interleave)
 {
-    if (k->pkt_bytes < 1) {
-        PyErr_SetString(PyExc_RuntimeError, "kernel: pkt_bytes is not set");
-        return -1;
-    }
     double t = k->now;
     long long s = k->cs;
     Desc d = {t, size, msg_id, dst, (uint8_t)interleave, 0};
@@ -3426,59 +3385,6 @@ kernel_drop_events(Kernel *k)
     PyMem_Free(calls);
 }
 
-/* Drop every packet the dropped events would have moved: the NIC send
- * queues, the queues holding packet slots, and the slots themselves.
- * Counters and credits are left as they are (a kernel is built per
- * Network and never runs again after clear()). */
-static void
-kernel_drop_packets(Kernel *k)
-{
-    if (!k->built)
-        return;
-    for (long i = 0; i < k->NP * k->V; i++)
-        k->pv_oq[i].head = k->pv_oq[i].len = 0;
-    for (long i = 0; i < k->NI * k->V; i++)
-        k->iv_q[i].head = k->iv_q[i].len = 0;
-    for (long i = 0; i < k->NP; i++)
-        k->p_pend[i].head = k->p_pend[i].len = 0;
-    for (long n = 0; n < k->NN; n++) {
-        k->n_q[n].head = k->n_q[n].len = 0;
-        k->n_qp[n] = 0;
-    }
-    for (int32_t si = 0; si < k->nslots; si++)
-        if (SLOT(k, si)->hop >= 0)
-            slot_release(k, si);
-}
-
-static PyObject *
-Kernel_clear(Kernel *k, PyObject *Py_UNUSED(ignored))
-{
-    kernel_drop_events(k);
-    /* Without their events the streams are over and the packets in
-     * flight are gone; the message countdown goes with them. */
-    for (long node = 0; k->built && node < k->NN; node++)
-        gen_drop(k, node);
-    kernel_drop_packets(k);
-    watch_drop(k);
-    memset(k->op_counts, 0, sizeof(k->op_counts));
-    memset(k->esc_counts, 0, sizeof(k->esc_counts));
-    memset(k->esc_ns, 0, sizeof(k->esc_ns));
-    memset(k->fast_counts, 0, sizeof(k->fast_counts));
-    memset(k->lane_push, 0, sizeof(k->lane_push));
-    k->detours = 0;
-    k->heap_push = 0;
-    k->heap_hwm = 0;
-    k->smp_n = 0;
-    memset(k->smp_op_n, 0, sizeof(k->smp_op_n));
-    memset(k->smp_op_ns, 0, sizeof(k->smp_op_ns));
-    k->smp_pop_ns = 0.0;
-    k->run_ns = 0.0;
-    k->runs = 0;
-    k->now = 0.0;
-    k->seq = k->cs = k->executed = 0;
-    Py_RETURN_NONE;
-}
-
 static PyObject *
 Kernel_pending(Kernel *k, PyObject *Py_UNUSED(ignored))
 {
@@ -4419,8 +4325,8 @@ st_ints(PyObject *st, const char *name, long n)
  * writable views of its per-node eject counts (one int64 per node), its
  * counters (ST_N int64) and times (TM_N float64), and of Network._pid
  * (one int64), all of which the accounting and make_fast write in
- * place.  The views pin their arrays' sizes; StatsCollector.reset and
- * set_window write them without reallocating. */
+ * place.  The views pin their arrays' sizes; set_window writes them
+ * without reallocating. */
 static int
 bind_stats(Kernel *k, PyObject *net)
 {
@@ -4479,6 +4385,7 @@ Kernel_init(Kernel *k, PyObject *args, PyObject *kwds)
         st_long(st, "NI", &k->NI) < 0 || st_long(st, "OQ_CAP", &k->OQ_CAP) < 0 ||
         st_long(st, "VC_CAP", &k->VC_CAP) < 0 ||
         st_long(st, "NIC_CAP", &k->NIC_CAP) < 0 ||
+        st_long(st, "PKT_BYTES", &k->pkt_bytes) < 0 ||
         st_double(st, "SER", &k->SER) < 0 ||
         st_double(st, "LINK", &k->LINK) < 0 ||
         st_double(st, "SWITCH", &k->SWITCH) < 0 ||
@@ -4488,6 +4395,10 @@ Kernel_init(Kernel *k, PyObject *args, PyObject *kwds)
     if (V < 1 || NP < 1 || NN < 1 || NR < 1 || NP * V > INT32_MAX ||
         NI * V > INT32_MAX || NR * NR > INT32_MAX) {
         PyErr_SetString(PyExc_ValueError, "kernel: bad dimensions");
+        return -1;
+    }
+    if (k->pkt_bytes < 1) {
+        PyErr_SetString(PyExc_ValueError, "kernel: bad packet size");
         return -1;
     }
     if ((k->p_off = st_ints(st, "p_off", NR)) == NULL ||
@@ -4724,9 +4635,7 @@ static PyMemberDef Kernel_members[] = {
     {"cs", T_LONGLONG, offsetof(Kernel, cs), 0,
      "Sequence number of the executing (or last executed) event."},
     {"executed", T_LONGLONG, offsetof(Kernel, executed), 0,
-     "Events executed since the last clear()."},
-    {"pkt_bytes", T_LONGLONG, offsetof(Kernel, pkt_bytes), 0,
-     "Packet size of the open-loop streams."},
+     "Events executed so far."},
     {NULL, 0, 0, 0, NULL},
 };
 
@@ -4736,9 +4645,6 @@ static PyMethodDef Kernel_methods[] = {
      "already queued for it."},
     {"run", (PyCFunction)Kernel_run, METH_VARARGS,
      "run(until=None, max_events=None, fastpath=None) -> executed count."},
-    {"clear", (PyCFunction)Kernel_clear, METH_NOARGS,
-     "Drop queued events, open-loop streams, packets in flight and the "
-     "message countdown; reset clock, sequence and profile counters."},
     {"pending", (PyCFunction)Kernel_pending, METH_NOARGS,
      "Number of queued events."},
     {"peek_time", (PyCFunction)Kernel_peek_time, METH_NOARGS,

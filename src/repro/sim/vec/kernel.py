@@ -2,7 +2,7 @@
 
 :class:`KernelEngine` is engine-compatible with the object engine
 (``schedule``, ``schedule_at``, ``run``, ``now``, ``events_executed``,
-``pending``, ``clear``) but runs every event in a C extension
+``pending``) but runs every event in a C extension
 (``repro/sim/vec/_kernel.c``).  The extension owns the pending-event
 set *and* all mutable simulation state: per-port, per-VC and per-NIC
 scalars as typed C arrays, the output, input-VC, NIC and pending-input
@@ -291,7 +291,12 @@ def _pattern_entry(pattern, num_nodes: int) -> Optional[tuple]:
 
 
 class KernelEngine:
-    """Engine over the compiled kernel (see the module docstring)."""
+    """Engine over the compiled kernel (see the module docstring).
+
+    Built once per :class:`~repro.sim.network.Network`, which runs one
+    experiment: nothing resets the kernel, and its state goes with the
+    network.
+    """
 
     def __init__(self, net) -> None:
         mod = load_kernel()
@@ -301,7 +306,6 @@ class KernelEngine:
         self.st = SoAState.from_topology(net.topology, net.routing, net.config)
         #: The C kernel: event set, simulation state and dispatch loop.
         self.kernel = mod.Kernel(self.st, net, Packet)
-        self.kernel.pkt_bytes = net.config.packet_bytes
         self.nic_shims = [KernelNIC(self.kernel, node)
                           for node in range(self.st.NN)]
 
@@ -336,12 +340,6 @@ class KernelEngine:
                 f"events cannot be scheduled before the current simulated time"
             )
         k.call(when, fn, args)
-
-    def clear(self) -> None:
-        """Reset queue, clock and counters, dropping the packets in
-        flight and the message countdown (simulation state is
-        per-Network and rebuilt with it)."""
-        self.kernel.clear()
 
     @property
     def pending(self) -> int:
@@ -423,10 +421,14 @@ class KernelEngine:
 
         ``route_mode >= 0`` moves the routing of every NIC send --
         candidate selection, with a C replica of the ``random.Random``
-        draw stream -- behind the C boundary.  It requires routing of a
-        known type and an unwrapped ``Network.make_packet`` (the
-        checker wraps it, so a checked run routes every packet in
-        Python, the ``make_packet`` escape).  The accounting is not
+        draw stream -- behind the C boundary.  It requires one of the
+        routings ported to C (minimal routing with random selection,
+        INR, and UGAL-L with random minimal selection) and an unwrapped
+        ``Network.make_packet`` (the checker wraps it, so a checked run
+        routes every packet in Python, the ``make_packet`` escape).
+        Every other routing -- minimal with ``"best"`` selection, UGAL-G,
+        UGAL with ``"best"`` minimal selection, a subclass -- routes each
+        send through that escape too.  The accounting is not
         gated: the kernel records every send and delivery and counts
         every closed-loop message down in C whichever path routed the
         packet, and calls the delivery listeners itself when there are
@@ -438,8 +440,7 @@ class KernelEngine:
         pairs it cannot serve call into ``RouteCache`` (the
         ``route_fill`` escape): pairs more than two hops apart,
         VC-budget errors and VC policies other than ``HopIndexVC`` /
-        ``PhaseVC``.  Scheduled CALLs run in Python, and unknown routing
-        setups keep the ``make_packet`` escape.
+        ``PhaseVC``.  Scheduled CALLs run in Python.
 
         An armed :class:`~repro.resilience.FaultManager` is bound on
         every run, fast paths or not: the kernel diverts packets off
@@ -462,11 +463,8 @@ class KernelEngine:
             # Strict type checks: a subclass could override route(), so
             # only the exact implementations ported to C are eligible.
             rtype = type(routing)
-            if rtype is MinimalRouting:
-                if routing.selection == "random":
-                    route_mode, rngs = 0, [routing._rng]
-                else:
-                    route_mode = 1
+            if rtype is MinimalRouting and routing.selection == "random":
+                route_mode, rngs = 0, [routing._rng]
             elif rtype is IndirectRandomRouting:
                 route_mode, rngs = 2, [routing._rng]
             elif (

@@ -44,7 +44,7 @@ class SoAState:
     __slots__ = (
         # dimensions / physics constants
         "V", "NN", "NR", "NP", "NI", "OQ_CAP", "VC_CAP", "NIC_CAP",
-        "SER", "LINK", "SWITCH", "SL",
+        "PKT_BYTES", "SER", "LINK", "SWITCH", "SL",
         # router/port geometry
         "p_off", "in_pbase", "in_up_port", "in_up_node",
         "p_dest_in", "p_has_cred",
@@ -75,6 +75,7 @@ class SoAState:
         V = st.V = routing.num_vcs
         NN = st.NN = topo.num_nodes
         NR = st.NR = topo.num_routers
+        st.PKT_BYTES = config.packet_bytes
         st.SER = config.packet_time_ns
         st.LINK = config.link_latency_ns
         st.SWITCH = config.switch_latency_ns

@@ -129,10 +129,6 @@ class Topology:
         """Sorted list of routers adjacent to *router*."""
         return self._adj[router]
 
-    def neighbor_set(self, router: int) -> Set[int]:
-        """Set view of :meth:`neighbors` (cached)."""
-        return self._neighbor_sets[router]
-
     def degree(self, router: int) -> int:
         """Network degree (number of router-to-router links) of *router*."""
         return len(self._adj[router])

@@ -12,6 +12,8 @@ and the sampled loop time), and the event set's pop order.
 
 from __future__ import annotations
 
+import gc
+import sys
 import warnings
 from pathlib import Path
 
@@ -23,7 +25,7 @@ from repro.sim import Network, SimConfig
 from repro.sim.engine import Engine
 from repro.sim.invariants import InvariantChecker
 from repro.sim.vec import kernel as kernel_mod
-from repro.topology import SlimFly
+from repro.topology import MLFM, SlimFly
 from repro.traffic import UniformRandom
 
 needs_kernel = pytest.mark.skipif(
@@ -173,6 +175,34 @@ class TestKernelEngine:
         assert s["fast_path"]["deliver"]["count"] == net.stats.ejected_total
         assert s["escapes"]["deliver"]["count"] == 0
 
+    def test_best_minimal_selection_routes_every_packet_in_python(
+        self, monkeypatch
+    ):
+        # The kernel has no C copy of MinimalRouting's "best" selection
+        # (the candidate whose first output queue is shortest): every
+        # send takes the make_packet escape, whose Python rule reads the
+        # kernel's queue lengths, and the run is the object engine's.
+        # On MLFM h=4 a same-column pair has four minimal paths.
+        monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
+        topo = MLFM(4)
+        runs = {}
+        for backend in ("object", "kernel"):
+            net = Network(topo, MinimalRouting(topo, selection="best", seed=0),
+                          SimConfig(backend=backend))
+            stats = net.run_synthetic(
+                UniformRandom(topo.num_nodes), load=0.9,
+                warmup_ns=300.0, measure_ns=1200.0, seed=1, drain=True,
+            )
+            runs[backend] = (
+                {name: getattr(stats, name) for name in stats.__slots__},
+                list(net.stats.latencies),
+            )
+        assert runs["kernel"] == runs["object"]
+        s = net.engine.kernel_stats()
+        assert s["fast_path"]["make_packet"]["count"] == 0
+        assert (s["escapes"]["make_packet"]["count"]
+                == net.stats.injected_total > 0)
+
     def test_kernel_stats_attribute_the_event_set(self, monkeypatch):
         # The loop's ledger: every push lands on a delay lane or on the
         # heap, and the sampled time split names every opcode.
@@ -199,10 +229,6 @@ class TestKernelEngine:
         for name, o in smp["ops"].items():
             assert o["count"] <= s["op_counts"][name]
         assert smp["pop_ns"] > 0.0
-        net.engine.clear()
-        s = net.engine.kernel_stats()
-        assert s["queue"]["lane_pushes"] == s["queue"]["heap_pushes"] == 0
-        assert s["sampled"]["count"] == 0
 
     @pytest.mark.parametrize("physics", [
         {},
@@ -276,8 +302,13 @@ class TestKernelEngine:
         assert s2 == eng.kernel.seq > s
         assert eng.kernel.next_port(c)[0] == 0  # not yet at its first hop
         assert eng.kernel.memory()["slots_live"] == 1
-        eng.clear()
-        assert eng.pending == 0
+        # Nothing resets a kernel: freed with its network, it drops the
+        # pending CALL's reference to its callable.
+        del recs, fn
+        held = sys.getrefcount(marker)
+        del net, eng
+        gc.collect()
+        assert sys.getrefcount(marker) == held - 1
 
     def test_checked_kernel_run_audits(self):
         # The audit-based checker reconciles the kernel's state arrays

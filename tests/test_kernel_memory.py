@@ -11,23 +11,26 @@ generator state, closed-loop halo exchanges of one and of two iterations
 with fault diverts and the C message countdown, one whose faults drop
 packets, a fault detour that grows a route past a slot's inline entries,
 a completion callback that raises (and the countdown's tables, released
-by ``clear()``, by re-arming and with the kernel), scheduled CALLs that
-submit traffic, CALLs dropped by ``clear()`` while pending and a CALL
-that raises, finite exchanges in order and interleaved and one stopped
-with messages still queued -- must leave reference counts on the shared
+by re-arming and with the kernel), scheduled CALLs that submit traffic,
+CALLs still pending when their network is freed and a CALL that raises,
+finite exchanges in order and interleaved and one stopped with messages
+still queued -- must leave reference counts on the shared
 objects (callbacks, message ids) and the traced heap where they started,
 free every driver, and every run must end with no packet slot alive, no
 message queued and no credit FIFO deeper than the credits its VC can
-hold.  Building a kernel and freeing it leaves nothing behind either,
-and hands back its views of the collector's per-node eject counts,
-counters and times and of the network's packet-id counter.  The
-generator's memory must not grow with the horizon, and no node may keep
-its generator state once its stream has ended.  A packet costs its slot
-and nothing else: a saturated run grows the traced heap by no more than
-its slots plus a fixed allowance, and a route too long for a slot's
-inline route spills to a block that goes with the packet on delivery,
-with ``clear()`` and with the kernel.  The kernel's GC referents do not
-grow with the packets in flight or the messages queued.
+hold, unless it stopped with work left: a network runs one experiment
+and nothing resets its kernel, so such a run is freed with its network,
+and its pending calls, watched tables, queued messages, live slots,
+spilled routes and generator states with it.  Building a kernel and
+freeing it leaves nothing behind either, and hands back its views of
+the collector's per-node eject counts, counters and times and of the
+network's packet-id counter.  The generator's memory must not grow with
+the horizon, and no node may keep its generator state once its stream
+has ended.  A packet costs its slot and nothing else: a saturated run
+grows the traced heap by no more than its slots plus a fixed allowance,
+and a route too long for a slot's inline route spills to a block that
+goes with the packet on delivery and with the kernel.  The kernel's GC
+referents do not grow with the packets in flight or the messages queued.
 """
 
 from __future__ import annotations
@@ -272,11 +275,11 @@ class Harness:
 
     def raising_completion(self):
         # The first completion callback raises: the run stops with the
-        # other messages' packets in flight, and clear() frees their
-        # slots and the message tables.  The kernel holds a view of each
-        # table (packets left, release flags, completion times) while
-        # armed: clear(), re-arming and freeing the kernel each hand the
-        # tables' owners their references back.
+        # other messages' packets in flight, whose slots go with the
+        # kernel.  The kernel holds a view of each table (packets left,
+        # release flags, completion times) while armed: re-arming and
+        # freeing the kernel each hand the tables' owners their
+        # references back.
         self._fresh_rngs()
         net = Network(self.topo, self.routing, SimConfig(backend="kernel"))
         pkt = net.config.packet_bytes
@@ -295,18 +298,11 @@ class Harness:
         assert mem["msg_watched"] == self.halo2.num_messages
         assert sum(t >= 0.0 for t in times) > 0
         held = [sys.getrefcount(t) for t in tables]
-        eng.clear()
-        mem = eng.memory_stats()
-        assert mem["slots_live"] == 0 and mem["msg_watched"] == 0, mem
-        start = [n - 1 for n in held]
-        assert [sys.getrefcount(t) for t in tables] == start
         fresh = [array("i", packets), bytes(releases), array("d", times)]
         fresh_start = [sys.getrefcount(t) for t in fresh]
         kernel = eng.kernel
-        kernel.watch(*tables, fail)
-        assert [sys.getrefcount(t) for t in tables] == [n + 1 for n in start]
         kernel.watch(*fresh, fail)  # re-arming releases the old tables
-        assert [sys.getrefcount(t) for t in tables] == start
+        assert [sys.getrefcount(t) for t in tables] == [n - 1 for n in held]
         assert [sys.getrefcount(t) for t in fresh] == [n + 1 for n in fresh_start]
         assert eng.memory_stats()["msg_watched"] == self.halo2.num_messages
         del net, eng, kernel, tables, times
@@ -325,9 +321,9 @@ class Harness:
         assert net.stats.ejected_total == net.stats.injected_total > 0
         check_bounded(net)
 
-    def clear_with_pending_calls(self):
-        # Call-table records freed by clear(), not by dispatch: some
-        # CALLs run, the far-future ones are still pending.
+    def pending_calls(self):
+        # Call-table records freed with the kernel, not by dispatch:
+        # some CALLs run, the far-future ones are still pending.
         net = Network(self.topo, self.routing, SimConfig(backend="kernel"))
         eng = net.engine
         for t in (10.0, 20.0, 1e9, 2e9, 3e9):
@@ -336,12 +332,13 @@ class Harness:
         eng.run(until=100.0)
         assert self.callback.calls == calls + 2
         assert eng.pending == 3
-        eng.clear()
-        assert eng.pending == 0
+        del net, eng
+        gc.collect()  # the kernel is freed with its network
 
     def raising_call(self):
         # A CALL that raises aborts the run; its record is released on
-        # dispatch and the one behind it stays queued until clear().
+        # dispatch and the one behind it stays queued until the network
+        # is freed.
         net = Network(self.topo, self.routing, SimConfig(backend="kernel"))
         eng = net.engine
         eng.schedule(5.0, fail, self.payload)
@@ -349,7 +346,8 @@ class Harness:
         with pytest.raises(Failure):
             eng.run()
         assert eng.pending == 1
-        eng.clear()
+        del net, eng
+        gc.collect()
 
     def exchanges(self):
         # Tracked, so every delivery escapes to the message tracker.
@@ -363,8 +361,8 @@ class Harness:
         net = Network(self.topo, self.routing, SimConfig(backend="kernel"))
         net.run_exchange(self.nn)
         check_bounded(net)
-        # Stopped with most messages still queued: clear() frees their
-        # entries and the packets in flight.
+        # Stopped with most messages still queued: freeing the network
+        # frees their entries and the packets in flight.
         self._fresh_rngs()
         net = Network(self.topo, self.routing, SimConfig(backend="kernel"))
         with pytest.raises(RuntimeError, match="exchange incomplete"):
@@ -373,8 +371,8 @@ class Harness:
         mem = eng.memory_stats()
         assert mem["nic_backlog"] > self.topo.num_nodes, mem
         assert mem["slots_live"] > 0, mem
-        eng.clear()
-        check_bounded(net)
+        del net, eng
+        gc.collect()
 
     def round(self):
         self.open_loop()
@@ -387,7 +385,7 @@ class Harness:
         self.detour_past_inline()
         self.raising_completion()
         self.scheduled_submits()
-        self.clear_with_pending_calls()
+        self.pending_calls()
         self.raising_call()
         self.exchanges()
         gc.collect()
@@ -548,9 +546,9 @@ def test_gc_referents_do_not_grow_with_the_traffic():
 
 def test_spilled_routes_are_freed(looping_routing):
     # Every looping route spills out of its slot.  The spill blocks go
-    # with the delivered packets, with clear() while the packets are in
-    # flight, and with a kernel freed while they are: a leak on the
-    # last path alone would be ~3,000 blocks of 40 B.
+    # with the delivered packets, and with a kernel freed while the
+    # packets are in flight: a leak on that path would be ~3,000 blocks
+    # of 40 B a run.
     topo = SlimFly(5)
     routing = looping_routing(topo)
     rng_state = routing.inner._rng.getstate()
@@ -571,15 +569,11 @@ def test_spilled_routes_are_freed(looping_routing):
     try:
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
-        net, mem = run()
-        assert mem["spilled_routes"] > 1_000, mem
-        net.engine.clear()
-        mem = net.engine.memory_stats()
-        assert mem["slots_live"] == mem["spilled_routes"] == 0, mem
-        net, mem = run()
-        assert mem["spilled_routes"] > 1_000, mem
-        del net
-        gc.collect()
+        for _ in range(2):
+            net, mem = run()
+            assert mem["spilled_routes"] > 1_000, mem
+            del net
+            gc.collect()
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -609,8 +603,8 @@ def _sparse_run(entries: int):
     net.run_synthetic(sparse_permutation(topo.num_nodes), load=LONG_LOAD,
                       warmup_ns=200.0, measure_ns=measure, seed=5)
     end = eng.memory_stats()
-    eng.clear()
-    assert eng.memory_stats()["gen_states"] == 0
+    del net, eng
+    gc.collect()  # the kernel is freed with its network
     return probes[0.0][0], probes[mid][0], end, probes[mid][1] - before
 
 

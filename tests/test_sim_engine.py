@@ -95,23 +95,6 @@ class TestEngine:
             e.schedule_at(4.0, lambda: None)
         e.schedule_at(5.0, lambda: None)  # when == now is allowed
 
-    def test_clear_resets_queue_clock_and_counters(self):
-        e = Engine()
-        e.schedule(1.0, lambda: None)
-        e.schedule(10.0, lambda: None)
-        e.run(until=5.0)
-        assert e.pending == 1 and e.now == 5.0 and e.events_executed == 1
-        e.clear()
-        assert e.pending == 0
-        assert e.now == 0.0
-        assert e.events_executed == 0
-        # A cleared engine behaves like a fresh one (no stale events fire,
-        # FIFO sequence restarts).
-        log = []
-        e.schedule_at(2.0, log.append, "fresh")
-        e.run()
-        assert log == ["fresh"] and e.now == 2.0
-
 
 class TestSimConfig:
     def test_paper_defaults(self):

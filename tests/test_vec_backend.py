@@ -229,13 +229,6 @@ class TestEngineAPI:
         assert eng.run() == 3
         assert seen == [0, 1, 2, 3, 4]
 
-    def test_clear_resets(self, backend):
-        eng = self._engine(backend)
-        eng.schedule_at(1.0, lambda: None)
-        eng.clear()
-        assert eng.pending == 0 and eng.now == 0.0
-        assert eng.run() == 0
-
     def test_sparse_far_future_event(self, backend):
         # A far-future CALL waits in the kernel's heap while the clock
         # jumps a long gap to it.
