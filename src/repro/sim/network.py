@@ -21,6 +21,8 @@ from array import array
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
                     Sequence, Tuple)
 
+import numpy as np
+
 from repro.routing.base import RoutingAlgorithm
 from repro.sim.config import PAPER_CONFIG, SimConfig
 from repro.sim.packet import Packet
@@ -54,12 +56,13 @@ class Network:
         self._vec = None  # KernelEngine when the kernel backend runs
         self._delivery_listeners: list = []  # see add_delivery_listener
         # The message countdown (see watch_messages): packets left,
-        # release flags and completion times per message, delivered
-        # packets by (message, route kind), and the callback.
+        # release flags, completion times and groups per message, the
+        # group-by-kind counts, and the callback.
         self._msg_left: Optional[array] = None
         self._msg_release: Optional[bytes] = None
         self._msg_time: Optional[array] = None
-        self._msg_kinds: Dict[Tuple[int, str], int] = {}
+        self._msg_group: Optional[array] = None
+        self._msg_kinds: Optional[np.ndarray] = None
         self._msg_done: Optional[Callable[[int], None]] = None
         self._experiment_ran = False  # one experiment per Network instance
         #: Window (ns) behind ``channel_utilization()``: the measurement
@@ -399,27 +402,29 @@ class Network:
         self,
         packets: Iterable[int],
         releases: Iterable[object],
+        groups: Iterable[int],
         on_complete: Callable[[int], None],
-    ) -> array:
+    ) -> Tuple[array, np.ndarray]:
         """Arm the message countdown: message ``i`` completes when
-        ``packets[i]`` packets with ``msg_id == i`` have been delivered.
-        Its completion time (that delivery's) is then written to the
-        returned table, an ``array('d')`` that reads ``-1.0`` for a
-        message not complete, and if ``releases[i]`` is true,
-        ``on_complete(i)`` runs at that time.
+        ``packets[i]`` packets with ``msg_id == i`` have been delivered,
+        and then, if ``releases[i]`` is true, ``on_complete(i)`` runs.
+        Returns two tables: an ``array('d')`` of completion times (that
+        last delivery's, ``-1.0`` before), and an int64 table of a row
+        per group (``max(groups) + 1``) and a column per
+        ``stats.kind_totals`` entry, which counts each counted packet at
+        ``[groups[i], stats.kind_index(pkt.kind)]``.
 
         This is the closed-loop hook: :class:`repro.workload.driver
-        .WorkloadDriver` arms it with every message's packet count,
-        flags the messages that DAG successors depend on and releases
-        those from the callback; a completion that releases nothing
-        calls no Python.  A message of zero packets never completes
-        here (the driver writes its time to the table itself).
-        Delivered packets are counted per message and route kind
-        (:meth:`message_kinds`); packets with no ``msg_id``, one
+        .WorkloadDriver` arms it with every message's packet count, a
+        flag for the messages that DAG successors depend on, which it
+        releases from the callback, and each message's phase as its
+        group; a completion that releases nothing calls no Python.  A
+        message of zero packets never completes here (``WorkloadDriver``
+        writes its time to the table itself).  Packets with no ``msg_id``, one
         outside the table, or one of a message already complete are not
         counted.  :meth:`deliver` counts down on the object engine; the
-        kernel counts every delivery down in C, on the same tables, with
-        the same rule, after any delivery listeners have run.
+        kernel counts every delivery down in C, into the same tables,
+        with the same rule, after any delivery listeners have run.
         """
         if not callable(on_complete):
             raise TypeError(f"completion callback {on_complete!r} is not callable")
@@ -427,27 +432,26 @@ class Network:
         if any(n < 0 for n in left):
             raise ValueError("watch_messages: packet counts must be >= 0")
         release = bytes(map(bool, releases))
-        if len(release) != len(left):
-            raise ValueError(
-                f"watch_messages: {len(release)} release flags for "
-                f"{len(left)} messages"
-            )
+        group = array("i", groups)
+        for name, table in (("release flags", release), ("group ids", group)):
+            if len(table) != len(left):
+                raise ValueError(f"watch_messages: {len(table)} {name} for "
+                                 f"{len(left)} messages")
+        if any(g < 0 for g in group):
+            raise ValueError("watch_messages: group ids must be >= 0")
         times = array("d", [-1.0]) * len(left)
+        kinds = np.zeros((max(group, default=-1) + 1,
+                          len(self.stats.kind_totals)), dtype=np.int64)
         self._msg_left = left
         self._msg_release = release
         self._msg_time = times
-        self._msg_kinds = {}
+        self._msg_group = group
+        self._msg_kinds = kinds
         self._msg_done = on_complete
         if self._vec is not None:
-            self._vec.kernel.watch(left, release, times, on_complete)
-        return times
-
-    def message_kinds(self) -> Dict[Tuple[int, str], int]:
-        """Delivered packets per watched message and route kind,
-        ``{(msg_id, kind): packets}``."""
-        if self._vec is not None:
-            return self._vec.kernel.message_kinds()
-        return dict(self._msg_kinds)
+            self._vec.kernel.watch(left, release, times, group,
+                                   kinds.reshape(-1), on_complete)
+        return times, kinds
 
     def deliver(self, pkt: Packet) -> None:
         """Final hop on the object engine: the packet reaches its
@@ -471,8 +475,8 @@ class Network:
         if left is not None:
             mid = pkt.msg_id  # None or an int in [0, 2**63): see NIC.submit
             if mid is not None and mid < len(left) and left[mid] > 0:
-                key = (mid, pkt.kind)
-                self._msg_kinds[key] = self._msg_kinds.get(key, 0) + 1
+                kind = self.stats.kind_index(pkt.kind)
+                self._msg_kinds[self._msg_group[mid], kind] += 1
                 left[mid] -= 1
                 if not left[mid]:
                     self._msg_time[mid] = pkt.eject_time

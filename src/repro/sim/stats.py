@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -82,6 +82,9 @@ INJECTED, INJECTED_IN_WINDOW, EJECTED, EJECTED_IN_WINDOW, BYTES_IN_WINDOW, \
     HOPS_IN_WINDOW = range(6)
 WINDOW_START, WINDOW_END, FIRST_INJECT, LAST_EJECT = range(4)
 
+#: Route kinds a collector counts (``kind_totals``'s length).
+KIND_CAPACITY = 16
+
 
 def _counter(i: int) -> property:
     def put(self, value: int) -> None:
@@ -107,10 +110,11 @@ class StatsCollector:
     the window bounds and first-send and last-delivery times in
     :attr:`times`, an ``array('d')`` of four (an open window end and a
     time not yet recorded are infinities); the attributes below read
-    and write them.  Both engines update these arrays and
-    :attr:`eject_count_per_node` in place, the compiled kernel through
-    views it holds for its lifetime, so they are current at every
-    moment of a run.
+    and write them.  :attr:`kind_totals` counts in-window deliveries
+    per route kind, indexed by :attr:`kind_names` (:meth:`kind_index`).
+    Both engines update these arrays and :attr:`eject_count_per_node` in
+    place, the compiled kernel through views it holds for its lifetime,
+    so they are current at every moment of a run.
     """
 
     injected_total = _counter(INJECTED)
@@ -132,7 +136,26 @@ class StatsCollector:
         self.eject_count_per_node = np.zeros(num_nodes, dtype=np.int64)
         #: In-window latencies (ns) in ejection order, as raw float64.
         self.latencies = array("d")
-        self.kind_counts: Dict[str, int] = {}
+        #: Route kinds by index, in the order first seen.
+        self.kind_names: List[str] = ["minimal", "indirect"]
+        self.kind_totals = array("q", bytes(8 * KIND_CAPACITY))
+
+    @property
+    def kind_counts(self) -> Dict[str, int]:
+        """The nonzero :attr:`kind_totals` by name."""
+        return {name: n for name, n in zip(self.kind_names, self.kind_totals)
+                if n}
+
+    def kind_index(self, kind: str) -> int:
+        """*kind*'s index in :attr:`kind_names`, appended when new (a
+        ``ValueError`` past the capacity, ``len(kind_totals)``)."""
+        names, cap = self.kind_names, len(self.kind_totals)
+        if kind not in names:
+            if len(names) >= cap:
+                raise ValueError(f"route kind {kind!r} past the {cap} a "
+                                 f"collector counts")
+            names.append(kind)
+        return names.index(kind)
 
     def set_window(self, start: float, end: Optional[float]) -> None:
         """Restrict windowed metrics to ``[start, end)``, in place."""
@@ -159,24 +182,20 @@ class StatsCollector:
             c[BYTES_IN_WINDOW] += pkt.size
             c[HOPS_IN_WINDOW] += pkt.num_hops
             self.latencies.append(t - pkt.gen_time)
-            self.kind_counts[pkt.kind] = self.kind_counts.get(pkt.kind, 0) + 1
+            self.kind_totals[self.kind_index(pkt.kind)] += 1
 
-    def absorb_kernel(self, latencies: bytes, kind_counts: Dict[str, int]) -> None:
+    def absorb_kernel(self, latencies: bytes) -> None:
         """Take a block of in-window latencies from the compiled kernel.
 
         The kernel (:mod:`repro.sim.vec.kernel`) records every send and
         delivery itself, writing the arrays above in place; only the
-        in-window latencies and their route-kind counts collect in a
-        block of its own, handed over here when it fills and when a run
-        returns, so they are complete once a run has.  *latencies* are
-        the block's raw float64 bytes in ejection order (numpy's
-        order-sensitive pairwise mean stays bit-identical), and
-        *kind_counts* come in first-delivery order, as
-        :meth:`record_eject` would insert them.
+        in-window latencies collect in a block of its own, handed over
+        here when it fills and when a run returns, so they are complete
+        once a run has.  *latencies* are the block's raw float64 bytes
+        in ejection order (numpy's order-sensitive pairwise mean stays
+        bit-identical).
         """
         self.latencies.frombytes(latencies)
-        for kind, count in kind_counts.items():
-            self.kind_counts[kind] = self.kind_counts.get(kind, 0) + count
 
     # -- reductions ------------------------------------------------------------
 
@@ -196,7 +215,7 @@ class StatsCollector:
             ejected_bytes=self.in_window_bytes,
             injected_packets=self.in_window_injected,
             window_ns=window,
-            kind_counts=dict(self.kind_counts),
+            kind_counts=self.kind_counts,
             mean_hops=self.hops_sum / self.in_window_ejected
             if self.in_window_ejected
             else None,

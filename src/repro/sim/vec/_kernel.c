@@ -23,9 +23,10 @@
  *   recycled on delivery.  A slot holds the hop cursor, the output-port
  *   index (uint16) and VC (uint8) of every hop -- inline for routes of
  *   up to SLOT_INLINE ports, in one spilled block beyond -- the route
- *   kind, endpoints, size, times and the message id (an integer, -1 for
- *   none).  It does not store routers: a Packet built for a listener
- *   derives them from the ports through the wiring;
+ *   kind (an index into the collector's kind vocabulary), endpoints,
+ *   size, times and the message id (an integer, -1 for none).  It does
+ *   not store routers: a Packet built for a listener derives them from
+ *   the ports through the wiring;
  * - routes come from an integer route table built from the wiring's
  *   ``row_port`` (see "route table" below), so the fast path composes
  *   them without a Python object; ``RouteCache`` is called only for the
@@ -38,15 +39,15 @@
  *   MT_BATCH at a time, see ``mt_seed``);
  * - every send and every delivery is accounted here, whichever path
  *   routed the packet and whether or not listeners observe it.  The
- *   ``StatsCollector``'s counters, window, first and last times and
- *   per-node eject counts, and ``Network._pid``, are written in place
- *   through buffer views bound at build, so Python reads them correct
- *   at every moment.  Only the in-window latencies and their route
- *   kinds collect in one fixed block of the kernel's own, handed to the
- *   collector (latencies as raw bytes) when it fills and when a run
- *   returns;
+ *   ``StatsCollector``'s counters, window, first and last times,
+ *   per-node eject counts and per-kind totals, and ``Network._pid``,
+ *   are written in place through buffer views bound at build, so
+ *   Python reads them correct at every moment.  Only the in-window
+ *   latencies collect in one fixed block of the kernel's own, handed to
+ *   the collector as raw bytes when it fills and when a run returns;
  * - a closed-loop driver's message countdown (see "message countdown")
- *   decrements per-message packet counts on every delivery, writes each
+ *   decrements per-message packet counts on every delivery, counts the
+ *   packet in its message group's row of a kind table, writes each
  *   message's completion time into its table and calls back into
  *   Python only for a completed message that releases others;
  * - link faults (see "fault diverts"): dead ports, the per-source BFS
@@ -122,9 +123,6 @@ enum { ESC_MAKE = 0, ESC_DELIVER = 1, ESC_CALL = 2, ESC_FLUSH = 3,
 
 /* Fast-path counters (per-packet work kept fully in C). */
 enum { FAST_MAKE = 0, FAST_DELIVER = 1, FAST_N = 2 };
-
-/* Distinct route kinds ("minimal", "indirect", ...) a kernel counts. */
-#define MAX_KINDS 16
 
 /* Delay lanes of the event set; LANE_HEAP names the heap. */
 enum { LANE_SER = 0, LANE_LINK = 1, LANE_SL = 2, LANE_SWITCH = 3,
@@ -661,6 +659,13 @@ slot_vcs(Slot *p)
 #define SLOT(k, si) \
     (&(k)->slot_pages[(si) >> SLOT_SHIFT][(si) & (SLOT_PAGE - 1)])
 
+/* The message countdown's tables (Kernel.watch), in argument order:
+ * per message, packets left (int32), release flag (one byte),
+ * completion time (float64) and group id (int32); per group and route
+ * kind, delivered packets (int64). */
+enum { MV_LEFT = 0, MV_REL = 1, MV_TIME = 2, MV_GROUP = 3, MV_KIND = 4,
+       MV_N = 5 };
+
 /* -- the kernel object ------------------------------------------------------ */
 
 typedef struct {
@@ -742,28 +747,28 @@ typedef struct {
     long spill_live, spill_hwm;
     int32_t arr_hwm, narr_hwm; /* longest router / NIC credit FIFO seen */
 
-    /* route kinds seen, and bindings fixed at build time (bind_stats):
-     * the network, the Packet class, its StatsCollector's absorb_kernel
-     * and writable views of the collector's per-node eject counts
-     * (int64, len NN), counters (ST_* below) and times (TM_* below),
-     * and of Network._pid, the last packet id handed out */
-    PyObject *kinds[MAX_KINDS];
-    int nkinds, ki_min, ki_ind; /* indices of "minimal" / "indirect" */
-    PyObject *net, *packet_cls, *stats_absorb;
-    Py_buffer ejcnt_view, st_view, tm_view, pid_view;
-    long long *ejcnt, *st, *last_pid;
+    /* bindings fixed at build time (bind_stats): the network, the
+     * Packet class, its StatsCollector's absorb_kernel, kind_names and
+     * kind_index, and writable views of the collector's per-node eject
+     * counts (int64, len NN), counters (ST_* below), times (TM_* below)
+     * and per-kind totals (int64, len nkind), and of Network._pid, the
+     * last packet id handed out */
+    PyObject *net, *packet_cls, *stats_absorb, *kind_names, *kind_intern;
+    Py_buffer ejcnt_view, st_view, tm_view, kind_view, pid_view;
+    long long *ejcnt, *st, *kind_tot, *last_pid;
     double *tm;
+    Py_ssize_t nkind;
+    int ki_min, ki_ind; /* indices of "minimal" / "indirect" */
 
-    /* message countdown (see "message countdown"): the watched tables
-     * shared with Python -- packets left (int32), release flags (one
-     * byte) and completion times (float64) per message -- delivered
-     * packets per message and route kind, and the completion callback */
-    Py_buffer m_left_view, m_rel_view, m_time_view; /* .obj NULL: disarmed */
-    Py_ssize_t m_n;
-    int32_t *m_left;    /* the three tables' items */
+    /* message countdown (see "message countdown"): views of the watched
+     * tables (MV_*), their items, and the completion callback */
+    Py_buffer m_view[MV_N]; /* .obj NULL: disarmed */
+    Py_ssize_t m_n, m_ngroups;
+    int32_t *m_left;
     const unsigned char *m_rel;
     double *m_time;
-    int32_t *m_kind;    /* m_n rows of MAX_KINDS */
+    const int32_t *m_group;
+    long long *m_tally; /* m_ngroups rows of nkind */
     PyObject *m_done;
 
     /* route table (see "route table"): per-source rows built on first
@@ -804,13 +809,11 @@ typedef struct {
     CRng rng[2];
     int rng_n;
 
-    /* the in-window latencies and their route-kind counts since the
-     * last flush into absorb_kernel (everything else the accounting
-     * writes straight into the collector's arrays) */
+    /* the in-window latencies since the last flush into absorb_kernel
+     * (everything else the accounting writes straight into the
+     * collector's arrays) */
     double *a_lat;
     Py_ssize_t a_lat_n;
-    long long a_kind_cnt[MAX_KINDS];
-    int a_kind_order[MAX_KINDS], a_nkind_order;
 } Kernel;
 
 /* StatsCollector.counts and .times by index (repro/sim/stats.py). */
@@ -1154,27 +1157,23 @@ slot_release(Kernel *k, int32_t si)
     k->live -= 1;
 }
 
-/* Interned index of a route kind (for the C-side kind counters). */
+/* Index of route kind *kind* in the collector's kind_names, interned
+ * there when new (StatsCollector.kind_index, which refuses a kind past
+ * the capacity).  An index past the bound kind_totals is refused,
+ * whatever Python did to the list. */
 static int
 kind_index(Kernel *k, PyObject *kind)
 {
-    for (int i = 0; i < k->nkinds; i++)
-        if (k->kinds[i] == kind)
-            return i;
-    for (int i = 0; i < k->nkinds; i++) {
-        int eq = PyObject_RichCompareBool(k->kinds[i], kind, Py_EQ);
-        if (eq < 0)
-            return -1;
-        if (eq)
-            return i;
-    }
-    if (k->nkinds == MAX_KINDS) {
-        PyErr_SetString(PyExc_RuntimeError, "kernel: too many route kinds");
-        return -1;
-    }
-    Py_INCREF(kind);
-    k->kinds[k->nkinds] = kind;
-    return k->nkinds++;
+    PyObject *r = PyObject_CallOneArg(k->kind_intern, kind);
+    Py_ssize_t i = r != NULL ? PyLong_AsSsize_t(r) : -1;
+    Py_XDECREF(r);
+    if (i >= 0 && i < k->nkind)
+        return (int)i;
+    if (!PyErr_Occurred())
+        PyErr_Format(PyExc_IndexError,
+                     "kernel: route kind index %zd outside [0, %zd)", i,
+                     k->nkind);
+    return -1;
 }
 
 /* Copy an int tuple into *out* (at most *cap* entries); returns its
@@ -1357,22 +1356,22 @@ static PyObject *
 slot_packet(Kernel *k, Slot *p, double t)
 {
     PyObject *routers = NULL, *ports = NULL, *vcs = NULL, *mid = NULL;
-    PyObject *pkt = NULL;
-    if (slot_route_tuples(k, p, &routers, &ports, &vcs) < 0)
+    PyObject *pkt = NULL, *kind = PySequence_GetItem(k->kind_names, p->kind);
+    if (kind == NULL || slot_route_tuples(k, p, &routers, &ports, &vcs) < 0)
         goto done;
     mid = p->msg_id < 0 ? Py_NewRef(Py_None) : PyLong_FromLongLong(p->msg_id);
     if (mid == NULL)
         goto done;
     pkt = PyObject_CallFunction(k->packet_cls, "LiiLOOOOdO", p->pid,
                                 (int)p->src, (int)p->dst, p->size, routers,
-                                ports, vcs, k->kinds[p->kind], p->gen_time,
-                                mid);
+                                ports, vcs, kind, p->gen_time, mid);
     if (pkt != NULL &&
         (set_new(pkt, str_send_time, PyFloat_FromDouble(p->send_time)) < 0 ||
          set_new(pkt, str_eject_time, PyFloat_FromDouble(t)) < 0 ||
          set_new(pkt, str_hop, PyLong_FromLong(p->hop)) < 0))
         Py_CLEAR(pkt);
 done:
+    Py_XDECREF(kind);
     Py_XDECREF(mid);
     Py_XDECREF(vcs);
     Py_XDECREF(ports);
@@ -1382,50 +1381,27 @@ done:
 
 /* -- statistics: send and delivery accounting ------------------------------- */
 
-/* Hand the latency block and its kind counts to the StatsCollector
- * (absorb_kernel), when the block fills and when a run returns: the
- * only two flushes, since every other number the accounting keeps is
- * written in place.  Kind counts are passed in first-delivery order
- * since the last flush, which is the order StatsCollector.record_eject
- * would insert them. */
+/* Hand the latency block to the StatsCollector (absorb_kernel), as raw
+ * float64 bytes (no Python object per packet), when the block fills
+ * and when a run returns: the only two flushes, since every other
+ * number the accounting keeps is written in place. */
 static int
 stats_flush(Kernel *k)
 {
-    if (k->a_lat_n == 0) /* a kind is counted only with its latency */
+    if (k->a_lat_n == 0)
         return 0;
     double t0 = mono_ns();
-    PyObject *kinds = NULL, *res = NULL;
-    /* The latencies as raw float64 bytes: no Python object per packet. */
     PyObject *lat = PyBytes_FromStringAndSize(
         (const char *)k->a_lat, k->a_lat_n * (Py_ssize_t)sizeof(double));
-    int rc = -1;
-    if (lat == NULL || (kinds = PyDict_New()) == NULL)
-        goto done;
-    for (int j = 0; j < k->a_nkind_order; j++) {
-        int idx = k->a_kind_order[j];
-        PyObject *v = PyLong_FromLongLong(k->a_kind_cnt[idx]);
-        if (v == NULL)
-            goto done;
-        int sr = PyDict_SetItem(kinds, k->kinds[idx], v);
-        Py_DECREF(v);
-        if (sr < 0)
-            goto done;
-    }
-    res = PyObject_CallFunctionObjArgs(k->stats_absorb, lat, kinds, NULL);
-    if (res == NULL)
-        goto done;
-    k->a_lat_n = 0;
-    for (int j = 0; j < k->a_nkind_order; j++)
-        k->a_kind_cnt[k->a_kind_order[j]] = 0;
-    k->a_nkind_order = 0;
-    rc = 0;
-done:
+    PyObject *res = lat != NULL ? PyObject_CallOneArg(k->stats_absorb, lat)
+                                : NULL;
+    if (res != NULL)
+        k->a_lat_n = 0;
     Py_XDECREF(res);
-    Py_XDECREF(kinds);
     Py_XDECREF(lat);
     k->esc_ns[ESC_FLUSH] += mono_ns() - t0;
     k->esc_counts[ESC_FLUSH] += 1;
-    return rc;
+    return res != NULL ? 0 : -1;
 }
 
 /* Latencies accumulate in one block of LAT_BLOCK doubles, flushed to
@@ -1478,8 +1454,7 @@ acct_eject(Kernel *k, const Slot *p, double t)
         st[ST_HOPS_W] += p->nports - 1;
         if (lat_push(k, t - p->gen_time) < 0)
             return -1;
-        if (k->a_kind_cnt[p->kind]++ == 0)
-            k->a_kind_order[k->a_nkind_order++] = p->kind;
+        k->kind_tot[p->kind] += 1;
     }
     return 0;
 }
@@ -2808,55 +2783,56 @@ do_gen(Kernel *k, long node)
 /* -- message countdown --------------------------------------------------------
  *
  * A closed-loop driver arms the countdown through Network.watch_messages
- * (``watch`` here) with three tables indexed by message id: an int32
+ * (``watch`` here) with four tables indexed by message id -- an int32
  * array of the packets each message still needs, one byte per message
- * that is nonzero when its completion releases other messages, and a
- * float64 array that receives each message's completion time.  Every
- * delivery counts down here, through the tables' buffers, whether or
- * not listeners observe it (Network.deliver applies the same rule on
- * the object engine), and delivered packets are counted per message and
- * route kind in ``m_kind``.  When a message's last packet is delivered,
- * its completion time is written, and only a message that releases
- * others then escapes to the callback (ESC_DONE): a completion that
- * releases nothing runs no Python.  Packets with no message id, one
- * outside the table or one of a message already complete are not
- * counted.  Python reads the kind counts back once, after the run
- * (``message_kinds``), and the completion times from its own table.  A
- * callback reads the StatsCollector's counters and times as they stand,
- * as a listener or a CALL does: the accounting writes them in place. */
+ * that is nonzero when its completion releases other messages, a
+ * float64 array that receives each message's completion time and its
+ * int32 group (a WorkloadDriver phase) -- and an int64 table of one row of
+ * nkind per group.  Every delivery counts down here, through the
+ * tables' buffers, whether or not listeners observe it (Network.deliver
+ * applies the same rule on the object engine), and counts the packet
+ * at its group and kind; a group id, which Python may still write, is
+ * checked against the rows as it is used.  When a message's last
+ * packet is delivered, its completion time is written, and only a
+ * message that releases others then escapes to the callback
+ * (ESC_DONE): a completion that releases nothing runs no Python.
+ * Packets with no message id, one outside the table or one of a
+ * message already complete are not counted.  A callback reads the
+ * StatsCollector's counters and times as they stand, as a listener or
+ * a CALL does: the accounting writes them in place. */
 
-/* Release the watched tables, the kind table and the callback. */
+/* Release the watched tables and the callback (m_n = 0 disarms). */
 static void
 watch_drop(Kernel *k)
 {
-    if (k->m_left_view.obj != NULL)
-        PyBuffer_Release(&k->m_left_view);
-    if (k->m_rel_view.obj != NULL)
-        PyBuffer_Release(&k->m_rel_view);
-    if (k->m_time_view.obj != NULL)
-        PyBuffer_Release(&k->m_time_view);
-    k->m_left = NULL;
-    k->m_rel = NULL;
-    k->m_time = NULL;
-    PyMem_Free(k->m_kind);
-    k->m_kind = NULL;
-    k->m_n = 0;
+    for (int i = 0; i < MV_N; i++)
+        if (k->m_view[i].obj != NULL)
+            PyBuffer_Release(&k->m_view[i]);
+    k->m_n = k->m_ngroups = 0;
     Py_CLEAR(k->m_done);
 }
 
 /* Count down the watched message *mid* (a packet's msg_id, -1 for
  * none) for one packet of route kind *kind* delivered at *t*.  Returns
- * the message if this completed it and it releases others, or -1. */
-static inline Py_ssize_t
+ * 1 if this completed the message and it releases others, 0 if not,
+ * and -1 with an IndexError for a group id outside the kind table. */
+static inline int
 count_down(Kernel *k, long long mid, int kind, double t)
 {
     if (mid < 0 || mid >= k->m_n || k->m_left[mid] <= 0)
+        return 0;
+    int32_t g = k->m_group[mid];
+    if (g < 0 || g >= k->m_ngroups) {
+        PyErr_Format(PyExc_IndexError,
+                     "kernel: message %lld's group %ld outside [0, %zd)",
+                     mid, (long)g, k->m_ngroups);
         return -1;
-    k->m_kind[mid * MAX_KINDS + kind] += 1;
+    }
+    k->m_tally[g * k->nkind + kind] += 1;
     if (--k->m_left[mid] != 0)
-        return -1;
+        return 0;
     k->m_time[mid] = t;
-    return k->m_rel[mid] ? (Py_ssize_t)mid : -1;
+    return k->m_rel[mid] != 0;
 }
 
 /* Escape: message *mid*, which releases others, is complete; call the
@@ -2907,12 +2883,11 @@ deliver_listeners(Kernel *k, double t, int32_t si)
         Py_XDECREF(r);
     }
     Py_DECREF(pkt);
-    Py_ssize_t done = rc == 0 ? count_down(k, mid, kind, t) : -1;
+    if (rc == 0)
+        rc = count_down(k, mid, kind, t);
     k->esc_ns[ESC_DELIVER] += mono_ns() - t0;
     k->esc_counts[ESC_DELIVER] += 1;
-    if (rc < 0)
-        return -1;
-    return done >= 0 ? msg_done(k, done) : 0;
+    return rc > 0 ? msg_done(k, (Py_ssize_t)mid) : rc;
 }
 
 /* The packet in slot *si* reaches its NIC at *t*: account it, then
@@ -2927,9 +2902,10 @@ do_deliver(Kernel *k, double t, int32_t si)
     if (PyList_GET_SIZE(k->listeners))
         return deliver_listeners(k, t, si);
     k->fast_counts[FAST_DELIVER] += 1;
-    Py_ssize_t mid = count_down(k, p->msg_id, p->kind, t);
+    long long mid = p->msg_id;
+    int rc = count_down(k, mid, p->kind, t);
     slot_release(k, si);
-    return mid >= 0 ? msg_done(k, mid) : 0;
+    return rc > 0 ? msg_done(k, (Py_ssize_t)mid) : rc;
 }
 
 static int
@@ -3629,93 +3605,66 @@ Kernel_nic_submit(Kernel *k, PyObject *const *args, Py_ssize_t nargs)
     return rv;
 }
 
-/* watch(left, release, times, on_complete): arm the message countdown on
- * *left*, a writable int32 array of packets left per message id,
- * *release*, one byte per message (nonzero: its completion calls
- * *on_complete*), and *times*, a writable float64 array that receives
- * each completion time, with a fresh kind table. */
+/* watch(left, release, times, groups, kinds, on_complete): arm the
+ * message countdown on its tables, in MV_* order: the four per-message
+ * ones of one length, the kind table in whole rows of nkind. */
 static PyObject *
 Kernel_watch(Kernel *k, PyObject *args)
 {
-    PyObject *left, *rel, *times, *fn;
-    if (!PyArg_ParseTuple(args, "OOOO", &left, &rel, &times, &fn))
+    static const char *fmt[MV_N] = {"i", "B", "d", "i", "q"};
+    static const Py_ssize_t size[MV_N] = {4, 1, 8, 4, 8};
+    static const char *what[MV_N] = {
+        "the countdown's packets left", "the countdown's release flags",
+        "the countdown's completion times", "the countdown's group ids",
+        "the countdown's kind table"};
+    static const char *type[MV_N] = {"an array('i')", "bytes",
+                                     "an array('d')", "an array('i')",
+                                     "an int64 array"};
+    PyObject *tab[MV_N], *fn;
+    if (check_built(k) < 0 ||
+        !PyArg_ParseTuple(args, "OOOOOO", &tab[0], &tab[1], &tab[2],
+                          &tab[3], &tab[4], &fn))
         return NULL;
     if (!PyCallable_Check(fn)) {
         PyErr_SetString(PyExc_TypeError,
                         "kernel: the completion callback is not callable");
         return NULL;
     }
-    Py_buffer lv, rv, tv;
-    if (bind_buffer(left, &lv, PyBUF_CONTIG, "i", sizeof(int32_t), -1,
-                    "the countdown's packets left", "an array('i')") < 0)
-        return NULL;
-    if (bind_buffer(rel, &rv, PyBUF_CONTIG_RO, "B", 1, -1,
-                    "the countdown's release flags", "bytes") < 0) {
-        PyBuffer_Release(&lv);
-        return NULL;
+    Py_buffer v[MV_N];
+    int i = 0, ok = 0;
+    while (i < MV_N &&
+           bind_buffer(tab[i], &v[i], i == MV_REL || i == MV_GROUP
+                       ? PyBUF_CONTIG_RO : PyBUF_CONTIG, fmt[i], size[i], -1,
+                       what[i], type[i]) == 0)
+        i++;
+    if (i == MV_N) {
+        Py_ssize_t n = v[MV_LEFT].shape[0];
+        if (v[MV_REL].shape[0] != n || v[MV_TIME].shape[0] != n ||
+            v[MV_GROUP].shape[0] != n)
+            PyErr_SetString(PyExc_ValueError,
+                            "kernel: the countdown tables differ in length");
+        else if (v[MV_KIND].shape[0] % k->nkind != 0)
+            PyErr_Format(PyExc_ValueError, "kernel: the countdown's kind "
+                         "table is not rows of %zd", k->nkind);
+        else
+            ok = 1;
     }
-    if (bind_buffer(times, &tv, PyBUF_CONTIG, "d", sizeof(double), -1,
-                    "the countdown's completion times",
-                    "an array('d')") < 0) {
-        PyBuffer_Release(&rv);
-        PyBuffer_Release(&lv);
-        return NULL;
-    }
-    Py_ssize_t n = lv.shape[0];
-    int32_t *kinds = NULL;
-    if (rv.shape[0] != n || tv.shape[0] != n) {
-        PyErr_SetString(PyExc_ValueError,
-                        "kernel: the countdown tables differ in length");
-    } else {
-        kinds = (int32_t *)PyMem_Calloc((size_t)(n ? n : 1) * MAX_KINDS,
-                                        sizeof(int32_t));
-        if (kinds == NULL)
-            PyErr_NoMemory();
-    }
-    if (kinds == NULL) {
-        PyBuffer_Release(&tv);
-        PyBuffer_Release(&rv);
-        PyBuffer_Release(&lv);
+    if (!ok) {
+        while (i-- > 0)
+            PyBuffer_Release(&v[i]);
         return NULL;
     }
     watch_drop(k);
-    k->m_left_view = lv;
-    k->m_rel_view = rv;
-    k->m_time_view = tv;
-    k->m_left = (int32_t *)lv.buf;
-    k->m_rel = (const unsigned char *)rv.buf;
-    k->m_time = (double *)tv.buf;
-    k->m_n = n;
-    k->m_kind = kinds;
+    memcpy(k->m_view, v, sizeof(v));
+    k->m_left = (int32_t *)v[MV_LEFT].buf;
+    k->m_rel = (const unsigned char *)v[MV_REL].buf;
+    k->m_time = (double *)v[MV_TIME].buf;
+    k->m_group = (const int32_t *)v[MV_GROUP].buf;
+    k->m_tally = (long long *)v[MV_KIND].buf;
+    k->m_n = v[MV_LEFT].shape[0];
+    k->m_ngroups = v[MV_KIND].shape[0] / k->nkind;
     k->m_done = Py_NewRef(fn);
     Py_RETURN_NONE;
-}
-
-/* message_kinds() -> {(msg_id, kind): packets}: what the countdown
- * delivered, by message id then route kind. */
-static PyObject *
-Kernel_message_kinds(Kernel *k, PyObject *Py_UNUSED(ignored))
-{
-    PyObject *out = PyDict_New();
-    if (out == NULL)
-        return NULL;
-    for (Py_ssize_t m = 0; m < k->m_n; m++) {
-        for (int i = 0; i < k->nkinds; i++) {
-            int32_t c = k->m_kind[m * MAX_KINDS + i];
-            if (c == 0)
-                continue;
-            PyObject *key = Py_BuildValue("(nO)", m, k->kinds[i]);
-            PyObject *v = key != NULL ? PyLong_FromLong(c) : NULL;
-            int rc = v != NULL ? PyDict_SetItem(out, key, v) : -1;
-            Py_XDECREF(v);
-            Py_XDECREF(key);
-            if (rc < 0) {
-                Py_DECREF(out);
-                return NULL;
-            }
-        }
-    }
-    return out;
 }
 
 /* nic_info(node) -> (queued_packets, credit_stalls, credits). */
@@ -4170,17 +4119,17 @@ static PyObject *
 route_tuple(Kernel *k)
 {
     int32_t n = k->rt_n;
-    if (rt_ports(k) < 0)
-        return NULL;
-    PyObject *r = int_tuple(k->rt_r, n);
+    PyObject *kind = PySequence_GetItem(k->kind_names, k->rt_kind);
+    PyObject *r = kind && rt_ports(k) == 0 ? int_tuple(k->rt_r, n) : NULL;
     PyObject *p = r ? int_tuple(k->rt_p, n - 1) : NULL;
     PyObject *v = p ? int_tuple(k->rt_v, n - 1) : NULL;
     if (v == NULL) {
+        Py_XDECREF(kind);
         Py_XDECREF(r);
         Py_XDECREF(p);
         return NULL;
     }
-    return Py_BuildValue("(NNNO)", r, p, v, k->kinds[k->rt_kind]);
+    return Py_BuildValue("(NNNN)", r, p, v, kind);
 }
 
 static int
@@ -4321,24 +4270,28 @@ st_ints(PyObject *st, const char *name, long n)
     }
 
 /* Bind net.stats and net._pid for the kernel's lifetime: the
- * collector's absorb_kernel, which takes the latency blocks, and
- * writable views of its per-node eject counts (one int64 per node), its
- * counters (ST_N int64) and times (TM_N float64), and of Network._pid
- * (one int64), all of which the accounting and make_fast write in
- * place.  The views pin their arrays' sizes; set_window writes them
- * without reallocating. */
+ * collector's absorb_kernel, which takes the latency blocks, its
+ * kind_names and kind_index, and writable views of its per-node eject
+ * counts (one int64 per node), its counters (ST_N int64), times (TM_N
+ * float64) and per-kind totals (int64, one per kind it can count), and
+ * of Network._pid (one int64), all of which the accounting and
+ * make_fast write in place.  The views pin their arrays' sizes;
+ * set_window writes them without reallocating. */
 static int
 bind_stats(Kernel *k, PyObject *net)
 {
     PyObject *stats = get_attr(net, "stats");
     if (stats == NULL)
         return -1;
-    PyObject *cnt = NULL, *st = NULL, *tm = NULL, *pid = NULL;
+    PyObject *cnt = NULL, *st = NULL, *tm = NULL, *kt = NULL, *pid = NULL;
     int w = PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS, rc = -1;
     if ((k->stats_absorb = get_attr(stats, "absorb_kernel")) == NULL ||
+        (k->kind_names = get_attr(stats, "kind_names")) == NULL ||
+        (k->kind_intern = get_attr(stats, "kind_index")) == NULL ||
         (cnt = get_attr(stats, "eject_count_per_node")) == NULL ||
         (st = get_attr(stats, "counts")) == NULL ||
         (tm = get_attr(stats, "times")) == NULL ||
+        (kt = get_attr(stats, "kind_totals")) == NULL ||
         (pid = get_attr(net, "_pid")) == NULL)
         goto done;
     if (bind_buffer(cnt, &k->ejcnt_view, w, "q", sizeof(long long), k->NN,
@@ -4348,16 +4301,25 @@ bind_stats(Kernel *k, PyObject *net)
                     "stats.counts", "an array('q') of six") < 0 ||
         bind_buffer(tm, &k->tm_view, w, "d", sizeof(double), TM_N,
                     "stats.times", "an array('d') of four") < 0 ||
+        bind_buffer(kt, &k->kind_view, w, "q", sizeof(long long), -1,
+                    "stats.kind_totals", "an array('q')") < 0 ||
         bind_buffer(pid, &k->pid_view, w, "q", sizeof(long long), 1,
                     "Network._pid", "an array('q') of one") < 0)
         goto done;
+    k->nkind = k->kind_view.shape[0];
+    if (k->nkind > UINT8_MAX + 1) { /* a slot's kind is a uint8 */
+        PyErr_SetString(PyExc_ValueError, "kernel: too many route kinds");
+        goto done;
+    }
     k->ejcnt = (long long *)k->ejcnt_view.buf;
     k->st = (long long *)k->st_view.buf;
     k->tm = (double *)k->tm_view.buf;
+    k->kind_tot = (long long *)k->kind_view.buf;
     k->last_pid = (long long *)k->pid_view.buf;
     rc = 0;
 done:
     Py_XDECREF(pid);
+    Py_XDECREF(kt);
     Py_XDECREF(tm);
     Py_XDECREF(st);
     Py_XDECREF(cnt);
@@ -4492,9 +4454,6 @@ Kernel_init(Kernel *k, PyObject *args, PyObject *kwds)
     CALLOC(k->rt_r, k->rt_cap)
     CALLOC(k->rt_p, k->rt_cap)
     CALLOC(k->rt_v, k->rt_cap)
-    if ((k->ki_min = kind_index(k, str_minimal)) < 0 ||
-        (k->ki_ind = kind_index(k, str_indirect)) < 0)
-        return -1;
     if (no_route_cls == NULL) {
         PyObject *mod = PyImport_ImportModule("repro.routing.cache");
         no_route_cls = mod ? get_attr(mod, "NoRouteError") : NULL;
@@ -4502,7 +4461,9 @@ Kernel_init(Kernel *k, PyObject *args, PyObject *kwds)
         if (no_route_cls == NULL)
             return -1;
     }
-    if (bind_stats(k, net) < 0)
+    if (bind_stats(k, net) < 0 ||
+        (k->ki_min = kind_index(k, str_minimal)) < 0 ||
+        (k->ki_ind = kind_index(k, str_indirect)) < 0)
         return -1;
     k->free_head = -1;
     k->route_mode = -1;
@@ -4521,8 +4482,6 @@ Kernel_traverse(Kernel *k, visitproc visit, void *arg)
         Py_VISIT(k->calls[i].fn);
         Py_VISIT(k->calls[i].args);
     }
-    for (int i = 0; i < k->nkinds; i++)
-        Py_VISIT(k->kinds[i]);
     for (int i = 0; i < k->rng_n; i++) {
         Py_VISIT(k->rng[i].obj);
         Py_VISIT(k->rng[i].gauss);
@@ -4530,13 +4489,15 @@ Kernel_traverse(Kernel *k, visitproc visit, void *arg)
     Py_VISIT(k->net);
     Py_VISIT(k->packet_cls);
     Py_VISIT(k->stats_absorb);
+    Py_VISIT(k->kind_names);
+    Py_VISIT(k->kind_intern);
     Py_VISIT(k->ejcnt_view.obj);
     Py_VISIT(k->st_view.obj);
     Py_VISIT(k->tm_view.obj);
+    Py_VISIT(k->kind_view.obj);
     Py_VISIT(k->pid_view.obj);
-    Py_VISIT(k->m_left_view.obj);
-    Py_VISIT(k->m_rel_view.obj);
-    Py_VISIT(k->m_time_view.obj);
+    for (int i = 0; i < MV_N; i++)
+        Py_VISIT(k->m_view[i].obj);
     Py_VISIT(k->m_done);
     Py_VISIT(k->listeners);
     Py_VISIT(k->fm);
@@ -4556,19 +4517,19 @@ static int
 Kernel_tp_clear(Kernel *k)
 {
     kernel_drop_events(k);
-    for (int i = 0; i < k->nkinds; i++)
-        Py_CLEAR(k->kinds[i]);
-    k->nkinds = 0;
     unbind_refs(k);
     watch_drop(k);
     Py_buffer *views[] = {&k->ejcnt_view, &k->st_view, &k->tm_view,
-                          &k->pid_view};
+                          &k->kind_view, &k->pid_view};
     for (size_t i = 0; i < sizeof(views) / sizeof(views[0]); i++)
         if (views[i]->obj != NULL)
             PyBuffer_Release(views[i]);
-    k->ejcnt = k->st = k->last_pid = NULL;
+    k->ejcnt = k->st = k->kind_tot = k->last_pid = NULL;
     k->tm = NULL;
+    k->nkind = 0;
     Py_CLEAR(k->stats_absorb);
+    Py_CLEAR(k->kind_names);
+    Py_CLEAR(k->kind_intern);
     Py_CLEAR(k->net);
     Py_CLEAR(k->packet_cls);
     return 0;
@@ -4659,9 +4620,8 @@ static PyMethodDef Kernel_methods[] = {
      METH_FASTCALL,
      "nic_submit(node, dst, size, msg_id, interleave): NIC.submit."},
     {"watch", (PyCFunction)Kernel_watch, METH_VARARGS,
-     "watch(left, release, times, on_complete): arm the message countdown."},
-    {"message_kinds", (PyCFunction)Kernel_message_kinds, METH_NOARGS,
-     "{(msg_id, kind): packets} the countdown delivered."},
+     "watch(left, release, times, groups, kinds, on_complete): arm the "
+     "message countdown."},
     {"nic_info", (PyCFunction)Kernel_nic_info, METH_O,
      "nic_info(node) -> (queued_packets, credit_stalls, credits)."},
     {"queue_len", (PyCFunction)(void (*)(void))Kernel_queue_len,

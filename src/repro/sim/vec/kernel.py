@@ -32,8 +32,9 @@ pairs its route table cannot serve.  The kernel records every send
 and delivery and counts every closed-loop message down itself, in C,
 whichever path routed the packet, never through ``record_inject``,
 ``record_eject`` or ``Network.deliver``: it writes the
-``StatsCollector``'s counter, time and eject-count arrays and
-``Network._pid`` in place, and hands over only its latency block
+``StatsCollector``'s counter, time, eject-count and per-kind arrays
+and ``Network._pid`` in place (a route kind is an index into the
+collector's ``kind_names``), and hands over only its latency block
 (``absorb_kernel``), when the block fills and when a run returns.  A
 :class:`~repro.sim.packet.Packet` exists only where Python must see
 one: the make_packet escape, whose ``Packet`` the kernel drops once it

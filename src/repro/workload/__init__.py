@@ -15,8 +15,9 @@ the flit-level simulator:
 - :mod:`~repro.workload.driver` -- the closed-loop driver releasing
   messages via ``NIC.submit`` as their predecessors complete.  The
   network's countdown (:meth:`repro.sim.Network.watch_messages`; on
-  the kernel, counted in C) records every completion time and reports
-  only the completions that release other messages, once each.
+  the kernel, counted in C) records every completion time and each
+  phase's delivered packets per route kind, and reports only the
+  completions that release other messages, once each.
 
 Typical use::
 

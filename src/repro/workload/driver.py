@@ -6,11 +6,12 @@ run's first event, at time zero, and every subsequent message enters
 its source NIC the moment the last packet of its last dependency is
 ejected at the destination.  The network counts each message's packets
 down (:meth:`Network.watch_messages`), writes every completion time to
-its table, and calls the driver only for a completed message that other
-messages depend on -- on the kernel from its C delivery path, so a
-message that releases nothing costs no Python call at all.  Releasing a
-message hands it to its source NIC whole, as one queue entry
-(``submit``).  The DAG's dependents map and topological order are built
+its table, counts the delivered packets per phase and route kind in
+another, and calls :class:`WorkloadDriver` only for a completed message
+that other messages depend on -- on the kernel from its C delivery
+path, so a message that releases nothing costs no Python call at all.
+Releasing a message hands it to its source NIC whole, as one queue
+entry (``submit``).  The DAG's dependents map and topological order are built
 once per run, for the validation, the releases and the critical path.
 This is the closed-loop dual of
 ``run_synthetic``/``run_exchange``: injection is gated by delivery, so
@@ -92,9 +93,14 @@ class WorkloadDriver:
         pkt_bytes = net.config.packet_bytes
         roots: List[Message] = []
         packets: List[int] = []
+        # Each message's phase, by index in first-appearance order: the
+        # countdown's group, whose row of its kind table is the phase's.
+        phase_ids: Dict[str, int] = {}
+        groups = array("i")
         for msg in self.workload:
             self._deps_left[msg.mid] = len(msg.deps)
             packets.append(0 if msg.is_local else -(-msg.size // pkt_bytes))
+            groups.append(phase_ids.setdefault(msg.phase, len(phase_ids)))
             if not msg.deps:
                 roots.append(msg)
 
@@ -105,8 +111,8 @@ class WorkloadDriver:
         # The roots go out from the run's first event, at time 0.
         net._claim_experiment(release_roots)
         net.stats.set_window(0.0, None)
-        self._complete_ns = net.watch_messages(
-            packets, self._dependents.values(), self._complete
+        self._complete_ns, kinds = net.watch_messages(
+            packets, self._dependents.values(), groups, self._complete
         )
         events = net.engine.run(max_events=max_events)
         wall_s = time.perf_counter() - wall_start
@@ -141,29 +147,24 @@ class WorkloadDriver:
         n = net.topology.num_nodes
         skew = self._link_skew(completion)
         # Each phase, in first-appearance order: its messages, when its
-        # last one completed and its delivered packets per route kind;
-        # phase_kinds[mid] is the kind counts of message mid's phase.
-        phases: Dict[str, Dict[str, Any]] = {}
-        phase_kinds: List[Dict[str, int]] = []
-        for msg, t in zip(self.workload, times):
-            phase = phases.get(msg.phase)
-            if phase is None:
-                phase = phases[msg.phase] = {
-                    "messages": 0, "done_ns": t, "kind_counts": {}
-                }
+        # last one completed and its delivered packets per route kind
+        # (its row of the countdown's kind table).
+        names = net.stats.kind_names
+        phases: Dict[str, Dict[str, Any]] = {
+            phase: {"messages": 0, "done_ns": 0.0, "kind_counts": {
+                kind: count for kind, count in zip(names, row) if count}}
+            for phase, row in zip(phase_ids, kinds.tolist())
+        }
+        by_group = list(phases.values())
+        for g, t in zip(groups, times):
+            phase = by_group[g]
             phase["messages"] += 1
             phase["done_ns"] = max(phase["done_ns"], t)
-            phase_kinds.append(phase["kind_counts"])
-        delivered = 0
-        for (mid, kind), count in net.message_kinds().items():
-            kinds = phase_kinds[mid]
-            kinds[kind] = kinds.get(kind, 0) + count
-            delivered += count
         result = {
             "workload": self.workload.name,
             "completion_ns": completion,
             "messages": self.workload.num_messages,
-            "packets": delivered,
+            "packets": int(kinds.sum()),
             "total_bytes": float(total_bytes),
             "effective_throughput": (
                 total_bytes / (completion * n * rate) if completion > 0 else 0.0

@@ -10,13 +10,18 @@ into Python only for a completed message that releases others (the
 ``tests/test_workload.py::TestDriver``'s cases on the kernel, check the
 escape ledger of halo runs with and without releasing messages and
 listeners, hold the C countdown to the object engine's in
-``Network.deliver`` packet for packet, completion times and callbacks
-included, and check that the kernel never calls the object engine's
-accounting (``Network.deliver``, ``record_inject``, ``record_eject``).
+``Network.deliver`` packet for packet, completion times, callbacks and
+group-by-kind counts included, check that the kernel refuses tables
+and group ids it cannot index, and check that the kernel never calls
+the object engine's accounting (``Network.deliver``,
+``record_inject``, ``record_eject``).
 """
 
 from __future__ import annotations
 
+from array import array
+
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -167,14 +172,15 @@ def test_halo_profile_prints_no_completion_escape(capsys, fastpath):
 def _countdown_run(topo, backend: str, listener: bool):
     """Packets a countdown must and must not count: four watched
     messages -- 0 and 2 release others, 1 and 3 do not, 2 has no
-    packets -- plus packets with no message id and with two ids outside
-    the table (the largest id ``submit`` takes among them), and one
-    packet more than message 1 needs.  Returns the callbacks, the
-    completion-time table and the kind counts."""
+    packets; 0 and 3 are group 1, 1 and 2 group 0 -- plus packets with
+    no message id and with two ids outside the table (the largest id
+    ``submit`` takes among them), and one packet more than message 1
+    needs.  Returns the callbacks, the completion-time table and the
+    group-by-kind table."""
     net = Network(topo, MinimalRouting(topo, seed=3), SimConfig(backend=backend))
     done = []
-    times = net.watch_messages(
-        [3, 1, 0, 2], [True, False, True, False],
+    times, kinds = net.watch_messages(
+        [3, 1, 0, 2], [True, False, True, False], [1, 0, 0, 1],
         lambda mid: done.append((mid, net.engine.now)),
     )
     if listener:
@@ -188,7 +194,7 @@ def _countdown_run(topo, backend: str, listener: bool):
     nics[8].submit(30, 64, 1)
     net.engine.schedule(2_000.0, nics[2].submit, 30, 64, 1)  # 1 is complete
     net.engine.run()
-    return done, list(times), net.message_kinds()
+    return done, list(times), kinds.tolist()
 
 
 @pytest.mark.parametrize("backend,listener", [
@@ -205,9 +211,48 @@ def test_c_and_python_countdowns_agree(sf5, backend, listener, fastpath):
     assert done == [(0, times[0])]
     assert times[2] == -1.0
     assert all(0.0 < times[mid] < 2_000.0 for mid in (0, 1, 3))
-    assert sum(n for (mid, _), n in kinds.items() if mid == 0) == 3
-    assert sum(n for (mid, _), n in kinds.items() if mid == 1) == 1
-    assert sum(n for (mid, _), n in kinds.items() if mid == 3) == 2
+    # Minimal routing: every packet counted is "minimal", kind 0.
+    assert kinds == [[1] + [0] * (len(kinds[0]) - 1),
+                     [5] + [0] * (len(kinds[0]) - 1)]
+
+
+@pytest.mark.parametrize("listener", [False, True])
+@pytest.mark.parametrize("group", [-1, 2])
+def test_a_group_id_outside_the_kind_table_stops_the_run(sf5, group,
+                                                         listener, fastpath):
+    # The group ids are a buffer Python can still write while the kernel
+    # holds it: the countdown checks each against the kind table's rows
+    # as it counts (with and without listeners), so a bad one is an
+    # IndexError out of the run, never a count outside the table.
+    net = Network(sf5, MinimalRouting(sf5, seed=1), KERNEL)
+    _, kinds = net.watch_messages([2, 2], [False, False], [0, 1], print)
+    if listener:
+        net.add_delivery_listener(lambda pkt: None)
+    net._msg_group[1] = group
+    net.nics[3].submit(40, 512, 1)
+    with pytest.raises(IndexError,
+                       match=rf"message 1's group {group} outside \[0, 2\)"):
+        net.engine.run()
+    assert not kinds.any()
+
+
+def test_kernel_watch_refuses_tables_it_cannot_index(sf5):
+    net = Network(sf5, MinimalRouting(sf5, seed=1), KERNEL)
+    kernel = net._vec.kernel
+    cap = len(net.stats.kind_totals)
+    left, rel, times = array("i", [1, 1]), bytes(2), array("d", [-1.0] * 2)
+    groups, kinds = array("i", [0, 1]), np.zeros(2 * cap, dtype=np.int64)
+    with pytest.raises(ValueError, match="differ in length"):
+        kernel.watch(left, rel, times, array("i", [0]), kinds, print)
+    with pytest.raises(ValueError, match=f"kind table is not rows of {cap}"):
+        kernel.watch(left, rel, times, groups, kinds[1:], print)
+    with pytest.raises(TypeError, match="group ids must be an array"):
+        kernel.watch(left, rel, times, array("q", [0, 1]), kinds, print)
+    with pytest.raises(TypeError, match="kind table must be an int64"):
+        kernel.watch(left, rel, times, groups, kinds.astype(np.int32), print)
+    assert net.engine.memory_stats()["msg_watched"] == 0
+    kernel.watch(left, rel, times, groups, kinds, print)
+    assert net.engine.memory_stats()["msg_watched"] == 2
 
 
 def test_countdown_stays_in_c_when_a_listener_attaches(sf5, fastpath):

@@ -23,8 +23,11 @@ and nothing resets its kernel, so such a run is freed with its network,
 and its pending calls, watched tables, queued messages, live slots,
 spilled routes and generator states with it.  Building a kernel and
 freeing it leaves nothing behind either, and hands back its views of
-the collector's per-node eject counts, counters and times and of the
-network's packet-id counter.  The generator's memory must not grow with
+the collector's per-node eject counts, counters, times and per-kind
+totals and of the network's packet-id counter.  Arming the countdown
+costs its Python-owned tables, a few bytes a message and a row per
+phase, and nothing the kernel allocates per message.  The generator's
+memory must not grow with
 the horizon, and no node may keep its generator state once its stream
 has ended.  A packet costs its slot and nothing else: a saturated run
 grows the traced heap by no more than its slots plus a fixed allowance,
@@ -41,6 +44,7 @@ import tracemalloc
 import weakref
 from array import array
 
+import numpy as np
 import pytest
 
 from repro.routing import MinimalRouting, UGALRouting
@@ -55,7 +59,7 @@ from repro.traffic import (
     PermutationTraffic,
     UniformRandom,
 )
-from repro.workload import WorkloadDriver, build_workload
+from repro.workload import WorkloadDriver, build_workload, phased_alltoall
 from tests.conftest import LoopingRouting
 
 pytestmark = pytest.mark.skipif(
@@ -277,16 +281,18 @@ class Harness:
         # The first completion callback raises: the run stops with the
         # other messages' packets in flight, whose slots go with the
         # kernel.  The kernel holds a view of each table (packets left,
-        # release flags, completion times) while armed: re-arming and
-        # freeing the kernel each hand the tables' owners their
-        # references back.
+        # release flags, completion times, group ids, the group-by-kind
+        # counts) while armed: re-arming and freeing the kernel each
+        # hand the tables' owners their references back.
         self._fresh_rngs()
         net = Network(self.topo, self.routing, SimConfig(backend="kernel"))
         pkt = net.config.packet_bytes
         packets = [0 if m.is_local else -(-m.size // pkt) for m in self.halo2]
         releases = [bool(d) for d in self.halo2.dependents().values()]
-        times = net.watch_messages(packets, releases, fail)
-        tables = [net._msg_left, net._msg_release, times]
+        groups = [m.mid % 2 for m in self.halo2]
+        times, kinds = net.watch_messages(packets, releases, groups, fail)
+        tables = [net._msg_left, net._msg_release, times, net._msg_group,
+                  kinds]
         for msg in self.halo2:
             if not msg.deps:
                 net.nics[msg.src].submit(msg.dst, msg.size, msg.mid)
@@ -297,15 +303,17 @@ class Harness:
         assert mem["slots_live"] > 0
         assert mem["msg_watched"] == self.halo2.num_messages
         assert sum(t >= 0.0 for t in times) > 0
+        assert kinds.sum() > 0
         held = [sys.getrefcount(t) for t in tables]
-        fresh = [array("i", packets), bytes(releases), array("d", times)]
+        fresh = [array("i", packets), bytes(releases), array("d", times),
+                 array("i", groups), np.zeros(kinds.size, dtype=np.int64)]
         fresh_start = [sys.getrefcount(t) for t in fresh]
         kernel = eng.kernel
         kernel.watch(*fresh, fail)  # re-arming releases the old tables
         assert [sys.getrefcount(t) for t in tables] == [n - 1 for n in held]
         assert [sys.getrefcount(t) for t in fresh] == [n + 1 for n in fresh_start]
         assert eng.memory_stats()["msg_watched"] == self.halo2.num_messages
-        del net, eng, kernel, tables, times
+        del net, eng, kernel, tables, times, kinds
         gc.collect()  # the kernel is freed with its network
         assert [sys.getrefcount(t) for t in fresh] == fresh_start
 
@@ -438,16 +446,17 @@ def test_building_kernels_leaves_nothing_behind():
 
 def test_eject_count_view_is_released_with_the_kernel():
     # The kernel writes every buffer it shares in place -- the
-    # collector's per-node eject counts, its counters and its times, and
-    # Network._pid -- through views it holds from build to dealloc,
-    # which pin the buffers' sizes.  Freed with its network, the kernel
-    # hands the views back, and each buffer can be resized again.
+    # collector's per-node eject counts, its counters, its times and its
+    # per-kind totals, and Network._pid -- through views it holds from
+    # build to dealloc, which pin the buffers' sizes.  Freed with its
+    # network, the kernel hands the views back, and each buffer can be
+    # resized again.
     topo = SlimFly(5)
     net = Network(topo, MinimalRouting(topo, seed=0),
                   SimConfig(backend="kernel"))
     stats = net.stats
     counts = stats.eject_count_per_node
-    arrays = [stats.counts, stats.times, net._pid]
+    arrays = [stats.counts, stats.times, stats.kind_totals, net._pid]
     with pytest.raises(ValueError, match="cannot resize"):
         counts.resize(topo.num_nodes + 1)
     for a in arrays:
@@ -465,6 +474,39 @@ def test_eject_count_view_is_released_with_the_kernel():
         n = len(a)
         a.append(0)
         assert len(a) == n + 1
+
+
+def test_countdown_costs_its_python_tables_and_a_row_per_phase():
+    # Arming the countdown for a phased all-to-all (22,350 messages in
+    # 149 phases) grows the traced heap by the tables watch_messages
+    # keeps -- per message, packets left (4 B), a release flag (1 B), a
+    # completion time (8 B) and a group id (4 B); per phase, one int64
+    # row of kind counts -- and by nothing the kernel allocates per
+    # message.
+    topo = SlimFly(5)
+    net = Network(topo, UGALRouting(topo, seed=0), SimConfig(backend="kernel"))
+    w = phased_alltoall(topo.num_nodes, 256)
+    packets = [1] * w.num_messages
+    releases = [bool(d) for d in w.dependents().values()]
+    phase_ids = {}
+    groups = array("i", (phase_ids.setdefault(m.phase, len(phase_ids))
+                         for m in w))
+    assert (len(groups), len(phase_ids)) == (22_350, 149)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        times, kinds = net.watch_messages(packets, releases, groups, fail)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kinds.shape == (149, len(net.stats.kind_totals))
+    tables = [net._msg_left, net._msg_release, times, net._msg_group, kinds]
+    owned = sum(memoryview(t).nbytes for t in tables)
+    assert owned == 17 * 22_350 + kinds.nbytes
+    assert grown <= owned + 4 * 1024, (grown, owned)
+    assert net.engine.memory_stats()["msg_watched"] == 22_350
 
 
 def test_slots_recycle_under_saturation():

@@ -450,10 +450,10 @@ class TestFaultSimulation:
         assert final[1 - moved] == 0
 
     def test_mid_run_calls_read_live_statistics(self, sf5):
-        # The kernel writes the collector's counters and first and last
-        # times, and the network's packet-id counter, in place, as the
-        # object engine does: a CALL mid-run reads them as they stand,
-        # the same on both engines.
+        # The kernel writes the collector's counters, first and last
+        # times and per-kind totals, and the network's packet-id
+        # counter, in place, as the object engine does: a CALL mid-run
+        # reads them as they stand, the same on both engines.
         def run(backend):
             net = Network(sf5, UGALRouting(sf5, seed=0), SimConfig(
                 backend=backend, faults=("drip@400:n=6,every=300,seed=4",)))
@@ -462,7 +462,7 @@ class TestFaultSimulation:
             for t in (150.0, 700.0, 1_300.0, 1_900.0):
                 net.engine.schedule_at(t, lambda: seen.append((
                     st.injected_total, st.ejected_total, st.first_inject,
-                    st.last_eject, net._pid[0])))
+                    st.last_eject, net._pid[0], dict(st.kind_counts))))
             net.run_synthetic(UniformRandom(sf5.num_nodes), load=0.8,
                               warmup_ns=200.0, measure_ns=2_000.0, seed=5)
             return seen
@@ -474,6 +474,10 @@ class TestFaultSimulation:
         assert ref[0][1] == 0 and ref[0][3] is None
         assert ref[0][2] is not None
         assert 0 < ref[1][1] < ref[-1][1] < ref[-1][0]
+        # The window opens at 200 ns: the kind counts grow from nothing.
+        assert ref[0][5] == {}
+        assert 0 < sum(ref[1][5].values()) < sum(ref[2][5].values())
+        assert ref[2][5]["indirect"] < ref[3][5]["indirect"]
 
     @pytest.mark.skipif(load_kernel() is None,
                         reason="compiled kernel unavailable")

@@ -214,6 +214,41 @@ class TestSelfTrafficGuard:
             net.run_exchange(Stray())
 
 
+class NewKindEachRoute(RoutingAlgorithm):
+    """Minimal routes, each labelled with a route kind of its own."""
+
+    def __init__(self, topo):
+        self.inner = MinimalRouting(topo, seed=0)
+        self.routes = 0
+
+    @property
+    def num_vcs(self):
+        return self.inner.num_vcs
+
+    def route(self, src_router, dst_router, congestion=NULL_CONGESTION):
+        r = self.inner.route(src_router, dst_router, congestion)
+        self.routes += 1
+        return Route(r.routers, r.vcs, f"kind-{self.routes}")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_kind_past_the_capacity_is_refused(sf4, backend):
+    # Both engines count a route kind by its index in the collector's
+    # vocabulary, which holds as many kinds as kind_totals has entries:
+    # the one past them is the collector's error on either engine (the
+    # kernel interns a kind as it loads the route, the object engine as
+    # it counts the delivery).
+    net = Network(sf4, NewKindEachRoute(sf4), SimConfig(backend=backend))
+    assert net.backend_in_use == backend
+    cap = len(net.stats.kind_totals)
+    with pytest.raises(ValueError, match=f"past the {cap} a collector counts"):
+        net.run_synthetic(UniformRandom(sf4.num_nodes), load=0.5,
+                          warmup_ns=0.0, measure_ns=2_000.0, seed=1)
+    names = net.stats.kind_names
+    assert len(names) == len(set(names)) == cap
+    assert names[:2] == ["minimal", "indirect"]
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestSizeGuard:
     @pytest.mark.parametrize("size", [0, -256])

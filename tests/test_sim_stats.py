@@ -73,16 +73,24 @@ class TestWindowing:
             sc.window_stats()
 
     def test_kind_counts(self):
+        # A kind counts at its index in the vocabulary, seeded "minimal"
+        # and "indirect", a new kind appended; kind_counts lists the
+        # nonzero totals in vocabulary order.
         sc = StatsCollector(2, PAPER_CONFIG)
         sc.set_window(0.0, 100.0)
-        for pid, kind in ((1, "minimal"), (2, "minimal"), (3, "indirect")):
+        assert sc.kind_counts == {}
+        for pid, kind in ((1, "detour"), (2, "minimal"), (3, "indirect"),
+                          (4, "minimal")):
             p = make_packet(pid)
             p.kind = kind
             p.send_time = 1.0
             p.eject_time = 10.0
             sc.record_inject(p)
             sc.record_eject(p)
-        assert sc.window_stats().kind_counts == {"minimal": 2, "indirect": 1}
+        assert sc.kind_names == ["minimal", "indirect", "detour"]
+        assert list(sc.kind_totals[:4]) == [2, 1, 1, 0]
+        assert list(sc.window_stats().kind_counts.items()) == [
+            ("minimal", 2), ("indirect", 1), ("detour", 1)]
 
 
 class TestEffectiveThroughput:
@@ -216,13 +224,12 @@ class TestLatencyStore:
         pkt = make_packet(1, gen=10.0)
         pkt.eject_time = 110.5
         sc.record_eject(pkt)
-        # The kernel hands over latencies and kind counts only, in
-        # first-delivery order; every counter it writes in place.
-        sc.absorb_kernel(array("d", [7.25, 8.5]).tobytes(),
-                         {"indirect": 1, "minimal": 1})
+        # The kernel hands over latencies only; every counter, the
+        # per-kind totals included, it writes in place.
+        sc.absorb_kernel(array("d", [7.25, 8.5]).tobytes())
         assert isinstance(sc.latencies, array) and sc.latencies.typecode == "d"
         assert list(sc.latencies) == [100.5, 7.25, 8.5]
-        assert list(sc.kind_counts.items()) == [("minimal", 2), ("indirect", 1)]
+        assert sc.kind_counts == {"minimal": 1}
         assert (sc.ejected_total, sc.in_window_ejected) == (1, 1)
         assert sc.window_stats().mean_latency_ns == float(
             np.mean([100.5, 7.25, 8.5]))

@@ -6,6 +6,7 @@ from repro.cli import parse_topology
 from repro.routing import MinimalRouting, UGALRouting
 from repro.sim import Network
 from repro.sim.config import SimConfig
+from repro.sim.vec.kernel import load_kernel
 from repro.traffic import AllToAll, NearestNeighbor3D
 from repro.workload import (
     Workload,
@@ -331,15 +332,33 @@ class TestDriver:
             net.add_delivery_listener(42)
 
     def test_message_countdown_rejects_bad_arming(self, sf5):
-        net = Network(sf5, MinimalRouting(sf5, seed=1))
-        with pytest.raises(TypeError, match="not callable"):
-            net.watch_messages([1], [True], 42)
-        with pytest.raises(ValueError, match=">= 0"):
-            net.watch_messages([1, -1], [True, True], print)
-        with pytest.raises(ValueError, match="1 release flags for 2 messages"):
-            net.watch_messages([1, 2], [True], print)
-        with pytest.raises(ValueError, match="3 release flags for 2 messages"):
-            net.watch_messages([1, 2], [True, False, True], print)
+        # On both engines (the kernel's where it builds): nothing is
+        # armed by a bad call, and a good one gives one row per group
+        # and one column per kind the statistics count.
+        for backend in ["object"] + ["kernel"] * (load_kernel() is not None):
+            net = Network(sf5, MinimalRouting(sf5, seed=1),
+                          SimConfig(backend=backend))
+            assert net.backend_in_use == backend
+            watch = net.watch_messages
+            with pytest.raises(TypeError, match="not callable"):
+                watch([1], [True], [0], 42)
+            with pytest.raises(ValueError, match="packet counts must be >= 0"):
+                watch([1, -1], [True, True], [0, 0], print)
+            with pytest.raises(ValueError,
+                               match="1 release flags for 2 messages"):
+                watch([1, 2], [True], [0, 0], print)
+            with pytest.raises(ValueError,
+                               match="3 release flags for 2 messages"):
+                watch([1, 2], [True, False, True], [0, 0], print)
+            with pytest.raises(ValueError, match="1 group ids for 2 messages"):
+                watch([1, 2], [True, False], [0], print)
+            with pytest.raises(ValueError, match="group ids must be >= 0"):
+                watch([1, 2], [True, False], [0, -1], print)
+            assert net._msg_left is None
+            times, kinds = watch([1, 2], [True, False], [2, 0], print)
+            assert list(times) == [-1.0, -1.0]
+            assert kinds.shape == (3, len(net.stats.kind_totals))
+            assert not kinds.any()
 
 
 class TestPhasedAllToAllOrdering:
