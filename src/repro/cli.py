@@ -408,27 +408,20 @@ def _cmd_workload(args) -> int:
             _print_campaign_stats(orch.last_stats)
             return 1
     else:
-        from repro.experiments.runner import run_workload
+        from repro.sim import Network
 
         outcomes = []
-        nets: list = []
         with _maybe_profile(args.profile):
             for size in sizes:
                 workload = build_workload(
                     args.collective, dict(wkwargs, message_bytes=size), topo
                 )
-                outcomes.append(
-                    run_workload(
-                        topo,
-                        lambda t, s: build_routing(*routing, t, s),
-                        workload,
-                        seed=args.seed,
-                        config=config,
-                        net_sink=nets if args.profile else None,
-                    )
+                net = Network(
+                    topo, build_routing(*routing, topo, args.seed), config
                 )
-        if args.profile and nets:
-            _print_kernel_profile(nets[-1])
+                outcomes.append(net.run_workload(workload))
+        if args.profile:
+            _print_kernel_profile(net)
     rows = [
         [
             size,

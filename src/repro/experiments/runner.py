@@ -103,8 +103,9 @@ def load_sweep(
 
     For multi-core execution of large sweeps, build declarative jobs
     instead and run them through :mod:`repro.orchestrate` (see
-    ``orchestrate.sweeps.orchestrated_load_sweep``); point ``i`` of this
-    serial loop corresponds exactly to a job with ``seed = seed + i``.
+    ``orchestrate.sweeps.sweep_jobs`` and ``run_jobs``); point ``i`` of
+    this serial loop corresponds exactly to a job with
+    ``seed = seed + i``.
     """
     points: List[SweepPoint] = []
     for i, load in enumerate(loads):
@@ -224,19 +225,13 @@ def run_workload(
     seed: int = 0,
     config: SimConfig = PAPER_CONFIG,
     max_events: Optional[int] = None,
-    net_sink: Optional[list] = None,
 ) -> Dict[str, object]:
     """Drive one dependency-DAG workload to completion (closed loop).
 
     *workload* is a :class:`repro.workload.Workload`; like
     :func:`run_exchange` this is the single-run primitive shared by the
     serial path and the :mod:`repro.orchestrate` worker, keeping the
-    two bit-identical for fixed seeds.  When *net_sink* is a list the
-    constructed :class:`Network` is appended to it, so callers (the
-    CLI's kernel-profile report, tests) can inspect engine state after
-    the run without changing the result payload.
+    two bit-identical for fixed seeds.
     """
     net = Network(topology, routing_factory(topology, seed), config)
-    if net_sink is not None:
-        net_sink.append(net)
     return net.run_workload(workload, max_events=max_events)

@@ -30,7 +30,6 @@ from repro.orchestrate.scheduler import (
 from repro.orchestrate.store import ResultStore
 from repro.orchestrate.sweeps import (
     exchange_job,
-    orchestrated_load_sweep,
     run_jobs,
     sweep_jobs,
     workload_job,
@@ -58,5 +57,4 @@ __all__ = [
     "workload_job",
     "workload_size_jobs",
     "run_jobs",
-    "orchestrated_load_sweep",
 ]

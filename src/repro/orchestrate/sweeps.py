@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.experiments.runner import SweepPoint
 from repro.experiments.specs import Spec
 from repro.orchestrate.campaign import Orchestrator
 from repro.orchestrate.job import Job, JobResult, run_job, sim_config_dict
@@ -26,7 +25,6 @@ __all__ = [
     "workload_job",
     "workload_size_jobs",
     "run_jobs",
-    "orchestrated_load_sweep",
 ]
 
 
@@ -164,29 +162,3 @@ def run_jobs(jobs: Sequence[Job], orchestrator: Optional[Orchestrator] = None) -
         return [run_job(job) for job in jobs]
     result = orchestrator.run(jobs, strict=True)
     return [result.outcomes[job_id].result for job_id in result.order]
-
-
-def orchestrated_load_sweep(
-    topology_spec: str,
-    routing: Spec,
-    pattern: Spec,
-    loads: Sequence[float],
-    orchestrator: Optional[Orchestrator] = None,
-    warmup_ns: float = 2_000.0,
-    measure_ns: float = 6_000.0,
-    seed: int = 0,
-    arrival: str = "poisson",
-    config: SimConfig = PAPER_CONFIG,
-) -> List[SweepPoint]:
-    """Drop-in declarative counterpart of :func:`load_sweep`.
-
-    Bit-identical to the serial path for the same arguments; the
-    orchestrator only changes *where* points execute.
-    """
-    jobs = sweep_jobs(
-        topology_spec, routing, pattern, loads,
-        warmup_ns=warmup_ns, measure_ns=measure_ns, seed=seed,
-        arrival=arrival, config=config,
-    )
-    results = run_jobs(jobs, orchestrator or Orchestrator(jobs=1))
-    return [result.sweep_point() for result in results]

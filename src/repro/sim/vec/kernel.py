@@ -422,10 +422,11 @@ class KernelEngine:
 
         ``route_mode >= 0`` moves the routing of every NIC send --
         candidate selection, with a C replica of the ``random.Random``
-        draw stream -- behind the C boundary.  It requires one of the
-        routings ported to C (minimal routing with random selection,
-        INR, and UGAL-L with random minimal selection) and an unwrapped
-        ``Network.make_packet`` (the checker wraps it, so a checked run
+        draw stream -- behind the C boundary.  Only two things decide
+        it: the routing must be one of those ported to C (minimal
+        routing with random selection, INR, and UGAL-L with random
+        minimal selection), and ``Network.make_packet`` must not be
+        wrapped on the instance (the checker wraps it, so a checked run
         routes every packet in Python, the ``make_packet`` escape).
         Every other routing -- minimal with ``"best"`` selection, UGAL-G,
         UGAL with ``"best"`` minimal selection, a subclass -- routes each
@@ -447,12 +448,8 @@ class KernelEngine:
         every run, fast paths or not: the kernel diverts packets off
         dead ports in C, drawing from a resident copy of its ``rng``,
         and adds each reroute and drop to its ``counts`` array in place.
-
-        Set ``REPRO_KERNEL_NO_FASTPATH=1`` to route every packet in
-        Python (``route_mode`` -1: the ``make_packet`` escape per send).
         """
         net = self.net
-        fast = not os.environ.get("REPRO_KERNEL_NO_FASTPATH")
         fm = net.fault_manager
         if fm is not None and fm.cache is None:
             fm = None  # not armed: no fault fires, no port dies
@@ -460,7 +457,7 @@ class KernelEngine:
         cache = getattr(routing, "cache", None)
         route_mode = -1
         rngs = []
-        if fast and cache is not None and "make_packet" not in vars(net):
+        if cache is not None and "make_packet" not in vars(net):
             # Strict type checks: a subclass could override route(), so
             # only the exact implementations ported to C are eligible.
             rtype = type(routing)

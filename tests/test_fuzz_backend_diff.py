@@ -434,17 +434,14 @@ def test_backends_agree_on_random_closed_loop(iteration):
 @pytest.mark.skipif(load_kernel() is None,
                     reason="compiled kernel unavailable")
 @pytest.mark.parametrize("routing", ["inr", "ugal"])
-def test_backends_agree_while_a_detour_outlives_a_later_fault(
-    routing, monkeypatch
-):
+def test_backends_agree_while_a_detour_outlives_a_later_fault(routing):
     # Router 0's link to its first neighbour is that pair's only minimal
     # path, so while it is down the pair routes on the BFS detour, which
     # RouteCache memoises on the object engine and the kernel takes from
     # a BFS tree dropped whenever a port dies or recovers.  A link
     # sharing no router with it fails while the detour is memoised; they
-    # recover in fail order.  (The kernel's route table is its fast
-    # path's, which the CI no-fastpath leg turns off.)
-    monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
+    # recover in fail order.  (The kernel's route table is its C route
+    # path's, so the run is unchecked.)
     topo = _TOPOLOGIES["sf:q=5"]()
     a, b = 0, min(topo.neighbors(0))
     c, d = next(e for e in sorted(topo.edges()) if not {a, b} & set(e))
@@ -508,8 +505,7 @@ def _fail_at_zero(kind: str, backend: str) -> str:
 
 @pytest.mark.parametrize("backend", _backends())
 @pytest.mark.parametrize("kind", sorted(_FAIL_AT_ZERO_DIGESTS))
-def test_fail_at_zero_follows_the_first_sends(kind, backend, monkeypatch):
-    monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
+def test_fail_at_zero_follows_the_first_sends(kind, backend):
     assert _fail_at_zero(kind, backend) == _FAIL_AT_ZERO_DIGESTS[kind]
 
 

@@ -3,8 +3,9 @@
 The committed fingerprints pin the simulator's end-to-end behaviour --
 full WindowStats plus a digest over the ordered delivery stream -- for
 every tiny-scale topology x routing combination.  Serial, process-pool,
-checker-enabled and kernel-backend runs (with and without the C route
-path and the delivery recorder) must all reproduce them
+checker-enabled and kernel-backend runs (unchecked with the C route
+path, checked with every packet routed in Python, and with and without
+the delivery recorder) must all reproduce them
 bit-identically; an intended behaviour change regenerates the goldens
 (``python -m repro.experiments.conformance --write``) so the diff is
 reviewed with the change that caused it.
@@ -65,27 +66,22 @@ needs_kernel = pytest.mark.skipif(
 
 
 @needs_kernel
-@pytest.mark.parametrize("check,fastpath", [
-    (False, True),   # C route path live (the production default)
-    (False, False),  # REPRO_KERNEL_NO_FASTPATH: every packet routes in Python
-    (True, True),    # the checker's wrapped make_packet routes in Python too
-])
+# The IDs are those of the former (check, switch) pairs.
+@pytest.mark.parametrize("check", [
+    False,  # C route path live (the production default)
+    True,   # the checker's wrapped make_packet routes every packet in Python
+], ids=["False-True", "True-True"])
 @pytest.mark.parametrize("case_key", conformance.CASE_KEYS)
-def test_kernel_backend_matches_golden(golden, case_key, check, fastpath,
-                                       monkeypatch):
+def test_kernel_backend_matches_golden(golden, case_key, check):
     # The compiled-kernel acceptance bar: every committed fingerprint is
-    # reproduced bit-identically by the C dispatch core -- checked (the
-    # audit-based KernelChecker over kernel runs), unchecked with the
-    # C route selection live, and with it disabled via the
-    # REPRO_KERNEL_NO_FASTPATH escape hatch, which sends every packet
-    # through Network.make_packet.  The on/off pair is the differential
-    # gate on the C routing + RNG replica itself.  The delivery recorder
-    # is a listener: the kernel calls it on every delivery, after
-    # accounting the delivery in C as it does with no listener.
-    if fastpath:
-        monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_KERNEL_NO_FASTPATH", "1")
+    # reproduced bit-identically by the C dispatch core -- unchecked
+    # with the C route selection live, and checked (the audit-based
+    # KernelChecker over kernel runs), whose wrapped make_packet sends
+    # every packet through Network.make_packet.  The pair is the
+    # differential gate on the C routing + RNG replica itself.  The
+    # delivery recorder is a listener: the kernel calls it on every
+    # delivery, after accounting the delivery in C as it does with no
+    # listener.
     got = conformance.run_case(case_key, check=check, backend="kernel")
     problems = conformance.diff_fingerprints({case_key: golden[case_key]},
                                              {case_key: got})
@@ -137,22 +133,9 @@ def test_fault_case_matches_golden(fault_golden, check, backend):
     # -- delivery stream, stats AND reroute counts -- on every backend,
     # checked and unchecked.  The kernel rows exercise the fault
     # divert escape (ENTER on a dead port) and the fail-time drain
-    # through the engine's cold-path mirrors.
+    # through the engine's cold-path mirrors; the checked one routes
+    # every packet in Python, the unchecked one in C.
     got = conformance.run_fault_case(check=check, backend=backend)
-    problems = conformance.diff_fault_fingerprint(fault_golden, got)
-    assert not problems, "\n".join(problems)
-
-
-@pytest.mark.parametrize("check", [False, True])
-def test_fault_case_kernel_no_fastpath_matches_golden(fault_golden, check,
-                                                      monkeypatch):
-    # The fault golden again with the C route path forced off: the
-    # escape hatch must reproduce the same fingerprint, or the hatch
-    # itself would mask a fast-path bug.
-    if _load_kernel() is None:
-        pytest.skip("compiled kernel unavailable")
-    monkeypatch.setenv("REPRO_KERNEL_NO_FASTPATH", "1")
-    got = conformance.run_fault_case(check=check, backend="kernel")
     problems = conformance.diff_fault_fingerprint(fault_golden, got)
     assert not problems, "\n".join(problems)
 
@@ -226,18 +209,13 @@ def test_closed_loop_object_matches_golden(closed_loop_golden, case_key,
 
 
 @needs_kernel
-@pytest.mark.parametrize("check,fastpath", [
-    (False, True),   # the kernel calls the delivery recorder per delivery
-    (False, False),  # REPRO_KERNEL_NO_FASTPATH: every packet routes in Python
-    (True, True),    # the audit checker: its make_packet routes in Python
-], ids=["fast", "nofastpath", "checked"])
+@pytest.mark.parametrize("check", [
+    False,  # the kernel calls the delivery recorder per delivery
+    True,   # the audit checker: its make_packet routes in Python
+], ids=["fast", "checked"])
 @pytest.mark.parametrize("case_key", conformance.CLOSED_LOOP_CASE_KEYS)
 def test_closed_loop_kernel_matches_golden(closed_loop_golden, case_key,
-                                           check, fastpath, monkeypatch):
-    if fastpath:
-        monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_KERNEL_NO_FASTPATH", "1")
+                                           check):
     problems = _closed_loop_problems(closed_loop_golden, case_key,
                                      check=check, backend="kernel")
     assert not problems, "\n".join(problems)

@@ -114,13 +114,10 @@ class TestKernelEngine:
         assert net.backend_in_use == "kernel"
         assert type(net.engine).__name__ == "KernelEngine"
 
-    def test_kernel_stats_expose_escape_split(self, monkeypatch):
+    def test_kernel_stats_expose_escape_split(self):
         # The --profile satellite: in-kernel event counts, the
         # time/count split of every Python escape class, and the
         # fast-path counters showing per-packet work stayed in C.
-        # (The CI no-fastpath leg exports the escape hatch globally;
-        # this test is specifically about the fast path being live.)
-        monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
         net = self._net()
         net.run_synthetic(
             UniformRandom(net.topology.num_nodes), load=0.5,
@@ -156,34 +153,12 @@ class TestKernelEngine:
         # Opcode counters sum to the events the engine reported.
         assert sum(s["op_counts"].values()) == s["events"]
 
-    def test_no_fastpath_hatch_routes_every_packet_in_python(
-        self, monkeypatch
-    ):
-        # REPRO_KERNEL_NO_FASTPATH forces the make_packet escape for
-        # every send (the leg the conformance matrix parametrizes
-        # over); deliveries, with no listener, still stay in C.
-        monkeypatch.setenv("REPRO_KERNEL_NO_FASTPATH", "1")
-        net = self._net()
-        net.run_synthetic(
-            UniformRandom(net.topology.num_nodes), load=0.5,
-            warmup_ns=300.0, measure_ns=1200.0, seed=1, drain=True,
-        )
-        s = net.engine.kernel_stats()
-        assert s["fast_path"]["make_packet"]["count"] == 0
-        assert (s["escapes"]["make_packet"]["count"]
-                == net.stats.injected_total > 0)
-        assert s["fast_path"]["deliver"]["count"] == net.stats.ejected_total
-        assert s["escapes"]["deliver"]["count"] == 0
-
-    def test_best_minimal_selection_routes_every_packet_in_python(
-        self, monkeypatch
-    ):
+    def test_best_minimal_selection_routes_every_packet_in_python(self):
         # The kernel has no C copy of MinimalRouting's "best" selection
         # (the candidate whose first output queue is shortest): every
         # send takes the make_packet escape, whose Python rule reads the
         # kernel's queue lengths, and the run is the object engine's.
         # On MLFM h=4 a same-column pair has four minimal paths.
-        monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
         topo = MLFM(4)
         runs = {}
         for backend in ("object", "kernel"):
@@ -202,11 +177,13 @@ class TestKernelEngine:
         assert s["fast_path"]["make_packet"]["count"] == 0
         assert (s["escapes"]["make_packet"]["count"]
                 == net.stats.injected_total > 0)
+        # Deliveries, with no listener, still stay in C.
+        assert s["fast_path"]["deliver"]["count"] == net.stats.ejected_total
+        assert s["escapes"]["deliver"]["count"] == 0
 
-    def test_kernel_stats_attribute_the_event_set(self, monkeypatch):
+    def test_kernel_stats_attribute_the_event_set(self):
         # The loop's ledger: every push lands on a delay lane or on the
         # heap, and the sampled time split names every opcode.
-        monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
         net = self._net()
         net.run_synthetic(
             UniformRandom(net.topology.num_nodes), load=0.9,
@@ -244,7 +221,6 @@ class TestKernelEngine:
         # count and next time agree with that snapshot.  Stepping binds
         # and unbinds the fast path per event, so the run's statistics
         # must also match an unstepped run's.
-        monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
         steps = 3000
 
         def run(stepped):

@@ -45,12 +45,6 @@ pytestmark = pytest.mark.skipif(
 KERNEL = SimConfig(backend="kernel")
 
 
-@pytest.fixture
-def fastpath(monkeypatch):
-    """The kernel's fast paths on, whatever the environment says."""
-    monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
-
-
 def escapes(net) -> dict:
     return {name: e["count"]
             for name, e in net.engine.kernel_stats()["escapes"].items()}
@@ -102,7 +96,7 @@ class TestKernelDriver:
             == {"minimal", "indirect"}
 
 
-def test_halo_counts_down_in_c(sf5, fastpath):
+def test_halo_counts_down_in_c(sf5):
     # Every delivery stays on the C fast path; Python is entered once
     # per completed message that the second iteration depends on (the
     # first iteration's), and never per packet.
@@ -119,7 +113,7 @@ def test_halo_counts_down_in_c(sf5, fastpath):
     assert net.engine.memory_stats()["msg_watched"] == w.num_messages
 
 
-def test_one_iteration_halo_calls_no_python_per_message(sf5, fastpath):
+def test_one_iteration_halo_calls_no_python_per_message(sf5):
     # Every message of one halo iteration is a sink: the countdown
     # writes its completion time in C and nothing escapes for it, and
     # the result is the object engine's.
@@ -134,7 +128,7 @@ def test_one_iteration_halo_calls_no_python_per_message(sf5, fastpath):
     assert esc["call"] == 1  # the root release
 
 
-def test_sampled_split_skips_the_runs_first_event(sf5, fastpath):
+def test_sampled_split_skips_the_runs_first_event(sf5):
     # The halo's only CALL is the root release, the run's first event:
     # the sampled split no longer times it.
     w = build_workload("halo3d", sf5.num_nodes, 1_000)
@@ -146,7 +140,7 @@ def test_sampled_split_skips_the_runs_first_event(sf5, fastpath):
     assert s["sampled"]["count"] == s["events"] // s["sampled"]["every"]
 
 
-def test_workload_profile_prints_the_completion_escape(capsys, fastpath):
+def test_workload_profile_prints_the_completion_escape(capsys):
     rc = main([
         "workload", "sf:q=4", "--collective", "ring-allreduce",
         "--routing", "ugal", "--sizes", "1024", "--backend", "kernel",
@@ -158,7 +152,7 @@ def test_workload_profile_prints_the_completion_escape(capsys, fastpath):
     assert "escape deliver:" not in err
 
 
-def test_halo_profile_prints_no_completion_escape(capsys, fastpath):
+def test_halo_profile_prints_no_completion_escape(capsys):
     rc = main([
         "workload", "sf:q=4", "--collective", "halo3d", "--routing", "ugal",
         "--sizes", "1024", "--backend", "kernel", "--profile",
@@ -201,7 +195,7 @@ def _countdown_run(topo, backend: str, listener: bool):
     ("kernel", False),  # the C countdown, no Python per delivery
     ("kernel", True),   # the C countdown after the kernel calls a listener
 ])
-def test_c_and_python_countdowns_agree(sf5, backend, listener, fastpath):
+def test_c_and_python_countdowns_agree(sf5, backend, listener):
     ref = _countdown_run(sf5, "object", listener=False)
     got = _countdown_run(sf5, backend, listener)
     assert got == ref
@@ -219,7 +213,7 @@ def test_c_and_python_countdowns_agree(sf5, backend, listener, fastpath):
 @pytest.mark.parametrize("listener", [False, True])
 @pytest.mark.parametrize("group", [-1, 2])
 def test_a_group_id_outside_the_kind_table_stops_the_run(sf5, group,
-                                                         listener, fastpath):
+                                                         listener):
     # The group ids are a buffer Python can still write while the kernel
     # holds it: the countdown checks each against the kind table's rows
     # as it counts (with and without listeners), so a bad one is an
@@ -255,7 +249,7 @@ def test_kernel_watch_refuses_tables_it_cannot_index(sf5):
     assert net.engine.memory_stats()["msg_watched"] == 2
 
 
-def test_countdown_stays_in_c_when_a_listener_attaches(sf5, fastpath):
+def test_countdown_stays_in_c_when_a_listener_attaches(sf5):
     # A scheduled call attaches a listener mid-run: from then on the
     # kernel calls it on every delivery, and the countdown stays in C,
     # calling back once per message that releases others.
@@ -279,7 +273,7 @@ def test_countdown_stays_in_c_when_a_listener_attaches(sf5, fastpath):
     assert esc["msg_done"] == releasing == 900
 
 
-def test_tracked_exchange_escapes_every_delivery(sf5, fastpath):
+def test_tracked_exchange_escapes_every_delivery(sf5):
     # An exchange's message tracking is a delivery listener: on the
     # kernel every delivery calls it, and the per-message statistics
     # equal the object engine's.

@@ -5,7 +5,8 @@ driver's message countdown, holds one NIC queue entry of plain C data
 per queued message (its message id a C integer), recycles packet slots
 (plain C data too) on delivery, and draws open-loop streams in chunks
 from per-node generator states.  Repeating kernel runs of every kind in
-one process -- open loop drained to empty, long open-loop streams that
+one process -- open loop drained to empty (routed in C, and routed in
+Python by a routing with no C copy), long open-loop streams that
 refill their chunks, a run stopped while every node still holds its
 generator state, closed-loop halo exchanges of one and of two iterations
 with fault diverts and the C message countdown, one whose faults drop
@@ -144,6 +145,10 @@ class Harness:
     def __init__(self):
         self.topo = SlimFly(5)
         self.routing = UGALRouting(self.topo, seed=0)
+        # No C copy of "best" selection: every send takes the
+        # make_packet escape.  It draws nothing, so every round's run
+        # is the same.
+        self.best = MinimalRouting(self.topo, selection="best", seed=0)
         self.rngs = [self.routing._minimal._rng, self.routing._indirect._rng]
         self.rng_states = [r.getstate() for r in self.rngs]
         self.pattern = UniformRandom(self.topo.num_nodes)
@@ -193,6 +198,19 @@ class Harness:
         net.run_synthetic(self.pattern, load=0.6, warmup_ns=200.0,
                           measure_ns=600.0, seed=4, drain=True)
         assert net.stats.ejected_total == net.stats.injected_total > 0
+        check_bounded(net)
+
+    def open_loop_escaped(self):
+        # Thousands of sends routed in Python, each through a Packet
+        # that the kernel drops once it has loaded the route.
+        net = Network(self.topo, self.best, SimConfig(backend="kernel"))
+        net.run_synthetic(self.pattern, load=0.6, warmup_ns=200.0,
+                          measure_ns=600.0, seed=4, drain=True)
+        s = net.engine.kernel_stats()
+        assert s["fast_path"]["make_packet"]["count"] == 0
+        assert (s["escapes"]["make_packet"]["count"]
+                == net.stats.injected_total > 0)
+        assert net.stats.ejected_total == net.stats.injected_total
         check_bounded(net)
 
     def long_streams(self):
@@ -385,6 +403,7 @@ class Harness:
     def round(self):
         self.open_loop()
         self.open_loop_fast()
+        self.open_loop_escaped()
         self.long_streams()
         self.stopped_streams()
         self.halo_with_faults()
@@ -531,13 +550,12 @@ def test_slots_recycle_under_saturation():
 SATURATED_ALLOWANCE = 768 * 1024
 
 
-def test_saturated_run_allocates_no_block_per_packet(monkeypatch):
+def test_saturated_run_allocates_no_block_per_packet():
     # Probed from t=0 (the streams already set up) to the end of a
     # saturated window: the heap grows by the slot pages, a page of
     # which at most is unused, and by structures that do not grow with
     # the packets (no more blocks than there are packets).  On the fast
     # path, which builds no Packet (the escapes make one per packet).
-    monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
     topo = SlimFly(5)
     net = Network(topo, UGALRouting(topo, seed=2), SimConfig(backend="kernel"))
     eng = net.engine

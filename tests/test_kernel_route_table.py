@@ -183,11 +183,10 @@ def test_other_vc_policies_take_minimal_routes_from_the_cache():
     assert kernel.route_compose(first, second) is None
 
 
-def test_distance_three_pairs_fill_through_the_route_cache(monkeypatch):
+def test_distance_three_pairs_fill_through_the_route_cache():
     # Dragonfly routers in different groups can be three hops apart: the
     # kernel routes those pairs from RouteCache fills, and says so.  (The
-    # fills are the fast path's; the CI no-fastpath leg turns it off.)
-    monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
+    # fills are the C route path's, so the run is unchecked.)
     topo = Dragonfly(2)
     routing = UGALRouting(topo, vc_policy=HopIndexVC(3, 6), seed=3)
     net = Network(topo, routing, SimConfig(backend="kernel"))
@@ -206,11 +205,10 @@ def test_distance_three_pairs_fill_through_the_route_cache(monkeypatch):
     (UGALRouting, [0, 1, 2, 10**6]),
     (IndirectRandomRouting, [0, 1, 2, -5]),
 ])
-def test_out_of_range_pool_is_rejected_at_load(cls, pool, monkeypatch):
+def test_out_of_range_pool_is_rejected_at_load(cls, pool):
     # The constructors validate the pool; one patched in afterwards
     # must still fail cleanly when the kernel loads it, not index past
     # the route table on the first draw that hits it.
-    monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
     topo = SlimFly(5)
     routing = cls(topo, seed=1)
     routing._pool = pool

@@ -195,13 +195,11 @@ def test_long_streams_drawn_in_c_match_python_draws(sf4, make):
     assert py[2].engine.memory_stats()["gen_refills"] == 0
 
 
-def test_latency_blocks_match_per_packet_recording(sf4, monkeypatch):
+def test_latency_blocks_match_per_packet_recording(sf4):
     # Over 12k in-window deliveries accounted in C and flushed in
     # blocks, against the object engine's per-packet recording: the
     # same latencies in the same order, so the same mean and p99, and
-    # the same per-node eject counts.  (The C route path keeps the run
-    # short, so the no-fastpath leg keeps it on here.)
-    monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
+    # the same per-node eject counts.
     pattern = UniformRandom(sf4.num_nodes)
     fast = run(sf4, "kernel", pattern, load=0.9, measure_ns=4_000.0,
                listener=False)

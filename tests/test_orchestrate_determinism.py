@@ -15,8 +15,8 @@ from repro.cli import parse_topology
 from repro.experiments import load_sweep
 from repro.orchestrate import (
     Orchestrator,
-    orchestrated_load_sweep,
     run_campaign,
+    run_jobs,
     sweep_jobs,
 )
 from repro.routing import MinimalRouting, UGALRouting
@@ -32,6 +32,11 @@ def serial_points(routing_factory, pattern_factory, seed):
     return load_sweep(topo, routing_factory, pattern_factory, LOADS, seed=seed, **WINDOWS)
 
 
+def orchestrated_points(routing, pattern, seed, orchestrator):
+    jobs = sweep_jobs(TOPOLOGY, routing, pattern, LOADS, seed=seed, **WINDOWS)
+    return [result.sweep_point() for result in run_jobs(jobs, orchestrator)]
+
+
 class TestSerialVsOrchestrated:
     def assert_identical(self, serial, orchestrated):
         assert len(serial) == len(orchestrated)
@@ -44,8 +49,8 @@ class TestSerialVsOrchestrated:
             lambda t, s: MinimalRouting(t, seed=s),
             lambda t: UniformRandom(t.num_nodes), seed=3,
         )
-        orch = orchestrated_load_sweep(
-            TOPOLOGY, ("min", {}), ("uniform", {}), LOADS, seed=3, **WINDOWS
+        orch = orchestrated_points(
+            ("min", {}), ("uniform", {}), seed=3, orchestrator=Orchestrator(jobs=1)
         )
         self.assert_identical(serial, orch)
 
@@ -54,9 +59,8 @@ class TestSerialVsOrchestrated:
             lambda t, s: MinimalRouting(t, seed=s),
             lambda t: UniformRandom(t.num_nodes), seed=3,
         )
-        orch = orchestrated_load_sweep(
-            TOPOLOGY, ("min", {}), ("uniform", {}), LOADS,
-            orchestrator=Orchestrator(jobs=2), seed=3, **WINDOWS,
+        orch = orchestrated_points(
+            ("min", {}), ("uniform", {}), seed=3, orchestrator=Orchestrator(jobs=2)
         )
         self.assert_identical(serial, orch)
 
@@ -68,9 +72,9 @@ class TestSerialVsOrchestrated:
             lambda t, s: UGALRouting(t, seed=s, **kwargs),
             lambda t: worst_case_traffic(t, seed=11), seed=11,
         )
-        orch = orchestrated_load_sweep(
-            TOPOLOGY, ("ugal", dict(kwargs)), ("worstcase", {"seed": 11}), LOADS,
-            orchestrator=Orchestrator(jobs=2), seed=11, **WINDOWS,
+        orch = orchestrated_points(
+            ("ugal", dict(kwargs)), ("worstcase", {"seed": 11}), seed=11,
+            orchestrator=Orchestrator(jobs=2),
         )
         self.assert_identical(serial, orch)
 
@@ -81,9 +85,8 @@ class TestSerialVsOrchestrated:
         )
         for run in range(2):
             orch = Orchestrator(jobs=2, cache_dir=tmp_path, resume=True)
-            points = orchestrated_load_sweep(
-                TOPOLOGY, ("min", {}), ("uniform", {}), LOADS,
-                orchestrator=orch, seed=5, **WINDOWS,
+            points = orchestrated_points(
+                ("min", {}), ("uniform", {}), seed=5, orchestrator=orch
             )
             self.assert_identical(serial, points)
         # Second pass executed nothing: pure cache.

@@ -54,13 +54,10 @@ class TestTracer:
         assert set(tracer.by_kind()) == {"minimal"}
 
     @pytest.mark.skipif(load_kernel() is None, reason="compiled kernel unavailable")
-    def test_enabled_mid_run_records_same_packets_on_both_engines(
-        self, sf5, monkeypatch
-    ):
+    def test_enabled_mid_run_records_same_packets_on_both_engines(self, sf5):
         # The tracer is a delivery listener like any other: enabled
         # from a scheduled callback, it sees every later delivery, which
         # the kernel then calls it for.
-        monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
 
         def run(backend):
             net = Network(sf5, UGALRouting(sf5, seed=1), SimConfig(backend=backend))
