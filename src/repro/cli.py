@@ -876,11 +876,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except Exception as exc:
-        # Surface invariant violations as their structured report rather
-        # than a traceback that buries it (lazy import: the checker may
+        # A route that cannot exist (faults that leave a pair without a
+        # path inside the VC budget) is a usage error like a ValueError.
+        # Invariant violations surface as their structured report rather
+        # than a traceback that buries it (lazy imports: the checker may
         # never have been loaded).
+        from repro.routing.cache import NoRouteError
         from repro.sim.invariants import InvariantViolation
 
+        if isinstance(exc, NoRouteError):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if isinstance(exc, InvariantViolation):
             print(exc.report(), file=sys.stderr)
             return 3

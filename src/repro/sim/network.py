@@ -21,12 +21,10 @@ from array import array
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
                     Sequence, Tuple)
 
-import numpy as np
-
 from repro.routing.base import RoutingAlgorithm
 from repro.sim.config import PAPER_CONFIG, SimConfig
 from repro.sim.packet import Packet
-from repro.sim.stats import StatsCollector, WindowStats
+from repro.sim.stats import StatsCollector, WindowStats, numpy_reduction
 from repro.topology.base import Topology
 from repro.traffic.base import bad_destination
 
@@ -62,7 +60,7 @@ class Network:
         self._msg_release: Optional[bytes] = None
         self._msg_time: Optional[array] = None
         self._msg_group: Optional[array] = None
-        self._msg_kinds: Optional[np.ndarray] = None
+        self._msg_kinds: Optional[array] = None
         self._msg_done: Optional[Callable[[int], None]] = None
         self._experiment_ran = False  # one experiment per Network instance
         #: Window (ns) behind ``channel_utilization()``: the measurement
@@ -112,7 +110,8 @@ class Network:
         """The object engine: an event heap, one :class:`Router` per
         switch with its :class:`OutputPort` objects, one :class:`NIC`
         per node, and the checker when ``config.check`` is set.  Their
-        modules are imported here, so a kernel network loads none."""
+        modules, and numpy for the statistics' reference reduction, are
+        imported here, so a kernel network loads none of them."""
         from repro.sim.engine import Engine
         from repro.sim.nic import NIC
         from repro.sim.switch import OutputPort, Router
@@ -120,6 +119,7 @@ class Network:
         topology = self.topology
         config = self.config
         self.engine = Engine()
+        self.stats.reduce_latencies = numpy_reduction()
         vc_capacity = config.buffer_packets_per_vc(self.num_vcs)
 
         # With checking enabled, routers and NICs are built as Checked*
@@ -404,15 +404,16 @@ class Network:
         releases: Iterable[object],
         groups: Iterable[int],
         on_complete: Callable[[int], None],
-    ) -> Tuple[array, np.ndarray]:
+    ) -> Tuple[array, array]:
         """Arm the message countdown: message ``i`` completes when
         ``packets[i]`` packets with ``msg_id == i`` have been delivered,
         and then, if ``releases[i]`` is true, ``on_complete(i)`` runs.
         Returns two tables: an ``array('d')`` of completion times (that
-        last delivery's, ``-1.0`` before), and an int64 table of a row
-        per group (``max(groups) + 1``) and a column per
-        ``stats.kind_totals`` entry, which counts each counted packet at
-        ``[groups[i], stats.kind_index(pkt.kind)]``.
+        last delivery's, ``-1.0`` before), and an ``array('q')`` of a
+        row per group (``max(groups) + 1``) by a column per
+        ``stats.kind_totals`` entry, row-major, which counts each
+        counted packet at ``groups[i] * len(stats.kind_totals) +
+        stats.kind_index(pkt.kind)``.
 
         This is the closed-loop hook: :class:`repro.workload.driver
         .WorkloadDriver` arms it with every message's packet count, a
@@ -440,8 +441,8 @@ class Network:
         if any(g < 0 for g in group):
             raise ValueError("watch_messages: group ids must be >= 0")
         times = array("d", [-1.0]) * len(left)
-        kinds = np.zeros((max(group, default=-1) + 1,
-                          len(self.stats.kind_totals)), dtype=np.int64)
+        kinds = array("q", bytes(8 * (max(group, default=-1) + 1)
+                                 * len(self.stats.kind_totals)))
         self._msg_left = left
         self._msg_release = release
         self._msg_time = times
@@ -449,8 +450,8 @@ class Network:
         self._msg_kinds = kinds
         self._msg_done = on_complete
         if self._vec is not None:
-            self._vec.kernel.watch(left, release, times, group,
-                                   kinds.reshape(-1), on_complete)
+            self._vec.kernel.watch(left, release, times, group, kinds,
+                                   on_complete)
         return times, kinds
 
     def deliver(self, pkt: Packet) -> None:
@@ -475,8 +476,8 @@ class Network:
         if left is not None:
             mid = pkt.msg_id  # None or an int in [0, 2**63): see NIC.submit
             if mid is not None and mid < len(left) and left[mid] > 0:
-                kind = self.stats.kind_index(pkt.kind)
-                self._msg_kinds[self._msg_group[mid], kind] += 1
+                row = self._msg_group[mid] * len(self.stats.kind_totals)
+                self._msg_kinds[row + self.stats.kind_index(pkt.kind)] += 1
                 left[mid] -= 1
                 if not left[mid]:
                     self._msg_time[mid] = pkt.eject_time

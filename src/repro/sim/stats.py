@@ -16,17 +16,22 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.config import SimConfig
 from repro.sim.packet import Packet
 
-__all__ = ["StatsCollector", "WindowStats", "percentile99"]
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
+__all__ = ["StatsCollector", "WindowStats", "percentile99", "numpy_reduction"]
+
+#: A reduction of a non-empty latency window, an ``array('d')``, to its
+#: ``(mean, p99)``.
+Reduction = Callable[[array], Tuple[float, float]]
 
 
-def percentile99(values: np.ndarray) -> float:
+def percentile99(values: "np.ndarray") -> float:
     """``np.percentile(values, 99)`` (the default linear method), bit
     for bit, for a non-empty array of finite values.
 
@@ -34,8 +39,11 @@ def percentile99(values: np.ndarray) -> float:
     ``(n - 1) * 0.99`` with ``np.partition`` and interpolates them as
     numpy's ``_lerp`` does.  ``np.percentile`` itself imports
     ``numpy.ma`` on its first call in a process, which costs more than
-    the whole reduction.
+    the whole reduction.  The compiled kernel's ``window_reduce``
+    computes the same value in C.
     """
+    import numpy as np
+
     n = len(values)
     v = (n - 1) * 0.99
     lo = math.floor(v)
@@ -46,6 +54,24 @@ def percentile99(values: np.ndarray) -> float:
     b = float(part[hi])
     d = b - a
     return b - d * (1.0 - g) if g >= 0.5 else a + d * g
+
+
+def numpy_reduction() -> Reduction:
+    """The reference reduction of a latency window: numpy's mean (its
+    pairwise sum over the count) and :func:`percentile99`.
+
+    numpy is imported here, by the object engine as it is built, so a
+    run imports nothing; the kernel hands the collector its own C
+    replica instead (``window_reduce`` in ``_kernel.c``), and the
+    goldens hold the two to each other bit for bit.
+    """
+    import numpy as np
+
+    def reduce(latencies: array) -> Tuple[float, float]:
+        lat = np.frombuffer(latencies)
+        return float(lat.mean()), percentile99(lat)
+
+    return reduce
 
 
 class WindowStats:
@@ -111,10 +137,13 @@ class StatsCollector:
     :attr:`times`, an ``array('d')`` of four (an open window end and a
     time not yet recorded are infinities); the attributes below read
     and write them.  :attr:`kind_totals` counts in-window deliveries
-    per route kind, indexed by :attr:`kind_names` (:meth:`kind_index`).
-    Both engines update these arrays and :attr:`eject_count_per_node` in
-    place, the compiled kernel through views it holds for its lifetime,
-    so they are current at every moment of a run.
+    per route kind, indexed by :attr:`kind_names` (:meth:`kind_index`),
+    and :attr:`eject_count_per_node`, an ``array('q')`` of one per node,
+    counts every delivery by destination.  Both engines update these
+    arrays in place, the compiled kernel through views it holds for its
+    lifetime, so they are current at every moment of a run.
+    :attr:`reduce_latencies`, set by the engine as it is built, reduces
+    the latency window in :meth:`window_stats`.
     """
 
     injected_total = _counter(INJECTED)
@@ -133,9 +162,12 @@ class StatsCollector:
         self.config = config
         self.counts = array("q", bytes(48))
         self.times = array("d", (0.0, math.inf, math.inf, math.inf))
-        self.eject_count_per_node = np.zeros(num_nodes, dtype=np.int64)
+        self.eject_count_per_node = array("q", bytes(8 * num_nodes))
         #: In-window latencies (ns) in ejection order, as raw float64.
         self.latencies = array("d")
+        #: The window's ``(mean, p99)`` reduction: the kernel's C
+        #: replica or :func:`numpy_reduction` (the default).
+        self.reduce_latencies: Optional[Reduction] = None
         #: Route kinds by index, in the order first seen.
         self.kind_names: List[str] = ["minimal", "indirect"]
         self.kind_totals = array("q", bytes(8 * KIND_CAPACITY))
@@ -192,7 +224,7 @@ class StatsCollector:
         in-window latencies collect in a block of its own, handed over
         here when it fills and when a run returns, so they are complete
         once a run has.  *latencies* are the block's raw float64 bytes
-        in ejection order (numpy's order-sensitive pairwise mean stays
+        in ejection order (the order-sensitive pairwise mean stays
         bit-identical).
         """
         self.latencies.frombytes(latencies)
@@ -206,11 +238,14 @@ class StatsCollector:
         window = self.window_end - self.window_start
         rate_bytes_per_ns = self.config.link_bandwidth_gbps / 8.0  # GB/s == B/ns
         capacity = self.num_nodes * window * rate_bytes_per_ns
-        lat = np.frombuffer(self.latencies) if self.latencies else None
+        mean = p99 = None
+        if self.latencies:
+            reduce = self.reduce_latencies or numpy_reduction()
+            mean, p99 = reduce(self.latencies)
         return WindowStats(
             throughput=self.in_window_bytes / capacity if capacity > 0 else 0.0,
-            mean_latency_ns=float(lat.mean()) if lat is not None else None,
-            p99_latency_ns=percentile99(lat) if lat is not None else None,
+            mean_latency_ns=mean,
+            p99_latency_ns=p99,
             ejected_packets=self.in_window_ejected,
             ejected_bytes=self.in_window_bytes,
             injected_packets=self.in_window_injected,
@@ -228,7 +263,9 @@ class StatsCollector:
         everything.  Only meaningful for patterns that address all
         nodes symmetrically (uniform, full permutations).
         """
-        counts = self.eject_count_per_node.astype(np.float64)
+        import numpy as np
+
+        counts = np.array(self.eject_count_per_node, dtype=np.float64)
         total = counts.sum()
         if total == 0:
             raise ValueError("no traffic recorded")

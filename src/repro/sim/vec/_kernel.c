@@ -45,6 +45,9 @@
  *   Python reads them correct at every moment.  Only the in-window
  *   latencies collect in one fixed block of the kernel's own, handed to
  *   the collector as raw bytes when it fills and when a run returns;
+ *   the module's window_reduce (see "the latency window's reduction")
+ *   reduces them to the window's mean and p99 as numpy would, bit for
+ *   bit, so a kernel run imports no numpy;
  * - a closed-loop driver's message countdown (see "message countdown")
  *   decrements per-message packet counts on every delivery, counts the
  *   packet in its message group's row of a kind table, writes each
@@ -2999,10 +3002,9 @@ fp_opt_double(PyObject *fp, const char *name, double *out, int *has)
 /* A one-dimensional view of *obj* (*flags* plus PyBUF_FORMAT) of *n*
  * items, or of any number when *n* < 0, each of *size* bytes in the
  * struct format *fmt*, after an optional native or little-endian
- * prefix ('@', '=', '<'); "l" passes for "q" (numpy's int64).  Else a
- * TypeError "kernel: <what> must be <type>", and no view is held
- * (view->obj is NULL) on any failure.  Every buffer the kernel binds
- * is taken through here. */
+ * prefix ('@', '=', '<').  Else a TypeError "kernel: <what> must be
+ * <type>", and no view is held (view->obj is NULL) on any failure.
+ * Every buffer the kernel binds is taken through here. */
 static int
 bind_buffer(PyObject *obj, Py_buffer *view, int flags, const char *fmt,
             Py_ssize_t size, Py_ssize_t n, const char *what,
@@ -3016,9 +3018,7 @@ bind_buffer(PyObject *obj, Py_buffer *view, int flags, const char *fmt,
     if (f != NULL && (f[0] == '@' || f[0] == '=' || f[0] == '<'))
         f += 1;
     if (view->ndim != 1 || view->itemsize != size || f == NULL ||
-        (strcmp(f, fmt) != 0 && !(strcmp(fmt, "q") == 0 &&
-                                  strcmp(f, "l") == 0)) ||
-        (n >= 0 && view->shape[0] != n)) {
+        strcmp(f, fmt) != 0 || (n >= 0 && view->shape[0] != n)) {
         PyBuffer_Release(view);
         PyErr_Format(PyExc_TypeError, "kernel: %s must be %s", what, type);
         return -1;
@@ -3619,7 +3619,7 @@ Kernel_watch(Kernel *k, PyObject *args)
         "the countdown's kind table"};
     static const char *type[MV_N] = {"an array('i')", "bytes",
                                      "an array('d')", "an array('i')",
-                                     "an int64 array"};
+                                     "an array('q')"};
     PyObject *tab[MV_N], *fn;
     if (check_built(k) < 0 ||
         !PyArg_ParseTuple(args, "OOOOOO", &tab[0], &tab[1], &tab[2],
@@ -4296,7 +4296,7 @@ bind_stats(Kernel *k, PyObject *net)
         goto done;
     if (bind_buffer(cnt, &k->ejcnt_view, w, "q", sizeof(long long), k->NN,
                     "stats.eject_count_per_node",
-                    "an int64 array of one entry per node") < 0 ||
+                    "an array('q') of one entry per node") < 0 ||
         bind_buffer(st, &k->st_view, w, "q", sizeof(long long), ST_N,
                     "stats.counts", "an array('q') of six") < 0 ||
         bind_buffer(tm, &k->tm_view, w, "d", sizeof(double), TM_N,
@@ -4666,6 +4666,135 @@ static PyTypeObject KernelType = {
     .tp_new = PyType_GenericNew,
 };
 
+/* -- the latency window's reduction -------------------------------------------- */
+
+/* numpy's pairwise sum of a[0..n) (DOUBLE_pairwise_sum in its
+ * loops_utils.h.src), in the same order: a plain loop below 8 values,
+ * eight interleaved accumulators up to PW_BLOCKSIZE values, and above
+ * that the two halves of a split at a multiple of 8. */
+#define PW_BLOCKSIZE 128
+
+static double
+pairwise_sum(const double *a, Py_ssize_t n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (Py_ssize_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= PW_BLOCKSIZE) {
+        double r[8];
+        Py_ssize_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
+                     ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    Py_ssize_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* Reorder a[left..right] so that a[k] holds the value of rank k in
+ * it, with no larger value before it and no smaller one after it: the
+ * Floyd-Rivest selection (CACM Algorithm 489).  Above 600 values it
+ * first selects within a sample around k, so a[k] is a pivot close to
+ * the wanted rank and one partition of the range leaves few values to
+ * search; for the 99th percentile that partition's scans are nearly
+ * branch-free.  Both scans stop at values equal to the pivot, so runs
+ * of ties split evenly. */
+static void
+select_kth(double *a, Py_ssize_t left, Py_ssize_t right, Py_ssize_t k)
+{
+#define SWAP(x, y) do { double t_ = (x); (x) = (y); (y) = t_; } while (0)
+    while (right > left) {
+        if (right - left > 600) {
+            double n = (double)(right - left + 1), i = (double)(k - left + 1);
+            double z = log(n), s = 0.5 * exp(2.0 * z / 3.0);
+            double sd = 0.5 * sqrt(z * s * (n - s) / n) * (i < n / 2 ? -1 : 1);
+            double nl = floor((double)k - i * s / n + sd);
+            double nr = floor((double)k + (n - i) * s / n + sd);
+            select_kth(a, nl > left ? (Py_ssize_t)nl : left,
+                       nr < right ? (Py_ssize_t)nr : right, k);
+        }
+        double t = a[k];
+        Py_ssize_t i = left, j = right;
+        SWAP(a[left], a[k]);
+        if (a[right] > t)
+            SWAP(a[right], a[left]);
+        while (i < j) {
+            SWAP(a[i], a[j]);
+            i++;
+            j--;
+            while (a[i] < t)
+                i++;
+            while (a[j] > t)
+                j--;
+        }
+        if (a[left] == t) {
+            SWAP(a[left], a[j]);
+        } else {
+            j++;
+            SWAP(a[j], a[right]);
+        }
+        if (j <= k)
+            left = j + 1;
+        if (k <= j)
+            right = j - 1;
+    }
+#undef SWAP
+}
+
+/* window_reduce(latencies) -> (mean, p99) of a non-empty float64 buffer
+ * of finite values, bit for bit np.mean(x) and np.percentile(x, 99)
+ * (repro.sim.stats.percentile99): numpy's pairwise sum, added to 0.0 as
+ * its reduction starts and divided by the count, and the two order
+ * statistics around the virtual index (n - 1) * 0.99, selected on a
+ * copy and interpolated as numpy's _lerp does.  The kernel engine hands
+ * it to its StatsCollector, so a kernel run reduces its window without
+ * numpy. */
+static PyObject *
+mod_window_reduce(PyObject *Py_UNUSED(self), PyObject *arg)
+{
+    Py_buffer view;
+    if (bind_buffer(arg, &view, PyBUF_CONTIG_RO, "d", sizeof(double), -1,
+                    "the latencies", "a float64 array") < 0)
+        return NULL;
+    Py_ssize_t n = view.shape[0];
+    double *a = n > 0 ? (double *)PyMem_Malloc((size_t)n * sizeof(double))
+                      : NULL;
+    if (a == NULL) {
+        PyBuffer_Release(&view);
+        return n > 0 ? PyErr_NoMemory()
+                     : PyErr_Format(PyExc_ValueError,
+                                    "kernel: no latencies to reduce");
+    }
+    memcpy(a, view.buf, (size_t)n * sizeof(double));
+    double mean = (0.0 + pairwise_sum(a, n)) / (double)n;
+    PyBuffer_Release(&view);
+    double v = (double)(n - 1) * 0.99, lo_f = floor(v), g = v - lo_f;
+    Py_ssize_t lo = (Py_ssize_t)lo_f;
+    select_kth(a, 0, n - 1, lo);
+    double below = a[lo], above = below; /* n == 1: the only value */
+    if (lo + 1 < n) {
+        above = a[lo + 1];
+        for (Py_ssize_t i = lo + 2; i < n; i++)
+            if (a[i] < above)
+                above = a[i];
+    }
+    PyMem_Free(a);
+    double d = above - below;
+    double p99 = g >= 0.5 ? above - d * (1.0 - g) : below + d * g;
+    return Py_BuildValue("(dd)", mean, p99);
+}
+
 /* Test hooks (tests/test_kernel_rng_parity.py).  Each runs the C
  * generator exactly as the kernel does, so draw-for-draw equality with
  * random.Random here is the parity proof per draw site. */
@@ -4865,6 +4994,8 @@ mod_gen_stream(PyObject *Py_UNUSED(self), PyObject *args)
 }
 
 static PyMethodDef module_methods[] = {
+    {"window_reduce", mod_window_reduce, METH_O,
+     "window_reduce(latencies) -> (mean, p99), as numpy computes them."},
     {"_rng_parity", mod_rng_parity, METH_VARARGS,
      "_rng_parity(rng, ops) -> list of draws. Test-only."},
     {"_rng_seeded", mod_rng_seeded, METH_VARARGS,

@@ -35,7 +35,10 @@ whichever path routed the packet, never through ``record_inject``,
 ``StatsCollector``'s counter, time, eject-count and per-kind arrays
 and ``Network._pid`` in place (a route kind is an index into the
 collector's ``kind_names``), and hands over only its latency block
-(``absorb_kernel``), when the block fills and when a run returns.  A
+(``absorb_kernel``), when the block fills and when a run returns; the
+module's ``window_reduce``, which the engine gives the collector as its
+``reduce_latencies``, reduces the window to numpy's mean and 99th
+percentile in C, so a kernel run never imports numpy.  A
 :class:`~repro.sim.packet.Packet` exists only where Python must see
 one: the make_packet escape, whose ``Packet`` the kernel drops once it
 has loaded the route, and a delivery while the network has delivery
@@ -307,6 +310,8 @@ class KernelEngine:
         self.st = SoAState.from_topology(net.topology, net.routing, net.config)
         #: The C kernel: event set, simulation state and dispatch loop.
         self.kernel = mod.Kernel(self.st, net, Packet)
+        # The latency window reduces in C too, as numpy would reduce it.
+        net.stats.reduce_latencies = mod.window_reduce
         self.nic_shims = [KernelNIC(self.kernel, node)
                           for node in range(self.st.NN)]
 

@@ -10,9 +10,10 @@ arrays (``array('i')``) indexed by dense integer ids:
   outputs), and input VCs ``in_gid * V + vc``.
 
 Every id is derived from the topology alone, in the object engine's
-numbering (:meth:`SoAState.from_topology`, whole arrays at a time with
-numpy, no Python loop per port), so a kernel network builds no
-``Router``, ``OutputPort`` or ``NIC``; ``tests/test_kernel_wiring.py``
+numbering (:meth:`SoAState.from_topology`, plain loops over each
+router's neighbours and nodes that write the ten arrays directly, with
+no numpy), so a kernel network builds no ``Router``, ``OutputPort`` or
+``NIC``; ``tests/test_kernel_wiring.py``
 holds the ids to an object network's wiring on every topology family.
 The compiled kernel (:mod:`repro.sim.vec.kernel`) copies each array's
 buffer into its own C array once and owns every piece of *mutable*
@@ -23,10 +24,7 @@ methods, which return snapshot copies of it.
 from __future__ import annotations
 
 from array import array
-from itertools import chain
 from typing import TYPE_CHECKING, Optional
-
-import numpy as np
 
 from repro.routing.vc import HopIndexVC, PhaseVC
 
@@ -87,76 +85,55 @@ class SoAState:
 
         # A router has one output and one input per neighbour and per
         # node, numbered alike, so one offset array spaces both ids.
+        # in_pbase (input gid -> its router's port-id base) is a
+        # hot-loop shortcut.
         nbrs = [topo.neighbors(r) for r in range(NR)]
         nodes = [topo.nodes_of(r) for r in range(NR)]
-        deg = np.fromiter(map(len, nbrs), np.int64, NR)
-        npr = np.fromiter(map(len, nodes), np.int64, NR)
-        radix = deg + npr
-        p_off = _starts(radix)
-        total = st.NP = st.NI = int(radix.sum())
-
-        # Router-router channels in (router, out_idx) order: channel e
-        # leaves router src[e] for dst[e] through output gid[e].
-        src = np.repeat(np.arange(NR), deg)
-        dst = np.fromiter(chain.from_iterable(nbrs), np.int64, src.size)
-        gid = p_off[src] + np.arange(src.size) - _starts(deg)[src]
-
-        # Each node's injection input and ejection output follow its
-        # router's neighbours, in nodes_of order.
-        node = np.fromiter(chain.from_iterable(nodes), np.int64)
-        rid = np.repeat(np.arange(NR), npr)
-        eject = deg[rid] + np.arange(node.size) - _starts(npr)[rid]
-        n_gid = p_off[rid] + eject
+        p_off, in_pbase = array("i"), array("i")
+        for nb, ns in zip(nbrs, nodes):
+            p_off.append(len(in_pbase))
+            in_pbase.extend([len(in_pbase)] * (len(nb) + len(ns)))
+        total = st.NP = st.NI = len(in_pbase)
 
         # row_port is the directed-channel table in global port ids
         # (row-major, stride NR -- one multiply-indexed load per UGAL-L
-        # probe); the kernel also enumerates its minimal paths from it.
-        # A channel's downstream input, dst's input from src, is
-        # numbered port(dst, src) like dst's output back to src: the
-        # reverse channel's entry.  in_pbase (input gid -> its router's
-        # port-id base) is a hot-loop shortcut; n_rid is node -> router
-        # id, for the kernel's in-C route selection.
-        row_port = np.full(NR * NR, -1, np.int32)
-        row_port[src * NR + dst] = gid
-        ds_in = row_port[dst * NR + src]
-        p_dest_in = np.full(total, -1, np.int32)
-        p_dest_in[gid] = ds_in
-        p_has_cred = np.zeros(total, np.int32)
-        p_has_cred[gid] = 1
-        in_up_port = np.full(total, -1, np.int32)
-        in_up_port[ds_in] = gid
-        in_up_node = np.full(total, -1, np.int32)
-        in_up_node[n_gid] = node
-        n_in, n_rid, n_eject = (np.zeros(NN, np.int32) for _ in range(3))
-        n_in[node] = n_gid
-        n_rid[node] = rid
-        n_eject[node] = eject
-        st.p_off = _int32(p_off)
-        st.in_pbase = _int32(np.repeat(p_off, radix))
-        st.in_up_port = _int32(in_up_port)
-        st.in_up_node = _int32(in_up_node)
-        st.p_dest_in = _int32(p_dest_in)
-        st.p_has_cred = _int32(p_has_cred)
-        st.n_in = _int32(n_in)
-        st.n_rid = _int32(n_rid)
-        st.n_eject = _int32(n_eject)
-        st.row_port = _int32(row_port)
+        # probe; -1 where routers are not adjacent); the kernel also
+        # enumerates its minimal paths from it.  Router r's output to
+        # its i-th neighbour is port p_off[r] + i.
+        row_port = array("i", [-1]) * (NR * NR)
+        for r, nb in enumerate(nbrs):
+            base, row = p_off[r], r * NR
+            for i, v in enumerate(nb):
+                row_port[row + v] = base + i
+
+        # A channel's downstream input, v's input from r, is numbered
+        # port(v, r) like v's output back to r: the reverse channel's
+        # entry.  Each node's injection input and ejection output follow
+        # its router's neighbours, in nodes_of order; n_rid is node ->
+        # router id, for the kernel's in-C route selection.
+        p_dest_in = array("i", [-1]) * total
+        p_has_cred = array("i", [0]) * total
+        in_up_node = array("i", [-1]) * total
+        n_in, n_rid, n_eject = (array("i", [0]) * NN for _ in range(3))
+        for r, (nb, ns) in enumerate(zip(nbrs, nodes)):
+            base, deg = p_off[r], len(nb)
+            p_dest_in[base:base + deg] = array(
+                "i", [row_port[v * NR + r] for v in nb])
+            p_has_cred[base:base + deg] = array("i", [1]) * deg
+            in_up_node[base + deg:base + deg + len(ns)] = array("i", ns)
+            for j, node in enumerate(ns):
+                n_in[node] = base + deg + j
+                n_rid[node] = r
+                n_eject[node] = deg + j
+        # So p_dest_in is its own inverse: the port that feeds an input
+        # (in_up_port) is the input's entry in p_dest_in.
+        in_up_port = array("i", p_dest_in)
+        st.p_off, st.in_pbase, st.row_port = p_off, in_pbase, row_port
+        st.p_dest_in, st.p_has_cred = p_dest_in, p_has_cred
+        st.in_up_port, st.in_up_node = in_up_port, in_up_node
+        st.n_in, st.n_rid, st.n_eject = n_in, n_rid, n_eject
         st.vc_scheme, st.vc_min, st.vc_ind = _vc_labelling(routing)
         return st
-
-
-def _starts(counts: np.ndarray) -> np.ndarray:
-    """Where each of the runs of lengths *counts* starts when they are
-    laid end to end.  (With ``np.cumsum`` instead, every network build
-    left about 70 bytes on the traced heap; see
-    ``tests/test_kernel_memory.py``.)"""
-    return np.add.accumulate(counts) - counts
-
-
-def _int32(values: np.ndarray) -> array:
-    """*values* as an ``array('i')``: int32 items, a buffer the kernel
-    copies at once, and plain ints when indexed from Python."""
-    return array("i", values.astype(np.int32, copy=False).tobytes())
 
 
 def _vc_labelling(routing) -> tuple:

@@ -24,9 +24,12 @@ Conventions
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from array import array
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["Topology", "LINK_FLAT", "LINK_UP", "LINK_DOWN"]
 
@@ -73,14 +76,13 @@ class Topology:
 
         # Contiguous node-id assignment in router order.
         self._router_nodes: List[List[int]] = []
-        self._node_router: List[int] = []
+        #: The router of each end-node, an ``array('q')``.
+        self.node_router = array("q")
         nid = 0
         for r, count in enumerate(self._nodes_per_router):
-            ids = list(range(nid, nid + count))
-            self._router_nodes.append(ids)
-            self._node_router.extend([r] * count)
+            self._router_nodes.append(list(range(nid, nid + count)))
+            self.node_router.extend([r] * count)
             nid += count
-        self.node_router: np.ndarray = np.asarray(self._node_router, dtype=np.int64)
 
         # Derived caches.
         self._neighbor_sets: List[Set[int]] = [set(n) for n in self._adj]
@@ -98,7 +100,7 @@ class Topology:
     @property
     def num_nodes(self) -> int:
         """Number of end-nodes ``N``."""
-        return len(self._node_router)
+        return len(self.node_router)
 
     @property
     def num_router_links(self) -> int:
@@ -179,7 +181,7 @@ class Topology:
 
     def router_of(self, node: int) -> int:
         """Router an end-node is attached to."""
-        return int(self.node_router[node])
+        return self.node_router[node]
 
     def nodes_attached(self, router: int) -> int:
         """Number of end-nodes attached to *router*."""
@@ -218,8 +220,11 @@ class Topology:
         g.add_edges_from(self.edges())
         return g
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense boolean adjacency matrix of the router graph."""
+    def adjacency_matrix(self) -> "np.ndarray":
+        """Dense boolean adjacency matrix of the router graph (a numpy
+        array; numpy is imported here, not with the module)."""
+        import numpy as np
+
         mat = np.zeros((self.num_routers, self.num_routers), dtype=bool)
         for a, b in self.edges():
             mat[a, b] = mat[b, a] = True

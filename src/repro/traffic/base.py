@@ -11,9 +11,8 @@ Two families (matching the paper's Sec. 4.3 / 4.4 split):
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, List, Optional, Protocol, Sequence, Tuple
-
-import numpy as np
 
 __all__ = [
     "SyntheticTraffic",
@@ -60,23 +59,22 @@ class PermutationTraffic:
     """
 
     def __init__(self, destinations: Sequence[int]):
-        self.destinations = np.asarray(destinations, dtype=np.int64)
+        #: Each node's destination, an ``array('q')`` (negative: idle).
+        self.destinations = array("q", destinations)
         n = len(self.destinations)
-        active = self.destinations[self.destinations >= 0]
-        if np.any(active >= n):
+        active = [d for d in self.destinations if d >= 0]
+        if any(d >= n for d in active):
             raise ValueError("destination out of range")
-        if np.any(self.destinations == np.arange(n)):
+        if any(d == src for src, d in enumerate(self.destinations)):
             raise ValueError("self-destination in permutation")
-        if len(np.unique(active)) != len(active):
+        if len(set(active)) != len(active):
             raise ValueError("destinations are not a (partial) permutation")
 
     def pick_destination(self, src_node: int, rng) -> Optional[int]:
-        dst = int(self.destinations[src_node])
+        dst = self.destinations[src_node]
         return dst if dst >= 0 else None
 
     def as_messages(self, size_bytes: int) -> List[List[Tuple[int, int]]]:
         """The same pattern as a single-message-per-node exchange."""
-        out: List[List[Tuple[int, int]]] = []
-        for src, dst in enumerate(self.destinations):
-            out.append([(int(dst), size_bytes)] if dst >= 0 else [])
-        return out
+        return [[(dst, size_bytes)] if dst >= 0 else []
+                for dst in self.destinations]

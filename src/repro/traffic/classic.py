@@ -15,9 +15,7 @@ keeps the patterns well-formed on arbitrary node counts.
 from __future__ import annotations
 
 import math
-from typing import Optional
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from repro.traffic.base import PermutationTraffic
 
@@ -35,14 +33,11 @@ def _bits(num_nodes: int) -> int:
     return b
 
 
-def _partial(dst: np.ndarray, num_nodes: int) -> np.ndarray:
+def _partial(dst: Sequence[int], num_nodes: int) -> List[int]:
     """Embed a 2^b-domain permutation into num_nodes (rest idle)."""
-    full = np.full(num_nodes, -1, dtype=np.int64)
-    full[: len(dst)] = dst
+    full = list(dst) + [-1] * (num_nodes - len(dst))
     # Self-destinations become idle (e.g. fixed points of transpose).
-    self_idx = np.nonzero(full == np.arange(num_nodes))[0]
-    full[self_idx] = -1
-    return full
+    return [-1 if d == src else d for src, d in enumerate(full)]
 
 
 class BitComplement(PermutationTraffic):
@@ -53,8 +48,7 @@ class BitComplement(PermutationTraffic):
         if b < 1:
             raise ValueError(f"BitComplement: need >= 2 nodes, got {num_nodes}")
         size = 1 << b
-        src = np.arange(size)
-        dst = (~src) & (size - 1)
+        dst = [~src & (size - 1) for src in range(size)]
         super().__init__(_partial(dst, num_nodes))
         self.bits = b
 
@@ -66,15 +60,7 @@ class BitReverse(PermutationTraffic):
         b = _bits(num_nodes)
         if b < 1:
             raise ValueError(f"BitReverse: need >= 2 nodes, got {num_nodes}")
-        size = 1 << b
-        dst = np.zeros(size, dtype=np.int64)
-        for s in range(size):
-            r = 0
-            x = s
-            for _ in range(b):
-                r = (r << 1) | (x & 1)
-                x >>= 1
-            dst[s] = r
+        dst = [int(format(s, f"0{b}b")[::-1], 2) for s in range(1 << b)]
         super().__init__(_partial(dst, num_nodes))
         self.bits = b
 
@@ -91,8 +77,7 @@ class Transpose(PermutationTraffic):
         size = 1 << b
         half = b // 2
         mask = (1 << half) - 1
-        src = np.arange(size)
-        dst = ((src & mask) << half) | (src >> half)
+        dst = [((src & mask) << half) | (src >> half) for src in range(size)]
         super().__init__(_partial(dst, num_nodes))
         self.bits = b
 
@@ -108,8 +93,8 @@ class Tornado(PermutationTraffic):
         offset = (num_nodes + 1) // 2 - 1
         if offset == 0:
             offset = 1
-        dst = (np.arange(num_nodes) + offset) % num_nodes
-        super().__init__(dst)
+        super().__init__([(src + offset) % num_nodes
+                          for src in range(num_nodes)])
 
 
 class HotspotTraffic:

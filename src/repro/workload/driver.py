@@ -150,10 +150,12 @@ class WorkloadDriver:
         # last one completed and its delivered packets per route kind
         # (its row of the countdown's kind table).
         names = net.stats.kind_names
+        width = len(net.stats.kind_totals)
         phases: Dict[str, Dict[str, Any]] = {
             phase: {"messages": 0, "done_ns": 0.0, "kind_counts": {
-                kind: count for kind, count in zip(names, row) if count}}
-            for phase, row in zip(phase_ids, kinds.tolist())
+                kind: count for kind, count
+                in zip(names, kinds[g * width:(g + 1) * width]) if count}}
+            for g, phase in enumerate(phase_ids)
         }
         by_group = list(phases.values())
         for g, t in zip(groups, times):
@@ -164,7 +166,7 @@ class WorkloadDriver:
             "workload": self.workload.name,
             "completion_ns": completion,
             "messages": self.workload.num_messages,
-            "packets": int(kinds.sum()),
+            "packets": sum(kinds),
             "total_bytes": float(total_bytes),
             "effective_throughput": (
                 total_bytes / (completion * n * rate) if completion > 0 else 0.0

@@ -62,7 +62,7 @@ NOT_LOADED = (
 #: Run in a fresh interpreter as ``SCRIPT kind backend``: the imports
 #: the end-to-end benchmark's child makes (``benchmarks/e2e/child.py``),
 #: one network on SF q=5 and one run of that kind.  Prints the repro
-#: modules loaded before the run and those the run added.
+#: modules (and numpy) loaded before the run and those the run added.
 SCRIPT = """
 import json, sys
 from repro.routing import UGALRouting
@@ -82,7 +82,9 @@ work = (UniformRandom(topo.num_nodes) if open_loop
 net = Network(topo, UGALRouting(topo, seed=0), config)
 if kind == "traced":
     tracer = net.enable_trace()
-before = {m for m in sys.modules if m.startswith("repro")}
+def loaded():
+    return {m for m in sys.modules if m.startswith("repro") or m == "numpy"}
+before = loaded()
 if open_loop:
     stats = net.run_synthetic(work, load=0.5, warmup_ns=200.0,
                               measure_ns=600.0, seed=1)
@@ -92,7 +94,7 @@ else:
     result = net.run_workload(work)
     delivered = result["packets"]
     assert result.get("fault_events", 0) == (8 if faults else 0)
-after = {m for m in sys.modules if m.startswith("repro")}
+after = loaded()
 print(json.dumps({"backend": net.backend_in_use, "delivered": delivered,
                   "before": sorted(before), "added": sorted(after - before)}))
 """
@@ -119,6 +121,10 @@ def test_kernel_run_loads_none_of_the_unused_modules(kind):
     assert out["backend"] == "kernel"
     loaded = set(out["before"]) | set(out["added"])
     assert sorted(loaded & set(NOT_LOADED)) == []
+    # numpy is never imported, before the run or during it: the
+    # topology, traffic and wiring build without it, and the latency
+    # window reduces in C.
+    assert "numpy" not in loaded
     # The run itself imports nothing: every import is set-up.
     assert out["added"] == []
 
@@ -136,6 +142,9 @@ def test_other_modes_load_what_they_use(kind, backend, needs):
     out = run_fresh(kind, backend)
     assert out["backend"] == backend
     assert needs in out["before"]
+    # The object engine imports numpy, for its reference reduction of
+    # the latency window, as it is built, not inside window_stats.
+    assert backend == "kernel" or "numpy" in out["before"]
     assert out["added"] == []
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the statistics collector."""
 
 import os
+import struct
 import subprocess
 import sys
 from array import array
@@ -12,6 +13,7 @@ import repro
 from repro.sim.config import PAPER_CONFIG
 from repro.sim.packet import Packet
 from repro.sim.stats import StatsCollector, percentile99
+from repro.sim.vec.kernel import load_kernel
 
 
 def make_packet(pid, src=0, dst=1, size=256, gen=0.0):
@@ -215,6 +217,50 @@ class TestPercentile99:
                              capture_output=True, text=True, env=env).stdout
         before, after = out.split()
         assert after == before
+
+
+@pytest.mark.skipif(load_kernel() is None,
+                    reason="compiled kernel unavailable (no compiler or "
+                           "REPRO_NO_KERNEL set)")
+class TestKernelWindowReduce:
+    """The kernel's ``window_reduce`` against ``np.mean(x)`` and
+    ``np.percentile(x, 99)``, bit for bit: the kernel engine reduces its
+    latency window with it, so a kernel run never imports numpy."""
+
+    # Around each of numpy's pairwise-sum regimes (a plain loop below 8
+    # values, 8 accumulators up to 128, halves split at a multiple of 8
+    # above) and the halo benchmark's 94,080 latencies.
+    LENGTHS = [*range(1, 10), 127, 128, 129, 255, 256, 257,
+               8_191, 8_192, 8_193, 94_080]
+
+    @staticmethod
+    def _arrays(rng, n):
+        yield rng.exponential(300.0, n)                        # exponential
+        yield rng.integers(0, 7, n).astype(np.float64) * 12.5  # many ties
+        yield np.full(n, 431.25)                               # all equal
+
+    def test_matches_numpy_bit_for_bit(self):
+        reduce = load_kernel().window_reduce
+        rng = np.random.default_rng(34)
+        lengths = self.LENGTHS + rng.integers(1, 300_001, 8).tolist()
+        checked = 0
+        for n in lengths:
+            for values in self._arrays(rng, n):
+                latencies = array("d", values.tobytes())
+                got = struct.pack("<2d", *reduce(latencies))
+                want = struct.pack("<2d", np.mean(values),
+                                   np.percentile(values, 99))
+                assert got == want, (n, checked)
+                assert latencies.tobytes() == values.tobytes()
+                checked += 1
+        assert checked == 3 * len(lengths)
+
+    def test_refuses_what_it_cannot_reduce(self):
+        reduce = load_kernel().window_reduce
+        with pytest.raises(ValueError, match="no latencies"):
+            reduce(array("d"))
+        with pytest.raises(TypeError, match="float64 array"):
+            reduce(array("q", [1, 2]))
 
 
 class TestLatencyStore:

@@ -1,5 +1,7 @@
 """Unit tests for repro.topology.base (the shared Topology model)."""
 
+from array import array
+
 import numpy as np
 import pytest
 
@@ -82,7 +84,7 @@ class TestNodeAssignment:
 
     def test_node_router_array(self):
         t = triangle(p=2)
-        assert np.array_equal(t.node_router, [0, 0, 1, 1, 2, 2])
+        assert t.node_router == array("q", [0, 0, 1, 1, 2, 2])
 
     def test_endpoint_routers_skips_empty(self):
         t = path4()

@@ -185,6 +185,22 @@ class TestCLICommands:
     def test_bad_topology_exit_code(self, capsys):
         assert main(["info", "nonsense:x=1"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "sf:q=5", "--routing", "min", "--load", "0.3",
+         "--faults", "fail@500:0-1", "--warmup", "200", "--measure", "600"],
+        ["workload", "sf:q=5", "--collective", "halo3d", "--sizes", "512",
+         "--faults", "fail@500:0-1"],
+    ], ids=["simulate", "workload"])
+    def test_no_route_is_a_usage_error(self, argv, capsys):
+        # Minimal routing provisions two VCs; a detour around the failed
+        # link needs three or four hops, so RouteCache raises
+        # NoRouteError, which exits like a ValueError: one error line
+        # naming the remedy and code 2, not a traceback.
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "safe_vc_policy" in err
+        assert "Traceback" not in err
+
     def test_broken_pipe_exits_cleanly(self, monkeypatch, tmp_path):
         # `repro ... | head`: the reader closing early is not an error,
         # and stdout is pointed at the null device so the interpreter's
